@@ -10,12 +10,10 @@ rationals throughout; nothing in this package touches floating point.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
-
-
-Rat = Fraction
 
 
 def rat(x) -> Fraction:
@@ -112,9 +110,7 @@ class Element:
             for w, c in terms.items():
                 c = rat(c)
                 if c:
-                    clean[w] = clean.get(w, Fraction(0)) + c
-                    if not clean[w]:
-                        del clean[w]
+                    clean[w] = c
         self.terms = clean
 
     @staticmethod
@@ -135,15 +131,15 @@ class Element:
         return self.terms.get(word, Fraction(0))
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
+        out = defaultdict(Fraction, self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] += c
         return Element(out)
 
     def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
+        out = defaultdict(Fraction, self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
+            out[w] -= c
         return Element(out)
 
     def __neg__(self) -> "Element":
@@ -237,13 +233,12 @@ class ChordAlgebra:
         return Word.of(a.letters + b.letters)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Fraction] = defaultdict(Fraction)
         for wa, ca in x.terms.items():
             for wb, cb in y.terms.items():
                 w = self.mul_words(wa, wb)
-                if w is None:
-                    continue
-                out[w] = out.get(w, Fraction(0)) + ca * cb
+                if w is not None:
+                    out[w] += ca * cb
         return Element(out)
 
     def unit(self, comp: int) -> Element:
@@ -252,12 +247,6 @@ class ChordAlgebra:
     def generator_element(self, name: str) -> Element:
         self.gen(name)
         return Element.monomial(Word.of([name]))
-
-    def word_element(self, letters: Iterable[str], coeff=1) -> Element:
-        letters = tuple(letters)
-        if not self.composable(letters):
-            return Element()
-        return Element.monomial(Word.of(letters), coeff)
 
     # ---- graded cyclic rotation ----------------------------------------------
 

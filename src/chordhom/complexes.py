@@ -17,15 +17,16 @@ differential vanishes, and the marked-module dictionary is sign-free.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
 from .algebra import ChordAlgebra, Element, Word
 from .dga import DGASpec, extend_leibniz
 from .homology import (
-    EXACT,
     GradedChainComplex,
+    _composable_words,
     betti,
     build_complex,
     enumerate_cyclic_words,
@@ -115,11 +116,6 @@ class DecoratedWord:
         return ".".join((head,) + self.word[1:])
 
 
-def decorated_grading(algebra: ChordAlgebra, dw: DecoratedWord) -> int:
-    base = sum(algebra.gen(n).grading for n in dw.word)
-    return base + (1 if dw.decoration == HAT else 0)
-
-
 def canonicalize_marked(
     algebra: ChordAlgebra, letters: tuple[str, ...], mark: int, decoration: str
 ) -> tuple[DecoratedWord, int]:
@@ -140,32 +136,65 @@ def canonicalize_marked(
     return DecoratedWord(suffix + prefix, decoration), sign
 
 
+def _s_terms(
+    algebra: ChordAlgebra, letters: tuple[str, ...], tail: tuple[str, ...] = ()
+) -> Iterator[tuple[DecoratedWord, int]]:
+    """The terms of S(letters) * tail: each letter of `letters` hatted in
+    turn with the sign (-1)^(degree of the letters before it), rotated to
+    mark-first form with the sign of that rotation folded in."""
+    prefix_deg = 0
+    for j, name in enumerate(letters):
+        dw, rot = canonicalize_marked(algebra, letters + tail, j, HAT)
+        yield dw, (-1 if prefix_deg % 2 else 1) * rot
+        prefix_deg += algebra.gen(name).grading
+
+
 def s_operator(
     algebra: ChordAlgebra, word: Word
 ) -> dict[DecoratedWord, Fraction]:
     """S(c_1...c_l) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...hat(c_j)...c_l,
     normalized to mark-first form.  S of an idempotent is zero."""
-    out: dict[DecoratedWord, Fraction] = {}
-    if word.is_idem:
-        return out
-    letters = word.letters
-    prefix_deg = 0
-    for j, name in enumerate(letters):
-        s = -1 if prefix_deg % 2 else 1
-        dw, rot_sign = canonicalize_marked(algebra, letters, j, HAT)
-        out[dw] = out.get(dw, Fraction(0)) + s * rot_sign
-        prefix_deg += algebra.gen(name).grading
+    out: dict[DecoratedWord, Fraction] = defaultdict(Fraction)
+    for dw, sign in _s_terms(algebra, word.letters):
+        out[dw] += sign
     return {k: v for k, v in out.items() if v}
 
 
-def _scale_into(acc: dict, items: Iterable[tuple], coeff: Fraction) -> None:
-    for k, v in items:
-        acc[k] = acc.get(k, Fraction(0)) + coeff * v
-        if not acc[k]:
-            del acc[k]
-
-
 # ---- the cyclic complex ------------------------------------------------------
+
+
+def _cyclic_bases(
+    dga: DGASpec, window: tuple[int, int], max_len: int
+) -> dict[int, list]:
+    """One label per good cyclic class: the words that no rotation sorts
+    before (a necklace filter that stops at the first smaller rotation)
+    and whose class is not zero."""
+    alg = dga.algebra
+    lo, hi = window
+    bases: dict[int, list] = {}
+    for w in enumerate_cyclic_words(alg, (lo - 1, hi + 1), max_len):
+        key = w.sort_key()
+        if any(r.sort_key() < key for r, _ in alg.rotations(w)):
+            continue
+        if not cyclic_class(alg, w).is_zero:
+            bases.setdefault(alg.grading(w), []).append(("cyc", w.letters))
+    for labs in bases.values():
+        labs.sort()
+    return bases
+
+
+def _cyclic_image(dga: DGASpec, label) -> dict:
+    """The letterwise Leibniz differential followed by projection to the
+    cyclic classes; length-zero collapses are dropped."""
+    alg = dga.algebra
+    out: dict = defaultdict(Fraction)
+    for term, coeff in extend_leibniz(dga, Element.monomial(Word.of(label[1]))).terms.items():
+        if term.is_idem:
+            continue
+        cls = cyclic_class(alg, term)
+        if not cls.is_zero:
+            out[("cyc", cls.representative)] += coeff * cls.sign
+    return out
 
 
 def build_cyclic_complex(
@@ -173,38 +202,13 @@ def build_cyclic_complex(
 ) -> GradedChainComplex:
     """Good cyclic classes with the letterwise Leibniz differential followed
     by projection; length-zero collapses are dropped."""
-    alg = dga.algebra
-    lo, hi = window
     verdict = guard_verdict(
         (g.grading for g in dga.generators), window, max_len
     )
-    words = enumerate_cyclic_words(
-        alg, (lo - 1, hi + 1), max_len, canonical_only=True
-    )
-    bases: dict[int, list] = {}
-    for w in words:
-        cls = cyclic_class(alg, w)
-        if cls.is_zero or cls.representative != w.letters:
-            continue
-        bases.setdefault(alg.grading(w), []).append(("cyc", w.letters))
-    for labs in bases.values():
-        labs.sort()
-
-    def image(degree: int, label) -> dict:
-        _, letters = label
-        out: dict = {}
-        dw = extend_leibniz(dga, Element.monomial(Word.of(letters)))
-        for term, coeff in dw.terms.items():
-            if term.is_idem:
-                continue
-            cls = cyclic_class(alg, term)
-            if cls.is_zero:
-                continue
-            _scale_into(out, [(("cyc", cls.representative), Fraction(cls.sign))], coeff)
-        return out
-
     return build_complex(
-        bases, image, window, verdict, max_len, meta={"kind": "cyc"}
+        _cyclic_bases(dga, window, max_len),
+        lambda degree, label: _cyclic_image(dga, label),
+        window, verdict, max_len, meta={"kind": "cyc"},
     )
 
 
@@ -243,36 +247,6 @@ def _unrot1(letters: tuple[str, ...]) -> tuple[str, ...]:
     return letters[1:] + (letters[0],)
 
 
-def _check_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
-    """Differential of a check word into check words.
-
-    The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
-    precedes c1; in slot coordinates the differential is the plain algebra
-    differential of the rotated word (c2 ... cm c1), units absorbed.  Full
-    collapses of single letters are dropped here (they feed the component
-    classes in the completed complex).
-    """
-    out: dict = {}
-    slot_word = _unrot1(letters)
-    dw = extend_leibniz(dga, Element.monomial(Word.of(slot_word)))
-    for term, coeff in dw.terms.items():
-        if term.is_idem:
-            continue
-        out_key = ("chk", _rot1(term.letters))
-        out[out_key] = out.get(out_key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
-
-
-def _check_collapse_coeff(dga: DGASpec, letters: tuple[str, ...]) -> Fraction:
-    """Coefficient of the full collapse of a linear check word."""
-    if len(letters) != 1:
-        return Fraction(0)
-    g = dga.algebra.gen(letters[0])
-    if g.src != g.dst:
-        return Fraction(0)
-    return dga.d_gen(letters[0]).coeff(Word.idem(g.src))
-
-
 def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
     """Differential of a hat word, in the marked-module normal form: the
     two mark-slot commutator terms land in check words, the marked letter
@@ -280,31 +254,22 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
     the full algebra differential with units absorbed into the hat letter.
     """
     alg = dga.algebra
-    out: dict = {}
+    out: dict = defaultdict(Fraction)
     head, tail = letters[0], letters[1:]
     head_deg = alg.gen(head).grading
 
-    def put(key, coeff):
-        out[key] = out.get(key, Fraction(0)) + coeff
-
     # mark slot moved through the marked letter: + (slot, c, tail) and
     # - (-1)^(|c| |tail|) (slot, tail, c), translated to check lettering
-    put(("chk", _rot1((head,) + tail)), Fraction(1))
+    out[("chk", _rot1((head,) + tail))] += 1
     tsign = -1 if (head_deg * sum(alg.gen(x).grading for x in tail)) % 2 else 1
-    put(("chk", _rot1(tail + (head,))), Fraction(-tsign))
+    out[("chk", _rot1(tail + (head,)))] -= tsign
 
-    # -S(d(head)) * tail: mark each letter of the replacement block in
-    # place, then rotate to mark-first form with decorated signs.
+    # -S(d(head)) * tail
     for term, coeff in dga.d_gen(head).terms.items():
         if term.is_idem:
             continue
-        block = term.letters
-        pdeg = 0
-        for j, name in enumerate(block):
-            s = -1 if pdeg % 2 else 1
-            ndw, rot = canonicalize_marked(alg, block + tail, j, HAT)
-            put(("hat", ndw.word), -coeff * s * rot)
-            pdeg += alg.gen(name).grading
+        for dw, sign in _s_terms(alg, term.letters, tail):
+            out[("hat", dw.word)] -= coeff * sign
 
     # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
     if tail:
@@ -319,14 +284,19 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
                 if alg.gen(head).src != alg.dst(term):
                     continue
                 new = (head,) + term.letters
-            put(("hat", new), sign * coeff)
+            out[("hat", new)] += sign * coeff
 
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def _decorated_bases(
-    dga: DGASpec, window: tuple[int, int], max_len: int, with_tau: bool
+    dga: DGASpec,
+    window: tuple[int, int],
+    max_len: int,
+    ho: HoComplexSpec | None = None,
 ) -> dict[int, list]:
+    """Check and hat copies of the cyclically composable words; with ho,
+    one degree-0 class per component as well."""
     alg = dga.algebra
     lo, hi = window
     words = enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len)
@@ -337,7 +307,7 @@ def _decorated_bases(
             bases.setdefault(deg, []).append(("chk", w.letters))
         if lo - 1 <= deg + 1 <= hi + 1:
             bases.setdefault(deg + 1, []).append(("hat", w.letters))
-    if with_tau and lo - 1 <= 0 <= hi + 1:
+    if ho is not None and lo - 1 <= 0 <= hi + 1:
         for i in dga.ring.components:
             bases.setdefault(0, []).append(("tau", i))
     for labs in bases.values():
@@ -354,22 +324,42 @@ def _label_key(label):
     return (order[kind], len(rest), rest)
 
 
+def _decorated_image(dga: DGASpec, label, ho: HoComplexSpec | None = None) -> dict:
+    """The matrix differential on check and hat words; with ho, single-letter
+    check words also feed the component classes through the unit
+    coefficients.
+
+    The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
+    precedes c1; in slot coordinates its differential is the plain algebra
+    differential of the rotated word (c2 ... cm c1), units absorbed.  Full
+    collapses of single letters are dropped from the check words.
+    """
+    kind = label[0]
+    if kind == "hat":
+        return _hat_image(dga, label[1])
+    if kind == "tau":
+        return {}
+    letters = label[1]
+    out: dict = defaultdict(Fraction)
+    dw = extend_leibniz(dga, Element.monomial(Word.of(_unrot1(letters))))
+    for term, coeff in dw.terms.items():
+        if not term.is_idem:
+            out[("chk", _rot1(term.letters))] += coeff
+    if ho is not None and len(letters) == 1:
+        out[("tau", dga.algebra.gen(letters[0]).src)] += ho.unit_coeff(letters[0])
+    return out
+
+
 def build_hoplus_complex(
     dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """Check and hat copies of the cyclically composable monomials with the
     matrix differential; no tau classes."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-    bases = _decorated_bases(dga, window, max_len, with_tau=False)
-
-    def image(degree: int, label) -> dict:
-        kind, letters = label
-        if kind == "chk":
-            return _check_image(dga, letters)
-        return _hat_image(dga, letters)
-
     return build_complex(
-        bases, image, window, verdict, max_len,
+        _decorated_bases(dga, window, max_len),
+        lambda degree, label: _decorated_image(dga, label),
+        window, verdict, max_len,
         meta={"kind": "hoplus", "algebra": dga.algebra},
     )
 
@@ -384,25 +374,10 @@ def build_ho_complex(
         spec = HoComplexSpec(dga=spec)
     dga = spec.dga
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-    bases = _decorated_bases(dga, window, max_len, with_tau=True)
-
-    def image(degree: int, label) -> dict:
-        kind = label[0]
-        if kind == "tau":
-            return {}
-        letters = label[1]
-        if kind == "chk":
-            out = _check_image(dga, letters)
-            if len(letters) == 1:
-                coeff = spec.unit_coeff(letters[0])
-                if coeff:
-                    comp = dga.algebra.gen(letters[0]).src
-                    out[("tau", comp)] = out.get(("tau", comp), Fraction(0)) + coeff
-            return out
-        return _hat_image(dga, letters)
-
     return build_complex(
-        bases, image, window, verdict, max_len,
+        _decorated_bases(dga, window, max_len, spec),
+        lambda degree, label: _decorated_image(dga, label, spec),
+        window, verdict, max_len,
         meta={"kind": "ho", "algebra": dga.algebra},
     )
 
@@ -447,42 +422,16 @@ def _enumerate_marked_words(
         if lo - 1 <= deg <= hi + 1:
             bases.setdefault(deg, []).append(label)
 
-    gmin = min((g.grading for g in dga.generators), default=0)
-    gmax = max((g.grading for g in dga.generators), default=0)
+    names = sorted(alg.generators)
 
     def words_between(src_port: int, dst_port: int, shift: int):
-        """All composable words w with dst(w)=dst_port, src(w)=src_port,
-        shift + |w| possibly inside the halo window."""
-        out = []
-
-        def feasible(deg, length):
-            for r in range(0, max_len - length + 1):
-                if deg + r * gmin <= hi + 1 and deg + r * gmax >= lo - 1:
-                    return True
-            return False
-
-        def extend(letters, deg):
-            if letters and alg.gen(letters[-1]).src == src_port:
-                out.append((tuple(letters), deg))
-            if len(letters) == max_len:
-                return
-            for name in sorted(alg.generators):
-                g = alg.gen(name)
-                if letters:
-                    if g.dst != alg.gen(letters[-1]).src:
-                        continue
-                else:
-                    if g.dst != dst_port:
-                        continue
-                nd = deg + g.grading
-                if not feasible(nd, len(letters) + 1):
-                    continue
-                letters.append(name)
-                extend(letters, nd)
-                letters.pop()
-
-        extend([], shift)
-        return out
+        """All composable words w with dst(w)=dst_port, src(w)=src_port and
+        shift + |w| inside the halo window, with that degree."""
+        words = _composable_words(
+            names, alg.generators, max_len, first=dst_port, last=src_port,
+            window=(lo - 1 - shift, hi + 1 - shift),
+        )
+        return [(w, shift + sum(alg.gen(n).grading for n in w)) for w in words]
 
     for i in dga.ring.components:
         add(("mx", i, ()), 0)
@@ -502,7 +451,7 @@ def _enumerate_marked_words(
 def _mcyc_image(dga: DGASpec, label) -> dict:
     """Differential on the marked cyclic quotient."""
     alg = dga.algebra
-    out: dict = {}
+    out: dict = defaultdict(Fraction)
     kind = label[0]
     if kind == "mx":
         comp, word = label[1], label[2]
@@ -510,23 +459,17 @@ def _mcyc_image(dga: DGASpec, label) -> dict:
             return {}
         dw = extend_leibniz(dga, Element.monomial(Word.of(word)))
         for term, coeff in dw.terms.items():
-            if term.is_idem:
-                key = ("mx", comp, ())
-            else:
-                key = ("mx", comp, term.letters)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return {k: v for k, v in out.items() if v}
+            out[("mx", comp, term.letters)] += coeff
+        return out
 
     _, cname, word = label
     c = alg.gen(cname)
     hat_deg = c.grading + 1
 
     # x c w  -  (-1)^(|c| |w|) x w c
-    key1 = ("mx", c.dst, (cname,) + word)
-    out[key1] = out.get(key1, Fraction(0)) + 1
+    out[("mx", c.dst, (cname,) + word)] += 1
     sign = -1 if (c.grading * sum(alg.gen(n).grading for n in word)) % 2 else 1
-    key2 = ("mx", c.src, word + (cname,))
-    out[key2] = out.get(key2, Fraction(0)) - sign
+    out[("mx", c.src, word + (cname,))] -= sign
 
     # -S(dc) w, reduced to mark-first form
     for term, coeff in dga.d_gen(cname).terms.items():
@@ -540,8 +483,7 @@ def _mcyc_image(dga: DGASpec, label) -> dict:
             suffix = letters[j + 1:] + word
             prefix = letters[:j]
             (mk, wrd), rot = _mcyc_reduce(alg, prefix, marked, suffix)
-            key = _mcyc_label(mk, wrd)
-            out[key] = out.get(key, Fraction(0)) - coeff * s * rot
+            out[_mcyc_label(mk, wrd)] -= coeff * s * rot
             prefix_deg += alg.gen(name).grading
 
     # (-1)^(|c|+1) c^ d(w), units absorbed
@@ -549,13 +491,9 @@ def _mcyc_image(dga: DGASpec, label) -> dict:
         hsign = -1 if hat_deg % 2 else 1
         dtail = extend_leibniz(dga, Element.monomial(Word.of(word)))
         for term, coeff in dtail.terms.items():
-            if term.is_idem:
-                key = ("mc", cname, ())
-            else:
-                key = ("mc", cname, term.letters)
-            out[key] = out.get(key, Fraction(0)) + hsign * coeff
+            out[("mc", cname, term.letters)] += hsign * coeff
 
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def build_mcyc_complex(
@@ -600,21 +538,7 @@ def build_module_M(
 
     all_words: dict[int, list[tuple[str, ...]]] = {}
 
-    def plain_words(limit):
-        out = [()]
-        frontier = [()]
-        for _ in range(limit):
-            new = []
-            for w in frontier:
-                for name in sorted(alg.generators):
-                    if w and alg.gen(w[-1]).src != alg.gen(name).dst:
-                        continue
-                    new.append(w + (name,))
-            frontier = new
-            out.extend(new)
-        return out
-
-    words = plain_words(max_len)
+    words = [()] + _composable_words(sorted(alg.generators), alg.generators, max_len)
     bases: dict[int, list] = {}
     for mark in marks:
         msrc, mdst, mdeg = mark_ports_deg(mark)
@@ -636,25 +560,20 @@ def build_module_M(
 
     def image(degree: int, label) -> dict:
         _, left, mark, right = label
-        out: dict = {}
-
-        def put(lft, mk, rgt, coeff):
-            key = ("M", tuple(lft), mk, tuple(rgt))
-            out[key] = out.get(key, Fraction(0)) + coeff
-
+        out: dict = defaultdict(Fraction)
         # d(left) mark right
         if left:
             dl = extend_leibniz(dga, Element.monomial(Word.of(left)))
             for term, coeff in dl.terms.items():
-                put(() if term.is_idem else term.letters, mark, right, coeff)
+                out[("M", term.letters, mark, right)] += coeff
         ldeg = sum(alg.gen(n).grading for n in left)
         lsign = -1 if ldeg % 2 else 1
         # left d_M(mark) right
         if mark[0] == "hat":
             cname = mark[1]
             c = alg.gen(cname)
-            put(left, ("x", c.dst), (cname,) + right, lsign)
-            put(left + (cname,), ("x", c.src), right, -lsign)
+            out[("M", left, ("x", c.dst), (cname,) + right)] += lsign
+            out[("M", left + (cname,), ("x", c.src), right)] -= lsign
             for term, coeff in dga.d_gen(cname).terms.items():
                 if term.is_idem:
                     continue
@@ -662,12 +581,8 @@ def build_module_M(
                 pdeg = 0
                 for j, nm in enumerate(letters):
                     s = -1 if pdeg % 2 else 1
-                    put(
-                        left + letters[:j],
-                        ("hat", nm),
-                        letters[j + 1:] + right,
-                        -lsign * s * coeff,
-                    )
+                    key = ("M", left + letters[:j], ("hat", nm), letters[j + 1:] + right)
+                    out[key] -= lsign * s * coeff
                     pdeg += alg.gen(nm).grading
             mdeg = c.grading + 1
         else:
@@ -677,8 +592,8 @@ def build_module_M(
             rsign = -1 if (ldeg + mdeg) % 2 else 1
             dr = extend_leibniz(dga, Element.monomial(Word.of(right)))
             for term, coeff in dr.terms.items():
-                put(left, mark, () if term.is_idem else term.letters, rsign * coeff)
-        return {k: v for k, v in out.items() if v}
+                out[("M", left, mark, term.letters)] += rsign * coeff
+        return out
 
     verdict = guard_verdict(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1

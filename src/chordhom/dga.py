@@ -7,12 +7,13 @@ with its relative construction).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
-from .homology import EXACT, GradedChainComplex, build_complex
+from .homology import EXACT, GradedChainComplex, _composable_words, build_complex
 
 
 class RelQError(ValueError):
@@ -251,7 +252,7 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
         labs.sort()
 
     def image(degree: int, label) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
+        out: dict[str, Fraction] = defaultdict(Fraction)
         for w, coeff in dga.d_gen(label).terms.items():
             if w.is_idem:
                 continue
@@ -267,7 +268,7 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
                         break
                     prod *= v
                 if prod:
-                    out[name] = out.get(name, Fraction(0)) + prod
+                    out[name] += prod
         return out
 
     return build_complex(bases, image, window, EXACT, meta={"kind": "linearized"})
@@ -344,24 +345,10 @@ def rel_q_construction(
         raise RelQError("q must be closed")
     comp = q.src
 
-    plain = [g for g in dga_q.generators if g.name != q_name]
-    words: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[str, ...]] = [()]
-    for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for g in plain:
-                if not w:
-                    if g.dst != comp:
-                        continue
-                else:
-                    if alg.gen(w[-1]).src != g.dst:
-                        continue
-                new.append(w + (g.name,))
-        frontier = new
-        words.extend(new)
-    words = [w for w in words if not w or alg.gen(w[-1]).src == comp]
-    words.sort(key=lambda w: (len(w), w))
+    plain = sorted(g.name for g in dga_q.generators if g.name != q_name)
+    words: list[tuple[str, ...]] = [()] + _composable_words(
+        plain, alg.generators, max_len, first=comp, last=comp
+    )
 
     def split_at_q(word: Word) -> tuple[tuple[str, ...], ...] | None:
         """Split a word ending in q into q-free blocks; None when it
@@ -393,7 +380,7 @@ def rel_q_construction(
             b_diff[_bname(w)] = Element.zero()
             continue
         dw = extend_leibniz(dga_q, Element.monomial(Word.of(w)))
-        image: dict[Word, Fraction] = {}
+        image: dict[Word, Fraction] = defaultdict(Fraction)
         for term, coeff in alg.multiply(dw, alg.generator_element(q_name)).terms.items():
             blocks = split_at_q(term)
             if blocks is None:
@@ -414,7 +401,7 @@ def rel_q_construction(
                         f"differential leaves the length-{max_len} truncation at {term}"
                     )
             bword = Word.of(tuple(_bname(b) for b in blocks))
-            image[bword] = image.get(bword, Fraction(0)) + coeff
+            image[bword] += coeff
         b_diff[_bname(w)] = Element(image)
     B = DGASpec(
         ring=b_ring,
@@ -430,10 +417,10 @@ def rel_q_construction(
     rename = {_bname(w): _yname(w) for w in words}
 
     def to_target(el: Element) -> Element:
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Fraction] = defaultdict(Fraction)
         for wd, c in el.terms.items():
             nw = wd if wd.is_idem else Word.of(tuple(rename[x] for x in wd.letters))
-            out[nw] = out.get(nw, Fraction(0)) + c
+            out[nw] += c
         return Element(out)
 
     t_diff = {_yname(w): to_target(b_diff[_bname(w)]) for w in words}

@@ -10,6 +10,7 @@ paths; syntax errors carry the parser's line and column.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from fractions import Fraction
 from typing import Any
 
@@ -129,7 +130,7 @@ def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
             _fail(path, f"unknown generator {name}")
         if not isinstance(terms, list):
             _fail(path, "expected a list of terms")
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, Fraction] = defaultdict(Fraction)
         for t_idx, term in enumerate(terms):
             tpath = f"{path}[{t_idx}]"
             if not isinstance(term, dict):
@@ -153,7 +154,7 @@ def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
                 w = Word.of(word)
             else:
                 _fail(f"{tpath}.word", "expected a list of names or e_<component>")
-            acc[w] = acc.get(w, Fraction(0)) + coeff
+            acc[w] += coeff
         differential[name] = Element(acc)
     try:
         return DGASpec(
@@ -374,7 +375,7 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
 
 
 def _element_from_terms(terms, names: set[str], path: str) -> Element:
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Fraction] = defaultdict(Fraction)
     if not isinstance(terms, list):
         _fail(path, "expected a list of terms")
     for idx, term in enumerate(terms):
@@ -390,7 +391,7 @@ def _element_from_terms(terms, names: set[str], path: str) -> Element:
             w = Word.of(word)
         else:
             _fail(f"{tpath}.word", "expected a list of names or e_<component>")
-        acc[w] = acc.get(w, Fraction(0)) + coeff
+        acc[w] += coeff
     return Element(acc)
 
 

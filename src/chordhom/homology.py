@@ -9,9 +9,11 @@ acceptance-grade reads should stick to interior degrees.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .algebra import ChordAlgebra, Word
 
@@ -74,10 +76,10 @@ class GradedChainComplex:
             for (r, c), v in m_lo.items():
                 lo_by_col.setdefault(c, []).append((r, v))
             for c, col_entries in by_col.items():
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, Fraction] = defaultdict(Fraction)
                 for mid, v in col_entries:
                     for r, w in lo_by_col.get(mid, []):
-                        acc[r] = acc.get(r, Fraction(0)) + v * w
+                        acc[r] += v * w
                 for r, total in acc.items():
                     if total:
                         bad.append((d, (r, c), total))
@@ -98,9 +100,7 @@ def rank(matrix: SparseMatrix, nrows: int, ncols: int) -> int:
             cols.setdefault(c, {})[r] = v
     dense: list[list[int]] = []
     for c, col in cols.items():
-        denom = 1
-        for v in col.values():
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = math.lcm(*(v.denominator for v in col.values()))
         vec = [0] * nrows
         for r, v in col.items():
             vec[r] = int(v * denom)
@@ -131,12 +131,6 @@ def rank(matrix: SparseMatrix, nrows: int, ncols: int) -> int:
         if r == n_rows:
             break
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -241,63 +235,83 @@ def guard_verdict(
     return EXACT
 
 
-def enumerate_cyclic_words(
-    algebra: ChordAlgebra,
-    window: tuple[int, int],
+def _composable_words(
+    alphabet: Sequence[Hashable],
+    letters: Mapping[Hashable, Any],
     max_len: int,
     *,
-    canonical_only: bool = False,
-) -> list[Word]:
-    """All cyclically composable nonempty words with degree in the window
-    and length at most max_len, in deterministic order.
+    first: int | None = None,
+    last: int | None = None,
+    window: tuple[int, int] | None = None,
+) -> list[tuple]:
+    """Nonempty composable words of length at most max_len over the
+    alphabet: shortest first, and the words of one length in lexicographic
+    order of the alphabet positions.
 
-    canonical_only keeps only words that are minimal (in sort order) among
-    their rotations, one necklace representative per orbit.
+    letters maps each letter to its data: the ports .src and .dst (a word
+    a b composes when src(a) == dst(b)) and, when a degree window is given,
+    the .grading.  first fixes the dst port of the first letter and last
+    the src port of the last one.  A window keeps the words whose degree
+    lies in it, and prunes every prefix that no extension within max_len
+    can bring into it.
     """
-    lo, hi = window
-    names = sorted(algebra.generators)
-    if not names:
-        return []
-    gmin = min(g.grading for g in algebra.generators.values())
-    gmax = max(g.grading for g in algebra.generators.values())
-    out: list[Word] = []
+    # by_dst[port]: the letters that may follow a letter with src == port,
+    # in alphabet order; by_dst[None]: every letter
+    by_dst: dict[int | None, list] = defaultdict(list)
+    for a in alphabet:
+        info = letters[a]
+        ext = (a, info.src, 0 if window is None else info.grading)
+        by_dst[info.dst].append(ext)
+        by_dst[None].append(ext)
+    if window is None:
+        lo = hi = None
+    else:
+        lo, hi = window
+        gmin = min((g for *_, g in by_dst[None]), default=0)
+        gmax = max((g for *_, g in by_dst[None]), default=0)
 
     def feasible(deg: int, length: int) -> bool:
+        if window is None:
+            return True
         for r in range(0, max_len - length + 1):
-            low = deg + r * gmin
-            high = deg + r * gmax
-            if low <= hi and high >= lo:
+            if deg + r * gmin <= hi and deg + r * gmax >= lo:
                 return True
         return False
 
-    def extend(letters: list[str], deg: int):
-        if letters:
-            word_ok = lo <= deg <= hi and algebra.src(Word.of(tuple(letters))) == algebra.gen(letters[0]).dst
-            if word_ok:
-                w = Word.of(tuple(letters))
-                if not canonical_only or _is_canonical_rotation(algebra, w):
-                    out.append(w)
-        if len(letters) == max_len:
-            return
-        for n in names:
-            g = algebra.gen(n)
-            if letters and g.dst != algebra.gen(letters[-1]).src:
-                continue
-            nd = deg + g.grading
-            if not feasible(nd, len(letters) + 1):
-                continue
-            letters.append(n)
-            extend(letters, nd)
-            letters.pop()
-
-    extend([], 0)
-    out.sort(key=lambda w: w.sort_key())
+    out: list[tuple] = []
+    frontier = [((), first, 0)]
+    for length in range(1, max_len + 1):
+        frontier = [
+            (word + (a,), src, deg + g)
+            for word, port, deg in frontier
+            for a, src, g in by_dst[port]
+            if feasible(deg + g, length)
+        ]
+        if not frontier:
+            break
+        out.extend(
+            word
+            for word, src, deg in frontier
+            if (last is None or src == last) and (window is None or lo <= deg <= hi)
+        )
     return out
 
 
-def _is_canonical_rotation(algebra: ChordAlgebra, word: Word) -> bool:
-    key = word.sort_key()
-    return all(w.sort_key() >= key for w, _ in algebra.rotations(word))
+def enumerate_cyclic_words(
+    algebra: ChordAlgebra, window: tuple[int, int], max_len: int
+) -> list[Word]:
+    """All cyclically composable nonempty words with degree in the window
+    and length at most max_len, in Word.sort_key order."""
+    names = sorted(algebra.generators)
+    words = [
+        w
+        for comp in algebra.ring.components
+        for w in _composable_words(
+            names, algebra.generators, max_len, first=comp, last=comp, window=window
+        )
+    ]
+    words.sort(key=lambda w: (len(w), w))
+    return [Word(w) for w in words]
 
 
 def build_complex(
@@ -323,13 +337,10 @@ def build_complex(
         mat: SparseMatrix = {}
         for col, lab in enumerate(labs):
             for tlab, coeff in image(d, lab).items():
-                if not coeff:
-                    continue
                 row = target.get(tlab)
-                if row is None:
-                    continue
-                mat[(row, col)] = mat.get((row, col), Fraction(0)) + coeff
-        diffs[d] = {k: v for k, v in mat.items() if v}
+                if coeff and row is not None:
+                    mat[(row, col)] = coeff
+        diffs[d] = mat
     return GradedChainComplex(
         basis=bases,
         diffs=diffs,

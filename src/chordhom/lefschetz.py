@@ -14,6 +14,7 @@ tensor differential.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -22,13 +23,19 @@ from .algebra import BaseRing, ChordAlgebra, Element, Generator, TruncatedSeries
 from .dga import DGASpec
 from .homology import (
     GradedChainComplex,
-    TRUNCATED,
+    _composable_words,
     build_complex,
     enumerate_cyclic_words,
     guard_verdict,
 )
 
 Symbol = tuple  # ("e", i) | ("m", i) | ("f", name) | ("b", name)
+
+
+def _table() -> dict[tuple[Symbol, ...], dict[Symbol, Fraction]]:
+    """An operation table, word -> {output symbol: coefficient}, that
+    accumulates at both levels."""
+    return defaultdict(lambda: defaultdict(Fraction))
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,12 @@ class CurvedAinf:
     user: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
 
     def full_table(self) -> dict[tuple[Symbol, ...], dict[Symbol, Fraction]]:
-        out: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] = {}
+        out = _table()
         for table in (self.units, self.pairings, self.user):
             for word, hits in table.items():
-                slot = out.setdefault(word, {})
+                slot = out[word]
                 for c, v in hits.items():
-                    slot[c] = slot.get(c, Fraction(0)) + v
+                    slot[c] += v
         return {
             w: {c: v for c, v in hits.items() if v}
             for w, hits in out.items()
@@ -131,25 +138,20 @@ def _symbol_table(spec: DirectedAinfSpec) -> dict[Symbol, SymbolInfo]:
 
 
 def _forced_tables(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
-    units: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] = {}
-    pairings: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] = {}
-
-    def put(table, word, out, coeff):
-        slot = table.setdefault(word, {})
-        slot[out] = slot.get(out, Fraction(0)) + Fraction(coeff)
+    units, pairings = _table(), _table()
 
     for sym, info in symbols.items():
         e_left = ("e", info.dst)
-        put(units, (e_left, sym), sym, 1)
+        units[(e_left, sym)][sym] += 1
         if sym[0] != "e":
             e_right = ("e", info.src)
             sign = -1 if (info.base - 1) % 2 else 1
-            put(units, (sym, e_right), sym, sign)
+            units[(sym, e_right)][sym] += sign
 
     for name, _grading, i, j in spec.points:
         f, b = ("f", name), ("b", name)
-        put(pairings, (f, b), ("m", j), 1)
-        put(pairings, (b, f), ("m", i), 1)
+        pairings[(f, b)][("m", j)] += 1
+        pairings[(b, f)][("m", i)] += 1
 
     if spec.n == 2:
         if spec.order is None:
@@ -177,7 +179,7 @@ def _forced_tables(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
                 if i not in (pi, pj):
                     continue
                 u, v = wing(nm, i)
-                put(pairings, (("m", i), u, v), ("m", i), 1)
+                pairings[(("m", i), u, v)][("m", i)] += 1
         for nm, ga, i, j in spec.points:
             f_a, b_a = ("f", nm), ("b", nm)
             sign_f = -1 if (ga - 1) % 2 else 1
@@ -187,12 +189,12 @@ def _forced_tables(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
                     continue
                 if i in (oi, oj):
                     u, v = wing(other, i)
-                    put(pairings, (f_a, u, v), f_a, sign_f)
-                    put(pairings, (u, v, b_a), b_a, -1)
+                    pairings[(f_a, u, v)][f_a] += sign_f
+                    pairings[(u, v, b_a)][b_a] -= 1
                 if j in (oi, oj):
                     u, v = wing(other, j)
-                    put(pairings, (u, v, f_a), f_a, -1)
-                    put(pairings, (b_a, u, v), b_a, sign_b)
+                    pairings[(u, v, f_a)][f_a] -= 1
+                    pairings[(b_a, u, v)][b_a] += sign_b
     return units, pairings
 
 
@@ -202,7 +204,7 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
     composition-order constants reversed into path order."""
     symbols = _symbol_table(spec)
     units, pairings = _forced_tables(spec, symbols)
-    user: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] = {}
+    user = _table()
     for out_sym, inputs, coeff in spec.mu:
         if out_sym not in symbols:
             raise AinfValidationError(f"unknown output symbol {out_sym}")
@@ -216,8 +218,7 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
                 raise AinfValidationError(
                     "unit inputs are fixed by strict unitality; do not supply them"
                 )
-        slot = user.setdefault(word, {})
-        slot[out_sym] = slot.get(out_sym, Fraction(0)) + rat(coeff)
+        user[word][out_sym] += rat(coeff)
     D = CurvedAinf(
         spec=spec, order=t_order, symbols=symbols, units=units, pairings=pairings, user=user
     )
@@ -263,14 +264,14 @@ def check_curved_ainf(D: CurvedAinf) -> list[str]:
 
     # curvature/unit identity on single letters
     for sym, info in symbols.items():
-        acc: dict[Symbol, Fraction] = {}
+        acc: dict[Symbol, Fraction] = defaultdict(Fraction)
         left = table.get((("e", info.dst), sym), {})
         right = table.get((sym, ("e", info.src)), {})
         sgn = -1 if info.base % 2 else 1
         for c, v in left.items():
-            acc[c] = acc.get(c, Fraction(0)) + v
+            acc[c] += v
         for c, v in right.items():
-            acc[c] = acc.get(c, Fraction(0)) + sgn * v
+            acc[c] += sgn * v
         for c, v in acc.items():
             if v:
                 problems.append(f"unit identity fails on {sym}: {c} has {v}")
@@ -278,45 +279,31 @@ def check_curved_ainf(D: CurvedAinf) -> list[str]:
     max_arity = max((len(w) for w in table), default=1)
     syms = sorted(symbols, key=repr)
 
-    def words_of_length(length: int):
-        def extend(prefix: list[Symbol]):
-            if len(prefix) == length:
-                yield tuple(prefix)
-                return
-            for s in syms:
-                if prefix and symbols[prefix[-1]].src != symbols[s].dst:
-                    continue
-                prefix.append(s)
-                yield from extend(prefix)
-                prefix.pop()
-
-        yield from extend([])
-
     # Square-zero identity per composable word: the single-symbol output of
     # the squared coderivation.  Disjoint and nested applications with a
     # longer output cancel once this holds for every subword length.
-    for length in range(1, 2 * max_arity):
-        for word in words_of_length(length):
-            acc: dict[Symbol, Fraction] = {}
-            for i in range(length):
-                prefix_deg = sum(symbols[s].base for s in word[:i])
-                psign = -1 if prefix_deg % 2 else 1
-                for j in range(1, max_arity + 1):
-                    if i + j > length:
-                        break
-                    hits = table.get(word[i : i + j])
-                    if not hits:
-                        continue
-                    for mid, coeff in hits.items():
-                        outer = word[:i] + (mid,) + word[i + j :]
-                        for out, c2 in table.get(outer, {}).items():
-                            acc[out] = acc.get(out, Fraction(0)) + psign * coeff * c2
-            for out, v in acc.items():
-                if v:
-                    problems.append(
-                        f"square-zero identity fails on {word}: output {out} has {v}"
-                    )
+    for word in _composable_words(syms, symbols, 2 * max_arity - 1):
+        length = len(word)
+        acc: dict[Symbol, Fraction] = defaultdict(Fraction)
+        for i in range(length):
+            prefix_deg = sum(symbols[s].base for s in word[:i])
+            psign = -1 if prefix_deg % 2 else 1
+            for j in range(1, max_arity + 1):
+                if i + j > length:
                     break
+                hits = table.get(word[i : i + j])
+                if not hits:
+                    continue
+                for mid, coeff in hits.items():
+                    outer = word[:i] + (mid,) + word[i + j :]
+                    for out, c2 in table.get(outer, {}).items():
+                        acc[out] += psign * coeff * c2
+        for out, v in acc.items():
+            if v:
+                problems.append(
+                    f"square-zero identity fails on {word}: output {out} has {v}"
+                )
+                break
     return problems
 
 
@@ -621,15 +608,11 @@ def hochschild_complex(
         return out
 
     def image(stored_degree: int, label) -> dict:
-        out: dict = {}
-
-        def put(key, coeff):
-            out[key] = out.get(key, Fraction(0)) + coeff
-
+        out: dict = defaultdict(Fraction)
         kind = label[0]
         if kind == "cce":
             i = label[1]
-            put(("ccv", i, (D.chord_name(("e", i), 1),)), Fraction(1))
+            out[("ccv", i, (D.chord_name(("e", i), 1),))] += 1
             return out
         if kind == "ccv":
             letters = label[2]
@@ -638,7 +621,7 @@ def hochschild_complex(
 
             def emit(new_word, coeff):
                 lab = (new_word[-1],) + new_word[:-1]
-                put(("ccv", alg.gen(lab[0]).dst, lab), coeff)
+                out[("ccv", alg.gen(lab[0]).dst, lab)] += coeff
 
             for t in range(s):
                 psign = -1 if sigma_sum(slot_word[:t]) % 2 else 1
@@ -652,11 +635,11 @@ def hochschild_complex(
                 psign = -1 if sigma_sum(slot_word[:slot]) % 2 else 1
                 enm = D.chord_name(("e", c_comp), 1)
                 emit(slot_word[:slot] + (enm,) + slot_word[slot:], psign)
-            put(("cch", slot_word), Fraction(1))
+            out[("cch", slot_word)] += 1
             g0 = sigma_name(letters[0])
             grest = sigma_sum(letters[1:])
             rsign = -1 if (g0 * grest) % 2 else 1
-            put(("cch", letters), Fraction(-rsign))
+            out[("cch", letters)] -= rsign
             return out
         letters = label[1]
         s = len(letters)
@@ -666,13 +649,13 @@ def hochschild_complex(
             for m in range(1, s - j + 1):
                 for out_name, coeff in blocks_of(letters, j, m):
                     new = letters[:j] + (out_name,) + letters[j + m :]
-                    put(("cch", new), psign * coeff)
+                    out[("cch", new)] += psign * coeff
         for t in range(0, s):
             comp = alg.gen(letters[t]).src
             psign = -1 if (hat_sign + sigma_sum(letters[1 : t + 1])) % 2 else 1
             enm = D.chord_name(("e", comp), 1)
             new = letters[: t + 1] + (enm,) + letters[t + 1 :]
-            put(("cch", new), psign)
+            out[("cch", new)] += psign
         for h in range(1, s + 1):
             for t in range(0, s - h + 1):
                 middle = letters[h : s - t]
@@ -692,7 +675,7 @@ def hochschild_complex(
                         continue
                     out_name = D.chord_name(out_sym, total)
                     # the spread of the marked letter enters negatively
-                    put(("cch", (out_name,) + middle), -sgn * coeff)
+                    out[("cch", (out_name,) + middle)] -= sgn * coeff
         return out
 
     verdict = guard_verdict(

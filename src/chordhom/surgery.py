@@ -11,27 +11,23 @@ orbit; mixed counts default to zero.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Container, Mapping
 
-from .algebra import ChordAlgebra, Element, Word
+from .algebra import ChordAlgebra, Word
 from .complexes import (
     HoComplexSpec,
-    _check_image,
+    _cyclic_bases,
+    _cyclic_image,
     _decorated_bases,
-    _hat_image,
-    canonicalize_marked,
+    _decorated_image,
+    _s_terms,
     cyclic_class,
 )
-from .dga import DGASpec, extend_leibniz
-from .homology import (
-    EXACT,
-    GradedChainComplex,
-    build_complex,
-    enumerate_cyclic_words,
-    guard_verdict,
-)
+from .dga import DGASpec
+from .homology import EXACT, GradedChainComplex, build_complex, guard_verdict
 
 
 class CountGradingError(ValueError):
@@ -79,12 +75,6 @@ class FillingModel:
 
     def d_orbit(self, gamma: str) -> list[tuple[str, Fraction]]:
         return [(b, c) for (g, b), c in self.orbit_diff.items() if g == gamma and c]
-
-    def bott(self, gamma: str) -> list[tuple[str, Fraction]]:
-        return [(b, c) for (g, b), c in self.bott_diff.items() if g == gamma and c]
-
-    def morse_hits(self, gamma: str) -> list[tuple[str, Fraction]]:
-        return [(p, c) for (g, p), c in self.to_morse.items() if g == gamma and c]
 
 
 def builtin_ball_filling(n: int) -> FillingModel:
@@ -178,17 +168,95 @@ class SurgeryCountTable:
 
     def normalize_cyclic_keys(self, alg: ChordAlgebra) -> None:
         """Fold cyclic-count keys onto canonical representatives."""
-        folded: dict[tuple[str, tuple[str, ...]], Fraction] = {}
+        folded: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
         for (g, w), c in self.mixed_cyc.items():
             cls = cyclic_class(alg, Word.of(w))
-            if cls.is_zero:
-                continue
-            key = (g, cls.representative)
-            folded[key] = folded.get(key, Fraction(0)) + c * cls.sign
+            if not cls.is_zero:
+                folded[(g, cls.representative)] += c * cls.sign
         self.mixed_cyc = {k: v for k, v in folded.items() if v}
 
 
+@dataclass
+class CobordismCounts:
+    """Count tables defining a degree-0 map between surgery complexes.
+
+    The orbit blocks divide by the target multiplicity on minimum-decorated
+    orbits and by the source multiplicity on maximum-decorated ones; the
+    cyclic block divides by the class multiplicity.
+    """
+
+    orbit_orbit: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+    orbit_orbit_bott: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+    orbit_morse: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+    orbit_cyc: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
+    orbit_check_word: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
+    orbit_hat_word: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
+    orbit_tau: dict[tuple[str, int], Fraction] = field(default_factory=dict)
+    morse_morse: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+
+
 BAD_ORBIT_DOUBLING = Fraction(2)
+
+
+def _orbit_row(
+    label,
+    counts: CobordismCounts,
+    target_kappa: Mapping[str, int],
+    source_kappa: Mapping[str, int],
+    algebra: ChordAlgebra | None,
+    bad: Container[str] = (),
+) -> dict:
+    """The couplings of an orbit or Morse label, read off count tables.
+
+    Serves the surgery differentials (the filling's tables, one
+    multiplicity map for both sides) and the cobordism maps.  Undecorated
+    and minimum-decorated orbits divide the orbit block by the target
+    multiplicity; maximum-decorated ones divide by the source multiplicity
+    and spread the cyclic counts by the S operator.  A multiplicity missing
+    from its map counts as 1.  A bad orbit doubles onto its minimum copy,
+    and that copy reaches neither the Morse block nor the component classes.
+    """
+    kind, x = label[0], label[1]
+    out: dict = defaultdict(Fraction)
+
+    def rows(table, needs_algebra=False):
+        found = [(b, c) for (a, b), c in table.items() if a == x and c]
+        if found and needs_algebra and algebra is None:
+            raise ValueError("cyclic counts need the chord algebra")
+        return found
+
+    if kind in ("orb", "ochk"):
+        for b, c in rows(counts.orbit_orbit):
+            out[(kind, b)] += c / target_kappa.get(b, 1)
+        if kind == "orb":
+            for w, c in rows(counts.orbit_cyc, needs_algebra=True):
+                cls = cyclic_class(algebra, Word.of(w))
+                out[("cyc", cls.representative)] += c * cls.sign / cls.multiplicity
+            return out
+        for b, c in rows(counts.orbit_orbit_bott):
+            out[("ohat", b)] += c
+        for w, c in rows(counts.orbit_check_word):
+            out[("chk", w)] += c
+        for w, c in rows(counts.orbit_hat_word):
+            out[("hat", w)] += c
+        if x not in bad:
+            for p, c in rows(counts.orbit_morse):
+                out[("mrs", p)] += c
+            for j, c in rows(counts.orbit_tau):
+                out[("tau", j)] += c
+    elif kind == "ohat":
+        if x in bad:
+            out[("ochk", x)] += BAD_ORBIT_DOUBLING
+        kappa = source_kappa.get(x, 1)
+        for b, c in rows(counts.orbit_orbit):
+            out[("ohat", b)] += c / kappa
+        for w, c in rows(counts.orbit_cyc, needs_algebra=True):
+            for dw, sign in _s_terms(algebra, w):
+                out[("hat", dw.word)] += c * sign / kappa
+    elif kind == "mrs":
+        for q, c in rows(counts.morse_morse):
+            out[("mrs", q)] += c
+    return out
 
 
 def _orbit_bases(
@@ -221,6 +289,39 @@ def _merge_bases(a: dict[int, list], b: dict[int, list]) -> dict[int, list]:
     return out
 
 
+def _surgery_setup(
+    filling: FillingModel,
+    dga: DGASpec | None,
+    counts: SurgeryCountTable,
+    window: tuple[int, int],
+    max_len: int,
+) -> tuple[str, Callable[[tuple], dict]]:
+    """The prologue of the three surgery builders: check the counts and
+    fold their cyclic keys, read the verdict, and bind the orbit-row
+    routine to the filling's tables.  Returns (verdict, orbit row)."""
+    orbits = filling.orbits_up_to(window[1] + 2)
+    kappa = {o.label: o.multiplicity for o in orbits}
+    bad = {o.label for o in orbits if o.bad}
+    if dga is None:
+        verdict, alg = EXACT, None
+    else:
+        counts.validate(filling, dga)
+        counts.normalize_cyclic_keys(dga.algebra)
+        verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
+        alg = dga.algebra
+    tables = CobordismCounts(
+        orbit_orbit=filling.orbit_diff,
+        orbit_orbit_bott=filling.bott_diff,
+        orbit_morse=filling.to_morse,
+        orbit_cyc=counts.mixed_cyc if dga is not None else {},
+        orbit_check_word=counts.ncheck,
+        orbit_hat_word=counts.nhat,
+        orbit_tau=counts.orbit_tau,
+        morse_morse=filling.morse_diff,
+    )
+    return verdict, lambda label: _orbit_row(label, tables, kappa, kappa, alg, bad)
+
+
 def build_lch_surgery(
     filling: FillingModel,
     dga: DGASpec | None,
@@ -232,110 +333,20 @@ def build_lch_surgery(
     divided by the target multiplicity and the mixed block divided by the
     cyclic multiplicity.  dga=None builds the orbit-only complex (no
     surgery locus)."""
-    lo, hi = window
-    orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
-
-    word_bases: dict[int, list] = {}
-    if dga is not None:
-        alg = dga.algebra
-        counts.validate(filling, dga)
-        counts.normalize_cyclic_keys(alg)
-        verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-        for w in enumerate_cyclic_words(alg, (lo - 1, hi + 1), max_len, canonical_only=True):
-            cls = cyclic_class(alg, w)
-            if cls.is_zero or cls.representative != w.letters:
-                continue
-            word_bases.setdefault(alg.grading(w), []).append(("cyc", w.letters))
-        for labs in word_bases.values():
-            labs.sort()
-    else:
-        verdict = EXACT
-    bases = _merge_bases(_orbit_bases(filling, window, False, False), word_bases)
+    verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
+    bases = _merge_bases(
+        _orbit_bases(filling, window, False, False),
+        _cyclic_bases(dga, window, max_len) if dga is not None else {},
+    )
 
     def image(degree: int, label) -> dict:
-        kind = label[0]
-        out: dict = {}
-        if kind == "orb":
-            gamma = label[1]
-            for beta, c in filling.d_orbit(gamma):
-                if beta in orbit_info and not orbit_info[beta].bad:
-                    kappa = Fraction(orbit_info[beta].multiplicity)
-                    out[("orb", beta)] = out.get(("orb", beta), Fraction(0)) + c / kappa
-            if dga is not None:
-                for (g, w), c in counts.mixed_cyc.items():
-                    if g != gamma or not c:
-                        continue
-                    cls = cyclic_class(dga.algebra, Word.of(w))
-                    kappa = Fraction(cls.multiplicity)
-                    out[("cyc", w)] = out.get(("cyc", w), Fraction(0)) + c / kappa
-            return out
-        _, letters = label
-        dw = extend_leibniz(dga, Element.monomial(Word.of(letters)))
-        for term, coeff in dw.terms.items():
-            if term.is_idem:
-                continue
-            cls = cyclic_class(alg, term)
-            if cls.is_zero:
-                continue
-            key = ("cyc", cls.representative)
-            out[key] = out.get(key, Fraction(0)) + coeff * cls.sign
-        return out
+        if label[0] == "orb":
+            return orbit_row(label)
+        return _cyclic_image(dga, label)
 
     return build_complex(
         bases, image, window, verdict, max_len, meta={"kind": "lch", "n": filling.n}
     )
-
-
-def _s_operator_terms(alg: ChordAlgebra, letters: tuple[str, ...]):
-    """Mark each letter with the alternating prefix sign and rotate to
-    mark-first form; yields (word, coefficient)."""
-    pdeg = 0
-    for j, name in enumerate(letters):
-        s = -1 if pdeg % 2 else 1
-        dw, rot = canonicalize_marked(alg, letters, j, "hat")
-        yield dw.word, s * rot
-        pdeg += alg.gen(name).grading
-
-
-def _shplus_orbit_image(
-    filling: FillingModel,
-    dga: DGASpec | None,
-    counts: SurgeryCountTable,
-    orbit_info: dict[str, Orbit],
-    label,
-) -> dict:
-    alg = dga.algebra if dga is not None else None
-    kind, gamma = label
-    out: dict = {}
-    if kind == "ochk":
-        for beta, c in filling.d_orbit(gamma):
-            if beta in orbit_info:
-                kappa = Fraction(orbit_info[beta].multiplicity)
-                out[("ochk", beta)] = out.get(("ochk", beta), Fraction(0)) + c / kappa
-        for beta, c in filling.bott(gamma):
-            out[("ohat", beta)] = out.get(("ohat", beta), Fraction(0)) + c
-        for (g, w), c in counts.ncheck.items():
-            if g == gamma and c:
-                out[("chk", w)] = out.get(("chk", w), Fraction(0)) + c
-        for (g, w), c in counts.nhat.items():
-            if g == gamma and c:
-                out[("hat", w)] = out.get(("hat", w), Fraction(0)) + c
-        return out
-    # maximum-decorated orbits
-    info = orbit_info[gamma]
-    if info.bad:
-        out[("ochk", gamma)] = out.get(("ochk", gamma), Fraction(0)) + BAD_ORBIT_DOUBLING
-    kappa_g = Fraction(info.multiplicity)
-    for beta, c in filling.d_orbit(gamma):
-        if beta in orbit_info:
-            out[("ohat", beta)] = out.get(("ohat", beta), Fraction(0)) + c / kappa_g
-    if alg is not None:
-        for (g, w), c in counts.mixed_cyc.items():
-            if g != gamma or not c:
-                continue
-            for word, s in _s_operator_terms(alg, w):
-                out[("hat", word)] = out.get(("hat", word), Fraction(0)) + c * s / kappa_g
-    return out
 
 
 def build_shplus_surgery(
@@ -348,25 +359,16 @@ def build_shplus_surgery(
     """Decorated orbits (bad ones included) plus the check/hat chord
     complex, with the stated block differential.  dga=None builds the
     orbit-only complex."""
-    lo, hi = window
-    orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
-    if dga is not None:
-        counts.validate(filling, dga)
-        counts.normalize_cyclic_keys(dga.algebra)
-        verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-        word_bases = _decorated_bases(dga, window, max_len, with_tau=False)
-    else:
-        verdict = EXACT
-        word_bases = {}
-    bases = _merge_bases(_orbit_bases(filling, window, True, False), word_bases)
+    verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
+    bases = _merge_bases(
+        _orbit_bases(filling, window, True, False),
+        _decorated_bases(dga, window, max_len) if dga is not None else {},
+    )
 
     def image(degree: int, label) -> dict:
-        kind = label[0]
-        if kind in ("ochk", "ohat"):
-            return _shplus_orbit_image(filling, dga, counts, orbit_info, label)
-        if kind == "chk":
-            return _check_image(dga, label[1])
-        return _hat_image(dga, label[1])
+        if label[0] in ("ochk", "ohat"):
+            return orbit_row(label)
+        return _decorated_image(dga, label)
 
     return build_complex(
         bases, image, window, verdict, max_len, meta={"kind": "shplus", "n": filling.n}
@@ -384,55 +386,23 @@ def build_sh_surgery(
     """The full complex: decorated orbits, the Morse block, the completed
     chord complex, and the coupling blocks.  dga=None builds the orbit and
     Morse part alone."""
-    lo, hi = window
-    orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
-    if dga is not None:
-        counts.validate(filling, dga)
-        counts.normalize_cyclic_keys(dga.algebra)
-        spec = ho_spec or HoComplexSpec(dga=dga)
-        verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-        word_bases = _decorated_bases(dga, window, max_len, with_tau=True)
-    else:
-        spec = None
-        verdict = EXACT
-        word_bases = {}
-    bases = _merge_bases(_orbit_bases(filling, window, True, True), word_bases)
+    verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
+    spec = ho_spec or HoComplexSpec(dga=dga)
+    bases = _merge_bases(
+        _orbit_bases(filling, window, True, True),
+        _decorated_bases(dga, window, max_len, spec) if dga is not None else {},
+    )
 
     def image(degree: int, label) -> dict:
         kind = label[0]
-        if kind in ("ochk", "ohat"):
-            out = _shplus_orbit_image(filling, dga, counts, orbit_info, label)
-            if kind == "ochk":
-                gamma = label[1]
-                if not orbit_info[gamma].bad:
-                    for p, c in filling.morse_hits(gamma):
-                        out[("mrs", p)] = out.get(("mrs", p), Fraction(0)) + c
-                    for (g, j), c in counts.orbit_tau.items():
-                        if g == gamma and c:
-                            out[("tau", j)] = out.get(("tau", j), Fraction(0)) + c
-            return out
+        if kind not in ("ochk", "ohat", "mrs"):
+            return _decorated_image(dga, label, spec)
+        out = orbit_row(label)
         if kind == "mrs":
-            p = label[1]
-            out = {}
-            for (a, b), c in filling.morse_diff.items():
-                if a == p and c:
-                    out[("mrs", b)] = out.get(("mrs", b), Fraction(0)) + c
-            for (a, j), c in filling.morse_tau.items():
-                if a == p and c:
-                    out[("tau", j)] = out.get(("tau", j), Fraction(0)) + c
-            return out
-        if kind == "tau":
-            return {}
-        if kind == "chk":
-            out = _check_image(dga, label[1])
-            letters = label[1]
-            if len(letters) == 1:
-                coeff = spec.unit_coeff(letters[0])
-                if coeff:
-                    comp = dga.algebra.gen(letters[0]).src
-                    out[("tau", comp)] = out.get(("tau", comp), Fraction(0)) + coeff
-            return out
-        return _hat_image(dga, label[1])
+            for (p, j), c in filling.morse_tau.items():
+                if p == label[1] and c:
+                    out[("tau", j)] += c
+        return out
 
     return build_complex(
         bases, image, window, verdict, max_len, meta={"kind": "sh", "n": filling.n}
@@ -440,25 +410,6 @@ def build_sh_surgery(
 
 
 # ---- cobordism maps ----------------------------------------------------------
-
-
-@dataclass
-class CobordismCounts:
-    """Count tables defining a degree-0 map between surgery complexes.
-
-    The orbit blocks divide by the target multiplicity on minimum-decorated
-    orbits and by the source multiplicity on maximum-decorated ones; the
-    cyclic block divides by the class multiplicity.
-    """
-
-    orbit_orbit: dict[tuple[str, str], Fraction] = field(default_factory=dict)
-    orbit_orbit_bott: dict[tuple[str, str], Fraction] = field(default_factory=dict)
-    orbit_morse: dict[tuple[str, str], Fraction] = field(default_factory=dict)
-    orbit_cyc: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
-    orbit_check_word: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
-    orbit_hat_word: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
-    orbit_tau: dict[tuple[str, int], Fraction] = field(default_factory=dict)
-    morse_morse: dict[tuple[str, str], Fraction] = field(default_factory=dict)
 
 
 @dataclass
@@ -480,77 +431,12 @@ def assemble_cobordism_map(
     algebra: ChordAlgebra | None = None,
 ) -> ChainMapReport:
     """Assemble the block map and verify F d - d F = 0 on the window."""
-    target_kappa = target_kappa or {}
-    source_kappa = source_kappa or {}
-
-    def kappa_t(beta: str) -> Fraction:
-        return Fraction(target_kappa.get(beta, 1))
-
-    def kappa_s(gamma: str) -> Fraction:
-        return Fraction(source_kappa.get(gamma, 1))
-
-    def f_of(label) -> dict:
-        kind = label[0]
-        out: dict = {}
-        if kind in ("orb", "ochk"):
-            gamma = label[1]
-            for (g, b), c in counts.orbit_orbit.items():
-                if g == gamma and c:
-                    out[(kind, b)] = out.get((kind, b), Fraction(0)) + c / kappa_t(b)
-            if kind == "ochk":
-                for (g, b), c in counts.orbit_orbit_bott.items():
-                    if g == gamma and c:
-                        out[("ohat", b)] = out.get(("ohat", b), Fraction(0)) + c
-                for (g, w), c in counts.orbit_check_word.items():
-                    if g == gamma and c:
-                        out[("chk", w)] = out.get(("chk", w), Fraction(0)) + c
-                for (g, w), c in counts.orbit_hat_word.items():
-                    if g == gamma and c:
-                        out[("hat", w)] = out.get(("hat", w), Fraction(0)) + c
-                for (g, p), c in counts.orbit_morse.items():
-                    if g == gamma and c:
-                        out[("mrs", p)] = out.get(("mrs", p), Fraction(0)) + c
-                for (g, j), c in counts.orbit_tau.items():
-                    if g == gamma and c:
-                        out[("tau", j)] = out.get(("tau", j), Fraction(0)) + c
-            else:
-                for (g, w), c in counts.orbit_cyc.items():
-                    if g == gamma and c:
-                        if algebra is None:
-                            raise ValueError("cyclic counts need the chord algebra")
-                        cls = cyclic_class(algebra, Word.of(w))
-                        out[("cyc", cls.representative)] = (
-                            out.get(("cyc", cls.representative), Fraction(0))
-                            + c * cls.sign / Fraction(cls.multiplicity)
-                        )
-            return out
-        if kind == "ohat":
-            gamma = label[1]
-            for (g, b), c in counts.orbit_orbit.items():
-                if g == gamma and c:
-                    out[("ohat", b)] = out.get(("ohat", b), Fraction(0)) + c / kappa_s(gamma)
-            for (g, w), c in counts.orbit_cyc.items():
-                if g == gamma and c:
-                    if algebra is None:
-                        raise ValueError("cyclic counts need the chord algebra")
-                    for word, s in _s_operator_terms(algebra, w):
-                        out[("hat", word)] = (
-                            out.get(("hat", word), Fraction(0)) + c * s / kappa_s(gamma)
-                        )
-            return out
-        if kind == "mrs":
-            p = label[1]
-            for (a, b), c in counts.morse_morse.items():
-                if a == p and c:
-                    out[("mrs", b)] = out.get(("mrs", b), Fraction(0)) + c
-            return out
-        return {}
-
     lo, hi = source.window
     mapping: dict = {}
     for d in range(lo - 1, hi + 2):
         for lab in source.labels(d):
-            mapping[lab] = f_of(lab)
+            image = _orbit_row(lab, counts, target_kappa or {}, source_kappa or {}, algebra)
+            mapping[lab] = {k: v for k, v in image.items() if v}
 
     tgt_index = {
         d: {lab: i for i, lab in enumerate(target.labels(d))}
@@ -560,26 +446,19 @@ def assemble_cobordism_map(
     for d in range(lo, hi + 1):
         src_labels = source.labels(d)
         for col, lab in enumerate(src_labels):
-            # F(dx)
-            fdx: dict = {}
+            # F(dx) - d(Fx)
+            delta: dict = defaultdict(Fraction)
             for row, coeff in source.boundary_of(d, col).items():
                 tlab = source.labels(d - 1)[row]
                 for out_lab, c in mapping.get(tlab, {}).items():
-                    fdx[out_lab] = fdx.get(out_lab, Fraction(0)) + coeff * c
-            # d(Fx)
-            dfx: dict = {}
+                    delta[out_lab] += coeff * c
             for out_lab, c in mapping.get(lab, {}).items():
                 idx = tgt_index.get(d, {}).get(out_lab)
                 if idx is None:
                     continue
                 for row, coeff in target.boundary_of(d, idx).items():
-                    t2 = target.labels(d - 1)[row]
-                    dfx[t2] = dfx.get(t2, Fraction(0)) + c * coeff
-            keys = set(fdx) | set(dfx)
-            for k in keys:
-                delta = fdx.get(k, Fraction(0)) - dfx.get(k, Fraction(0))
-                if delta:
-                    defects.append((d, lab, k, delta))
+                    delta[target.labels(d - 1)[row]] -= c * coeff
+            defects.extend((d, lab, k, v) for k, v in delta.items() if v)
     return ChainMapReport(mapping=mapping, defects=defects)
 
 
@@ -599,7 +478,7 @@ def build_ch_complex(
 
     def image(degree: int, label) -> dict:
         gamma = label[1]
-        out: dict = {}
+        out: dict = defaultdict(Fraction)
         for beta, c in filling.d_orbit(gamma):
             if beta not in orbit_info or orbit_info[beta].bad:
                 continue
@@ -608,7 +487,7 @@ def build_ch_complex(
                 if convention == "target"
                 else Fraction(orbit_info[gamma].multiplicity)
             )
-            out[("orb", beta)] = out.get(("orb", beta), Fraction(0)) + c / div
+            out[("orb", beta)] += c / div
         return out
 
     return build_complex(bases, image, window, EXACT, meta={"kind": f"ch/{convention}"})

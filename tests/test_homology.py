@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordhom.algebra import BaseRing, ChordAlgebra, Generator, Word
-from chordhom.complexes import build_ho_complex
+from chordhom.complexes import build_cyclic_complex, build_ho_complex, cyclic_class
+from chordhom.dga import DGASpec
 from chordhom.homology import (
     EXACT,
     TRUNCATED,
     BettiTable,
     DSquareError,
     GradedChainComplex,
+    _composable_words,
     betti,
     build_complex,
     enumerate_cyclic_words,
@@ -90,8 +94,14 @@ def test_enumerate_cyclic_words_counts():
     assert [w.letters for w in words] == [
         ("a",), ("a",) * 2, ("a",) * 3, ("a",) * 4
     ]
-    canon = enumerate_cyclic_words(alg, (0, 4), 4, canonical_only=True)
-    assert len(canon) == 4
+    # the cyclic complex keeps one label per good necklace
+    dga = DGASpec(ring, [Generator("a", 1), Generator("b", 2)], {}, 2)
+    labels = [
+        lab for labs in build_cyclic_complex(dga, (0, 4), 4).basis.values() for lab in labs
+    ]
+    classes = {cyclic_class(dga.algebra, w) for w in enumerate_cyclic_words(dga.algebra, (-1, 5), 4)}
+    assert len(labels) == len(set(labels))
+    assert {lab[1] for lab in labels} == {c.representative for c in classes if not c.is_zero}
 
 
 def test_enumerate_respects_ports():
@@ -104,6 +114,47 @@ def test_enumerate_respects_ports():
         assert alg.cyclically_composable(w)
     assert Word.of(["u", "v"]) in words
     assert all(w.letters != ("u", "u") for w in words)
+
+
+Ports = namedtuple("Ports", "src dst")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_composable_words_match_brute_force(data):
+    """Every combination of first/last ports and degree window on a small
+    random quiver.  Letters are symbol-like tuples in a shuffled alphabet
+    order, and without a window they carry ports only, as in the
+    A-infinity square-zero check, which reads the output length by length."""
+    k = data.draw(st.integers(1, 3))
+    window = data.draw(st.none() | st.tuples(st.integers(-3, 6), st.integers(-3, 6)))
+    letters = {}
+    for i in range(data.draw(st.integers(1, 4))):
+        src, dst = data.draw(st.integers(1, k)), data.draw(st.integers(1, k))
+        if window is None:
+            letters[("x", i)] = Ports(src, dst)
+        else:
+            letters[("x", i)] = Generator(f"x{i}", data.draw(st.integers(-1, 3)), src, dst)
+    alphabet = data.draw(st.permutations(list(letters)))
+    max_len = data.draw(st.integers(0, 4))
+    first = data.draw(st.none() | st.integers(1, k))
+    last = data.draw(st.none() | st.integers(1, k))
+
+    want = []
+    for length in range(1, max_len + 1):
+        for word in itertools.product(alphabet, repeat=length):
+            info = [letters[a] for a in word]
+            if any(a.src != b.dst for a, b in zip(info, info[1:])):
+                continue
+            if first is not None and info[0].dst != first:
+                continue
+            if last is not None and info[-1].src != last:
+                continue
+            if window and not window[0] <= sum(a.grading for a in info) <= window[1]:
+                continue
+            want.append(word)
+    got = _composable_words(alphabet, letters, max_len, first=first, last=last, window=window)
+    assert got == want
 
 
 def test_stability_for_exact_complexes(unknot2):
