@@ -229,11 +229,11 @@ def cmd_lefschetz(args) -> int:
     window = (args.min_deg, args.max_deg)
     if args.emit == "hochschild":
         cc = hochschild_complex(D, window, args.max_len)
-        bad = cc.d_squared_report()
-        if bad:
+        try:
+            table = betti(cc)
+        except DSquareError:
             print("mathematical failure: cyclic tensor differential does not square to zero")
             return MATH_FAIL
-        table = betti(cc)
         ranks = {-d: r for d, r in table.ranks.items()}
         print("ranks by dictionary degree:")
         for d in sorted(ranks):

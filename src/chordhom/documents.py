@@ -47,6 +47,8 @@ def _rational(value, path: str) -> Fraction:
 
 
 def _require(doc: dict, key: str, typ, path: str):
+    if not isinstance(doc, dict):
+        _fail(path, "expected an object")
     if key not in doc:
         _fail(f"{path}.{key}", "missing field")
     v = doc[key]
@@ -102,8 +104,6 @@ def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
     names = set()
     for idx, g in enumerate(gens_doc):
         path = f"$.generators[{idx}]"
-        if not isinstance(g, dict):
-            _fail(path, "expected an object")
         name = _require(g, "name", str, path)
         grading = _require(g, "grading", int, path)
         src = g.get("src", 1)
@@ -128,34 +128,7 @@ def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
         path = f"$.differential.{name}"
         if name not in names:
             _fail(path, f"unknown generator {name}")
-        if not isinstance(terms, list):
-            _fail(path, "expected a list of terms")
-        acc: dict[Word, Fraction] = defaultdict(Fraction)
-        for t_idx, term in enumerate(terms):
-            tpath = f"{path}[{t_idx}]"
-            if not isinstance(term, dict):
-                _fail(tpath, "expected an object")
-            coeff = _rational(_require(term, "coeff", (str, int), tpath), f"{tpath}.coeff")
-            word = term.get("word")
-            if isinstance(word, str):
-                if not word.startswith("e_"):
-                    _fail(f"{tpath}.word", "unit words are written e_<component>")
-                try:
-                    comp = int(word[2:])
-                except ValueError:
-                    _fail(f"{tpath}.word", f"bad unit word {word!r}")
-                w = Word.idem(comp)
-            elif isinstance(word, list):
-                for letter in word:
-                    if letter not in names:
-                        _fail(f"{tpath}.word", f"unknown generator {letter!r}")
-                if not word:
-                    _fail(f"{tpath}.word", "empty word lists are not allowed; use e_i")
-                w = Word.of(word)
-            else:
-                _fail(f"{tpath}.word", "expected a list of names or e_<component>")
-            acc[w] += coeff
-        differential[name] = Element(acc)
+        differential[name] = _element_from_terms(terms, names, k, path)
     try:
         return DGASpec(
             ring=BaseRing(k),
@@ -374,17 +347,27 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
 # ---- morphism and augmentation documents ---------------------------------------
 
 
-def _element_from_terms(terms, names: set[str], path: str) -> Element:
-    acc: dict[Word, Fraction] = defaultdict(Fraction)
+def _element_from_terms(terms, names: set[str], k: int, path: str) -> Element:
+    """An element from a list of {"coeff", "word"} terms.  A word is a
+    nonempty list of generator names or the unit e_<i> of a component
+    1 <= i <= k."""
     if not isinstance(terms, list):
         _fail(path, "expected a list of terms")
+    acc: dict[Word, Fraction] = defaultdict(Fraction)
     for idx, term in enumerate(terms):
         tpath = f"{path}[{idx}]"
         coeff = _rational(_require(term, "coeff", (str, int), tpath), f"{tpath}.coeff")
         word = term.get("word")
-        if isinstance(word, str) and word.startswith("e_"):
-            w = Word.idem(int(word[2:]))
-        elif isinstance(word, list) and word:
+        if isinstance(word, str):
+            if not word.startswith("e_"):
+                _fail(f"{tpath}.word", "unit words are written e_<component>")
+            comp = word[2:]
+            if not comp.isdecimal() or not 1 <= int(comp) <= k:
+                _fail(f"{tpath}.word", f"bad unit word {word!r}: components are 1..{k}")
+            w = Word.idem(int(comp))
+        elif isinstance(word, list):
+            if not word:
+                _fail(f"{tpath}.word", "empty word lists are not allowed; use e_i")
             for letter in word:
                 if letter not in names:
                     _fail(f"{tpath}.word", f"unknown generator {letter!r}")
@@ -416,7 +399,7 @@ def morphism_from_document(doc: dict) -> DGAMorphism:
         if name not in {g.name for g in source.generators}:
             _fail(f"$.assignment.{name}", "unknown source generator")
         assignment[name] = _element_from_terms(
-            terms, target_names, f"$.assignment.{name}"
+            terms, target_names, target.ring.k, f"$.assignment.{name}"
         )
     return DGAMorphism(source=source, target=target, assignment=assignment)
 

@@ -1,5 +1,5 @@
 """Exact homology engine: graded bases, sparse rational boundary maps,
-fraction-free rank computation, Betti tables, and finiteness guards.
+sparse exact rank computation over Q, Betti tables, and finiteness guards.
 
 A complex stores bases for every degree of its window plus a one-degree
 halo on each side, so the boundary maps into and out of the window edges
@@ -9,7 +9,6 @@ acceptance-grade reads should stick to interior degrees.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,84 +52,57 @@ class GradedChainComplex:
     def matrix(self, degree: int) -> SparseMatrix:
         return self.diffs.get(degree, {})
 
-    def boundary_of(self, degree: int, col: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (r, c), v in self.matrix(degree).items():
-            if c == col:
-                out[r] = v
-        return out
-
     def d_squared_report(self) -> list[tuple[int, tuple[int, int], Fraction]]:
-        """Entries of boundary(d-1) * boundary(d) that are nonzero."""
+        """Entries of boundary(d-1) * boundary(d) that are nonzero, column by
+        column of boundary(d)."""
         bad = []
         lo, hi = self.window
+        cols = {d: _columns(self.matrix(d)) for d in range(lo, hi + 2)}
         for d in range(lo + 1, hi + 2):
-            m_hi = self.matrix(d)
-            m_lo = self.matrix(d - 1)
-            if not m_hi or not m_lo:
-                continue
-            by_col: dict[int, list[tuple[int, Fraction]]] = {}
-            for (r, c), v in m_hi.items():
-                by_col.setdefault(c, []).append((r, v))
-            lo_by_col: dict[int, list[tuple[int, Fraction]]] = {}
-            for (r, c), v in m_lo.items():
-                lo_by_col.setdefault(c, []).append((r, v))
-            for c, col_entries in by_col.items():
+            upper, lower = cols[d], cols[d - 1]
+            for c, col in upper.items():
                 acc: dict[int, Fraction] = defaultdict(Fraction)
-                for mid, v in col_entries:
-                    for r, w in lo_by_col.get(mid, []):
+                for mid, v in col.items():
+                    for r, w in lower.get(mid, {}).items():
                         acc[r] += v * w
-                for r, total in acc.items():
-                    if total:
-                        bad.append((d, (r, c), total))
+                bad.extend((d, (r, c), total) for r, total in acc.items() if total)
         return bad
 
 
-def rank(matrix: SparseMatrix, nrows: int, ncols: int) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination over the integers.
-
-    Columns are cleared of denominators first; that rescaling does not
-    change the rank.
-    """
-    if not matrix or nrows == 0 or ncols == 0:
-        return 0
-    cols: dict[int, dict[int, Fraction]] = {}
+def _columns(matrix: SparseMatrix) -> dict[int, dict[int, Fraction]]:
+    """The nonzero entries of a sparse matrix as {col: {row: coeff}}, in the
+    order they are stored."""
+    cols: dict[int, dict[int, Fraction]] = defaultdict(dict)
     for (r, c), v in matrix.items():
         if v:
-            cols.setdefault(c, {})[r] = v
-    dense: list[list[int]] = []
-    for c, col in cols.items():
-        denom = math.lcm(*(v.denominator for v in col.values()))
-        vec = [0] * nrows
-        for r, v in col.items():
-            vec[r] = int(v * denom)
-        dense.append(vec)
-    # dense holds columns; eliminate over rows of the transposed layout.
-    m = dense
-    n_rows = len(m)
-    n_cols = nrows
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                pivot = i
+            cols[c][r] = v
+    return cols
+
+
+def rank(matrix: SparseMatrix, nrows: int, ncols: int) -> int:
+    """Exact rank over Q by sparse Gaussian elimination on the columns.
+
+    nrows and ncols give the shape; only the stored entries are read.  Each
+    column is reduced against the pivot columns found so far, keyed by their
+    largest row index, until it vanishes or becomes a pivot itself.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for col in _columns(matrix).values():
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                scale = col[low]
+                pivots[low] = {r: v / scale for r, v in col.items()}
                 break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, n_rows):
-            if not any(m[i][c2] for c2 in range(c, n_cols)):
-                continue
-            for c2 in range(c + 1, n_cols):
-                m[i][c2] = (m[r][c] * m[i][c2] - m[i][c] * m[r][c2]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+            factor = col[low]
+            for r, v in pivot.items():
+                x = col.get(r, 0) - factor * v
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 @dataclass
@@ -182,14 +154,10 @@ def is_boundary(
     complex: GradedChainComplex, degree: int, vector: dict[int, Fraction]
 ) -> bool:
     """Is the given degree-`degree` chain in the image of the boundary map?"""
-    m = dict(complex.matrix(degree + 1))
-    ncols = complex.dim(degree + 1)
-    base = rank(m, complex.dim(degree), ncols)
-    aug = dict(m)
-    for r, v in vector.items():
-        if v:
-            aug[(r, ncols)] = v
-    return rank(aug, complex.dim(degree), ncols + 1) == base
+    m = complex.matrix(degree + 1)
+    nrows, ncols = complex.dim(degree), complex.dim(degree + 1)
+    aug = {**m, **{(r, ncols): v for r, v in vector.items()}}
+    return rank(aug, nrows, ncols + 1) == rank(m, nrows, ncols)
 
 
 def verify_les_ranks(

@@ -728,29 +728,27 @@ def verify_dictionary(
     cc_index = {
         d: {lab: i for i, lab in enumerate(cc.labels(d))} for d in cc.basis
     }
+    # partner[d][i]: the cc index of the partner of ho.labels(d)[i]
+    partner: dict[int, list[int]] = {}
     for d in range(lo - 1, hi + 2):
+        partner[d] = []
         for lab in ho.labels(d):
-            mapped = to_cc(lab, alg)
-            if cc_index.get(-d, {}).get(mapped) is None:
+            mapped = cc_index.get(-d, {}).get(to_cc(lab, alg))
+            if mapped is None:
                 raise ValueError(f"basis mismatch at degree {d}: {lab} has no partner")
+            partner[d].append(mapped)
     for d in range(lo, hi + 2):
-        ho_cols = ho.labels(d)
-        ho_rows = ho.labels(d - 1)
-        ho_mat = ho.matrix(d)
-        cc_mat = cc.matrix(-(d - 1))
-        cc_rows = cc.labels(-d)
-        cc_cols = cc.labels(-(d - 1))
-        cc_row_index = {lab: i for i, lab in enumerate(cc_rows)}
-        cc_col_index = {lab: i for i, lab in enumerate(cc_cols)}
-        cc_entries = {}
-        for (r, c), v in cc_mat.items():
-            cc_entries[(r, c)] = v
-        for col, vlab in enumerate(ho_cols):
-            for row, ulab in enumerate(ho_rows):
-                ho_val = ho_mat.get((row, col), Fraction(0))
-                ccol = cc_col_index[to_cc(ulab, alg)]
-                crow = cc_row_index[to_cc(vlab, alg)]
-                cc_val = cc_entries.get((crow, ccol), Fraction(0))
-                if ho_val != cc_val:
-                    return False
+        cc_rows, cc_cols = set(partner[d]), set(partner[d - 1])
+        transposed = {
+            (partner[d][c], partner[d - 1][r]): v
+            for (r, c), v in ho.matrix(d).items()
+            if v
+        }
+        block = {
+            (r, c): v
+            for (r, c), v in cc.matrix(-(d - 1)).items()
+            if v and r in cc_rows and c in cc_cols
+        }
+        if transposed != block:
+            return False
     return True

@@ -27,7 +27,7 @@ from .complexes import (
     cyclic_class,
 )
 from .dga import DGASpec
-from .homology import EXACT, GradedChainComplex, build_complex, guard_verdict
+from .homology import EXACT, GradedChainComplex, _columns, build_complex, guard_verdict
 
 
 class CountGradingError(ValueError):
@@ -166,15 +166,6 @@ class SurgeryCountTable:
                     f"component-class count from {g} violates |gamma|=1"
                 )
 
-    def normalize_cyclic_keys(self, alg: ChordAlgebra) -> None:
-        """Fold cyclic-count keys onto canonical representatives."""
-        folded: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
-        for (g, w), c in self.mixed_cyc.items():
-            cls = cyclic_class(alg, Word.of(w))
-            if not cls.is_zero:
-                folded[(g, cls.representative)] += c * cls.sign
-        self.mixed_cyc = {k: v for k, v in folded.items() if v}
-
 
 @dataclass
 class CobordismCounts:
@@ -302,18 +293,24 @@ def _surgery_setup(
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
+    cyc: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
     if dga is None:
         verdict, alg = EXACT, None
     else:
         counts.validate(filling, dga)
-        counts.normalize_cyclic_keys(dga.algebra)
         verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
         alg = dga.algebra
+        # the cyclic counts folded onto class representatives; the caller's
+        # table is left as it is
+        for (g, w), c in counts.mixed_cyc.items():
+            cls = cyclic_class(alg, Word.of(w))
+            if not cls.is_zero:
+                cyc[(g, cls.representative)] += c * cls.sign
     tables = CobordismCounts(
         orbit_orbit=filling.orbit_diff,
         orbit_orbit_bott=filling.bott_diff,
         orbit_morse=filling.to_morse,
-        orbit_cyc=counts.mixed_cyc if dga is not None else {},
+        orbit_cyc=cyc,
         orbit_check_word=counts.ncheck,
         orbit_hat_word=counts.nhat,
         orbit_tau=counts.orbit_tau,
@@ -444,11 +441,12 @@ def assemble_cobordism_map(
     }
     defects = []
     for d in range(lo, hi + 1):
-        src_labels = source.labels(d)
-        for col, lab in enumerate(src_labels):
+        src_cols = _columns(source.matrix(d))
+        tgt_cols = _columns(target.matrix(d))
+        for col, lab in enumerate(source.labels(d)):
             # F(dx) - d(Fx)
             delta: dict = defaultdict(Fraction)
-            for row, coeff in source.boundary_of(d, col).items():
+            for row, coeff in src_cols.get(col, {}).items():
                 tlab = source.labels(d - 1)[row]
                 for out_lab, c in mapping.get(tlab, {}).items():
                     delta[out_lab] += coeff * c
@@ -456,7 +454,7 @@ def assemble_cobordism_map(
                 idx = tgt_index.get(d, {}).get(out_lab)
                 if idx is None:
                     continue
-                for row, coeff in target.boundary_of(d, idx).items():
+                for row, coeff in tgt_cols.get(idx, {}).items():
                     delta[target.labels(d - 1)[row]] -= c * coeff
             defects.extend((d, lab, k, v) for k, v in delta.items() if v)
     return ChainMapReport(mapping=mapping, defects=defects)
@@ -502,20 +500,20 @@ def verify_kappa_isomorphism(filling: FillingModel, window: tuple[int, int]) -> 
     info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
     for d in range(lo, hi + 2):
         labels = src.labels(d)
-        tlabels = tgt.labels(d)
-        if labels != tlabels:
+        if labels != tgt.labels(d):
             return False
+        src_cols = _columns(src.matrix(d))
+        tgt_cols = _columns(tgt.matrix(d))
         for col, lab in enumerate(labels):
             gamma = lab[1]
-            phi_dx: dict[int, Fraction] = {}
-            for row, c in src.boundary_of(d, col).items():
-                beta = src.labels(d - 1)[row][1]
-                phi_dx[row] = c * Fraction(info[beta].multiplicity)
-            d_phix: dict[int, Fraction] = {}
-            for row, c in tgt.boundary_of(d, col).items():
-                d_phix[row] = c * Fraction(info[gamma].multiplicity)
-            if {k: v for k, v in phi_dx.items() if v} != {
-                k: v for k, v in d_phix.items() if v
-            }:
+            phi_dx = {
+                row: c * info[src.labels(d - 1)[row][1]].multiplicity
+                for row, c in src_cols.get(col, {}).items()
+            }
+            d_phix = {
+                row: c * info[gamma].multiplicity
+                for row, c in tgt_cols.get(col, {}).items()
+            }
+            if phi_dx != d_phix:
                 return False
     return True

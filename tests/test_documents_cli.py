@@ -1,15 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from chordhom import cli
 from chordhom.documents import (
     ParseError,
+    ainf_from_document,
     betti_from_document,
     betti_to_document,
     betti_to_text,
+    counts_from_document,
     dga_from_document,
     dga_to_document,
     dumps,
@@ -18,7 +23,7 @@ from chordhom.documents import (
     morphism_from_document,
 )
 from chordhom.examples import example_document, example_names
-from chordhom.homology import BettiTable
+from chordhom.homology import BettiTable, GradedChainComplex
 
 
 def run_cli(*args) -> tuple[int, str]:
@@ -83,6 +88,69 @@ def test_rational_strings():
     from chordhom.algebra import Word
 
     assert dga.d_gen("b").coeff(Word.of(["a"])) == Fraction(-3, 2)
+
+
+BAD_TERMS = [
+    ({"coeff": "1", "word": "e_x"}, "bad unit word"),
+    ({"coeff": "1", "word": "e_0"}, "bad unit word"),
+    ({"coeff": "1", "word": "e_5"}, "bad unit word"),
+    ({"coeff": "1", "word": "x_1"}, "unit words are written"),
+    (7, "expected an object"),
+]
+
+
+def _bad_dga(term):
+    doc = example_document("dc1_vanishing")
+    doc["differential"]["c"] = [term]
+    return doc
+
+
+def _bad_morphism(term):
+    doc = example_document("chekanov_phi")
+    doc["assignment"]["a7"] = [term]
+    return doc
+
+
+@pytest.mark.parametrize("term,message", BAD_TERMS)
+def test_bad_terms_are_parse_errors(term, message):
+    with pytest.raises(ParseError) as err:
+        dga_from_document(_bad_dga(term))
+    assert err.value.issues[0][0].startswith("$.differential.c[0]")
+    assert message in str(err.value)
+    with pytest.raises(ParseError) as err:
+        morphism_from_document(_bad_morphism(term))
+    assert err.value.issues[0][0].startswith("$.assignment.a7[0]")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("term,message", BAD_TERMS)
+def test_cli_bad_terms_exit_2(tmp_path, term, message):
+    path = tmp_path / "bad.dga"
+    path.write_text(dumps(_bad_dga(term)))
+    code, out = run_cli("validate", str(path))
+    assert code == 2 and message in out
+    path = tmp_path / "bad.morphism"
+    path.write_text(dumps(_bad_morphism(term)))
+    code, out = run_cli("morphism", str(path))
+    assert code == 2 and message in out
+
+
+@pytest.mark.parametrize(
+    "parse,doc,path",
+    [
+        (filling_from_document, {"format": "filling/1", "n": 2, "orbits": [7]}, "$.orbits[0]"),
+        (counts_from_document, {"format": "counts/1", "check": ["g1"]}, "$.check[0]"),
+        (
+            ainf_from_document,
+            {"format": "ainf/1", "components": 2, "fiber_dim_param": 3, "points": [[]]},
+            "$.points[0]",
+        ),
+    ],
+)
+def test_non_object_entries_are_parse_errors(parse, doc, path):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert err.value.issues == [(path, "expected an object")]
 
 
 def test_filling_document_parse():
@@ -187,6 +255,23 @@ def test_cli_lefschetz_dictionary():
     assert code == 0 and "OK" in out
 
 
+def test_cli_lefschetz_hochschild(monkeypatch):
+    code, out = run_cli(
+        "lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "hochschild",
+        "--min-deg", "0", "--max-deg", "3", "--max-len", "6",
+    )
+    assert code == 0 and "ranks by dictionary degree" in out
+    # a cyclic tensor complex with d^2 != 0 is a mathematical failure
+    broken = GradedChainComplex(
+        basis={-2: ["x"], -1: ["y"], 0: ["z"]},
+        diffs={-1: {(0, 0): Fraction(1)}, 0: {(0, 0): Fraction(1)}},
+        window=(-2, 0),
+    )
+    monkeypatch.setattr(cli, "hochschild_complex", lambda *args: broken)
+    code, out = run_cli("lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "hochschild")
+    assert code == 1 and "does not square to zero" in out
+
+
 def test_cli_lefschetz_emit_dga_parses_back():
     code, out = run_cli("lefschetz", "lefschetz_min", "--t-order", "1", "--emit", "dga")
     assert code == 0
@@ -195,10 +280,14 @@ def test_cli_lefschetz_emit_dga_parses_back():
 
 
 def test_cli_entrypoint_subprocess():
+    # the child imports chordhom from where this process found it
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chordhom.cli", "examples", "list"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "unknot" in proc.stdout

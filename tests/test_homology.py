@@ -42,8 +42,24 @@ def test_rank_with_fractions():
     assert rank(m, 2, 2) == 1
 
 
+def _dense_rank(m, nr, nc):
+    """Row reduction of the dense Fraction matrix, as a reference."""
+    rows = [[m.get((r, c), Fraction(0)) for c in range(nc)] for r in range(nr)]
+    rk = 0
+    for c in range(nc):
+        piv = next((i for i in range(rk, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        for i in range(rk + 1, nr):
+            f = rows[i][c] / rows[rk][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 5))
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8))
 def test_rank_invariant_under_permutation(seed, nr, nc):
     rng = random.Random(seed)
     m = {}
@@ -52,6 +68,8 @@ def test_rank_invariant_under_permutation(seed, nr, nc):
             if rng.random() < 0.5:
                 m[(r, c)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     base = rank(dict(m), nr, nc)
+    assert base == _dense_rank(m, nr, nc)
+    assert rank({(c, r): v for (r, c), v in m.items()}, nc, nr) == base
     rows = list(range(nr))
     cols = list(range(nc))
     rng.shuffle(rows)

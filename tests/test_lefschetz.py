@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,32 @@ def test_dictionary_on_minimal_example():
     tc = betti(cc)
     th = betti(ho)
     assert {(-d): r for d, r in tc.ranks.items()} == dict(th.ranks)
+
+
+def test_dictionary_rejects_changed_entries():
+    spec = minimal_ainf_spec()
+    D = build_curved_category(spec, 2)
+    cc = hochschild_complex(D, (0, 3), 6)
+    ho = build_ho_complex(dualize_tensor_algebra(D), (0, 3), 6)
+    assert verify_dictionary(cc, ho)
+    # the bases pair one to one here, so every position of cc's matrices
+    # lies in the ho-labelled block
+    assert all(cc.dim(-d) == ho.dim(d) for d in range(-1, 5))
+    stored = cc.matrix(-3)
+    (pos, v), *_ = stored.items()
+    free = next(
+        (r, c) for r in range(cc.dim(-4)) for c in range(cc.dim(-3)) if (r, c) not in stored
+    )
+
+    def with_matrix(matrix):
+        return replace(cc, diffs={**cc.diffs, -3: matrix})
+
+    assert not verify_dictionary(with_matrix({**stored, pos: v + 1}), ho)
+    assert not verify_dictionary(with_matrix({k: w for k, w in stored.items() if k != pos}), ho)
+    assert not verify_dictionary(with_matrix({**stored, free: Fraction(1)}), ho)
+    dropped = replace(cc, basis={**cc.basis, 0: cc.labels(0)[1:]})
+    with pytest.raises(ValueError, match="no partner"):
+        verify_dictionary(dropped, ho)
 
 
 def test_document_round_trip_spec():

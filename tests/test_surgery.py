@@ -1,9 +1,11 @@
+import copy
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from chordhom.algebra import BaseRing, Generator
-from chordhom.complexes import build_ho_complex, build_hoplus_complex
+from chordhom.algebra import BaseRing, Generator, Word
+from chordhom.complexes import build_ho_complex, build_hoplus_complex, cyclic_class
 from chordhom.dga import DGASpec
 from chordhom.documents import dga_from_document
 from chordhom.examples import example_document
@@ -167,6 +169,26 @@ def test_mixed_counts_enter_with_multiplicity_division(unknot2):
     }
     # kappa((a^2)) = 2 divides the count 6
     assert hits == {("cyc", ("a", "a")): Fraction(3)}
+
+
+def test_builders_leave_the_count_table_alone():
+    # (v, u) and (u, v) are rotations of one cyclic class
+    dga = DGASpec(BaseRing(2), [Generator("u", 1, 2, 1), Generator("v", 1, 1, 2)], {}, 2)
+    ball = builtin_ball_filling(2)
+    raw = {("g1", ("v", "u")): Fraction(1), ("g1", ("u", "v")): Fraction(2)}
+    folded: dict = defaultdict(Fraction)
+    for (g, w), c in raw.items():
+        cls = cyclic_class(dga.algebra, Word.of(w))
+        folded[(g, cls.representative)] += c * cls.sign
+    assert len(folded) == 1 and all(folded.values())
+    for build in (build_lch_surgery, build_shplus_surgery, build_sh_surgery):
+        counts = SurgeryCountTable(mixed_cyc=dict(raw))
+        before = copy.deepcopy(counts)
+        cx = build(ball, dga, counts, (0, 4), 4)
+        assert counts == before
+        ref = build(ball, dga, SurgeryCountTable(mixed_cyc=dict(folded)), (0, 4), 4)
+        assert cx.basis == ref.basis and cx.diffs == ref.diffs
+        assert cx.matrix(3)  # the folded count couples g1 to its class
 
 
 def test_kappa_isomorphism_ball_and_synthetic():
