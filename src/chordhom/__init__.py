@@ -19,10 +19,8 @@ from .complexes import (
     build_ho_complex,
     build_hoplus_complex,
     build_mcyc_complex,
-    build_module_M,
     cyclic_class,
     ho_vanishes_by_unit_differential,
-    s_operator,
     verify_en_isomorphism,
 )
 from .dga import (

@@ -117,6 +117,14 @@ class Element:
     def zero() -> "Element":
         return Element()
 
+    @classmethod
+    def _normalized(cls, terms: dict[Word, Fraction]) -> "Element":
+        """An element over terms that are already nonzero Fractions: no
+        copy and no check, for the inner loops that build them so."""
+        el = cls.__new__(cls)
+        el.terms = terms
+        return el
+
     @staticmethod
     def monomial(word: Word, coeff=1) -> "Element":
         return Element({word: rat(coeff)})
@@ -181,6 +189,11 @@ class ChordAlgebra:
             if not (1 <= g.src <= ring.k and 1 <= g.dst <= ring.k):
                 raise ValueError(f"generator {g.name} has ports outside the ring")
             self.generators[g.name] = g
+        # grading parity of every letter: the Koszul signs of the hot loops
+        # read this table instead of summing gradings term by term
+        self.parity: dict[str, int] = {
+            name: g.grading & 1 for name, g in self.generators.items()
+        }
 
     # ---- ports and gradings -------------------------------------------------
 

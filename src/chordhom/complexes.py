@@ -36,6 +36,20 @@ from .homology import (
 CHECK = "check"
 HAT = "hat"
 
+_ONE = Fraction(1)
+
+
+class _Sum(dict):
+    """Coefficient sums of a boundary image.  A label's first term is stored
+    as it is, so an image whose labels do not repeat does no Fraction
+    arithmetic; labels keep the order of their first term."""
+
+    __slots__ = ()
+
+    def add(self, label, coeff: Fraction) -> None:
+        prev = self.get(label)
+        self[label] = coeff if prev is None else prev + coeff
+
 
 @dataclass(frozen=True)
 class CyclicWord:
@@ -58,27 +72,33 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
         raise ValueError("cyclic classes are classes of nonempty words")
     if not algebra.cyclically_composable(word):
         raise ValueError(f"word {word} is not cyclically composable")
-    best: Word | None = None
-    best_sign = 1
+    letters = word.letters
+    parity = algebra.parity
+    # rotating a prefix of parity p past the rest gives (-1)^(p (total - p)),
+    # which is (-1)^p for an even word and +1 for an odd one
+    even = not sum(parity[n] for n in letters) & 1
+    best, best_sign = letters, 1
     bad = False
-    for rotated, sign in algebra.rotations(word):
-        if rotated.letters == word.letters and sign == -1:
+    p = 0
+    for i in range(1, len(letters)):
+        p ^= parity[letters[i - 1]]
+        rotated = letters[i:] + letters[:i]
+        sign = -1 if p and even else 1
+        if rotated == letters and sign == -1:
             bad = True
-        if best is None or rotated.sort_key() < best.sort_key():
+        if rotated < best:
             best, best_sign = rotated, sign
-    assert best is not None
-    letters = best.letters
     kappa = 1
-    length = len(letters)
+    length = len(best)
     for k in range(length, 0, -1):
         if length % k:
             continue
         period = length // k
-        if letters == letters[:period] * k:
+        if best == best[:period] * k:
             kappa = k
             break
     return CyclicWord(
-        representative=letters,
+        representative=best,
         sign=0 if bad else best_sign,
         multiplicity=kappa,
         is_zero=bad,
@@ -128,11 +148,10 @@ def canonicalize_marked(
         return DecoratedWord(letters, decoration), 1
     prefix = letters[:mark]
     suffix = letters[mark:]
-    gp = sum(algebra.gen(n).grading for n in prefix)
-    gs = sum(algebra.gen(n).grading for n in suffix) + (
-        1 if decoration == HAT else 0
-    )
-    sign = -1 if (gp * gs) % 2 else 1
+    parity = algebra.parity
+    gp = sum(parity[n] for n in prefix)
+    gs = sum(parity[n] for n in suffix) + (decoration == HAT)
+    sign = -1 if gp & gs & 1 else 1
     return DecoratedWord(suffix + prefix, decoration), sign
 
 
@@ -142,11 +161,12 @@ def _s_terms(
     """The terms of S(letters) * tail: each letter of `letters` hatted in
     turn with the sign (-1)^(degree of the letters before it), rotated to
     mark-first form with the sign of that rotation folded in."""
-    prefix_deg = 0
+    parity = algebra.parity
+    odd = 0
     for j, name in enumerate(letters):
         dw, rot = canonicalize_marked(algebra, letters + tail, j, HAT)
-        yield dw, (-1 if prefix_deg % 2 else 1) * rot
-        prefix_deg += algebra.gen(name).grading
+        yield dw, -rot if odd else rot
+        odd ^= parity[name]
 
 
 def s_operator(
@@ -173,8 +193,8 @@ def _cyclic_bases(
     lo, hi = window
     bases: dict[int, list] = {}
     for w in enumerate_cyclic_words(alg, (lo - 1, hi + 1), max_len):
-        key = w.sort_key()
-        if any(r.sort_key() < key for r, _ in alg.rotations(w)):
+        ls = w.letters
+        if any(ls[i:] + ls[:i] < ls for i in range(1, len(ls))):
             continue
         if not cyclic_class(alg, w).is_zero:
             bases.setdefault(alg.grading(w), []).append(("cyc", w.letters))
@@ -187,13 +207,13 @@ def _cyclic_image(dga: DGASpec, label) -> dict:
     """The letterwise Leibniz differential followed by projection to the
     cyclic classes; length-zero collapses are dropped."""
     alg = dga.algebra
-    out: dict = defaultdict(Fraction)
+    out = _Sum()
     for term, coeff in extend_leibniz(dga, Element.monomial(Word.of(label[1]))).terms.items():
         if term.is_idem:
             continue
         cls = cyclic_class(alg, term)
         if not cls.is_zero:
-            out[("cyc", cls.representative)] += coeff * cls.sign
+            out.add(("cyc", cls.representative), coeff if cls.sign > 0 else -coeff)
     return out
 
 
@@ -254,37 +274,32 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
     the full algebra differential with units absorbed into the hat letter.
     """
     alg = dga.algebra
-    out: dict = defaultdict(Fraction)
+    out = _Sum()
+    parity = alg.parity
     head, tail = letters[0], letters[1:]
-    head_deg = alg.gen(head).grading
+    head_odd = parity[head]
 
     # mark slot moved through the marked letter: + (slot, c, tail) and
     # - (-1)^(|c| |tail|) (slot, tail, c), translated to check lettering
-    out[("chk", _rot1((head,) + tail))] += 1
-    tsign = -1 if (head_deg * sum(alg.gen(x).grading for x in tail)) % 2 else 1
-    out[("chk", _rot1(tail + (head,)))] -= tsign
+    out.add(("chk", _rot1((head,) + tail)), _ONE)
+    odd = head_odd and sum(parity[x] for x in tail) & 1
+    out.add(("chk", _rot1(tail + (head,))), _ONE if odd else -_ONE)
 
     # -S(d(head)) * tail
     for term, coeff in dga.d_gen(head).terms.items():
         if term.is_idem:
             continue
         for dw, sign in _s_terms(alg, term.letters, tail):
-            out[("hat", dw.word)] -= coeff * sign
+            out.add(("hat", dw.word), -coeff if sign > 0 else coeff)
 
     # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
     if tail:
-        sign = -1 if (head_deg + 1) % 2 else 1
+        head_src = alg.gen(head).src
         dtail = extend_leibniz(dga, Element.monomial(Word.of(tail)))
         for term, coeff in dtail.terms.items():
-            if term.is_idem:
-                if term.comp != alg.gen(head).src:
-                    continue
-                new = (head,)
-            else:
-                if alg.gen(head).src != alg.dst(term):
-                    continue
-                new = (head,) + term.letters
-            out[("hat", new)] += sign * coeff
+            if alg.dst(term) != head_src:
+                continue
+            out.add(("hat", (head,) + term.letters), coeff if head_odd else -coeff)
 
     return out
 
@@ -340,13 +355,13 @@ def _decorated_image(dga: DGASpec, label, ho: HoComplexSpec | None = None) -> di
     if kind == "tau":
         return {}
     letters = label[1]
-    out: dict = defaultdict(Fraction)
+    out = _Sum()
     dw = extend_leibniz(dga, Element.monomial(Word.of(_unrot1(letters))))
     for term, coeff in dw.terms.items():
         if not term.is_idem:
-            out[("chk", _rot1(term.letters))] += coeff
+            out.add(("chk", _rot1(term.letters)), coeff)
     if ho is not None and len(letters) == 1:
-        out[("tau", dga.algebra.gen(letters[0]).src)] += ho.unit_coeff(letters[0])
+        out.add(("tau", dga.algebra.gen(letters[0]).src), ho.unit_coeff(letters[0]))
     return out
 
 
@@ -393,13 +408,11 @@ def _mcyc_reduce(
     decorated degree of everything from the mark on."""
     if not prefix:
         return (mark, suffix), 1
-    gp = sum(alg.gen(n).grading for n in prefix)
-    if mark[0] == "x":
-        gm = 0
-    else:
-        gm = alg.gen(mark[1]).grading + 1
-    gs = sum(alg.gen(n).grading for n in suffix)
-    sign = -1 if (gp * (gm + gs)) % 2 else 1
+    parity = alg.parity
+    gp = sum(parity[n] for n in prefix)
+    gm = 0 if mark[0] == "x" else parity[mark[1]] + 1
+    gs = sum(parity[n] for n in suffix)
+    sign = -1 if gp & (gm + gs) & 1 else 1
     return (mark, suffix + prefix), sign
 
 
@@ -451,7 +464,7 @@ def _enumerate_marked_words(
 def _mcyc_image(dga: DGASpec, label) -> dict:
     """Differential on the marked cyclic quotient."""
     alg = dga.algebra
-    out: dict = defaultdict(Fraction)
+    out = _Sum()
     kind = label[0]
     if kind == "mx":
         comp, word = label[1], label[2]
@@ -459,39 +472,38 @@ def _mcyc_image(dga: DGASpec, label) -> dict:
             return {}
         dw = extend_leibniz(dga, Element.monomial(Word.of(word)))
         for term, coeff in dw.terms.items():
-            out[("mx", comp, term.letters)] += coeff
+            out.add(("mx", comp, term.letters), coeff)
         return out
 
     _, cname, word = label
     c = alg.gen(cname)
-    hat_deg = c.grading + 1
+    parity = alg.parity
 
     # x c w  -  (-1)^(|c| |w|) x w c
-    out[("mx", c.dst, (cname,) + word)] += 1
-    sign = -1 if (c.grading * sum(alg.gen(n).grading for n in word)) % 2 else 1
-    out[("mx", c.src, word + (cname,))] -= sign
+    out.add(("mx", c.dst, (cname,) + word), _ONE)
+    odd = parity[cname] and sum(parity[n] for n in word) & 1
+    out.add(("mx", c.src, word + (cname,)), _ONE if odd else -_ONE)
 
     # -S(dc) w, reduced to mark-first form
     for term, coeff in dga.d_gen(cname).terms.items():
         if term.is_idem:
             continue
         letters = term.letters
-        prefix_deg = 0
+        odd = 0
         for j, name in enumerate(letters):
-            s = -1 if prefix_deg % 2 else 1
             marked = ("hat", name)
             suffix = letters[j + 1:] + word
             prefix = letters[:j]
             (mk, wrd), rot = _mcyc_reduce(alg, prefix, marked, suffix)
-            out[_mcyc_label(mk, wrd)] -= coeff * s * rot
-            prefix_deg += alg.gen(name).grading
+            sign = -rot if odd else rot
+            out.add(_mcyc_label(mk, wrd), -coeff if sign > 0 else coeff)
+            odd ^= parity[name]
 
     # (-1)^(|c|+1) c^ d(w), units absorbed
     if word:
-        hsign = -1 if hat_deg % 2 else 1
         dtail = extend_leibniz(dga, Element.monomial(Word.of(word)))
         for term, coeff in dtail.terms.items():
-            out[("mc", cname, term.letters)] += hsign * coeff
+            out.add(("mc", cname, term.letters), coeff if parity[cname] else -coeff)
 
     return out
 

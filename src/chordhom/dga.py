@@ -7,6 +7,7 @@ with its relative construction).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +27,9 @@ class DGASpec:
 
     The differential of a generator is an Element; idempotent words encode
     unit terms.  ambient_dim is the sphere-dimension parameter n used by
-    grading conventions of the derived constructions.
+    grading conventions of the derived constructions.  The differential is
+    compiled for the Leibniz rule at construction, so a changed
+    differential needs a new DGASpec.
     """
 
     ring: BaseRing
@@ -36,14 +39,32 @@ class DGASpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.algebra = ChordAlgebra(self.ring, self.generators)
+        """Validate the differential against the generators and compile it
+        for the Leibniz kernel: the ports of every letter and, per
+        generator, the rows (letters, dst port, src port, integer
+        coefficient) of its differential, an idempotent e_i as
+        ((), i, i, coefficient); coefficients are numerators over the
+        common denominator of the whole differential."""
+        alg = self.algebra = ChordAlgebra(self.ring, self.generators)
+        src = self._src = {name: g.src for name, g in alg.generators.items()}
+        dst = self._dst = {name: g.dst for name, g in alg.generators.items()}
+        denom = self._denom = math.lcm(
+            *(c.denominator for el in self.differential.values() for c in el.terms.values())
+        )
+        self._rows: dict[str, list[tuple[tuple[str, ...], int, int, int]]] = {}
         for name, el in self.differential.items():
-            self.algebra.gen(name)
-            for w, _ in el.terms.items():
-                if not w.is_idem and not self.algebra.composable(w.letters):
+            alg.gen(name)
+            rows = []
+            for w, c in el.terms.items():
+                ls = w.letters
+                for letter in ls:
+                    alg.gen(letter)
+                if not alg.composable(ls):
                     raise ValueError(f"differential of {name} has a non-composable word {w}")
-                for letter in w.letters:
-                    self.algebra.gen(letter)
+                num = c.numerator * (denom // c.denominator)
+                rows.append((ls, dst[ls[0]], src[ls[-1]], num) if ls else ((), w.comp, w.comp, num))
+            if rows:
+                self._rows[name] = rows
 
     def d_gen(self, name: str) -> Element:
         return self.differential.get(name, Element.zero())
@@ -62,27 +83,50 @@ def extend_leibniz(dga: DGASpec, x: Element) -> Element:
     """Graded Leibniz extension of the generator differential.
 
     d(c_1...c_m) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...d(c_j)...c_m, with
-    units produced inside a word absorbed multiplicatively.
+    units produced inside a word absorbed multiplicatively.  A term of
+    d(c_j) survives when its ports meet the neighbouring letters, as in
+    ChordAlgebra.mul_words.  The sum runs on letter tuples and integer
+    numerators over one common denominator; a running sum that reaches
+    zero drops its word, so the terms come out in the order of the
+    product-by-product Element sum.
     """
-    alg = dga.algebra
-    out = Element.zero()
+    rows = dga._rows
+    parity = dga.algebra.parity
+    src, dst = dga._src, dga._dst
+    scale = math.lcm(*(c.denominator for c in x.terms.values()))
+    acc: dict = {}
     for word, coeff in x.terms.items():
-        if word.is_idem:
-            continue
         letters = word.letters
-        sign_deg = 0
+        if not letters:
+            continue
+        a = coeff.numerator * (scale // coeff.denominator)
+        last = len(letters) - 1
+        odd = 0
         for j, name in enumerate(letters):
-            dj = dga.d_gen(name)
-            if not dj.is_zero():
-                piece = dj
-                if j > 0:
-                    piece = alg.multiply(Element.monomial(Word.of(letters[:j])), piece)
-                if j < len(letters) - 1:
-                    piece = alg.multiply(piece, Element.monomial(Word.of(letters[j + 1:])))
-                sgn = -1 if sign_deg % 2 else 1
-                out = out + piece.scale(coeff * sgn)
-            sign_deg += alg.gen(name).grading
-    return out
+            drows = rows.get(name)
+            if drows:
+                left = src[letters[j - 1]] if j else None
+                right = dst[letters[j + 1]] if j < last else None
+                prefix, suffix = letters[:j], letters[j + 1:]
+                sa = -a if odd else a
+                for piece, pdst, psrc, c in drows:
+                    if left is not None and left != pdst:
+                        continue
+                    if right is not None and right != psrc:
+                        continue
+                    # an empty product is the idempotent, keyed by its component
+                    key = prefix + piece + suffix or pdst
+                    v = acc.get(key, 0) + sa * c
+                    if v:
+                        acc[key] = v
+                    else:  # only a stored sum can cancel: sa * c != 0
+                        del acc[key]
+            odd ^= parity[name]
+    denom = scale * dga._denom
+    return Element._normalized({
+        (Word(key) if key.__class__ is tuple else Word.idem(key)): Fraction(v, denom)
+        for key, v in acc.items()
+    })
 
 
 @dataclass

@@ -69,6 +69,13 @@ def _require(doc: dict, key: str, typ, path: str):
     return v
 
 
+def _optional(doc: dict, key: str, typ, path: str, default):
+    """An optional field, type-checked as _require does; default when absent."""
+    if isinstance(doc, dict) and key not in doc:
+        return default
+    return _require(doc, key, typ, path)
+
+
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -106,15 +113,13 @@ def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
         path = f"$.generators[{idx}]"
         name = _require(g, "name", str, path)
         grading = _require(g, "grading", int, path)
-        src = g.get("src", 1)
-        dst = g.get("dst", 1)
-        if not isinstance(src, int) or not isinstance(dst, int):
-            _fail(path, "ports must be integers")
+        src = _optional(g, "src", int, path, 1)
+        dst = _optional(g, "dst", int, path, 1)
         if name in names:
             _fail(path, f"duplicate generator {name}")
         names.add(name)
         gens.append(Generator(name, grading, src, dst))
-    meta = doc.get("metadata", {})
+    meta = _optional(doc, "metadata", dict, "$", {})
     partial = bool(meta.get("partial"))
     if partial and not allow_partial:
         _fail(
@@ -192,23 +197,26 @@ def filling_from_document(doc: dict) -> FillingModel:
     n = _require(doc, "n", int, "$")
     orbits = []
     labels = set()
-    for idx, o in enumerate(doc.get("orbits", [])):
+    for idx, o in enumerate(_optional(doc, "orbits", list, "$", [])):
         path = f"$.orbits[{idx}]"
         label = _require(o, "label", str, path)
         if label in labels:
             _fail(path, f"duplicate orbit {label}")
         labels.add(label)
+        multiplicity = _optional(o, "multiplicity", int, path, 1)
+        if multiplicity < 1:
+            _fail(f"{path}.multiplicity", "expected a positive integer")
         orbits.append(
             Orbit(
                 label=label,
                 grading=_require(o, "grading", int, path),
-                multiplicity=o.get("multiplicity", 1),
-                bad=bool(o.get("bad", False)),
+                multiplicity=multiplicity,
+                bad=_optional(o, "bad", bool, path, False),
             )
         )
     morse = []
     morse_labels = set()
-    for idx, p in enumerate(doc.get("morse", [])):
+    for idx, p in enumerate(_optional(doc, "morse", list, "$", [])):
         path = f"$.morse[{idx}]"
         label = _require(p, "label", str, path)
         morse_labels.add(label)
@@ -216,7 +224,7 @@ def filling_from_document(doc: dict) -> FillingModel:
 
     def edge_table(key: str, src_set, dst_set, src_field="from", dst_field="to"):
         out = {}
-        for idx, e in enumerate(doc.get(key, [])):
+        for idx, e in enumerate(_optional(doc, key, list, "$", [])):
             path = f"$.{key}[{idx}]"
             a = _require(e, src_field, str, path)
             b = _require(e, dst_field, str, path)
@@ -237,9 +245,9 @@ def filling_from_document(doc: dict) -> FillingModel:
         bott_diff=edge_table("bott", labels, labels),
         to_morse=edge_table("to_morse", labels, morse_labels, "orbit", "morse"),
         morse_diff=edge_table("morse_differential", morse_labels, morse_labels),
-        meta=dict(doc.get("metadata", {})),
+        meta=dict(_optional(doc, "metadata", dict, "$", {})),
     )
-    for idx, e in enumerate(doc.get("morse_tau", [])):
+    for idx, e in enumerate(_optional(doc, "morse_tau", list, "$", [])):
         path = f"$.morse_tau[{idx}]"
         p = _require(e, "morse", str, path)
         j = _require(e, "component", int, path)
@@ -256,7 +264,7 @@ def counts_from_document(doc: dict) -> SurgeryCountTable:
     table = SurgeryCountTable()
 
     def word_entries(key: str, target: dict):
-        for idx, e in enumerate(doc.get(key, [])):
+        for idx, e in enumerate(_optional(doc, key, list, "$", [])):
             path = f"$.{key}[{idx}]"
             orbit = _require(e, "orbit", str, path)
             word = _require(e, "word", list, path)
@@ -266,14 +274,14 @@ def counts_from_document(doc: dict) -> SurgeryCountTable:
     word_entries("mixed_cyclic", table.mixed_cyc)
     word_entries("check", table.ncheck)
     word_entries("hat", table.nhat)
-    for idx, e in enumerate(doc.get("orbit_tau", [])):
+    for idx, e in enumerate(_optional(doc, "orbit_tau", list, "$", [])):
         path = f"$.orbit_tau[{idx}]"
         orbit = _require(e, "orbit", str, path)
         j = _require(e, "component", int, path)
         table.orbit_tau[(orbit, j)] = _rational(
             _require(e, "coeff", (str, int), path), f"{path}.coeff"
         )
-    table.meta = dict(doc.get("metadata", {}))
+    table.meta = dict(_optional(doc, "metadata", dict, "$", {}))
     return table
 
 
@@ -307,7 +315,7 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
     n = _require(doc, "fiber_dim_param", int, "$")
     points = []
     names = set()
-    for idx, p in enumerate(doc.get("points", [])):
+    for idx, p in enumerate(_optional(doc, "points", list, "$", [])):
         path = f"$.points[{idx}]"
         name = _require(p, "name", str, path)
         if name in names:
@@ -322,7 +330,7 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
             )
         )
     mu = []
-    for idx, m in enumerate(doc.get("mu", [])):
+    for idx, m in enumerate(_optional(doc, "mu", list, "$", [])):
         path = f"$.mu[{idx}]"
         out = _symref(_require(m, "out", str, path), f"{path}.out", names, k)
         inputs = tuple(
@@ -331,15 +339,13 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
         )
         coeff = _rational(_require(m, "coeff", (str, int), path), f"{path}.coeff")
         mu.append((out, inputs, coeff))
-    order = doc.get("order")
-    if order is not None:
-        for idx, nm in enumerate(order):
-            if nm not in names:
-                _fail(f"$.order[{idx}]", f"unknown point {nm!r}")
+    order = _optional(doc, "order", (list, type(None)), "$", None)
+    for idx, nm in enumerate(order or []):
+        if not isinstance(nm, str) or nm not in names:
+            _fail(f"$.order[{idx}]", f"unknown point {nm!r}")
+    meta = _optional(doc, "metadata", dict, "$", {})
     try:
-        return DirectedAinfSpec(
-            k=k, n=n, points=points, mu=mu, order=order, meta=dict(doc.get("metadata", {}))
-        )
+        return DirectedAinfSpec(k=k, n=n, points=points, mu=mu, order=order, meta=dict(meta))
     except ValueError as exc:
         raise ParseError([("$", str(exc))])
 
@@ -388,7 +394,11 @@ def morphism_from_document(doc: dict) -> DGAMorphism:
     def side(key: str) -> DGASpec:
         sub = _require(doc, key, dict, "$")
         if "example" in sub:
-            return dga_from_document(example_document(sub["example"]))
+            name = _require(sub, "example", str, f"$.{key}")
+            try:
+                sub = example_document(name)
+            except KeyError:
+                _fail(f"$.{key}.example", f"no bundled example {name!r}")
         return dga_from_document(sub)
 
     source = side("source")
@@ -436,10 +446,14 @@ def betti_from_document(doc: dict) -> BettiTable:
         if isinstance(v, bool) or not isinstance(v, int):
             _fail(f"$.ranks.{key}", "ranks are integers")
         ranks[int(key)] = v
+    flagged = _optional(doc, "flagged", list, "$", [])
+    for idx, d in enumerate(flagged):
+        if isinstance(d, bool) or not isinstance(d, int):
+            _fail(f"$.flagged[{idx}]", "flagged degrees are integers")
     return BettiTable(
         ranks=ranks,
-        flagged=frozenset(doc.get("flagged", [])),
-        verdict=doc.get("verdict", "EXACT"),
+        flagged=frozenset(flagged),
+        verdict=_optional(doc, "verdict", str, "$", "EXACT"),
     )
 
 

@@ -9,6 +9,7 @@ acceptance-grade reads should stick to interior degrees.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,18 +55,24 @@ class GradedChainComplex:
 
     def d_squared_report(self) -> list[tuple[int, tuple[int, int], Fraction]]:
         """Entries of boundary(d-1) * boundary(d) that are nonzero, column by
-        column of boundary(d)."""
+        column of boundary(d).  The products run on integer matrices, each
+        scaled by the lcm of its denominators; a reported entry is divided
+        back into the exact value."""
         bad = []
         lo, hi = self.window
-        cols = {d: _columns(self.matrix(d)) for d in range(lo, hi + 2)}
+        lower, lden = _integer_columns(self.matrix(lo))
         for d in range(lo + 1, hi + 2):
-            upper, lower = cols[d], cols[d - 1]
+            upper, uden = _integer_columns(self.matrix(d))
+            den = uden * lden
             for c, col in upper.items():
-                acc: dict[int, Fraction] = defaultdict(Fraction)
+                acc: dict[int, int] = defaultdict(int)
                 for mid, v in col.items():
                     for r, w in lower.get(mid, {}).items():
                         acc[r] += v * w
-                bad.extend((d, (r, c), total) for r, total in acc.items() if total)
+                bad.extend(
+                    (d, (r, c), Fraction(total, den)) for r, total in acc.items() if total
+                )
+            lower, lden = upper, uden
         return bad
 
 
@@ -77,6 +84,17 @@ def _columns(matrix: SparseMatrix) -> dict[int, dict[int, Fraction]]:
         if v:
             cols[c][r] = v
     return cols
+
+
+def _integer_columns(matrix: SparseMatrix) -> tuple[dict[int, dict[int, int]], int]:
+    """The column view of L * matrix, with L the lcm of the denominators of
+    its entries, and L."""
+    cols = _columns(matrix)
+    den = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
+    return {
+        c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
+        for c, col in cols.items()
+    }, den
 
 
 def rank(matrix: SparseMatrix, nrows: int, ncols: int) -> int:

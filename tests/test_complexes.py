@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
+    CyclicWord,
     HoComplexSpec,
     build_cyclic_complex,
     build_ho_complex,
@@ -96,10 +97,55 @@ def test_kappa_multiplicative_on_powers(g1, reps, g2):
         assert cls.multiplicity == reps * cls_v.multiplicity
 
 
+def cyclic_class_reference(alg: ChordAlgebra, word: Word) -> CyclicWord:
+    """The class read off ChordAlgebra.rotations: the sort-least rotation
+    (first one on ties) with its accumulated Koszul sign, zero when the word
+    comes back to itself with sign -1, and the largest power it is."""
+    best, best_sign, bad = None, 1, False
+    for rotated, sign in alg.rotations(word):
+        if rotated.letters == word.letters and sign == -1:
+            bad = True
+        if best is None or rotated.sort_key() < best.sort_key():
+            best, best_sign = rotated, sign
+    letters = best.letters
+    kappa = max(
+        k for k in range(1, len(letters) + 1)
+        if len(letters) % k == 0 and letters == letters[: len(letters) // k] * k
+    )
+    return CyclicWord(letters, 0 if bad else best_sign, kappa, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_cyclic_class_matches_rotation_reference(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 2)
+    gens = [
+        Generator(f"g{i}", rng.randint(-2, 3), rng.randint(1, k), rng.randint(1, k))
+        for i in range(rng.randint(1, 4))
+    ]
+    alg = ChordAlgebra(BaseRing(k), gens)
+    # a closed walk of ports, repeated: powers make the zero classes and kappa > 1
+    for _ in range(20):
+        letters = [rng.choice(gens)]
+        for _ in range(rng.randint(0, 3)):
+            cands = [g for g in gens if g.dst == letters[-1].src]
+            if not cands:
+                break
+            letters.append(rng.choice(cands))
+        if letters[-1].src != letters[0].dst:
+            continue
+        word = Word.of([g.name for g in letters] * rng.randint(1, 3))
+        assert cyclic_class(alg, word) == cyclic_class_reference(alg, word)
+
+
 def test_cyclic_class_rejects_bad_input():
     alg = algebra_with(1)
     with pytest.raises(ValueError):
         cyclic_class(alg, Word.idem(1))
+    two = ChordAlgebra(BaseRing(2), [Generator("a", 1, 1, 2)])
+    with pytest.raises(ValueError):
+        cyclic_class(two, Word.of(["a"]))  # not cyclically composable
 
 
 # ---- the spread operator ------------------------------------------------------

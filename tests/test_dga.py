@@ -81,6 +81,108 @@ def test_leibniz_product_rule(seed, la, lb):
     assert lhs == rhs
 
 
+def leibniz_reference(dga: DGASpec, x: Element) -> Element:
+    """The Leibniz rule as products of Elements: prefix * d(c_j) * suffix
+    through ChordAlgebra.multiply, summed one product at a time."""
+    alg = dga.algebra
+    out = Element.zero()
+    for word, coeff in x.terms.items():
+        if word.is_idem:
+            continue
+        letters = word.letters
+        sign_deg = 0
+        for j, name in enumerate(letters):
+            piece = dga.d_gen(name)
+            if not piece.is_zero():
+                if j > 0:
+                    piece = alg.multiply(Element.monomial(Word.of(letters[:j])), piece)
+                if j < len(letters) - 1:
+                    piece = alg.multiply(piece, Element.monomial(Word.of(letters[j + 1:])))
+                out = out + piece.scale(coeff * (-1 if sign_deg % 2 else 1))
+            sign_deg += alg.gen(name).grading
+    return out
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 4]))
+
+
+def _random_composable(rng: random.Random, gens: list[Generator], length: int):
+    letters = [rng.choice(gens)]
+    for _ in range(length - 1):
+        cands = [g for g in gens if g.dst == letters[-1].src]
+        if not cands:
+            break
+        letters.append(rng.choice(cands))
+    return Word.of(g.name for g in letters)
+
+
+def free_dga(rng: random.Random) -> DGASpec:
+    """A DGA with no d^2 = 0 and no grading or port conditions: unit terms at
+    any component, differential words whose ports need not match their
+    generator's (validation reports them), rational coefficients."""
+    k = rng.randint(1, 3)
+    gens = [
+        Generator(f"g{i}", rng.randint(-1, 3), rng.randint(1, k), rng.randint(1, k))
+        for i in range(rng.randint(1, 4))
+    ]
+    diff = {}
+    for g in gens:
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.25:
+                w = Word.idem(rng.randint(1, k))
+            else:
+                w = _random_composable(rng, gens, rng.randint(1, 3))
+            terms[w] = _random_rational(rng)
+        diff[g.name] = Element(terms)
+    return DGASpec(ring=BaseRing(k), generators=gens, differential=diff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_leibniz_kernel_matches_element_products(seed):
+    rng = random.Random(seed)
+    dga = free_dga(rng)
+    names = [g.name for g in dga.generators]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.1:
+            w = Word.idem(rng.randint(1, dga.ring.k))
+        elif rng.random() < 0.5:
+            # any letters, composable or not: only the junctions with d(c_j) are tested
+            w = Word.of(rng.choice(names) for _ in range(rng.randint(1, 4)))
+        else:
+            w = _random_composable(rng, dga.generators, rng.randint(1, 4))
+        terms[w] = _random_rational(rng)
+    x = Element(terms)
+    got = extend_leibniz(dga, x)
+    want = leibniz_reference(dga, x)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # same terms in the same order
+    assert all(type(c) is Fraction for c in got.terms.values())
+    # the generator differentials themselves, as check_d_squared applies it
+    for g in dga.generators:
+        assert list(extend_leibniz(dga, dga.d_gen(g.name)).terms.items()) == list(
+            leibniz_reference(dga, dga.d_gen(g.name)).terms.items()
+        )
+
+
+def test_leibniz_drops_port_mismatched_terms():
+    # d(b) = e_2 + a: both terms break b's ports (1 -> 1), so neither
+    # composes with the neighbours of b in a.b.a
+    ring = BaseRing(2)
+    gens = [Generator("a", 1, 1, 1), Generator("b", 1, 1, 1), Generator("c", 0, 2, 2)]
+    diff = {"b": Element({Word.idem(2): Fraction(1), Word.of(["c"]): Fraction(1, 2)})}
+    dga = DGASpec(ring, gens, diff)
+    assert check_d_squared(dga).port_issues
+    x = Element.monomial(Word.of(["a", "b", "a"]))
+    assert extend_leibniz(dga, x).is_zero()
+    assert leibniz_reference(dga, x).is_zero()
+    # alone, b's differential survives, unit term included
+    assert extend_leibniz(dga, Element.monomial(Word.of(["b"]))) == diff["b"]
+
+
 def test_check_d_squared_passes_bundled(chekanov_a, unknot3):
     assert check_d_squared(chekanov_a).ok
     assert check_d_squared(unknot3).ok

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -151,6 +152,72 @@ def test_non_object_entries_are_parse_errors(parse, doc, path):
     with pytest.raises(ParseError) as err:
         parse(doc)
     assert err.value.issues == [(path, "expected an object")]
+
+
+def _with_fields(doc: dict, **fields) -> dict:
+    return {**doc, **fields}
+
+
+_FILLING = {"format": "filling/1", "n": 2}
+_COUNTS = {"format": "counts/1"}
+_AINF = {"format": "ainf/1", "components": 1, "fiber_dim_param": 3}
+_ORBIT = {"label": "g", "grading": 3}
+
+# (what is read, the document, the command that reads it, the JSON path refused)
+BAD_OPTIONAL_FIELDS = [
+    ("dga", _with_fields(example_document("unknot"), metadata=[]), "$.metadata"),
+    ("dga", _with_fields(example_document("unknot"), generators=[
+        {"name": "a", "grading": 1, "src": "1"}]), "$.generators[0].src"),
+    ("filling", _with_fields(_FILLING, orbits=5), "$.orbits"),
+    ("filling", _with_fields(_FILLING, orbits=[{**_ORBIT, "multiplicity": "2"}]),
+     "$.orbits[0].multiplicity"),
+    ("filling", _with_fields(_FILLING, orbits=[{**_ORBIT, "multiplicity": True}]),
+     "$.orbits[0].multiplicity"),
+    ("filling", _with_fields(_FILLING, orbits=[{**_ORBIT, "multiplicity": 0}]),
+     "$.orbits[0].multiplicity"),
+    ("filling", _with_fields(_FILLING, orbits=[{**_ORBIT, "bad": "yes"}]), "$.orbits[0].bad"),
+    ("filling", _with_fields(_FILLING, morse={}), "$.morse"),
+    ("filling", _with_fields(_FILLING, orbit_differential=3), "$.orbit_differential"),
+    ("filling", _with_fields(_FILLING, morse_tau="p"), "$.morse_tau"),
+    ("filling", _with_fields(_FILLING, metadata=[]), "$.metadata"),
+    ("counts", _with_fields(_COUNTS, check=5), "$.check"),
+    ("counts", _with_fields(_COUNTS, orbit_tau={}), "$.orbit_tau"),
+    ("counts", _with_fields(_COUNTS, metadata="x"), "$.metadata"),
+    ("ainf", _with_fields(_AINF, points={}), "$.points"),
+    ("ainf", _with_fields(_AINF, mu=3), "$.mu"),
+    ("ainf", _with_fields(_AINF, order="p"), "$.order"),
+    ("ainf", _with_fields(_AINF, order=[["p"]]), "$.order[0]"),
+    ("ainf", _with_fields(_AINF, metadata=[]), "$.metadata"),
+    ("morphism", {"format": "morphism/1", "source": {"example": 5},
+                  "target": {"example": "unknot"}, "assignment": {}}, "$.source.example"),
+    ("morphism", {"format": "morphism/1", "source": {"example": "unknot"},
+                  "target": {"example": "no_such_example"}, "assignment": {}},
+     "$.target.example"),
+]
+
+
+def _cli_reading(kind: str, path: str) -> list[str]:
+    return {
+        "dga": ["validate", path],
+        "filling": ["surgery", "unknot", "--filling", path, "--theory", "ch", "--max-deg", "2"],
+        "counts": ["surgery", "unknot", "--filling", "ball:2", "--theory", "ch",
+                   "--max-deg", "2", "--counts", path],
+        "ainf": ["lefschetz", path, "--t-order", "1", "--emit", "dga"],
+        "morphism": ["morphism", path],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind,doc,where",
+    BAD_OPTIONAL_FIELDS,
+    ids=[f"{k}-" + re.sub(r"\W+", "-", w[2:]).strip("-") for k, _, w in BAD_OPTIONAL_FIELDS],
+)
+def test_cli_bad_optional_fields_exit_2(tmp_path, kind, doc, where):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(dumps(doc))
+    code, out = run_cli(*_cli_reading(kind, str(path)))
+    assert code == 2, out
+    assert f"{where}:" in out
 
 
 def test_filling_document_parse():

@@ -89,6 +89,63 @@ def test_betti_requires_d_squared_zero():
         betti(complex)
 
 
+def d_squared_reference(complex: GradedChainComplex) -> list:
+    """boundary(d-1) * boundary(d) in Fractions, column by column of
+    boundary(d), rows in the order they are first reached."""
+    lo, hi = complex.window
+    cols = {}
+    for d in range(lo, hi + 2):
+        cols[d] = {}
+        for (r, c), v in complex.matrix(d).items():
+            if v:
+                cols[d].setdefault(c, {})[r] = v
+    bad = []
+    for d in range(lo + 1, hi + 2):
+        for c, col in cols[d].items():
+            acc = {}
+            for mid, v in col.items():
+                for r, w in cols[d - 1].get(mid, {}).items():
+                    acc[r] = acc.get(r, Fraction(0)) + v * w
+            bad += [(d, (r, c), t) for r, t in acc.items() if t]
+    return bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_d_squared_report_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    dims = {d: rng.randint(0, 5) for d in range(-1, 4)}
+    diffs = {}
+    for d in range(0, 4):
+        entries = [(r, c) for r in range(dims[d - 1]) for c in range(dims[d])]
+        rng.shuffle(entries)
+        diffs[d] = {
+            rc: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6, 7]))
+            for rc in entries[: rng.randint(0, len(entries))]
+        }
+    cx = GradedChainComplex(
+        basis={d: [f"x{d}.{i}" for i in range(n)] for d, n in dims.items()},
+        diffs=diffs,
+        window=(0, 2),
+    )
+    got = cx.d_squared_report()
+    assert got == d_squared_reference(cx)
+    assert all(type(v) is Fraction for _, _, v in got)
+
+
+def test_d_squared_error_message_with_fractions():
+    bases = {0: ["x"], 1: ["y", "y2"], 2: ["z"]}
+    diffs = {
+        1: {(0, 0): Fraction(2, 3), (0, 1): Fraction(1, 2)},
+        2: {(0, 0): Fraction(-3, 4), (1, 0): Fraction(1, 5)},
+    }
+    complex = GradedChainComplex(basis=bases, diffs=diffs, window=(0, 1))
+    assert complex.d_squared_report() == [(2, (0, 0), Fraction(-2, 5))]
+    with pytest.raises(DSquareError) as err:
+        betti(complex)
+    assert str(err.value) == "d^2 != 0 at degree 2, entry (0, 0) = -2/5 (1 nonzero entries total)"
+
+
 def test_betti_edge_flags(unknot3):
     table = betti(build_ho_complex(unknot3, (0, 8), 9))
     assert table.flagged == frozenset({0, 8})

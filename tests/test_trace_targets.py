@@ -1,0 +1,46 @@
+"""The benchmark's tracer wraps chordhom functions by name: every hook it
+names must still resolve, so that a rename fails here and not in a traced
+benchmark run."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _tracing()
+
+
+@pytest.mark.parametrize("modname,attr", [(t[0], t[1]) for t in tracing.TARGETS])
+def test_function_targets_resolve(modname, attr):
+    assert callable(getattr(importlib.import_module(f"chordhom.{modname}"), attr))
+
+
+@pytest.mark.parametrize("modname,cls,method", [t[:3] for t in tracing.METHOD_TARGETS])
+def test_method_targets_resolve(modname, cls, method):
+    owner = getattr(importlib.import_module(f"chordhom.{modname}"), cls)
+    assert callable(getattr(owner, method))
+
+
+def test_counted_hooks_keep_their_signatures():
+    from chordhom.algebra import ChordAlgebra
+    from chordhom.complexes import cyclic_class
+    from chordhom.dga import extend_leibniz
+    from chordhom.homology import rank
+
+    # the tracer counts rotation calls and unpacks the arguments of rank
+    assert list(inspect.signature(ChordAlgebra.rotations).parameters) == ["self", "word"]
+    assert list(inspect.signature(rank).parameters) == ["matrix", "nrows", "ncols"]
+    assert list(inspect.signature(extend_leibniz).parameters) == ["dga", "x"]
+    assert list(inspect.signature(cyclic_class).parameters) == ["algebra", "word"]
