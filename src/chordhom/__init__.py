@@ -14,7 +14,6 @@ from .algebra import (
 from .complexes import (
     CyclicWord,
     DecoratedWord,
-    HoComplexSpec,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,
@@ -40,7 +39,6 @@ from .homology import BettiTable, GradedChainComplex, betti, verify_les_ranks
 from .lefschetz import (
     CurvedAinf,
     DirectedAinfSpec,
-    LefschetzChordBasis,
     build_curved_category,
     check_curved_ainf,
     dualize_tensor_algebra,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import documents as docs
@@ -18,11 +19,11 @@ from .complexes import (
     build_ho_complex,
     build_hoplus_complex,
     build_mcyc_complex,
-    ho_vanishes_by_unit_differential,
 )
 from .dga import Augmentation, check_d_squared, check_morphism, linearize
 from .homology import DSquareError, betti
 from .lefschetz import (
+    AinfValidationError,
     build_curved_category,
     dualize_tensor_algebra,
     hochschild_complex,
@@ -31,6 +32,7 @@ from .lefschetz import (
     verify_dictionary,
 )
 from .surgery import (
+    CountGradingError,
     SurgeryCountTable,
     build_lch_surgery,
     build_sh_surgery,
@@ -61,12 +63,18 @@ def _load_document(ref: str) -> dict:
         raise CliInputError(f"{ref}: no such file or bundled example")
 
 
-def _load_dga(ref: str, allow_partial: bool = False):
+def _parse(ref: str, parser, **options):
+    """Read the document ref with one of the documents parsers; a schema
+    violation is an input error."""
     doc = _load_document(ref)
     try:
-        return docs.dga_from_document(doc, allow_partial=allow_partial)
+        return parser(doc, **options)
     except docs.ParseError as exc:
         raise CliInputError(f"{ref}: {exc}")
+
+
+def _load_dga(ref: str, allow_partial: bool = False):
+    return _parse(ref, docs.dga_from_document, allow_partial=allow_partial)
 
 
 def cmd_validate(args) -> int:
@@ -85,11 +93,7 @@ def cmd_homology(args) -> int:
     window = (args.min_deg, args.max_deg)
     if args.complex == "lin":
         if args.augmentation:
-            doc = _load_document(args.augmentation)
-            try:
-                eps = docs.augmentation_from_document(doc)
-            except docs.ParseError as exc:
-                raise CliInputError(str(exc))
+            eps = _parse(args.augmentation, docs.augmentation_from_document)
         else:
             eps = Augmentation(values={})
         try:
@@ -127,28 +131,21 @@ def cmd_homology(args) -> int:
 
 
 def _filling_of(ref: str):
-    if ref.startswith("ball:"):
-        try:
-            return builtin_ball_filling(int(ref.split(":", 1)[1]))
-        except ValueError as exc:
-            raise CliInputError(f"bad filling {ref!r}: {exc}")
-    if ref.startswith("empty:"):
-        return empty_filling(int(ref.split(":", 1)[1]))
-    doc = _load_document(ref)
+    kind, _, n = ref.partition(":")
+    builtin = {"ball": builtin_ball_filling, "empty": empty_filling}.get(kind)
+    if builtin is None:
+        return _parse(ref, docs.filling_from_document)
     try:
-        return docs.filling_from_document(doc)
-    except docs.ParseError as exc:
-        raise CliInputError(f"{ref}: {exc}")
+        return builtin(int(n))
+    except ValueError as exc:
+        raise CliInputError(f"bad filling {ref!r}: {exc}")
 
 
 def cmd_surgery(args) -> int:
     dga = _load_dga(args.dga)
     filling = _filling_of(args.filling)
     if args.counts:
-        try:
-            counts = docs.counts_from_document(_load_document(args.counts))
-        except docs.ParseError as exc:
-            raise CliInputError(str(exc))
+        counts = _parse(args.counts, docs.counts_from_document)
     else:
         counts = SurgeryCountTable.zero()
         counts.meta["provenance"] = (
@@ -161,7 +158,10 @@ def cmd_surgery(args) -> int:
         "sh+": build_shplus_surgery,
         "sh": build_sh_surgery,
     }[args.theory]
-    complex = builder(filling, dga, counts, window, args.max_len)
+    try:
+        complex = builder(filling, dga, counts, window, args.max_len)
+    except CountGradingError as exc:
+        raise CliInputError(f"{args.counts}: {exc}")
     try:
         table = betti(complex)
     except DSquareError as exc:
@@ -176,9 +176,9 @@ def cmd_surgery(args) -> int:
 def cmd_augmentations(args) -> int:
     dga = _load_dga(args.dga)
     try:
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-    except AttributeError:
-        raise CliInputError("bad value list")
+        values = [Fraction(v.strip()) for v in args.values.split(",") if v.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise CliInputError(f"bad value list {args.values!r}: expected comma-separated rationals")
     from .dga import enumerate_augmentations
 
     found = enumerate_augmentations(dga, values)
@@ -190,11 +190,7 @@ def cmd_augmentations(args) -> int:
 
 
 def cmd_morphism(args) -> int:
-    doc = _load_document(args.file)
-    try:
-        f = docs.morphism_from_document(doc)
-    except docs.ParseError as exc:
-        raise CliInputError(str(exc))
+    f = _parse(args.file, docs.morphism_from_document)
     ok, counter = check_morphism(f)
     if ok:
         print("chain map: OK")
@@ -204,20 +200,18 @@ def cmd_morphism(args) -> int:
 
 
 def cmd_lefschetz(args) -> int:
-    doc = _load_document(args.ainf)
-    try:
-        spec = docs.ainf_from_document(doc)
-    except docs.ParseError as exc:
-        raise CliInputError(str(exc))
+    spec = _parse(args.ainf, docs.ainf_from_document)
     if args.dim is not None and args.dim != spec.n:
         raise CliInputError(
             f"--dim {args.dim} disagrees with the document parameter {spec.n}"
         )
     try:
         D = build_curved_category(spec, args.t_order)
-    except Exception as exc:
+    except AinfValidationError as exc:
         print(f"mathematical failure: {exc}")
         return MATH_FAIL
+    except ValueError as exc:
+        raise CliInputError(f"--t-order {args.t_order}: {exc}")
     if args.emit == "dga":
         dga = dualize_tensor_algebra(D)
         report = check_d_squared(dga)

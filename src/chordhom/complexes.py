@@ -235,28 +235,6 @@ def build_cyclic_complex(
 # ---- the check/hat complex and its completion --------------------------------
 
 
-@dataclass
-class HoComplexSpec:
-    """Input data for the completed complex: the DGA, one degree-0 class
-    per component, and the unit coefficients n_{c i} feeding those classes.
-
-    unit_coefficients maps a pure chord name to the coefficient of the
-    component idempotent in its differential; when absent it is read off
-    the DGA differential itself.
-    """
-
-    dga: DGASpec
-    unit_coefficients: dict[str, Fraction] | None = None
-
-    def unit_coeff(self, name: str) -> Fraction:
-        if self.unit_coefficients is not None and name in self.unit_coefficients:
-            return Fraction(self.unit_coefficients[name])
-        g = self.dga.algebra.gen(name)
-        if g.src != g.dst:
-            return Fraction(0)
-        return self.dga.d_gen(name).coeff(Word.idem(g.src))
-
-
 def _rot1(letters: tuple[str, ...]) -> tuple[str, ...]:
     """Translate a mark-slot word into mark-first lettering: the mark sits
     after the last letter, so that letter carries the check."""
@@ -305,12 +283,9 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
 
 
 def _decorated_bases(
-    dga: DGASpec,
-    window: tuple[int, int],
-    max_len: int,
-    ho: HoComplexSpec | None = None,
+    dga: DGASpec, window: tuple[int, int], max_len: int, tau: bool = False
 ) -> dict[int, list]:
-    """Check and hat copies of the cyclically composable words; with ho,
+    """Check and hat copies of the cyclically composable words; with tau,
     one degree-0 class per component as well."""
     alg = dga.algebra
     lo, hi = window
@@ -322,7 +297,7 @@ def _decorated_bases(
             bases.setdefault(deg, []).append(("chk", w.letters))
         if lo - 1 <= deg + 1 <= hi + 1:
             bases.setdefault(deg + 1, []).append(("hat", w.letters))
-    if ho is not None and lo - 1 <= 0 <= hi + 1:
+    if tau and lo - 1 <= 0 <= hi + 1:
         for i in dga.ring.components:
             bases.setdefault(0, []).append(("tau", i))
     for labs in bases.values():
@@ -339,15 +314,14 @@ def _label_key(label):
     return (order[kind], len(rest), rest)
 
 
-def _decorated_image(dga: DGASpec, label, ho: HoComplexSpec | None = None) -> dict:
-    """The matrix differential on check and hat words; with ho, single-letter
-    check words also feed the component classes through the unit
-    coefficients.
+def _decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
+    """The matrix differential on check and hat words.
 
     The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
     precedes c1; in slot coordinates its differential is the plain algebra
     differential of the rotated word (c2 ... cm c1), units absorbed.  Full
-    collapses of single letters are dropped from the check words.
+    collapses of single letters (the unit term n e_i of d(c)) are dropped,
+    or, with tau, sent to the component class of e_i.
     """
     kind = label[0]
     if kind == "hat":
@@ -360,8 +334,8 @@ def _decorated_image(dga: DGASpec, label, ho: HoComplexSpec | None = None) -> di
     for term, coeff in dw.terms.items():
         if not term.is_idem:
             out.add(("chk", _rot1(term.letters)), coeff)
-    if ho is not None and len(letters) == 1:
-        out.add(("tau", dga.algebra.gen(letters[0]).src), ho.unit_coeff(letters[0]))
+        elif tau:
+            out.add(("tau", term.comp), coeff)
     return out
 
 
@@ -380,18 +354,15 @@ def build_hoplus_complex(
 
 
 def build_ho_complex(
-    spec: HoComplexSpec | DGASpec, window: tuple[int, int], max_len: int
+    dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """The completed complex: check/hat words plus one degree-0 class per
     component; single-letter check words feed the classes through the unit
-    coefficients."""
-    if isinstance(spec, DGASpec):
-        spec = HoComplexSpec(dga=spec)
-    dga = spec.dga
+    terms of their differentials."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
-        _decorated_bases(dga, window, max_len, spec),
-        lambda degree, label: _decorated_image(dga, label, spec),
+        _decorated_bases(dga, window, max_len, tau=True),
+        lambda degree, label: _decorated_image(dga, label, tau=True),
         window, verdict, max_len,
         meta={"kind": "ho", "algebra": dga.algebra},
     )
@@ -536,8 +507,6 @@ def build_module_M(
     """
     alg = dga.algebra
     lo, hi = window
-    gmin = min((g.grading for g in dga.generators), default=0)
-
     marks: list[tuple] = [("x", i) for i in dga.ring.components] + [
         ("hat", g.name) for g in dga.generators
     ]
@@ -547,8 +516,6 @@ def build_module_M(
             return mark[1], mark[1], 0
         g = alg.gen(mark[1])
         return g.src, g.dst, g.grading + 1
-
-    all_words: dict[int, list[tuple[str, ...]]] = {}
 
     words = [()] + _composable_words(sorted(alg.generators), alg.generators, max_len)
     bases: dict[int, list] = {}

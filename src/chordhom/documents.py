@@ -90,10 +90,6 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 # ---- chord DGA documents ------------------------------------------------------
 
 
@@ -159,10 +155,9 @@ def dga_to_document(dga: DGASpec) -> dict:
         terms = []
         for w, c in el.items():
             word: Any = f"e_{w.comp}" if w.is_idem else list(w.letters)
-            terms.append({"coeff": _coeff_str(c), "word": word})
+            terms.append({"coeff": str(c), "word": word})
         diff[g.name] = terms
     meta = {k: v for k, v in dga.meta.items() if not k.startswith("_")}
-    meta.pop("algebra", None)
     return {
         "format": "dga/1",
         "field": "Q",
@@ -268,6 +263,8 @@ def counts_from_document(doc: dict) -> SurgeryCountTable:
             path = f"$.{key}[{idx}]"
             orbit = _require(e, "orbit", str, path)
             word = _require(e, "word", list, path)
+            if not word or not all(isinstance(x, str) for x in word):
+                _fail(f"{path}.word", "expected a nonempty list of generator names")
             coeff = _rational(_require(e, "coeff", (str, int), path), f"{path}.coeff")
             target[(orbit, tuple(word))] = coeff
 
@@ -457,11 +454,7 @@ def betti_from_document(doc: dict) -> BettiTable:
     )
 
 
-def betti_to_text(
-    table: BettiTable,
-    window: tuple[int, int] | None = None,
-    basis_summary: dict[int, str] | None = None,
-) -> str:
+def betti_to_text(table: BettiTable, window: tuple[int, int] | None = None) -> str:
     lo, hi = window if window else (min(table.ranks), max(table.ranks))
     lines = []
     if table.verdict != "EXACT":
@@ -471,6 +464,5 @@ def betti_to_text(
     lines.append(f"{'degree':>8} {'rank':>6}  {'':2}")
     for d in range(lo, hi + 1):
         flag = "edge" if d in table.flagged else ""
-        extra = f"  {basis_summary.get(d, '')}" if basis_summary else ""
-        lines.append(f"{d:>8} {table.rank(d):>6}  {flag:4}{extra}")
+        lines.append(f"{d:>8} {table.rank(d):>6}  {flag:4}")
     return "\n".join(lines) + "\n"

@@ -9,6 +9,11 @@ are t-linear; the table is indexed by symbols, with t-powers distributed
 over the letters at expansion time.  The curvature contributes the unit
 term of the first minimum chord and the insertion operator of the cyclic
 tensor differential.
+
+Every construction reads one merged table (`CurvedAinf.table`) and one
+chord list (`_chords`).  The dual DGA and the holomorphic part of the
+direct one share the t-power expansion `_expand`; the direct Morse--Bott
+terms are derived on their own, so dual = direct compares two derivations.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ class DirectedAinfSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("needs at least one component")
+        if self.n < 2:
+            raise ValueError("needs n >= 2")
         seen = set()
         for name, _grading, i, j in self.points:
             if name in seen:
@@ -81,7 +90,9 @@ class AinfValidationError(ValueError):
 
 @dataclass
 class CurvedAinf:
-    """The t-adically truncated curved category in symbol form."""
+    """The t-adically truncated curved category in symbol form.  table is
+    the merged operation table (units, pairings and user constants summed,
+    zero entries dropped), formed once at construction."""
 
     spec: DirectedAinfSpec
     order: int  # truncation order N
@@ -89,40 +100,79 @@ class CurvedAinf:
     units: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
     pairings: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
     user: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
+    table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] = field(init=False, repr=False)
 
-    def full_table(self) -> dict[tuple[Symbol, ...], dict[Symbol, Fraction]]:
-        out = _table()
-        for table in (self.units, self.pairings, self.user):
-            for word, hits in table.items():
-                slot = out[word]
-                for c, v in hits.items():
-                    slot[c] += v
-        return {
-            w: {c: v for c, v in hits.items() if v}
-            for w, hits in out.items()
-            if any(hits.values())
+    def __post_init__(self):
+        merged = _table()
+        for part in (self.units, self.pairings, self.user):
+            for word, hits in part.items():
+                slot = merged[word]
+                for out, v in hits.items():
+                    slot[out] += v
+        self.table = {
+            word: nonzero
+            for word, hits in merged.items()
+            if (nonzero := {out: v for out, v in hits.items() if v})
         }
 
     def sigma(self, sym: Symbol, p: int) -> int:
         return self.symbols[sym].base + 2 * p
 
     def chord_name(self, sym: Symbol, p: int) -> str:
-        kind = sym[0]
-        if kind == "e":
-            return f"q{sym[1]}-({p})"
-        if kind == "m":
-            return f"q{sym[1]}+({p})"
-        if kind == "f":
-            return f"q>{sym[1]}({p})"
-        return f"q<{sym[1]}({p})"
+        return _chord_name(sym, p)
 
     def chords(self) -> list[tuple[Symbol, int]]:
-        out = []
-        for sym, info in self.symbols.items():
-            for p in range(info.p_min, self.order + 1):
-                out.append((sym, p))
-        out.sort(key=lambda sp: (self.chord_name(*sp)))
-        return out
+        return _chords(self.symbols, self.order)
+
+
+_CHORD_FORMAT = {"e": "q{}-({})", "m": "q{}+({})", "f": "q>{}({})", "b": "q<{}({})"}
+
+
+def _chord_name(sym: Symbol, p: int) -> str:
+    return _CHORD_FORMAT[sym[0]].format(sym[1], p)
+
+
+def _chords(symbols: dict[Symbol, SymbolInfo], N: int) -> list[tuple[Symbol, int]]:
+    """Every chord (symbol, t-power p) with p_min <= p <= N, sorted by name."""
+    chords = [
+        (sym, p) for sym, info in symbols.items() for p in range(info.p_min, N + 1)
+    ]
+    chords.sort(key=lambda sp: _chord_name(*sp))
+    return chords
+
+
+def _chord_generators(symbols: dict[Symbol, SymbolInfo], N: int) -> list[Generator]:
+    """The chords as DGA generators: grading base + 2p, the symbol's ports."""
+    return [
+        Generator(
+            _chord_name(sym, p),
+            symbols[sym].base + 2 * p,
+            src=symbols[sym].src,
+            dst=symbols[sym].dst,
+        )
+        for sym, p in _chords(symbols, N)
+    ]
+
+
+def _expand(
+    table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]],
+    symbols: dict[Symbol, SymbolInfo],
+    N: int,
+    into: dict[str, dict[Word, Fraction]],
+) -> None:
+    """Add an operation table to the differentials into[chord name][word]
+    over every t-power distribution: the letters of an entry at powers
+    p_i >= p_min with total <= N form a chord word in the differential of
+    each output's chord at the total power, where that chord exists."""
+    for word, hits in table.items():
+        for powers in itertools.product(*(range(symbols[s].p_min, N + 1) for s in word)):
+            total = sum(powers)
+            if total > N:
+                continue
+            target = Word.of(_chord_name(s, p) for s, p in zip(word, powers))
+            for out, coeff in hits.items():
+                if symbols[out].p_min <= total:
+                    into[_chord_name(out, total)][target] += coeff
 
 
 def _symbol_table(spec: DirectedAinfSpec) -> dict[Symbol, SymbolInfo]:
@@ -202,6 +252,8 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
     """Assemble the curved category: strict units, the point pairings onto
     the maximum classes (plus the n = 2 corrections), and the supplied
     composition-order constants reversed into path order."""
+    if t_order < 0:
+        raise ValueError("the truncation order must be nonnegative")
     symbols = _symbol_table(spec)
     units, pairings = _forced_tables(spec, symbols)
     user = _table()
@@ -239,7 +291,7 @@ def check_curved_ainf(D: CurvedAinf) -> list[str]:
     unitality, the unit/curvature identities, and the square-zero identity
     over all composable symbol words up to twice the maximal arity."""
     problems: list[str] = []
-    table = D.full_table()
+    table = D.table
     symbols = D.symbols
 
     for word, hits in table.items():
@@ -314,39 +366,16 @@ def dualize_tensor_algebra(D: CurvedAinf) -> DGASpec:
     contributes the unit term of each first minimum chord."""
     spec = D.spec
     N = D.order
-    gens: list[Generator] = []
-    for sym, p in D.chords():
-        info = D.symbols[sym]
-        gens.append(
-            Generator(D.chord_name(sym, p), D.sigma(sym, p), src=info.src, dst=info.dst)
-        )
-    diff: dict[str, Element] = {name.name: Element.zero() for name in gens}
-    table = D.full_table()
-    for word, hits in table.items():
-        infos = [D.symbols[s] for s in word]
-        ranges = [range(info.p_min, N + 1) for info in infos]
-        for powers in itertools.product(*ranges):
-            total = sum(powers)
-            if total > N:
-                continue
-            letters = tuple(
-                D.chord_name(s, p) for s, p in zip(word, powers)
-            )
-            target = Element.monomial(Word.of(letters))
-            for out, coeff in hits.items():
-                if D.symbols[out].p_min > total:
-                    continue
-                name = D.chord_name(out, total)
-                if name in diff:
-                    diff[name] = diff[name] + target.scale(coeff)
-    for i in range(1, spec.k + 1):
-        name = D.chord_name(("e", i), 1)
-        if name in diff:
-            diff[name] = diff[name] + Element.monomial(Word.idem(i))
+    gens = _chord_generators(D.symbols, N)
+    acc: dict[str, dict[Word, Fraction]] = {g.name: defaultdict(Fraction) for g in gens}
+    _expand(D.table, D.symbols, N, acc)
+    if N >= 1:
+        for i in range(1, spec.k + 1):
+            acc[_chord_name(("e", i), 1)][Word.idem(i)] += 1
     return DGASpec(
         ring=BaseRing(spec.k),
         generators=gens,
-        differential=diff,
+        differential={name: Element(terms) for name, terms in acc.items()},
         ambient_dim=spec.n,
         meta={"kind": "dual-tensor", "t_order": N},
     )
@@ -355,49 +384,22 @@ def dualize_tensor_algebra(D: CurvedAinf) -> DGASpec:
 # ---- the direct construction -------------------------------------------------
 
 
-@dataclass
-class LefschetzChordBasis:
-    """The chord generators of the surgery DGA of a fibration with the
-    given vanishing-cycle intersection data."""
-
-    k: int
-    n: int
-    points: list[tuple[str, int, int, int]]
-    order: list[str] | None = None
-
-    def spec(self) -> DirectedAinfSpec:
-        return DirectedAinfSpec(
-            k=self.k, n=self.n, points=self.points, mu=[], order=self.order
-        )
-
-
 def lefschetz_dga(
-    basis: LefschetzChordBasis | DirectedAinfSpec,
+    basis: DirectedAinfSpec,
     h_counts: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] | None,
     n: int,
     t_order: int,
 ) -> DGASpec:
-    """Direct assembly of the surgery DGA: the constant term on the first
-    minimum chord, the Morse--Bott series expansions, and the supplied
-    holomorphic counts inserted with t-power conservation."""
-    if isinstance(basis, DirectedAinfSpec):
-        spec = basis
-    else:
-        spec = basis.spec()
+    """Direct assembly of the surgery DGA on the chords of the directed
+    spec `basis`: the constant term on the first minimum chord, the
+    Morse--Bott series expansions, and the supplied holomorphic counts
+    inserted with t-power conservation."""
+    spec = basis
     if spec.n != n:
         raise ValueError("dimension parameter disagrees with the basis data")
-    if n < 2:
-        raise ValueError("needs n >= 2")
     symbols = _symbol_table(spec)
     N = t_order
-    names: dict[tuple[Symbol, int], str] = {}
-    gens: list[Generator] = []
-    helper = CurvedAinf(spec, N, symbols, {}, {}, {})
-    for sym, p in helper.chords():
-        nm = helper.chord_name(sym, p)
-        names[(sym, p)] = nm
-        info = symbols[sym]
-        gens.append(Generator(nm, info.base + 2 * p, src=info.src, dst=info.dst))
+    gens = _chord_generators(symbols, N)
     ring = BaseRing(spec.k)
     alg = ChordAlgebra(ring, gens)
 
@@ -406,7 +408,7 @@ def lefschetz_dga(
         return TruncatedSeries(
             N,
             {
-                p: Element.monomial(Word.of([names[(sym, p)]]))
+                p: Element.monomial(Word.of([_chord_name(sym, p)]))
                 for p in range(info.p_min, N + 1)
             },
         )
@@ -494,38 +496,25 @@ def lefschetz_dga(
                         smul(series(b), wing_series(other, j)), bsign
                     )
 
-    diff: dict[str, Element] = {}
+    acc: dict[str, dict[Word, Fraction]] = {}
     for sym, info in symbols.items():
         s = diff_series[sym]
         for p in range(info.p_min, N + 1):
-            diff[names[(sym, p)]] = s.coeff(p)
+            acc[_chord_name(sym, p)] = defaultdict(Fraction, s.coeff(p).terms)
 
     # d_const
-    for i in range(1, spec.k + 1):
-        nm = names[(("e", i), 1)]
-        diff[nm] = diff[nm] + Element.monomial(Word.idem(i))
+    if N >= 1:
+        for i in range(1, spec.k + 1):
+            acc[_chord_name(("e", i), 1)][Word.idem(i)] += 1
 
     # d_h
     if h_counts:
-        for word, hits in h_counts.items():
-            infos = [symbols[s] for s in word]
-            ranges = [range(f.p_min, N + 1) for f in infos]
-            for powers in itertools.product(*ranges):
-                total = sum(powers)
-                if total > N:
-                    continue
-                letters = tuple(names[(s, p)] for s, p in zip(word, powers))
-                target = Element.monomial(Word.of(letters))
-                for out, coeff in hits.items():
-                    if symbols[out].p_min > total:
-                        continue
-                    nm = names[(out, total)]
-                    diff[nm] = diff[nm] + target.scale(coeff)
+        _expand(h_counts, symbols, N, acc)
 
     return DGASpec(
         ring=ring,
         generators=gens,
-        differential=diff,
+        differential={g.name: Element(acc[g.name]) for g in gens},
         ambient_dim=n,
         meta={"kind": "lefschetz-dga", "t_order": N},
     )
@@ -550,14 +539,11 @@ def hochschild_complex(
     dictionary window.  Sectors: one class per component, words headed by a
     component factor, and plain words.
     """
-    dual = dualize_tensor_algebra(D)
-    alg = dual.algebra
+    symbols, table, N = D.symbols, D.table, D.order
+    gens = _chord_generators(symbols, N)
+    alg = ChordAlgebra(BaseRing(D.spec.k), gens)
+    name_to_chord = {_chord_name(*sp): sp for sp in _chords(symbols, N)}
     lo, hi = window
-    name_to_chord = {
-        D.chord_name(sym, p): (sym, p) for sym, p in D.chords()
-    }
-    table = D.full_table()
-    symbols = D.symbols
 
     def sigma_name(nm: str) -> int:
         return alg.gen(nm).grading
@@ -582,19 +568,17 @@ def hochschild_complex(
         labs.sort(key=_cc_label_key)
         stored[-deg] = labs
 
-    def blocks_of(letters: tuple[str, ...], start: int, length: int):
-        """Table hits for the consecutive block; yields (out_name, coeff)."""
-        block = letters[start : start + length]
-        syms = tuple(name_to_chord[x][0] for x in block)
-        hits = table.get(syms)
+    def blocks_of(block: tuple[str, ...]):
+        """Table hits for a block of chords; yields (out_name, coeff)."""
+        hits = table.get(tuple(name_to_chord[x][0] for x in block))
         if not hits:
             return
         total = sum(name_to_chord[x][1] for x in block)
-        if total > D.order:
+        if total > N:
             return
         for out, coeff in hits.items():
             if symbols[out].p_min <= total:
-                yield D.chord_name(out, total), coeff
+                yield _chord_name(out, total), coeff
 
     def insertions(letters: tuple[str, ...], comp_first: int):
         """Insertion slots for the curvature chord: (slot, component)."""
@@ -612,7 +596,7 @@ def hochschild_complex(
         kind = label[0]
         if kind == "cce":
             i = label[1]
-            out[("ccv", i, (D.chord_name(("e", i), 1),))] += 1
+            out[("ccv", i, (_chord_name(("e", i), 1),))] += 1
             return out
         if kind == "ccv":
             letters = label[2]
@@ -626,14 +610,14 @@ def hochschild_complex(
             for t in range(s):
                 psign = -1 if sigma_sum(slot_word[:t]) % 2 else 1
                 for m in range(1, s - t + 1):
-                    for out_name, coeff in blocks_of(slot_word, t, m):
+                    for out_name, coeff in blocks_of(slot_word[t : t + m]):
                         emit(
                             slot_word[:t] + (out_name,) + slot_word[t + m :],
                             psign * coeff,
                         )
             for slot, c_comp in insertions(slot_word, label[1]):
                 psign = -1 if sigma_sum(slot_word[:slot]) % 2 else 1
-                enm = D.chord_name(("e", c_comp), 1)
+                enm = _chord_name(("e", c_comp), 1)
                 emit(slot_word[:slot] + (enm,) + slot_word[slot:], psign)
             out[("cch", slot_word)] += 1
             g0 = sigma_name(letters[0])
@@ -647,40 +631,27 @@ def hochschild_complex(
         for j in range(1, s):
             psign = -1 if (hat_sign + sigma_sum(letters[1:j])) % 2 else 1
             for m in range(1, s - j + 1):
-                for out_name, coeff in blocks_of(letters, j, m):
+                for out_name, coeff in blocks_of(letters[j : j + m]):
                     new = letters[:j] + (out_name,) + letters[j + m :]
                     out[("cch", new)] += psign * coeff
         for t in range(0, s):
             comp = alg.gen(letters[t]).src
             psign = -1 if (hat_sign + sigma_sum(letters[1 : t + 1])) % 2 else 1
-            enm = D.chord_name(("e", comp), 1)
+            enm = _chord_name(("e", comp), 1)
             new = letters[: t + 1] + (enm,) + letters[t + 1 :]
             out[("cch", new)] += psign
         for h in range(1, s + 1):
             for t in range(0, s - h + 1):
                 middle = letters[h : s - t]
                 tail = letters[s - t :] if t else ()
-                blockword = tail + letters[:h]
-                syms = tuple(name_to_chord[x][0] for x in blockword)
-                hits = table.get(syms)
-                if not hits:
-                    continue
-                total = sum(name_to_chord[x][1] for x in blockword)
-                if total > D.order:
-                    continue
-                sign_exp = sigma_sum(tail) * (sigma_sum(letters[:h]) + sigma_sum(middle))
-                sgn = -1 if sign_exp % 2 else 1
-                for out_sym, coeff in hits.items():
-                    if symbols[out_sym].p_min > total:
-                        continue
-                    out_name = D.chord_name(out_sym, total)
+                for out_name, coeff in blocks_of(tail + letters[:h]):
+                    sign_exp = sigma_sum(tail) * (sigma_sum(letters[:h]) + sigma_sum(middle))
+                    sgn = -1 if sign_exp % 2 else 1
                     # the spread of the marked letter enters negatively
                     out[("cch", (out_name,) + middle)] -= sgn * coeff
         return out
 
-    verdict = guard_verdict(
-        (g.grading for g in dual.generators), window, max_len
-    )
+    verdict = guard_verdict((g.grading for g in gens), window, max_len)
     return build_complex(
         stored,
         image,

@@ -18,7 +18,6 @@ from typing import Callable, Container, Mapping
 
 from .algebra import ChordAlgebra, Word
 from .complexes import (
-    HoComplexSpec,
     _cyclic_bases,
     _cyclic_image,
     _decorated_bases,
@@ -66,12 +65,6 @@ class FillingModel:
         if self.orbit_factory is not None:
             return self.orbit_factory(max_degree)
         return [o for o in self.orbits if o.grading <= max_degree]
-
-    def orbit(self, label: str, max_degree: int) -> Orbit:
-        for o in self.orbits_up_to(max_degree):
-            if o.label == label:
-                return o
-        raise KeyError(f"unknown orbit {label}")
 
     def d_orbit(self, gamma: str) -> list[tuple[str, Fraction]]:
         return [(b, c) for (g, b), c in self.orbit_diff.items() if g == gamma and c]
@@ -135,10 +128,19 @@ class SurgeryCountTable:
         return SurgeryCountTable()
 
     def validate(self, filling: FillingModel, dga: DGASpec, max_degree: int = 64) -> None:
+        """Raise CountGradingError on an entry whose word names a generator
+        the DGA lacks, or whose nonzero count breaks its degree rule."""
         alg = dga.algebra
         orbit_grading = {
             o.label: o.grading for o in filling.orbits_up_to(max_degree)
         }
+        for table in (self.mixed_cyc, self.ncheck, self.nhat):
+            for g, w in table:
+                unknown = [x for x in w if x not in alg.generators]
+                if unknown:
+                    raise CountGradingError(
+                        f"count {g} -> {'.'.join(w)} names unknown generator {unknown[0]!r}"
+                    )
 
         def word_deg(w: tuple[str, ...]) -> int:
             return sum(alg.gen(x).grading for x in w)
@@ -378,22 +380,20 @@ def build_sh_surgery(
     counts: SurgeryCountTable,
     window: tuple[int, int],
     max_len: int = 8,
-    ho_spec: HoComplexSpec | None = None,
 ) -> GradedChainComplex:
     """The full complex: decorated orbits, the Morse block, the completed
     chord complex, and the coupling blocks.  dga=None builds the orbit and
     Morse part alone."""
     verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
-    spec = ho_spec or HoComplexSpec(dga=dga)
     bases = _merge_bases(
         _orbit_bases(filling, window, True, True),
-        _decorated_bases(dga, window, max_len, spec) if dga is not None else {},
+        _decorated_bases(dga, window, max_len, tau=True) if dga is not None else {},
     )
 
     def image(degree: int, label) -> dict:
         kind = label[0]
         if kind not in ("ochk", "ohat", "mrs"):
-            return _decorated_image(dga, label, spec)
+            return _decorated_image(dga, label, tau=True)
         out = orbit_row(label)
         if kind == "mrs":
             for (p, j), c in filling.morse_tau.items():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     CyclicWord,
-    HoComplexSpec,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,
@@ -300,18 +299,6 @@ def test_empty_dga_component_classes():
     assert complex.labels(0) == [("tau", 1), ("tau", 2)]
     table = betti(complex)
     assert table.rank(0) == 2
-
-
-def test_ho_override_unit_coefficients(dc1):
-    spec = HoComplexSpec(dga=dc1, unit_coefficients={"c": Fraction(0)})
-    complex = build_ho_complex(spec, (0, 3), 5)
-    index = {
-        d: {lab: i for i, lab in enumerate(complex.labels(d))}
-        for d in complex.basis
-    }
-    col = index[1][("chk", ("c",))]
-    hits = {r: v for (r, c), v in complex.matrix(1).items() if c == col}
-    assert not hits  # the override silences the component-class coupling
 
 
 # ---- the marked module equivalence --------------------------------------------

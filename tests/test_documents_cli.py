@@ -346,6 +346,57 @@ def test_cli_lefschetz_emit_dga_parses_back():
     assert any(g.name == "q1-(1)" for g in dga.generators)
 
 
+_SURGERY_CH = ("surgery", "unknot", "--theory", "ch", "--max-deg", "2")
+
+
+def test_cli_empty_filling_with_bad_dimension_exit_2():
+    code, out = run_cli(*_SURGERY_CH, "--filling", "empty:x")
+    assert code == 2 and "empty:x" in out
+
+
+@pytest.mark.parametrize("values", ["abc", "1/0,1"])
+def test_cli_augmentations_bad_values_exit_2(values):
+    code, out = run_cli("augmentations", "chekanov_a", f"--values={values}")
+    assert code == 2 and "bad value list" in out
+
+
+@pytest.mark.parametrize(
+    "doc,emit",
+    [
+        (_with_fields(_AINF, components=0), "dga"),
+        (_with_fields(_AINF, fiber_dim_param=1), "dictionary-check"),
+    ],
+    ids=["no-components", "fiber-dim-1"],
+)
+def test_cli_ainf_out_of_range_exit_2(tmp_path, doc, emit):
+    path = tmp_path / "bad.ainf"
+    path.write_text(dumps(doc))
+    code, out = run_cli("lefschetz", str(path), "--t-order", "1", "--emit", emit)
+    assert code == 2, out
+
+
+@pytest.mark.parametrize("emit", ["dga", "hochschild", "dictionary-check"])
+def test_cli_lefschetz_negative_t_order_exit_2(emit):
+    code, out = run_cli("lefschetz", "lefschetz_min", "--t-order", "-1", "--emit", emit)
+    assert code == 2 and "--t-order -1" in out
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        (["zz"], "unknown generator 'zz'"),  # unit knot: one chord a of grading 2
+        (["a"], "violates |gamma|-|w|=1"),  # g1 of ball:3 has grading 4
+        ([1], "expected a nonempty list of generator names"),
+    ],
+    ids=["unknown-generator", "degree-rule", "non-string-letter"],
+)
+def test_cli_surgery_bad_count_word_exit_2(tmp_path, word, message):
+    path = tmp_path / "bad.counts"
+    path.write_text(dumps({**_COUNTS, "check": [{"orbit": "g1", "word": word, "coeff": "1"}]}))
+    code, out = run_cli(*_SURGERY_CH, "--filling", "ball:3", "--counts", str(path))
+    assert code == 2 and message in out
+
+
 def test_cli_entrypoint_subprocess():
     # the child imports chordhom from where this process found it
     package_root = str(Path(cli.__file__).resolve().parents[1])

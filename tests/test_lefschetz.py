@@ -1,8 +1,15 @@
+import itertools
 import random
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chordhom.lefschetz as lefschetz
+from chordhom.algebra import Word
 
 from chordhom.complexes import build_ho_complex
 from chordhom.dga import check_d_squared
@@ -13,7 +20,6 @@ from chordhom.lefschetz import (
     AinfValidationError,
     CurvedAinf,
     DirectedAinfSpec,
-    LefschetzChordBasis,
     build_curved_category,
     check_curved_ainf,
     dualize_tensor_algebra,
@@ -21,6 +27,9 @@ from chordhom.lefschetz import (
     lefschetz_dga,
     user_counts,
     verify_dictionary,
+    _chord_name,
+    _expand,
+    _forced_tables,
     _symbol_table,
 )
 
@@ -48,6 +57,13 @@ def test_truncation_zero_keeps_only_directed_chords():
     D = build_curved_category(spec, 0)
     chords = D.chords()
     assert chords == [(("f", "a"), 0)]
+
+
+def test_truncation_zero_dual_matches_direct():
+    # no chord of a component at t-power 0, so no curvature term either
+    spec = minimal_ainf_spec()
+    D = build_curved_category(spec, 0)
+    assert dgas_equal(dualize_tensor_algebra(D), lefschetz_dga(spec, user_counts(D), spec.n, 0))
 
 
 def test_truncation_consistency():
@@ -119,12 +135,97 @@ def test_d_h_of_maximum_series_is_zero():
     assert check_d_squared(direct).ok
 
 
-def test_basis_builder_equivalent_to_spec():
+def _unvalidated_category(spec, N, user=None):
+    """The curved category of spec without the relation check (the n = 2
+    wing terms do not pass it on their own)."""
+    symbols = _symbol_table(spec)
+    units, pairings = _forced_tables(spec, symbols)
+    return CurvedAinf(spec, N, symbols, units, pairings, user or {})
+
+
+N2_SPEC = DirectedAinfSpec(k=2, n=2, points=[("a", 1, 1, 2)], mu=[], order=["a"])
+
+
+def _expand_by_target(table, symbols, N):
+    """The t-power expansion by target chord: for every output chord at
+    power P, each distribution of P over the entry's letters that gives
+    every letter a chord."""
+    out = defaultdict(lambda: defaultdict(Fraction))
+    for word, hits in table.items():
+        for out_sym, coeff in hits.items():
+            for total in range(symbols[out_sym].p_min, N + 1):
+                for powers in itertools.product(range(total + 1), repeat=len(word)):
+                    if sum(powers) != total:
+                        continue
+                    if any(p < symbols[s].p_min for s, p in zip(word, powers)):
+                        continue
+                    letters = [_chord_name(s, p) for s, p in zip(word, powers)]
+                    out[_chord_name(out_sym, total)][Word.of(letters)] += coeff
+    return out
+
+
+def _nonzero(acc):
+    return {
+        name: terms
+        for name, hits in acc.items()
+        if (terms := {w: c for w, c in hits.items() if c})
+    }
+
+
+def _arbitrary_table(rng, symbols):
+    """Entries over any symbols, ports and gradings ignored: outputs of
+    positive p_min can then follow words of p_min 0."""
+    syms = sorted(symbols, key=repr)
+    table = defaultdict(dict)
+    for _ in range(rng.randint(1, 6)):
+        word = tuple(rng.choice(syms) for _ in range(rng.randint(1, 3)))
+        table[word][rng.choice(syms)] = Fraction(rng.choice([-2, -1, 1, 3]))
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(["spec", "n2-wings", "arbitrary"]))
+def test_expand_matches_enumeration_by_target(seed, N, source):
+    rng = random.Random(seed)
+    if source == "n2-wings":
+        D = _unvalidated_category(N2_SPEC, N)
+    else:
+        D = build_curved_category(random_ainf_spec(rng), N)
+    table = _arbitrary_table(rng, D.symbols) if source == "arbitrary" else D.table
+    acc = {name: defaultdict(Fraction) for name in (D.chord_name(*sp) for sp in D.chords())}
+    # expanding twice into the same differentials doubles every coefficient
+    _expand(table, D.symbols, N, acc)
+    _expand(table, D.symbols, N, acc)
+    expected = _nonzero(_expand_by_target(table, D.symbols, N))
+    assert _nonzero(acc) == {
+        name: {w: 2 * c for w, c in terms.items()} for name, terms in expected.items()
+    }
+
+
+def test_table_is_the_entrywise_sum_of_its_parts():
     spec = minimal_ainf_spec()
-    basis = LefschetzChordBasis(k=spec.k, n=spec.n, points=spec.points)
-    a = lefschetz_dga(basis, None, spec.n, 2)
-    b = lefschetz_dga(spec, None, spec.n, 2)
-    assert dgas_equal(a, b)
+    # a user constant that cancels the pairing f.b -> m_2 drops that entry
+    D = _unvalidated_category(spec, 2, user={(("f", "a"), ("b", "a")): {("m", 2): Fraction(-1)}})
+    expected = defaultdict(lambda: defaultdict(Fraction))
+    for part in (D.units, D.pairings, D.user):
+        for word, hits in part.items():
+            for out, v in hits.items():
+                expected[word][out] += v
+    assert D.table == _nonzero(expected)
+    assert (("f", "a"), ("b", "a")) not in D.table
+    assert (("b", "a"), ("f", "a")) in D.table
+
+
+def test_hochschild_complex_does_not_dualize(monkeypatch):
+    D = build_curved_category(minimal_ainf_spec(), 2)
+    before = hochschild_complex(D, (0, 3), 6)
+
+    def refuse(_D):
+        raise AssertionError("the cyclic tensor complex dualized the category")
+
+    monkeypatch.setattr(lefschetz, "dualize_tensor_algebra", refuse)
+    after = hochschild_complex(D, (0, 3), 6)
+    assert (after.basis, after.diffs, after.verdict) == (before.basis, before.diffs, before.verdict)
 
 
 def test_random_specs_validate_and_agree():
