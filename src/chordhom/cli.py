@@ -73,6 +73,18 @@ def _parse(ref: str, parser, **options):
         raise CliInputError(f"{ref}: {exc}")
 
 
+def _window(args) -> tuple[int, int]:
+    """(--min-deg, --max-deg); a negative --max-len or an empty window is an
+    input error."""
+    if args.max_len < 0:
+        raise CliInputError(f"--max-len {args.max_len}: must be at least 0")
+    if args.min_deg > args.max_deg:
+        raise CliInputError(
+            f"--min-deg {args.min_deg} exceeds --max-deg {args.max_deg}"
+        )
+    return args.min_deg, args.max_deg
+
+
 def _load_dga(ref: str, allow_partial: bool = False):
     return _parse(ref, docs.dga_from_document, allow_partial=allow_partial)
 
@@ -89,8 +101,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    window = _window(args)
     dga = _load_dga(args.dga)
-    window = (args.min_deg, args.max_deg)
     if args.complex == "lin":
         if args.augmentation:
             eps = _parse(args.augmentation, docs.augmentation_from_document)
@@ -142,6 +154,7 @@ def _filling_of(ref: str):
 
 
 def cmd_surgery(args) -> int:
+    window = _window(args)
     dga = _load_dga(args.dga)
     filling = _filling_of(args.filling)
     if args.counts:
@@ -152,7 +165,6 @@ def cmd_surgery(args) -> int:
             "mixed counts default to zero; valid when every relevant disk "
             "stays in a chart around the surgery locus"
         )
-    window = (args.min_deg, args.max_deg)
     builder = {
         "ch": build_lch_surgery,
         "sh+": build_shplus_surgery,
@@ -200,6 +212,7 @@ def cmd_morphism(args) -> int:
 
 
 def cmd_lefschetz(args) -> int:
+    window = _window(args)
     spec = _parse(args.ainf, docs.ainf_from_document)
     if args.dim is not None and args.dim != spec.n:
         raise CliInputError(
@@ -220,7 +233,6 @@ def cmd_lefschetz(args) -> int:
             return MATH_FAIL
         sys.stdout.write(docs.dumps(docs.dga_to_document(dga)))
         return OK
-    window = (args.min_deg, args.max_deg)
     if args.emit == "hochschild":
         cc = hochschild_complex(D, window, args.max_len)
         try:

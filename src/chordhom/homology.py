@@ -1,5 +1,12 @@
 """Exact homology engine: graded bases, sparse rational boundary maps,
-sparse exact rank computation over Q, Betti tables, and finiteness guards.
+exact ranks over Q, Betti tables, and finiteness guards.
+
+Every rank comes from one sparse column reduction, _reduce.  A boundary
+matrix is scaled once by the lcm of its denominators; its integer columns
+are then eliminated fraction-free, each divided by the gcd of its entries
+after every step, so no Fraction arithmetic runs in the loop.  The pivot
+pairs it returns give the rank, and is_boundary reduces a vector against
+them.
 
 A complex stores bases for every degree of its window plus a one-degree
 halo on each side, so the boundary maps into and out of the window edges
@@ -89,38 +96,78 @@ def _columns(matrix: SparseMatrix) -> dict[int, dict[int, Fraction]]:
 def _integer_columns(matrix: SparseMatrix) -> tuple[dict[int, dict[int, int]], int]:
     """The column view of L * matrix, with L the lcm of the denominators of
     its entries, and L."""
-    cols = _columns(matrix)
-    den = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
-    return {
-        c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
-        for c, col in cols.items()
-    }, den
+    den = math.lcm(*{v.denominator for v in matrix.values()})
+    cols: dict[int, dict[int, int]] = defaultdict(dict)
+    for (r, c), v in matrix.items():
+        if v:
+            cols[c][r] = v.numerator * (den // v.denominator)
+    return cols, den
+
+
+def _reduce_column(
+    col: dict[int, int], pivots: Mapping[int, tuple[int, dict[int, int]]]
+) -> dict[int, int]:
+    """Reduce an integer column against the pivots until it vanishes or its
+    largest row is not a pivot row.
+
+    Each step is fraction-free: with a and b the entries of the column and
+    of the pivot at their common largest row, divided by their gcd, the
+    column becomes b * col - a * pivot and is then divided by the gcd of
+    its entries.  The result is the column scaled by a nonzero rational
+    plus a combination of the pivots.
+    """
+    while col:
+        low = max(col)
+        entry = pivots.get(low)
+        if entry is None:
+            break
+        pivot = entry[1]
+        a, b = col[low], pivot[low]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if b < 0:
+            a, b = -a, -b
+        if b != 1:
+            col = {r: b * v for r, v in col.items()}
+        for r, v in pivot.items():
+            x = col.get(r, 0) - a * v
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+        g = math.gcd(*col.values())
+        if g > 1:
+            col = {r: v // g for r, v in col.items()}
+    return col
+
+
+def _reduce(
+    columns: Mapping[int, dict[int, int]]
+) -> dict[int, tuple[int, dict[int, int]]]:
+    """Column reduction of an integer matrix given as {col: {row: entry}}.
+
+    The columns are reduced in the order given, each against the pivots
+    found before it (see _reduce_column); the column dicts are consumed.
+    Returns the pivot pairs {low_row: (col, reduced column)}: a column that
+    does not vanish becomes the pivot of its largest row.  Their number is
+    the rank over Q, and the arithmetic stays in integers throughout.
+    """
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for c, col in columns.items():
+        col = _reduce_column(col, pivots)
+        if col:
+            pivots[max(col)] = (c, col)
+    return pivots
 
 
 def rank(matrix: SparseMatrix, nrows: int, ncols: int) -> int:
-    """Exact rank over Q by sparse Gaussian elimination on the columns.
+    """Exact rank over Q by fraction-free sparse column reduction.
 
-    nrows and ncols give the shape; only the stored entries are read.  Each
-    column is reduced against the pivot columns found so far, keyed by their
-    largest row index, until it vanishes or becomes a pivot itself.
+    nrows and ncols give the shape; only the stored entries are read.  The
+    matrix is scaled once by the lcm of its denominators and reduced over
+    the integers by _reduce; the rank is the number of pivots.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for col in _columns(matrix).values():
-        while col:
-            low = max(col)
-            pivot = pivots.get(low)
-            if pivot is None:
-                scale = col[low]
-                pivots[low] = {r: v / scale for r, v in col.items()}
-                break
-            factor = col[low]
-            for r, v in pivot.items():
-                x = col.get(r, 0) - factor * v
-                if x:
-                    col[r] = x
-                else:
-                    del col[r]
-    return len(pivots)
+    return len(_reduce(_integer_columns(matrix)[0]))
 
 
 @dataclass
@@ -171,11 +218,13 @@ def betti(complex: GradedChainComplex) -> BettiTable:
 def is_boundary(
     complex: GradedChainComplex, degree: int, vector: dict[int, Fraction]
 ) -> bool:
-    """Is the given degree-`degree` chain in the image of the boundary map?"""
-    m = complex.matrix(degree + 1)
-    nrows, ncols = complex.dim(degree), complex.dim(degree + 1)
-    aug = {**m, **{(r, ncols): v for r, v in vector.items()}}
-    return rank(aug, nrows, ncols + 1) == rank(m, nrows, ncols)
+    """Is the given degree-`degree` chain in the image of the boundary map?
+
+    The boundary matrix is reduced once; the vector, scaled to integers, is
+    a boundary when it reduces to zero against the pivots."""
+    pivots = _reduce(_integer_columns(complex.matrix(degree + 1))[0])
+    scaled = _integer_columns({(r, 0): v for r, v in vector.items()})[0]
+    return not _reduce_column(scaled.get(0, {}), pivots)
 
 
 def verify_les_ranks(
@@ -256,22 +305,31 @@ def _composable_words(
         gmin = min((g for *_, g in by_dst[None]), default=0)
         gmax = max((g for *_, g in by_dst[None]), default=0)
 
-    def feasible(deg: int, length: int) -> bool:
-        if window is None:
-            return True
-        for r in range(0, max_len - length + 1):
-            if deg + r * gmin <= hi and deg + r * gmax >= lo:
-                return True
-        return False
-
     out: list[tuple] = []
     frontier = [((), first, 0)]
+    # fits[deg]: can a prefix of the current length and degree deg still be
+    # extended into the window?  Each degree is judged once per length.
+    fits: dict[int, bool] = {}
+
+    def fit(deg: int) -> bool:
+        """Some r <= max_len - length further letters can bring deg into
+        [lo, hi], judged by the extreme gradings; recorded in fits."""
+        ok = window is None
+        if not ok:
+            for r in range(max_len - length + 1):
+                if deg + r * gmin <= hi and deg + r * gmax >= lo:
+                    ok = True
+                    break
+        fits[deg] = ok
+        return ok
+
     for length in range(1, max_len + 1):
+        fits.clear()
         frontier = [
             (word + (a,), src, deg + g)
             for word, port, deg in frontier
             for a, src, g in by_dst[port]
-            if feasible(deg + g, length)
+            if (fits[deg + g] if deg + g in fits else fit(deg + g))
         ]
         if not frontier:
             break

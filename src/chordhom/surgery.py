@@ -104,6 +104,8 @@ def builtin_ball_filling(n: int) -> FillingModel:
 def empty_filling(n: int) -> FillingModel:
     """No orbits and no Morse generators; surgery complexes reduce to the
     chord-side complexes."""
+    if n < 2:
+        raise ValueError("empty model needs n >= 2")
     return FillingModel(n=n, meta={"builtin": f"empty:{n}"})
 
 

@@ -354,6 +354,31 @@ def test_cli_empty_filling_with_bad_dimension_exit_2():
     assert code == 2 and "empty:x" in out
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("homology", "unknot", "--complex", "cyc", "--max-len", "-1"), "--max-len -1"),
+        ((*_SURGERY_CH, "--filling", "ball:3", "--max-len", "-2"), "--max-len -2"),
+        (
+            ("homology", "unknot", "--complex", "ho", "--min-deg", "5", "--max-deg", "2"),
+            "--min-deg 5 exceeds --max-deg 2",
+        ),
+        (
+            ("lefschetz", "lefschetz_min", "--t-order", "1", "--emit", "hochschild",
+             "--min-deg", "3", "--max-deg", "0"),
+            "--min-deg 3 exceeds --max-deg 0",
+        ),
+        ((*_SURGERY_CH, "--filling", "empty:0"), "empty model needs n >= 2"),
+    ],
+    ids=["homology-negative-max-len", "surgery-negative-max-len", "reversed-window",
+         "lefschetz-reversed-window", "empty-filling-n0"],
+)
+def test_cli_bad_flags_exit_2(args, message):
+    code, out = run_cli(*args)
+    assert code == 2 and message in out
+    assert out.count("\n") == 1  # one line, and no table
+
+
 @pytest.mark.parametrize("values", ["abc", "1/0,1"])
 def test_cli_augmentations_bad_values_exit_2(values):
     code, out = run_cli("augmentations", "chekanov_a", f"--values={values}")

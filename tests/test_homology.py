@@ -17,6 +17,8 @@ from chordhom.homology import (
     DSquareError,
     GradedChainComplex,
     _composable_words,
+    _integer_columns,
+    _reduce,
     betti,
     build_complex,
     enumerate_cyclic_words,
@@ -76,6 +78,71 @@ def test_rank_invariant_under_permutation(seed, nr, nc):
     rng.shuffle(cols)
     pm = {(rows[r], cols[c]): v for (r, c), v in m.items()}
     assert rank(pm, nr, nc) == base
+
+
+def _wide_matrix(rng, nr, nc):
+    """A random sparse matrix with numerators up to 10^12 and denominators up
+    to 10^6, whose later columns include exact duplicates and rational
+    multiples of earlier ones, in shuffled column order."""
+
+    def big():
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+    cols = []
+    for _ in range(nc):
+        if cols and rng.random() < 0.4:
+            col = rng.choice(cols)
+            scale = rng.choice([Fraction(1), big()]) or Fraction(1)
+            cols.append({r: v * scale for r, v in col.items()})
+        else:
+            cols.append({r: big() for r in range(nr) if rng.random() < 0.6})
+    rng.shuffle(cols)
+    return {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 7), st.integers(1, 9))
+def test_rank_large_entries_matches_dense(seed, nr, nc):
+    m = _wide_matrix(random.Random(seed), nr, nc)
+    assert rank(m, nr, nc) == _dense_rank(m, nr, nc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 7), st.integers(1, 9))
+def test_reduce_pivot_pairs(seed, nr, nc):
+    m = _wide_matrix(random.Random(seed), nr, nc)
+    pivots = _reduce(_integer_columns(m)[0])
+    assert len(pivots) == _dense_rank(m, nr, nc)
+    assert len({c for c, _ in pivots.values()}) == len(pivots)
+    for low, (c, col) in pivots.items():
+        assert 0 <= c < nc and max(col) == low and col[low]
+        assert all(type(v) is int and v for v in col.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_is_boundary_matches_augmented_rank(seed):
+    rng = random.Random(seed)
+    nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+    m = {
+        (r, c): Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        for r in range(nr)
+        for c in range(nc)
+        if rng.random() < 0.5
+    }
+    cx = GradedChainComplex(
+        basis={0: list(range(nr)), 1: list(range(nc))}, diffs={1: m}, window=(0, 0)
+    )
+    # half of the vectors are boundaries by construction
+    if rng.random() < 0.5:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nc)]
+        vector = {}
+        for (r, c), v in m.items():
+            vector[r] = vector.get(r, Fraction(0)) + coeffs[c] * v
+    else:
+        vector = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for r in range(nr)}
+    aug = {**m, **{(r, nc): v for r, v in vector.items()}}
+    assert is_boundary(cx, 0, vector) == (rank(aug, nr, nc + 1) == rank(m, nr, nc))
 
 
 def test_betti_requires_d_squared_zero():
@@ -228,6 +295,36 @@ def test_composable_words_match_brute_force(data):
             if window and not window[0] <= sum(a.grading for a in info) <= window[1]:
                 continue
             want.append(word)
+    got = _composable_words(alphabet, letters, max_len, first=first, last=last, window=window)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_window_pruning_keeps_every_word_in_the_window(data):
+    """The prefix pruning under a degree window drops no word: the pruned
+    list is the unpruned enumeration filtered by degree, for gradings of
+    either sign and zero, at lengths beyond the brute-force test's reach."""
+    k = data.draw(st.integers(1, 2))
+    letters = {
+        ("x", i): Generator(
+            f"x{i}",
+            data.draw(st.integers(-3, 4)),
+            data.draw(st.integers(1, k)),
+            data.draw(st.integers(1, k)),
+        )
+        for i in range(data.draw(st.integers(1, 3)))
+    }
+    alphabet = data.draw(st.permutations(list(letters)))
+    lo = data.draw(st.integers(-8, 8))
+    window = (lo, lo + data.draw(st.integers(0, 6)))
+    max_len = data.draw(st.integers(0, 7))
+    first = data.draw(st.none() | st.integers(1, k))
+    last = data.draw(st.none() | st.integers(1, k))
+    words = _composable_words(alphabet, letters, max_len, first=first, last=last)
+    want = [
+        w for w in words if window[0] <= sum(letters[a].grading for a in w) <= window[1]
+    ]
     got = _composable_words(alphabet, letters, max_len, first=first, last=last, window=window)
     assert got == want
 
