@@ -13,6 +13,11 @@ those slot coordinates (rotate the marked letter to the end, apply the
 plain algebra differential, rotate back): this is the one convention under
 which unit absorptions transport the mark consistently, the square of the
 differential vanishes, and the marked-module dictionary is sign-free.
+
+The marked module and its cyclic quotient (mcyc) read one mark
+differential, d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
+(_mark_terms).  The check/hat side computes its own, so mcyc against the
+completed check/hat complex compares two constructions.
 """
 
 from __future__ import annotations
@@ -371,26 +376,48 @@ def build_ho_complex(
 # ---- the marked module and its cyclic quotient --------------------------------
 
 
+def _marks(dga: DGASpec) -> list[tuple]:
+    """The marks with their ports and degree shift, as (mark, src, dst,
+    shift): a component class ('mx', i) of degree 0 and a hat chord
+    ('mc', name) of degree |c| + 1."""
+    return [(("mx", i), i, i, 0) for i in dga.ring.components] + [
+        (("mc", g.name), g.src, g.dst, g.grading + 1) for g in dga.generators
+    ]
+
+
+def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
+    """The mark differential d(c^) = x_dst c - c x_src - S(dc), as terms
+    (before, mark, after, coeff); S hats each letter of each term of dc in
+    turn with the sign (-1)^(degree of the letters before it).  The
+    component classes are closed."""
+    c = dga.algebra.gen(cname)
+    parity = dga.algebra.parity
+    terms = [((), ("mx", c.dst), (cname,), _ONE), ((cname,), ("mx", c.src), (), -_ONE)]
+    for term, coeff in dga.d_gen(cname).terms.items():
+        letters = term.letters
+        odd = 0
+        for j, name in enumerate(letters):
+            terms.append(
+                (letters[:j], ("mc", name), letters[j + 1:], coeff if odd else -coeff)
+            )
+            odd ^= parity[name]
+    return terms
+
+
 def _mcyc_reduce(
     alg: ChordAlgebra, prefix: tuple[str, ...], mark, suffix: tuple[str, ...]
 ) -> tuple[tuple, int]:
-    """Reduce a marked cyclic word to mark-first form.  mark is ('x', i) or
-    ('hat', name); the moved prefix picks up the Koszul sign against the
+    """Reduce a marked cyclic word to mark-first form.  mark is ('mx', i) or
+    ('mc', name); the moved prefix picks up the Koszul sign against the
     decorated degree of everything from the mark on."""
     if not prefix:
         return (mark, suffix), 1
     parity = alg.parity
     gp = sum(parity[n] for n in prefix)
-    gm = 0 if mark[0] == "x" else parity[mark[1]] + 1
+    gm = 0 if mark[0] == "mx" else parity[mark[1]] + 1
     gs = sum(parity[n] for n in suffix)
     sign = -1 if gp & (gm + gs) & 1 else 1
     return (mark, suffix + prefix), sign
-
-
-def _mcyc_label(mark, word: tuple[str, ...]):
-    if mark[0] == "x":
-        return ("mx", mark[1], word)
-    return ("mc", mark[1], word)
 
 
 def _enumerate_marked_words(
@@ -400,82 +427,43 @@ def _enumerate_marked_words(
     chord; max_len bounds the length of the unmarked part."""
     alg = dga.algebra
     lo, hi = window
-    bases: dict[int, list] = {}
-
-    def add(label, deg):
-        if lo - 1 <= deg <= hi + 1:
-            bases.setdefault(deg, []).append(label)
-
     names = sorted(alg.generators)
-
-    def words_between(src_port: int, dst_port: int, shift: int):
-        """All composable words w with dst(w)=dst_port, src(w)=src_port and
-        shift + |w| inside the halo window, with that degree."""
-        words = _composable_words(
-            names, alg.generators, max_len, first=dst_port, last=src_port,
+    bases: dict[int, list] = {}
+    for mark, src, dst, shift in _marks(dga):
+        if src == dst and lo - 1 <= shift <= hi + 1:
+            bases.setdefault(shift, []).append(mark + ((),))
+        # w follows the mark and closes the cycle: dst(w) = src, src(w) = dst
+        for w in _composable_words(
+            names, alg.generators, max_len, first=src, last=dst,
             window=(lo - 1 - shift, hi + 1 - shift),
-        )
-        return [(w, shift + sum(alg.gen(n).grading for n in w)) for w in words]
-
-    for i in dga.ring.components:
-        add(("mx", i, ()), 0)
-        for w, deg in words_between(i, i, 0):
-            add(("mx", i, w), deg)
-    for g in dga.generators:
-        shift = g.grading + 1
-        if g.src == g.dst:
-            add(("mc", g.name, ()), shift)
-        for w, deg in words_between(g.dst, g.src, shift):
-            add(("mc", g.name, w), deg)
+        ):
+            deg = shift + sum(alg.gen(n).grading for n in w)
+            bases.setdefault(deg, []).append(mark + (w,))
     for labs in bases.values():
         labs.sort()
     return bases
 
 
-def _mcyc_image(dga: DGASpec, label) -> dict:
-    """Differential on the marked cyclic quotient."""
+def _mcyc_image(dga: DGASpec, label, mark_terms: dict) -> dict:
+    """Differential on the marked cyclic quotient: the mark differential
+    rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
+    mark_terms maps each chord to its _mark_terms."""
     alg = dga.algebra
     out = _Sum()
-    kind = label[0]
-    if kind == "mx":
-        comp, word = label[1], label[2]
-        if not word:
-            return {}
+    kind, name, word = label
+    odd = False
+    if kind == "mc":
+        for before, mark, after, coeff in mark_terms[name]:
+            if before:  # with nothing before the mark there is nothing to rotate
+                (mark, rest), rot = _mcyc_reduce(alg, before, mark, after + word)
+                out.add(mark + (rest,), coeff if rot > 0 else -coeff)
+            else:
+                out.add(mark + (after + word,), coeff)
+        odd = not alg.parity[name]
+    if word:
         dw = extend_leibniz(dga, Element.monomial(Word.of(word)))
         for term, coeff in dw.terms.items():
-            out.add(("mx", comp, term.letters), coeff)
-        return out
-
-    _, cname, word = label
-    c = alg.gen(cname)
-    parity = alg.parity
-
-    # x c w  -  (-1)^(|c| |w|) x w c
-    out.add(("mx", c.dst, (cname,) + word), _ONE)
-    odd = parity[cname] and sum(parity[n] for n in word) & 1
-    out.add(("mx", c.src, word + (cname,)), _ONE if odd else -_ONE)
-
-    # -S(dc) w, reduced to mark-first form
-    for term, coeff in dga.d_gen(cname).terms.items():
-        if term.is_idem:
-            continue
-        letters = term.letters
-        odd = 0
-        for j, name in enumerate(letters):
-            marked = ("hat", name)
-            suffix = letters[j + 1:] + word
-            prefix = letters[:j]
-            (mk, wrd), rot = _mcyc_reduce(alg, prefix, marked, suffix)
-            sign = -rot if odd else rot
-            out.add(_mcyc_label(mk, wrd), -coeff if sign > 0 else coeff)
-            odd ^= parity[name]
-
-    # (-1)^(|c|+1) c^ d(w), units absorbed
-    if word:
-        dtail = extend_leibniz(dga, Element.monomial(Word.of(word)))
-        for term, coeff in dtail.terms.items():
-            out.add(("mc", cname, term.letters), coeff if parity[cname] else -coeff)
-
+            out.add((kind, name, term.letters), -coeff if odd else coeff)
     return out
 
 
@@ -486,10 +474,10 @@ def build_mcyc_complex(
     verdict = guard_verdict(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1
     )
-    bases = _enumerate_marked_words(dga, window, max_len)
+    mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
     return build_complex(
-        bases,
-        lambda degree, label: _mcyc_image(dga, label),
+        _enumerate_marked_words(dga, window, max_len),
+        lambda degree, label: _mcyc_image(dga, label, mark_terms),
         window,
         verdict,
         max_len,
@@ -499,28 +487,16 @@ def build_mcyc_complex(
 
 def build_module_M(
     dga: DGASpec, window: tuple[int, int], max_len: int
-) -> tuple[GradedChainComplex, GradedChainComplex]:
-    """The marked module and its cyclic quotient.
-
-    Module labels are (left word, mark, right word) with mark ('x', i) or
-    ('hat', name); no rotations are applied.
-    """
+) -> GradedChainComplex:
+    """The marked module: labels (left word, mark, right word), no rotations
+    applied, with d(left m right) = d(left) m right + (-1)^|left| left d(m)
+    right + (-1)^(|left|+|m|) left m d(right)."""
     alg = dga.algebra
+    parity = alg.parity
     lo, hi = window
-    marks: list[tuple] = [("x", i) for i in dga.ring.components] + [
-        ("hat", g.name) for g in dga.generators
-    ]
-
-    def mark_ports_deg(mark):
-        if mark[0] == "x":
-            return mark[1], mark[1], 0
-        g = alg.gen(mark[1])
-        return g.src, g.dst, g.grading + 1
-
     words = [()] + _composable_words(sorted(alg.generators), alg.generators, max_len)
     bases: dict[int, list] = {}
-    for mark in marks:
-        msrc, mdst, mdeg = mark_ports_deg(mark)
+    for mark, msrc, mdst, mdeg in _marks(dga):
         for left in words:
             if left and alg.gen(left[-1]).src != mdst:
                 continue
@@ -528,59 +504,37 @@ def build_module_M(
             for right in words:
                 if len(left) + len(right) > max_len:
                     continue
-                if right:
-                    if alg.gen(right[0]).dst != msrc:
-                        continue
+                if right and alg.gen(right[0]).dst != msrc:
+                    continue
                 deg = ldeg + mdeg + sum(alg.gen(n).grading for n in right)
                 if lo - 1 <= deg <= hi + 1:
                     bases.setdefault(deg, []).append(("M", left, mark, right))
     for labs in bases.values():
         labs.sort()
+    mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
 
     def image(degree: int, label) -> dict:
         _, left, mark, right = label
-        out: dict = defaultdict(Fraction)
-        # d(left) mark right
+        out = _Sum()
         if left:
             dl = extend_leibniz(dga, Element.monomial(Word.of(left)))
             for term, coeff in dl.terms.items():
-                out[("M", term.letters, mark, right)] += coeff
-        ldeg = sum(alg.gen(n).grading for n in left)
-        lsign = -1 if ldeg % 2 else 1
-        # left d_M(mark) right
-        if mark[0] == "hat":
-            cname = mark[1]
-            c = alg.gen(cname)
-            out[("M", left, ("x", c.dst), (cname,) + right)] += lsign
-            out[("M", left + (cname,), ("x", c.src), right)] -= lsign
-            for term, coeff in dga.d_gen(cname).terms.items():
-                if term.is_idem:
-                    continue
-                letters = term.letters
-                pdeg = 0
-                for j, nm in enumerate(letters):
-                    s = -1 if pdeg % 2 else 1
-                    key = ("M", left + letters[:j], ("hat", nm), letters[j + 1:] + right)
-                    out[key] -= lsign * s * coeff
-                    pdeg += alg.gen(nm).grading
-            mdeg = c.grading + 1
-        else:
-            mdeg = 0
-        # (-1)^(|left|+|mark|) left mark d(right)
+                out.add(("M", term.letters, mark, right), coeff)
+        odd = sum(parity[n] for n in left) & 1
+        if mark[0] == "mc":
+            for before, mk, after, coeff in mark_terms[mark[1]]:
+                out.add(("M", left + before, mk, after + right), -coeff if odd else coeff)
+            odd ^= not parity[mark[1]]
         if right:
-            rsign = -1 if (ldeg + mdeg) % 2 else 1
             dr = extend_leibniz(dga, Element.monomial(Word.of(right)))
             for term, coeff in dr.terms.items():
-                out[("M", left, mark, term.letters)] += rsign * coeff
+                out.add(("M", left, mark, term.letters), -coeff if odd else coeff)
         return out
 
     verdict = guard_verdict(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1
     )
-    module = build_complex(
-        bases, image, window, verdict, max_len, meta={"kind": "module"}
-    )
-    return module, build_mcyc_complex(dga, window, max_len)
+    return build_complex(bases, image, window, verdict, max_len, meta={"kind": "module"})
 
 
 def verify_en_isomorphism(

@@ -284,7 +284,14 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
 
     The complex is spanned by the generators; for a word b_1...b_m in d(c),
     position j contributes (prod_{i<j} eps(b_i)) (prod_{i>j} eps(b_i)) b_j.
+    A value on a name that is not a grading-0 chord with src = dst is refused.
     """
+    for name in eps.values:
+        g = dga.algebra.generators.get(name)
+        if g is None or g.grading != 0 or g.src != g.dst:
+            raise ValueError(
+                f"augmentation value on {name!r}: not a grading-0 chord with src = dst"
+            )
     if not is_valid_augmentation(dga, eps):
         raise ValueError("invalid augmentation")
     degs = sorted({g.grading for g in dga.generators})

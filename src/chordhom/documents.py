@@ -232,16 +232,17 @@ def filling_from_document(doc: dict) -> FillingModel:
             )
         return out
 
-    model = FillingModel(
-        n=n,
-        orbits=orbits,
-        morse=morse,
+    tables = dict(
         orbit_diff=edge_table("orbit_differential", labels, labels),
         bott_diff=edge_table("bott", labels, labels),
         to_morse=edge_table("to_morse", labels, morse_labels, "orbit", "morse"),
         morse_diff=edge_table("morse_differential", morse_labels, morse_labels),
         meta=dict(_optional(doc, "metadata", dict, "$", {})),
     )
+    try:
+        model = FillingModel(n=n, orbits=orbits, morse=morse, **tables)
+    except ValueError as exc:
+        raise ParseError([("$.n", str(exc))])
     for idx, e in enumerate(_optional(doc, "morse_tau", list, "$", [])):
         path = f"$.morse_tau[{idx}]"
         p = _require(e, "morse", str, path)
@@ -418,7 +419,7 @@ def augmentation_from_document(doc: dict) -> Augmentation:
     values = {}
     for name, v in _require(doc, "values", dict, "$").items():
         values[name] = _rational(v, f"$.values.{name}")
-    return Augmentation(values={k: v for k, v in values.items() if v})
+    return Augmentation(values=values)
 
 
 # ---- Betti table reports -------------------------------------------------------

@@ -61,6 +61,10 @@ class FillingModel:
     orbit_factory: Callable[[int], list[Orbit]] | None = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"filling model needs n >= 2, got {self.n}")
+
     def orbits_up_to(self, max_degree: int) -> list[Orbit]:
         if self.orbit_factory is not None:
             return self.orbit_factory(max_degree)
@@ -75,8 +79,6 @@ def builtin_ball_filling(n: int) -> FillingModel:
     multiplicity k, trivial orbit differential, connecting counts from the
     minimum-decorated g^(k+1) to the maximum-decorated g^k, one Morse
     generator of grading n, and the forced count from g^1 onto it."""
-    if n < 2:
-        raise ValueError("ball model needs n >= 2")
 
     top_iteration = 64  # connecting counts are prefilled this far
 
@@ -93,8 +95,9 @@ def builtin_ball_filling(n: int) -> FillingModel:
             k += 1
         return out
 
-    model = FillingModel(n=n, orbit_factory=factory, morse=[("min", n)])
-    model.meta["builtin"] = f"ball:{n}"
+    model = FillingModel(
+        n=n, orbit_factory=factory, morse=[("min", n)], meta={"builtin": f"ball:{n}"}
+    )
     for k in range(1, top_iteration):
         model.bott_diff[(f"g{k + 1}", f"g{k}")] = Fraction(1)
     model.to_morse[("g1", "min")] = Fraction(1)
@@ -104,8 +107,6 @@ def builtin_ball_filling(n: int) -> FillingModel:
 def empty_filling(n: int) -> FillingModel:
     """No orbits and no Morse generators; surgery complexes reduce to the
     chord-side complexes."""
-    if n < 2:
-        raise ValueError("empty model needs n >= 2")
     return FillingModel(n=n, meta={"builtin": f"empty:{n}"})
 
 
@@ -129,41 +130,27 @@ class SurgeryCountTable:
     def zero() -> "SurgeryCountTable":
         return SurgeryCountTable()
 
-    def validate(self, filling: FillingModel, dga: DGASpec, max_degree: int = 64) -> None:
+    def validate(self, orbits: list[Orbit], dga: DGASpec) -> None:
         """Raise CountGradingError on an entry whose word names a generator
-        the DGA lacks, or whose nonzero count breaks its degree rule."""
+        the DGA lacks, or whose nonzero count from one of the orbits breaks
+        its degree rule |gamma| - |w| = gap."""
         alg = dga.algebra
-        orbit_grading = {
-            o.label: o.grading for o in filling.orbits_up_to(max_degree)
-        }
-        for table in (self.mixed_cyc, self.ncheck, self.nhat):
-            for g, w in table:
+        orbit_grading = {o.label: o.grading for o in orbits}
+        for table, kind, gap in (
+            (self.mixed_cyc, "mixed", 1), (self.ncheck, "check", 1), (self.nhat, "hat", 2)
+        ):
+            for (g, w), c in table.items():
                 unknown = [x for x in w if x not in alg.generators]
                 if unknown:
                     raise CountGradingError(
                         f"count {g} -> {'.'.join(w)} names unknown generator {unknown[0]!r}"
                     )
-
-        def word_deg(w: tuple[str, ...]) -> int:
-            return sum(alg.gen(x).grading for x in w)
-
-        for (g, w), c in self.mixed_cyc.items():
-            if not c:
-                continue
-            if g in orbit_grading and orbit_grading[g] - word_deg(w) != 1:
-                raise CountGradingError(
-                    f"mixed count {g} -> ({'.'.join(w)}) violates |gamma|-|w|=1"
-                )
-        for (g, w), c in self.ncheck.items():
-            if c and g in orbit_grading and orbit_grading[g] - word_deg(w) != 1:
-                raise CountGradingError(
-                    f"check count {g} -> {'.'.join(w)} violates |gamma|-|w|=1"
-                )
-        for (g, w), c in self.nhat.items():
-            if c and g in orbit_grading and orbit_grading[g] - word_deg(w) != 2:
-                raise CountGradingError(
-                    f"hat count {g} -> {'.'.join(w)} violates |gamma|-|w|=2"
-                )
+                if c and g in orbit_grading and (
+                    orbit_grading[g] - sum(alg.gen(x).grading for x in w) != gap
+                ):
+                    raise CountGradingError(
+                        f"{kind} count {g} -> {'.'.join(w)} violates |gamma|-|w|={gap}"
+                    )
         for (g, _j), c in self.orbit_tau.items():
             if c and g in orbit_grading and orbit_grading[g] != 1:
                 raise CountGradingError(
@@ -301,7 +288,7 @@ def _surgery_setup(
     if dga is None:
         verdict, alg = EXACT, None
     else:
-        counts.validate(filling, dga)
+        counts.validate(orbits, dga)
         verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
         alg = dga.algebra
         # the cyclic counts folded onto class representatives; the caller's
@@ -465,13 +452,10 @@ def assemble_cobordism_map(
 # ---- the multiplicity-rescaling isomorphism ----------------------------------
 
 
-def build_ch_complex(
-    filling: FillingModel, window: tuple[int, int], convention: str = "target"
-) -> GradedChainComplex:
-    """Orbit-only complex under either multiplicity convention: the count
-    divided by the multiplicity of the target orbit, or of the source."""
-    if convention not in ("target", "source"):
-        raise ValueError("convention is 'target' or 'source'")
+def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedChainComplex:
+    """Orbit-only complex with each count divided by the multiplicity of
+    its source orbit; build_lch_surgery without a DGA divides by the
+    target's."""
     lo, hi = window
     orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
     bases = _orbit_bases(filling, window, False, False)
@@ -482,23 +466,18 @@ def build_ch_complex(
         for beta, c in filling.d_orbit(gamma):
             if beta not in orbit_info or orbit_info[beta].bad:
                 continue
-            div = (
-                Fraction(orbit_info[beta].multiplicity)
-                if convention == "target"
-                else Fraction(orbit_info[gamma].multiplicity)
-            )
-            out[("orb", beta)] += c / div
+            out[("orb", beta)] += c / orbit_info[gamma].multiplicity
         return out
 
-    return build_complex(bases, image, window, EXACT, meta={"kind": f"ch/{convention}"})
+    return build_complex(bases, image, window, EXACT, meta={"kind": "ch"})
 
 
 def verify_kappa_isomorphism(filling: FillingModel, window: tuple[int, int]) -> bool:
     """gamma -> multiplicity(gamma) * gamma intertwines the target-divided
     differential with the source-divided one, checked entrywise."""
     lo, hi = window
-    src = build_ch_complex(filling, window, "target")
-    tgt = build_ch_complex(filling, window, "source")
+    src = build_lch_surgery(filling, None, SurgeryCountTable.zero(), window)
+    tgt = build_ch_complex(filling, window)
     info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
     for d in range(lo, hi + 2):
         labels = src.labels(d)

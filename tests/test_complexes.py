@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     CyclicWord,
+    _mark_terms,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,
@@ -23,7 +24,7 @@ from chordhom.complexes import (
 from chordhom.dga import DGASpec
 from chordhom.documents import dga_from_document
 from chordhom.examples import example_document
-from chordhom.homology import betti
+from chordhom.homology import EXACT, betti
 
 from conftest import random_dga
 
@@ -275,9 +276,42 @@ def test_dc1_all_complexes_acyclic(dc1):
     for builder in (build_ho_complex, build_mcyc_complex):
         table = betti(builder(dc1, (0, 6), 8))
         assert all(table.rank(d) == 0 for d in range(0, 7))
-    module, _ = build_module_M(dc1, (0, 4), 6)
+    module = build_module_M(dc1, (0, 4), 6)
     table = betti(module)
     assert all(table.rank(d) == 0 for d in range(0, 5))
+
+
+@pytest.mark.parametrize("u_grading,v_grading", [(1, 2), (2, 1)])
+def test_mark_terms_of_a_two_letter_differential(u_grading, v_grading):
+    # d(c) = 3 u.v with c from component 1 to component 2
+    ring = BaseRing(2)
+    gens = [
+        Generator("c", u_grading + v_grading + 1, 1, 2),
+        Generator("u", u_grading, 2, 2),
+        Generator("v", v_grading, 1, 2),
+    ]
+    dga = DGASpec(ring, gens, {"c": Element({Word.of(["u", "v"]): Fraction(3)})}, 2)
+    assert _mark_terms(dga, "c") == [
+        ((), ("mx", 2), ("c",), 1),  # x_dst c
+        (("c",), ("mx", 1), (), -1),  # - c x_src
+        ((), ("mc", "u"), ("v",), -3),  # - S(dc): the hat on u
+        (("u",), ("mc", "v"), (), -3 * (-1) ** u_grading),  # and on v
+    ]
+
+
+def test_module_M_squares_to_zero_on_random_dgas():
+    # over one and two components and chords of grading down to -1; a
+    # truncated window is not a subcomplex, so only exact ones are checked
+    rng = random.Random(11)
+    exact = set()
+    for i in range(80):
+        min_grading = (1, 0, -1)[i % 3]
+        dga = random_dga(rng, min_grading=min_grading)
+        module = build_module_M(dga, (0, 3), 4)
+        if module.verdict == EXACT:
+            assert module.d_squared_report() == []
+            exact.add((min_grading, dga.ring.k))
+    assert exact == {(g, k) for g in (1, 0, -1) for k in (1, 2)}
 
 
 def test_mcyc_single_hat_closed(dc1):

@@ -354,6 +354,46 @@ def test_cli_empty_filling_with_bad_dimension_exit_2():
     assert code == 2 and "empty:x" in out
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_cli_filling_document_below_dimension_2_exit_2(tmp_path, n):
+    path = tmp_path / "low.filling"
+    path.write_text(dumps({"format": "filling/1", "n": n}))
+    code, out = run_cli("surgery", "unknot", "--filling", str(path), "--theory", "sh")
+    assert code == 2 and "$.n: filling model needs n >= 2" in out, out
+
+
+_CHEKANOV_EPS = {"a7": "1", "a8": "-1", "a9": "1"}
+
+
+def test_cli_linearized_homology_reads_an_augmentation(tmp_path):
+    from chordhom.dga import Augmentation, linearize
+    from chordhom.homology import betti
+
+    path = tmp_path / "eps.aug"
+    path.write_text(dumps({"format": "augmentation/1", "values": _CHEKANOV_EPS}))
+    code, out = run_cli("homology", "chekanov_a", "--complex", "lin", "--augmentation", str(path))
+    dga = dga_from_document(example_document("chekanov_a"))
+    table = betti(linearize(dga, Augmentation({k: Fraction(v) for k, v in _CHEKANOV_EPS.items()})))
+    assert code == 0
+    assert out == betti_to_text(table, (min(table.ranks), max(table.ranks)))
+
+
+@pytest.mark.parametrize(
+    "dga,values,name",
+    [
+        ("unknot", {"zz": "5"}, "zz"),
+        ("unknot", {"zz": "0"}, "zz"),
+        ("chekanov_a", {**_CHEKANOV_EPS, "a5": "7"}, "a5"),
+    ],
+    ids=["unknown-name", "zero-on-unknown-name", "grading-2-chord"],
+)
+def test_cli_augmentation_off_grading_0_chords_exit_2(tmp_path, dga, values, name):
+    path = tmp_path / "bad.aug"
+    path.write_text(dumps({"format": "augmentation/1", "values": values}))
+    code, out = run_cli("homology", dga, "--complex", "lin", "--augmentation", str(path))
+    assert code == 2 and f"augmentation value on {name!r}" in out, out
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -368,7 +408,7 @@ def test_cli_empty_filling_with_bad_dimension_exit_2():
              "--min-deg", "3", "--max-deg", "0"),
             "--min-deg 3 exceeds --max-deg 0",
         ),
-        ((*_SURGERY_CH, "--filling", "empty:0"), "empty model needs n >= 2"),
+        ((*_SURGERY_CH, "--filling", "empty:0"), "'empty:0': filling model needs n >= 2"),
     ],
     ids=["homology-negative-max-len", "surgery-negative-max-len", "reversed-window",
          "lefschetz-reversed-window", "empty-filling-n0"],

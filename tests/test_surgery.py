@@ -144,6 +144,14 @@ def test_count_grading_validation(unknot2):
     build_shplus_surgery(ball, unknot2, counts, (0, 6), 6)
 
 
+@pytest.mark.parametrize("grading", [10, 70])
+def test_count_grading_checked_at_every_orbit_of_the_window(unknot2, grading):
+    filling = FillingModel(n=2, orbits=[Orbit("h", grading)])
+    counts = SurgeryCountTable(mixed_cyc={("h", ("a",)): Fraction(1)})
+    with pytest.raises(CountGradingError, match=r"violates \|gamma\|-\|w\|=1"):
+        build_lch_surgery(filling, unknot2, counts, (0, 71), 4)
+
+
 def test_mixed_counts_enter_with_multiplicity_division(unknot2):
     ball = builtin_ball_filling(2)
     counts = SurgeryCountTable(mixed_cyc={("g2", ("a",) * 4): Fraction(1)})
@@ -199,9 +207,9 @@ def test_kappa_isomorphism_ball_and_synthetic():
         orbit_diff={("u", "v"): Fraction(5)},
     )
     assert verify_kappa_isomorphism(filling, (0, 6))
-    src = build_ch_complex(filling, (0, 6), "target")
+    src = build_lch_surgery(filling, None, SurgeryCountTable.zero(), (0, 6))
     assert src.matrix(4) == {(0, 0): Fraction(5, 4)}
-    tgt = build_ch_complex(filling, (0, 6), "source")
+    tgt = build_ch_complex(filling, (0, 6))
     assert tgt.matrix(4) == {(0, 0): Fraction(5, 6)}
 
 
@@ -263,7 +271,7 @@ def test_les_ranks_for_the_surgery_triangle(unknot3):
 
     ball = builtin_ball_filling(3)
     t1 = betti(build_lch_surgery(ball, unknot3, SurgeryCountTable.zero(), (-1, 11), 12))
-    t2 = betti(build_ch_complex(ball, (-1, 11)))
+    t2 = betti(build_lch_surgery(ball, None, SurgeryCountTable.zero(), (-1, 11)))
     t3 = betti(build_cyclic_complex(unknot3, (-1, 11), 12))
     assert verify_les_ranks(t1, t2, t3, (0, 10))
 
