@@ -21,7 +21,7 @@ from .complexes import (
     build_mcyc_complex,
 )
 from .dga import Augmentation, check_d_squared, check_morphism, linearize
-from .homology import DSquareError, betti
+from .homology import BettiTable, DSquareError, betti
 from .lefschetz import (
     AinfValidationError,
     build_curved_category,
@@ -132,10 +132,16 @@ def cmd_homology(args) -> int:
         else:
             print(f"mathematical failure: {exc}")
         return MATH_FAIL
-    lo = max(window[0], min(table.ranks)) if table.ranks else window[0]
-    hi = min(window[1], max(table.ranks)) if table.ranks else window[1]
     if args.complex == "lin":
-        lo, hi = min(table.ranks), max(table.ranks)
+        # the linearized complex holds every generator, so nothing is cut:
+        # each requested degree is exact, and has rank 0 without generators
+        lo, hi = window
+        table = BettiTable(
+            {d: table.rank(d) for d in range(lo, hi + 1)}, frozenset(), table.verdict
+        )
+    else:
+        lo = max(window[0], min(table.ranks)) if table.ranks else window[0]
+        hi = min(window[1], max(table.ranks)) if table.ranks else window[1]
     sys.stdout.write(docs.betti_to_text(table, (lo, hi)))
     if args.json:
         sys.stdout.write(docs.dumps(docs.betti_to_document(table, (lo, hi))))

@@ -18,6 +18,12 @@ The marked module and its cyclic quotient (mcyc) read one mark
 differential, d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
 (_mark_terms).  The check/hat side computes its own, so mcyc against the
 completed check/hat complex compares two constructions.
+
+Every boundary image runs in integers: the Leibniz terms come from
+dga._leibniz_word on letter tuples, the differential rows and unit terms
+are numerators over the DGA's common denominator dga._denom, and each
+image sums numerators per label and turns each nonzero sum into one
+Fraction at the end (homology._fractions).
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from fractions import Fraction
 from typing import Iterator
 
 from .algebra import ChordAlgebra, Element, Word
-from .dga import DGASpec, extend_leibniz
+from .dga import DGASpec, _leibniz_word
 from .homology import (
     GradedChainComplex,
     _composable_words,
+    _fractions,
     betti,
     build_complex,
     enumerate_cyclic_words,
@@ -40,20 +47,6 @@ from .homology import (
 
 CHECK = "check"
 HAT = "hat"
-
-_ONE = Fraction(1)
-
-
-class _Sum(dict):
-    """Coefficient sums of a boundary image.  A label's first term is stored
-    as it is, so an image whose labels do not repeat does no Fraction
-    arithmetic; labels keep the order of their first term."""
-
-    __slots__ = ()
-
-    def add(self, label, coeff: Fraction) -> None:
-        prev = self.get(label)
-        self[label] = coeff if prev is None else prev + coeff
 
 
 @dataclass(frozen=True)
@@ -72,13 +65,12 @@ class CyclicWord:
     is_zero: bool
 
 
-def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
-    if word.is_idem or not word.letters:
-        raise ValueError("cyclic classes are classes of nonempty words")
-    if not algebra.cyclically_composable(word):
-        raise ValueError(f"word {word} is not cyclically composable")
-    letters = word.letters
-    parity = algebra.parity
+def _cyclic_rep(
+    parity: dict[str, int], letters: tuple[str, ...]
+) -> tuple[tuple[str, ...], int]:
+    """The sort-minimal rotation of a nonempty cyclically composable word
+    and the sign relating the word to it; the sign is 0 when the class is
+    zero (a rotation returns the word with sign -1)."""
     # rotating a prefix of parity p past the rest gives (-1)^(p (total - p)),
     # which is (-1)^p for an even word and +1 for an odd one
     even = not sum(parity[n] for n in letters) & 1
@@ -93,6 +85,15 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
             bad = True
         if rotated < best:
             best, best_sign = rotated, sign
+    return best, 0 if bad else best_sign
+
+
+def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
+    if word.is_idem or not word.letters:
+        raise ValueError("cyclic classes are classes of nonempty words")
+    if not algebra.cyclically_composable(word):
+        raise ValueError(f"word {word} is not cyclically composable")
+    best, sign = _cyclic_rep(algebra.parity, word.letters)
     kappa = 1
     length = len(best)
     for k in range(length, 0, -1):
@@ -104,9 +105,9 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
             break
     return CyclicWord(
         representative=best,
-        sign=0 if bad else best_sign,
+        sign=sign,
         multiplicity=kappa,
-        is_zero=bad,
+        is_zero=not sign,
     )
 
 
@@ -141,36 +142,21 @@ class DecoratedWord:
         return ".".join((head,) + self.word[1:])
 
 
-def canonicalize_marked(
-    algebra: ChordAlgebra, letters: tuple[str, ...], mark: int, decoration: str
-) -> tuple[DecoratedWord, int]:
-    """Rotate the mark to the front.  Moving the prefix past the marked
-    suffix contributes the Koszul sign with the decorated degree of the
-    suffix (the mark itself counts |c|, plus one for a hat)."""
-    if not (0 <= mark < len(letters)):
-        raise ValueError("mark out of range")
-    if mark == 0:
-        return DecoratedWord(letters, decoration), 1
-    prefix = letters[:mark]
-    suffix = letters[mark:]
-    parity = algebra.parity
-    gp = sum(parity[n] for n in prefix)
-    gs = sum(parity[n] for n in suffix) + (decoration == HAT)
-    sign = -1 if gp & gs & 1 else 1
-    return DecoratedWord(suffix + prefix, decoration), sign
-
-
 def _s_terms(
     algebra: ChordAlgebra, letters: tuple[str, ...], tail: tuple[str, ...] = ()
-) -> Iterator[tuple[DecoratedWord, int]]:
-    """The terms of S(letters) * tail: each letter of `letters` hatted in
-    turn with the sign (-1)^(degree of the letters before it), rotated to
-    mark-first form with the sign of that rotation folded in."""
+) -> Iterator[tuple[tuple[str, ...], int]]:
+    """The terms of S(letters) * tail as (hat word, sign): each letter of
+    `letters` hatted in turn with the sign (-1)^p, p the degree of the
+    letters before it, and rotated to mark-first form.  Moving the prefix
+    past the marked suffix adds the Koszul sign (-1)^(p (q + 1)), q the
+    degree of the suffix and the hat adding one; the product is -1 exactly
+    when p is odd and the whole word even."""
     parity = algebra.parity
+    word = letters + tail
+    even = not sum(parity[n] for n in word) & 1
     odd = 0
     for j, name in enumerate(letters):
-        dw, rot = canonicalize_marked(algebra, letters + tail, j, HAT)
-        yield dw, -rot if odd else rot
+        yield word[j:] + word[:j], -1 if odd and even else 1
         odd ^= parity[name]
 
 
@@ -180,8 +166,8 @@ def s_operator(
     """S(c_1...c_l) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...hat(c_j)...c_l,
     normalized to mark-first form.  S of an idempotent is zero."""
     out: dict[DecoratedWord, Fraction] = defaultdict(Fraction)
-    for dw, sign in _s_terms(algebra, word.letters):
-        out[dw] += sign
+    for letters, sign in _s_terms(algebra, word.letters):
+        out[DecoratedWord(letters, HAT)] += sign
     return {k: v for k, v in out.items() if v}
 
 
@@ -211,15 +197,16 @@ def _cyclic_bases(
 def _cyclic_image(dga: DGASpec, label) -> dict:
     """The letterwise Leibniz differential followed by projection to the
     cyclic classes; length-zero collapses are dropped."""
-    alg = dga.algebra
-    out = _Sum()
-    for term, coeff in extend_leibniz(dga, Element.monomial(Word.of(label[1]))).terms.items():
-        if term.is_idem:
+    parity = dga.algebra.parity
+    out: dict = {}
+    for key, v in _leibniz_word(dga, label[1]).items():
+        if key.__class__ is not tuple:
             continue
-        cls = cyclic_class(alg, term)
-        if not cls.is_zero:
-            out.add(("cyc", cls.representative), coeff if cls.sign > 0 else -coeff)
-    return out
+        rep, sign = _cyclic_rep(parity, key)
+        if sign:
+            target = ("cyc", rep)
+            out[target] = out.get(target, 0) + (v if sign > 0 else -v)
+    return _fractions(out, dga._denom)
 
 
 def build_cyclic_complex(
@@ -257,34 +244,39 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
     the full algebra differential with units absorbed into the hat letter.
     """
     alg = dga.algebra
-    out = _Sum()
+    den = dga._denom
     parity = alg.parity
     head, tail = letters[0], letters[1:]
     head_odd = parity[head]
 
     # mark slot moved through the marked letter: + (slot, c, tail) and
     # - (-1)^(|c| |tail|) (slot, tail, c), translated to check lettering
-    out.add(("chk", _rot1((head,) + tail)), _ONE)
+    out: dict = {("chk", _rot1(letters)): den}
     odd = head_odd and sum(parity[x] for x in tail) & 1
-    out.add(("chk", _rot1(tail + (head,))), _ONE if odd else -_ONE)
+    target = ("chk", _rot1(tail + (head,)))
+    out[target] = out.get(target, 0) + (den if odd else -den)
 
     # -S(d(head)) * tail
-    for term, coeff in dga.d_gen(head).terms.items():
-        if term.is_idem:
-            continue
-        for dw, sign in _s_terms(alg, term.letters, tail):
-            out.add(("hat", dw.word), -coeff if sign > 0 else coeff)
+    for piece, _, _, c in dga._rows.get(head, ()):
+        for word, sign in _s_terms(alg, piece, tail):
+            target = ("hat", word)
+            out[target] = out.get(target, 0) + (-c if sign > 0 else c)
 
     # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
     if tail:
-        head_src = alg.gen(head).src
-        dtail = extend_leibniz(dga, Element.monomial(Word.of(tail)))
-        for term, coeff in dtail.terms.items():
-            if alg.dst(term) != head_src:
+        head_src, dst = dga._src[head], dga._dst
+        for key, v in _leibniz_word(dga, tail).items():
+            if key.__class__ is tuple:
+                if dst[key[0]] != head_src:
+                    continue
+                target = ("hat", (head,) + key)
+            elif key == head_src:
+                target = ("hat", (head,))
+            else:
                 continue
-            out.add(("hat", (head,) + term.letters), coeff if head_odd else -coeff)
+            out[target] = out.get(target, 0) + (v if head_odd else -v)
 
-    return out
+    return _fractions(out, den)
 
 
 def _decorated_bases(
@@ -333,15 +325,14 @@ def _decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
         return _hat_image(dga, label[1])
     if kind == "tau":
         return {}
-    letters = label[1]
-    out = _Sum()
-    dw = extend_leibniz(dga, Element.monomial(Word.of(_unrot1(letters))))
-    for term, coeff in dw.terms.items():
-        if not term.is_idem:
-            out.add(("chk", _rot1(term.letters)), coeff)
+    # the Leibniz keys are distinct, and so are their check and tau labels
+    out = {}
+    for key, v in _leibniz_word(dga, _unrot1(label[1])).items():
+        if key.__class__ is tuple:
+            out[("chk", _rot1(key))] = v
         elif tau:
-            out.add(("tau", term.comp), coeff)
-    return out
+            out[("tau", key)] = v
+    return _fractions(out, dga._denom)
 
 
 def build_hoplus_complex(
@@ -387,14 +378,14 @@ def _marks(dga: DGASpec) -> list[tuple]:
 
 def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
     """The mark differential d(c^) = x_dst c - c x_src - S(dc), as terms
-    (before, mark, after, coeff); S hats each letter of each term of dc in
-    turn with the sign (-1)^(degree of the letters before it).  The
-    component classes are closed."""
+    (before, mark, after, coeff) with coeff a numerator over dga._denom; S
+    hats each letter of each term of dc in turn with the sign (-1)^(degree
+    of the letters before it).  The component classes are closed."""
     c = dga.algebra.gen(cname)
     parity = dga.algebra.parity
-    terms = [((), ("mx", c.dst), (cname,), _ONE), ((cname,), ("mx", c.src), (), -_ONE)]
-    for term, coeff in dga.d_gen(cname).terms.items():
-        letters = term.letters
+    den = dga._denom
+    terms = [((), ("mx", c.dst), (cname,), den), ((cname,), ("mx", c.src), (), -den)]
+    for letters, _, _, coeff in dga._rows.get(cname, ()):
         odd = 0
         for j, name in enumerate(letters):
             terms.append(
@@ -449,22 +440,25 @@ def _mcyc_image(dga: DGASpec, label, mark_terms: dict) -> dict:
     rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
     mark_terms maps each chord to its _mark_terms."""
     alg = dga.algebra
-    out = _Sum()
+    out: dict = {}
     kind, name, word = label
     odd = False
     if kind == "mc":
         for before, mark, after, coeff in mark_terms[name]:
             if before:  # with nothing before the mark there is nothing to rotate
                 (mark, rest), rot = _mcyc_reduce(alg, before, mark, after + word)
-                out.add(mark + (rest,), coeff if rot > 0 else -coeff)
+                if rot < 0:
+                    coeff = -coeff
             else:
-                out.add(mark + (after + word,), coeff)
+                rest = after + word
+            target = mark + (rest,)
+            out[target] = out.get(target, 0) + coeff
         odd = not alg.parity[name]
     if word:
-        dw = extend_leibniz(dga, Element.monomial(Word.of(word)))
-        for term, coeff in dw.terms.items():
-            out.add((kind, name, term.letters), -coeff if odd else coeff)
-    return out
+        for key, v in _leibniz_word(dga, word).items():
+            target = (kind, name, key if key.__class__ is tuple else ())
+            out[target] = out.get(target, 0) + (-v if odd else v)
+    return _fractions(out, dga._denom)
 
 
 def build_mcyc_complex(
@@ -490,46 +484,53 @@ def build_module_M(
 ) -> GradedChainComplex:
     """The marked module: labels (left word, mark, right word), no rotations
     applied, with d(left m right) = d(left) m right + (-1)^|left| left d(m)
-    right + (-1)^(|left|+|m|) left m d(right)."""
+    right + (-1)^(|left|+|m|) left m d(right).  max_len bounds the length
+    of left and right together."""
     alg = dga.algebra
+    gens = alg.generators
     parity = alg.parity
+    den = dga._denom
     lo, hi = window
-    words = [()] + _composable_words(sorted(alg.generators), alg.generators, max_len)
+    names = sorted(gens)
+    lefts = [()] + _composable_words(names, gens, max_len)
     bases: dict[int, list] = {}
     for mark, msrc, mdst, mdeg in _marks(dga):
-        for left in words:
-            if left and alg.gen(left[-1]).src != mdst:
+        for left in lefts:
+            if left and gens[left[-1]].src != mdst:
                 continue
-            ldeg = sum(alg.gen(n).grading for n in left)
-            for right in words:
-                if len(left) + len(right) > max_len:
-                    continue
-                if right and alg.gen(right[0]).dst != msrc:
-                    continue
-                deg = ldeg + mdeg + sum(alg.gen(n).grading for n in right)
-                if lo - 1 <= deg <= hi + 1:
-                    bases.setdefault(deg, []).append(("M", left, mark, right))
+            shift = mdeg + sum(gens[n].grading for n in left)
+            if lo - 1 <= shift <= hi + 1:
+                bases.setdefault(shift, []).append(("M", left, mark, ()))
+            # the right words that follow the mark and bring the degree into
+            # the window, pruned as they are enumerated
+            for right in _composable_words(
+                names, gens, max_len - len(left), first=msrc,
+                window=(lo - 1 - shift, hi + 1 - shift),
+            ):
+                deg = shift + sum(gens[n].grading for n in right)
+                bases.setdefault(deg, []).append(("M", left, mark, right))
     for labs in bases.values():
         labs.sort()
     mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
 
     def image(degree: int, label) -> dict:
         _, left, mark, right = label
-        out = _Sum()
+        out: dict = {}
         if left:
-            dl = extend_leibniz(dga, Element.monomial(Word.of(left)))
-            for term, coeff in dl.terms.items():
-                out.add(("M", term.letters, mark, right), coeff)
+            for key, v in _leibniz_word(dga, left).items():
+                target = ("M", key if key.__class__ is tuple else (), mark, right)
+                out[target] = out.get(target, 0) + v
         odd = sum(parity[n] for n in left) & 1
         if mark[0] == "mc":
             for before, mk, after, coeff in mark_terms[mark[1]]:
-                out.add(("M", left + before, mk, after + right), -coeff if odd else coeff)
+                target = ("M", left + before, mk, after + right)
+                out[target] = out.get(target, 0) + (-coeff if odd else coeff)
             odd ^= not parity[mark[1]]
         if right:
-            dr = extend_leibniz(dga, Element.monomial(Word.of(right)))
-            for term, coeff in dr.terms.items():
-                out.add(("M", left, mark, term.letters), -coeff if odd else coeff)
-        return out
+            for key, v in _leibniz_word(dga, right).items():
+                target = ("M", left, mark, key if key.__class__ is tuple else ())
+                out[target] = out.get(target, 0) + (-v if odd else v)
+        return _fractions(out, den)
 
     verdict = guard_verdict(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1

@@ -79,49 +79,62 @@ class DGASpec:
         return extend_leibniz(self, x)
 
 
-def extend_leibniz(dga: DGASpec, x: Element) -> Element:
-    """Graded Leibniz extension of the generator differential.
+def _leibniz_word(
+    dga: DGASpec, letters: tuple[str, ...], a: int = 1, acc: dict | None = None
+) -> dict:
+    """The graded Leibniz rule on one nonempty word, in integers.
 
     d(c_1...c_m) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...d(c_j)...c_m, with
     units produced inside a word absorbed multiplicatively.  A term of
     d(c_j) survives when its ports meet the neighbouring letters, as in
-    ChordAlgebra.mul_words.  The sum runs on letter tuples and integer
-    numerators over one common denominator; a running sum that reaches
-    zero drops its word, so the terms come out in the order of the
-    product-by-product Element sum.
+    ChordAlgebra.mul_words.  Adds a times d(letters) to acc (a new dict by
+    default) and returns it: keys are letter tuples, or the component of an
+    idempotent, and values are numerators over dga._denom.  A running sum
+    that reaches zero drops its key, so the keys come out in the order of
+    the product-by-product Element sum.
     """
     rows = dga._rows
     parity = dga.algebra.parity
     src, dst = dga._src, dga._dst
+    if acc is None:
+        acc = {}
+    last = len(letters) - 1
+    odd = 0
+    for j, name in enumerate(letters):
+        drows = rows.get(name)
+        if drows:
+            left = src[letters[j - 1]] if j else None
+            right = dst[letters[j + 1]] if j < last else None
+            prefix, suffix = letters[:j], letters[j + 1:]
+            sa = -a if odd else a
+            for piece, pdst, psrc, c in drows:
+                if left is not None and left != pdst:
+                    continue
+                if right is not None and right != psrc:
+                    continue
+                # an empty product is the idempotent, keyed by its component
+                key = prefix + piece + suffix or pdst
+                v = acc.get(key, 0) + sa * c
+                if v:
+                    acc[key] = v
+                else:  # only a stored sum can cancel: sa * c != 0
+                    del acc[key]
+        odd ^= parity[name]
+    return acc
+
+
+def extend_leibniz(dga: DGASpec, x: Element) -> Element:
+    """Graded Leibniz extension of the generator differential.
+
+    The words of x are expanded by _leibniz_word into one running sum of
+    integer numerators over one common denominator, so the terms come out
+    in the order of the product-by-product Element sum.
+    """
     scale = math.lcm(*(c.denominator for c in x.terms.values()))
     acc: dict = {}
     for word, coeff in x.terms.items():
-        letters = word.letters
-        if not letters:
-            continue
-        a = coeff.numerator * (scale // coeff.denominator)
-        last = len(letters) - 1
-        odd = 0
-        for j, name in enumerate(letters):
-            drows = rows.get(name)
-            if drows:
-                left = src[letters[j - 1]] if j else None
-                right = dst[letters[j + 1]] if j < last else None
-                prefix, suffix = letters[:j], letters[j + 1:]
-                sa = -a if odd else a
-                for piece, pdst, psrc, c in drows:
-                    if left is not None and left != pdst:
-                        continue
-                    if right is not None and right != psrc:
-                        continue
-                    # an empty product is the idempotent, keyed by its component
-                    key = prefix + piece + suffix or pdst
-                    v = acc.get(key, 0) + sa * c
-                    if v:
-                        acc[key] = v
-                    else:  # only a stored sum can cancel: sa * c != 0
-                        del acc[key]
-            odd ^= parity[name]
+        if word.letters:
+            _leibniz_word(dga, word.letters, coeff.numerator * (scale // coeff.denominator), acc)
     denom = scale * dga._denom
     return Element._normalized({
         (Word(key) if key.__class__ is tuple else Word.idem(key)): Fraction(v, denom)

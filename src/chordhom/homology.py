@@ -358,6 +358,15 @@ def enumerate_cyclic_words(
     return [Word(w) for w in words]
 
 
+def _fractions(acc: dict, den: int) -> dict:
+    """An image accumulated as integer numerators over den, as the
+    {label: Fraction} it stands for: labels in the order of their first
+    term, the ones that summed to zero left out."""
+    if den == 1:
+        return {label: Fraction(v) for label, v in acc.items() if v}
+    return {label: Fraction(v, den) for label, v in acc.items() if v}
+
+
 def build_complex(
     bases: dict[int, list[Label]],
     image: Callable[[int, Label], dict[Label, Fraction]],

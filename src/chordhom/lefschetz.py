@@ -14,21 +14,27 @@ Every construction reads one merged table (`CurvedAinf.table`) and one
 chord list (`_chords`).  The dual DGA and the holomorphic part of the
 direct one share the t-power expansion `_expand`; the direct Morse--Bott
 terms are derived on their own, so dual = direct compares two derivations.
+
+The boundary images of the cyclic tensor complex sum integer numerators
+over the lcm of the table's denominators, with the Koszul signs read off
+one prefix-parity list per label; each image turns a label's sum into a
+Fraction once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, TruncatedSeries, Word, rat, series_multiply
 from .dga import DGASpec
 from .homology import (
     GradedChainComplex,
     _composable_words,
+    _fractions,
     build_complex,
     enumerate_cyclic_words,
     guard_verdict,
@@ -539,17 +545,20 @@ def hochschild_complex(
     dictionary window.  Sectors: one class per component, words headed by a
     component factor, and plain words.
     """
-    symbols, table, N = D.symbols, D.table, D.order
+    symbols, N = D.symbols, D.order
     gens = _chord_generators(symbols, N)
     alg = ChordAlgebra(BaseRing(D.spec.k), gens)
+    parity = alg.parity
+    src = {g.name: g.src for g in gens}
+    dst = {g.name: g.dst for g in gens}
     name_to_chord = {_chord_name(*sp): sp for sp in _chords(symbols, N)}
+    # the table as integer numerators over the lcm of its denominators
+    den = math.lcm(*(c.denominator for hits in D.table.values() for c in hits.values()))
+    table = {
+        word: [(out, c.numerator * (den // c.denominator)) for out, c in hits.items()]
+        for word, hits in D.table.items()
+    }
     lo, hi = window
-
-    def sigma_name(nm: str) -> int:
-        return alg.gen(nm).grading
-
-    def sigma_sum(letters: Iterable[str]) -> int:
-        return sum(sigma_name(x) for x in letters)
 
     words = enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len)
     bases: dict[int, list] = {}
@@ -569,87 +578,88 @@ def hochschild_complex(
         stored[-deg] = labs
 
     def blocks_of(block: tuple[str, ...]):
-        """Table hits for a block of chords; yields (out_name, coeff)."""
+        """Table hits for a block of chords; yields (out_name, numerator)."""
         hits = table.get(tuple(name_to_chord[x][0] for x in block))
         if not hits:
             return
         total = sum(name_to_chord[x][1] for x in block)
         if total > N:
             return
-        for out, coeff in hits.items():
+        for out, coeff in hits:
             if symbols[out].p_min <= total:
                 yield _chord_name(out, total), coeff
 
-    def insertions(letters: tuple[str, ...], comp_first: int):
-        """Insertion slots for the curvature chord: (slot, component)."""
-        out = []
-        for slot in range(len(letters) + 1):
-            if slot == 0:
-                comp = alg.gen(letters[0]).dst if letters else comp_first
-            else:
-                comp = alg.gen(letters[slot - 1]).src
-            out.append((slot, comp))
-        return out
+    def prefix_parities(letters: tuple[str, ...]) -> list[int]:
+        """pre[i]: the grading parity of letters[:i], for i = 0..len."""
+        pre = [0]
+        for x in letters:
+            pre.append(pre[-1] ^ parity[x])
+        return pre
+
+    def add(out: dict, label, v: int) -> None:
+        out[label] = out.get(label, 0) + v
 
     def image(stored_degree: int, label) -> dict:
-        out: dict = defaultdict(Fraction)
+        """The boundary image in integer numerators over den, converted to
+        Fractions once per label at the end."""
+        out: dict = {}
         kind = label[0]
         if kind == "cce":
             i = label[1]
-            out[("ccv", i, (_chord_name(("e", i), 1),))] += 1
-            return out
+            return {("ccv", i, (_chord_name(("e", i), 1),)): Fraction(1)}
         if kind == "ccv":
             letters = label[2]
             slot_word = letters[1:] + (letters[0],)
             s = len(slot_word)
+            pre = prefix_parities(slot_word)
 
             def emit(new_word, coeff):
                 lab = (new_word[-1],) + new_word[:-1]
-                out[("ccv", alg.gen(lab[0]).dst, lab)] += coeff
+                add(out, ("ccv", dst[lab[0]], lab), coeff)
 
             for t in range(s):
-                psign = -1 if sigma_sum(slot_word[:t]) % 2 else 1
+                psign = -1 if pre[t] else 1
                 for m in range(1, s - t + 1):
                     for out_name, coeff in blocks_of(slot_word[t : t + m]):
                         emit(
                             slot_word[:t] + (out_name,) + slot_word[t + m :],
                             psign * coeff,
                         )
-            for slot, c_comp in insertions(slot_word, label[1]):
-                psign = -1 if sigma_sum(slot_word[:slot]) % 2 else 1
+            # the curvature chord inserted at every slot of the slot word
+            for slot in range(s + 1):
+                c_comp = src[slot_word[slot - 1]] if slot else dst[slot_word[0]]
                 enm = _chord_name(("e", c_comp), 1)
-                emit(slot_word[:slot] + (enm,) + slot_word[slot:], psign)
-            out[("cch", slot_word)] += 1
-            g0 = sigma_name(letters[0])
-            grest = sigma_sum(letters[1:])
-            rsign = -1 if (g0 * grest) % 2 else 1
-            out[("cch", letters)] -= rsign
-            return out
+                emit(slot_word[:slot] + (enm,) + slot_word[slot:], -den if pre[slot] else den)
+            add(out, ("cch", slot_word), den)
+            # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
+            rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
+            add(out, ("cch", letters), -rsign * den)
+            return _fractions(out, den)
         letters = label[1]
         s = len(letters)
-        hat_sign = sigma_name(letters[0]) + 1
+        pre = prefix_parities(letters)
+        # with the hat on letters[0], the sign before position j is
+        # (-1)^(|letters[0]| + 1 + |letters[1:j]|) = (-1)^(1 + pre[j])
         for j in range(1, s):
-            psign = -1 if (hat_sign + sigma_sum(letters[1:j])) % 2 else 1
+            psign = 1 if pre[j] else -1
             for m in range(1, s - j + 1):
                 for out_name, coeff in blocks_of(letters[j : j + m]):
                     new = letters[:j] + (out_name,) + letters[j + m :]
-                    out[("cch", new)] += psign * coeff
+                    add(out, ("cch", new), psign * coeff)
         for t in range(0, s):
-            comp = alg.gen(letters[t]).src
-            psign = -1 if (hat_sign + sigma_sum(letters[1 : t + 1])) % 2 else 1
-            enm = _chord_name(("e", comp), 1)
+            enm = _chord_name(("e", src[letters[t]]), 1)
             new = letters[: t + 1] + (enm,) + letters[t + 1 :]
-            out[("cch", new)] += psign
+            add(out, ("cch", new), den if pre[t + 1] else -den)
         for h in range(1, s + 1):
             for t in range(0, s - h + 1):
                 middle = letters[h : s - t]
                 tail = letters[s - t :] if t else ()
                 for out_name, coeff in blocks_of(tail + letters[:h]):
-                    sign_exp = sigma_sum(tail) * (sigma_sum(letters[:h]) + sigma_sum(middle))
-                    sgn = -1 if sign_exp % 2 else 1
+                    # (-1)^(|tail| |letters[:s-t]|)
+                    sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
                     # the spread of the marked letter enters negatively
-                    out[("cch", (out_name,) + middle)] -= sgn * coeff
-        return out
+                    add(out, ("cch", (out_name,) + middle), -sgn * coeff)
+        return _fractions(out, den)
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
     return build_complex(

@@ -233,8 +233,8 @@ def _orbit_row(
         for b, c in rows(counts.orbit_orbit):
             out[("ohat", b)] += c / kappa
         for w, c in rows(counts.orbit_cyc, needs_algebra=True):
-            for dw, sign in _s_terms(algebra, w):
-                out[("hat", dw.word)] += c * sign / kappa
+            for word, sign in _s_terms(algebra, w):
+                out[("hat", word)] += c * sign / kappa
     elif kind == "mrs":
         for q, c in rows(counts.morse_morse):
             out[("mrs", q)] += c

@@ -1,0 +1,285 @@
+"""Element-based boundary images: a test-side reference for the integer
+images of complexes.py and lefschetz.py.
+
+Every image here wraps its word in an Element, expands it with
+extend_leibniz and sums Fraction coefficients label by label, keeping the
+labels in the order of their first term.  The library images accumulate
+integer numerators instead; built on the same bases, the two must give the
+same matrices, entry for entry and in stored order.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from fractions import Fraction
+
+from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
+from chordhom.complexes import _marks, _mcyc_reduce, cyclic_class
+from chordhom.dga import DGASpec, extend_leibniz
+from chordhom.homology import _composable_words, build_complex, enumerate_cyclic_words
+from chordhom.lefschetz import CurvedAinf, _cc_label_key, _chord_generators, _chord_name, _chords
+
+_ONE = Fraction(1)
+
+
+class _Sum(dict):
+    """Coefficient sums; labels keep the order of their first term, and a
+    label whose sum reaches zero keeps its place."""
+
+    def add(self, label, coeff: Fraction) -> None:
+        prev = self.get(label)
+        self[label] = coeff if prev is None else prev + coeff
+
+
+def _d(dga: DGASpec, letters: tuple[str, ...]) -> Element:
+    return extend_leibniz(dga, Element.monomial(Word.of(letters)))
+
+
+def canonicalize_hat(alg: ChordAlgebra, letters, mark: int):
+    """Rotate a hat mark to the front.  Moving the prefix past the marked
+    suffix contributes the Koszul sign with the decorated degree of the
+    suffix (the marked letter counts |c| plus one for the hat)."""
+    prefix, suffix = letters[:mark], letters[mark:]
+    gp = sum(alg.gen(n).grading for n in prefix)
+    gs = sum(alg.gen(n).grading for n in suffix) + 1
+    return suffix + prefix, -1 if gp * gs % 2 else 1
+
+
+def _s_terms(alg: ChordAlgebra, letters, tail=()):
+    odd = 0
+    for j, name in enumerate(letters):
+        word, rot = canonicalize_hat(alg, letters + tail, j)
+        yield word, -rot if odd else rot
+        odd ^= alg.gen(name).grading % 2
+
+
+def cyclic_image(dga: DGASpec, label) -> dict:
+    alg = dga.algebra
+    out = _Sum()
+    for term, coeff in _d(dga, label[1]).terms.items():
+        if term.is_idem:
+            continue
+        cls = cyclic_class(alg, term)
+        if not cls.is_zero:
+            out.add(("cyc", cls.representative), coeff if cls.sign > 0 else -coeff)
+    return out
+
+
+def _rot1(letters):
+    return (letters[-1],) + letters[:-1]
+
+
+def hat_image(dga: DGASpec, letters) -> dict:
+    alg = dga.algebra
+    out = _Sum()
+    parity = alg.parity
+    head, tail = letters[0], letters[1:]
+    head_odd = parity[head]
+    out.add(("chk", _rot1((head,) + tail)), _ONE)
+    odd = head_odd and sum(parity[x] for x in tail) & 1
+    out.add(("chk", _rot1(tail + (head,))), _ONE if odd else -_ONE)
+    for term, coeff in dga.d_gen(head).terms.items():
+        if term.is_idem:
+            continue
+        for word, sign in _s_terms(alg, term.letters, tail):
+            out.add(("hat", word), -coeff if sign > 0 else coeff)
+    if tail:
+        head_src = alg.gen(head).src
+        for term, coeff in _d(dga, tail).terms.items():
+            if alg.dst(term) != head_src:
+                continue
+            out.add(("hat", (head,) + term.letters), coeff if head_odd else -coeff)
+    return out
+
+
+def decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
+    kind = label[0]
+    if kind == "hat":
+        return hat_image(dga, label[1])
+    if kind == "tau":
+        return {}
+    letters = label[1]
+    out = _Sum()
+    for term, coeff in _d(dga, letters[1:] + (letters[0],)).terms.items():
+        if not term.is_idem:
+            out.add(("chk", _rot1(term.letters)), coeff)
+        elif tau:
+            out.add(("tau", term.comp), coeff)
+    return out
+
+
+def mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
+    c = dga.algebra.gen(cname)
+    parity = dga.algebra.parity
+    terms = [((), ("mx", c.dst), (cname,), _ONE), ((cname,), ("mx", c.src), (), -_ONE)]
+    for term, coeff in dga.d_gen(cname).terms.items():
+        letters = term.letters
+        odd = 0
+        for j, name in enumerate(letters):
+            terms.append(
+                (letters[:j], ("mc", name), letters[j + 1:], coeff if odd else -coeff)
+            )
+            odd ^= parity[name]
+    return terms
+
+
+def mcyc_image(dga: DGASpec, label) -> dict:
+    alg = dga.algebra
+    out = _Sum()
+    kind, name, word = label
+    odd = False
+    if kind == "mc":
+        for before, mark, after, coeff in mark_terms(dga, name):
+            if before:
+                (mark, rest), rot = _mcyc_reduce(alg, before, mark, after + word)
+                out.add(mark + (rest,), coeff if rot > 0 else -coeff)
+            else:
+                out.add(mark + (after + word,), coeff)
+        odd = not alg.parity[name]
+    if word:
+        for term, coeff in _d(dga, word).terms.items():
+            out.add((kind, name, term.letters), -coeff if odd else coeff)
+    return out
+
+
+def module_M_bases(dga: DGASpec, window: tuple[int, int], max_len: int) -> dict[int, list]:
+    """Every composable left word paired with every right word, filtered
+    afterwards by ports, total length and degree."""
+    alg = dga.algebra
+    lo, hi = window
+    words = [()] + _composable_words(sorted(alg.generators), alg.generators, max_len)
+    bases: dict[int, list] = {}
+    for mark, msrc, mdst, mdeg in _marks(dga):
+        for left in words:
+            if left and alg.gen(left[-1]).src != mdst:
+                continue
+            ldeg = sum(alg.gen(n).grading for n in left)
+            for right in words:
+                if len(left) + len(right) > max_len:
+                    continue
+                if right and alg.gen(right[0]).dst != msrc:
+                    continue
+                deg = ldeg + mdeg + sum(alg.gen(n).grading for n in right)
+                if lo - 1 <= deg <= hi + 1:
+                    bases.setdefault(deg, []).append(("M", left, mark, right))
+    for labs in bases.values():
+        labs.sort()
+    return bases
+
+
+def module_M_image(dga: DGASpec, label) -> dict:
+    parity = dga.algebra.parity
+    _, left, mark, right = label
+    out = _Sum()
+    if left:
+        for term, coeff in _d(dga, left).terms.items():
+            out.add(("M", term.letters, mark, right), coeff)
+    odd = sum(parity[n] for n in left) & 1
+    if mark[0] == "mc":
+        for before, mk, after, coeff in mark_terms(dga, mark[1]):
+            out.add(("M", left + before, mk, after + right), -coeff if odd else coeff)
+        odd ^= not parity[mark[1]]
+    if right:
+        for term, coeff in _d(dga, right).terms.items():
+            out.add(("M", left, mark, term.letters), -coeff if odd else coeff)
+    return out
+
+
+def module_M_reference(dga: DGASpec, window: tuple[int, int], max_len: int):
+    return build_complex(
+        module_M_bases(dga, window, max_len),
+        lambda degree, label: module_M_image(dga, label),
+        window, "reference", max_len,
+    )
+
+
+def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
+    """The cyclic tensor complex with Fraction coefficients, summed over
+    every prefix grading as written."""
+    symbols, table, N = D.symbols, D.table, D.order
+    gens = _chord_generators(symbols, N)
+    alg = ChordAlgebra(BaseRing(D.spec.k), gens)
+    name_to_chord = {_chord_name(*sp): sp for sp in _chords(symbols, N)}
+    lo, hi = window
+
+    def sigma_sum(letters) -> int:
+        return sum(alg.gen(x).grading for x in letters)
+
+    bases: dict[int, list] = {}
+    if lo - 1 <= 0 <= hi + 1:
+        for i in range(1, D.spec.k + 1):
+            bases.setdefault(0, []).append(("cce", i))
+    for w in enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len):
+        deg = alg.grading(w)
+        if lo - 1 <= deg <= hi + 1:
+            bases.setdefault(deg, []).append(("ccv", alg.dst(w), w.letters))
+        if lo - 1 <= deg + 1 <= hi + 1:
+            bases.setdefault(deg + 1, []).append(("cch", w.letters))
+    stored: dict[int, list] = {}
+    for deg, labs in bases.items():
+        labs.sort(key=_cc_label_key)
+        stored[-deg] = labs
+
+    def blocks_of(block):
+        hits = table.get(tuple(name_to_chord[x][0] for x in block))
+        if not hits:
+            return
+        total = sum(name_to_chord[x][1] for x in block)
+        if total > N:
+            return
+        for out, coeff in hits.items():
+            if symbols[out].p_min <= total:
+                yield _chord_name(out, total), coeff
+
+    def image(stored_degree: int, label) -> dict:
+        out: dict = defaultdict(Fraction)
+        kind = label[0]
+        if kind == "cce":
+            i = label[1]
+            out[("ccv", i, (_chord_name(("e", i), 1),))] += 1
+            return out
+        if kind == "ccv":
+            letters = label[2]
+            slot_word = letters[1:] + (letters[0],)
+            s = len(slot_word)
+
+            def emit(new_word, coeff):
+                lab = (new_word[-1],) + new_word[:-1]
+                out[("ccv", alg.gen(lab[0]).dst, lab)] += coeff
+
+            for t in range(s):
+                psign = -1 if sigma_sum(slot_word[:t]) % 2 else 1
+                for m in range(1, s - t + 1):
+                    for out_name, coeff in blocks_of(slot_word[t : t + m]):
+                        emit(slot_word[:t] + (out_name,) + slot_word[t + m :], psign * coeff)
+            for slot in range(s + 1):
+                comp = alg.gen(slot_word[slot - 1]).src if slot else alg.gen(slot_word[0]).dst
+                psign = -1 if sigma_sum(slot_word[:slot]) % 2 else 1
+                emit(slot_word[:slot] + (_chord_name(("e", comp), 1),) + slot_word[slot:], psign)
+            out[("cch", slot_word)] += 1
+            rsign = -1 if (sigma_sum(letters[:1]) * sigma_sum(letters[1:])) % 2 else 1
+            out[("cch", letters)] -= rsign
+            return out
+        letters = label[1]
+        s = len(letters)
+        hat_sign = sigma_sum(letters[:1]) + 1
+        for j in range(1, s):
+            psign = -1 if (hat_sign + sigma_sum(letters[1:j])) % 2 else 1
+            for m in range(1, s - j + 1):
+                for out_name, coeff in blocks_of(letters[j : j + m]):
+                    out[("cch", letters[:j] + (out_name,) + letters[j + m :])] += psign * coeff
+        for t in range(0, s):
+            enm = _chord_name(("e", alg.gen(letters[t]).src), 1)
+            psign = -1 if (hat_sign + sigma_sum(letters[1 : t + 1])) % 2 else 1
+            out[("cch", letters[: t + 1] + (enm,) + letters[t + 1 :])] += psign
+        for h in range(1, s + 1):
+            for t in range(0, s - h + 1):
+                middle = letters[h : s - t]
+                tail = letters[s - t :] if t else ()
+                for out_name, coeff in blocks_of(tail + letters[:h]):
+                    sign_exp = sigma_sum(tail) * (sigma_sum(letters[:h]) + sigma_sum(middle))
+                    sgn = -1 if sign_exp % 2 else 1
+                    out[("cch", (out_name,) + middle)] -= sgn * coeff
+        return out
+
+    return build_complex(stored, image, (-hi, -lo), "reference", max_len)

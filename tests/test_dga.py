@@ -11,6 +11,7 @@ from chordhom.dga import (
     DGAMorphism,
     DGASpec,
     RelQError,
+    _leibniz_word,
     adjoin_q,
     check_d_squared,
     check_morphism,
@@ -166,6 +167,29 @@ def test_leibniz_kernel_matches_element_products(seed):
         assert list(extend_leibniz(dga, dga.d_gen(g.name)).terms.items()) == list(
             leibniz_reference(dga, dga.d_gen(g.name)).terms.items()
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_leibniz_word_matches_extend_leibniz(seed):
+    # the integer kernel is d(w) in numerators over dga._denom, keyed by
+    # letter tuples and idempotent components, in extend_leibniz's order
+    rng = random.Random(seed)
+    dga = free_dga(rng)
+    names = [g.name for g in dga.generators]
+    for _ in range(4):
+        if rng.random() < 0.5:
+            letters = tuple(rng.choice(names) for _ in range(rng.randint(1, 4)))
+        else:
+            letters = _random_composable(rng, dga.generators, rng.randint(1, 4)).letters
+        got = _leibniz_word(dga, letters)
+        want = extend_leibniz(dga, Element.monomial(Word.of(letters))).terms
+        scaled = [
+            (Word(key) if type(key) is tuple else Word.idem(key), Fraction(v, dga._denom))
+            for key, v in got.items()
+        ]
+        assert scaled == list(want.items())
+        assert all(type(v) is int and v for v in got.values())
 
 
 def test_leibniz_drops_port_mismatched_terms():

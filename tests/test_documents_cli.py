@@ -365,17 +365,36 @@ def test_cli_filling_document_below_dimension_2_exit_2(tmp_path, n):
 _CHEKANOV_EPS = {"a7": "1", "a8": "-1", "a9": "1"}
 
 
-def test_cli_linearized_homology_reads_an_augmentation(tmp_path):
-    from chordhom.dga import Augmentation, linearize
-    from chordhom.homology import betti
-
+def _chekanov_lin(tmp_path, *window: str):
     path = tmp_path / "eps.aug"
     path.write_text(dumps({"format": "augmentation/1", "values": _CHEKANOV_EPS}))
-    code, out = run_cli("homology", "chekanov_a", "--complex", "lin", "--augmentation", str(path))
+    return run_cli(
+        "homology", "chekanov_a", "--complex", "lin", "--augmentation", str(path), *window
+    )
+
+
+def test_cli_linearized_homology_reads_an_augmentation(tmp_path):
+    from chordhom.dga import Augmentation, linearize
+    from chordhom.homology import BettiTable, betti
+
+    code, out = _chekanov_lin(tmp_path, "--min-deg", "-2", "--max-deg", "2")
     dga = dga_from_document(example_document("chekanov_a"))
     table = betti(linearize(dga, Augmentation({k: Fraction(v) for k, v in _CHEKANOV_EPS.items()})))
     assert code == 0
-    assert out == betti_to_text(table, (min(table.ranks), max(table.ranks)))
+    window = {d: table.rank(d) for d in range(-2, 3)}
+    assert out == betti_to_text(BettiTable(window, frozenset(), table.verdict), (-2, 2))
+
+
+@pytest.mark.parametrize("lo,hi", [(-2, 2), (0, 0), (5, 9), (-4, -1)])
+def test_cli_linearized_homology_prints_the_requested_degrees(tmp_path, lo, hi):
+    # the linearized complex holds every generator, so each requested degree
+    # is exact (rank 0 without generators) and none is flagged as an edge
+    code, out = _chekanov_lin(tmp_path, "--min-deg", str(lo), "--max-deg", str(hi))
+    ranks = {-2: 1, -1: 0, 0: 0, 1: 1, 2: 1}
+    assert code == 0
+    assert "edge" not in out
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert rows == [[str(d), str(ranks.get(d, 0))] for d in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,122 @@
+"""The integer boundary images of the chord builders and of the cyclic
+tensor complex against the Element-based reference images of
+reference_images.py, on inputs whose coefficients have denominators 2-4:
+the same matrices, entry for entry and in stored order."""
+
+import itertools
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chordhom.surgery as surgery
+import reference_images as ref
+from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator
+from chordhom.complexes import (
+    _s_terms,
+    build_cyclic_complex,
+    build_ho_complex,
+    build_hoplus_complex,
+    build_mcyc_complex,
+    build_module_M,
+)
+from chordhom.dga import DGASpec
+from chordhom.homology import build_complex
+from chordhom.lefschetz import build_curved_category, hochschild_complex
+from chordhom.surgery import SurgeryCountTable, build_sh_surgery, builtin_ball_filling
+
+from conftest import random_ainf_spec, random_dga
+
+
+def _fraction(rng: random.Random) -> Fraction:
+    # numerators prime to every denominator, so each term keeps its 2, 3 or 4
+    return Fraction(rng.choice([-7, -5, -1, 1, 5, 7]), rng.choice([2, 3, 4]))
+
+
+def fractional_dga(rng: random.Random, min_grading: int) -> DGASpec:
+    """A random_dga with a nonzero differential and every coefficient
+    replaced by a fraction of denominator 2-4; d^2 = 0 still holds, since
+    each differential hits words in closed generators only."""
+    base = random_dga(rng, max_gens=5, min_grading=min_grading)
+    while not any(el.terms for el in base.differential.values()):
+        base = random_dga(rng, max_gens=5, min_grading=min_grading)
+    diff = {
+        name: Element({w: _fraction(rng) for w in el.terms})
+        for name, el in base.differential.items()
+    }
+    return DGASpec(base.ring, base.generators, diff, base.ambient_dim)
+
+
+def assert_same_matrices(got, want):
+    assert got.basis == want.basis
+    assert set(got.diffs) == set(want.diffs)
+    for d, matrix in got.diffs.items():
+        assert list(matrix.items()) == list(want.diffs[d].items()), d
+        assert all(type(v) is Fraction for v in matrix.values())
+
+
+def test_s_terms_match_the_rotation_reference():
+    # every word of length 1-3 over letters of each grading parity (and a
+    # grading-0 one), with tails of length 0-2
+    alg = ChordAlgebra(BaseRing(1), [Generator(x, g) for x, g in zip("abcd", (1, 2, 3, 0))])
+    for n, m in itertools.product(range(1, 4), range(3)):
+        for letters in itertools.product("abcd", repeat=n):
+            for tail in itertools.product("abcd", repeat=m):
+                assert list(_s_terms(alg, letters, tail)) == list(ref._s_terms(alg, letters, tail))
+
+
+CHORD_IMAGES = [
+    (build_cyclic_complex, ref.cyclic_image),
+    (build_hoplus_complex, ref.decorated_image),
+    (build_ho_complex, lambda dga, label: ref.decorated_image(dga, label, tau=True)),
+    (build_mcyc_complex, ref.mcyc_image),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]))
+def test_chord_images_match_the_element_reference(seed, min_grading):
+    rng = random.Random(seed)
+    dga = fractional_dga(rng, min_grading)
+    window, max_len = (0, 3), 3
+    for builder, image in CHORD_IMAGES:
+        cx = builder(dga, window, max_len)
+        want = build_complex(
+            cx.basis, lambda degree, label: image(dga, label), window, cx.verdict, max_len
+        )
+        assert_same_matrices(cx, want)
+    assert_same_matrices(
+        build_module_M(dga, window, max_len), ref.module_M_reference(dga, window, max_len)
+    )
+    filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
+    sh = build_sh_surgery(filling, dga, counts, window, max_len)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_decorated_image", ref.decorated_image)
+        want = build_sh_surgery(filling, dga, counts, window, max_len)
+    assert_same_matrices(sh, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]), st.integers(2, 5))
+def test_module_M_labels_match_the_all_pairs_loop(seed, min_grading, max_len):
+    # integer coefficients: only the basis is compared
+    dga = random_dga(random.Random(seed), min_grading=min_grading)
+    for window in ((0, 3), (-2, 1), (2, 6)):
+        got = build_module_M(dga, window, max_len).basis
+        assert got == ref.module_M_bases(dga, window, max_len)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_hochschild_images_match_the_fraction_reference(seed, t_order):
+    rng = random.Random(seed)
+    spec = random_ainf_spec(rng)
+    spec = replace(spec, mu=[(out, combo, _fraction(rng)) for out, combo, _ in spec.mu])
+    D = build_curved_category(spec, t_order)
+    window, max_len = (0, 4), 5
+    assert_same_matrices(
+        hochschild_complex(D, window, max_len), ref.hochschild_reference(D, window, max_len)
+    )
