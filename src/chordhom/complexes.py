@@ -22,15 +22,13 @@ completed check/hat complex compares two constructions.
 Every boundary image runs in integers: the Leibniz terms come from
 dga._leibniz_word on letter tuples, the differential rows and unit terms
 are numerators over the DGA's common denominator dga._denom, and each
-image sums numerators per label and turns each nonzero sum into one
-Fraction at the end (homology._fractions).
+image returns its sums per label as (numerators, dga._denom), which
+build_complex stores as they are.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .algebra import ChordAlgebra, Element, Word
@@ -38,7 +36,6 @@ from .dga import DGASpec, _leibniz_word
 from .homology import (
     GradedChainComplex,
     _composable_words,
-    _fractions,
     betti,
     build_complex,
     enumerate_cyclic_words,
@@ -111,24 +108,6 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
     )
 
 
-def is_bad_by_parity(algebra: ChordAlgebra, word: Word) -> bool:
-    """The parity-form criterion: some rotation is an even power of an
-    odd-graded monomial.  Equivalent to CyclicWord.is_zero; kept separate
-    as a cross-check."""
-    for rotated, _ in algebra.rotations(word):
-        letters = rotated.letters
-        length = len(letters)
-        for k in range(2, length + 1, 2):
-            if length % k:
-                continue
-            period = length // k
-            if letters == letters[:period] * k:
-                base = Word.of(letters[:period])
-                if algebra.grading(base) % 2:
-                    return True
-    return False
-
-
 @dataclass(frozen=True)
 class DecoratedWord:
     """Cyclic word with one marked letter, mark stored at position 0."""
@@ -160,17 +139,6 @@ def _s_terms(
         odd ^= parity[name]
 
 
-def s_operator(
-    algebra: ChordAlgebra, word: Word
-) -> dict[DecoratedWord, Fraction]:
-    """S(c_1...c_l) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...hat(c_j)...c_l,
-    normalized to mark-first form.  S of an idempotent is zero."""
-    out: dict[DecoratedWord, Fraction] = defaultdict(Fraction)
-    for letters, sign in _s_terms(algebra, word.letters):
-        out[DecoratedWord(letters, HAT)] += sign
-    return {k: v for k, v in out.items() if v}
-
-
 # ---- the cyclic complex ------------------------------------------------------
 
 
@@ -194,7 +162,7 @@ def _cyclic_bases(
     return bases
 
 
-def _cyclic_image(dga: DGASpec, label) -> dict:
+def _cyclic_image(dga: DGASpec, label) -> tuple[dict, int]:
     """The letterwise Leibniz differential followed by projection to the
     cyclic classes; length-zero collapses are dropped."""
     parity = dga.algebra.parity
@@ -206,7 +174,7 @@ def _cyclic_image(dga: DGASpec, label) -> dict:
         if sign:
             target = ("cyc", rep)
             out[target] = out.get(target, 0) + (v if sign > 0 else -v)
-    return _fractions(out, dga._denom)
+    return out, dga._denom
 
 
 def build_cyclic_complex(
@@ -237,7 +205,7 @@ def _unrot1(letters: tuple[str, ...]) -> tuple[str, ...]:
     return letters[1:] + (letters[0],)
 
 
-def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
+def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> tuple[dict, int]:
     """Differential of a hat word, in the marked-module normal form: the
     two mark-slot commutator terms land in check words, the marked letter
     feeds the spread operator with a minus sign, and the remainder carries
@@ -276,7 +244,7 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> dict:
                 continue
             out[target] = out.get(target, 0) + (v if head_odd else -v)
 
-    return _fractions(out, den)
+    return out, den
 
 
 def _decorated_bases(
@@ -311,7 +279,7 @@ def _label_key(label):
     return (order[kind], len(rest), rest)
 
 
-def _decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
+def _decorated_image(dga: DGASpec, label, tau: bool = False) -> tuple[dict, int]:
     """The matrix differential on check and hat words.
 
     The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
@@ -324,7 +292,7 @@ def _decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
     if kind == "hat":
         return _hat_image(dga, label[1])
     if kind == "tau":
-        return {}
+        return {}, 1
     # the Leibniz keys are distinct, and so are their check and tau labels
     out = {}
     for key, v in _leibniz_word(dga, _unrot1(label[1])).items():
@@ -332,7 +300,7 @@ def _decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
             out[("chk", _rot1(key))] = v
         elif tau:
             out[("tau", key)] = v
-    return _fractions(out, dga._denom)
+    return out, dga._denom
 
 
 def build_hoplus_complex(
@@ -435,7 +403,7 @@ def _enumerate_marked_words(
     return bases
 
 
-def _mcyc_image(dga: DGASpec, label, mark_terms: dict) -> dict:
+def _mcyc_image(dga: DGASpec, label, mark_terms: dict) -> tuple[dict, int]:
     """Differential on the marked cyclic quotient: the mark differential
     rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
     mark_terms maps each chord to its _mark_terms."""
@@ -458,7 +426,7 @@ def _mcyc_image(dga: DGASpec, label, mark_terms: dict) -> dict:
         for key, v in _leibniz_word(dga, word).items():
             target = (kind, name, key if key.__class__ is tuple else ())
             out[target] = out.get(target, 0) + (-v if odd else v)
-    return _fractions(out, dga._denom)
+    return out, dga._denom
 
 
 def build_mcyc_complex(
@@ -513,7 +481,7 @@ def build_module_M(
         labs.sort()
     mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
 
-    def image(degree: int, label) -> dict:
+    def image(degree: int, label) -> tuple[dict, int]:
         _, left, mark, right = label
         out: dict = {}
         if left:
@@ -530,7 +498,7 @@ def build_module_M(
             for key, v in _leibniz_word(dga, right).items():
                 target = ("M", left, mark, key if key.__class__ is tuple else ())
                 out[target] = out.get(target, 0) + (-v if odd else v)
-        return _fractions(out, den)
+        return out, den
 
     verdict = guard_verdict(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1

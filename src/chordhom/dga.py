@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
-from .homology import EXACT, GradedChainComplex, _composable_words, build_complex
+from .homology import EXACT, GradedChainComplex, _composable_words, _numerators, build_complex
 
 
 class RelQError(ValueError):
@@ -307,15 +307,17 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
             )
     if not is_valid_augmentation(dga, eps):
         raise ValueError("invalid augmentation")
+    # the window reaches one degree past the generators on each side, so
+    # the flagged edge degrees hold none: nothing of the complex is cut
     degs = sorted({g.grading for g in dga.generators})
-    window = (min(degs), max(degs)) if degs else (0, 0)
+    window = (min(degs) - 1, max(degs) + 1) if degs else (0, 0)
     bases: dict[int, list] = {}
     for g in sorted(dga.generators, key=lambda g: g.name):
         bases.setdefault(g.grading, []).append(g.name)
     for d, labs in bases.items():
         labs.sort()
 
-    def image(degree: int, label) -> dict[str, Fraction]:
+    def image(degree: int, label) -> tuple[dict[str, int], int]:
         out: dict[str, Fraction] = defaultdict(Fraction)
         for w, coeff in dga.d_gen(label).terms.items():
             if w.is_idem:
@@ -333,7 +335,7 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
                     prod *= v
                 if prod:
                     out[name] += prod
-        return out
+        return _numerators(out)
 
     return build_complex(bases, image, window, EXACT, meta={"kind": "linearized"})
 

@@ -1,12 +1,18 @@
 """Exact homology engine: graded bases, sparse rational boundary maps,
 exact ranks over Q, Betti tables, and finiteness guards.
 
-Every rank comes from one sparse column reduction, _reduce.  A boundary
-matrix is scaled once by the lcm of its denominators; its integer columns
-are then eliminated fraction-free, each divided by the gcd of its entries
-after every step, so no Fraction arithmetic runs in the loop.  The pivot
-pairs it returns give the rank, and is_boundary reduces a vector against
-them.
+Boundary matrices are stored the way the images compute them: every
+image returns integer numerators over one denominator, and build_complex
+keeps each degree as integer columns {col: {row: numerator}} over the lcm
+of its columns' denominators.  d^2, ranks, is_boundary and the verifiers
+read those columns; the {(row, col): Fraction} view of a complex (diffs,
+matrix) is built only when it is read.
+
+Every rank comes from one sparse column reduction, _reduce.  The integer
+columns are eliminated fraction-free, each divided by the gcd of its
+entries after every step, so no Fraction arithmetic runs in the loop.
+The pivot pairs it returns give the rank, and is_boundary reduces a
+vector against them.
 
 A complex stores bases for every degree of its window plus a one-degree
 halo on each side, so the boundary maps into and out of the window edges
@@ -29,6 +35,7 @@ TRUNCATED = "TRUNCATED"
 
 Label = Hashable
 SparseMatrix = dict[tuple[int, int], Fraction]
+Columns = dict[int, dict[int, int]]  # {col: {row: numerator}}
 
 
 class DSquareError(ValueError):
@@ -40,8 +47,16 @@ class GradedChainComplex:
     """Per-degree bases with boundary matrices (degree d -> d-1) over Q.
 
     basis covers window plus halo degrees lo-1 and hi+1.  diffs[d] is the
-    sparse matrix of the boundary from basis[d] to basis[d-1], stored as
-    {(row, col): coeff}.
+    sparse matrix of the boundary from basis[d] to basis[d-1] as
+    {(row, col): Fraction}.
+
+    A complex from build_complex stores each boundary matrix as integer
+    columns over one denominator per degree instead, and diffs is built
+    from them on first read: degree by degree, each degree's columns
+    dropped as its view is built, so the complex holds one copy.  Once
+    diffs exists (read, or given to the constructor), the readers
+    re-derive integer columns from it, so an edit of diffs is what they
+    see.
     """
 
     basis: dict[int, list[Label]]
@@ -50,6 +65,39 @@ class GradedChainComplex:
     verdict: str = EXACT
     max_len: int | None = None
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def _from_columns(
+        cls, basis, store: dict[int, tuple[Columns, int]], window, verdict, max_len, meta
+    ) -> "GradedChainComplex":
+        """A complex whose diffs are stored as {degree: (columns, den)}."""
+        cx = cls(basis, {}, window, verdict, max_len, meta)
+        del cx.diffs
+        cx._store = store
+        return cx
+
+    def __getattr__(self, name: str):
+        # only reached while diffs is unset: build the view from the store,
+        # releasing each degree's columns once its view is built; the store
+        # dict is left whole, as a shallow copy of the complex shares it
+        if name != "diffs" or "_store" not in self.__dict__:
+            raise AttributeError(name)
+        pending = list(self.__dict__.pop("_store").items())
+        pending.reverse()
+        view: dict[int, SparseMatrix] = {}
+        while pending:
+            d, (columns, den) = pending.pop()
+            view[d] = _fraction_view(columns, den)
+        self.diffs = view
+        return view
+
+    def _integer(self, degree: int) -> tuple[Columns, int]:
+        """The boundary matrix of a degree as integer columns and their
+        denominator: the stored columns, or columns derived from diffs once
+        it exists.  Readers must not modify them."""
+        if "diffs" in self.__dict__:
+            return _integer_columns(self.diffs.get(degree, {}))
+        return self._store.get(degree) or ({}, 1)
 
     def dim(self, degree: int) -> int:
         return len(self.basis.get(degree, []))
@@ -62,45 +110,51 @@ class GradedChainComplex:
 
     def d_squared_report(self) -> list[tuple[int, tuple[int, int], Fraction]]:
         """Entries of boundary(d-1) * boundary(d) that are nonzero, column by
-        column of boundary(d).  The products run on integer matrices, each
-        scaled by the lcm of its denominators; a reported entry is divided
-        back into the exact value."""
+        column of boundary(d).  The products run on the integer columns; a
+        reported entry is divided back into the exact value."""
         bad = []
         lo, hi = self.window
-        lower, lden = _integer_columns(self.matrix(lo))
+        lower, lden = self._integer(lo)
         for d in range(lo + 1, hi + 2):
-            upper, uden = _integer_columns(self.matrix(d))
-            den = uden * lden
+            upper, uden = self._integer(d)
             for c, col in upper.items():
-                acc: dict[int, int] = defaultdict(int)
+                acc: dict[int, int] = {}
                 for mid, v in col.items():
-                    for r, w in lower.get(mid, {}).items():
-                        acc[r] += v * w
-                bad.extend(
-                    (d, (r, c), Fraction(total, den)) for r, total in acc.items() if total
-                )
+                    below = lower.get(mid)
+                    if below:
+                        for r, w in below.items():
+                            acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    den = uden * lden
+                    bad.extend(
+                        (d, (r, c), Fraction(total, den)) for r, total in acc.items() if total
+                    )
             lower, lden = upper, uden
         return bad
 
 
-def _columns(matrix: SparseMatrix) -> dict[int, dict[int, Fraction]]:
-    """The nonzero entries of a sparse matrix as {col: {row: coeff}}, in the
-    order they are stored."""
-    cols: dict[int, dict[int, Fraction]] = defaultdict(dict)
-    for (r, c), v in matrix.items():
-        if v:
-            cols[c][r] = v
-    return cols
+def _fraction_view(columns: Columns, den: int) -> SparseMatrix:
+    """Integer columns over den as {(row, col): Fraction}, column by column
+    in stored order."""
+    if den == 1:
+        return {(r, c): Fraction(v) for c, col in columns.items() for r, v in col.items()}
+    return {(r, c): Fraction(v, den) for c, col in columns.items() for r, v in col.items()}
 
 
-def _integer_columns(matrix: SparseMatrix) -> tuple[dict[int, dict[int, int]], int]:
+def _numerators(terms: Mapping[Label, Fraction]) -> tuple[dict[Label, int], int]:
+    """A {label: Fraction} image as (numerators, den), den the lcm of its
+    denominators; zero coefficients are left out."""
+    den = math.lcm(*{v.denominator for v in terms.values()})
+    return {k: v.numerator * (den // v.denominator) for k, v in terms.items() if v}, den
+
+
+def _integer_columns(matrix: SparseMatrix) -> tuple[Columns, int]:
     """The column view of L * matrix, with L the lcm of the denominators of
     its entries, and L."""
-    den = math.lcm(*{v.denominator for v in matrix.values()})
-    cols: dict[int, dict[int, int]] = defaultdict(dict)
-    for (r, c), v in matrix.items():
-        if v:
-            cols[c][r] = v.numerator * (den // v.denominator)
+    nums, den = _numerators(matrix)
+    cols: Columns = defaultdict(dict)
+    for (r, c), v in nums.items():
+        cols[c][r] = v
     return cols, den
 
 
@@ -114,8 +168,10 @@ def _reduce_column(
     of the pivot at their common largest row, divided by their gcd, the
     column becomes b * col - a * pivot and is then divided by the gcd of
     its entries.  The result is the column scaled by a nonzero rational
-    plus a combination of the pivots.
+    plus a combination of the pivots.  The column passed in is left as it
+    is: it is copied when it first meets a pivot.
     """
+    given = col
     while col:
         low = max(col)
         entry = pivots.get(low)
@@ -129,6 +185,8 @@ def _reduce_column(
             a, b = -a, -b
         if b != 1:
             col = {r: b * v for r, v in col.items()}
+        elif col is given:
+            col = dict(col)
         for r, v in pivot.items():
             x = col.get(r, 0) - a * v
             if x:
@@ -147,10 +205,11 @@ def _reduce(
     """Column reduction of an integer matrix given as {col: {row: entry}}.
 
     The columns are reduced in the order given, each against the pivots
-    found before it (see _reduce_column); the column dicts are consumed.
-    Returns the pivot pairs {low_row: (col, reduced column)}: a column that
-    does not vanish becomes the pivot of its largest row.  Their number is
-    the rank over Q, and the arithmetic stays in integers throughout.
+    found before it (see _reduce_column); the column dicts are left as
+    they are.  Returns the pivot pairs {low_row: (col, reduced column)}: a
+    column that does not vanish becomes the pivot of its largest row.
+    Their number is the rank over Q, and the arithmetic stays in integers
+    throughout.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for c, col in columns.items():
@@ -192,7 +251,8 @@ class BettiTable:
 
 
 def betti(complex: GradedChainComplex) -> BettiTable:
-    """Exact homology ranks on the complex window.
+    """Exact homology ranks on the complex window, each boundary rank the
+    pivot count of _reduce on the complex's integer columns.
 
     Requires d^2 = 0 on the window; raises DSquareError otherwise.
     """
@@ -205,9 +265,7 @@ def betti(complex: GradedChainComplex) -> BettiTable:
         )
     lo, hi = complex.window
     ranks: dict[int, int] = {}
-    rk: dict[int, int] = {}
-    for d in range(lo, hi + 2):
-        rk[d] = rank(complex.matrix(d), complex.dim(d - 1), complex.dim(d))
+    rk = {d: len(_reduce(complex._integer(d)[0])) for d in range(lo, hi + 2)}
     for d in range(lo, hi + 1):
         dim = complex.dim(d)
         h = dim - rk[d] - rk[d + 1]
@@ -222,9 +280,8 @@ def is_boundary(
 
     The boundary matrix is reduced once; the vector, scaled to integers, is
     a boundary when it reduces to zero against the pivots."""
-    pivots = _reduce(_integer_columns(complex.matrix(degree + 1))[0])
-    scaled = _integer_columns({(r, 0): v for r, v in vector.items()})[0]
-    return not _reduce_column(scaled.get(0, {}), pivots)
+    pivots = _reduce(complex._integer(degree + 1)[0])
+    return not _reduce_column(_numerators(vector)[0], pivots)
 
 
 def verify_les_ranks(
@@ -358,47 +415,48 @@ def enumerate_cyclic_words(
     return [Word(w) for w in words]
 
 
-def _fractions(acc: dict, den: int) -> dict:
-    """An image accumulated as integer numerators over den, as the
-    {label: Fraction} it stands for: labels in the order of their first
-    term, the ones that summed to zero left out."""
-    if den == 1:
-        return {label: Fraction(v) for label, v in acc.items() if v}
-    return {label: Fraction(v, den) for label, v in acc.items() if v}
-
-
 def build_complex(
     bases: dict[int, list[Label]],
-    image: Callable[[int, Label], dict[Label, Fraction]],
+    image: Callable[[int, Label], tuple[Mapping[Label, int], int]],
     window: tuple[int, int],
     verdict: str,
     max_len: int | None = None,
     meta: dict | None = None,
 ) -> GradedChainComplex:
     """Assemble a GradedChainComplex from per-degree label lists and a
-    function producing the boundary image of each basis label."""
+    function giving the boundary image of each basis label as (integer
+    numerators by target label, their denominator).
+
+    Targets outside the basis and zero numerators are dropped.  Each degree
+    is stored as integer columns over the lcm of its columns'
+    denominators; a column is rescaled only when its own denominator
+    differs from that lcm.
+    """
     lo, hi = window
     index: dict[int, dict[Label, int]] = {
         d: {lab: i for i, lab in enumerate(labs)} for d, labs in bases.items()
     }
-    diffs: dict[int, SparseMatrix] = {}
+    store: dict[int, tuple[Columns, int]] = {}
     for d in range(lo, hi + 2):
         labs = bases.get(d, [])
         if not labs:
             continue
         target = index.get(d - 1, {})
-        mat: SparseMatrix = {}
+        columns: Columns = {}
+        dens: dict[int, int] = {}
         for col, lab in enumerate(labs):
-            for tlab, coeff in image(d, lab).items():
-                row = target.get(tlab)
-                if coeff and row is not None:
-                    mat[(row, col)] = coeff
-        diffs[d] = mat
-    return GradedChainComplex(
-        basis=bases,
-        diffs=diffs,
-        window=window,
-        verdict=verdict,
-        max_len=max_len,
-        meta=meta or {},
-    )
+            nums, den = image(d, lab)
+            column = {
+                row: v for tlab, v in nums.items()
+                if v and (row := target.get(tlab)) is not None
+            }
+            if column:
+                columns[col] = column
+                dens[col] = den
+        lcm = math.lcm(*dens.values())
+        for col, den in dens.items():
+            if den != lcm:
+                scale = lcm // den
+                columns[col] = {r: v * scale for r, v in columns[col].items()}
+        store[d] = (columns, lcm)
+    return GradedChainComplex._from_columns(bases, store, window, verdict, max_len, meta or {})

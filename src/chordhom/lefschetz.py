@@ -17,8 +17,8 @@ terms are derived on their own, so dual = direct compares two derivations.
 
 The boundary images of the cyclic tensor complex sum integer numerators
 over the lcm of the table's denominators, with the Koszul signs read off
-one prefix-parity list per label; each image turns a label's sum into a
-Fraction once.
+one prefix-parity list per label, and hand build_complex the sums with
+that denominator.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .dga import DGASpec
 from .homology import (
     GradedChainComplex,
     _composable_words,
-    _fractions,
     build_complex,
     enumerate_cyclic_words,
     guard_verdict,
@@ -599,14 +598,13 @@ def hochschild_complex(
     def add(out: dict, label, v: int) -> None:
         out[label] = out.get(label, 0) + v
 
-    def image(stored_degree: int, label) -> dict:
-        """The boundary image in integer numerators over den, converted to
-        Fractions once per label at the end."""
+    def image(stored_degree: int, label) -> tuple[dict, int]:
+        """The boundary image as (integer numerators by label, den)."""
         out: dict = {}
         kind = label[0]
         if kind == "cce":
             i = label[1]
-            return {("ccv", i, (_chord_name(("e", i), 1),)): Fraction(1)}
+            return {("ccv", i, (_chord_name(("e", i), 1),)): 1}, 1
         if kind == "ccv":
             letters = label[2]
             slot_word = letters[1:] + (letters[0],)
@@ -634,7 +632,7 @@ def hochschild_complex(
             # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
             rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
             add(out, ("cch", letters), -rsign * den)
-            return _fractions(out, den)
+            return out, den
         letters = label[1]
         s = len(letters)
         pre = prefix_parities(letters)
@@ -659,7 +657,7 @@ def hochschild_complex(
                     sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
                     # the spread of the marked letter enters negatively
                     add(out, ("cch", (out_name,) + middle), -sgn * coeff)
-        return _fractions(out, den)
+        return out, den
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
     return build_complex(
@@ -718,17 +716,24 @@ def verify_dictionary(
             if mapped is None:
                 raise ValueError(f"basis mismatch at degree {d}: {lab} has no partner")
             partner[d].append(mapped)
+    # entries are compared on the integer columns: v_ho / den_ho equals
+    # v_cc / den_cc exactly when v_ho * den_cc equals v_cc * den_ho
     for d in range(lo, hi + 2):
         cc_rows, cc_cols = set(partner[d]), set(partner[d - 1])
+        ho_columns, ho_den = ho._integer(d)
+        cc_columns, cc_den = cc._integer(-(d - 1))
+        to_row, to_col = partner[d], partner[d - 1]
         transposed = {
-            (partner[d][c], partner[d - 1][r]): v
-            for (r, c), v in ho.matrix(d).items()
-            if v
+            (to_row[c], to_col[r]): v * cc_den
+            for c, col in ho_columns.items()
+            for r, v in col.items()
         }
         block = {
-            (r, c): v
-            for (r, c), v in cc.matrix(-(d - 1)).items()
-            if v and r in cc_rows and c in cc_cols
+            (r, c): v * ho_den
+            for c, col in cc_columns.items()
+            if c in cc_cols
+            for r, v in col.items()
+            if r in cc_rows
         }
         if transposed != block:
             return False

@@ -26,7 +26,7 @@ from .complexes import (
     cyclic_class,
 )
 from .dga import DGASpec
-from .homology import EXACT, GradedChainComplex, _columns, build_complex, guard_verdict
+from .homology import EXACT, GradedChainComplex, _numerators, build_complex, guard_verdict
 
 
 class CountGradingError(ValueError):
@@ -327,9 +327,9 @@ def build_lch_surgery(
         _cyclic_bases(dga, window, max_len) if dga is not None else {},
     )
 
-    def image(degree: int, label) -> dict:
+    def image(degree: int, label) -> tuple[dict, int]:
         if label[0] == "orb":
-            return orbit_row(label)
+            return _numerators(orbit_row(label))
         return _cyclic_image(dga, label)
 
     return build_complex(
@@ -353,9 +353,9 @@ def build_shplus_surgery(
         _decorated_bases(dga, window, max_len) if dga is not None else {},
     )
 
-    def image(degree: int, label) -> dict:
+    def image(degree: int, label) -> tuple[dict, int]:
         if label[0] in ("ochk", "ohat"):
-            return orbit_row(label)
+            return _numerators(orbit_row(label))
         return _decorated_image(dga, label)
 
     return build_complex(
@@ -379,7 +379,7 @@ def build_sh_surgery(
         _decorated_bases(dga, window, max_len, tau=True) if dga is not None else {},
     )
 
-    def image(degree: int, label) -> dict:
+    def image(degree: int, label) -> tuple[dict, int]:
         kind = label[0]
         if kind not in ("ochk", "ohat", "mrs"):
             return _decorated_image(dga, label, tau=True)
@@ -388,7 +388,7 @@ def build_sh_surgery(
             for (p, j), c in filling.morse_tau.items():
                 if p == label[1] and c:
                     out[("tau", j)] += c
-        return out
+        return _numerators(out)
 
     return build_complex(
         bases, image, window, verdict, max_len, meta={"kind": "sh", "n": filling.n}
@@ -430,21 +430,22 @@ def assemble_cobordism_map(
     }
     defects = []
     for d in range(lo, hi + 1):
-        src_cols = _columns(source.matrix(d))
-        tgt_cols = _columns(target.matrix(d))
+        src_cols, src_den = source._integer(d)
+        tgt_cols, tgt_den = target._integer(d)
         for col, lab in enumerate(source.labels(d)):
             # F(dx) - d(Fx)
             delta: dict = defaultdict(Fraction)
-            for row, coeff in src_cols.get(col, {}).items():
+            for row, num in src_cols.get(col, {}).items():
                 tlab = source.labels(d - 1)[row]
+                coeff = Fraction(num, src_den)
                 for out_lab, c in mapping.get(tlab, {}).items():
                     delta[out_lab] += coeff * c
             for out_lab, c in mapping.get(lab, {}).items():
                 idx = tgt_index.get(d, {}).get(out_lab)
                 if idx is None:
                     continue
-                for row, coeff in tgt_cols.get(idx, {}).items():
-                    delta[target.labels(d - 1)[row]] -= c * coeff
+                for row, num in tgt_cols.get(idx, {}).items():
+                    delta[target.labels(d - 1)[row]] -= c * Fraction(num, tgt_den)
             defects.extend((d, lab, k, v) for k, v in delta.items() if v)
     return ChainMapReport(mapping=mapping, defects=defects)
 
@@ -460,14 +461,14 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
     orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
     bases = _orbit_bases(filling, window, False, False)
 
-    def image(degree: int, label) -> dict:
+    def image(degree: int, label) -> tuple[dict, int]:
         gamma = label[1]
         out: dict = defaultdict(Fraction)
         for beta, c in filling.d_orbit(gamma):
             if beta not in orbit_info or orbit_info[beta].bad:
                 continue
             out[("orb", beta)] += c / orbit_info[gamma].multiplicity
-        return out
+        return _numerators(out)
 
     return build_complex(bases, image, window, EXACT, meta={"kind": "ch"})
 
@@ -483,16 +484,17 @@ def verify_kappa_isomorphism(filling: FillingModel, window: tuple[int, int]) -> 
         labels = src.labels(d)
         if labels != tgt.labels(d):
             return False
-        src_cols = _columns(src.matrix(d))
-        tgt_cols = _columns(tgt.matrix(d))
+        # integer columns: each side is scaled by the other's denominator
+        src_cols, src_den = src._integer(d)
+        tgt_cols, tgt_den = tgt._integer(d)
         for col, lab in enumerate(labels):
             gamma = lab[1]
             phi_dx = {
-                row: c * info[src.labels(d - 1)[row][1]].multiplicity
+                row: c * info[src.labels(d - 1)[row][1]].multiplicity * tgt_den
                 for row, c in src_cols.get(col, {}).items()
             }
             d_phix = {
-                row: c * info[gamma].multiplicity
+                row: c * info[gamma].multiplicity * src_den
                 for row, c in tgt_cols.get(col, {}).items()
             }
             if phi_dx != d_phix:

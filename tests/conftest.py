@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,32 @@ def random_ainf_spec(rng: random.Random) -> DirectedAinfSpec:
         for out, combo in cands[: rng.randint(1, 3)]
     ]
     return DirectedAinfSpec(k=k, n=n, points=pts, mu=mu)
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    """A coefficient of denominator 2, 3 or 4; the numerators are prime to
+    every denominator, so each term keeps its denominator."""
+    return Fraction(rng.choice([-7, -5, -1, 1, 5, 7]), rng.choice([2, 3, 4]))
+
+
+def fractional_dga(rng: random.Random, min_grading: int) -> DGASpec:
+    """A random_dga with a nonzero differential and every coefficient
+    replaced by a fraction of denominator 2-4; d^2 = 0 still holds, since
+    each differential hits words in closed generators only."""
+    base = random_dga(rng, max_gens=5, min_grading=min_grading)
+    while not any(el.terms for el in base.differential.values()):
+        base = random_dga(rng, max_gens=5, min_grading=min_grading)
+    diff = {
+        name: Element({w: random_fraction(rng) for w in el.terms})
+        for name, el in base.differential.items()
+    }
+    return DGASpec(base.ring, base.generators, diff, base.ambient_dim)
+
+
+def fractional_ainf_spec(rng: random.Random) -> DirectedAinfSpec:
+    """A random_ainf_spec whose operation constants have denominators 2-4."""
+    spec = random_ainf_spec(rng)
+    return replace(spec, mu=[(out, combo, random_fraction(rng)) for out, combo, _ in spec.mu])
 
 
 @pytest.fixture

@@ -5,7 +5,13 @@ Every image here wraps its word in an Element, expands it with
 extend_leibniz and sums Fraction coefficients label by label, keeping the
 labels in the order of their first term.  The library images accumulate
 integer numerators instead; built on the same bases, the two must give the
-same matrices, entry for entry and in stored order.
+same matrices, entry for entry and in stored order.  build_complex takes
+images as (numerators, denominator), so a reference image is handed to it
+through homology._numerators.
+
+It also keeps the references that only the tests read: the parity-form
+zero-class criterion and the spread operator S as a dict of decorated
+words.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
+from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
-from chordhom.complexes import _marks, _mcyc_reduce, cyclic_class
+from chordhom.complexes import HAT, DecoratedWord, _marks, _mcyc_reduce, cyclic_class
 from chordhom.dga import DGASpec, extend_leibniz
-from chordhom.homology import _composable_words, build_complex, enumerate_cyclic_words
+from chordhom.homology import _composable_words, _numerators, build_complex, enumerate_cyclic_words
 from chordhom.lefschetz import CurvedAinf, _cc_label_key, _chord_generators, _chord_name, _chords
 
 _ONE = Fraction(1)
@@ -51,6 +58,34 @@ def _s_terms(alg: ChordAlgebra, letters, tail=()):
         word, rot = canonicalize_hat(alg, letters + tail, j)
         yield word, -rot if odd else rot
         odd ^= alg.gen(name).grading % 2
+
+
+def is_bad_by_parity(algebra: ChordAlgebra, word: Word) -> bool:
+    """The parity-form criterion: some rotation is an even power of an
+    odd-graded monomial.  Equivalent to CyclicWord.is_zero; kept separate
+    as a cross-check."""
+    for rotated, _ in algebra.rotations(word):
+        letters = rotated.letters
+        length = len(letters)
+        for k in range(2, length + 1, 2):
+            if length % k:
+                continue
+            period = length // k
+            if letters == letters[:period] * k:
+                base = Word.of(letters[:period])
+                if algebra.grading(base) % 2:
+                    return True
+    return False
+
+
+def s_operator(algebra: ChordAlgebra, word: Word) -> dict[DecoratedWord, Fraction]:
+    """S(c_1...c_l) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...hat(c_j)...c_l,
+    normalized to mark-first form, from the library's complexes._s_terms.
+    S of an idempotent is zero."""
+    out: dict[DecoratedWord, Fraction] = defaultdict(Fraction)
+    for letters, sign in complexes._s_terms(algebra, word.letters):
+        out[DecoratedWord(letters, HAT)] += sign
+    return {k: v for k, v in out.items() if v}
 
 
 def cyclic_image(dga: DGASpec, label) -> dict:
@@ -188,7 +223,7 @@ def module_M_image(dga: DGASpec, label) -> dict:
 def module_M_reference(dga: DGASpec, window: tuple[int, int], max_len: int):
     return build_complex(
         module_M_bases(dga, window, max_len),
-        lambda degree, label: module_M_image(dga, label),
+        lambda degree, label: _numerators(module_M_image(dga, label)),
         window, "reference", max_len,
     )
 
@@ -282,4 +317,7 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
                     out[("cch", (out_name,) + middle)] -= sgn * coeff
         return out
 
-    return build_complex(stored, image, (-hi, -lo), "reference", max_len)
+    return build_complex(
+        stored, lambda degree, label: _numerators(image(degree, label)),
+        (-hi, -lo), "reference", max_len,
+    )

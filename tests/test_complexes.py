@@ -17,8 +17,6 @@ from chordhom.complexes import (
     cyclic_class,
     dc_one_generators,
     ho_vanishes_by_unit_differential,
-    is_bad_by_parity,
-    s_operator,
     verify_en_isomorphism,
 )
 from chordhom.dga import DGASpec
@@ -27,6 +25,7 @@ from chordhom.examples import example_document
 from chordhom.homology import EXACT, betti
 
 from conftest import random_dga
+from reference_images import is_bad_by_parity, s_operator
 
 
 def algebra_with(*gradings):

@@ -24,6 +24,7 @@ from chordhom.dga import (
 )
 from chordhom.documents import dga_from_document, morphism_from_document
 from chordhom.examples import example_document
+from chordhom.homology import betti
 
 from conftest import random_dga
 
@@ -292,6 +293,17 @@ def test_linearize_chekanov(chekanov_a):
         if c == col
     }
     assert set(hits) == {"a7", "a8"}
+
+
+def test_linearized_betti_flags_no_generator_degree(chekanov_a):
+    # the linearized complex holds every generator, so nothing is cut and
+    # no degree that holds one is a window edge
+    eps = Augmentation({"a7": Fraction(1), "a8": Fraction(-1), "a9": Fraction(1)})
+    table = betti(linearize(chekanov_a, eps))
+    degrees = {g.grading for g in chekanov_a.generators}
+    assert (min(degrees), max(degrees)) == (-2, 2)
+    assert not table.flagged & set(range(-2, 3))
+    assert [table.rank(d) for d in range(-2, 3)] == [1, 0, 0, 1, 1]
 
 
 def test_linearize_rejects_invalid_augmentation(chekanov_a):

@@ -5,7 +5,6 @@ the same matrices, entry for entry and in stored order."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 import chordhom.surgery as surgery
 import reference_images as ref
-from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator
+from chordhom.algebra import BaseRing, ChordAlgebra, Generator
 from chordhom.complexes import (
     _s_terms,
     build_cyclic_complex,
@@ -23,31 +22,11 @@ from chordhom.complexes import (
     build_mcyc_complex,
     build_module_M,
 )
-from chordhom.dga import DGASpec
-from chordhom.homology import build_complex
+from chordhom.homology import _numerators, build_complex
 from chordhom.lefschetz import build_curved_category, hochschild_complex
 from chordhom.surgery import SurgeryCountTable, build_sh_surgery, builtin_ball_filling
 
-from conftest import random_ainf_spec, random_dga
-
-
-def _fraction(rng: random.Random) -> Fraction:
-    # numerators prime to every denominator, so each term keeps its 2, 3 or 4
-    return Fraction(rng.choice([-7, -5, -1, 1, 5, 7]), rng.choice([2, 3, 4]))
-
-
-def fractional_dga(rng: random.Random, min_grading: int) -> DGASpec:
-    """A random_dga with a nonzero differential and every coefficient
-    replaced by a fraction of denominator 2-4; d^2 = 0 still holds, since
-    each differential hits words in closed generators only."""
-    base = random_dga(rng, max_gens=5, min_grading=min_grading)
-    while not any(el.terms for el in base.differential.values()):
-        base = random_dga(rng, max_gens=5, min_grading=min_grading)
-    diff = {
-        name: Element({w: _fraction(rng) for w in el.terms})
-        for name, el in base.differential.items()
-    }
-    return DGASpec(base.ring, base.generators, diff, base.ambient_dim)
+from conftest import fractional_ainf_spec, fractional_dga, random_dga
 
 
 def assert_same_matrices(got, want):
@@ -85,7 +64,8 @@ def test_chord_images_match_the_element_reference(seed, min_grading):
     for builder, image in CHORD_IMAGES:
         cx = builder(dga, window, max_len)
         want = build_complex(
-            cx.basis, lambda degree, label: image(dga, label), window, cx.verdict, max_len
+            cx.basis, lambda degree, label: _numerators(image(dga, label)),
+            window, cx.verdict, max_len,
         )
         assert_same_matrices(cx, want)
     assert_same_matrices(
@@ -94,7 +74,10 @@ def test_chord_images_match_the_element_reference(seed, min_grading):
     filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
     sh = build_sh_surgery(filling, dga, counts, window, max_len)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surgery, "_decorated_image", ref.decorated_image)
+        mp.setattr(
+            surgery, "_decorated_image",
+            lambda dga, label, tau=False: _numerators(ref.decorated_image(dga, label, tau)),
+        )
         want = build_sh_surgery(filling, dga, counts, window, max_len)
     assert_same_matrices(sh, want)
 
@@ -112,10 +95,7 @@ def test_module_M_labels_match_the_all_pairs_loop(seed, min_grading, max_len):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_hochschild_images_match_the_fraction_reference(seed, t_order):
-    rng = random.Random(seed)
-    spec = random_ainf_spec(rng)
-    spec = replace(spec, mu=[(out, combo, _fraction(rng)) for out, combo, _ in spec.mu])
-    D = build_curved_category(spec, t_order)
+    D = build_curved_category(fractional_ainf_spec(random.Random(seed)), t_order)
     window, max_len = (0, 4), 5
     assert_same_matrices(
         hochschild_complex(D, window, max_len), ref.hochschild_reference(D, window, max_len)
