@@ -33,6 +33,7 @@ from .lefschetz import (
 )
 from .surgery import (
     CountGradingError,
+    FillingMismatchError,
     SurgeryCountTable,
     build_lch_surgery,
     build_sh_surgery,
@@ -180,6 +181,8 @@ def cmd_surgery(args) -> int:
         complex = builder(filling, dga, counts, window, args.max_len)
     except CountGradingError as exc:
         raise CliInputError(f"{args.counts}: {exc}")
+    except FillingMismatchError as exc:
+        raise CliInputError(f"{args.filling}: {exc}")
     try:
         table = betti(complex)
     except DSquareError as exc:

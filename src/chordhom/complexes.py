@@ -1,6 +1,12 @@
 """Complexes derived from a chord DGA: the cyclic quotient, the two-copy
 check/hat complex, its completion by the per-component classes tau_i, and
-the marked-module complexes used as an independent model for the latter.
+the cyclic quotient of the marked module (mcyc), an independent model for
+the latter.
+
+The bases read the words the enumerator hands out grouped by degree
+(homology._composable_words, merged over the components by _cyclic_words),
+so no builder recomputes a degree.  The check/hat basis also serves the
+cyclic tensor complex of lefschetz.py, under the dictionary's names.
 
 Decorated words are stored with the mark on the first letter; a mark drawn
 elsewhere is rotated to the front by the graded cyclic permutation, whose
@@ -14,10 +20,11 @@ plain algebra differential, rotate back): this is the one convention under
 which unit absorptions transport the mark consistently, the square of the
 differential vanishes, and the marked-module dictionary is sign-free.
 
-The marked module and its cyclic quotient (mcyc) read one mark
-differential, d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
-(_mark_terms).  The check/hat side computes its own, so mcyc against the
-completed check/hat complex compares two constructions.
+The cyclic quotient of the marked module (mcyc) reads the mark
+differential d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
+(_mark_terms); the marked module itself, on the same mark differential,
+is a reference in the tests.  The check/hat side computes its own, so
+mcyc against the completed check/hat complex compares two constructions.
 
 Every boundary image runs in integers: the Leibniz terms come from
 dga._leibniz_word on letter tuples, the differential rows and unit terms
@@ -36,9 +43,9 @@ from .dga import DGASpec, _leibniz_word
 from .homology import (
     GradedChainComplex,
     _composable_words,
+    _cyclic_words,
     betti,
     build_complex,
-    enumerate_cyclic_words,
     guard_verdict,
 )
 
@@ -143,22 +150,24 @@ def _s_terms(
 
 
 def _cyclic_bases(
-    dga: DGASpec, window: tuple[int, int], max_len: int
+    alg: ChordAlgebra, window: tuple[int, int], max_len: int
 ) -> dict[int, list]:
     """One label per good cyclic class: the words that no rotation sorts
     before (a necklace filter that stops at the first smaller rotation)
-    and whose class is not zero."""
-    alg = dga.algebra
+    and whose class is not zero, in letter order."""
     lo, hi = window
+    parity = alg.parity
     bases: dict[int, list] = {}
-    for w in enumerate_cyclic_words(alg, (lo - 1, hi + 1), max_len):
-        ls = w.letters
-        if any(ls[i:] + ls[:i] < ls for i in range(1, len(ls))):
-            continue
-        if not cyclic_class(alg, w).is_zero:
-            bases.setdefault(alg.grading(w), []).append(("cyc", w.letters))
-    for labs in bases.values():
-        labs.sort()
+    for deg, words in _cyclic_words(alg, (lo - 1, hi + 1), max_len).items():
+        labs = [
+            ("cyc", w)
+            for w in words
+            if not any(w[i:] + w[:i] < w for i in range(1, len(w)))
+            and _cyclic_rep(parity, w)[1]
+        ]
+        if labs:
+            labs.sort()
+            bases[deg] = labs
     return bases
 
 
@@ -186,7 +195,7 @@ def build_cyclic_complex(
         (g.grading for g in dga.generators), window, max_len
     )
     return build_complex(
-        _cyclic_bases(dga, window, max_len),
+        _cyclic_bases(dga.algebra, window, max_len),
         lambda degree, label: _cyclic_image(dga, label),
         window, verdict, max_len, meta={"kind": "cyc"},
     )
@@ -248,35 +257,23 @@ def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> tuple[dict, int]:
 
 
 def _decorated_bases(
-    dga: DGASpec, window: tuple[int, int], max_len: int, tau: bool = False
+    alg: ChordAlgebra, window: tuple[int, int], max_len: int, tau: bool = False
 ) -> dict[int, list]:
     """Check and hat copies of the cyclically composable words; with tau,
-    one degree-0 class per component as well."""
-    alg = dga.algebra
+    one degree-0 class per component as well.  Degree d holds the
+    component classes, then the check words of degree d, then the hat
+    words of degree d - 1, the words shortest first and then in letter
+    order."""
     lo, hi = window
-    words = enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len)
+    groups = _cyclic_words(alg, (lo - 2, hi + 1), max_len)
     bases: dict[int, list] = {}
-    for w in words:
-        deg = alg.grading(w)
-        if lo - 1 <= deg <= hi + 1:
-            bases.setdefault(deg, []).append(("chk", w.letters))
-        if lo - 1 <= deg + 1 <= hi + 1:
-            bases.setdefault(deg + 1, []).append(("hat", w.letters))
-    if tau and lo - 1 <= 0 <= hi + 1:
-        for i in dga.ring.components:
-            bases.setdefault(0, []).append(("tau", i))
-    for labs in bases.values():
-        labs.sort(key=_label_key)
+    for d in range(lo - 1, hi + 2):
+        labs = [("tau", i) for i in alg.ring.components] if tau and d == 0 else []
+        labs += [("chk", w) for w in groups.get(d, ())]
+        labs += [("hat", w) for w in groups.get(d - 1, ())]
+        if labs:
+            bases[d] = labs
     return bases
-
-
-def _label_key(label):
-    kind = label[0]
-    rest = label[1]
-    if kind == "tau":
-        return (0, rest, ())
-    order = {"chk": 1, "hat": 2}
-    return (order[kind], len(rest), rest)
 
 
 def _decorated_image(dga: DGASpec, label, tau: bool = False) -> tuple[dict, int]:
@@ -310,7 +307,7 @@ def build_hoplus_complex(
     matrix differential; no tau classes."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
-        _decorated_bases(dga, window, max_len),
+        _decorated_bases(dga.algebra, window, max_len),
         lambda degree, label: _decorated_image(dga, label),
         window, verdict, max_len,
         meta={"kind": "hoplus", "algebra": dga.algebra},
@@ -325,14 +322,14 @@ def build_ho_complex(
     terms of their differentials."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
-        _decorated_bases(dga, window, max_len, tau=True),
+        _decorated_bases(dga.algebra, window, max_len, tau=True),
         lambda degree, label: _decorated_image(dga, label, tau=True),
         window, verdict, max_len,
         meta={"kind": "ho", "algebra": dga.algebra},
     )
 
 
-# ---- the marked module and its cyclic quotient --------------------------------
+# ---- the cyclic quotient of the marked module ---------------------------------
 
 
 def _marks(dga: DGASpec) -> list[tuple]:
@@ -392,12 +389,12 @@ def _enumerate_marked_words(
         if src == dst and lo - 1 <= shift <= hi + 1:
             bases.setdefault(shift, []).append(mark + ((),))
         # w follows the mark and closes the cycle: dst(w) = src, src(w) = dst
-        for w in _composable_words(
+        found = _composable_words(
             names, alg.generators, max_len, first=src, last=dst,
             window=(lo - 1 - shift, hi + 1 - shift),
-        ):
-            deg = shift + sum(alg.gen(n).grading for n in w)
-            bases.setdefault(deg, []).append(mark + (w,))
+        )
+        for deg, words in found.items():
+            bases.setdefault(shift + deg, []).extend(mark + (w,) for w in words)
     for labs in bases.values():
         labs.sort()
     return bases
@@ -445,65 +442,6 @@ def build_mcyc_complex(
         max_len,
         meta={"kind": "mcyc"},
     )
-
-
-def build_module_M(
-    dga: DGASpec, window: tuple[int, int], max_len: int
-) -> GradedChainComplex:
-    """The marked module: labels (left word, mark, right word), no rotations
-    applied, with d(left m right) = d(left) m right + (-1)^|left| left d(m)
-    right + (-1)^(|left|+|m|) left m d(right).  max_len bounds the length
-    of left and right together."""
-    alg = dga.algebra
-    gens = alg.generators
-    parity = alg.parity
-    den = dga._denom
-    lo, hi = window
-    names = sorted(gens)
-    lefts = [()] + _composable_words(names, gens, max_len)
-    bases: dict[int, list] = {}
-    for mark, msrc, mdst, mdeg in _marks(dga):
-        for left in lefts:
-            if left and gens[left[-1]].src != mdst:
-                continue
-            shift = mdeg + sum(gens[n].grading for n in left)
-            if lo - 1 <= shift <= hi + 1:
-                bases.setdefault(shift, []).append(("M", left, mark, ()))
-            # the right words that follow the mark and bring the degree into
-            # the window, pruned as they are enumerated
-            for right in _composable_words(
-                names, gens, max_len - len(left), first=msrc,
-                window=(lo - 1 - shift, hi + 1 - shift),
-            ):
-                deg = shift + sum(gens[n].grading for n in right)
-                bases.setdefault(deg, []).append(("M", left, mark, right))
-    for labs in bases.values():
-        labs.sort()
-    mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
-
-    def image(degree: int, label) -> tuple[dict, int]:
-        _, left, mark, right = label
-        out: dict = {}
-        if left:
-            for key, v in _leibniz_word(dga, left).items():
-                target = ("M", key if key.__class__ is tuple else (), mark, right)
-                out[target] = out.get(target, 0) + v
-        odd = sum(parity[n] for n in left) & 1
-        if mark[0] == "mc":
-            for before, mk, after, coeff in mark_terms[mark[1]]:
-                target = ("M", left + before, mk, after + right)
-                out[target] = out.get(target, 0) + (-coeff if odd else coeff)
-            odd ^= not parity[mark[1]]
-        if right:
-            for key, v in _leibniz_word(dga, right).items():
-                target = ("M", left, mark, key if key.__class__ is tuple else ())
-                out[target] = out.get(target, 0) + (-v if odd else v)
-        return out, den
-
-    verdict = guard_verdict(
-        (g.grading for g in dga.generators), window, max_len, mark_allowance=1
-    )
-    return build_complex(bases, image, window, verdict, max_len, meta={"kind": "module"})
 
 
 def verify_en_isomorphism(

@@ -214,6 +214,8 @@ def filling_from_document(doc: dict) -> FillingModel:
     for idx, p in enumerate(_optional(doc, "morse", list, "$", [])):
         path = f"$.morse[{idx}]"
         label = _require(p, "label", str, path)
+        if label in morse_labels:
+            _fail(path, f"duplicate Morse label {label}")
         morse_labels.add(label)
         morse.append((label, _require(p, "grading", int, path)))
 
@@ -246,6 +248,8 @@ def filling_from_document(doc: dict) -> FillingModel:
     for idx, e in enumerate(_optional(doc, "morse_tau", list, "$", [])):
         path = f"$.morse_tau[{idx}]"
         p = _require(e, "morse", str, path)
+        if p not in morse_labels:
+            _fail(path, f"unknown Morse label {p!r}")
         j = _require(e, "component", int, path)
         model.morse_tau[(p, j)] = _rational(
             _require(e, "coeff", (str, int), path), f"{path}.coeff"

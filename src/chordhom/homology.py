@@ -335,7 +335,7 @@ def _composable_words(
     first: int | None = None,
     last: int | None = None,
     window: tuple[int, int] | None = None,
-) -> list[tuple]:
+) -> list[tuple] | dict[int, list[tuple]]:
     """Nonempty composable words of length at most max_len over the
     alphabet: shortest first, and the words of one length in lexicographic
     order of the alphabet positions.
@@ -343,9 +343,10 @@ def _composable_words(
     letters maps each letter to its data: the ports .src and .dst (a word
     a b composes when src(a) == dst(b)) and, when a degree window is given,
     the .grading.  first fixes the dst port of the first letter and last
-    the src port of the last one.  A window keeps the words whose degree
-    lies in it, and prunes every prefix that no extension within max_len
-    can bring into it.
+    the src port of the last one.  Without a window the words come as one
+    list.  A window keeps the words whose degree lies in it, grouped as
+    {degree: words} in the order above, and prunes every prefix that no
+    extension within max_len can bring into it.
     """
     # by_dst[port]: the letters that may follow a letter with src == port,
     # in alphabet order; by_dst[None]: every letter
@@ -362,7 +363,8 @@ def _composable_words(
         gmin = min((g for *_, g in by_dst[None]), default=0)
         gmax = max((g for *_, g in by_dst[None]), default=0)
 
-    out: list[tuple] = []
+    # without a window every letter reads grading 0, so one group holds all
+    groups: dict[int, list[tuple]] = defaultdict(list)
     frontier = [((), first, 0)]
     # fits[deg]: can a prefix of the current length and degree deg still be
     # extended into the window?  Each degree is judged once per length.
@@ -390,12 +392,36 @@ def _composable_words(
         ]
         if not frontier:
             break
-        out.extend(
-            word
-            for word, src, deg in frontier
-            if (last is None or src == last) and (window is None or lo <= deg <= hi)
+        for word, src, deg in frontier:
+            if (last is None or src == last) and (window is None or lo <= deg <= hi):
+                groups[deg].append(word)
+    if window is None:
+        return groups[0]
+    return dict(groups)
+
+
+def _word_key(word: tuple) -> tuple:
+    return len(word), word
+
+
+def _cyclic_words(
+    algebra: ChordAlgebra, window: tuple[int, int], max_len: int
+) -> dict[int, list[tuple[str, ...]]]:
+    """The cyclically composable nonempty words with degree in the window
+    and length at most max_len as {degree: letter tuples}, each group
+    shortest first and then in letter order: the groups of the components
+    merged."""
+    names = sorted(algebra.generators)
+    groups: dict[int, list[tuple[str, ...]]] = {}
+    for comp in algebra.ring.components:
+        found = _composable_words(
+            names, algebra.generators, max_len, first=comp, last=comp, window=window
         )
-    return out
+        for deg, words in found.items():
+            groups.setdefault(deg, []).extend(words)
+    for words in groups.values():
+        words.sort(key=_word_key)
+    return groups
 
 
 def enumerate_cyclic_words(
@@ -403,15 +429,8 @@ def enumerate_cyclic_words(
 ) -> list[Word]:
     """All cyclically composable nonempty words with degree in the window
     and length at most max_len, in Word.sort_key order."""
-    names = sorted(algebra.generators)
-    words = [
-        w
-        for comp in algebra.ring.components
-        for w in _composable_words(
-            names, algebra.generators, max_len, first=comp, last=comp, window=window
-        )
-    ]
-    words.sort(key=lambda w: (len(w), w))
+    words = [w for group in _cyclic_words(algebra, window, max_len).values() for w in group]
+    words.sort(key=_word_key)
     return [Word(w) for w in words]
 
 

@@ -15,10 +15,13 @@ chord list (`_chords`).  The dual DGA and the holomorphic part of the
 direct one share the t-power expansion `_expand`; the direct Morse--Bott
 terms are derived on their own, so dual = direct compares two derivations.
 
-The boundary images of the cyclic tensor complex sum integer numerators
-over the lcm of the table's denominators, with the Koszul signs read off
-one prefix-parity list per label, and hand build_complex the sums with
-that denominator.
+The cyclic tensor complex has no basis of its own: it is the check/hat
+basis of complexes._decorated_bases (with the component classes) under
+the dictionary's names (_to_cc), with degrees negated, and
+verify_dictionary pairs the two complexes through the same _to_cc.  Its
+boundary images sum integer numerators over the lcm of the table's
+denominators, with the Koszul signs read off one prefix-parity list per
+label, and hand build_complex the sums with that denominator.
 """
 
 from __future__ import annotations
@@ -30,14 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, TruncatedSeries, Word, rat, series_multiply
+from .complexes import _decorated_bases
 from .dga import DGASpec
-from .homology import (
-    GradedChainComplex,
-    _composable_words,
-    build_complex,
-    enumerate_cyclic_words,
-    guard_verdict,
-)
+from .homology import GradedChainComplex, _composable_words, build_complex, guard_verdict
 
 Symbol = tuple  # ("e", i) | ("m", i) | ("f", name) | ("b", name)
 
@@ -558,23 +556,11 @@ def hochschild_complex(
         for word, hits in D.table.items()
     }
     lo, hi = window
-
-    words = enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len)
-    bases: dict[int, list] = {}
-    if lo - 1 <= 0 <= hi + 1:
-        for i in range(1, D.spec.k + 1):
-            bases.setdefault(0, []).append(("cce", i))
-    for w in words:
-        deg = alg.grading(w)
-        comp = alg.dst(w)
-        if lo - 1 <= deg <= hi + 1:
-            bases.setdefault(deg, []).append(("ccv", comp, w.letters))
-        if lo - 1 <= deg + 1 <= hi + 1:
-            bases.setdefault(deg + 1, []).append(("cch", w.letters))
-    stored: dict[int, list] = {}
-    for deg, labs in bases.items():
-        labs.sort(key=_cc_label_key)
-        stored[-deg] = labs
+    # the check/hat basis under the dictionary's names, degrees negated
+    stored = {
+        -d: sorted((_to_cc(lab, alg) for lab in labs), key=_cc_label_key)
+        for d, labs in _decorated_bases(alg, window, max_len, tau=True).items()
+    }
 
     def blocks_of(block: tuple[str, ...]):
         """Table hits for a block of chords; yields (out_name, numerator)."""
@@ -670,6 +656,18 @@ def hochschild_complex(
     )
 
 
+def _to_cc(label, alg: ChordAlgebra):
+    """The cyclic tensor label paired with a check/hat label: component
+    classes, check words headed by a component factor, hat words as plain
+    words."""
+    kind = label[0]
+    if kind == "tau":
+        return ("cce", label[1])
+    if kind == "chk":
+        return ("ccv", alg.generators[label[1][0]].dst, label[1])
+    return ("cch", label[1])
+
+
 def _cc_label_key(label):
     kind = label[0]
     if kind == "cce":
@@ -691,15 +689,6 @@ def verify_dictionary(
     if dict_window is None:
         raise ValueError("first argument must be the cyclic tensor complex")
     lo, hi = ho.window
-
-    def to_cc(label, alg):
-        kind = label[0]
-        if kind == "tau":
-            return ("cce", label[1])
-        if kind == "chk":
-            return ("ccv", alg.gen(label[1][0]).dst, label[1])
-        return ("cch", label[1])
-
     alg = ho.meta.get("algebra")
     if alg is None:
         raise ValueError("second argument must carry its algebra in meta")
@@ -712,7 +701,7 @@ def verify_dictionary(
     for d in range(lo - 1, hi + 2):
         partner[d] = []
         for lab in ho.labels(d):
-            mapped = cc_index.get(-d, {}).get(to_cc(lab, alg))
+            mapped = cc_index.get(-d, {}).get(_to_cc(lab, alg))
             if mapped is None:
                 raise ValueError(f"basis mismatch at degree {d}: {lab} has no partner")
             partner[d].append(mapped)

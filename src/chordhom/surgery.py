@@ -30,7 +30,12 @@ from .homology import EXACT, GradedChainComplex, _numerators, build_complex, gua
 
 
 class CountGradingError(ValueError):
-    """A count entry violates its grading constraint."""
+    """A count entry names what the DGA lacks or violates its grading
+    constraint."""
+
+
+class FillingMismatchError(ValueError):
+    """The filling model couples to a component the DGA lacks."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,9 @@ class SurgeryCountTable:
 
     def validate(self, orbits: list[Orbit], dga: DGASpec) -> None:
         """Raise CountGradingError on an entry whose word names a generator
-        the DGA lacks, or whose nonzero count from one of the orbits breaks
-        its degree rule |gamma| - |w| = gap."""
+        the DGA lacks, a component-class entry outside the DGA's components,
+        or an entry whose nonzero count from one of the orbits breaks its
+        degree rule |gamma| - |w| = gap."""
         alg = dga.algebra
         orbit_grading = {o.label: o.grading for o in orbits}
         for table, kind, gap in (
@@ -151,7 +157,11 @@ class SurgeryCountTable:
                     raise CountGradingError(
                         f"{kind} count {g} -> {'.'.join(w)} violates |gamma|-|w|={gap}"
                     )
-        for (g, _j), c in self.orbit_tau.items():
+        for (g, j), c in self.orbit_tau.items():
+            if j not in dga.ring.components:
+                raise CountGradingError(
+                    f"component-class count from {g} names component {j} outside 1..{dga.ring.k}"
+                )
             if c and g in orbit_grading and orbit_grading[g] != 1:
                 raise CountGradingError(
                     f"component-class count from {g} violates |gamma|=1"
@@ -278,9 +288,10 @@ def _surgery_setup(
     window: tuple[int, int],
     max_len: int,
 ) -> tuple[str, Callable[[tuple], dict]]:
-    """The prologue of the three surgery builders: check the counts and
-    fold their cyclic keys, read the verdict, and bind the orbit-row
-    routine to the filling's tables.  Returns (verdict, orbit row)."""
+    """The prologue of the three surgery builders: check the counts and the
+    filling's component classes against the DGA, fold the cyclic keys of
+    the counts, read the verdict, and bind the orbit-row routine to the
+    filling's tables.  Returns (verdict, orbit row)."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
@@ -289,6 +300,12 @@ def _surgery_setup(
         verdict, alg = EXACT, None
     else:
         counts.validate(orbits, dga)
+        for p, j in filling.morse_tau:
+            if j not in dga.ring.components:
+                raise FillingMismatchError(
+                    f"component-class count from Morse {p} names component {j} "
+                    f"outside 1..{dga.ring.k}"
+                )
         verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
         alg = dga.algebra
         # the cyclic counts folded onto class representatives; the caller's
@@ -324,7 +341,7 @@ def build_lch_surgery(
     verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
     bases = _merge_bases(
         _orbit_bases(filling, window, False, False),
-        _cyclic_bases(dga, window, max_len) if dga is not None else {},
+        _cyclic_bases(dga.algebra, window, max_len) if dga is not None else {},
     )
 
     def image(degree: int, label) -> tuple[dict, int]:
@@ -350,7 +367,7 @@ def build_shplus_surgery(
     verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
     bases = _merge_bases(
         _orbit_bases(filling, window, True, False),
-        _decorated_bases(dga, window, max_len) if dga is not None else {},
+        _decorated_bases(dga.algebra, window, max_len) if dga is not None else {},
     )
 
     def image(degree: int, label) -> tuple[dict, int]:
@@ -376,7 +393,7 @@ def build_sh_surgery(
     verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
     bases = _merge_bases(
         _orbit_bases(filling, window, True, True),
-        _decorated_bases(dga, window, max_len, tau=True) if dga is not None else {},
+        _decorated_bases(dga.algebra, window, max_len, tau=True) if dga is not None else {},
     )
 
     def image(degree: int, label) -> tuple[dict, int]:

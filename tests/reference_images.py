@@ -10,8 +10,9 @@ images as (numerators, denominator), so a reference image is handed to it
 through homology._numerators.
 
 It also keeps the references that only the tests read: the parity-form
-zero-class criterion and the spread operator S as a dict of decorated
-words.
+zero-class criterion, the spread operator S as a dict of decorated
+words, and the marked module M, which the library no longer builds (it
+builds M's cyclic quotient, mcyc).
 """
 
 from __future__ import annotations
@@ -221,6 +222,10 @@ def module_M_image(dga: DGASpec, label) -> dict:
 
 
 def module_M_reference(dga: DGASpec, window: tuple[int, int], max_len: int):
+    """The marked module: labels (left word, mark, right word), no rotations
+    applied, with d(left m right) = d(left) m right + (-1)^|left| left d(m)
+    right + (-1)^(|left|+|m|) left m d(right).  max_len bounds the length
+    of left and right together."""
     return build_complex(
         module_M_bases(dga, window, max_len),
         lambda degree, label: _numerators(module_M_image(dga, label)),

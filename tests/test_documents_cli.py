@@ -362,6 +362,65 @@ def test_cli_filling_document_below_dimension_2_exit_2(tmp_path, n):
     assert code == 2 and "$.n: filling model needs n >= 2" in out, out
 
 
+_FILLING = {
+    "format": "filling/1",
+    "n": 2,
+    "orbits": [{"label": "g1", "grading": 3}, {"label": "h", "grading": 1}],
+    "morse": [{"label": "p", "grading": 2}],
+    "to_morse": [{"orbit": "g1", "morse": "p", "coeff": 1}],
+}
+
+
+def _surgery_sh(tmp_path, filling: dict, counts: dict | None = None):
+    """Run `surgery unknot_n2 --theory sh` on the given filling (and counts)
+    documents."""
+    args = ["surgery", "unknot_n2", "--theory", "sh", "--max-deg", "4"]
+    (tmp_path / "m.filling").write_text(dumps(filling))
+    args += ["--filling", str(tmp_path / "m.filling")]
+    if counts is not None:
+        (tmp_path / "m.counts").write_text(dumps(counts))
+        args += ["--counts", str(tmp_path / "m.counts")]
+    return run_cli(*args)
+
+
+def test_cli_surgery_filling_reference_reads_exact(tmp_path):
+    # the well-formed documents the refusals below alter
+    code, out = _surgery_sh(tmp_path, _FILLING)
+    assert code == 0 and "verdict: EXACT" in out, out
+    tau = {"orbit": "h", "component": 1, "coeff": 1}
+    code, out = _surgery_sh(tmp_path, _FILLING, {**_COUNTS, "orbit_tau": [tau]})
+    assert code == 0 and "verdict: EXACT" in out, out
+
+
+def test_cli_surgery_duplicate_morse_label_exit_2(tmp_path):
+    # a second p used to add a phantom generator: rank 2 in degree 2, not 1
+    morse = _FILLING["morse"] * 2
+    code, out = _surgery_sh(tmp_path, {**_FILLING, "morse": morse})
+    assert code == 2 and "$.morse[1]: duplicate Morse label p" in out, out
+
+
+def test_cli_surgery_morse_tau_unknown_label_exit_2(tmp_path):
+    tau = [{"morse": "q", "component": 1, "coeff": 1}]
+    code, out = _surgery_sh(tmp_path, {**_FILLING, "morse_tau": tau})
+    assert code == 2 and "$.morse_tau[0]: unknown Morse label 'q'" in out, out
+
+
+def test_cli_surgery_morse_tau_component_outside_the_dga_exit_2(tmp_path):
+    tau = [{"morse": "p", "component": 9, "coeff": 1}]
+    code, out = _surgery_sh(tmp_path, {**_FILLING, "morse_tau": tau})
+    assert code == 2, out
+    assert out.startswith(f"input error: {tmp_path / 'm.filling'}: "), out
+    assert "names component 9 outside 1..1" in out and "None" not in out
+
+
+def test_cli_surgery_orbit_tau_component_outside_the_dga_exit_2(tmp_path):
+    tau = [{"orbit": "h", "component": 9, "coeff": 1}]
+    code, out = _surgery_sh(tmp_path, _FILLING, {**_COUNTS, "orbit_tau": tau})
+    assert code == 2, out
+    assert out.startswith(f"input error: {tmp_path / 'm.counts'}: "), out
+    assert "names component 9 outside 1..1" in out
+
+
 _CHEKANOV_EPS = {"a7": "1", "a8": "-1", "a9": "1"}
 
 

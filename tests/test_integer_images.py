@@ -20,13 +20,12 @@ from chordhom.complexes import (
     build_ho_complex,
     build_hoplus_complex,
     build_mcyc_complex,
-    build_module_M,
 )
 from chordhom.homology import _numerators, build_complex
 from chordhom.lefschetz import build_curved_category, hochschild_complex
 from chordhom.surgery import SurgeryCountTable, build_sh_surgery, builtin_ball_filling
 
-from conftest import fractional_ainf_spec, fractional_dga, random_dga
+from conftest import fractional_ainf_spec, fractional_dga
 
 
 def assert_same_matrices(got, want):
@@ -68,9 +67,6 @@ def test_chord_images_match_the_element_reference(seed, min_grading):
             window, cx.verdict, max_len,
         )
         assert_same_matrices(cx, want)
-    assert_same_matrices(
-        build_module_M(dga, window, max_len), ref.module_M_reference(dga, window, max_len)
-    )
     filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
     sh = build_sh_surgery(filling, dga, counts, window, max_len)
     with pytest.MonkeyPatch.context() as mp:
@@ -80,16 +76,6 @@ def test_chord_images_match_the_element_reference(seed, min_grading):
         )
         want = build_sh_surgery(filling, dga, counts, window, max_len)
     assert_same_matrices(sh, want)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]), st.integers(2, 5))
-def test_module_M_labels_match_the_all_pairs_loop(seed, min_grading, max_len):
-    # integer coefficients: only the basis is compared
-    dga = random_dga(random.Random(seed), min_grading=min_grading)
-    for window in ((0, 3), (-2, 1), (2, 6)):
-        got = build_module_M(dga, window, max_len).basis
-        assert got == ref.module_M_bases(dga, window, max_len)
 
 
 @settings(max_examples=25, deadline=None)
