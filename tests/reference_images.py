@@ -11,8 +11,8 @@ through homology._numerators.
 
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the spread operator S as a dict of decorated
-words, and the marked module M, which the library no longer builds (it
-builds M's cyclic quotient, mcyc).
+words, and the marked module M itself (the library builds only its
+cyclic quotient, mcyc).
 """
 
 from __future__ import annotations

@@ -317,8 +317,9 @@ def test_module_M_squares_to_zero_on_random_dgas():
     assert exact == {(g, k) for g in (1, 0, -1) for k in (1, 2)}
 
 
-def _old_label_key(label):
-    # the check/hat order the builders used to sort by
+def _decorated_label_key(label):
+    # the check/hat label order as an explicit sort key: tau by component,
+    # then check and hat words, each shortest first
     if label[0] == "tau":
         return (0, label[1], ())
     return ({"chk": 1, "hat": 2}[label[0]], len(label[1]), label[1])
@@ -329,7 +330,7 @@ def _old_label_key(label):
 def test_bases_match_brute_force(data):
     """The cyclic, check/hat (with and without tau) and marked bases on
     random one- and two-component DGAs against every letter tuple up to
-    max_len, filtered by ports and degree and sorted with the old keys."""
+    max_len, filtered by ports and degree and sorted by explicit keys."""
     k = data.draw(st.integers(1, 2))
     # string order puts "c10" before "c2": the alphabet is sorted by name
     letters = st.sampled_from(["a", "b", "a1", "b0", "c10", "c2"])
@@ -378,7 +379,7 @@ def test_bases_match_brute_force(data):
             taus
             + [(grading(w), ("chk", w)) for w in cyclic]
             + [(grading(w) + 1, ("hat", w)) for w in cyclic],
-            key=_old_label_key,
+            key=_decorated_label_key,
         )
     def closes(w, src, dst):
         # w follows a mark from src to dst and closes the cycle
