@@ -64,12 +64,12 @@ def _load_document(ref: str) -> dict:
         raise CliInputError(f"{ref}: no such file or bundled example")
 
 
-def _parse(ref: str, parser, **options):
+def _parse(ref: str, parser):
     """Read the document ref with one of the documents parsers; a schema
     violation is an input error."""
     doc = _load_document(ref)
     try:
-        return parser(doc, **options)
+        return parser(doc)
     except docs.ParseError as exc:
         raise CliInputError(f"{ref}: {exc}")
 
@@ -86,12 +86,8 @@ def _window(args) -> tuple[int, int]:
     return args.min_deg, args.max_deg
 
 
-def _load_dga(ref: str, allow_partial: bool = False):
-    return _parse(ref, docs.dga_from_document, allow_partial=allow_partial)
-
-
 def cmd_validate(args) -> int:
-    dga = _load_dga(args.dga, allow_partial=False)
+    dga = _parse(args.dga, docs.dga_from_document)
     report = check_d_squared(dga)
     if report.ok:
         print(f"{args.dga}: valid ({len(dga.generators)} generators, d^2 = 0)")
@@ -103,7 +99,7 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     window = _window(args)
-    dga = _load_dga(args.dga)
+    dga = _parse(args.dga, docs.dga_from_document)
     if args.complex == "lin":
         if args.augmentation:
             eps = _parse(args.augmentation, docs.augmentation_from_document)
@@ -162,16 +158,12 @@ def _filling_of(ref: str):
 
 def cmd_surgery(args) -> int:
     window = _window(args)
-    dga = _load_dga(args.dga)
+    dga = _parse(args.dga, docs.dga_from_document)
     filling = _filling_of(args.filling)
     if args.counts:
         counts = _parse(args.counts, docs.counts_from_document)
     else:
         counts = SurgeryCountTable.zero()
-        counts.meta["provenance"] = (
-            "mixed counts default to zero; valid when every relevant disk "
-            "stays in a chart around the surgery locus"
-        )
     builder = {
         "ch": build_lch_surgery,
         "sh+": build_shplus_surgery,
@@ -195,7 +187,7 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_augmentations(args) -> int:
-    dga = _load_dga(args.dga)
+    dga = _parse(args.dga, docs.dga_from_document)
     try:
         values = [Fraction(v.strip()) for v in args.values.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError):

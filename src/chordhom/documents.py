@@ -185,6 +185,43 @@ def _is_plain(v) -> bool:
 # ---- filling and count documents ----------------------------------------------
 
 
+def _table(doc: dict, key: str, *fields: tuple) -> dict:
+    """The optional table key of a filling/1 or counts/1 document: a list of
+    entries, each with the key fields and a rational "coeff", read as
+    {key: coeff}.  A field is (name, type, labels, noun): a str field with
+    labels must name one of them (an unknown one is reported by the noun),
+    and a list field is a word, a nonempty list of names kept as a tuple.
+    A repeated key is refused."""
+    out: dict = {}
+    first: dict = {}
+    for idx, e in enumerate(_optional(doc, key, list, "$", [])):
+        path = f"$.{key}[{idx}]"
+        parts = []
+        for name, typ, labels, noun in fields:
+            v = _require(e, name, typ, path)
+            if typ is list:
+                if not v or not all(isinstance(x, str) for x in v):
+                    _fail(f"{path}.{name}", "expected a nonempty list of generator names")
+                v = tuple(v)
+            elif labels is not None and v not in labels:
+                _fail(path, f"unknown {noun} {v!r}")
+            parts.append(v)
+        k = tuple(parts)
+        if k in first:
+            _fail(path, f"duplicate of $.{key}[{first[k]}]")
+        first[k] = idx
+        out[k] = _rational(_require(e, "coeff", (str, int), path), f"{path}.coeff")
+    return out
+
+
+def _label(name: str, labels: set[str] | None = None, noun: str = "label") -> tuple:
+    return (name, str, labels, noun)
+
+
+_COMPONENT = ("component", int, None, "")
+_WORD = ("word", list, None, "")
+
+
 def filling_from_document(doc: dict) -> FillingModel:
     fmt = _require(doc, "format", str, "$")
     if fmt != "filling/1":
@@ -218,73 +255,36 @@ def filling_from_document(doc: dict) -> FillingModel:
             _fail(path, f"duplicate Morse label {label}")
         morse_labels.add(label)
         morse.append((label, _require(p, "grading", int, path)))
-
-    def edge_table(key: str, src_set, dst_set, src_field="from", dst_field="to"):
-        out = {}
-        for idx, e in enumerate(_optional(doc, key, list, "$", [])):
-            path = f"$.{key}[{idx}]"
-            a = _require(e, src_field, str, path)
-            b = _require(e, dst_field, str, path)
-            if src_set is not None and a not in src_set:
-                _fail(path, f"unknown label {a!r}")
-            if dst_set is not None and b not in dst_set:
-                _fail(path, f"unknown label {b!r}")
-            out[(a, b)] = _rational(
-                _require(e, "coeff", (str, int), path), f"{path}.coeff"
-            )
-        return out
-
+    orbit = (_label("from", labels), _label("to", labels))
+    point = (_label("from", morse_labels), _label("to", morse_labels))
     tables = dict(
-        orbit_diff=edge_table("orbit_differential", labels, labels),
-        bott_diff=edge_table("bott", labels, labels),
-        to_morse=edge_table("to_morse", labels, morse_labels, "orbit", "morse"),
-        morse_diff=edge_table("morse_differential", morse_labels, morse_labels),
+        orbit_diff=_table(doc, "orbit_differential", *orbit),
+        bott_diff=_table(doc, "bott", *orbit),
+        to_morse=_table(doc, "to_morse", _label("orbit", labels), _label("morse", morse_labels)),
+        morse_diff=_table(doc, "morse_differential", *point),
+        morse_tau=_table(
+            doc, "morse_tau", _label("morse", morse_labels, "Morse label"), _COMPONENT
+        ),
         meta=dict(_optional(doc, "metadata", dict, "$", {})),
     )
     try:
-        model = FillingModel(n=n, orbits=orbits, morse=morse, **tables)
+        return FillingModel(n=n, orbits=orbits, morse=morse, **tables)
     except ValueError as exc:
         raise ParseError([("$.n", str(exc))])
-    for idx, e in enumerate(_optional(doc, "morse_tau", list, "$", [])):
-        path = f"$.morse_tau[{idx}]"
-        p = _require(e, "morse", str, path)
-        if p not in morse_labels:
-            _fail(path, f"unknown Morse label {p!r}")
-        j = _require(e, "component", int, path)
-        model.morse_tau[(p, j)] = _rational(
-            _require(e, "coeff", (str, int), path), f"{path}.coeff"
-        )
-    return model
 
 
 def counts_from_document(doc: dict) -> SurgeryCountTable:
     fmt = _require(doc, "format", str, "$")
     if fmt != "counts/1":
         _fail("$.format", f"unsupported format {fmt!r}")
-    table = SurgeryCountTable()
-
-    def word_entries(key: str, target: dict):
-        for idx, e in enumerate(_optional(doc, key, list, "$", [])):
-            path = f"$.{key}[{idx}]"
-            orbit = _require(e, "orbit", str, path)
-            word = _require(e, "word", list, path)
-            if not word or not all(isinstance(x, str) for x in word):
-                _fail(f"{path}.word", "expected a nonempty list of generator names")
-            coeff = _rational(_require(e, "coeff", (str, int), path), f"{path}.coeff")
-            target[(orbit, tuple(word))] = coeff
-
-    word_entries("mixed_cyclic", table.mixed_cyc)
-    word_entries("check", table.ncheck)
-    word_entries("hat", table.nhat)
-    for idx, e in enumerate(_optional(doc, "orbit_tau", list, "$", [])):
-        path = f"$.orbit_tau[{idx}]"
-        orbit = _require(e, "orbit", str, path)
-        j = _require(e, "component", int, path)
-        table.orbit_tau[(orbit, j)] = _rational(
-            _require(e, "coeff", (str, int), path), f"{path}.coeff"
-        )
-    table.meta = dict(_optional(doc, "metadata", dict, "$", {}))
-    return table
+    orbit = _label("orbit")
+    return SurgeryCountTable(
+        mixed_cyc=_table(doc, "mixed_cyclic", orbit, _WORD),
+        ncheck=_table(doc, "check", orbit, _WORD),
+        nhat=_table(doc, "hat", orbit, _WORD),
+        orbit_tau=_table(doc, "orbit_tau", orbit, _COMPONENT),
+        meta=dict(_optional(doc, "metadata", dict, "$", {})),
+    )
 
 
 # ---- directed A-infinity documents ---------------------------------------------

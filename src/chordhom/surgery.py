@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Container, Mapping
 
 from .algebra import ChordAlgebra, Word
@@ -30,12 +31,13 @@ from .homology import EXACT, GradedChainComplex, _numerators, build_complex, gua
 
 
 class CountGradingError(ValueError):
-    """A count entry names what the DGA lacks or violates its grading
-    constraint."""
+    """A count entry names what the DGA or the filling lacks, or violates
+    its grading constraint."""
 
 
 class FillingMismatchError(ValueError):
-    """The filling model couples to a component the DGA lacks."""
+    """The filling model has another dimension than the DGA, or couples to
+    a component the DGA lacks."""
 
 
 @dataclass(frozen=True)
@@ -251,54 +253,62 @@ def _orbit_row(
     return out
 
 
-def _orbit_bases(
-    filling: FillingModel, window: tuple[int, int], decorated: bool, with_morse: bool
-) -> dict[int, list]:
+def _orbit_bases(filling: FillingModel, window: tuple[int, int], kind: str) -> dict[int, list]:
+    """The filling's labels by degree in the layout of a theory: the good
+    orbits for lch and ch, a check and a hat copy of every orbit for shplus
+    and sh, and the Morse generators for sh."""
     lo, hi = window
     bases: dict[int, list] = {}
+
+    def add(degree: int, label) -> None:
+        if lo - 1 <= degree <= hi + 1:
+            bases.setdefault(degree, []).append(label)
+
     for o in filling.orbits_up_to(hi + 2):
-        if decorated:
-            if lo - 1 <= o.grading <= hi + 1:
-                bases.setdefault(o.grading, []).append(("ochk", o.label))
-            if lo - 1 <= o.grading + 1 <= hi + 1:
-                bases.setdefault(o.grading + 1, []).append(("ohat", o.label))
-        else:
-            if o.bad:
-                continue
-            if lo - 1 <= o.grading <= hi + 1:
-                bases.setdefault(o.grading, []).append(("orb", o.label))
-    if with_morse:
+        if kind in ("shplus", "sh"):
+            add(o.grading, ("ochk", o.label))
+            add(o.grading + 1, ("ohat", o.label))
+        elif not o.bad:
+            add(o.grading, ("orb", o.label))
+    if kind == "sh":
         for p, deg in filling.morse:
-            if lo - 1 <= deg <= hi + 1:
-                bases.setdefault(deg, []).append(("mrs", p))
+            add(deg, ("mrs", p))
     return bases
 
 
-def _merge_bases(a: dict[int, list], b: dict[int, list]) -> dict[int, list]:
-    out: dict[int, list] = {d: list(v) for d, v in a.items()}
-    for d, labs in b.items():
-        out.setdefault(d, []).extend(labs)
-    return out
-
-
-def _surgery_setup(
+def _surgery_complex(
+    kind: str,
     filling: FillingModel,
     dga: DGASpec | None,
     counts: SurgeryCountTable,
     window: tuple[int, int],
     max_len: int,
-) -> tuple[str, Callable[[tuple], dict]]:
-    """The prologue of the three surgery builders: check the counts and the
-    filling's component classes against the DGA, fold the cyclic keys of
-    the counts, read the verdict, and bind the orbit-row routine to the
-    filling's tables.  Returns (verdict, orbit row)."""
+    chord_bases: Callable,
+    chord_image: Callable,
+) -> GradedChainComplex:
+    """The surgery complex of a theory: the filling's block in the layout
+    of kind, the DGA's chord block (chord_bases, chord_image), and the
+    count tables coupling them.  Checks the counts against an explicit
+    orbit list and the filling and the counts against the DGA, folds the
+    cyclic keys of the counts, reads the verdict, and binds the orbit row
+    to the filling's tables; a Morse row also carries the filling's
+    component-class counts.  dga=None builds the filling's block alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
+    bases = _orbit_bases(filling, window, kind)
+    if filling.orbit_factory is None:
+        known = {o.label for o in filling.orbits}
+        for g, _ in [*counts.mixed_cyc, *counts.ncheck, *counts.nhat, *counts.orbit_tau]:
+            if g not in known:
+                raise CountGradingError(f"count from {g}: the filling has no such orbit")
     cyc: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
-    if dga is None:
-        verdict, alg = EXACT, None
-    else:
+    verdict, alg = EXACT, None
+    if dga is not None:
+        if filling.n != dga.ambient_dim:
+            raise FillingMismatchError(
+                f"filling has n={filling.n} but the DGA has ambient_dim {dga.ambient_dim}"
+            )
         counts.validate(orbits, dga)
         for p, j in filling.morse_tau:
             if j not in dga.ring.components:
@@ -308,6 +318,8 @@ def _surgery_setup(
                 )
         verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
         alg = dga.algebra
+        for d, labels in chord_bases(alg, window, max_len).items():
+            bases.setdefault(d, []).extend(labels)
         # the cyclic counts folded onto class representatives; the caller's
         # table is left as it is
         for (g, w), c in counts.mixed_cyc.items():
@@ -324,7 +336,20 @@ def _surgery_setup(
         orbit_tau=counts.orbit_tau,
         morse_morse=filling.morse_diff,
     )
-    return verdict, lambda label: _orbit_row(label, tables, kappa, kappa, alg, bad)
+
+    def image(degree: int, label) -> tuple[dict, int]:
+        if label[0] not in ("orb", "ochk", "ohat", "mrs"):
+            return chord_image(dga, label)
+        out = _orbit_row(label, tables, kappa, kappa, alg, bad)
+        if label[0] == "mrs":
+            for (p, j), c in filling.morse_tau.items():
+                if p == label[1] and c:
+                    out[("tau", j)] += c
+        return _numerators(out)
+
+    return build_complex(
+        bases, image, window, verdict, max_len, meta={"kind": kind, "n": filling.n}
+    )
 
 
 def build_lch_surgery(
@@ -338,19 +363,8 @@ def build_lch_surgery(
     divided by the target multiplicity and the mixed block divided by the
     cyclic multiplicity.  dga=None builds the orbit-only complex (no
     surgery locus)."""
-    verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
-    bases = _merge_bases(
-        _orbit_bases(filling, window, False, False),
-        _cyclic_bases(dga.algebra, window, max_len) if dga is not None else {},
-    )
-
-    def image(degree: int, label) -> tuple[dict, int]:
-        if label[0] == "orb":
-            return _numerators(orbit_row(label))
-        return _cyclic_image(dga, label)
-
-    return build_complex(
-        bases, image, window, verdict, max_len, meta={"kind": "lch", "n": filling.n}
+    return _surgery_complex(
+        "lch", filling, dga, counts, window, max_len, _cyclic_bases, _cyclic_image
     )
 
 
@@ -364,19 +378,8 @@ def build_shplus_surgery(
     """Decorated orbits (bad ones included) plus the check/hat chord
     complex, with the stated block differential.  dga=None builds the
     orbit-only complex."""
-    verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
-    bases = _merge_bases(
-        _orbit_bases(filling, window, True, False),
-        _decorated_bases(dga.algebra, window, max_len) if dga is not None else {},
-    )
-
-    def image(degree: int, label) -> tuple[dict, int]:
-        if label[0] in ("ochk", "ohat"):
-            return _numerators(orbit_row(label))
-        return _decorated_image(dga, label)
-
-    return build_complex(
-        bases, image, window, verdict, max_len, meta={"kind": "shplus", "n": filling.n}
+    return _surgery_complex(
+        "shplus", filling, dga, counts, window, max_len, _decorated_bases, _decorated_image
     )
 
 
@@ -390,25 +393,9 @@ def build_sh_surgery(
     """The full complex: decorated orbits, the Morse block, the completed
     chord complex, and the coupling blocks.  dga=None builds the orbit and
     Morse part alone."""
-    verdict, orbit_row = _surgery_setup(filling, dga, counts, window, max_len)
-    bases = _merge_bases(
-        _orbit_bases(filling, window, True, True),
-        _decorated_bases(dga.algebra, window, max_len, tau=True) if dga is not None else {},
-    )
-
-    def image(degree: int, label) -> tuple[dict, int]:
-        kind = label[0]
-        if kind not in ("ochk", "ohat", "mrs"):
-            return _decorated_image(dga, label, tau=True)
-        out = orbit_row(label)
-        if kind == "mrs":
-            for (p, j), c in filling.morse_tau.items():
-                if p == label[1] and c:
-                    out[("tau", j)] += c
-        return _numerators(out)
-
-    return build_complex(
-        bases, image, window, verdict, max_len, meta={"kind": "sh", "n": filling.n}
+    return _surgery_complex(
+        "sh", filling, dga, counts, window, max_len,
+        partial(_decorated_bases, tau=True), partial(_decorated_image, tau=True),
     )
 
 
@@ -476,7 +463,7 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
     target's."""
     lo, hi = window
     orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
-    bases = _orbit_bases(filling, window, False, False)
+    bases = _orbit_bases(filling, window, "ch")
 
     def image(degree: int, label) -> tuple[dict, int]:
         gamma = label[1]

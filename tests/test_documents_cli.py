@@ -421,6 +421,57 @@ def test_cli_surgery_orbit_tau_component_outside_the_dga_exit_2(tmp_path):
     assert "names component 9 outside 1..1" in out
 
 
+# (document, table, the key fields of one entry the reference documents accept)
+DUPLICATED_ENTRIES = [
+    ("filling", "orbit_differential", {"from": "g1", "to": "h"}),
+    ("filling", "bott", {"from": "g1", "to": "h"}),
+    ("filling", "to_morse", {"orbit": "g1", "morse": "p"}),
+    ("filling", "morse_differential", {"from": "p", "to": "p"}),
+    ("filling", "morse_tau", {"morse": "p", "component": 1}),
+    ("counts", "mixed_cyclic", {"orbit": "g1", "word": ["a", "a"]}),
+    ("counts", "check", {"orbit": "g1", "word": ["a", "a"]}),
+    ("counts", "hat", {"orbit": "g1", "word": ["a"]}),
+    ("counts", "orbit_tau", {"orbit": "h", "component": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,table,key", DUPLICATED_ENTRIES, ids=[t for _, t, _ in DUPLICATED_ENTRIES]
+)
+def test_cli_surgery_duplicate_table_entry_exit_2(tmp_path, kind, table, key):
+    # a repeated key used to overwrite the first entry without a word
+    entries = [{**key, "coeff": "0"}, {**key, "coeff": "0"}]
+    if kind == "filling":
+        code, out = _surgery_sh(tmp_path, {**_FILLING, table: entries})
+    else:
+        code, out = _surgery_sh(tmp_path, _FILLING, {**_COUNTS, table: entries})
+    assert code == 2, out
+    assert f"$.{table}[1]: duplicate of $.{table}[0]" in out, out
+
+
+@pytest.mark.parametrize(
+    "table,fields",
+    [("mixed_cyclic", {"word": ["a", "a"]}), ("check", {"word": ["a", "a"]}),
+     ("hat", {"word": ["a"]}), ("orbit_tau", {"component": 1})],
+    ids=["mixed_cyclic", "check", "hat", "orbit_tau"],
+)
+def test_cli_surgery_count_from_an_orbit_the_filling_lacks_exit_2(tmp_path, table, fields):
+    # such a count used to be dropped without a word
+    counts = {**_COUNTS, table: [{"orbit": "zz", **fields, "coeff": "1"}]}
+    code, out = _surgery_sh(tmp_path, _FILLING, counts)
+    assert code == 2, out
+    assert out.startswith(f"input error: {tmp_path / 'm.counts'}: "), out
+    assert "count from zz: the filling has no such orbit" in out, out
+
+
+@pytest.mark.parametrize("theory", ["ch", "sh+", "sh"])
+def test_cli_surgery_filling_of_another_dimension_exit_2(theory):
+    # the ball of dimension 3 on a DGA of ambient dimension 2 used to read EXACT
+    code, out = run_cli("surgery", "unknot_n2", "--filling", "ball:3", "--theory", theory)
+    assert code == 2, out
+    assert out == "input error: ball:3: filling has n=3 but the DGA has ambient_dim 2\n"
+
+
 _CHEKANOV_EPS = {"a7": "1", "a8": "-1", "a9": "1"}
 
 

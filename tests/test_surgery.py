@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from chordhom.algebra import BaseRing, Generator, Word
-from chordhom.complexes import build_ho_complex, build_hoplus_complex, cyclic_class
+from chordhom.complexes import (
+    build_cyclic_complex,
+    build_ho_complex,
+    build_hoplus_complex,
+    cyclic_class,
+)
 from chordhom.dga import DGASpec
 from chordhom.documents import dga_from_document
 from chordhom.examples import example_document
@@ -102,14 +107,26 @@ def test_sphere_cotangent_ch_basis_and_zero_differential(n):
         assert set(complex.labels(d)) == expected, (n, d)
 
 
+# each surgery builder with the chord builder its chord block comes from
+SURGERY_CHORD_PAIRS = [
+    (build_lch_surgery, build_cyclic_complex),
+    (build_shplus_surgery, build_hoplus_complex),
+    (build_sh_surgery, build_ho_complex),
+]
+
+
+def assert_empty_filling_gives_chord_complexes(dga, window, max_len):
+    for surgery, chord in SURGERY_CHORD_PAIRS:
+        empty = empty_filling(dga.ambient_dim)
+        cx = surgery(empty, dga, SurgeryCountTable.zero(), window, max_len)
+        plain = chord(dga, window, max_len)
+        assert cx.verdict == plain.verdict
+        assert cx.basis == plain.basis and cx.diffs == plain.diffs
+        assert betti(cx).ranks == betti(plain).ranks
+
+
 def test_zero_filling_reduces_to_chord_complexes(unknot2):
-    empty = empty_filling(2)
-    shp = build_shplus_surgery(empty, unknot2, SurgeryCountTable.zero(), (0, 6), 8)
-    plain = build_hoplus_complex(unknot2, (0, 6), 8)
-    assert betti(shp).ranks == betti(plain).ranks
-    sh = build_sh_surgery(empty, unknot2, SurgeryCountTable.zero(), (0, 6), 8)
-    ho = build_ho_complex(unknot2, (0, 6), 8)
-    assert betti(sh).ranks == betti(ho).ranks
+    assert_empty_filling_gives_chord_complexes(unknot2, (0, 6), 8)
 
 
 def test_bad_orbit_doubling():
@@ -266,7 +283,6 @@ def test_direct_sum_property(unknot3):
 def test_les_ranks_for_the_surgery_triangle(unknot3):
     # the surgered complex against the filling and chord sides with zero
     # connecting maps
-    from chordhom.complexes import build_cyclic_complex
     from chordhom.homology import verify_les_ranks
 
     ball = builtin_ball_filling(3)
@@ -298,10 +314,4 @@ def test_cobordism_kappa_division_conventions():
 
 
 def test_empty_filling_reduces_orbit_cyclic_theory(unknot3):
-    from chordhom.complexes import build_cyclic_complex
-
-    lch = build_lch_surgery(
-        empty_filling(3), unknot3, SurgeryCountTable.zero(), (0, 8), 9
-    )
-    cyc = build_cyclic_complex(unknot3, (0, 8), 9)
-    assert betti(lch).ranks == betti(cyc).ranks
+    assert_empty_filling_gives_chord_complexes(unknot3, (0, 8), 9)
