@@ -7,9 +7,7 @@ from .algebra import (
     ChordAlgebra,
     Element,
     Generator,
-    TruncatedSeries,
     Word,
-    series_multiply,
 )
 from .complexes import (
     CyclicWord,

@@ -11,7 +11,7 @@ rationals throughout; nothing in this package touches floating point.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -292,61 +292,3 @@ class ChordAlgebra:
             yield cur, sign
             cur, s = self.koszul_rotate(cur)
             sign *= s
-
-
-@dataclass
-class TruncatedSeries:
-    """t-adic series with Element coefficients, truncated above order."""
-
-    order: int
-    coeffs: dict[int, Element] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        clean = {}
-        for p, el in self.coeffs.items():
-            if p < 0:
-                raise ValueError("negative t-power")
-            if p <= self.order and not el.is_zero():
-                clean[p] = el
-        self.coeffs = clean
-
-    def coeff(self, p: int) -> Element:
-        return self.coeffs.get(p, Element.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.order != other.order:
-            raise ValueError("mismatched truncation orders")
-        out = dict(self.coeffs)
-        for p, el in other.coeffs.items():
-            out[p] = out.get(p, Element.zero()) + el
-        return TruncatedSeries(self.order, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-
-def series_multiply(
-    algebra: ChordAlgebra, s1: TruncatedSeries, s2: TruncatedSeries
-) -> TruncatedSeries:
-    """Cauchy product of truncated series; powers above the order are dropped."""
-    if s1.order != s2.order:
-        raise ValueError("mismatched truncation orders")
-    out: dict[int, Element] = {}
-    for p, a in s1.coeffs.items():
-        for q, b in s2.coeffs.items():
-            if p + q > s1.order:
-                continue
-            prod = algebra.multiply(a, b)
-            if prod.is_zero():
-                continue
-            out[p + q] = out.get(p + q, Element.zero()) + prod
-    return TruncatedSeries(s1.order, out)

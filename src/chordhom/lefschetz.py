@@ -14,6 +14,9 @@ Every construction reads one merged table (`CurvedAinf.table`) and one
 chord list (`_chords`).  The dual DGA and the holomorphic part of the
 direct one share the t-power expansion `_expand`; the direct Morse--Bott
 terms are derived on their own, so dual = direct compares two derivations.
+They are products of t-adic series with integer coefficients,
+{t-power: {chord letters: coefficient}} (`_series_mul`, `_series_add`),
+and each generator's differential becomes an Element once, at the end.
 
 The cyclic tensor complex has no basis of its own: it is the check/hat
 basis of complexes._decorated_bases (with the component classes) under
@@ -21,7 +24,9 @@ the dictionary's names (_to_cc), with degrees negated, and
 verify_dictionary pairs the two complexes through the same _to_cc.  Its
 boundary images sum integer numerators over the lcm of the table's
 denominators, with the Koszul signs read off one prefix-parity list per
-label, and hand build_complex the sums with that denominator.
+label, and hand build_complex the sums with that denominator.  They scan
+only chord blocks no longer than the table's longest word and look up the
+hits of each block once per call.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BaseRing, ChordAlgebra, Element, Generator, TruncatedSeries, Word, rat, series_multiply
+from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
 from .complexes import _decorated_bases
 from .dga import DGASpec
 from .homology import GradedChainComplex, _composable_words, build_complex, guard_verdict
@@ -386,6 +391,35 @@ def dualize_tensor_algebra(D: CurvedAinf) -> DGASpec:
 
 # ---- the direct construction -------------------------------------------------
 
+# A Morse--Bott series: {t-power: {chord letters: integer coefficient}}.
+Series = dict
+
+
+def _series_mul(a: Series, b: Series, N: int, src: dict, dst: dict) -> Series:
+    """The Cauchy product of two series truncated above N.  A product of
+    two words is zero unless the first ends where the second begins."""
+    out: Series = {}
+    for p, xs in a.items():
+        for q, ys in b.items():
+            if p + q > N:
+                continue
+            slot = out.setdefault(p + q, {})
+            for u, c in xs.items():
+                port = src[u[-1]]
+                for v, d in ys.items():
+                    if dst[v[0]] == port:
+                        w = u + v
+                        slot[w] = slot.get(w, 0) + c * d
+    return out
+
+
+def _series_add(into: Series, s: Series, scale: int = 1) -> None:
+    """into += scale * s."""
+    for p, xs in s.items():
+        slot = into.setdefault(p, {})
+        for w, c in xs.items():
+            slot[w] = slot.get(w, 0) + scale * c
+
 
 def lefschetz_dga(
     basis: DirectedAinfSpec,
@@ -403,107 +437,82 @@ def lefschetz_dga(
     symbols = _symbol_table(spec)
     N = t_order
     gens = _chord_generators(symbols, N)
-    ring = BaseRing(spec.k)
-    alg = ChordAlgebra(ring, gens)
-
-    def series(sym: Symbol) -> TruncatedSeries:
-        info = symbols[sym]
-        return TruncatedSeries(
-            N,
-            {
-                p: Element.monomial(Word.of([_chord_name(sym, p)]))
-                for p in range(info.p_min, N + 1)
-            },
-        )
-
-    def smul(*ss: TruncatedSeries) -> TruncatedSeries:
-        acc = ss[0]
-        for s in ss[1:]:
-            acc = series_multiply(alg, acc, s)
-        return acc
-
-    def sscale(s: TruncatedSeries, c: int) -> TruncatedSeries:
-        return TruncatedSeries(N, {p: el.scale(c) for p, el in s.coeffs.items()})
-
-    diff_series: dict[Symbol, TruncatedSeries] = {
-        sym: TruncatedSeries(N, {}) for sym in symbols
+    src = {g.name: g.src for g in gens}
+    dst = {g.name: g.dst for g in gens}
+    # the series sum_p t^p q(p) of every symbol
+    series = {
+        sym: {p: {(_chord_name(sym, p),): 1} for p in range(info.p_min, N + 1)}
+        for sym, info in symbols.items()
     }
 
+    def smul(a: Series, b: Series) -> Series:
+        return _series_mul(a, b, N, src, dst)
+
+    diff_series: dict[Symbol, Series] = {sym: {} for sym in symbols}
+
     # d_MB
+    msign = -1 if (n - 1) % 2 else 1
     for i in range(1, spec.k + 1):
-        e, m = ("e", i), ("m", i)
-        diff_series[e] = diff_series[e] + smul(series(e), series(e))
-        msign = -1 if (n - 1) % 2 else 1
-        diff_series[m] = (
-            diff_series[m]
-            + smul(series(e), series(m))
-            + sscale(smul(series(m), series(e)), msign)
-        )
+        e, m = series[("e", i)], series[("m", i)]
+        _series_add(diff_series[("e", i)], smul(e, e))
+        dm = diff_series[("m", i)]
+        _series_add(dm, smul(e, m))
+        _series_add(dm, smul(m, e), msign)
         for nm, _g, pi, pj in spec.points:
-            f, b = ("f", nm), ("b", nm)
+            f, b = series[("f", nm)], series[("b", nm)]
             if pj == i:
-                diff_series[m] = diff_series[m] + smul(series(f), series(b))
+                _series_add(dm, smul(f, b))
             if pi == i:
-                diff_series[m] = diff_series[m] + smul(series(b), series(f))
+                _series_add(dm, smul(b, f))
     for nm, ga, i, j in spec.points:
-        f, b = ("f", nm), ("b", nm)
+        f, b = series[("f", nm)], series[("b", nm)]
         fsign = -1 if (ga - 1) % 2 else 1
         bsign = -1 if ((n - 2) - ga) % 2 else 1
-        diff_series[f] = (
-            diff_series[f]
-            + smul(series(("e", j)), series(f))
-            + sscale(smul(series(f), series(("e", i))), fsign)
-        )
-        diff_series[b] = (
-            diff_series[b]
-            + smul(series(("e", i)), series(b))
-            + sscale(smul(series(b), series(("e", j))), bsign)
-        )
+        df, db = diff_series[("f", nm)], diff_series[("b", nm)]
+        _series_add(df, smul(series[("e", j)], f))
+        _series_add(df, smul(f, series[("e", i)]), fsign)
+        _series_add(db, smul(series[("e", i)], b))
+        _series_add(db, smul(b, series[("e", j)]), bsign)
 
     if n == 2:
         if spec.order is None:
             raise ValueError("n = 2 requires a global order on the intersection points")
         rank = {nm: r for r, nm in enumerate(spec.order)}
 
-        def wing_series(point: str, comp: int) -> TruncatedSeries:
+        def wing_series(point: str, comp: int) -> Series:
             _nm, _g, pi, pj = spec.point(point)
-            if comp == pj:
-                return smul(series(("f", point)), series(("b", point)))
-            return smul(series(("b", point)), series(("f", point)))
+            f, b = series[("f", point)], series[("b", point)]
+            return smul(f, b) if comp == pj else smul(b, f)
 
         for i in range(1, spec.k + 1):
-            m = ("m", i)
+            m = series[("m", i)]
             for nm, _g, pi, pj in spec.points:
-                if i not in (pi, pj):
-                    continue
-                diff_series[m] = diff_series[m] + smul(series(m), wing_series(nm, i))
+                if i in (pi, pj):
+                    _series_add(diff_series[("m", i)], smul(m, wing_series(nm, i)))
         for nm, ga, i, j in spec.points:
-            f, b = ("f", nm), ("b", nm)
+            f, b = series[("f", nm)], series[("b", nm)]
             fsign = -1 if (ga - 1) % 2 else 1
             bsign = -1 if ga % 2 else 1
+            df, db = diff_series[("f", nm)], diff_series[("b", nm)]
             for other, _g2, oi, oj in spec.points:
                 if other == nm or rank[other] >= rank[nm]:
                     continue
                 if i in (oi, oj):
-                    diff_series[f] = diff_series[f] + sscale(
-                        smul(series(f), wing_series(other, i)), fsign
-                    )
-                    diff_series[b] = diff_series[b] + sscale(
-                        smul(wing_series(other, i), series(b)), -1
-                    )
+                    wing = wing_series(other, i)
+                    _series_add(df, smul(f, wing), fsign)
+                    _series_add(db, smul(wing, b), -1)
                 if j in (oi, oj):
-                    diff_series[f] = diff_series[f] + sscale(
-                        smul(wing_series(other, j), series(f)), -1
-                    )
-                    diff_series[b] = diff_series[b] + sscale(
-                        smul(series(b), wing_series(other, j)), bsign
-                    )
+                    wing = wing_series(other, j)
+                    _series_add(df, smul(wing, f), -1)
+                    _series_add(db, smul(b, wing), bsign)
 
     acc: dict[str, dict[Word, Fraction]] = {}
     for sym, info in symbols.items():
         s = diff_series[sym]
         for p in range(info.p_min, N + 1):
-            acc[_chord_name(sym, p)] = defaultdict(Fraction, s.coeff(p).terms)
+            acc[_chord_name(sym, p)] = defaultdict(
+                Fraction, {Word(w): c for w, c in s.get(p, {}).items()}
+            )
 
     # d_const
     if N >= 1:
@@ -515,7 +524,7 @@ def lefschetz_dga(
         _expand(h_counts, symbols, N, acc)
 
     return DGASpec(
-        ring=ring,
+        ring=BaseRing(spec.k),
         generators=gens,
         differential={g.name: Element(acc[g.name]) for g in gens},
         ambient_dim=n,
@@ -555,6 +564,8 @@ def hochschild_complex(
         word: [(out, c.numerator * (den // c.denominator)) for out, c in hits.items()]
         for word, hits in D.table.items()
     }
+    # the curvature chord of each component
+    curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
     lo, hi = window
     # the check/hat basis under the dictionary's names, degrees negated
     stored = {
@@ -562,17 +573,25 @@ def hochschild_complex(
         for d, labs in _decorated_bases(alg, window, max_len, tau=True).items()
     }
 
-    def blocks_of(block: tuple[str, ...]):
-        """Table hits for a block of chords; yields (out_name, numerator)."""
-        hits = table.get(tuple(name_to_chord[x][0] for x in block))
-        if not hits:
-            return
-        total = sum(name_to_chord[x][1] for x in block)
-        if total > N:
-            return
-        for out, coeff in hits:
-            if symbols[out].p_min <= total:
-                yield _chord_name(out, total), coeff
+    # no table word is longer than max_arity, so no longer block has a hit
+    max_arity = max(map(len, table), default=0)
+    block_hits: dict[tuple[str, ...], list[tuple[str, int]]] = {}
+
+    def blocks_of(block: tuple[str, ...]) -> list[tuple[str, int]]:
+        """Table hits for a block of chords as (out_name, numerator),
+        looked up once per block."""
+        hits = block_hits.get(block)
+        if hits is None:
+            hits = block_hits[block] = []
+            row = table.get(tuple(name_to_chord[x][0] for x in block))
+            total = sum(name_to_chord[x][1] for x in block)
+            if row and total <= N:
+                hits += [
+                    (_chord_name(out, total), coeff)
+                    for out, coeff in row
+                    if symbols[out].p_min <= total
+                ]
+        return hits
 
     def prefix_parities(letters: tuple[str, ...]) -> list[int]:
         """pre[i]: the grading parity of letters[:i], for i = 0..len."""
@@ -590,7 +609,7 @@ def hochschild_complex(
         kind = label[0]
         if kind == "cce":
             i = label[1]
-            return {("ccv", i, (_chord_name(("e", i), 1),)): 1}, 1
+            return {("ccv", i, (curvature[i],)): 1}, 1
         if kind == "ccv":
             letters = label[2]
             slot_word = letters[1:] + (letters[0],)
@@ -603,7 +622,7 @@ def hochschild_complex(
 
             for t in range(s):
                 psign = -1 if pre[t] else 1
-                for m in range(1, s - t + 1):
+                for m in range(1, min(s - t, max_arity) + 1):
                     for out_name, coeff in blocks_of(slot_word[t : t + m]):
                         emit(
                             slot_word[:t] + (out_name,) + slot_word[t + m :],
@@ -611,8 +630,7 @@ def hochschild_complex(
                         )
             # the curvature chord inserted at every slot of the slot word
             for slot in range(s + 1):
-                c_comp = src[slot_word[slot - 1]] if slot else dst[slot_word[0]]
-                enm = _chord_name(("e", c_comp), 1)
+                enm = curvature[src[slot_word[slot - 1]] if slot else dst[slot_word[0]]]
                 emit(slot_word[:slot] + (enm,) + slot_word[slot:], -den if pre[slot] else den)
             add(out, ("cch", slot_word), den)
             # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
@@ -626,16 +644,16 @@ def hochschild_complex(
         # (-1)^(|letters[0]| + 1 + |letters[1:j]|) = (-1)^(1 + pre[j])
         for j in range(1, s):
             psign = 1 if pre[j] else -1
-            for m in range(1, s - j + 1):
+            for m in range(1, min(s - j, max_arity) + 1):
                 for out_name, coeff in blocks_of(letters[j : j + m]):
                     new = letters[:j] + (out_name,) + letters[j + m :]
                     add(out, ("cch", new), psign * coeff)
         for t in range(0, s):
-            enm = _chord_name(("e", src[letters[t]]), 1)
-            new = letters[: t + 1] + (enm,) + letters[t + 1 :]
+            new = letters[: t + 1] + (curvature[src[letters[t]]],) + letters[t + 1 :]
             add(out, ("cch", new), den if pre[t + 1] else -den)
-        for h in range(1, s + 1):
-            for t in range(0, s - h + 1):
+        # the block tail + letters[:h] has length t + h <= max_arity
+        for h in range(1, min(s, max_arity) + 1):
+            for t in range(0, min(s - h, max_arity - h) + 1):
                 middle = letters[h : s - t]
                 tail = letters[s - t :] if t else ()
                 for out_name, coeff in blocks_of(tail + letters[:h]):

@@ -11,6 +11,7 @@ orbit; mixed counts default to zero.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,8 +54,9 @@ class FillingModel:
     """Orbit and Morse data of a filling, with count tables.
 
     orbit_factory, when set, generates the orbit list lazily up to a degree
-    bound; otherwise the explicit orbit list is used.  Count dictionaries
-    are keyed by generator labels.
+    bound, and orbit_label tells whether a label names one of its orbits at
+    any degree; otherwise the explicit orbit list is used.  Count
+    dictionaries are keyed by generator labels.
     """
 
     n: int
@@ -66,11 +68,21 @@ class FillingModel:
     morse_diff: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     morse_tau: dict[tuple[str, int], Fraction] = field(default_factory=dict)
     orbit_factory: Callable[[int], list[Orbit]] | None = None
+    orbit_label: Callable[[str], bool] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"filling model needs n >= 2, got {self.n}")
+        if (self.orbit_factory is None) != (self.orbit_label is None):
+            raise ValueError("orbit_factory and orbit_label go together")
+
+    def has_orbit(self, label: str) -> bool:
+        """Whether label names an orbit of the filling, at any degree; a
+        lazy orbit list materializes nothing to answer."""
+        if self.orbit_label is not None:
+            return self.orbit_label(label)
+        return any(o.label == label for o in self.orbits)
 
     def orbits_up_to(self, max_degree: int) -> list[Orbit]:
         if self.orbit_factory is not None:
@@ -103,7 +115,11 @@ def builtin_ball_filling(n: int) -> FillingModel:
         return out
 
     model = FillingModel(
-        n=n, orbit_factory=factory, morse=[("min", n)], meta={"builtin": f"ball:{n}"}
+        n=n,
+        orbit_factory=factory,
+        orbit_label=lambda label: re.fullmatch("g[1-9][0-9]*", label) is not None,
+        morse=[("min", n)],
+        meta={"builtin": f"ball:{n}"},
     )
     for k in range(1, top_iteration):
         model.bott_diff[(f"g{k + 1}", f"g{k}")] = Fraction(1)
@@ -288,20 +304,19 @@ def _surgery_complex(
 ) -> GradedChainComplex:
     """The surgery complex of a theory: the filling's block in the layout
     of kind, the DGA's chord block (chord_bases, chord_image), and the
-    count tables coupling them.  Checks the counts against an explicit
-    orbit list and the filling and the counts against the DGA, folds the
-    cyclic keys of the counts, reads the verdict, and binds the orbit row
-    to the filling's tables; a Morse row also carries the filling's
-    component-class counts.  dga=None builds the filling's block alone."""
+    count tables coupling them.  Checks that every count comes from an
+    orbit of the filling, and the filling and the counts against the DGA,
+    folds the cyclic keys of the counts, reads the verdict, and binds the
+    orbit row to the filling's tables; a Morse row also carries the
+    filling's component-class counts.  dga=None builds the filling's block
+    alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
     bases = _orbit_bases(filling, window, kind)
-    if filling.orbit_factory is None:
-        known = {o.label for o in filling.orbits}
-        for g, _ in [*counts.mixed_cyc, *counts.ncheck, *counts.nhat, *counts.orbit_tau]:
-            if g not in known:
-                raise CountGradingError(f"count from {g}: the filling has no such orbit")
+    for g, _ in [*counts.mixed_cyc, *counts.ncheck, *counts.nhat, *counts.orbit_tau]:
+        if not filling.has_orbit(g):
+            raise CountGradingError(f"count from {g}: the filling has no such orbit")
     cyc: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
     verdict, alg = EXACT, None
     if dga is not None:

@@ -11,13 +11,16 @@ through homology._numerators.
 
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the spread operator S as a dict of decorated
-words, and the marked module M itself (the library builds only its
-cyclic quotient, mcyc).
+words, the marked module M itself (the library builds only its cyclic
+quotient, mcyc), and the direct vanishing-cycle DGA with its Morse--Bott
+terms as t-adic series of Elements (the library multiplies integer
+series).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from chordhom import complexes
@@ -25,7 +28,17 @@ from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
 from chordhom.complexes import HAT, DecoratedWord, _marks, _mcyc_reduce, cyclic_class
 from chordhom.dga import DGASpec, extend_leibniz
 from chordhom.homology import _composable_words, _numerators, build_complex, enumerate_cyclic_words
-from chordhom.lefschetz import CurvedAinf, _cc_label_key, _chord_generators, _chord_name, _chords
+from chordhom.lefschetz import (
+    CurvedAinf,
+    DirectedAinfSpec,
+    Symbol,
+    _cc_label_key,
+    _chord_generators,
+    _chord_name,
+    _chords,
+    _expand,
+    _symbol_table,
+)
 
 _ONE = Fraction(1)
 
@@ -325,4 +338,199 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
     return build_complex(
         stored, lambda degree, label: _numerators(image(degree, label)),
         (-hi, -lo), "reference", max_len,
+    )
+
+
+# ---- the direct vanishing-cycle construction -------------------------------------
+
+
+@dataclass
+class TruncatedSeries:
+    """t-adic series with Element coefficients, truncated above order."""
+
+    order: int
+    coeffs: dict[int, Element] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        clean = {}
+        for p, el in self.coeffs.items():
+            if p < 0:
+                raise ValueError("negative t-power")
+            if p <= self.order and not el.is_zero():
+                clean[p] = el
+        self.coeffs = clean
+
+    def coeff(self, p: int) -> Element:
+        return self.coeffs.get(p, Element.zero())
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if self.order != other.order:
+            raise ValueError("mismatched truncation orders")
+        out = dict(self.coeffs)
+        for p, el in other.coeffs.items():
+            out[p] = out.get(p, Element.zero()) + el
+        return TruncatedSeries(self.order, out)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TruncatedSeries)
+            and self.order == other.order
+            and self.coeffs == other.coeffs
+        )
+
+
+def series_multiply(
+    algebra: ChordAlgebra, s1: TruncatedSeries, s2: TruncatedSeries
+) -> TruncatedSeries:
+    """Cauchy product of truncated series; powers above the order are dropped."""
+    if s1.order != s2.order:
+        raise ValueError("mismatched truncation orders")
+    out: dict[int, Element] = {}
+    for p, a in s1.coeffs.items():
+        for q, b in s2.coeffs.items():
+            if p + q > s1.order:
+                continue
+            prod = algebra.multiply(a, b)
+            if prod.is_zero():
+                continue
+            out[p + q] = out.get(p + q, Element.zero()) + prod
+    return TruncatedSeries(s1.order, out)
+
+
+def lefschetz_dga_reference(
+    basis: DirectedAinfSpec,
+    h_counts: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] | None,
+    n: int,
+    t_order: int,
+) -> DGASpec:
+    """lefschetz_dga with the Morse--Bott series as TruncatedSeries of
+    Elements, multiplied by series_multiply."""
+    spec = basis
+    if spec.n != n:
+        raise ValueError("dimension parameter disagrees with the basis data")
+    symbols = _symbol_table(spec)
+    N = t_order
+    gens = _chord_generators(symbols, N)
+    ring = BaseRing(spec.k)
+    alg = ChordAlgebra(ring, gens)
+
+    def series(sym: Symbol) -> TruncatedSeries:
+        info = symbols[sym]
+        return TruncatedSeries(
+            N,
+            {
+                p: Element.monomial(Word.of([_chord_name(sym, p)]))
+                for p in range(info.p_min, N + 1)
+            },
+        )
+
+    def smul(*ss: TruncatedSeries) -> TruncatedSeries:
+        acc = ss[0]
+        for s in ss[1:]:
+            acc = series_multiply(alg, acc, s)
+        return acc
+
+    def sscale(s: TruncatedSeries, c: int) -> TruncatedSeries:
+        return TruncatedSeries(N, {p: el.scale(c) for p, el in s.coeffs.items()})
+
+    diff_series: dict[Symbol, TruncatedSeries] = {
+        sym: TruncatedSeries(N, {}) for sym in symbols
+    }
+
+    # d_MB
+    for i in range(1, spec.k + 1):
+        e, m = ("e", i), ("m", i)
+        diff_series[e] = diff_series[e] + smul(series(e), series(e))
+        msign = -1 if (n - 1) % 2 else 1
+        diff_series[m] = (
+            diff_series[m]
+            + smul(series(e), series(m))
+            + sscale(smul(series(m), series(e)), msign)
+        )
+        for nm, _g, pi, pj in spec.points:
+            f, b = ("f", nm), ("b", nm)
+            if pj == i:
+                diff_series[m] = diff_series[m] + smul(series(f), series(b))
+            if pi == i:
+                diff_series[m] = diff_series[m] + smul(series(b), series(f))
+    for nm, ga, i, j in spec.points:
+        f, b = ("f", nm), ("b", nm)
+        fsign = -1 if (ga - 1) % 2 else 1
+        bsign = -1 if ((n - 2) - ga) % 2 else 1
+        diff_series[f] = (
+            diff_series[f]
+            + smul(series(("e", j)), series(f))
+            + sscale(smul(series(f), series(("e", i))), fsign)
+        )
+        diff_series[b] = (
+            diff_series[b]
+            + smul(series(("e", i)), series(b))
+            + sscale(smul(series(b), series(("e", j))), bsign)
+        )
+
+    if n == 2:
+        if spec.order is None:
+            raise ValueError("n = 2 requires a global order on the intersection points")
+        rank = {nm: r for r, nm in enumerate(spec.order)}
+
+        def wing_series(point: str, comp: int) -> TruncatedSeries:
+            _nm, _g, pi, pj = spec.point(point)
+            if comp == pj:
+                return smul(series(("f", point)), series(("b", point)))
+            return smul(series(("b", point)), series(("f", point)))
+
+        for i in range(1, spec.k + 1):
+            m = ("m", i)
+            for nm, _g, pi, pj in spec.points:
+                if i not in (pi, pj):
+                    continue
+                diff_series[m] = diff_series[m] + smul(series(m), wing_series(nm, i))
+        for nm, ga, i, j in spec.points:
+            f, b = ("f", nm), ("b", nm)
+            fsign = -1 if (ga - 1) % 2 else 1
+            bsign = -1 if ga % 2 else 1
+            for other, _g2, oi, oj in spec.points:
+                if other == nm or rank[other] >= rank[nm]:
+                    continue
+                if i in (oi, oj):
+                    diff_series[f] = diff_series[f] + sscale(
+                        smul(series(f), wing_series(other, i)), fsign
+                    )
+                    diff_series[b] = diff_series[b] + sscale(
+                        smul(wing_series(other, i), series(b)), -1
+                    )
+                if j in (oi, oj):
+                    diff_series[f] = diff_series[f] + sscale(
+                        smul(wing_series(other, j), series(f)), -1
+                    )
+                    diff_series[b] = diff_series[b] + sscale(
+                        smul(series(b), wing_series(other, j)), bsign
+                    )
+
+    acc: dict[str, dict[Word, Fraction]] = {}
+    for sym, info in symbols.items():
+        s = diff_series[sym]
+        for p in range(info.p_min, N + 1):
+            acc[_chord_name(sym, p)] = defaultdict(Fraction, s.coeff(p).terms)
+
+    # d_const
+    if N >= 1:
+        for i in range(1, spec.k + 1):
+            acc[_chord_name(("e", i), 1)][Word.idem(i)] += 1
+
+    # d_h
+    if h_counts:
+        _expand(h_counts, symbols, N, acc)
+
+    return DGASpec(
+        ring=ring,
+        generators=gens,
+        differential={g.name: Element(acc[g.name]) for g in gens},
+        ambient_dim=n,
+        meta={"kind": "lefschetz-dga", "t_order": N},
     )

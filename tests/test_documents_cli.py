@@ -464,6 +464,47 @@ def test_cli_surgery_count_from_an_orbit_the_filling_lacks_exit_2(tmp_path, tabl
     assert "count from zz: the filling has no such orbit" in out, out
 
 
+@pytest.mark.parametrize("label", ["zz", "g0", "g01", "g", "g1x"])
+@pytest.mark.parametrize("table", ["mixed_cyclic", "check", "hat", "orbit_tau"])
+def test_cli_surgery_ball_count_from_a_label_not_g_k_exit_2(tmp_path, table, label):
+    # the built-in ball's orbits are g<k>, k >= 1; any other label used to
+    # be dropped without a word
+    fields = {"component": 1} if table == "orbit_tau" else {"word": ["a"]}
+    (tmp_path / "c.json").write_text(
+        dumps({"format": "counts/1", table: [{"orbit": label, **fields, "coeff": "1"}]})
+    )
+    args = ["unknot_n2", "--filling", "ball:2", "--theory", "sh", "--max-deg", "3"]
+    code, out = run_cli("surgery", *args, "--counts", str(tmp_path / "c.json"))
+    assert code == 2, out
+    assert out == (
+        f"input error: {tmp_path / 'c.json'}: count from {label}: the filling has no such orbit\n"
+    )
+
+
+def test_cli_surgery_ball_count_from_an_orbit_above_the_window_reads_exact(
+    tmp_path, monkeypatch
+):
+    # g40 is an orbit of the ball above the window: accepted, and the ball
+    # materializes no orbit past the window to say so
+    (tmp_path / "c.json").write_text(
+        dumps({"format": "counts/1", "check": [{"orbit": "g40", "word": ["a"], "coeff": "1"}]})
+    )
+    made = []
+    ball = cli.builtin_ball_filling
+
+    def recording_ball(n):
+        model = ball(n)
+        factory = model.orbit_factory
+        model.orbit_factory = lambda max_degree: made.append(max_degree) or factory(max_degree)
+        return model
+
+    monkeypatch.setattr(cli, "builtin_ball_filling", recording_ball)
+    args = ["unknot_n2", "--filling", "ball:2", "--theory", "sh", "--max-deg", "3"]
+    code, out = run_cli("surgery", *args, "--counts", str(tmp_path / "c.json"))
+    assert code == 0 and "verdict: EXACT" in out, out
+    assert made and max(made) <= 3 + 2
+
+
 @pytest.mark.parametrize("theory", ["ch", "sh+", "sh"])
 def test_cli_surgery_filling_of_another_dimension_exit_2(theory):
     # the ball of dimension 3 on a DGA of ambient dimension 2 used to read EXACT

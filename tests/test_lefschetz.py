@@ -33,6 +33,7 @@ from chordhom.lefschetz import (
     _symbol_table,
 )
 
+import reference_images as ref
 from conftest import random_ainf_spec
 
 
@@ -226,6 +227,59 @@ def test_hochschild_complex_does_not_dualize(monkeypatch):
     monkeypatch.setattr(lefschetz, "dualize_tensor_algebra", refuse)
     after = hochschild_complex(D, (0, 3), 6)
     assert (after.basis, after.diffs, after.verdict) == (before.basis, before.diffs, before.verdict)
+
+
+def _ordered_n2_spec(rng: random.Random) -> DirectedAinfSpec:
+    """An n = 2 spec with 1-3 points in a random global order, so that
+    lefschetz_dga adds the wing series to the minimum and point chords."""
+    k = rng.choice([2, 3])
+    points = []
+    for t in range(rng.randint(1, 3)):
+        i = rng.randint(1, k - 1)
+        points.append((f"p{t}", rng.randint(-1, 2), i, rng.randint(i + 1, k)))
+    order = [name for name, *_ in points]
+    rng.shuffle(order)
+    return DirectedAinfSpec(k=k, n=2, points=points, mu=[], order=order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(["spec", "n2-ordered"]))
+def test_direct_dga_matches_the_series_reference(seed, N, source):
+    rng = random.Random(seed)
+    if source == "spec":
+        spec = random_ainf_spec(rng)
+        counts = user_counts(build_curved_category(spec, N))
+    else:
+        spec, counts = _ordered_n2_spec(rng), None
+    got = lefschetz_dga(spec, counts, spec.n, N)
+    assert dgas_equal(got, ref.lefschetz_dga_reference(spec, counts, spec.n, N))
+
+
+def test_series_product_keeps_only_words_whose_ports_compose():
+    # x runs from component 1 to 2 and y from 2 to 2: of x.x, x.y and y.x
+    # only y.x composes; t^1 * t^1 lies above the order
+    src, dst = {"x": 1, "y": 2}, {"x": 2, "y": 2}
+    a = {0: {("x",): 1}, 1: {("y",): 2}}
+    b = {0: {("x",): 3}, 1: {("y",): -1}}
+    got = lefschetz._series_mul(a, b, 1, src, dst)
+    assert {p: words for p, words in got.items() if words} == {1: {("y", "x"): 6}}
+
+
+def test_hochschild_complex_reads_blocks_of_the_maximal_arity():
+    # a 3-input constant, b_c . f_b . f_a -> m_1 in path order, makes the
+    # table's maximal arity 3; the image scans blocks up to that length
+    spec = DirectedAinfSpec(
+        k=3,
+        n=3,
+        points=[("a", 1, 1, 2), ("b", 1, 2, 3), ("c", 2, 1, 3)],
+        mu=[(("m", 1), (("f", "a"), ("f", "b"), ("b", "c")), Fraction(2))],
+    )
+    D = build_curved_category(spec, 2)
+    assert max(map(len, D.table)) == 3
+    window, max_len = (0, 3), 4
+    got = hochschild_complex(D, window, max_len)
+    want = ref.hochschild_reference(D, window, max_len)
+    assert got.basis == want.basis and got.diffs == want.diffs
 
 
 def test_random_specs_validate_and_agree():
