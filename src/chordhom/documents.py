@@ -339,6 +339,8 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
             _symref(t, f"{path}.inputs[{i}]", names, k)
             for i, t in enumerate(_require(m, "inputs", list, path))
         )
+        if not inputs:
+            _fail(f"{path}.inputs", "a structure constant needs at least one input")
         coeff = _rational(_require(m, "coeff", (str, int), path), f"{path}.coeff")
         mu.append((out, inputs, coeff))
     order = _optional(doc, "order", (list, type(None)), "$", None)

@@ -11,17 +11,23 @@ term of the first minimum chord and the insertion operator of the cyclic
 tensor differential.
 
 Every construction reads one merged table (`CurvedAinf.table`) and one
-chord list (`_chords`).  The dual DGA and the holomorphic part of the
-direct one share the t-power expansion `_expand`; the direct Morse--Bott
-terms are derived on their own, so dual = direct compares two derivations.
-They are products of t-adic series with integer coefficients,
-{t-power: {chord letters: coefficient}} (`_series_mul`, `_series_add`),
-and each generator's differential becomes an Element once, at the end.
+chord list (`_chords`), and sums integer numerators over the lcm of the
+table's denominators (`_integer_table`).  check_curved_ainf tests the
+square-zero identity on the words the table can reach by one
+substitution (`_square_zero_words`), not on every composable word.  The
+dual DGA and the holomorphic part of the direct one share the t-power
+expansion `_expand`, which returns numerators by chord and the
+denominator; the direct Morse--Bott terms are derived on their own, so
+dual = direct compares two derivations.  They are products of t-adic
+series with integer coefficients, {t-power: {chord letters:
+coefficient}} (`_series_mul`, `_series_add`).  Each generator's
+differential becomes an Element once, at the end (`_differential`).
 
 The cyclic tensor complex has no basis of its own: it is the check/hat
 basis of complexes._decorated_bases (with the component classes) under
 the dictionary's names (_to_cc), with degrees negated, and
-verify_dictionary pairs the two complexes through the same _to_cc.  Its
+verify_dictionary pairs the two complexes through the same _to_cc,
+refusing a pairing that is not one to one and onto.  Its
 boundary images sum integer numerators over the lcm of the table's
 denominators, with the Koszul signs read off one prefix-parity list per
 label, and hand build_complex the sums with that denominator.  They scan
@@ -40,7 +46,7 @@ from fractions import Fraction
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
 from .complexes import _decorated_bases
 from .dga import DGASpec
-from .homology import GradedChainComplex, _composable_words, build_complex, guard_verdict
+from .homology import GradedChainComplex, build_complex, guard_verdict
 
 Symbol = tuple  # ("e", i) | ("m", i) | ("f", name) | ("b", name)
 
@@ -162,25 +168,60 @@ def _chord_generators(symbols: dict[Symbol, SymbolInfo], N: int) -> list[Generat
     ]
 
 
+def _integer_table(
+    table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]],
+) -> tuple[dict[tuple[Symbol, ...], dict[Symbol, int]], int]:
+    """An operation table as integer numerators over the lcm of its
+    denominators: ({word: {output symbol: numerator}}, den)."""
+    den = math.lcm(*(c.denominator for hits in table.values() for c in hits.values()))
+    return {
+        word: {out: c.numerator * (den // c.denominator) for out, c in hits.items()}
+        for word, hits in table.items()
+    }, den
+
+
 def _expand(
     table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]],
     symbols: dict[Symbol, SymbolInfo],
     N: int,
-    into: dict[str, dict[Word, Fraction]],
-) -> None:
-    """Add an operation table to the differentials into[chord name][word]
-    over every t-power distribution: the letters of an entry at powers
+) -> tuple[dict[str, dict[tuple[str, ...], int]], int]:
+    """The differentials an operation table contributes over every t-power
+    distribution, as ({chord name: {chord letters: numerator}}, den) over
+    the lcm of the table's denominators: the letters of an entry at powers
     p_i >= p_min with total <= N form a chord word in the differential of
-    each output's chord at the total power, where that chord exists."""
-    for word, hits in table.items():
+    each output's chord at the total power, where that chord exists.
+    Terms keep the order in which they are first reached."""
+    itable, den = _integer_table(table)
+    into: dict[str, dict[tuple[str, ...], int]] = {}
+    for word, hits in itable.items():
         for powers in itertools.product(*(range(symbols[s].p_min, N + 1) for s in word)):
             total = sum(powers)
             if total > N:
                 continue
-            target = Word.of(_chord_name(s, p) for s, p in zip(word, powers))
+            letters = tuple(_chord_name(s, p) for s, p in zip(word, powers))
             for out, coeff in hits.items():
                 if symbols[out].p_min <= total:
-                    into[_chord_name(out, total)][target] += coeff
+                    slot = into.setdefault(_chord_name(out, total), {})
+                    slot[letters] = slot.get(letters, 0) + coeff
+    return into, den
+
+
+def _differential(terms: dict[str, dict], names: list[str], den: int) -> dict[str, Element]:
+    """{name: Element} for each name, from {name: {chord letters or
+    idempotent component: numerator}} over den.  Equal numerators share
+    one Fraction."""
+    fractions: dict[int, Fraction] = {}
+    differential = {}
+    for name in names:
+        el = {}
+        for key, v in terms.get(name, {}).items():
+            if v:
+                c = fractions.get(v)
+                if c is None:
+                    c = fractions[v] = Fraction(v, den)
+                el[Word.idem(key) if isinstance(key, int) else Word(key)] = c
+        differential[name] = Element._normalized(el)
+    return differential
 
 
 def _symbol_table(spec: DirectedAinfSpec) -> dict[Symbol, SymbolInfo]:
@@ -294,15 +335,44 @@ def _word_composable(symbols: dict[Symbol, SymbolInfo], word: tuple[Symbol, ...]
     )
 
 
+def _square_zero_words(
+    table: dict[tuple[Symbol, ...], dict[Symbol, int]], symbols: dict[Symbol, SymbolInfo]
+) -> list[tuple[Symbol, ...]]:
+    """The words on which the squared coderivation can have a term: an
+    entry `outer` with one letter mid replaced by an entry whose outputs
+    include mid.  Listed as _composable_words lists symbol words: shortest
+    first, then by the letters' positions in sorted(symbols, key=repr)."""
+    inner_by_out: dict[Symbol, list[tuple[Symbol, ...]]] = defaultdict(list)
+    for word, hits in table.items():
+        for mid in hits:
+            inner_by_out[mid].append(word)
+    words = {
+        outer[:i] + inner + outer[i + 1 :]
+        for outer in table
+        for i, mid in enumerate(outer)
+        for inner in inner_by_out.get(mid, ())
+    }
+    position = {s: r for r, s in enumerate(sorted(symbols, key=repr))}
+    return sorted(words, key=lambda w: (len(w), [position[s] for s in w]))
+
+
 def check_curved_ainf(D: CurvedAinf) -> list[str]:
     """Verify grading and port homogeneity of every table entry, strict
-    unitality, the unit/curvature identities, and the square-zero identity
-    over all composable symbol words up to twice the maximal arity."""
+    unitality, the unit/curvature identities, and the square-zero identity.
+
+    The square-zero identity is checked on every word that an entry can
+    reach by one substitution (_square_zero_words); each such word has at
+    most 2 * max_arity - 1 letters and, once the entries are homogeneous,
+    composes.  On any other word the squared coderivation has no term.  The
+    sums run over integer numerators: the table's over its lcm den, their
+    products over den * den."""
     problems: list[str] = []
-    table = D.table
     symbols = D.symbols
 
-    for word, hits in table.items():
+    for word, hits in D.table.items():
+        if not word:
+            problems.append(f"entry {word} has no inputs")
+            continue
         if not _word_composable(symbols, word):
             problems.append(f"entry {word} is not port-composable")
             continue
@@ -322,46 +392,50 @@ def check_curved_ainf(D: CurvedAinf) -> list[str]:
     if problems:
         return problems
 
+    table, den = _integer_table(D.table)
+
     # curvature/unit identity on single letters
     for sym, info in symbols.items():
-        acc: dict[Symbol, Fraction] = defaultdict(Fraction)
+        acc: dict[Symbol, int] = {}
         left = table.get((("e", info.dst), sym), {})
         right = table.get((sym, ("e", info.src)), {})
         sgn = -1 if info.base % 2 else 1
         for c, v in left.items():
-            acc[c] += v
+            acc[c] = acc.get(c, 0) + v
         for c, v in right.items():
-            acc[c] += sgn * v
+            acc[c] = acc.get(c, 0) + sgn * v
         for c, v in acc.items():
             if v:
-                problems.append(f"unit identity fails on {sym}: {c} has {v}")
+                problems.append(f"unit identity fails on {sym}: {c} has {Fraction(v, den)}")
 
-    max_arity = max((len(w) for w in table), default=1)
-    syms = sorted(symbols, key=repr)
+    max_arity = max(map(len, table), default=1)
+    parity = {s: info.base % 2 for s, info in symbols.items()}
 
-    # Square-zero identity per composable word: the single-symbol output of
-    # the squared coderivation.  Disjoint and nested applications with a
-    # longer output cancel once this holds for every subword length.
-    for word in _composable_words(syms, symbols, 2 * max_arity - 1):
+    # Square-zero identity per word: the single-symbol output of the squared
+    # coderivation.  Disjoint and nested applications with a longer output
+    # cancel once this holds for every subword length.
+    for word in _square_zero_words(table, symbols):
         length = len(word)
-        acc: dict[Symbol, Fraction] = defaultdict(Fraction)
+        acc = {}
+        prefix_parity = 0
         for i in range(length):
-            prefix_deg = sum(symbols[s].base for s in word[:i])
-            psign = -1 if prefix_deg % 2 else 1
-            for j in range(1, max_arity + 1):
-                if i + j > length:
-                    break
+            psign = -1 if prefix_parity else 1
+            for j in range(1, min(max_arity, length - i) + 1):
                 hits = table.get(word[i : i + j])
                 if not hits:
                     continue
                 for mid, coeff in hits.items():
-                    outer = word[:i] + (mid,) + word[i + j :]
-                    for out, c2 in table.get(outer, {}).items():
-                        acc[out] += psign * coeff * c2
+                    outer = table.get(word[:i] + (mid,) + word[i + j :])
+                    if outer is None:
+                        continue
+                    for out, c2 in outer.items():
+                        acc[out] = acc.get(out, 0) + psign * coeff * c2
+            prefix_parity ^= parity[word[i]]
         for out, v in acc.items():
             if v:
                 problems.append(
-                    f"square-zero identity fails on {word}: output {out} has {v}"
+                    f"square-zero identity fails on {word}: output {out} has "
+                    f"{Fraction(v, den * den)}"
                 )
                 break
     return problems
@@ -375,15 +449,14 @@ def dualize_tensor_algebra(D: CurvedAinf) -> DGASpec:
     spec = D.spec
     N = D.order
     gens = _chord_generators(D.symbols, N)
-    acc: dict[str, dict[Word, Fraction]] = {g.name: defaultdict(Fraction) for g in gens}
-    _expand(D.table, D.symbols, N, acc)
+    terms, den = _expand(D.table, D.symbols, N)
     if N >= 1:
         for i in range(1, spec.k + 1):
-            acc[_chord_name(("e", i), 1)][Word.idem(i)] += 1
+            terms.setdefault(_chord_name(("e", i), 1), {})[i] = den
     return DGASpec(
         ring=BaseRing(spec.k),
         generators=gens,
-        differential={name: Element(terms) for name, terms in acc.items()},
+        differential=_differential(terms, [g.name for g in gens], den),
         ambient_dim=spec.n,
         meta={"kind": "dual-tensor", "t_order": N},
     )
@@ -506,27 +579,29 @@ def lefschetz_dga(
                     _series_add(df, smul(wing, f), -1)
                     _series_add(db, smul(b, wing), bsign)
 
-    acc: dict[str, dict[Word, Fraction]] = {}
+    # numerators over the denominator of the holomorphic counts
+    h_terms, den = _expand(h_counts, symbols, N) if h_counts else ({}, 1)
+    acc: dict[str, dict] = {}
     for sym, info in symbols.items():
         s = diff_series[sym]
         for p in range(info.p_min, N + 1):
-            acc[_chord_name(sym, p)] = defaultdict(
-                Fraction, {Word(w): c for w, c in s.get(p, {}).items()}
-            )
+            acc[_chord_name(sym, p)] = {w: c * den for w, c in s.get(p, {}).items()}
 
     # d_const
     if N >= 1:
         for i in range(1, spec.k + 1):
-            acc[_chord_name(("e", i), 1)][Word.idem(i)] += 1
+            acc[_chord_name(("e", i), 1)][i] = den
 
     # d_h
-    if h_counts:
-        _expand(h_counts, symbols, N, acc)
+    for name, terms in h_terms.items():
+        slot = acc[name]
+        for w, c in terms.items():
+            slot[w] = slot.get(w, 0) + c
 
     return DGASpec(
         ring=BaseRing(spec.k),
         generators=gens,
-        differential={g.name: Element(acc[g.name]) for g in gens},
+        differential=_differential(acc, [g.name for g in gens], den),
         ambient_dim=n,
         meta={"kind": "lefschetz-dga", "t_order": N},
     )
@@ -558,12 +633,7 @@ def hochschild_complex(
     src = {g.name: g.src for g in gens}
     dst = {g.name: g.dst for g in gens}
     name_to_chord = {_chord_name(*sp): sp for sp in _chords(symbols, N)}
-    # the table as integer numerators over the lcm of its denominators
-    den = math.lcm(*(c.denominator for hits in D.table.values() for c in hits.values()))
-    table = {
-        word: [(out, c.numerator * (den // c.denominator)) for out, c in hits.items()]
-        for word, hits in D.table.items()
-    }
+    table, den = _integer_table(D.table)
     # the curvature chord of each component
     curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
     lo, hi = window
@@ -588,7 +658,7 @@ def hochschild_complex(
             if row and total <= N:
                 hits += [
                     (_chord_name(out, total), coeff)
-                    for out, coeff in row
+                    for out, coeff in row.items()
                     if symbols[out].p_min <= total
                 ]
         return hits
@@ -702,6 +772,8 @@ def verify_dictionary(
     component factor, hat words as plain words) pairs the two complexes;
     the differentials must be transposes of one another under it:
     <delta_cc(Phi u), Phi v> = <d_ho(v), u> entrywise on the window.
+    Raises ValueError, naming a label, where the pairing is not one to one
+    and onto in some degree of the window.
     """
     dict_window = cc.meta.get("dict_window")
     if dict_window is None:
@@ -723,6 +795,14 @@ def verify_dictionary(
             if mapped is None:
                 raise ValueError(f"basis mismatch at degree {d}: {lab} has no partner")
             partner[d].append(mapped)
+        # the pairing must also reach every cc label, and each only once
+        hit = set(partner[d])
+        cc_labels = cc.labels(-d)
+        if len(hit) < len(cc_labels):
+            missing = next(lab for i, lab in enumerate(cc_labels) if i not in hit)
+            raise ValueError(f"basis mismatch at degree {d}: {missing} has no partner")
+        if len(hit) < len(partner[d]):
+            raise ValueError(f"basis mismatch at degree {d}: two labels share a partner")
     # entries are compared on the integer columns: v_ho / den_ho equals
     # v_cc / den_cc exactly when v_ho * den_cc equals v_cc * den_ho
     for d in range(lo, hi + 2):

@@ -12,13 +12,17 @@ through homology._numerators.
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the spread operator S as a dict of decorated
 words, the marked module M itself (the library builds only its cyclic
-quotient, mcyc), and the direct vanishing-cycle DGA with its Morse--Bott
-terms as t-adic series of Elements (the library multiplies integer
-series).
+quotient, mcyc), the curved category's relation check over every
+composable symbol word (the library checks only the words the table can
+reach, in integers), and the direct vanishing-cycle DGA with its
+Morse--Bott terms as t-adic series of Elements and its holomorphic terms
+expanded in Fractions (the library multiplies integer series and expands
+integer numerators).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,8 +40,8 @@ from chordhom.lefschetz import (
     _chord_generators,
     _chord_name,
     _chords,
-    _expand,
     _symbol_table,
+    _word_composable,
 )
 
 _ONE = Fraction(1)
@@ -341,6 +345,80 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
     )
 
 
+# ---- the curved category's relations ---------------------------------------------
+
+
+def check_curved_ainf_reference(D: CurvedAinf) -> list[str]:
+    """check_curved_ainf over every composable symbol word of length at
+    most 2 * max_arity - 1, summing Fractions: the same problems, in the
+    same order."""
+    problems: list[str] = []
+    table = D.table
+    symbols = D.symbols
+
+    for word, hits in table.items():
+        if not _word_composable(symbols, word):
+            problems.append(f"entry {word} is not port-composable")
+            continue
+        base_sum = sum(symbols[s].base for s in word)
+        for out, coeff in hits.items():
+            if not coeff:
+                continue
+            info = symbols[out]
+            if info.base != base_sum + 1:
+                problems.append(
+                    f"entry {word} -> {out} violates grading: {base_sum}+1 != {info.base}"
+                )
+            if info.dst != symbols[word[0]].dst or info.src != symbols[word[-1]].src:
+                problems.append(f"entry {word} -> {out} violates ports")
+        if len(word) >= 3 and any(s[0] == "e" for s in word):
+            problems.append(f"strict unitality broken by {word}")
+    if problems:
+        return problems
+
+    # curvature/unit identity on single letters
+    for sym, info in symbols.items():
+        acc: dict[Symbol, Fraction] = defaultdict(Fraction)
+        left = table.get((("e", info.dst), sym), {})
+        right = table.get((sym, ("e", info.src)), {})
+        sgn = -1 if info.base % 2 else 1
+        for c, v in left.items():
+            acc[c] += v
+        for c, v in right.items():
+            acc[c] += sgn * v
+        for c, v in acc.items():
+            if v:
+                problems.append(f"unit identity fails on {sym}: {c} has {v}")
+
+    max_arity = max((len(w) for w in table), default=1)
+    syms = sorted(symbols, key=repr)
+
+    # the single-symbol output of the squared coderivation on each word
+    for word in _composable_words(syms, symbols, 2 * max_arity - 1):
+        length = len(word)
+        acc = defaultdict(Fraction)
+        for i in range(length):
+            prefix_deg = sum(symbols[s].base for s in word[:i])
+            psign = -1 if prefix_deg % 2 else 1
+            for j in range(1, max_arity + 1):
+                if i + j > length:
+                    break
+                hits = table.get(word[i : i + j])
+                if not hits:
+                    continue
+                for mid, coeff in hits.items():
+                    outer = word[:i] + (mid,) + word[i + j :]
+                    for out, c2 in table.get(outer, {}).items():
+                        acc[out] += psign * coeff * c2
+        for out, v in acc.items():
+            if v:
+                problems.append(
+                    f"square-zero identity fails on {word}: output {out} has {v}"
+                )
+                break
+    return problems
+
+
 # ---- the direct vanishing-cycle construction -------------------------------------
 
 
@@ -400,6 +478,25 @@ def series_multiply(
                 continue
             out[p + q] = out.get(p + q, Element.zero()) + prod
     return TruncatedSeries(s1.order, out)
+
+
+def expand_reference(
+    table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]],
+    symbols: dict,
+    N: int,
+    into: dict[str, dict[Word, Fraction]],
+) -> None:
+    """Add an operation table to the differentials into[chord name][word]
+    over every t-power distribution, in Fractions."""
+    for word, hits in table.items():
+        for powers in itertools.product(*(range(symbols[s].p_min, N + 1) for s in word)):
+            total = sum(powers)
+            if total > N:
+                continue
+            target = Word.of(_chord_name(s, p) for s, p in zip(word, powers))
+            for out, coeff in hits.items():
+                if symbols[out].p_min <= total:
+                    into[_chord_name(out, total)][target] += coeff
 
 
 def lefschetz_dga_reference(
@@ -525,7 +622,7 @@ def lefschetz_dga_reference(
 
     # d_h
     if h_counts:
-        _expand(h_counts, symbols, N, acc)
+        expand_reference(h_counts, symbols, N, acc)
 
     return DGASpec(
         ring=ring,

@@ -610,6 +610,31 @@ def test_cli_ainf_out_of_range_exit_2(tmp_path, doc, emit):
     assert code == 2, out
 
 
+_NO_INPUTS = _with_fields(
+    _AINF,
+    components=2,
+    points=[{"name": "a", "grading": 0, "from": 1, "to": 2}],
+    mu=[{"out": "m:1", "inputs": [], "coeff": "1"}],
+)
+
+
+def test_ainf_structure_constant_without_inputs_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        ainf_from_document(_NO_INPUTS)
+    assert err.value.issues == [
+        ("$.mu[0].inputs", "a structure constant needs at least one input")
+    ]
+
+
+@pytest.mark.parametrize("emit", ["dga", "hochschild", "dictionary-check"])
+def test_cli_ainf_structure_constant_without_inputs_exit_2(tmp_path, emit):
+    path = tmp_path / "bad.ainf"
+    path.write_text(dumps(_NO_INPUTS))
+    code, out = run_cli("lefschetz", str(path), "--t-order", "2", "--emit", emit)
+    assert code == 2, out
+    assert out.count("\n") == 1 and "$.mu[0].inputs: " in out
+
+
 @pytest.mark.parametrize("emit", ["dga", "hochschild", "dictionary-check"])
 def test_cli_lefschetz_negative_t_order_exit_2(emit):
     code, out = run_cli("lefschetz", "lefschetz_min", "--t-order", "-1", "--emit", emit)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import defaultdict
 from dataclasses import replace
@@ -15,7 +16,7 @@ from chordhom.complexes import build_ho_complex
 from chordhom.dga import check_d_squared
 from chordhom.documents import ainf_from_document
 from chordhom.examples import example_document, minimal_ainf_spec
-from chordhom.homology import betti
+from chordhom.homology import _composable_words, betti
 from chordhom.lefschetz import (
     AinfValidationError,
     CurvedAinf,
@@ -34,7 +35,7 @@ from chordhom.lefschetz import (
 )
 
 import reference_images as ref
-from conftest import random_ainf_spec
+from conftest import fractional_ainf_spec, random_ainf_spec
 
 
 def dgas_equal(a, b) -> bool:
@@ -180,27 +181,119 @@ def _arbitrary_table(rng, symbols):
     table = defaultdict(dict)
     for _ in range(rng.randint(1, 6)):
         word = tuple(rng.choice(syms) for _ in range(rng.randint(1, 3)))
-        table[word][rng.choice(syms)] = Fraction(rng.choice([-2, -1, 1, 3]))
+        table[word][rng.choice(syms)] = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 3]))
     return table
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(["spec", "n2-wings", "arbitrary"]))
+@given(
+    st.integers(0, 10**6),
+    st.integers(0, 3),
+    st.sampled_from(["spec", "fractional", "n2-wings", "arbitrary"]),
+)
 def test_expand_matches_enumeration_by_target(seed, N, source):
     rng = random.Random(seed)
     if source == "n2-wings":
         D = _unvalidated_category(N2_SPEC, N)
     else:
-        D = build_curved_category(random_ainf_spec(rng), N)
+        make = fractional_ainf_spec if source == "fractional" else random_ainf_spec
+        D = build_curved_category(make(rng), N)
     table = _arbitrary_table(rng, D.symbols) if source == "arbitrary" else D.table
-    acc = {name: defaultdict(Fraction) for name in (D.chord_name(*sp) for sp in D.chords())}
-    # expanding twice into the same differentials doubles every coefficient
-    _expand(table, D.symbols, N, acc)
-    _expand(table, D.symbols, N, acc)
-    expected = _nonzero(_expand_by_target(table, D.symbols, N))
-    assert _nonzero(acc) == {
-        name: {w: 2 * c for w, c in terms.items()} for name, terms in expected.items()
+    terms, den = _expand(table, D.symbols, N)
+    # numerators over the lcm of the table's denominators
+    assert den == math.lcm(*(c.denominator for hits in table.values() for c in hits.values()))
+    assert all(isinstance(v, int) for slot in terms.values() for v in slot.values())
+    got = {
+        name: {Word.of(letters): Fraction(v, den) for letters, v in slot.items()}
+        for name, slot in terms.items()
     }
+    assert _nonzero(got) == _nonzero(_expand_by_target(table, D.symbols, N))
+
+
+def _with_user(spec, user):
+    """The unvalidated category of spec with the user table of its mu plus
+    the given {path-order word: {output: coefficient}} entries."""
+    table = defaultdict(lambda: defaultdict(Fraction))
+    for out, inputs, coeff in spec.mu:
+        table[tuple(reversed(inputs))][out] += coeff
+    for word, hits in user.items():
+        for out, coeff in hits.items():
+            table[word][out] += coeff
+    return _unvalidated_category(spec, 2, table)
+
+
+def _homogeneous_entries(symbols):
+    """Every word of 1-3 composable letters other than units, with each
+    output of the right grading and ports."""
+    syms = sorted((s for s in symbols if s[0] != "e"), key=repr)
+    return [
+        (word, out)
+        for word in _composable_words(syms, symbols, 3)
+        for out in syms
+        if symbols[out].base == sum(symbols[s].base for s in word) + 1
+        and symbols[out].dst == symbols[word[0]].dst
+        and symbols[out].src == symbols[word[-1]].src
+    ]
+
+
+def _broken_category(rng, how):
+    """A random_ainf_spec with one more user coefficient: on an entry of
+    its table (perturbed), on a homogeneous entry whose output the point
+    pairings consume (extra), or on arbitrary words (arbitrary)."""
+    coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+    for _ in range(10):
+        spec = fractional_ainf_spec(rng) if rng.random() < 0.5 else random_ainf_spec(rng)
+        D = _with_user(spec, {})
+        if how == "perturbed":
+            word = rng.choice(sorted(D.table, key=repr))
+            return _with_user(spec, {word: {rng.choice(sorted(D.table[word], key=repr)): coeff}})
+        if how == "arbitrary":
+            return _with_user(spec, _arbitrary_table(rng, D.symbols))
+        entries = [e for e in _homogeneous_entries(D.symbols) if e[1][0] in "fb"]
+        if entries:
+            word, out = rng.choice(entries)
+            return _with_user(spec, {word: {out: coeff}})
+    return D
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(["spec", "fractional", "n2-ordered", "perturbed", "extra", "arbitrary"]),
+)
+def test_check_curved_ainf_matches_the_word_scan(seed, source):
+    # the same problem strings in the same order, failures included
+    rng = random.Random(seed)
+    if source == "spec":
+        D = _with_user(random_ainf_spec(rng), {})
+    elif source == "fractional":
+        D = _with_user(fractional_ainf_spec(rng), {})
+    elif source == "n2-ordered":
+        D = _unvalidated_category(_ordered_n2_spec(rng), 2)
+    else:
+        D = _broken_category(rng, source)
+    assert check_curved_ainf(D) == ref.check_curved_ainf_reference(D)
+
+
+def test_check_curved_ainf_reports_broken_identities_in_lowest_terms():
+    # a half more of the unit term e_1.m_1 -> m_1 breaks the unit identity
+    # on m_1 and the square-zero identity; the square-zero sums run over
+    # den * den = 4 and print reduced
+    D = _with_user(minimal_ainf_spec(), {(("e", 1), ("m", 1)): {("m", 1): Fraction(1, 2)}})
+    got = check_curved_ainf(D)
+    assert got == ref.check_curved_ainf_reference(D)
+    assert got[0] == "unit identity fails on ('m', 1): ('m', 1) has 1/2"
+    assert (
+        "square-zero identity fails on (('e', 1), ('e', 1), ('m', 1)): output ('m', 1) has -3/4"
+        in got
+    )
+
+
+def test_empty_structure_constant_rejected():
+    spec = DirectedAinfSpec(k=2, n=3, points=[("a", 0, 1, 2)], mu=[(("m", 1), (), Fraction(1))])
+    with pytest.raises(AinfValidationError, match=r"^entry \(\) has no inputs$"):
+        build_curved_category(spec, 2)
+    assert check_curved_ainf(_with_user(spec, {})) == ["entry () has no inputs"]
 
 
 def test_table_is_the_entrywise_sum_of_its_parts():
@@ -243,16 +336,22 @@ def _ordered_n2_spec(rng: random.Random) -> DirectedAinfSpec:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(["spec", "n2-ordered"]))
+@given(
+    st.integers(0, 10**6), st.integers(0, 3), st.sampled_from(["spec", "fractional", "n2-ordered"])
+)
 def test_direct_dga_matches_the_series_reference(seed, N, source):
     rng = random.Random(seed)
-    if source == "spec":
-        spec = random_ainf_spec(rng)
-        counts = user_counts(build_curved_category(spec, N))
+    if source == "n2-ordered":
+        spec, D, counts = _ordered_n2_spec(rng), None, None
     else:
-        spec, counts = _ordered_n2_spec(rng), None
-    got = lefschetz_dga(spec, counts, spec.n, N)
-    assert dgas_equal(got, ref.lefschetz_dga_reference(spec, counts, spec.n, N))
+        spec = (fractional_ainf_spec if source == "fractional" else random_ainf_spec)(rng)
+        D = build_curved_category(spec, N)
+        counts = user_counts(D)
+    want = ref.lefschetz_dga_reference(spec, counts, spec.n, N)
+    assert dgas_equal(lefschetz_dga(spec, counts, spec.n, N), want)
+    if D is not None:
+        # the dual DGA builds the same differential from the whole table
+        assert dgas_equal(dualize_tensor_algebra(D), want)
 
 
 def test_series_product_keeps_only_words_whose_ports_compose():
@@ -419,6 +518,26 @@ def test_dictionary_rejects_changed_entries():
     dropped = replace(cc, basis={**cc.basis, 0: cc.labels(0)[1:]})
     with pytest.raises(ValueError, match="no partner"):
         verify_dictionary(dropped, ho)
+
+
+def test_dictionary_requires_a_bijection_in_both_directions():
+    # with a longer length bound the cyclic tensor complex has more labels
+    # than ho; every ho label still finds its partner
+    D = build_curved_category(minimal_ainf_spec(), 3)
+    dual = dualize_tensor_algebra(D)
+    window = (0, 6)
+    long_cc, short_ho = hochschild_complex(D, window, 8), build_ho_complex(dual, window, 4)
+    assert long_cc.dim(-5) > short_ho.dim(5)
+    with pytest.raises(ValueError, match=r"degree 5: \('cc[hv]'.* has no partner"):
+        verify_dictionary(long_cc, short_ho)
+    short_cc, long_ho = hochschild_complex(D, window, 4), build_ho_complex(dual, window, 8)
+    with pytest.raises(ValueError, match=r"degree 5: \('(chk|hat)'.* has no partner"):
+        verify_dictionary(short_cc, long_ho)
+    # a repeated ho label shares its partner with its first copy
+    cc, ho = hochschild_complex(D, window, 4), build_ho_complex(dual, window, 4)
+    repeated = replace(ho, basis={**ho.basis, 0: ho.labels(0) + ho.labels(0)[:1]})
+    with pytest.raises(ValueError, match="degree 0: two labels share a partner"):
+        verify_dictionary(cc, repeated)
 
 
 def test_document_round_trip_spec():
