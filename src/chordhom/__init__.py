@@ -11,7 +11,6 @@ from .algebra import (
 )
 from .complexes import (
     CyclicWord,
-    DecoratedWord,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,

@@ -97,28 +97,14 @@ def cmd_validate(args) -> int:
     return MATH_FAIL
 
 
-def cmd_homology(args) -> int:
-    window = _window(args)
-    dga = _parse(args.dga, docs.dga_from_document)
-    if args.complex == "lin":
-        if args.augmentation:
-            eps = _parse(args.augmentation, docs.augmentation_from_document)
-        else:
-            eps = Augmentation(values={})
-        try:
-            complex = linearize(dga, eps)
-        except ValueError as exc:
-            raise CliInputError(str(exc))
-    else:
-        builder = {
-            "cyc": build_cyclic_complex,
-            "hoplus": build_hoplus_complex,
-            "ho": build_ho_complex,
-            "mcyc": build_mcyc_complex,
-        }[args.complex]
-        complex = builder(dga, window, args.max_len)
+def _report(args, complex, view=lambda table: table, heading=None) -> int:
+    """The one report path for a Betti table: betti of the built complex,
+    then either the refusal or the table that view makes of it (with its
+    betti/1 document under --json).  A truncated window whose differential
+    fails to square to zero is refused as a truncation artefact; an exact
+    one is a mathematical failure of the data."""
     try:
-        table = betti(complex)
+        table = view(betti(complex))
     except DSquareError as exc:
         if complex.verdict != "EXACT":
             print(
@@ -127,22 +113,43 @@ def cmd_homology(args) -> int:
                 "ranks are unavailable here"
             )
         else:
-            print(f"mathematical failure: {exc}")
+            print(f"mathematical failure: the differential does not square to zero ({exc})")
         return MATH_FAIL
-    if args.complex == "lin":
+    if heading:
+        print(heading)
+    sys.stdout.write(docs.betti_to_text(table))
+    if args.json:
+        sys.stdout.write(docs.dumps(docs.betti_to_document(table)))
+    return OK
+
+
+def cmd_homology(args) -> int:
+    lo, hi = _window(args)
+    dga = _parse(args.dga, docs.dga_from_document)
+    if args.complex != "lin":
+        builder = {
+            "cyc": build_cyclic_complex,
+            "hoplus": build_hoplus_complex,
+            "ho": build_ho_complex,
+            "mcyc": build_mcyc_complex,
+        }[args.complex]
+        return _report(args, builder(dga, (lo, hi), args.max_len))
+    if args.augmentation:
+        eps = _parse(args.augmentation, docs.augmentation_from_document)
+    else:
+        eps = Augmentation(values={})
+    try:
+        complex = linearize(dga, eps)
+    except ValueError as exc:
+        raise CliInputError(str(exc))
+
+    def requested(table: BettiTable) -> BettiTable:
         # the linearized complex holds every generator, so nothing is cut:
         # each requested degree is exact, and has rank 0 without generators
-        lo, hi = window
-        table = BettiTable(
-            {d: table.rank(d) for d in range(lo, hi + 1)}, frozenset(), table.verdict
-        )
-    else:
-        lo = max(window[0], min(table.ranks)) if table.ranks else window[0]
-        hi = min(window[1], max(table.ranks)) if table.ranks else window[1]
-    sys.stdout.write(docs.betti_to_text(table, (lo, hi)))
-    if args.json:
-        sys.stdout.write(docs.dumps(docs.betti_to_document(table, (lo, hi))))
-    return OK
+        ranks = {d: table.rank(d) for d in range(lo, hi + 1)}
+        return BettiTable(ranks, frozenset(), table.verdict)
+
+    return _report(args, complex, requested)
 
 
 def _filling_of(ref: str):
@@ -175,15 +182,7 @@ def cmd_surgery(args) -> int:
         raise CliInputError(f"{args.counts}: {exc}")
     except FillingMismatchError as exc:
         raise CliInputError(f"{args.filling}: {exc}")
-    try:
-        table = betti(complex)
-    except DSquareError as exc:
-        print(f"mathematical failure: {exc}")
-        return MATH_FAIL
-    sys.stdout.write(docs.betti_to_text(table, window))
-    if args.json:
-        sys.stdout.write(docs.dumps(docs.betti_to_document(table, window)))
-    return OK
+    return _report(args, complex)
 
 
 def cmd_augmentations(args) -> int:
@@ -212,13 +211,19 @@ def cmd_morphism(args) -> int:
     return MATH_FAIL
 
 
+def _dictionary_degrees(table: BettiTable) -> BettiTable:
+    """The table of the cyclic tensor complex, stored with degrees negated,
+    in dictionary degrees."""
+    return BettiTable(
+        {-d: r for d, r in table.ranks.items()},
+        frozenset(-d for d in table.flagged),
+        table.verdict,
+    )
+
+
 def cmd_lefschetz(args) -> int:
     window = _window(args)
     spec = _parse(args.ainf, docs.ainf_from_document)
-    if args.dim is not None and args.dim != spec.n:
-        raise CliInputError(
-            f"--dim {args.dim} disagrees with the document parameter {spec.n}"
-        )
     try:
         D = build_curved_category(spec, args.t_order)
     except AinfValidationError as exc:
@@ -236,17 +241,7 @@ def cmd_lefschetz(args) -> int:
         return OK
     if args.emit == "hochschild":
         cc = hochschild_complex(D, window, args.max_len)
-        try:
-            table = betti(cc)
-        except DSquareError:
-            print("mathematical failure: cyclic tensor differential does not square to zero")
-            return MATH_FAIL
-        ranks = {-d: r for d, r in table.ranks.items()}
-        print("ranks by dictionary degree:")
-        for d in sorted(ranks):
-            if window[0] <= d <= window[1]:
-                print(f"{d:>8} {ranks[d]:>6}")
-        return OK
+        return _report(args, cc, _dictionary_degrees, "ranks by dictionary degree:")
     # dictionary-check
     dual = dualize_tensor_algebra(D)
     direct = lefschetz_dga(spec, user_counts(D), spec.n, args.t_order)
@@ -328,12 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lefschetz", help="vanishing-cycle pipeline")
     p.add_argument("ainf")
     p.add_argument("--t-order", type=int, required=True)
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--emit", choices=["dga", "hochschild", "dictionary-check"], required=True)
     p.add_argument("--min-deg", type=int, default=0)
     p.add_argument("--max-deg", type=int, default=6)
     p.add_argument("--max-len", type=int, default=8)
-    p.set_defaults(func=cmd_lefschetz)
+    p.set_defaults(func=cmd_lefschetz, json=False)
 
     p = sub.add_parser("examples", help="bundled document corpus")
     p.add_argument("action", choices=["list", "emit"])

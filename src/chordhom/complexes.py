@@ -49,10 +49,6 @@ from .homology import (
     guard_verdict,
 )
 
-CHECK = "check"
-HAT = "hat"
-
-
 @dataclass(frozen=True)
 class CyclicWord:
     """Canonical cyclic equivalence class of a word.
@@ -113,19 +109,6 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
         multiplicity=kappa,
         is_zero=not sign,
     )
-
-
-@dataclass(frozen=True)
-class DecoratedWord:
-    """Cyclic word with one marked letter, mark stored at position 0."""
-
-    word: tuple[str, ...]
-    decoration: str  # CHECK or HAT
-
-    def __str__(self) -> str:
-        mark = "v" if self.decoration == CHECK else "^"
-        head = f"{self.word[0]}{mark}"
-        return ".".join((head,) + self.word[1:])
 
 
 def _s_terms(
@@ -366,8 +349,6 @@ def _mcyc_reduce(
     """Reduce a marked cyclic word to mark-first form.  mark is ('mx', i) or
     ('mc', name); the moved prefix picks up the Koszul sign against the
     decorated degree of everything from the mark on."""
-    if not prefix:
-        return (mark, suffix), 1
     parity = alg.parity
     gp = sum(parity[n] for n in prefix)
     gm = 0 if mark[0] == "mx" else parity[mark[1]] + 1

@@ -12,9 +12,8 @@ tensor differential.
 
 Every construction reads one merged table (`CurvedAinf.table`) and one
 chord list (`_chords`), and sums integer numerators over the lcm of the
-table's denominators (`_integer_table`).  check_curved_ainf tests the
-square-zero identity on the words the table can reach by one
-substitution (`_square_zero_words`), not on every composable word.  The
+table's denominators (`_integer_table`).  One entry check
+(`_entry_problems`) reads the table and the direct DGA's counts.  The
 dual DGA and the holomorphic part of the direct one share the t-power
 expansion `_expand`, which returns numerators by chord and the
 denominator; the direct Morse--Bott terms are derived on their own, so
@@ -128,15 +127,6 @@ class CurvedAinf:
             for word, hits in merged.items()
             if (nonzero := {out: v for out, v in hits.items() if v})
         }
-
-    def sigma(self, sym: Symbol, p: int) -> int:
-        return self.symbols[sym].base + 2 * p
-
-    def chord_name(self, sym: Symbol, p: int) -> str:
-        return _chord_name(sym, p)
-
-    def chords(self) -> list[tuple[Symbol, int]]:
-        return _chords(self.symbols, self.order)
 
 
 _CHORD_FORMAT = {"e": "q{}-({})", "m": "q{}+({})", "f": "q>{}({})", "b": "q<{}({})"}
@@ -307,19 +297,13 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
     units, pairings = _forced_tables(spec, symbols)
     user = _table()
     for out_sym, inputs, coeff in spec.mu:
-        if out_sym not in symbols:
-            raise AinfValidationError(f"unknown output symbol {out_sym}")
         if out_sym[0] == "e":
             raise AinfValidationError("structure constants may not output a unit")
-        word = tuple(reversed(inputs))
-        for s in word:
-            if s not in symbols:
-                raise AinfValidationError(f"unknown input symbol {s}")
-            if s[0] == "e":
-                raise AinfValidationError(
-                    "unit inputs are fixed by strict unitality; do not supply them"
-                )
-        user[word][out_sym] += rat(coeff)
+        if any(s[0] == "e" for s in inputs):
+            raise AinfValidationError(
+                "unit inputs are fixed by strict unitality; do not supply them"
+            )
+        user[tuple(reversed(inputs))][out_sym] += rat(coeff)
     D = CurvedAinf(
         spec=spec, order=t_order, symbols=symbols, units=units, pairings=pairings, user=user
     )
@@ -356,31 +340,30 @@ def _square_zero_words(
     return sorted(words, key=lambda w: (len(w), [position[s] for s in w]))
 
 
-def check_curved_ainf(D: CurvedAinf) -> list[str]:
-    """Verify grading and port homogeneity of every table entry, strict
-    unitality, the unit/curvature identities, and the square-zero identity.
-
-    The square-zero identity is checked on every word that an entry can
-    reach by one substitution (_square_zero_words); each such word has at
-    most 2 * max_arity - 1 letters and, once the entries are homogeneous,
-    composes.  On any other word the squared coderivation has no term.  The
-    sums run over integer numerators: the table's over its lcm den, their
-    products over den * den."""
+def _entry_problems(table: dict, symbols: dict[Symbol, SymbolInfo]) -> list[str]:
+    """The entries of an operation table that are unreadable (no inputs, an
+    unknown symbol, a word that does not compose), off the grading or the
+    ports of an output, or not strictly unital."""
     problems: list[str] = []
-    symbols = D.symbols
-
-    for word, hits in D.table.items():
+    for word, hits in table.items():
         if not word:
             problems.append(f"entry {word} has no inputs")
+            continue
+        unknown = [s for s in word if s not in symbols]
+        if unknown:
+            problems.append(f"unknown input symbol {unknown[0]}")
             continue
         if not _word_composable(symbols, word):
             problems.append(f"entry {word} is not port-composable")
             continue
         base_sum = sum(symbols[s].base for s in word)
         for out, coeff in hits.items():
+            info = symbols.get(out)
+            if info is None:
+                problems.append(f"unknown output symbol {out}")
+                continue
             if not coeff:
                 continue
-            info = symbols[out]
             if info.base != base_sum + 1:
                 problems.append(
                     f"entry {word} -> {out} violates grading: {base_sum}+1 != {info.base}"
@@ -389,6 +372,21 @@ def check_curved_ainf(D: CurvedAinf) -> list[str]:
                 problems.append(f"entry {word} -> {out} violates ports")
         if len(word) >= 3 and any(s[0] == "e" for s in word):
             problems.append(f"strict unitality broken by {word}")
+    return problems
+
+
+def check_curved_ainf(D: CurvedAinf) -> list[str]:
+    """Verify the table entries (_entry_problems), the unit/curvature
+    identities, and the square-zero identity.
+
+    The square-zero identity is checked on every word that an entry can
+    reach by one substitution (_square_zero_words); each such word has at
+    most 2 * max_arity - 1 letters and, once the entries are homogeneous,
+    composes.  On any other word the squared coderivation has no term.  The
+    sums run over integer numerators: the table's over its lcm den, their
+    products over den * den."""
+    symbols = D.symbols
+    problems = _entry_problems(D.table, symbols)
     if problems:
         return problems
 
@@ -503,11 +501,15 @@ def lefschetz_dga(
     """Direct assembly of the surgery DGA on the chords of the directed
     spec `basis`: the constant term on the first minimum chord, the
     Morse--Bott series expansions, and the supplied holomorphic counts
-    inserted with t-power conservation."""
+    inserted with t-power conservation.  Counts that are no valid table
+    entry raise AinfValidationError."""
     spec = basis
     if spec.n != n:
         raise ValueError("dimension parameter disagrees with the basis data")
     symbols = _symbol_table(spec)
+    problems = _entry_problems(h_counts or {}, symbols)
+    if problems:
+        raise AinfValidationError("; ".join(problems[:5]))
     N = t_order
     gens = _chord_generators(symbols, N)
     src = {g.name: g.src for g in gens}
@@ -765,9 +767,7 @@ def _cc_label_key(label):
     return (2, len(label[1]), label[1])
 
 
-def verify_dictionary(
-    cc: GradedChainComplex, ho: GradedChainComplex
-) -> bool:
+def verify_dictionary(cc: GradedChainComplex, ho: GradedChainComplex) -> bool:
     """The generator bijection (component classes, check words headed by a
     component factor, hat words as plain words) pairs the two complexes;
     the differentials must be transposes of one another under it:
@@ -775,17 +775,14 @@ def verify_dictionary(
     Raises ValueError, naming a label, where the pairing is not one to one
     and onto in some degree of the window.
     """
-    dict_window = cc.meta.get("dict_window")
-    if dict_window is None:
+    if cc.meta.get("dict_window") is None:
         raise ValueError("first argument must be the cyclic tensor complex")
     lo, hi = ho.window
     alg = ho.meta.get("algebra")
     if alg is None:
         raise ValueError("second argument must carry its algebra in meta")
 
-    cc_index = {
-        d: {lab: i for i, lab in enumerate(cc.labels(d))} for d in cc.basis
-    }
+    cc_index = {d: {lab: i for i, lab in enumerate(cc.labels(d))} for d in cc.basis}
     # partner[d][i]: the cc index of the partner of ho.labels(d)[i]
     partner: dict[int, list[int]] = {}
     for d in range(lo - 1, hi + 2):
@@ -806,7 +803,6 @@ def verify_dictionary(
     # entries are compared on the integer columns: v_ho / den_ho equals
     # v_cc / den_cc exactly when v_ho * den_cc equals v_cc * den_ho
     for d in range(lo, hi + 2):
-        cc_rows, cc_cols = set(partner[d]), set(partner[d - 1])
         ho_columns, ho_den = ho._integer(d)
         cc_columns, cc_den = cc._integer(-(d - 1))
         to_row, to_col = partner[d], partner[d - 1]
@@ -816,11 +812,7 @@ def verify_dictionary(
             for r, v in col.items()
         }
         block = {
-            (r, c): v * ho_den
-            for c, col in cc_columns.items()
-            if c in cc_cols
-            for r, v in col.items()
-            if r in cc_rows
+            (r, c): v * ho_den for c, col in cc_columns.items() for r, v in col.items()
         }
         if transposed != block:
             return False

@@ -11,10 +11,10 @@ through homology._numerators.
 
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the spread operator S as a dict of decorated
-words, the marked module M itself (the library builds only its cyclic
-quotient, mcyc), the curved category's relation check over every
-composable symbol word (the library checks only the words the table can
-reach, in integers), and the direct vanishing-cycle DGA with its
+words (DecoratedWord), the marked module M itself (the library builds
+only its cyclic quotient, mcyc), the curved category's relation check
+over every composable symbol word (the library checks only the words the
+table can reach, in integers), and the direct vanishing-cycle DGA with its
 Morse--Bott terms as t-adic series of Elements and its holomorphic terms
 expanded in Fractions (the library multiplies integer series and expands
 integer numerators).
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
-from chordhom.complexes import HAT, DecoratedWord, _marks, _mcyc_reduce, cyclic_class
+from chordhom.complexes import _marks, _mcyc_reduce, cyclic_class
 from chordhom.dga import DGASpec, extend_leibniz
 from chordhom.homology import _composable_words, _numerators, build_complex, enumerate_cyclic_words
 from chordhom.lefschetz import (
@@ -45,6 +45,22 @@ from chordhom.lefschetz import (
 )
 
 _ONE = Fraction(1)
+
+CHECK = "check"
+HAT = "hat"
+
+
+@dataclass(frozen=True)
+class DecoratedWord:
+    """Cyclic word with one marked letter, mark stored at position 0."""
+
+    word: tuple[str, ...]
+    decoration: str  # CHECK or HAT
+
+    def __str__(self) -> str:
+        mark = "v" if self.decoration == CHECK else "^"
+        head = f"{self.word[0]}{mark}"
+        return ".".join((head,) + self.word[1:])
 
 
 class _Sum(dict):

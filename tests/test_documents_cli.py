@@ -346,6 +346,165 @@ def test_cli_lefschetz_emit_dga_parses_back():
     assert any(g.name == "q1-(1)" for g in dga.generators)
 
 
+@pytest.mark.parametrize("kind", ["cyc", "hoplus", "ho", "mcyc"])
+def test_cli_homology_prints_the_library_table_and_document(kind):
+    from chordhom import complexes
+    from chordhom.homology import betti
+
+    builder = {
+        "cyc": complexes.build_cyclic_complex,
+        "hoplus": complexes.build_hoplus_complex,
+        "ho": complexes.build_ho_complex,
+        "mcyc": complexes.build_mcyc_complex,
+    }[kind]
+    code, out = run_cli("homology", "unknot", "--complex", kind, "--json")
+    table = betti(builder(dga_from_document(example_document("unknot")), (0, 8), 8))
+    assert code == 0
+    assert out == betti_to_text(table) + dumps(betti_to_document(table))
+
+
+def test_cli_augmentations_lists_what_the_library_finds():
+    from chordhom.dga import enumerate_augmentations
+
+    found = enumerate_augmentations(
+        dga_from_document(example_document("chekanov_a")), [Fraction(v) for v in (-1, 0, 1)]
+    )
+    code, out = run_cli("augmentations", "chekanov_a", "--values=-1,0,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"{len(found)} augmentation(s) over {{-1,0,1}}"
+    assert lines[1:] == [
+        "  {" + ", ".join(f"{k}={v}" for k, v in sorted(eps.values.items())) + "}"
+        for eps in found
+    ]
+    assert lines[1:] == ["  {a7=1, a8=-1, a9=1}"]
+
+
+def test_cli_morphism_that_is_no_chain_map_exit_1(tmp_path):
+    doc = example_document("chekanov_phi")
+    doc["assignment"]["a8"] = [{"coeff": "1", "word": "e_1"}]
+    path = tmp_path / "broken.morphism"
+    path.write_text(dumps(doc))
+    code, out = run_cli("morphism", str(path), "--check")
+    assert code == 1 and out.startswith("chain map: FAILED at "), out
+
+
+@pytest.mark.parametrize("emit", ["dga", "hochschild", "dictionary-check"])
+def test_cli_ainf_failing_the_relation_check_exit_1(tmp_path, emit):
+    # f:a runs from component 1 to 2, so its image m:1 violates the ports
+    doc = _with_fields(
+        _AINF,
+        components=2,
+        points=[{"name": "a", "grading": 0, "from": 1, "to": 2}],
+        mu=[{"out": "m:1", "inputs": ["f:a"], "coeff": "1"}],
+    )
+    path = tmp_path / "ports.ainf"
+    path.write_text(dumps(doc))
+    code, out = run_cli("lefschetz", str(path), "--t-order", "2", "--emit", emit)
+    assert code == 1
+    assert out == "mathematical failure: entry (('f', 'a'),) -> ('m', 1) violates ports\n"
+
+
+def _dictionary_check(monkeypatch, name, replacement):
+    monkeypatch.setattr(cli, name, replacement)
+    return run_cli(
+        "lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "dictionary-check",
+        "--max-deg", "3", "--max-len", "6",
+    )
+
+
+def test_cli_dictionary_check_dual_and_direct_disagree_exit_1(monkeypatch):
+    from chordhom.lefschetz import lefschetz_dga
+
+    # the direct DGA of another truncation order has other generators
+    code, out = _dictionary_check(
+        monkeypatch, "lefschetz_dga", lambda spec, h, n, N: lefschetz_dga(spec, h, n, N + 1)
+    )
+    assert (code, out) == (1, "mathematical failure: dual and direct differentials disagree\n")
+
+
+def test_cli_dictionary_check_basis_mismatch_exit_1(monkeypatch):
+    def mismatch(cc, ho):
+        raise ValueError("basis mismatch at degree 0: x has no partner")
+
+    code, out = _dictionary_check(monkeypatch, "verify_dictionary", mismatch)
+    assert (code, out) == (1, "mathematical failure: basis mismatch at degree 0: x has no partner\n")
+
+
+def test_cli_dictionary_check_entry_mismatch_exit_1(monkeypatch):
+    code, out = _dictionary_check(monkeypatch, "verify_dictionary", lambda cc, ho: False)
+    assert (code, out) == (1, "mathematical failure: dictionary mismatch\n")
+
+
+def test_cli_hochschild_prints_the_verdict_and_edge_flags():
+    code, out = run_cli("lefschetz", "lefschetz_min", "--t-order", "3", "--emit", "hochschild")
+    assert code == 0
+    assert out == (
+        "ranks by dictionary degree:\n"
+        "*** verdict: TRUNCATED — ranks are lower bounds on the window ***\n"
+        "  degree   rank    \n"
+        + "".join(f"{d:>8}      0  {'edge' if d in (0, 6) else '':4}\n" for d in range(7))
+    )
+
+
+_REFUSAL = (
+    "mathematical failure: the length-truncated window is not a subcomplex at max-len {} "
+    "({}); truncated ranks are unavailable here\n"
+)
+
+
+def test_cli_truncated_surgery_failing_d_squared_is_refused_as_truncation():
+    # chekanov_a has grading-0 chords, so the window is truncated by length
+    window = ("--min-deg", "-4", "--max-deg", "0", "--max-len", "3")
+    code, out = run_cli(
+        "surgery", "chekanov_a", "--filling", "ball:2", "--theory", "sh", *window
+    )
+    assert code == 1
+    homology_code, homology_out = run_cli("homology", "chekanov_a", "--complex", "ho", *window)
+    assert (code, out) == (homology_code, homology_out)
+    assert out == _REFUSAL.format(
+        3, "d^2 != 0 at degree 0, entry (13, 17) = -1 (84 nonzero entries total)"
+    )
+
+
+def _broken_complex(verdict):
+    return GradedChainComplex(
+        basis={-2: ["x"], -1: ["y"], 0: ["z"]},
+        diffs={-1: {(0, 0): Fraction(1)}, 0: {(0, 0): Fraction(1)}},
+        window=(-2, 0),
+        verdict=verdict,
+    )
+
+
+def test_cli_truncated_cyclic_tensor_complex_failing_d_squared_is_refused(monkeypatch):
+    monkeypatch.setattr(cli, "hochschild_complex", lambda *args: _broken_complex("TRUNCATED"))
+    code, out = run_cli("lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "hochschild")
+    assert code == 1
+    assert out == _REFUSAL.format(
+        8, "d^2 != 0 at degree 0, entry (0, 0) = 1 (1 nonzero entries total)"
+    )
+
+
+def test_cli_exact_complex_failing_d_squared_is_a_mathematical_failure(tmp_path):
+    # d(c) = b, d(b) = a: d^2(c) = a, and the linearized complex is exact
+    gens = [{"name": n, "grading": g, "src": 1, "dst": 1} for n, g in (("a", 1), ("b", 2), ("c", 3))]
+    doc = {
+        "format": "dga/1", "components": 1, "ambient_dim": 3, "field": "Q", "generators": gens,
+        "differential": {
+            "b": [{"coeff": "1", "word": ["a"]}],
+            "c": [{"coeff": "1", "word": ["b"]}],
+        },
+    }
+    path = tmp_path / "d2.dga"
+    path.write_text(dumps(doc))
+    code, out = run_cli("homology", str(path), "--complex", "lin")
+    assert code == 1
+    assert out == (
+        "mathematical failure: the differential does not square to zero "
+        "(d^2 != 0 at degree 3, entry (0, 0) = 1 (1 nonzero entries total))\n"
+    )
+
+
 _SURGERY_CH = ("surgery", "unknot", "--theory", "ch", "--max-deg", "2")
 
 

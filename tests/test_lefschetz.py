@@ -29,6 +29,7 @@ from chordhom.lefschetz import (
     user_counts,
     verify_dictionary,
     _chord_name,
+    _chords,
     _expand,
     _forced_tables,
     _symbol_table,
@@ -57,8 +58,7 @@ def test_minimal_example_validates():
 def test_truncation_zero_keeps_only_directed_chords():
     spec = minimal_ainf_spec()
     D = build_curved_category(spec, 0)
-    chords = D.chords()
-    assert chords == [(("f", "a"), 0)]
+    assert _chords(D.symbols, D.order) == [(("f", "a"), 0)]
 
 
 def test_truncation_zero_dual_matches_direct():
@@ -80,8 +80,11 @@ def test_chord_gradings_match_the_table():
     spec = DirectedAinfSpec(k=2, n=5, points=[("a", 2, 1, 2)], mu=[])
     D = build_curved_category(spec, 3)
     n = 5
-    for (sym, p), name in ((sp, D.chord_name(*sp)) for sp in D.chords()):
-        sigma = D.sigma(sym, p)
+    grading = {g.name: g.grading for g in dualize_tensor_algebra(D).generators}
+    chords = _chords(D.symbols, D.order)
+    assert sorted(grading) == sorted(_chord_name(*sp) for sp in chords)
+    for sym, p in chords:
+        sigma = grading[_chord_name(sym, p)]
         if sym[0] == "e":
             assert sigma == 2 * p - 1
         elif sym[0] == "m":
@@ -107,8 +110,8 @@ def test_t_power_conservation():
     D = build_curved_category(spec, 3)
     dual = dualize_tensor_algebra(D)
     power = {}
-    for sym, p in D.chords():
-        power[D.chord_name(sym, p)] = p
+    for sym, p in _chords(D.symbols, D.order):
+        power[_chord_name(sym, p)] = p
     for g in dual.generators:
         for w, _ in dual.d_gen(g.name).terms.items():
             if w.is_idem:
@@ -294,6 +297,56 @@ def test_empty_structure_constant_rejected():
     with pytest.raises(AinfValidationError, match=r"^entry \(\) has no inputs$"):
         build_curved_category(spec, 2)
     assert check_curved_ainf(_with_user(spec, {})) == ["entry () has no inputs"]
+
+
+# holomorphic counts that are no valid table entry, on lefschetz_min (the
+# point a has grading 0 and joins component 1 to component 2)
+_BAD_COUNTS = {
+    "grading": (
+        {(("f", "a"),): {("f", "a"): 1}},
+        "entry (('f', 'a'),) -> ('f', 'a') violates grading: 0+1 != 0",
+    ),
+    "no-inputs": ({(): {("m", 1): 1}}, "entry () has no inputs"),
+    "unknown-input": ({(("f", "zz"),): {("m", 1): 1}}, "unknown input symbol ('f', 'zz')"),
+    "unknown-output": (
+        {(("f", "a"), ("b", "a")): {("m", 7): 1}},
+        "unknown output symbol ('m', 7)",
+    ),
+    "not-composable": (
+        {(("f", "a"), ("f", "a")): {("m", 2): 1}},
+        "entry (('f', 'a'), ('f', 'a')) is not port-composable",
+    ),
+    "ports": (
+        {(("f", "a"), ("b", "a")): {("m", 1): 1}},
+        "entry (('f', 'a'), ('b', 'a')) -> ('m', 1) violates ports",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COUNTS))
+def test_lefschetz_dga_refuses_counts_that_are_no_valid_entry(case):
+    counts, problem = _BAD_COUNTS[case]
+    spec = minimal_ainf_spec()
+    with pytest.raises(AinfValidationError) as err:
+        lefschetz_dga(spec, counts, spec.n, 2)
+    assert str(err.value) == problem
+    # check_curved_ainf reports the same entry of a table in the same words
+    assert check_curved_ainf(_with_user(spec, counts)) == [problem]
+
+
+@pytest.mark.parametrize(
+    "mu,problem",
+    [
+        ([(("m", 1), (("f", "zz"),), Fraction(1))], "unknown input symbol ('f', 'zz')"),
+        ([(("m", 7), (("f", "a"), ("b", "a")), Fraction(1))], "unknown output symbol ('m', 7)"),
+    ],
+    ids=["input", "output"],
+)
+def test_unknown_structure_constant_symbol_rejected(mu, problem):
+    spec = DirectedAinfSpec(k=2, n=3, points=[("a", 0, 1, 2)], mu=mu)
+    with pytest.raises(AinfValidationError) as err:
+        build_curved_category(spec, 2)
+    assert str(err.value) == problem
 
 
 def test_table_is_the_entrywise_sum_of_its_parts():
