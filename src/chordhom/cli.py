@@ -97,23 +97,26 @@ def cmd_validate(args) -> int:
     return MATH_FAIL
 
 
-def _report(args, complex, view=lambda table: table, heading=None) -> int:
+def _report(args, complex, view=lambda table: table, heading=None, dga=None) -> int:
     """The one report path for a Betti table: betti of the built complex,
     then either the refusal or the table that view makes of it (with its
-    betti/1 document under --json).  A truncated window whose differential
-    fails to square to zero is refused as a truncation artefact; an exact
-    one is a mathematical failure of the data."""
+    betti/1 document under --json).  A differential that fails to square
+    to zero is a failure of the data when the window is exact or the dga
+    given fails validation (printed as validate prints it), and is refused
+    as a truncation artefact otherwise."""
     try:
         table = view(betti(complex))
     except DSquareError as exc:
-        if complex.verdict != "EXACT":
+        if complex.verdict == "EXACT":
+            print(f"mathematical failure: the differential does not square to zero ({exc})")
+        elif dga is not None and not (report := check_d_squared(dga)).ok:
+            print("mathematical failure: the input DGA fails validation", *report.lines(), sep="\n")
+        else:
             print(
                 "mathematical failure: the length-truncated window is not a "
                 f"subcomplex at max-len {args.max_len} ({exc}); truncated "
                 "ranks are unavailable here"
             )
-        else:
-            print(f"mathematical failure: the differential does not square to zero ({exc})")
         return MATH_FAIL
     if heading:
         print(heading)
@@ -133,7 +136,7 @@ def cmd_homology(args) -> int:
             "ho": build_ho_complex,
             "mcyc": build_mcyc_complex,
         }[args.complex]
-        return _report(args, builder(dga, (lo, hi), args.max_len))
+        return _report(args, builder(dga, (lo, hi), args.max_len), dga=dga)
     if args.augmentation:
         eps = _parse(args.augmentation, docs.augmentation_from_document)
     else:
@@ -182,7 +185,7 @@ def cmd_surgery(args) -> int:
         raise CliInputError(f"{args.counts}: {exc}")
     except FillingMismatchError as exc:
         raise CliInputError(f"{args.filling}: {exc}")
-    return _report(args, complex)
+    return _report(args, complex, dga=dga)
 
 
 def cmd_augmentations(args) -> int:

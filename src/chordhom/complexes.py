@@ -22,9 +22,13 @@ differential vanishes, and the marked-module dictionary is sign-free.
 
 The cyclic quotient of the marked module (mcyc) reads the mark
 differential d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
-(_mark_terms); the marked module itself, on the same mark differential,
-is a reference in the tests.  The check/hat side computes its own, so
-mcyc against the completed check/hat complex compares two constructions.
+(_mark_terms); each term keeps the grading parities of the letters before
+and after its mark, so the Koszul sign of rotating it to mark-first form
+is read in constant time, and one build computes each word's Leibniz
+image once for all its marks.  The marked module itself, on the same mark
+differential, is a reference in the tests.  The check/hat side computes
+its own, so mcyc against the completed check/hat complex compares two
+constructions.
 
 Every boundary image runs in integers: the Leibniz terms come from
 dga._leibniz_word on letter tuples, the differential rows and unit terms
@@ -94,15 +98,9 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
     if not algebra.cyclically_composable(word):
         raise ValueError(f"word {word} is not cyclically composable")
     best, sign = _cyclic_rep(algebra.parity, word.letters)
-    kappa = 1
-    length = len(best)
-    for k in range(length, 0, -1):
-        if length % k:
-            continue
-        period = length // k
-        if best == best[:period] * k:
-            kappa = k
-            break
+    n = len(best)
+    # the largest k with best a k-th power; k = 1 always is
+    kappa = next(k for k in range(n, 0, -1) if not n % k and best == best[:n // k] * k)
     return CyclicWord(
         representative=best,
         sign=sign,
@@ -326,35 +324,24 @@ def _marks(dga: DGASpec) -> list[tuple]:
 
 def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
     """The mark differential d(c^) = x_dst c - c x_src - S(dc), as terms
-    (before, mark, after, coeff) with coeff a numerator over dga._denom; S
-    hats each letter of each term of dc in turn with the sign (-1)^(degree
-    of the letters before it).  The component classes are closed."""
+    (before, mark, after, coeff, before parity, after parity) with coeff a
+    numerator over dga._denom and the parities those of the letters'
+    gradings; S hats each letter of each term of dc in turn with the sign
+    (-1)^(degree of the letters before it).  The component classes are
+    closed."""
     c = dga.algebra.gen(cname)
     parity = dga.algebra.parity
-    den = dga._denom
-    terms = [((), ("mx", c.dst), (cname,), den), ((cname,), ("mx", c.src), (), -den)]
+    den, p = dga._denom, parity[cname]
+    terms = [((), ("mx", c.dst), (cname,), den, 0, p), ((cname,), ("mx", c.src), (), -den, p, 0)]
     for letters, _, _, coeff in dga._rows.get(cname, ()):
-        odd = 0
+        odd, rest = 0, sum(parity[n] for n in letters) & 1
         for j, name in enumerate(letters):
+            rest ^= parity[name]
             terms.append(
-                (letters[:j], ("mc", name), letters[j + 1:], coeff if odd else -coeff)
+                (letters[:j], ("mc", name), letters[j + 1:], coeff if odd else -coeff, odd, rest)
             )
             odd ^= parity[name]
     return terms
-
-
-def _mcyc_reduce(
-    alg: ChordAlgebra, prefix: tuple[str, ...], mark, suffix: tuple[str, ...]
-) -> tuple[tuple, int]:
-    """Reduce a marked cyclic word to mark-first form.  mark is ('mx', i) or
-    ('mc', name); the moved prefix picks up the Koszul sign against the
-    decorated degree of everything from the mark on."""
-    parity = alg.parity
-    gp = sum(parity[n] for n in prefix)
-    gm = 0 if mark[0] == "mx" else parity[mark[1]] + 1
-    gs = sum(parity[n] for n in suffix)
-    sign = -1 if gp & (gm + gs) & 1 else 1
-    return (mark, suffix + prefix), sign
 
 
 def _enumerate_marked_words(
@@ -381,27 +368,29 @@ def _enumerate_marked_words(
     return bases
 
 
-def _mcyc_image(dga: DGASpec, label, mark_terms: dict) -> tuple[dict, int]:
+def _mcyc_image(dga: DGASpec, label, mark_terms: dict, images: dict) -> tuple[dict, int]:
     """Differential on the marked cyclic quotient: the mark differential
     rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
-    mark_terms maps each chord to its _mark_terms."""
-    alg = dga.algebra
+    mark_terms maps each chord to its _mark_terms, and images each word
+    met so far to its _leibniz_word image."""
+    parity = dga.algebra.parity
     out: dict = {}
     kind, name, word = label
     odd = False
     if kind == "mc":
-        for before, mark, after, coeff in mark_terms[name]:
-            if before:  # with nothing before the mark there is nothing to rotate
-                (mark, rest), rot = _mcyc_reduce(alg, before, mark, after + word)
-                if rot < 0:
-                    coeff = -coeff
-            else:
-                rest = after + word
-            target = mark + (rest,)
+        odd_w = sum(parity[n] for n in word) & 1
+        for before, mark, after, coeff, odd_b, odd_a in mark_terms[name]:
+            # a hat mark on c has degree |c| + 1, a component class 0
+            if odd_b and odd_a ^ odd_w ^ (mark[0] == "mc" and not parity[mark[1]]):
+                coeff = -coeff
+            target = mark + (after + word + before,)
             out[target] = out.get(target, 0) + coeff
-        odd = not alg.parity[name]
+        odd = not parity[name]
     if word:
-        for key, v in _leibniz_word(dga, word).items():
+        image = images.get(word)
+        if image is None:
+            image = images[word] = _leibniz_word(dga, word)
+        for key, v in image.items():
             target = (kind, name, key if key.__class__ is tuple else ())
             out[target] = out.get(target, 0) + (-v if odd else v)
     return out, dga._denom
@@ -415,13 +404,11 @@ def build_mcyc_complex(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1
     )
     mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
+    images: dict = {}
     return build_complex(
         _enumerate_marked_words(dga, window, max_len),
-        lambda degree, label: _mcyc_image(dga, label, mark_terms),
-        window,
-        verdict,
-        max_len,
-        meta={"kind": "mcyc"},
+        lambda degree, label: _mcyc_image(dga, label, mark_terms, images),
+        window, verdict, max_len, meta={"kind": "mcyc"},
     )
 
 

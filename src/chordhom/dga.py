@@ -91,13 +91,16 @@ def _leibniz_word(
     default) and returns it: keys are letter tuples, or the component of an
     idempotent, and values are numerators over dga._denom.  A running sum
     that reaches zero drops its key, so the keys come out in the order of
-    the product-by-product Element sum.
+    the product-by-product Element sum.  A word with no letter that has
+    a differential row returns acc at once.
     """
     rows = dga._rows
-    parity = dga.algebra.parity
-    src, dst = dga._src, dga._dst
     if acc is None:
         acc = {}
+    if rows.keys().isdisjoint(letters):
+        return acc
+    parity = dga.algebra.parity
+    src, dst = dga._src, dga._dst
     last = len(letters) - 1
     odd = 0
     for j, name in enumerate(letters):
@@ -314,8 +317,6 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
     bases: dict[int, list] = {}
     for g in sorted(dga.generators, key=lambda g: g.name):
         bases.setdefault(g.grading, []).append(g.name)
-    for d, labs in bases.items():
-        labs.sort()
 
     def image(degree: int, label) -> tuple[dict[str, int], int]:
         out: dict[str, Fraction] = defaultdict(Fraction)

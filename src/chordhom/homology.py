@@ -6,7 +6,8 @@ image returns integer numerators over one denominator, and build_complex
 keeps each degree as integer columns {col: {row: numerator}} over the lcm
 of its columns' denominators.  d^2, ranks, is_boundary and the verifiers
 read those columns; the {(row, col): Fraction} view of a complex (diffs,
-matrix) is built only when it is read.
+matrix) is built only when it is read.  It and the d^2 report share one
+Fraction object among equal values (_FractionPool).
 
 Every rank comes from one sparse column reduction, _reduce.  The integer
 columns are eliminated fraction-free, each divided by the gcd of its
@@ -53,7 +54,8 @@ class GradedChainComplex:
     A complex from build_complex stores each boundary matrix as integer
     columns over one denominator per degree instead, and diffs is built
     from them on first read: degree by degree, each degree's columns
-    dropped as its view is built, so the complex holds one copy.  Once
+    dropped as its view is built, so the complex holds one copy; equal
+    entries of the view share one Fraction object.  Once
     diffs exists (read, or given to the constructor), the readers
     re-derive integer columns from it, so an edit of diffs is what they
     see.
@@ -85,9 +87,10 @@ class GradedChainComplex:
         pending = list(self.__dict__.pop("_store").items())
         pending.reverse()
         view: dict[int, SparseMatrix] = {}
+        pool = _FractionPool()
         while pending:
             d, (columns, den) = pending.pop()
-            view[d] = _fraction_view(columns, den)
+            view[d] = _fraction_view(columns, den, pool)
         self.diffs = view
         return view
 
@@ -111,8 +114,10 @@ class GradedChainComplex:
     def d_squared_report(self) -> list[tuple[int, tuple[int, int], Fraction]]:
         """Entries of boundary(d-1) * boundary(d) that are nonzero, column by
         column of boundary(d).  The products run on the integer columns; a
-        reported entry is divided back into the exact value."""
+        reported entry is divided back into the exact value, and equal
+        values share one Fraction object."""
         bad = []
+        pool = _FractionPool()
         lo, hi = self.window
         lower, lden = self._integer(lo)
         for d in range(lo + 1, hi + 2):
@@ -126,19 +131,25 @@ class GradedChainComplex:
                             acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
                     den = uden * lden
-                    bad.extend(
-                        (d, (r, c), Fraction(total, den)) for r, total in acc.items() if total
-                    )
+                    bad.extend((d, (r, c), pool[total, den]) for r, total in acc.items() if total)
             lower, lden = upper, uden
         return bad
 
 
-def _fraction_view(columns: Columns, den: int) -> SparseMatrix:
-    """Integer columns over den as {(row, col): Fraction}, column by column
-    in stored order."""
-    if den == 1:
-        return {(r, c): Fraction(v) for c, col in columns.items() for r, v in col.items()}
-    return {(r, c): Fraction(v, den) for c, col in columns.items() for r, v in col.items()}
+class _FractionPool(dict):
+    """pool[num, den] is Fraction(num, den), made once per pair; pairs of
+    equal value share one object, which the pool also keys by itself."""
+
+    def __missing__(self, pair: tuple[int, int]) -> Fraction:
+        f = Fraction(*pair)
+        f = self[pair] = self.setdefault(f, f)
+        return f
+
+
+def _fraction_view(columns: Columns, den: int, pool: _FractionPool) -> SparseMatrix:
+    """Integer columns over den as {(row, col): Fraction} drawn from pool,
+    column by column in stored order."""
+    return {(r, c): pool[v, den] for c, col in columns.items() for r, v in col.items()}
 
 
 def _numerators(terms: Mapping[Label, Fraction]) -> tuple[dict[Label, int], int]:
@@ -264,12 +275,8 @@ def betti(complex: GradedChainComplex) -> BettiTable:
             f"({len(bad)} nonzero entries total)"
         )
     lo, hi = complex.window
-    ranks: dict[int, int] = {}
     rk = {d: len(_reduce(complex._integer(d)[0])) for d in range(lo, hi + 2)}
-    for d in range(lo, hi + 1):
-        dim = complex.dim(d)
-        h = dim - rk[d] - rk[d + 1]
-        ranks[d] = h
+    ranks = {d: complex.dim(d) - rk[d] - rk[d + 1] for d in range(lo, hi + 1)}
     return BettiTable(ranks=ranks, flagged=frozenset({lo, hi}), verdict=complex.verdict)
 
 

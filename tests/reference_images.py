@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
-from chordhom.complexes import _marks, _mcyc_reduce, cyclic_class
+from chordhom.complexes import _marks, cyclic_class
 from chordhom.dga import DGASpec, extend_leibniz
 from chordhom.homology import _composable_words, _numerators, build_complex, enumerate_cyclic_words
 from chordhom.lefschetz import (
@@ -190,6 +190,21 @@ def mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
             )
             odd ^= parity[name]
     return terms
+
+
+def _mcyc_reduce(
+    alg: ChordAlgebra, prefix: tuple[str, ...], mark, suffix: tuple[str, ...]
+) -> tuple[tuple, int]:
+    """Reduce a marked cyclic word to mark-first form.  mark is ('mx', i) or
+    ('mc', name); the moved prefix picks up the Koszul sign against the
+    decorated degree of everything from the mark on, each degree summed
+    over its letters."""
+    parity = alg.parity
+    gp = sum(parity[n] for n in prefix)
+    gm = 0 if mark[0] == "mx" else parity[mark[1]] + 1
+    gs = sum(parity[n] for n in suffix)
+    sign = -1 if gp & (gm + gs) & 1 else 1
+    return (mark, suffix + prefix), sign
 
 
 def mcyc_image(dga: DGASpec, label) -> dict:

@@ -294,11 +294,18 @@ def test_mark_terms_of_a_two_letter_differential(u_grading, v_grading):
         Generator("v", v_grading, 1, 2),
     ]
     dga = DGASpec(ring, gens, {"c": Element({Word.of(["u", "v"]): Fraction(3)})}, 2)
-    assert _mark_terms(dga, "c") == [
+    terms = _mark_terms(dga, "c")
+    assert [t[:4] for t in terms] == [
         ((), ("mx", 2), ("c",), 1),  # x_dst c
         (("c",), ("mx", 1), (), -1),  # - c x_src
         ((), ("mc", "u"), ("v",), -3),  # - S(dc): the hat on u
         (("u",), ("mc", "v"), (), -3 * (-1) ** u_grading),  # and on v
+    ]
+    # the grading parities of the letters before and after each mark
+    grading = {g.name: g.grading for g in gens}
+    assert [t[4:] for t in terms] == [
+        tuple(sum(grading[x] for x in part) % 2 for part in (before, after))
+        for before, _, after, *_ in terms
     ]
 
 

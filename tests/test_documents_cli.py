@@ -485,8 +485,8 @@ def test_cli_truncated_cyclic_tensor_complex_failing_d_squared_is_refused(monkey
     )
 
 
-def test_cli_exact_complex_failing_d_squared_is_a_mathematical_failure(tmp_path):
-    # d(c) = b, d(b) = a: d^2(c) = a, and the linearized complex is exact
+def _dga_failing_d_squared(tmp_path) -> str:
+    # d(c) = b, d(b) = a: d^2(c) = a
     gens = [{"name": n, "grading": g, "src": 1, "dst": 1} for n, g in (("a", 1), ("b", 2), ("c", 3))]
     doc = {
         "format": "dga/1", "components": 1, "ambient_dim": 3, "field": "Q", "generators": gens,
@@ -497,12 +497,36 @@ def test_cli_exact_complex_failing_d_squared_is_a_mathematical_failure(tmp_path)
     }
     path = tmp_path / "d2.dga"
     path.write_text(dumps(doc))
-    code, out = run_cli("homology", str(path), "--complex", "lin")
+    return str(path)
+
+
+def test_cli_exact_complex_failing_d_squared_is_a_mathematical_failure(tmp_path):
+    # the linearized complex is exact
+    code, out = run_cli("homology", _dga_failing_d_squared(tmp_path), "--complex", "lin")
     assert code == 1
     assert out == (
         "mathematical failure: the differential does not square to zero "
         "(d^2 != 0 at degree 3, entry (0, 0) = 1 (1 nonzero entries total))\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("homology", "--complex", "cyc"),
+        ("homology", "--complex", "ho"),
+        ("surgery", "--filling", "ball:3", "--theory", "sh"),
+    ],
+    ids=["cyc", "ho", "sh"],
+)
+def test_cli_truncated_window_over_a_dga_failing_d_squared_names_the_data(tmp_path, command):
+    # the window is TRUNCATED (max-len 3 < max-deg 4), but d^2 fails in the
+    # input itself, so the failure is the data's, printed as validate does
+    path = _dga_failing_d_squared(tmp_path)
+    code, out = run_cli(command[0], path, *command[1:], "--max-deg", "4", "--max-len", "3")
+    assert code == 1
+    assert out == "mathematical failure: the input DGA fails validation\nd^2(c) = 1*a != 0\n"
+    assert run_cli("validate", path) == (1, "d^2(c) = 1*a != 0\n")
 
 
 _SURGERY_CH = ("surgery", "unknot", "--theory", "ch", "--max-deg", "2")

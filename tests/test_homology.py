@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordhom.algebra import BaseRing, ChordAlgebra, Generator, Word
-from chordhom.complexes import build_cyclic_complex, build_ho_complex, cyclic_class
+from chordhom.complexes import (
+    build_cyclic_complex,
+    build_ho_complex,
+    build_mcyc_complex,
+    cyclic_class,
+)
 from chordhom.dga import DGASpec
 from chordhom.homology import (
     EXACT,
@@ -198,6 +203,20 @@ def test_d_squared_report_matches_fraction_reference(seed):
     got = cx.d_squared_report()
     assert got == d_squared_reference(cx)
     assert all(type(v) is Fraction for _, _, v in got)
+    assert len({id(v) for *_, v in got}) == len({v for *_, v in got})
+
+
+def test_truncated_chekanov_a_mcyc_report_shares_its_values(chekanov_a):
+    # the marked cyclic quotient of chekanov_a on -4..0 at max-len 4 is
+    # TRUNCATED and no subcomplex: a long d^2 report, whose equal values,
+    # like those of the boundary view, are one Fraction object each
+    cx = build_mcyc_complex(chekanov_a, (-4, 0), 4)
+    report = cx.d_squared_report()
+    assert len(report) == 37_056
+    assert report == d_squared_reference(cx)
+    assert len({id(v) for *_, v in report}) == len({v for *_, v in report})
+    values = [v for matrix in cx.diffs.values() for v in matrix.values()]
+    assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_d_squared_error_message_with_fractions():

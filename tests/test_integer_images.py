@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import chordhom.surgery as surgery
 import reference_images as ref
-from chordhom.algebra import BaseRing, ChordAlgebra, Generator
+from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     _s_terms,
     build_cyclic_complex,
@@ -21,11 +21,13 @@ from chordhom.complexes import (
     build_hoplus_complex,
     build_mcyc_complex,
 )
+from chordhom.dga import DGASpec, _leibniz_word
 from chordhom.homology import _numerators, build_complex
 from chordhom.lefschetz import build_curved_category, hochschild_complex
 from chordhom.surgery import SurgeryCountTable, build_sh_surgery, builtin_ball_filling
 
 from conftest import fractional_ainf_spec, fractional_dga
+from test_dga import leibniz_reference
 
 
 def assert_same_matrices(got, want):
@@ -54,6 +56,15 @@ CHORD_IMAGES = [
 ]
 
 
+def assert_matches_the_reference(builder, image, dga, window, max_len):
+    cx = builder(dga, window, max_len)
+    want = build_complex(
+        cx.basis, lambda degree, label: _numerators(image(dga, label)),
+        window, cx.verdict, max_len,
+    )
+    assert_same_matrices(cx, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]))
 def test_chord_images_match_the_element_reference(seed, min_grading):
@@ -61,12 +72,7 @@ def test_chord_images_match_the_element_reference(seed, min_grading):
     dga = fractional_dga(rng, min_grading)
     window, max_len = (0, 3), 3
     for builder, image in CHORD_IMAGES:
-        cx = builder(dga, window, max_len)
-        want = build_complex(
-            cx.basis, lambda degree, label: _numerators(image(dga, label)),
-            window, cx.verdict, max_len,
-        )
-        assert_same_matrices(cx, want)
+        assert_matches_the_reference(builder, image, dga, window, max_len)
     filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
     sh = build_sh_surgery(filling, dga, counts, window, max_len)
     with pytest.MonkeyPatch.context() as mp:
@@ -76,6 +82,48 @@ def test_chord_images_match_the_element_reference(seed, min_grading):
         )
         want = build_sh_surgery(filling, dga, counts, window, max_len)
     assert_same_matrices(sh, want)
+
+
+def mixed_parity_dga() -> DGASpec:
+    """One component: a, b, u closed, of gradings 1, 2, 3, and c, e with
+    differentials of three-letter words whose letters mix both parities, so
+    that a hat on the last letter of a term has two letters before it, of
+    even or odd total degree."""
+    gens = [Generator(x, g) for x, g in zip("abuce", (1, 2, 3, 5, 4))]
+    half = Fraction(1, 2)
+    d = {
+        "c": {"aab": 1, "aba": 2, "baa": -half, "au": 1, "ua": 3},
+        "e": {"aaa": half, "ab": 3, "ba": -1},
+    }
+    diff = {
+        name: Element({Word.of(w): Fraction(v) for w, v in terms.items()})
+        for name, terms in d.items()
+    }
+    return DGASpec(BaseRing(1), gens, diff)
+
+
+def test_mcyc_images_with_long_prefixes_match_the_element_reference(chekanov_a):
+    # chekanov_a: a TRUNCATED window over gradings -2..2 with three-letter
+    # terms; the mixed-parity DGA: hats after two letters of either parity
+    assert_matches_the_reference(build_mcyc_complex, ref.mcyc_image, chekanov_a, (-4, 0), 3)
+    assert_matches_the_reference(build_mcyc_complex, ref.mcyc_image, mixed_parity_dga(), (0, 9), 4)
+
+
+def test_leibniz_word_of_a_word_without_a_differential_letter_is_empty():
+    dga = mixed_parity_dga()
+    for n in range(1, 5):
+        for letters in itertools.product("abu", repeat=n):
+            assert _leibniz_word(dga, letters) == {}
+            acc = {("a",): 5}
+            assert _leibniz_word(dga, letters, 2, acc) is acc and acc == {("a",): 5}
+    # with a differential letter the kernel gives the product-by-product sum
+    for n in range(1, 4):
+        for letters in itertools.product("abuce", repeat=n):
+            if "c" in letters or "e" in letters:
+                want = leibniz_reference(dga, Element.monomial(Word.of(letters))).terms
+                got = _leibniz_word(dga, letters)
+                scaled = [(Word(k), Fraction(v, dga._denom)) for k, v in got.items()]
+                assert scaled == list(want.items())
 
 
 @settings(max_examples=25, deadline=None)
