@@ -3,10 +3,12 @@ check/hat complex, its completion by the per-component classes tau_i, and
 the cyclic quotient of the marked module (mcyc), an independent model for
 the latter.
 
-The bases read the words the enumerator hands out grouped by degree
-(homology._composable_words, merged over the components by _cyclic_words),
-so no builder recomputes a degree.  The check/hat basis also serves the
-cyclic tensor complex of lefschetz.py, under the dictionary's names.
+Every basis reads the words of one walk of homology._cyclic_words, which
+hands out the cyclic words of all components grouped by degree, shortest
+first, so no builder recomputes a degree.  The mcyc basis reads its
+marked words off the same walk one letter longer: a word w gives x_i.w,
+and a word c.w gives c^.w one degree up.  The check/hat basis also serves
+the cyclic tensor complex of lefschetz.py, under the dictionary's names.
 
 Decorated words are stored with the mark on the first letter; a mark drawn
 elsewhere is rotated to the front by the graded cyclic permutation, whose
@@ -46,7 +48,6 @@ from .algebra import ChordAlgebra, Element, Word
 from .dga import DGASpec, _leibniz_word
 from .homology import (
     GradedChainComplex,
-    _composable_words,
     _cyclic_words,
     betti,
     build_complex,
@@ -139,7 +140,7 @@ def _cyclic_bases(
     lo, hi = window
     parity = alg.parity
     bases: dict[int, list] = {}
-    for deg, words in _cyclic_words(alg, (lo - 1, hi + 1), max_len).items():
+    for deg, words in _cyclic_words(alg.generators, max_len, (lo - 1, hi + 1)).items():
         labs = [
             ("cyc", w)
             for w in words
@@ -246,7 +247,7 @@ def _decorated_bases(
     words of degree d - 1, the words shortest first and then in letter
     order."""
     lo, hi = window
-    groups = _cyclic_words(alg, (lo - 2, hi + 1), max_len)
+    groups = _cyclic_words(alg.generators, max_len, (lo - 2, hi + 1))
     bases: dict[int, list] = {}
     for d in range(lo - 1, hi + 2):
         labs = [("tau", i) for i in alg.ring.components] if tau and d == 0 else []
@@ -313,15 +314,6 @@ def build_ho_complex(
 # ---- the cyclic quotient of the marked module ---------------------------------
 
 
-def _marks(dga: DGASpec) -> list[tuple]:
-    """The marks with their ports and degree shift, as (mark, src, dst,
-    shift): a component class ('mx', i) of degree 0 and a hat chord
-    ('mc', name) of degree |c| + 1."""
-    return [(("mx", i), i, i, 0) for i in dga.ring.components] + [
-        (("mc", g.name), g.src, g.dst, g.grading + 1) for g in dga.generators
-    ]
-
-
 def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
     """The mark differential d(c^) = x_dst c - c x_src - S(dc), as terms
     (before, mark, after, coeff, before parity, after parity) with coeff a
@@ -348,24 +340,23 @@ def _enumerate_marked_words(
     dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> dict[int, list]:
     """Mark-first cyclic words u.w with u a component class x_i or a hat
-    chord; max_len bounds the length of the unmarked part."""
-    alg = dga.algebra
+    chord; max_len bounds the length of the unmarked part.  They are read
+    off one walk of the cyclic words c_1...c_m up to length max_len + 1:
+    each gives x_i.c_1...c_m with i = dst(c_1) when m <= max_len, and
+    c_1^.c_2...c_m one degree up; x_i alone has degree 0."""
     lo, hi = window
-    names = sorted(alg.generators)
+    dst = dga._dst
     bases: dict[int, list] = {}
-    for mark, src, dst, shift in _marks(dga):
-        if src == dst and lo - 1 <= shift <= hi + 1:
-            bases.setdefault(shift, []).append(mark + ((),))
-        # w follows the mark and closes the cycle: dst(w) = src, src(w) = dst
-        found = _composable_words(
-            names, alg.generators, max_len, first=src, last=dst,
-            window=(lo - 1 - shift, hi + 1 - shift),
-        )
-        for deg, words in found.items():
-            bases.setdefault(shift + deg, []).extend(mark + (w,) for w in words)
-    for labs in bases.values():
-        labs.sort()
-    return bases
+    if lo - 1 <= 0 <= hi + 1:
+        bases[0] = [("mx", i, ()) for i in dga.ring.components]
+    walk = _cyclic_words(dga.algebra.generators, max_len + 1, (lo - 2, hi + 1))
+    for deg, words in walk.items():
+        if deg >= lo - 1:
+            mx = [("mx", dst[w[0]], w) for w in words if len(w) <= max_len]
+            bases.setdefault(deg, []).extend(mx)
+        if deg <= hi:
+            bases.setdefault(deg + 1, []).extend(("mc", w[0], w[1:]) for w in words)
+    return {d: sorted(labs) for d, labs in bases.items() if labs}
 
 
 def _mcyc_image(dga: DGASpec, label, mark_terms: dict, images: dict) -> tuple[dict, int]:

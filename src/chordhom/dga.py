@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
-from .homology import EXACT, GradedChainComplex, _composable_words, _numerators, build_complex
+from .homology import EXACT, GradedChainComplex, _cyclic_words, _numerators, build_complex
 
 
 class RelQError(ValueError):
@@ -74,9 +74,6 @@ class DGASpec:
 
     def grading0_pure_gens(self) -> list[Generator]:
         return [g for g in self.generators if g.grading == 0 and g.src == g.dst]
-
-    def d(self, x: Element) -> Element:
-        return extend_leibniz(self, x)
 
 
 def _leibniz_word(
@@ -412,10 +409,11 @@ def rel_q_construction(
         raise RelQError("q must be closed")
     comp = q.src
 
-    plain = sorted(g.name for g in dga_q.generators if g.name != q_name)
-    words: list[tuple[str, ...]] = [()] + _composable_words(
-        plain, alg.generators, max_len, first=comp, last=comp
-    )
+    plain = {name: g for name, g in alg.generators.items() if name != q_name}
+    words: list[tuple[str, ...]] = [()] + [
+        w for group in _cyclic_words(plain, max_len).values() for w in group
+        if dga_q._dst[w[0]] == comp
+    ]
 
     def split_at_q(word: Word) -> tuple[tuple[str, ...], ...] | None:
         """Split a word ending in q into q-free blocks; None when it

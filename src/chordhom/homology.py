@@ -27,7 +27,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .algebra import ChordAlgebra, Word
 
@@ -334,101 +334,72 @@ def guard_verdict(
     return EXACT
 
 
-def _composable_words(
-    alphabet: Sequence[Hashable],
-    letters: Mapping[Hashable, Any],
-    max_len: int,
-    *,
-    first: int | None = None,
-    last: int | None = None,
-    window: tuple[int, int] | None = None,
-) -> list[tuple] | dict[int, list[tuple]]:
-    """Nonempty composable words of length at most max_len over the
-    alphabet: shortest first, and the words of one length in lexicographic
-    order of the alphabet positions.
+def _cyclic_words(
+    letters: Mapping[Hashable, Any], max_len: int, window: tuple[int, int] | None = None
+) -> dict[int, list[tuple]]:
+    """The cyclically composable nonempty words of length at most max_len
+    as {degree: words}, each group shortest first and the words of one
+    length in letter order.
 
-    letters maps each letter to its data: the ports .src and .dst (a word
-    a b composes when src(a) == dst(b)) and, when a degree window is given,
-    the .grading.  first fixes the dst port of the first letter and last
-    the src port of the last one.  Without a window the words come as one
-    list.  A window keeps the words whose degree lies in it, grouped as
-    {degree: words} in the order above, and prunes every prefix that no
-    extension within max_len can bring into it.
+    letters maps each letter to its ports .src and .dst and its .grading:
+    a word a b composes when src(a) == dst(b), and a word closes when the
+    src of its last letter is the dst of its first.  One walk from every
+    letter covers all components.  A window keeps the words whose degree
+    lies in it, and prunes every prefix that no extension within max_len
+    can bring into it.
     """
-    # by_dst[port]: the letters that may follow a letter with src == port,
-    # in alphabet order; by_dst[None]: every letter
-    by_dst: dict[int | None, list] = defaultdict(list)
-    for a in alphabet:
+    # follow[port]: the letters that may follow a letter with src == port,
+    # in letter order; follow[None]: every letter
+    follow: dict[int | None, list] = defaultdict(list)
+    for a in sorted(letters):
         info = letters[a]
-        ext = (a, info.src, 0 if window is None else info.grading)
-        by_dst[info.dst].append(ext)
-        by_dst[None].append(ext)
-    if window is None:
-        lo = hi = None
-    else:
+        ext = (a, info.src, info.dst, info.grading)
+        follow[info.dst].append(ext)
+        follow[None].append(ext)
+    if window is not None:
         lo, hi = window
-        gmin = min((g for *_, g in by_dst[None]), default=0)
-        gmax = max((g for *_, g in by_dst[None]), default=0)
+        gmin = min((g for *_, g in follow[None]), default=0)
+        gmax = max((g for *_, g in follow[None]), default=0)
 
-    # without a window every letter reads grading 0, so one group holds all
     groups: dict[int, list[tuple]] = defaultdict(list)
-    frontier = [((), first, 0)]
+    # (word, dst of its first letter, src of its last letter, degree)
+    frontier = [((), None, None, 0)]
     # fits[deg]: can a prefix of the current length and degree deg still be
     # extended into the window?  Each degree is judged once per length.
     fits: dict[int, bool] = {}
 
     def fit(deg: int) -> bool:
         """Some r <= max_len - length further letters can bring deg into
-        [lo, hi], judged by the extreme gradings; recorded in fits."""
-        ok = window is None
-        if not ok:
-            for r in range(max_len - length + 1):
-                if deg + r * gmin <= hi and deg + r * gmax >= lo:
-                    ok = True
-                    break
-        fits[deg] = ok
+        [lo, hi], judged by the extreme gradings; recorded in fits.  The r
+        with deg + r gmin <= hi and deg + r gmax >= lo form an interval,
+        so the test compares its ends."""
+        first, last = 0, max_len - length
+        if window is not None:
+            # each condition reads r g <= b
+            for g, b in ((gmin, hi - deg), (-gmax, deg - lo)):
+                if g > 0:
+                    last = min(last, b // g)
+                elif g < 0:
+                    first = max(first, -(b // -g))
+                elif b < 0:
+                    last = -1
+        ok = fits[deg] = first <= last
         return ok
 
     for length in range(1, max_len + 1):
         fits.clear()
         frontier = [
-            (word + (a,), src, deg + g)
-            for word, port, deg in frontier
-            for a, src, g in by_dst[port]
+            (word + (a,), head if word else dst, src, deg + g)
+            for word, head, port, deg in frontier
+            for a, src, dst, g in follow[port]
             if (fits[deg + g] if deg + g in fits else fit(deg + g))
         ]
         if not frontier:
             break
-        for word, src, deg in frontier:
-            if (last is None or src == last) and (window is None or lo <= deg <= hi):
+        for word, head, port, deg in frontier:
+            if port == head and (window is None or lo <= deg <= hi):
                 groups[deg].append(word)
-    if window is None:
-        return groups[0]
     return dict(groups)
-
-
-def _word_key(word: tuple) -> tuple:
-    return len(word), word
-
-
-def _cyclic_words(
-    algebra: ChordAlgebra, window: tuple[int, int], max_len: int
-) -> dict[int, list[tuple[str, ...]]]:
-    """The cyclically composable nonempty words with degree in the window
-    and length at most max_len as {degree: letter tuples}, each group
-    shortest first and then in letter order: the groups of the components
-    merged."""
-    names = sorted(algebra.generators)
-    groups: dict[int, list[tuple[str, ...]]] = {}
-    for comp in algebra.ring.components:
-        found = _composable_words(
-            names, algebra.generators, max_len, first=comp, last=comp, window=window
-        )
-        for deg, words in found.items():
-            groups.setdefault(deg, []).extend(words)
-    for words in groups.values():
-        words.sort(key=_word_key)
-    return groups
 
 
 def enumerate_cyclic_words(
@@ -436,8 +407,8 @@ def enumerate_cyclic_words(
 ) -> list[Word]:
     """All cyclically composable nonempty words with degree in the window
     and length at most max_len, in Word.sort_key order."""
-    words = [w for group in _cyclic_words(algebra, window, max_len).values() for w in group]
-    words.sort(key=_word_key)
+    groups = _cyclic_words(algebra.generators, max_len, window)
+    words = sorted((w for group in groups.values() for w in group), key=lambda w: (len(w), w))
     return [Word(w) for w in words]
 
 

@@ -324,8 +324,8 @@ def _square_zero_words(
 ) -> list[tuple[Symbol, ...]]:
     """The words on which the squared coderivation can have a term: an
     entry `outer` with one letter mid replaced by an entry whose outputs
-    include mid.  Listed as _composable_words lists symbol words: shortest
-    first, then by the letters' positions in sorted(symbols, key=repr)."""
+    include mid.  Listed shortest first, then lexicographically by the
+    letters' positions in sorted(symbols, key=repr)."""
     inner_by_out: dict[Symbol, list[tuple[Symbol, ...]]] = defaultdict(list)
     for word, hits in table.items():
         for mid in hits:

@@ -37,8 +37,8 @@ class CountGradingError(ValueError):
 
 
 class FillingMismatchError(ValueError):
-    """The filling model has another dimension than the DGA, or couples to
-    a component the DGA lacks."""
+    """The filling model has another dimension than the DGA, couples to a
+    component the DGA lacks, or holds no orbits as deep as the window."""
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,10 @@ def builtin_ball_filling(n: int) -> FillingModel:
         k = 1
         while n - 1 + 2 * k <= max_degree:
             if k > top_iteration:
-                raise ValueError(
-                    "ball model materialized beyond its prefilled arrows; "
-                    "raise top_iteration for windows this deep"
+                # every builder reads the orbits up to its window top + 2
+                raise FillingMismatchError(
+                    f"the ball model holds orbits up to g{top_iteration}, so the "
+                    f"window top (--max-deg) is at most {n + 2 * top_iteration - 2}"
                 )
             out.append(Orbit(f"g{k}", n - 1 + 2 * k, k))
             k += 1

@@ -11,13 +11,14 @@ through homology._numerators.
 
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the spread operator S as a dict of decorated
-words (DecoratedWord), the marked module M itself (the library builds
-only its cyclic quotient, mcyc), the curved category's relation check
-over every composable symbol word (the library checks only the words the
-table can reach, in integers), and the direct vanishing-cycle DGA with its
-Morse--Bott terms as t-adic series of Elements and its holomorphic terms
-expanded in Fractions (the library multiplies integer series and expands
-integer numerators).
+words (DecoratedWord), the marked module M itself with its marks (the
+library builds only its cyclic quotient, mcyc, and reads its labels off
+the cyclic words), the composable words listed by brute force, the
+curved category's relation check over every composable symbol word (the
+library checks only the words the table can reach, in integers), and the
+direct vanishing-cycle DGA with its Morse--Bott terms as t-adic series of
+Elements and its holomorphic terms expanded in Fractions (the library
+multiplies integer series and expands integer numerators).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from fractions import Fraction
 
 from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
-from chordhom.complexes import _marks, cyclic_class
+from chordhom.complexes import cyclic_class
 from chordhom.dga import DGASpec, extend_leibniz
-from chordhom.homology import _composable_words, _numerators, build_complex, enumerate_cyclic_words
+from chordhom.homology import _numerators, build_complex, enumerate_cyclic_words
 from chordhom.lefschetz import (
     CurvedAinf,
     DirectedAinfSpec,
@@ -226,14 +227,41 @@ def mcyc_image(dga: DGASpec, label) -> dict:
     return out
 
 
+def composable_words(alphabet, letters, max_len: int) -> list[tuple]:
+    """Every nonempty word of length at most max_len over the alphabet whose
+    neighbours compose (src of a letter == dst of the next, read off
+    letters[a].src and .dst): shortest first, then in lexicographic order
+    of the alphabet positions.  Each length is the product of the words
+    one shorter with the alphabet, filtered by composability."""
+    words: list[tuple] = []
+    layer: list[tuple] = [()]
+    for _ in range(max_len):
+        layer = [
+            w + (a,)
+            for w, a in itertools.product(layer, alphabet)
+            if not w or letters[w[-1]].src == letters[a].dst
+        ]
+        words += layer
+    return words
+
+
+def marks(dga: DGASpec) -> list[tuple]:
+    """The marks with their ports and degree shift, as (mark, src, dst,
+    shift): a component class ('mx', i) of degree 0 and a hat chord
+    ('mc', name) of degree |c| + 1."""
+    return [(("mx", i), i, i, 0) for i in dga.ring.components] + [
+        (("mc", g.name), g.src, g.dst, g.grading + 1) for g in dga.generators
+    ]
+
+
 def module_M_bases(dga: DGASpec, window: tuple[int, int], max_len: int) -> dict[int, list]:
     """Every composable left word paired with every right word, filtered
     afterwards by ports, total length and degree."""
     alg = dga.algebra
     lo, hi = window
-    words = [()] + _composable_words(sorted(alg.generators), alg.generators, max_len)
+    words = [()] + composable_words(sorted(alg.generators), alg.generators, max_len)
     bases: dict[int, list] = {}
-    for mark, msrc, mdst, mdeg in _marks(dga):
+    for mark, msrc, mdst, mdeg in marks(dga):
         for left in words:
             if left and alg.gen(left[-1]).src != mdst:
                 continue
@@ -425,7 +453,7 @@ def check_curved_ainf_reference(D: CurvedAinf) -> list[str]:
     syms = sorted(symbols, key=repr)
 
     # the single-symbol output of the squared coderivation on each word
-    for word in _composable_words(syms, symbols, 2 * max_arity - 1):
+    for word in composable_words(syms, symbols, 2 * max_arity - 1):
         length = len(word)
         acc = defaultdict(Fraction)
         for i in range(length):

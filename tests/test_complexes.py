@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     CyclicWord,
@@ -13,7 +14,6 @@ from chordhom.complexes import (
     _decorated_bases,
     _enumerate_marked_words,
     _mark_terms,
-    _marks,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,
@@ -29,7 +29,7 @@ from chordhom.examples import example_document
 from chordhom.homology import EXACT, betti, guard_verdict
 
 from conftest import random_dga
-from reference_images import is_bad_by_parity, module_M_reference, s_operator
+from reference_images import is_bad_by_parity, marks, module_M_reference, s_operator
 
 
 def algebra_with(*gradings):
@@ -394,10 +394,24 @@ def test_bases_match_brute_force(data):
 
     assert _enumerate_marked_words(dga, window, max_len) == collect(
         (shift + grading(w), mark + (w,))
-        for mark, src, dst, shift in _marks(dga)
+        for mark, src, dst, shift in marks(dga)
         for w in words
         if closes(w, src, dst)
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_cyclic_complex, build_hoplus_complex, build_ho_complex, build_mcyc_complex],
+)
+def test_chord_basis_build_walks_the_words_once(chekanov_a, monkeypatch, build):
+    """Each chord basis reads its words off one walk of the enumerator, the
+    marked words of mcyc included."""
+    walks = []
+    walk = complexes._cyclic_words
+    monkeypatch.setattr(complexes, "_cyclic_words", lambda *args: walks.append(args) or walk(*args))
+    build(chekanov_a, (-4, 0), 4)
+    assert len(walks) == 1
 
 
 def test_mcyc_single_hat_closed(dc1):

@@ -696,6 +696,31 @@ def test_cli_surgery_filling_of_another_dimension_exit_2(theory):
     assert out == "input error: ball:3: filling has n=3 but the DGA has ambient_dim 2\n"
 
 
+@pytest.mark.parametrize("theory", ["ch", "sh+", "sh"])
+def test_cli_surgery_ball_window_deeper_than_its_orbits_exit_2(theory):
+    # ball:3 holds the orbits g1..g64, g64 of degree 130, which --max-deg 129
+    # reads with its halo; a deeper window used to end in a traceback
+    args = ("surgery", "unknot", "--filling", "ball:3", "--theory", theory, "--max-len", "1")
+    code, out = run_cli(*args, "--max-deg", "129")
+    assert code == 0 and "verdict:" in out, out
+    code, out = run_cli(*args, "--max-deg", "140")
+    assert code == 2, out
+    assert out == (
+        "input error: ball:3: the ball model holds orbits up to g64, "
+        "so the window top (--max-deg) is at most 129\n"
+    )
+
+
+@pytest.mark.parametrize("complex,enough", [("cyc", 8), ("hoplus", 8), ("ho", 8), ("mcyc", 9)])
+def test_cli_max_len_far_beyond_the_window_prints_the_same_table(complex, enough):
+    # the unknot's window 0..8 is EXACT from --max-len 8 on (9 with the mark
+    # of mcyc), so a larger --max-len cannot change its table; the prefix
+    # pruning used to test every remaining length, a cost linear in --max-len
+    want = run_cli("homology", "unknot", "--complex", complex, "--max-len", str(enough))
+    assert want[0] == 0 and "verdict: EXACT" in want[1], want
+    assert run_cli("homology", "unknot", "--complex", complex, "--max-len", str(10**12)) == want
+
+
 _CHEKANOV_EPS = {"a7": "1", "a8": "-1", "a9": "1"}
 
 

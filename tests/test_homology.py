@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from chordhom.homology import (
     BettiTable,
     DSquareError,
     GradedChainComplex,
-    _composable_words,
+    _cyclic_words,
     _integer_columns,
     _reduce,
     betti,
@@ -277,88 +276,66 @@ def test_enumerate_respects_ports():
     assert all(w.letters != ("u", "u") for w in words)
 
 
-Ports = namedtuple("Ports", "src dst")
-
-
-def _by_degree(words, letters) -> dict:
-    """The words grouped by their summed grading, each group in the order
-    given."""
+def _cyclic_brute_force(letters, max_len, window):
+    """Every word of itertools.product over the sorted letters, length 1 to
+    max_len, whose neighbours compose and whose last letter closes on the
+    first, with degree in the window (any degree without one), grouped by
+    degree in the order product lists them."""
     groups: dict = {}
-    for w in words:
-        groups.setdefault(sum(letters[a].grading for a in w), []).append(w)
+    for length in range(1, max_len + 1):
+        for word in itertools.product(sorted(letters), repeat=length):
+            info = [letters[a] for a in word]
+            if any(a.src != b.dst for a, b in zip(info, info[1:] + info[:1])):
+                continue
+            deg = sum(a.grading for a in info)
+            if window is None or window[0] <= deg <= window[1]:
+                groups.setdefault(deg, []).append(word)
     return groups
+
+
+def _random_letters(data, k, gradings, count):
+    """Up to count letters with ports in 1..k and gradings drawn from
+    gradings, named so that string order puts "c10" before "c2"."""
+    names = st.lists(
+        st.sampled_from(["a", "b", "a1", "c10", "c2"]), min_size=1, max_size=count, unique=True
+    )
+    port = st.integers(1, k)
+    return {
+        name: Generator(name, data.draw(gradings), data.draw(port), data.draw(port))
+        for name in data.draw(names)
+    }
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_composable_words_match_brute_force(data):
-    """Every combination of first/last ports and degree window on a small
-    random quiver.  Letters are symbol-like tuples in a shuffled alphabet
-    order, and without a window they carry ports only, as in the
-    A-infinity square-zero check, which reads the output length by length.
-    With a window the words come grouped by their summed grading."""
+def test_cyclic_words_match_brute_force(data):
+    """The walk lists the cyclic words of a small random quiver, with or
+    without a degree window, exactly as brute force over itertools.product
+    does: grouped by degree, shortest first, then in letter order."""
     k = data.draw(st.integers(1, 3))
+    letters = _random_letters(data, k, st.integers(-1, 3), 4)
     window = data.draw(st.none() | st.tuples(st.integers(-3, 6), st.integers(-3, 6)))
-    letters = {}
-    for i in range(data.draw(st.integers(1, 4))):
-        src, dst = data.draw(st.integers(1, k)), data.draw(st.integers(1, k))
-        if window is None:
-            letters[("x", i)] = Ports(src, dst)
-        else:
-            letters[("x", i)] = Generator(f"x{i}", data.draw(st.integers(-1, 3)), src, dst)
-    alphabet = data.draw(st.permutations(list(letters)))
     max_len = data.draw(st.integers(0, 4))
-    first = data.draw(st.none() | st.integers(1, k))
-    last = data.draw(st.none() | st.integers(1, k))
-
-    want = []
-    for length in range(1, max_len + 1):
-        for word in itertools.product(alphabet, repeat=length):
-            info = [letters[a] for a in word]
-            if any(a.src != b.dst for a, b in zip(info, info[1:])):
-                continue
-            if first is not None and info[0].dst != first:
-                continue
-            if last is not None and info[-1].src != last:
-                continue
-            if window and not window[0] <= sum(a.grading for a in info) <= window[1]:
-                continue
-            want.append(word)
-    if window is not None:
-        want = _by_degree(want, letters)
-    got = _composable_words(alphabet, letters, max_len, first=first, last=last, window=window)
-    assert got == want
+    got = _cyclic_words(letters, max_len, window)
+    assert got == _cyclic_brute_force(letters, max_len, window)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_window_pruning_keeps_every_word_in_the_window(data):
-    """The prefix pruning under a degree window drops no word: the pruned
-    list is the unpruned enumeration filtered by degree, for gradings of
-    either sign and zero, at lengths beyond the brute-force test's reach."""
+    """The prefix pruning under a degree window drops no word: at lengths
+    beyond the first test's reach, for gradings of either sign and zero,
+    the pruned walk still matches brute force, and the unpruned walk
+    filtered by degree."""
     k = data.draw(st.integers(1, 2))
-    letters = {
-        ("x", i): Generator(
-            f"x{i}",
-            data.draw(st.integers(-3, 4)),
-            data.draw(st.integers(1, k)),
-            data.draw(st.integers(1, k)),
-        )
-        for i in range(data.draw(st.integers(1, 3)))
-    }
-    alphabet = data.draw(st.permutations(list(letters)))
+    letters = _random_letters(data, k, st.integers(-3, 4), 3)
     lo = data.draw(st.integers(-8, 8))
     window = (lo, lo + data.draw(st.integers(0, 6)))
     max_len = data.draw(st.integers(0, 7))
-    first = data.draw(st.none() | st.integers(1, k))
-    last = data.draw(st.none() | st.integers(1, k))
-    words = _composable_words(alphabet, letters, max_len, first=first, last=last)
-    want = _by_degree(
-        [w for w in words if window[0] <= sum(letters[a].grading for a in w) <= window[1]],
-        letters,
-    )
-    got = _composable_words(alphabet, letters, max_len, first=first, last=last, window=window)
-    assert got == want
+    got = _cyclic_words(letters, max_len, window)
+    assert got == _cyclic_brute_force(letters, max_len, window)
+    unpruned = _cyclic_words(letters, max_len)
+    assert got == {d: ws for d, ws in unpruned.items() if window[0] <= d <= window[1]}
 
 
 def test_stability_for_exact_complexes(unknot2):

@@ -16,7 +16,7 @@ from chordhom.complexes import build_ho_complex
 from chordhom.dga import check_d_squared
 from chordhom.documents import ainf_from_document
 from chordhom.examples import example_document, minimal_ainf_spec
-from chordhom.homology import _composable_words, betti
+from chordhom.homology import betti
 from chordhom.lefschetz import (
     AinfValidationError,
     CurvedAinf,
@@ -231,7 +231,7 @@ def _homogeneous_entries(symbols):
     syms = sorted((s for s in symbols if s[0] != "e"), key=repr)
     return [
         (word, out)
-        for word in _composable_words(syms, symbols, 3)
+        for word in ref.composable_words(syms, symbols, 3)
         for out in syms
         if symbols[out].base == sum(symbols[s].base for s in word) + 1
         and symbols[out].dst == symbols[word[0]].dst
