@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("morphism", help="verify a chain-map document")
     p.add_argument("file")
-    p.add_argument("--check", action="store_true", default=True)
     p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser("lefschetz", help="vanishing-cycle pipeline")

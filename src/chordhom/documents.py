@@ -449,7 +449,10 @@ def betti_from_document(doc: dict) -> BettiTable:
     for key, v in _require(doc, "ranks", dict, "$").items():
         if isinstance(v, bool) or not isinstance(v, int):
             _fail(f"$.ranks.{key}", "ranks are integers")
-        ranks[int(key)] = v
+        try:
+            ranks[int(key)] = v
+        except ValueError:
+            _fail(f"$.ranks.{key}", "degrees are integers")
     flagged = _optional(doc, "flagged", list, "$", [])
     for idx, d in enumerate(flagged):
         if isinstance(d, bool) or not isinstance(d, int):

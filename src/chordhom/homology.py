@@ -254,11 +254,9 @@ class BettiTable:
     def degrees(self) -> list[int]:
         return sorted(self.ranks)
 
-    def euler(self, window: tuple[int, int] | None = None) -> Fraction:
+    def euler(self, window: tuple[int, int] | None = None) -> int:
         lo, hi = window if window else (min(self.ranks), max(self.ranks))
-        return sum(
-            ((-1) ** d) * r for d, r in self.ranks.items() if lo <= d <= hi
-        )
+        return sum(-r if d % 2 else r for d, r in self.ranks.items() if lo <= d <= hi)
 
 
 def betti(complex: GradedChainComplex) -> BettiTable:

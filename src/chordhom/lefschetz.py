@@ -45,7 +45,7 @@ from fractions import Fraction
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
 from .complexes import _decorated_bases
 from .dga import DGASpec
-from .homology import GradedChainComplex, build_complex, guard_verdict
+from .homology import GradedChainComplex, _FractionPool, build_complex, guard_verdict
 
 Symbol = tuple  # ("e", i) | ("m", i) | ("f", name) | ("b", name)
 
@@ -199,17 +199,14 @@ def _expand(
 def _differential(terms: dict[str, dict], names: list[str], den: int) -> dict[str, Element]:
     """{name: Element} for each name, from {name: {chord letters or
     idempotent component: numerator}} over den.  Equal numerators share
-    one Fraction."""
-    fractions: dict[int, Fraction] = {}
+    one Fraction, drawn from a _FractionPool."""
+    pool = _FractionPool()
     differential = {}
     for name in names:
         el = {}
         for key, v in terms.get(name, {}).items():
             if v:
-                c = fractions.get(v)
-                if c is None:
-                    c = fractions[v] = Fraction(v, den)
-                el[Word.idem(key) if isinstance(key, int) else Word(key)] = c
+                el[Word.idem(key) if isinstance(key, int) else Word(key)] = pool[v, den]
         differential[name] = Element._normalized(el)
     return differential
 

@@ -37,8 +37,8 @@ class CountGradingError(ValueError):
 
 
 class FillingMismatchError(ValueError):
-    """The filling model has another dimension than the DGA, couples to a
-    component the DGA lacks, or holds no orbits as deep as the window."""
+    """The filling model has another dimension than the DGA, or couples to
+    a component the DGA lacks."""
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,8 @@ class Orbit:
 
 @dataclass
 class FillingModel:
-    """Orbit and Morse data of a filling, with count tables.
-
-    orbit_factory, when set, generates the orbit list lazily up to a degree
-    bound, and orbit_label tells whether a label names one of its orbits at
-    any degree; otherwise the explicit orbit list is used.  Count
-    dictionaries are keyed by generator labels.
-    """
+    """Orbit and Morse data of a filling, with count tables keyed by
+    generator labels."""
 
     n: int
     orbits: list[Orbit] = field(default_factory=list)
@@ -67,65 +62,48 @@ class FillingModel:
     to_morse: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     morse_diff: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     morse_tau: dict[tuple[str, int], Fraction] = field(default_factory=dict)
-    orbit_factory: Callable[[int], list[Orbit]] | None = None
-    orbit_label: Callable[[str], bool] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"filling model needs n >= 2, got {self.n}")
-        if (self.orbit_factory is None) != (self.orbit_label is None):
-            raise ValueError("orbit_factory and orbit_label go together")
 
     def has_orbit(self, label: str) -> bool:
-        """Whether label names an orbit of the filling, at any degree; a
-        lazy orbit list materializes nothing to answer."""
-        if self.orbit_label is not None:
-            return self.orbit_label(label)
+        """Whether label names an orbit of the filling, at any degree."""
         return any(o.label == label for o in self.orbits)
 
     def orbits_up_to(self, max_degree: int) -> list[Orbit]:
-        if self.orbit_factory is not None:
-            return self.orbit_factory(max_degree)
         return [o for o in self.orbits if o.grading <= max_degree]
 
-    def d_orbit(self, gamma: str) -> list[tuple[str, Fraction]]:
-        return [(b, c) for (g, b), c in self.orbit_diff.items() if g == gamma and c]
+
+class BallFilling(FillingModel):
+    """The ball model: orbits g<k> (k >= 1) of grading n-1+2k and
+    multiplicity k, trivial orbit differential, connecting counts from the
+    minimum-decorated g<k+1> to the maximum-decorated g<k>, one Morse
+    generator of grading n, and the forced count from g1 onto it.  The
+    orbits go on for every k, so they and their connecting counts are made
+    up to the degree a build reads."""
+
+    def has_orbit(self, label: str) -> bool:
+        return re.fullmatch("g[1-9][0-9]*", label) is not None
+
+    def orbits_up_to(self, max_degree: int) -> list[Orbit]:
+        """g1..gK up to max_degree; a connecting count among them that the
+        caller has not set reads 1."""
+        top = (max_degree - self.n + 1) // 2
+        for k in range(1, top):
+            self.bott_diff.setdefault((f"g{k + 1}", f"g{k}"), Fraction(1))
+        return [Orbit(f"g{k}", self.n - 1 + 2 * k, k) for k in range(1, top + 1)]
 
 
 def builtin_ball_filling(n: int) -> FillingModel:
-    """The ball model: orbits g^k (k >= 1) of grading n-1+2k and
-    multiplicity k, trivial orbit differential, connecting counts from the
-    minimum-decorated g^(k+1) to the maximum-decorated g^k, one Morse
-    generator of grading n, and the forced count from g^1 onto it."""
-
-    top_iteration = 64  # connecting counts are prefilled this far
-
-    def factory(max_degree: int) -> list[Orbit]:
-        out = []
-        k = 1
-        while n - 1 + 2 * k <= max_degree:
-            if k > top_iteration:
-                # every builder reads the orbits up to its window top + 2
-                raise FillingMismatchError(
-                    f"the ball model holds orbits up to g{top_iteration}, so the "
-                    f"window top (--max-deg) is at most {n + 2 * top_iteration - 2}"
-                )
-            out.append(Orbit(f"g{k}", n - 1 + 2 * k, k))
-            k += 1
-        return out
-
-    model = FillingModel(
+    """The ball model of dimension n (BallFilling)."""
+    return BallFilling(
         n=n,
-        orbit_factory=factory,
-        orbit_label=lambda label: re.fullmatch("g[1-9][0-9]*", label) is not None,
         morse=[("min", n)],
+        to_morse={("g1", "min"): Fraction(1)},
         meta={"builtin": f"ball:{n}"},
     )
-    for k in range(1, top_iteration):
-        model.bott_diff[(f"g{k + 1}", f"g{k}")] = Fraction(1)
-    model.to_morse[("g1", "min")] = Fraction(1)
-    return model
 
 
 def empty_filling(n: int) -> FillingModel:
@@ -209,6 +187,11 @@ class CobordismCounts:
 BAD_ORBIT_DOUBLING = Fraction(2)
 
 
+def _rows(table: Mapping, source) -> list:
+    """The nonzero (target, count) entries of a count table from source."""
+    return [(b, c) for (a, b), c in table.items() if a == source and c]
+
+
 def _orbit_row(
     label,
     counts: CobordismCounts,
@@ -229,49 +212,48 @@ def _orbit_row(
     """
     kind, x = label[0], label[1]
     out: dict = defaultdict(Fraction)
-
-    def rows(table, needs_algebra=False):
-        found = [(b, c) for (a, b), c in table.items() if a == x and c]
-        if found and needs_algebra and algebra is None:
-            raise ValueError("cyclic counts need the chord algebra")
-        return found
+    cyc = _rows(counts.orbit_cyc, x) if kind in ("orb", "ohat") else []
+    if cyc and algebra is None:
+        raise ValueError("cyclic counts need the chord algebra")
 
     if kind in ("orb", "ochk"):
-        for b, c in rows(counts.orbit_orbit):
+        for b, c in _rows(counts.orbit_orbit, x):
             out[(kind, b)] += c / target_kappa.get(b, 1)
         if kind == "orb":
-            for w, c in rows(counts.orbit_cyc, needs_algebra=True):
+            for w, c in cyc:
                 cls = cyclic_class(algebra, Word.of(w))
                 out[("cyc", cls.representative)] += c * cls.sign / cls.multiplicity
             return out
-        for b, c in rows(counts.orbit_orbit_bott):
+        for b, c in _rows(counts.orbit_orbit_bott, x):
             out[("ohat", b)] += c
-        for w, c in rows(counts.orbit_check_word):
+        for w, c in _rows(counts.orbit_check_word, x):
             out[("chk", w)] += c
-        for w, c in rows(counts.orbit_hat_word):
+        for w, c in _rows(counts.orbit_hat_word, x):
             out[("hat", w)] += c
         if x not in bad:
-            for p, c in rows(counts.orbit_morse):
+            for p, c in _rows(counts.orbit_morse, x):
                 out[("mrs", p)] += c
-            for j, c in rows(counts.orbit_tau):
+            for j, c in _rows(counts.orbit_tau, x):
                 out[("tau", j)] += c
     elif kind == "ohat":
         if x in bad:
             out[("ochk", x)] += BAD_ORBIT_DOUBLING
         kappa = source_kappa.get(x, 1)
-        for b, c in rows(counts.orbit_orbit):
+        for b, c in _rows(counts.orbit_orbit, x):
             out[("ohat", b)] += c / kappa
-        for w, c in rows(counts.orbit_cyc, needs_algebra=True):
+        for w, c in cyc:
             for word, sign in _s_terms(algebra, w):
                 out[("hat", word)] += c * sign / kappa
     elif kind == "mrs":
-        for q, c in rows(counts.morse_morse):
+        for q, c in _rows(counts.morse_morse, x):
             out[("mrs", q)] += c
     return out
 
 
-def _orbit_bases(filling: FillingModel, window: tuple[int, int], kind: str) -> dict[int, list]:
-    """The filling's labels by degree in the layout of a theory: the good
+def _orbit_bases(
+    orbits: list[Orbit], morse: list[tuple[str, int]], window: tuple[int, int], kind: str
+) -> dict[int, list]:
+    """A filling's labels by degree in the layout of a theory: the good
     orbits for lch and ch, a check and a hat copy of every orbit for shplus
     and sh, and the Morse generators for sh."""
     lo, hi = window
@@ -281,14 +263,14 @@ def _orbit_bases(filling: FillingModel, window: tuple[int, int], kind: str) -> d
         if lo - 1 <= degree <= hi + 1:
             bases.setdefault(degree, []).append(label)
 
-    for o in filling.orbits_up_to(hi + 2):
+    for o in orbits:
         if kind in ("shplus", "sh"):
             add(o.grading, ("ochk", o.label))
             add(o.grading + 1, ("ohat", o.label))
         elif not o.bad:
             add(o.grading, ("orb", o.label))
     if kind == "sh":
-        for p, deg in filling.morse:
+        for p, deg in morse:
             add(deg, ("mrs", p))
     return bases
 
@@ -314,7 +296,7 @@ def _surgery_complex(
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
-    bases = _orbit_bases(filling, window, kind)
+    bases = _orbit_bases(orbits, filling.morse, window, kind)
     for g, _ in [*counts.mixed_cyc, *counts.ncheck, *counts.nhat, *counts.orbit_tau]:
         if not filling.has_orbit(g):
             raise CountGradingError(f"count from {g}: the filling has no such orbit")
@@ -358,9 +340,8 @@ def _surgery_complex(
             return chord_image(dga, label)
         out = _orbit_row(label, tables, kappa, kappa, alg, bad)
         if label[0] == "mrs":
-            for (p, j), c in filling.morse_tau.items():
-                if p == label[1] and c:
-                    out[("tau", j)] += c
+            for j, c in _rows(filling.morse_tau, label[1]):
+                out[("tau", j)] += c
         return _numerators(out)
 
     return build_complex(
@@ -477,17 +458,16 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
     """Orbit-only complex with each count divided by the multiplicity of
     its source orbit; build_lch_surgery without a DGA divides by the
     target's."""
-    lo, hi = window
-    orbit_info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
-    bases = _orbit_bases(filling, window, "ch")
+    orbits = filling.orbits_up_to(window[1] + 2)
+    orbit_info = {o.label: o for o in orbits}
+    bases = _orbit_bases(orbits, filling.morse, window, "ch")
 
     def image(degree: int, label) -> tuple[dict, int]:
         gamma = label[1]
         out: dict = defaultdict(Fraction)
-        for beta, c in filling.d_orbit(gamma):
-            if beta not in orbit_info or orbit_info[beta].bad:
-                continue
-            out[("orb", beta)] += c / orbit_info[gamma].multiplicity
+        for beta, c in _rows(filling.orbit_diff, gamma):
+            if beta in orbit_info and not orbit_info[beta].bad:
+                out[("orb", beta)] += c / orbit_info[gamma].multiplicity
         return _numerators(out)
 
     return build_complex(bases, image, window, EXACT, meta={"kind": "ch"})

@@ -109,9 +109,11 @@ def check_view_edit(viewed):
 
 def fractional_ball(rng: random.Random):
     """The ball model on n = 2 with fractional connecting counts, so that
-    orbit columns and chord columns of one degree have other denominators."""
+    orbit columns and chord columns of one degree have other denominators.
+    The connecting counts run up to g64, past any window built here, so the
+    ball keeps them and adds none of its own."""
     filling = builtin_ball_filling(2)
-    filling.bott_diff = {k: random_fraction(rng) for k in filling.bott_diff}
+    filling.bott_diff = {(f"g{k + 1}", f"g{k}"): random_fraction(rng) for k in range(1, 64)}
     filling.to_morse = {k: random_fraction(rng) for k in filling.to_morse}
     return filling
 

@@ -366,6 +366,13 @@ def test_verify_les_ranks_euler_violation():
     assert not verify_les_ranks(t1, t2, t3, (0, 0))
 
 
+def test_euler_over_negative_degrees_is_an_exact_int():
+    # (-1) ** d is a float for d < 0, which made this 2.0
+    table = BettiTable({-3: 1, -2: 2, 0: 1}, frozenset())
+    assert table.euler() == 2 and type(table.euler()) is int
+    assert table.euler((-3, -3)) == -1 and type(table.euler((-3, -3))) is int
+
+
 def test_verify_les_ranks_zero_tables():
     z = BettiTable({d: 0 for d in range(3)}, frozenset({9}))
     assert verify_les_ranks(z, z, z, (0, 2))

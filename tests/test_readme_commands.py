@@ -29,7 +29,7 @@ RUN = [
     "chordhom surgery unknot --filling ball:3 --theory sh --min-deg 0 --max-deg 8",
     "chordhom surgery unknot_n2 --filling ball:2 --theory sh+ --min-deg 0 --max-deg 8",
     "chordhom augmentations chekanov_a --values=-1,0,1",
-    "chordhom morphism chekanov_phi --check",
+    "chordhom morphism chekanov_phi",
     "chordhom lefschetz lefschetz_min --t-order 3 --emit dga",
     "chordhom lefschetz lefschetz_min --t-order 3 --emit hochschild",
     "chordhom lefschetz lefschetz_min --t-order 3 --emit dictionary-check",

@@ -79,6 +79,20 @@ def test_ball_acyclicity(n):
     assert all(shp.rank(d) == (1 if d == n + 1 else 0) for d in range(0, 15))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_orbit_only_window_above_degree_200(n):
+    # the ball's orbits g<k> go on for every k: a window far past g64 reads
+    # one CH class per orbit degree n-1+2k, and SH and SH+ vanish
+    ball, zero, window = builtin_ball_filling(n), SurgeryCountTable.zero(), (201, 221)
+    ch = betti(build_lch_surgery(ball, None, zero, window))
+    assert [ch.rank(d) for d in range(202, 221)] == [
+        1 if (d - n + 1) % 2 == 0 else 0 for d in range(202, 221)
+    ]
+    for build in (build_shplus_surgery, build_sh_surgery):
+        table = betti(build(ball, None, zero, window))
+        assert all(table.rank(d) == 0 for d in range(202, 221))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sphere_cotangent_sh(n):
     dga = dga_from_document(example_document(UNKNOT_DOCS[n]))

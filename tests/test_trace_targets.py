@@ -1,15 +1,19 @@
 """The benchmark's tracer wraps chordhom functions by name: every hook it
 names must still resolve, so that a rename fails here and not in a traced
-benchmark run."""
+benchmark run.  Likewise the benchmark's checker self-test must pass on the
+current sources."""
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -44,3 +48,14 @@ def test_counted_hooks_keep_their_signatures():
     assert list(inspect.signature(rank).parameters) == ["matrix", "nrows", "ncols"]
     assert list(inspect.signature(extend_leibniz).parameters) == ["dga", "x"]
     assert list(inspect.signature(cyclic_class).parameters) == ["algebra", "word"]
+
+
+def test_benchmark_selftest_passes():
+    # the self-test builds through the benchmark's own calls (the mutable
+    # diffs view, builtin_ball_filling(n), lefschetz_dga's positional call)
+    # and imports chordhom from ./src, so it runs from the repository root
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 checker(s) failed the self-test", proc.stdout
