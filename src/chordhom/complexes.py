@@ -42,6 +42,7 @@ build_complex stores as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .algebra import ChordAlgebra, Element, Word
@@ -177,9 +178,7 @@ def build_cyclic_complex(
         (g.grading for g in dga.generators), window, max_len
     )
     return build_complex(
-        _cyclic_bases(dga.algebra, window, max_len),
-        lambda degree, label: _cyclic_image(dga, label),
-        window, verdict, max_len, meta={"kind": "cyc"},
+        _cyclic_bases(dga.algebra, window, max_len), partial(_cyclic_image, dga), window, verdict
     )
 
 
@@ -289,10 +288,8 @@ def build_hoplus_complex(
     matrix differential; no tau classes."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
-        _decorated_bases(dga.algebra, window, max_len),
-        lambda degree, label: _decorated_image(dga, label),
-        window, verdict, max_len,
-        meta={"kind": "hoplus", "algebra": dga.algebra},
+        _decorated_bases(dga.algebra, window, max_len), partial(_decorated_image, dga),
+        window, verdict, meta={"algebra": dga.algebra},
     )
 
 
@@ -305,9 +302,8 @@ def build_ho_complex(
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
         _decorated_bases(dga.algebra, window, max_len, tau=True),
-        lambda degree, label: _decorated_image(dga, label, tau=True),
-        window, verdict, max_len,
-        meta={"kind": "ho", "algebra": dga.algebra},
+        partial(_decorated_image, dga, tau=True),
+        window, verdict, meta={"algebra": dga.algebra},
     )
 
 
@@ -359,7 +355,7 @@ def _enumerate_marked_words(
     return {d: sorted(labs) for d, labs in bases.items() if labs}
 
 
-def _mcyc_image(dga: DGASpec, label, mark_terms: dict, images: dict) -> tuple[dict, int]:
+def _mcyc_image(dga: DGASpec, mark_terms: dict, images: dict, label) -> tuple[dict, int]:
     """Differential on the marked cyclic quotient: the mark differential
     rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
     mark_terms maps each chord to its _mark_terms, and images each word
@@ -395,11 +391,9 @@ def build_mcyc_complex(
         (g.grading for g in dga.generators), window, max_len, mark_allowance=1
     )
     mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
-    images: dict = {}
     return build_complex(
         _enumerate_marked_words(dga, window, max_len),
-        lambda degree, label: _mcyc_image(dga, label, mark_terms, images),
-        window, verdict, max_len, meta={"kind": "mcyc"},
+        partial(_mcyc_image, dga, mark_terms, {}), window, verdict,
     )
 
 

@@ -315,7 +315,7 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
     for g in sorted(dga.generators, key=lambda g: g.name):
         bases.setdefault(g.grading, []).append(g.name)
 
-    def image(degree: int, label) -> tuple[dict[str, int], int]:
+    def image(label) -> tuple[dict[str, int], int]:
         out: dict[str, Fraction] = defaultdict(Fraction)
         for w, coeff in dga.d_gen(label).terms.items():
             if w.is_idem:
@@ -335,7 +335,7 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
                     out[name] += prod
         return _numerators(out)
 
-    return build_complex(bases, image, window, EXACT, meta={"kind": "linearized"})
+    return build_complex(bases, image, window, EXACT)
 
 
 def adjoin_q(

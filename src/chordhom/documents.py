@@ -46,6 +46,16 @@ def _rational(value, path: str) -> Fraction:
     _fail(path, f"not a rational: {value!r}")
 
 
+def _canonical_int(text: str) -> int | None:
+    """The integer text writes in canonical ASCII form, else None; int()
+    alone reads "1_0", " 3" and non-ASCII digits too."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
 def _require(doc: dict, key: str, typ, path: str):
     if not isinstance(doc, dict):
         _fail(path, "expected an object")
@@ -265,8 +275,8 @@ def filling_from_document(doc: dict) -> FillingModel:
         morse_tau=_table(
             doc, "morse_tau", _label("morse", morse_labels, "Morse label"), _COMPONENT
         ),
-        meta=dict(_optional(doc, "metadata", dict, "$", {})),
     )
+    _optional(doc, "metadata", dict, "$", {})
     try:
         return FillingModel(n=n, orbits=orbits, morse=morse, **tables)
     except ValueError as exc:
@@ -278,13 +288,14 @@ def counts_from_document(doc: dict) -> SurgeryCountTable:
     if fmt != "counts/1":
         _fail("$.format", f"unsupported format {fmt!r}")
     orbit = _label("orbit")
-    return SurgeryCountTable(
+    counts = SurgeryCountTable(
         mixed_cyc=_table(doc, "mixed_cyclic", orbit, _WORD),
         ncheck=_table(doc, "check", orbit, _WORD),
         nhat=_table(doc, "hat", orbit, _WORD),
         orbit_tau=_table(doc, "orbit_tau", orbit, _COMPONENT),
-        meta=dict(_optional(doc, "metadata", dict, "$", {})),
     )
+    _optional(doc, "metadata", dict, "$", {})
+    return counts
 
 
 # ---- directed A-infinity documents ---------------------------------------------
@@ -295,9 +306,8 @@ def _symref(token: str, path: str, point_names: set[str], k: int):
         _fail(path, f"bad symbol reference {token!r}")
     kind, _, rest = token.partition(":")
     if kind in ("e", "m"):
-        try:
-            comp = int(rest)
-        except ValueError:
+        comp = _canonical_int(rest)
+        if comp is None:
             _fail(path, f"bad component in {token!r}")
         if not 1 <= comp <= k:
             _fail(path, f"component out of range in {token!r}")
@@ -347,9 +357,9 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
     for idx, nm in enumerate(order or []):
         if not isinstance(nm, str) or nm not in names:
             _fail(f"$.order[{idx}]", f"unknown point {nm!r}")
-    meta = _optional(doc, "metadata", dict, "$", {})
+    _optional(doc, "metadata", dict, "$", {})
     try:
-        return DirectedAinfSpec(k=k, n=n, points=points, mu=mu, order=order, meta=dict(meta))
+        return DirectedAinfSpec(k=k, n=n, points=points, mu=mu, order=order)
     except ValueError as exc:
         raise ParseError([("$", str(exc))])
 
@@ -371,10 +381,10 @@ def _element_from_terms(terms, names: set[str], k: int, path: str) -> Element:
         if isinstance(word, str):
             if not word.startswith("e_"):
                 _fail(f"{tpath}.word", "unit words are written e_<component>")
-            comp = word[2:]
-            if not comp.isdecimal() or not 1 <= int(comp) <= k:
+            comp = _canonical_int(word[2:])
+            if comp is None or not 1 <= comp <= k:
                 _fail(f"{tpath}.word", f"bad unit word {word!r}: components are 1..{k}")
-            w = Word.idem(int(comp))
+            w = Word.idem(comp)
         elif isinstance(word, list):
             if not word:
                 _fail(f"{tpath}.word", "empty word lists are not allowed; use e_i")
@@ -449,10 +459,10 @@ def betti_from_document(doc: dict) -> BettiTable:
     for key, v in _require(doc, "ranks", dict, "$").items():
         if isinstance(v, bool) or not isinstance(v, int):
             _fail(f"$.ranks.{key}", "ranks are integers")
-        try:
-            ranks[int(key)] = v
-        except ValueError:
+        degree = _canonical_int(key)
+        if degree is None:
             _fail(f"$.ranks.{key}", "degrees are integers")
+        ranks[degree] = v
     flagged = _optional(doc, "flagged", list, "$", [])
     for idx, d in enumerate(flagged):
         if isinstance(d, bool) or not isinstance(d, int):

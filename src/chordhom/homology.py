@@ -49,7 +49,8 @@ class GradedChainComplex:
 
     basis covers window plus halo degrees lo-1 and hi+1.  diffs[d] is the
     sparse matrix of the boundary from basis[d] to basis[d-1] as
-    {(row, col): Fraction}.
+    {(row, col): Fraction}.  meta holds what verify_dictionary reads: the
+    "algebra" of a check/hat complex, the "dict_window" of a cyclic tensor one.
 
     A complex from build_complex stores each boundary matrix as integer
     columns over one denominator per degree instead, and diffs is built
@@ -65,15 +66,14 @@ class GradedChainComplex:
     diffs: dict[int, SparseMatrix]
     window: tuple[int, int]
     verdict: str = EXACT
-    max_len: int | None = None
     meta: dict = field(default_factory=dict)
 
     @classmethod
     def _from_columns(
-        cls, basis, store: dict[int, tuple[Columns, int]], window, verdict, max_len, meta
+        cls, basis, store: dict[int, tuple[Columns, int]], window, verdict, meta
     ) -> "GradedChainComplex":
         """A complex whose diffs are stored as {degree: (columns, den)}."""
-        cx = cls(basis, {}, window, verdict, max_len, meta)
+        cx = cls(basis, {}, window, verdict, meta)
         del cx.diffs
         cx._store = store
         return cx
@@ -412,15 +412,14 @@ def enumerate_cyclic_words(
 
 def build_complex(
     bases: dict[int, list[Label]],
-    image: Callable[[int, Label], tuple[Mapping[Label, int], int]],
+    image: Callable[[Label], tuple[Mapping[Label, int], int]],
     window: tuple[int, int],
     verdict: str,
-    max_len: int | None = None,
     meta: dict | None = None,
 ) -> GradedChainComplex:
     """Assemble a GradedChainComplex from per-degree label lists and a
-    function giving the boundary image of each basis label as (integer
-    numerators by target label, their denominator).
+    function image(label) giving the boundary image of a basis label as
+    (integer numerators by target label, their denominator).
 
     Targets outside the basis and zero numerators are dropped.  Each degree
     is stored as integer columns over the lcm of its columns'
@@ -440,7 +439,7 @@ def build_complex(
         columns: Columns = {}
         dens: dict[int, int] = {}
         for col, lab in enumerate(labs):
-            nums, den = image(d, lab)
+            nums, den = image(lab)
             column = {
                 row: v for tlab, v in nums.items()
                 if v and (row := target.get(tlab)) is not None
@@ -454,4 +453,4 @@ def build_complex(
                 scale = lcm // den
                 columns[col] = {r: v * scale for r, v in columns[col].items()}
         store[d] = (columns, lcm)
-    return GradedChainComplex._from_columns(bases, store, window, verdict, max_len, meta or {})
+    return GradedChainComplex._from_columns(bases, store, window, verdict, meta or {})

@@ -75,7 +75,6 @@ class DirectedAinfSpec:
     points: list[tuple[str, int, int, int]]  # (name, grading, i, j), i < j
     mu: list[tuple[Symbol, tuple[Symbol, ...], Fraction]] = field(default_factory=list)
     order: list[str] | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.k < 1:
@@ -672,7 +671,7 @@ def hochschild_complex(
     def add(out: dict, label, v: int) -> None:
         out[label] = out.get(label, 0) + v
 
-    def image(stored_degree: int, label) -> tuple[dict, int]:
+    def image(label) -> tuple[dict, int]:
         """The boundary image as (integer numerators by label, den)."""
         out: dict = {}
         kind = label[0]
@@ -733,14 +732,7 @@ def hochschild_complex(
         return out, den
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
-    return build_complex(
-        stored,
-        image,
-        (-hi, -lo),
-        verdict,
-        max_len,
-        meta={"kind": "hochschild", "dict_window": window, "t_order": D.order},
-    )
+    return build_complex(stored, image, (-hi, -lo), verdict, meta={"dict_window": window})
 
 
 def _to_cc(label, alg: ChordAlgebra):

@@ -62,7 +62,6 @@ class FillingModel:
     to_morse: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     morse_diff: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     morse_tau: dict[tuple[str, int], Fraction] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:
@@ -98,18 +97,13 @@ class BallFilling(FillingModel):
 
 def builtin_ball_filling(n: int) -> FillingModel:
     """The ball model of dimension n (BallFilling)."""
-    return BallFilling(
-        n=n,
-        morse=[("min", n)],
-        to_morse={("g1", "min"): Fraction(1)},
-        meta={"builtin": f"ball:{n}"},
-    )
+    return BallFilling(n=n, morse=[("min", n)], to_morse={("g1", "min"): Fraction(1)})
 
 
 def empty_filling(n: int) -> FillingModel:
     """No orbits and no Morse generators; surgery complexes reduce to the
     chord-side complexes."""
-    return FillingModel(n=n, meta={"builtin": f"empty:{n}"})
+    return FillingModel(n=n)
 
 
 @dataclass
@@ -126,7 +120,6 @@ class SurgeryCountTable:
     ncheck: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
     nhat: dict[tuple[str, tuple[str, ...]], Fraction] = field(default_factory=dict)
     orbit_tau: dict[tuple[str, int], Fraction] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     @staticmethod
     def zero() -> "SurgeryCountTable":
@@ -187,14 +180,21 @@ class CobordismCounts:
 BAD_ORBIT_DOUBLING = Fraction(2)
 
 
-def _rows(table: Mapping, source) -> list:
-    """The nonzero (target, count) entries of a count table from source."""
-    return [(b, c) for (a, b), c in table.items() if a == source and c]
+def _by_source(tables: Mapping[str, Mapping]) -> dict:
+    """Count tables by name as one index {(name, source): [(target, count)]}
+    of their nonzero entries in table order; indexed once per build, a row
+    is read without a scan."""
+    rows: dict = defaultdict(list)
+    for name, table in tables.items():
+        for (a, b), c in table.items():
+            if c:
+                rows[name, a].append((b, c))
+    return rows
 
 
 def _orbit_row(
     label,
-    counts: CobordismCounts,
+    rows: Mapping[tuple[str, str], list],
     target_kappa: Mapping[str, int],
     source_kappa: Mapping[str, int],
     algebra: ChordAlgebra | None,
@@ -202,8 +202,10 @@ def _orbit_row(
 ) -> dict:
     """The couplings of an orbit or Morse label, read off count tables.
 
-    Serves the surgery differentials (the filling's tables, one
-    multiplicity map for both sides) and the cobordism maps.  Undecorated
+    rows indexes the CobordismCounts tables by their names (_by_source),
+    and morse_tau for the Morse component-class counts.  Serves the surgery
+    differentials (the filling's tables, one multiplicity map for both
+    sides) and the cobordism maps.  Undecorated
     and minimum-decorated orbits divide the orbit block by the target
     multiplicity; maximum-decorated ones divide by the source multiplicity
     and spread the cyclic counts by the S operator.  A multiplicity missing
@@ -212,41 +214,47 @@ def _orbit_row(
     """
     kind, x = label[0], label[1]
     out: dict = defaultdict(Fraction)
-    cyc = _rows(counts.orbit_cyc, x) if kind in ("orb", "ohat") else []
+
+    def row(table: str):
+        return rows.get((table, x), ())
+
+    cyc = row("orbit_cyc") if kind in ("orb", "ohat") else ()
     if cyc and algebra is None:
         raise ValueError("cyclic counts need the chord algebra")
 
     if kind in ("orb", "ochk"):
-        for b, c in _rows(counts.orbit_orbit, x):
+        for b, c in row("orbit_orbit"):
             out[(kind, b)] += c / target_kappa.get(b, 1)
         if kind == "orb":
             for w, c in cyc:
                 cls = cyclic_class(algebra, Word.of(w))
                 out[("cyc", cls.representative)] += c * cls.sign / cls.multiplicity
             return out
-        for b, c in _rows(counts.orbit_orbit_bott, x):
+        for b, c in row("orbit_orbit_bott"):
             out[("ohat", b)] += c
-        for w, c in _rows(counts.orbit_check_word, x):
+        for w, c in row("orbit_check_word"):
             out[("chk", w)] += c
-        for w, c in _rows(counts.orbit_hat_word, x):
+        for w, c in row("orbit_hat_word"):
             out[("hat", w)] += c
         if x not in bad:
-            for p, c in _rows(counts.orbit_morse, x):
+            for p, c in row("orbit_morse"):
                 out[("mrs", p)] += c
-            for j, c in _rows(counts.orbit_tau, x):
+            for j, c in row("orbit_tau"):
                 out[("tau", j)] += c
     elif kind == "ohat":
         if x in bad:
             out[("ochk", x)] += BAD_ORBIT_DOUBLING
         kappa = source_kappa.get(x, 1)
-        for b, c in _rows(counts.orbit_orbit, x):
+        for b, c in row("orbit_orbit"):
             out[("ohat", b)] += c / kappa
         for w, c in cyc:
             for word, sign in _s_terms(algebra, w):
                 out[("hat", word)] += c * sign / kappa
     elif kind == "mrs":
-        for q, c in _rows(counts.morse_morse, x):
+        for q, c in row("morse_morse"):
             out[("mrs", q)] += c
+        for j, c in row("morse_tau"):
+            out[("tau", j)] += c
     return out
 
 
@@ -290,9 +298,8 @@ def _surgery_complex(
     count tables coupling them.  Checks that every count comes from an
     orbit of the filling, and the filling and the counts against the DGA,
     folds the cyclic keys of the counts, reads the verdict, and binds the
-    orbit row to the filling's tables; a Morse row also carries the
-    filling's component-class counts.  dga=None builds the filling's block
-    alone."""
+    orbit row to the filling's and the counts' tables, each indexed by
+    source once per build.  dga=None builds the filling's block alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
@@ -324,7 +331,7 @@ def _surgery_complex(
             cls = cyclic_class(alg, Word.of(w))
             if not cls.is_zero:
                 cyc[(g, cls.representative)] += c * cls.sign
-    tables = CobordismCounts(
+    rows = _by_source(dict(
         orbit_orbit=filling.orbit_diff,
         orbit_orbit_bott=filling.bott_diff,
         orbit_morse=filling.to_morse,
@@ -333,20 +340,15 @@ def _surgery_complex(
         orbit_hat_word=counts.nhat,
         orbit_tau=counts.orbit_tau,
         morse_morse=filling.morse_diff,
-    )
+        morse_tau=filling.morse_tau,
+    ))
 
-    def image(degree: int, label) -> tuple[dict, int]:
-        if label[0] not in ("orb", "ochk", "ohat", "mrs"):
-            return chord_image(dga, label)
-        out = _orbit_row(label, tables, kappa, kappa, alg, bad)
-        if label[0] == "mrs":
-            for j, c in _rows(filling.morse_tau, label[1]):
-                out[("tau", j)] += c
-        return _numerators(out)
+    def image(label) -> tuple[dict, int]:
+        if label[0] in ("orb", "ochk", "ohat", "mrs"):
+            return _numerators(_orbit_row(label, rows, kappa, kappa, alg, bad))
+        return chord_image(dga, label)
 
-    return build_complex(
-        bases, image, window, verdict, max_len, meta={"kind": kind, "n": filling.n}
-    )
+    return build_complex(bases, image, window, verdict)
 
 
 def build_lch_surgery(
@@ -419,10 +421,11 @@ def assemble_cobordism_map(
 ) -> ChainMapReport:
     """Assemble the block map and verify F d - d F = 0 on the window."""
     lo, hi = source.window
+    rows = _by_source(vars(counts))
     mapping: dict = {}
     for d in range(lo - 1, hi + 2):
         for lab in source.labels(d):
-            image = _orbit_row(lab, counts, target_kappa or {}, source_kappa or {}, algebra)
+            image = _orbit_row(lab, rows, target_kappa or {}, source_kappa or {}, algebra)
             mapping[lab] = {k: v for k, v in image.items() if v}
 
     tgt_index = {
@@ -461,16 +464,17 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
     orbits = filling.orbits_up_to(window[1] + 2)
     orbit_info = {o.label: o for o in orbits}
     bases = _orbit_bases(orbits, filling.morse, window, "ch")
+    rows = _by_source({"orbit_orbit": filling.orbit_diff})
 
-    def image(degree: int, label) -> tuple[dict, int]:
+    def image(label) -> tuple[dict, int]:
         gamma = label[1]
         out: dict = defaultdict(Fraction)
-        for beta, c in _rows(filling.orbit_diff, gamma):
+        for beta, c in rows.get(("orbit_orbit", gamma), ()):
             if beta in orbit_info and not orbit_info[beta].bad:
                 out[("orb", beta)] += c / orbit_info[gamma].multiplicity
         return _numerators(out)
 
-    return build_complex(bases, image, window, EXACT, meta={"kind": "ch"})
+    return build_complex(bases, image, window, EXACT)
 
 
 def verify_kappa_isomorphism(filling: FillingModel, window: tuple[int, int]) -> bool:

@@ -304,8 +304,8 @@ def module_M_reference(dga: DGASpec, window: tuple[int, int], max_len: int):
     of left and right together."""
     return build_complex(
         module_M_bases(dga, window, max_len),
-        lambda degree, label: _numerators(module_M_image(dga, label)),
-        window, "reference", max_len,
+        lambda label: _numerators(module_M_image(dga, label)),
+        window, "reference",
     )
 
 
@@ -347,7 +347,7 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
             if symbols[out].p_min <= total:
                 yield _chord_name(out, total), coeff
 
-    def image(stored_degree: int, label) -> dict:
+    def image(label) -> dict:
         out: dict = defaultdict(Fraction)
         kind = label[0]
         if kind == "cce":
@@ -399,8 +399,7 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
         return out
 
     return build_complex(
-        stored, lambda degree, label: _numerators(image(degree, label)),
-        (-hi, -lo), "reference", max_len,
+        stored, lambda label: _numerators(image(label)), (-hi, -lo), "reference"
     )
 
 

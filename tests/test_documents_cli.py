@@ -97,6 +97,10 @@ BAD_TERMS = [
     ({"coeff": "1", "word": "e_5"}, "bad unit word"),
     ({"coeff": "1", "word": "x_1"}, "unit words are written"),
     (7, "expected an object"),
+    # int() reads both as e_1 (the second is an Arabic-Indic one); only the
+    # canonical form names a unit
+    ({"coeff": "1", "word": "e_01"}, "bad unit word"),
+    ({"coeff": "1", "word": "e_\u0661"}, "bad unit word"),
 ]
 
 
@@ -185,6 +189,8 @@ BAD_OPTIONAL_FIELDS = [
     ("counts", _with_fields(_COUNTS, metadata="x"), "$.metadata"),
     ("ainf", _with_fields(_AINF, points={}), "$.points"),
     ("ainf", _with_fields(_AINF, mu=3), "$.mu"),
+    ("ainf", _with_fields(_AINF, mu=[{"out": "e:1", "inputs": ["e:01"], "coeff": "1"}]),
+     "$.mu[0].inputs[0]"),
     ("ainf", _with_fields(_AINF, order="p"), "$.order"),
     ("ainf", _with_fields(_AINF, order=[["p"]]), "$.order[0]"),
     ("ainf", _with_fields(_AINF, metadata=[]), "$.metadata"),
@@ -248,11 +254,20 @@ def test_betti_document_round_trip():
 
 
 def test_betti_document_with_a_degree_that_is_no_integer_is_refused():
-    # int("x") used to escape as a bare ValueError
-    doc = {"format": "betti/1", "ranks": {"0": 1, "x": 2}}
-    with pytest.raises(ParseError) as err:
-        betti_from_document(doc)
-    assert err.value.issues == [("$.ranks.x", "degrees are integers")]
+    # int("x") used to escape as a bare ValueError; int() also reads "1_0",
+    # " 3" and "\u0663" (Arabic-Indic three), so two keys named one degree and
+    # one rank was dropped
+    for ranks, key in (
+        ({"0": 1, "x": 2}, "x"),
+        ({"10": 2, "1_0": 5}, "1_0"),
+        ({"3": 1, " 3": 7}, " 3"),
+        ({" 3": 1, "\u0663": 7}, " 3"),
+        ({"3": 1, "\u0663": 7}, "\u0663"),
+        ({"-0": 1}, "-0"),
+    ):
+        with pytest.raises(ParseError) as err:
+            betti_from_document({"format": "betti/1", "ranks": ranks})
+        assert err.value.issues == [(f"$.ranks.{key}", "degrees are integers")]
 
 
 def test_truncated_banner():

@@ -59,8 +59,7 @@ CHORD_IMAGES = [
 def assert_matches_the_reference(builder, image, dga, window, max_len):
     cx = builder(dga, window, max_len)
     want = build_complex(
-        cx.basis, lambda degree, label: _numerators(image(dga, label)),
-        window, cx.verdict, max_len,
+        cx.basis, lambda label: _numerators(image(dga, label)), window, cx.verdict
     )
     assert_same_matrices(cx, want)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import chordhom.lefschetz as lefschetz
 from chordhom.algebra import Word
 
-from chordhom.complexes import build_ho_complex
+from chordhom.complexes import build_cyclic_complex, build_ho_complex
 from chordhom.dga import check_d_squared
 from chordhom.documents import ainf_from_document
 from chordhom.examples import example_document, minimal_ainf_spec
@@ -591,6 +591,18 @@ def test_dictionary_requires_a_bijection_in_both_directions():
     repeated = replace(ho, basis={**ho.basis, 0: ho.labels(0) + ho.labels(0)[:1]})
     with pytest.raises(ValueError, match="degree 0: two labels share a partner"):
         verify_dictionary(cc, repeated)
+
+
+def test_dictionary_refuses_complexes_without_its_meta_keys():
+    # the two meta keys builders write: dict_window marks the cyclic tensor
+    # complex, algebra a check/hat complex
+    D = build_curved_category(minimal_ainf_spec(), 2)
+    dual = dualize_tensor_algebra(D)
+    cc, ho = hochschild_complex(D, (0, 3), 6), build_ho_complex(dual, (0, 3), 6)
+    with pytest.raises(ValueError, match="first argument must be the cyclic tensor complex"):
+        verify_dictionary(ho, cc)
+    with pytest.raises(ValueError, match="second argument must carry its algebra"):
+        verify_dictionary(cc, build_cyclic_complex(dual, (0, 3), 6))
 
 
 def test_document_round_trip_spec():
