@@ -156,12 +156,17 @@ def cmd_homology(args) -> int:
 
 
 def _filling_of(ref: str):
-    kind, _, n = ref.partition(":")
+    kind, _, text = ref.partition(":")
     builtin = {"ball": builtin_ball_filling, "empty": empty_filling}.get(kind)
     if builtin is None:
         return _parse(ref, docs.filling_from_document)
+    n = docs._canonical_int(text)
+    if n is None:
+        raise CliInputError(
+            f"bad filling {ref!r}: expected {kind}:<n> with n an integer, got {text!r}"
+        )
     try:
-        return builtin(int(n))
+        return builtin(n)
     except ValueError as exc:
         raise CliInputError(f"bad filling {ref!r}: {exc}")
 

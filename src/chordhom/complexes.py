@@ -21,13 +21,21 @@ those slot coordinates (rotate the marked letter to the end, apply the
 plain algebra differential, rotate back): this is the one convention under
 which unit absorptions transport the mark consistently, the square of the
 differential vanishes, and the marked-module dictionary is sign-free.
+The slot word of c.w is w.c, so its image is read off the Leibniz image
+of the tail w: the tail terms whose last port meets c, c behind them,
+then the rows of d(c) after w.  The hat image of c.w reads the same tail
+image, so one build computes it once for every head and both marks
+(_tail_image).  No image builds a term whose word is longer than
+max_len, which no basis label is: the tail image is capped at max_len - 1
+letters, and a row of d(c) is skipped when it would pass the cap.
 
 The cyclic quotient of the marked module (mcyc) reads the mark
 differential d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
 (_mark_terms); each term keeps the grading parities of the letters before
 and after its mark, so the Koszul sign of rotating it to mark-first form
 is read in constant time, and one build computes each word's Leibniz
-image once for all its marks.  The marked module itself, on the same mark
+image once for all its marks, capped at max_len letters like the mark
+terms.  The marked module itself, on the same mark
 differential, is a reference in the tests.  The check/hat side computes
 its own, so mcyc against the completed check/hat complex compares two
 constructions.
@@ -154,12 +162,13 @@ def _cyclic_bases(
     return bases
 
 
-def _cyclic_image(dga: DGASpec, label) -> tuple[dict, int]:
+def _cyclic_image(dga: DGASpec, max_len: int, label) -> tuple[dict, int]:
     """The letterwise Leibniz differential followed by projection to the
-    cyclic classes; length-zero collapses are dropped."""
+    cyclic classes; length-zero collapses are dropped, and so are the
+    words longer than max_len, which no class of the basis holds."""
     parity = dga.algebra.parity
     out: dict = {}
-    for key, v in _leibniz_word(dga, label[1]).items():
+    for key, v in _leibniz_word(dga, label[1], cap=max_len).items():
         if key.__class__ is not tuple:
             continue
         rep, sign = _cyclic_rep(parity, key)
@@ -178,7 +187,8 @@ def build_cyclic_complex(
         (g.grading for g in dga.generators), window, max_len
     )
     return build_complex(
-        _cyclic_bases(dga.algebra, window, max_len), partial(_cyclic_image, dga), window, verdict
+        _cyclic_bases(dga.algebra, window, max_len),
+        partial(_cyclic_image, dga, max_len), window, verdict,
     )
 
 
@@ -191,50 +201,110 @@ def _rot1(letters: tuple[str, ...]) -> tuple[str, ...]:
     return (letters[-1],) + letters[:-1]
 
 
-def _unrot1(letters: tuple[str, ...]) -> tuple[str, ...]:
-    return letters[1:] + (letters[0],)
+def _tail_image(
+    dga: DGASpec, max_len: int, tails: dict, tail: tuple[str, ...]
+) -> tuple[dict, int]:
+    """The Leibniz image of the nonempty tail of a decorated word, capped
+    at max_len - 1 letters so that the head fits in front, and the parity
+    of the tail's degree; tails maps each tail met so far in the build to
+    both."""
+    entry = tails.get(tail)
+    if entry is None:
+        parity = dga.algebra.parity
+        image = _leibniz_word(dga, tail, cap=max_len - 1)
+        entry = tails[tail] = image, sum(parity[x] for x in tail) & 1
+    return entry
 
 
-def _hat_image(dga: DGASpec, letters: tuple[str, ...]) -> tuple[dict, int]:
+def _hat_image(
+    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...]
+) -> tuple[dict, int]:
     """Differential of a hat word, in the marked-module normal form: the
     two mark-slot commutator terms land in check words, the marked letter
     feeds the spread operator with a minus sign, and the remainder carries
     the full algebra differential with units absorbed into the hat letter.
+    Terms longer than max_len are left out.
     """
     alg = dga.algebra
     den = dga._denom
     parity = alg.parity
     head, tail = letters[0], letters[1:]
     head_odd = parity[head]
+    image, tail_odd = _tail_image(dga, max_len, tails, tail) if tail else ({}, 0)
 
     # mark slot moved through the marked letter: + (slot, c, tail) and
     # - (-1)^(|c| |tail|) (slot, tail, c), translated to check lettering
     out: dict = {("chk", _rot1(letters)): den}
-    odd = head_odd and sum(parity[x] for x in tail) & 1
+    odd = head_odd and tail_odd
     target = ("chk", _rot1(tail + (head,)))
     out[target] = out.get(target, 0) + (den if odd else -den)
 
     # -S(d(head)) * tail
+    room = max_len - len(tail)
     for piece, _, _, c in dga._rows.get(head, ()):
+        if len(piece) > room:
+            continue
         for word, sign in _s_terms(alg, piece, tail):
             target = ("hat", word)
             out[target] = out.get(target, 0) + (-c if sign > 0 else c)
 
     # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
-    if tail:
-        head_src, dst = dga._src[head], dga._dst
-        for key, v in _leibniz_word(dga, tail).items():
-            if key.__class__ is tuple:
-                if dst[key[0]] != head_src:
-                    continue
-                target = ("hat", (head,) + key)
-            elif key == head_src:
-                target = ("hat", (head,))
-            else:
+    head_src, dst = dga._src[head], dga._dst
+    for key, v in image.items():
+        if key.__class__ is tuple:
+            if dst[key[0]] != head_src:
                 continue
-            out[target] = out.get(target, 0) + (v if head_odd else -v)
+            target = ("hat", (head,) + key)
+        elif key == head_src:
+            target = ("hat", (head,))
+        else:
+            continue
+        out[target] = out.get(target, 0) + (v if head_odd else -v)
 
     return out, den
+
+
+def _check_image(
+    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...], tau: bool
+) -> tuple[dict, int]:
+    """The Leibniz image of the slot word tail.head of the check word
+    head^ tail, read off the image of tail: the tail terms whose last port
+    meets head keep head behind them, then head's own rows follow with the
+    sign (-1)^|tail|, a running sum that reaches zero dropping its key.
+    Key for key and in order, this is _leibniz_word of tail.head with the
+    keys rotated to check lettering; the unit term of a single letter goes
+    to its component class with tau and is dropped without."""
+    head, tail = letters[0], letters[1:]
+    head_dst = dga._dst[head]
+    out: dict = {}
+    left, odd = None, 0
+    if tail:
+        image, odd = _tail_image(dga, max_len, tails, tail)
+        src = dga._src
+        for key, v in image.items():
+            if key.__class__ is tuple:
+                if src[key[-1]] == head_dst:
+                    out[("chk", (head,) + key)] = v
+            elif key == head_dst:
+                out[("chk", (head,))] = v
+        left = src[tail[-1]]
+    room = max_len - len(tail)
+    for piece, pdst, _, c in dga._rows.get(head, ()):
+        if left is not None and left != pdst or len(piece) > room:
+            continue
+        word = tail + piece
+        if word:
+            target = ("chk", _rot1(word))
+        elif tau:
+            target = ("tau", pdst)
+        else:
+            continue
+        v = out.get(target, 0) + (-c if odd else c)
+        if v:
+            out[target] = v
+        else:
+            del out[target]
+    return out, dga._denom
 
 
 def _decorated_bases(
@@ -257,28 +327,29 @@ def _decorated_bases(
     return bases
 
 
-def _decorated_image(dga: DGASpec, label, tau: bool = False) -> tuple[dict, int]:
+def _decorated_image(
+    dga: DGASpec, max_len: int, tails: dict, label, tau: bool = False
+) -> tuple[dict, int]:
     """The matrix differential on check and hat words.
 
     The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
     precedes c1; in slot coordinates its differential is the plain algebra
     differential of the rotated word (c2 ... cm c1), units absorbed.  Full
     collapses of single letters (the unit term n e_i of d(c)) are dropped,
-    or, with tau, sent to the component class of e_i.
+    or, with tau, sent to the component class of e_i.  Both images read
+    the Leibniz image of c2 ... cm from tails, which lives for one build,
+    and leave out the words longer than max_len.
     """
-    kind = label[0]
+    kind, letters = label
     if kind == "hat":
-        return _hat_image(dga, label[1])
+        return _hat_image(dga, max_len, tails, letters)
     if kind == "tau":
         return {}, 1
-    # the Leibniz keys are distinct, and so are their check and tau labels
-    out = {}
-    for key, v in _leibniz_word(dga, _unrot1(label[1])).items():
-        if key.__class__ is tuple:
-            out[("chk", _rot1(key))] = v
-        elif tau:
-            out[("tau", key)] = v
-    return out, dga._denom
+    # a check word with no differential letter is closed; its tail image
+    # is left to the hat word that needs it
+    if dga._rows.keys().isdisjoint(letters):
+        return {}, dga._denom
+    return _check_image(dga, max_len, tails, letters, tau)
 
 
 def build_hoplus_complex(
@@ -288,7 +359,8 @@ def build_hoplus_complex(
     matrix differential; no tau classes."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
-        _decorated_bases(dga.algebra, window, max_len), partial(_decorated_image, dga),
+        _decorated_bases(dga.algebra, window, max_len),
+        partial(_decorated_image, dga, max_len, {}),
         window, verdict, meta={"algebra": dga.algebra},
     )
 
@@ -302,7 +374,7 @@ def build_ho_complex(
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
         _decorated_bases(dga.algebra, window, max_len, tau=True),
-        partial(_decorated_image, dga, tau=True),
+        partial(_decorated_image, dga, max_len, {}, tau=True),
         window, verdict, meta={"algebra": dga.algebra},
     )
 
@@ -355,18 +427,24 @@ def _enumerate_marked_words(
     return {d: sorted(labs) for d, labs in bases.items() if labs}
 
 
-def _mcyc_image(dga: DGASpec, mark_terms: dict, images: dict, label) -> tuple[dict, int]:
+def _mcyc_image(
+    dga: DGASpec, max_len: int, mark_terms: dict, images: dict, label
+) -> tuple[dict, int]:
     """Differential on the marked cyclic quotient: the mark differential
     rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
     mark_terms maps each chord to its _mark_terms, and images each word
-    met so far to its _leibniz_word image."""
+    met so far to its _leibniz_word image.  Terms whose unmarked word is
+    longer than max_len are left out."""
     parity = dga.algebra.parity
     out: dict = {}
     kind, name, word = label
     odd = False
     if kind == "mc":
         odd_w = sum(parity[n] for n in word) & 1
+        room = max_len - len(word)
         for before, mark, after, coeff, odd_b, odd_a in mark_terms[name]:
+            if len(before) + len(after) > room:
+                continue
             # a hat mark on c has degree |c| + 1, a component class 0
             if odd_b and odd_a ^ odd_w ^ (mark[0] == "mc" and not parity[mark[1]]):
                 coeff = -coeff
@@ -376,7 +454,7 @@ def _mcyc_image(dga: DGASpec, mark_terms: dict, images: dict, label) -> tuple[di
     if word:
         image = images.get(word)
         if image is None:
-            image = images[word] = _leibniz_word(dga, word)
+            image = images[word] = _leibniz_word(dga, word, cap=max_len)
         for key, v in image.items():
             target = (kind, name, key if key.__class__ is tuple else ())
             out[target] = out.get(target, 0) + (-v if odd else v)
@@ -393,7 +471,7 @@ def build_mcyc_complex(
     mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
     return build_complex(
         _enumerate_marked_words(dga, window, max_len),
-        partial(_mcyc_image, dga, mark_terms, {}), window, verdict,
+        partial(_mcyc_image, dga, max_len, mark_terms, {}), window, verdict,
     )
 
 

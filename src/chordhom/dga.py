@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,7 +78,11 @@ class DGASpec:
 
 
 def _leibniz_word(
-    dga: DGASpec, letters: tuple[str, ...], a: int = 1, acc: dict | None = None
+    dga: DGASpec,
+    letters: tuple[str, ...],
+    a: int = 1,
+    acc: dict | None = None,
+    cap: int | None = None,
 ) -> dict:
     """The graded Leibniz rule on one nonempty word, in integers.
 
@@ -90,12 +95,19 @@ def _leibniz_word(
     that reaches zero drops its key, so the keys come out in the order of
     the product-by-product Element sum.  A word with no letter that has
     a differential row returns acc at once.
+
+    With a cap, a row whose piece would make the word longer than cap
+    letters is skipped (an idempotent counts as length 0).  Every term of
+    one key has the same length, so the result is the uncapped image
+    restricted to the keys of length <= cap, in the same order.
     """
     rows = dga._rows
     if acc is None:
         acc = {}
     if rows.keys().isdisjoint(letters):
         return acc
+    # the longest piece that keeps the word within the cap
+    room = sys.maxsize if cap is None else cap - len(letters) + 1
     parity = dga.algebra.parity
     src, dst = dga._src, dga._dst
     last = len(letters) - 1
@@ -109,6 +121,8 @@ def _leibniz_word(
             sa = -a if odd else a
             for piece, pdst, psrc, c in drows:
                 if left is not None and left != pdst:
+                    continue
+                if len(piece) > room:
                     continue
                 if right is not None and right != psrc:
                     continue

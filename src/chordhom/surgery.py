@@ -294,8 +294,9 @@ def _surgery_complex(
     chord_image: Callable,
 ) -> GradedChainComplex:
     """The surgery complex of a theory: the filling's block in the layout
-    of kind, the DGA's chord block (chord_bases, chord_image), and the
-    count tables coupling them.  Checks that every count comes from an
+    of kind, the DGA's chord block (chord_bases, and chord_image, the
+    image by label that the builder binds for this build), and the count
+    tables coupling them.  Checks that every count comes from an
     orbit of the filling, and the filling and the counts against the DGA,
     folds the cyclic keys of the counts, reads the verdict, and binds the
     orbit row to the filling's and the counts' tables, each indexed by
@@ -346,7 +347,7 @@ def _surgery_complex(
     def image(label) -> tuple[dict, int]:
         if label[0] in ("orb", "ochk", "ohat", "mrs"):
             return _numerators(_orbit_row(label, rows, kappa, kappa, alg, bad))
-        return chord_image(dga, label)
+        return chord_image(label)
 
     return build_complex(bases, image, window, verdict)
 
@@ -363,7 +364,8 @@ def build_lch_surgery(
     cyclic multiplicity.  dga=None builds the orbit-only complex (no
     surgery locus)."""
     return _surgery_complex(
-        "lch", filling, dga, counts, window, max_len, _cyclic_bases, _cyclic_image
+        "lch", filling, dga, counts, window, max_len,
+        _cyclic_bases, partial(_cyclic_image, dga, max_len),
     )
 
 
@@ -378,7 +380,8 @@ def build_shplus_surgery(
     complex, with the stated block differential.  dga=None builds the
     orbit-only complex."""
     return _surgery_complex(
-        "shplus", filling, dga, counts, window, max_len, _decorated_bases, _decorated_image
+        "shplus", filling, dga, counts, window, max_len,
+        _decorated_bases, partial(_decorated_image, dga, max_len, {}),
     )
 
 
@@ -394,7 +397,7 @@ def build_sh_surgery(
     Morse part alone."""
     return _surgery_complex(
         "sh", filling, dga, counts, window, max_len,
-        partial(_decorated_bases, tau=True), partial(_decorated_image, tau=True),
+        partial(_decorated_bases, tau=True), partial(_decorated_image, dga, max_len, {}, tau=True),
     )
 
 

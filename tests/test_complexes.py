@@ -10,10 +10,12 @@ from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     CyclicWord,
+    _check_image,
     _cyclic_bases,
     _decorated_bases,
     _enumerate_marked_words,
     _mark_terms,
+    _rot1,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,
@@ -23,12 +25,19 @@ from chordhom.complexes import (
     ho_vanishes_by_unit_differential,
     verify_en_isomorphism,
 )
-from chordhom.dga import DGASpec
+from chordhom.dga import DGASpec, _leibniz_word
 from chordhom.documents import dga_from_document
 from chordhom.examples import example_document
-from chordhom.homology import EXACT, betti, guard_verdict
+from chordhom.homology import EXACT, _cyclic_words, betti, guard_verdict
+from chordhom.surgery import (
+    SurgeryCountTable,
+    build_sh_surgery,
+    build_shplus_surgery,
+    builtin_ball_filling,
+)
 
 from conftest import random_dga
+from test_dga import free_dga
 from reference_images import is_bad_by_parity, marks, module_M_reference, s_operator
 
 
@@ -412,6 +421,81 @@ def test_chord_basis_build_walks_the_words_once(chekanov_a, monkeypatch, build):
     monkeypatch.setattr(complexes, "_cyclic_words", lambda *args: walks.append(args) or walk(*args))
     build(chekanov_a, (-4, 0), 4)
     assert len(walks) == 1
+
+
+def _over_the_ball(build):
+    def surgery(dga, window, max_len):
+        filling = builtin_ball_filling(dga.ambient_dim)
+        return build(filling, dga, SurgeryCountTable.zero(), window, max_len)
+    return surgery
+
+
+def _tail(label):
+    return label[1][1:] if label[0] in ("chk", "hat") else ()
+
+
+def _unmarked(label):
+    return label[2] if label[0] in ("mx", "mc") else ()
+
+
+@pytest.mark.parametrize(
+    "build,word",
+    [
+        (build_hoplus_complex, _tail),
+        (build_ho_complex, _tail),
+        (_over_the_ball(build_shplus_surgery), _tail),
+        (_over_the_ball(build_sh_surgery), _tail),
+        (build_mcyc_complex, _unmarked),
+    ],
+    ids=["hoplus", "ho", "sh+", "sh", "mcyc"],
+)
+def test_chord_images_compute_each_leibniz_image_once(chekanov_a, monkeypatch, build, word):
+    """One build calls the Leibniz kernel at most once per distinct tail of
+    its check and hat words and on nothing else: a hat word always reads
+    its tail's image, a check word with no differential letter none.
+    mcyc calls it once per distinct nonempty unmarked word."""
+    calls = []
+    kernel = complexes._leibniz_word
+    monkeypatch.setattr(
+        complexes, "_leibniz_word",
+        lambda dga, letters, **kw: calls.append(letters) or kernel(dga, letters, **kw),
+    )
+    window = (-4, 0)
+    cx = build(chekanov_a, window, 4)
+    # build_complex takes the images of degrees lo .. hi + 1
+    imaged = [lab for d in range(window[0], window[1] + 2) for lab in cx.basis.get(d, [])]
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= {word(lab) for lab in imaged}
+    assert {word(lab) for lab in imaged if lab[0] != "chk"} - {()} <= set(calls)
+
+
+def assert_check_image_is_the_slot_word_image(dga, letters, max_len, tau):
+    full = _leibniz_word(dga, letters[1:] + letters[:1], cap=max_len)
+    want = [
+        (("chk", _rot1(key)) if type(key) is tuple else ("tau", key), v)
+        for key, v in full.items()
+        if tau or type(key) is tuple
+    ]
+    assert list(_check_image(dga, max_len, {}, letters, tau)[0].items()) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
+def test_check_image_is_the_leibniz_image_of_the_slot_word(seed, max_len, tau):
+    # free DGAs: unit terms at any component and pieces whose ports need
+    # not match their generator's, so the port filters on the tail image
+    # are exercised; one tails dict per word, as the cap varies
+    dga = free_dga(random.Random(seed))
+    for words in _cyclic_words(dga.algebra.generators, 4).values():
+        for letters in words:
+            assert_check_image_is_the_slot_word_image(dga, letters, max_len, tau)
+
+
+def test_check_image_drops_a_cancelled_key():
+    # d(a) = a with a odd: in the slot word a.a the two terms a.a cancel
+    dga = DGASpec(BaseRing(1), [Generator("a", 1)], {"a": Element.monomial(Word.of("a"))})
+    assert _check_image(dga, 2, {}, ("a", "a"), False) == ({}, 1)
+    assert_check_image_is_the_slot_word_image(dga, ("a", "a"), 2, False)
 
 
 def test_mcyc_single_hat_closed(dc1):

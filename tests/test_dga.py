@@ -26,7 +26,7 @@ from chordhom.documents import dga_from_document, morphism_from_document
 from chordhom.examples import example_document
 from chordhom.homology import betti
 
-from conftest import random_dga
+from conftest import fractional_dga, random_dga
 
 
 def one_gen_unit_dga():
@@ -191,6 +191,28 @@ def test_leibniz_word_matches_extend_leibniz(seed):
         ]
         assert scaled == list(want.items())
         assert all(type(v) is int and v for v in got.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(["free", 1, 0, -1]))
+def test_capped_leibniz_word_is_the_image_restricted_to_short_keys(seed, source):
+    # a capped image keeps the keys of at most cap letters, an idempotent
+    # counting as none, in the order of the uncapped image
+    rng = random.Random(seed)
+    dga = free_dga(rng) if source == "free" else fractional_dga(rng, source)
+    names = [g.name for g in dga.generators]
+    for _ in range(4):
+        if rng.random() < 0.5:
+            letters = tuple(rng.choice(names) for _ in range(rng.randint(1, 4)))
+        else:
+            letters = _random_composable(rng, dga.generators, rng.randint(1, 4)).letters
+        full = _leibniz_word(dga, letters)
+        for cap in range(7):
+            want = [
+                (key, v) for key, v in full.items()
+                if (len(key) if type(key) is tuple else 0) <= cap
+            ]
+            assert list(_leibniz_word(dga, letters, cap=cap).items()) == want
 
 
 def test_leibniz_drops_port_mismatched_terms():

@@ -560,6 +560,27 @@ def test_cli_empty_filling_with_bad_dimension_exit_2():
     assert code == 2 and "empty:x" in out
 
 
+@pytest.mark.parametrize(
+    "ref", ["ball:3_0", "ball:03", "ball: 3", "ball:3 ", "ball:", "ball", "empty:+3"]
+)
+def test_cli_builtin_filling_takes_only_a_canonical_integer(ref):
+    code, out = run_cli(*_SURGERY_CH, "--filling", ref)
+    assert (code, out) == (
+        2, f"input error: bad filling {ref!r}: expected {ref.partition(':')[0]}:<n> "
+        f"with n an integer, got {ref.partition(':')[2]!r}\n"
+    ), out
+
+
+def test_cli_builtin_filling_reads_its_dimension():
+    assert run_cli(*_SURGERY_CH, "--filling", "ball:3")[0] == 0
+    code, out = run_cli(*_SURGERY_CH, "--filling", "ball:30")
+    assert code == 2 and "filling has n=30 but the DGA has ambient_dim 3" in out, out
+    code, out = run_cli(*_SURGERY_CH, "--filling", "ball:1")
+    assert (code, out) == (
+        2, "input error: bad filling 'ball:1': filling model needs n >= 2, got 1\n"
+    )
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_cli_filling_document_below_dimension_2_exit_2(tmp_path, n):
     path = tmp_path / "low.filling"

@@ -24,7 +24,12 @@ from chordhom.complexes import (
 from chordhom.dga import DGASpec, _leibniz_word
 from chordhom.homology import _numerators, build_complex
 from chordhom.lefschetz import build_curved_category, hochschild_complex
-from chordhom.surgery import SurgeryCountTable, build_sh_surgery, builtin_ball_filling
+from chordhom.surgery import (
+    SurgeryCountTable,
+    build_sh_surgery,
+    build_shplus_surgery,
+    builtin_ball_filling,
+)
 
 from conftest import fractional_ainf_spec, fractional_dga
 from test_dga import leibniz_reference
@@ -64,23 +69,33 @@ def assert_matches_the_reference(builder, image, dga, window, max_len):
     assert_same_matrices(cx, want)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]))
-def test_chord_images_match_the_element_reference(seed, min_grading):
-    rng = random.Random(seed)
-    dga = fractional_dga(rng, min_grading)
-    window, max_len = (0, 3), 3
-    for builder, image in CHORD_IMAGES:
-        assert_matches_the_reference(builder, image, dga, window, max_len)
+def assert_surgery_matches_the_reference(builder, dga, window, max_len):
+    """The surgery complex over ball:2 against the same build with the
+    decorated chord image replaced by the reference image."""
     filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
-    sh = build_sh_surgery(filling, dga, counts, window, max_len)
+    got = builder(filling, dga, counts, window, max_len)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             surgery, "_decorated_image",
-            lambda dga, label, tau=False: _numerators(ref.decorated_image(dga, label, tau)),
+            lambda dga, max_len, tails, label, tau=False: _numerators(
+                ref.decorated_image(dga, label, tau)
+            ),
         )
-        want = build_sh_surgery(filling, dga, counts, window, max_len)
-    assert_same_matrices(sh, want)
+        want = builder(filling, dga, counts, window, max_len)
+    assert_same_matrices(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]), st.sampled_from([3, 2]))
+def test_chord_images_match_the_element_reference(seed, min_grading, max_len):
+    # max-len 2 sits below the window top, so the images leave out terms
+    # that the reference builds and build_complex drops
+    rng = random.Random(seed)
+    dga = fractional_dga(rng, min_grading)
+    window = (0, 3)
+    for builder, image in CHORD_IMAGES:
+        assert_matches_the_reference(builder, image, dga, window, max_len)
+    assert_surgery_matches_the_reference(build_sh_surgery, dga, window, max_len)
 
 
 def mixed_parity_dga() -> DGASpec:
@@ -106,6 +121,36 @@ def test_mcyc_images_with_long_prefixes_match_the_element_reference(chekanov_a):
     # terms; the mixed-parity DGA: hats after two letters of either parity
     assert_matches_the_reference(build_mcyc_complex, ref.mcyc_image, chekanov_a, (-4, 0), 3)
     assert_matches_the_reference(build_mcyc_complex, ref.mcyc_image, mixed_parity_dga(), (0, 9), 4)
+
+
+def word_length(label) -> int:
+    """The letters of a label's word, the unmarked part for mcyc; 0 for a
+    component class."""
+    return len(label[-1]) if type(label[-1]) is tuple else 0
+
+
+@pytest.mark.parametrize("builder,image", CHORD_IMAGES[:3], ids=["cyc", "hoplus", "ho"])
+def test_chord_images_that_leave_out_long_words_match_the_element_reference(
+    chekanov_a, builder, image
+):
+    # chekanov_a at max-len 3: three-letter terms in the differential make
+    # words longer than any basis label, which the images never build
+    window, max_len = (-4, 0), 3
+    cx = builder(chekanov_a, window, max_len)
+    assert any(
+        word_length(target) > max_len
+        for labels in cx.basis.values()
+        for label in labels
+        for target in image(chekanov_a, label)
+    )
+    assert_matches_the_reference(builder, image, chekanov_a, window, max_len)
+
+
+@pytest.mark.parametrize("builder", [build_shplus_surgery, build_sh_surgery], ids=["sh+", "sh"])
+def test_surgery_chord_images_that_leave_out_long_words_match_the_reference(
+    chekanov_a, builder
+):
+    assert_surgery_matches_the_reference(builder, chekanov_a, (-4, 0), 3)
 
 
 def test_leibniz_word_of_a_word_without_a_differential_letter_is_empty():
