@@ -7,8 +7,8 @@ Every basis reads the words of one walk of homology._cyclic_words, which
 hands out the cyclic words of all components grouped by degree, shortest
 first, so no builder recomputes a degree.  The mcyc basis reads its
 marked words off the same walk one letter longer: a word w gives x_i.w,
-and a word c.w gives c^.w one degree up.  The check/hat basis also serves
-the cyclic tensor complex of lefschetz.py, under the dictionary's names.
+and a word c.w gives c^.w one degree up.  The check/hat basis, labels
+included, also serves the cyclic tensor complex of lefschetz.py.
 
 Decorated words are stored with the mark on the first letter; a mark drawn
 elsewhere is rotated to the front by the graded cyclic permutation, whose
@@ -265,15 +265,16 @@ def _hat_image(
 
 
 def _check_image(
-    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...], tau: bool
+    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...]
 ) -> tuple[dict, int]:
     """The Leibniz image of the slot word tail.head of the check word
     head^ tail, read off the image of tail: the tail terms whose last port
     meets head keep head behind them, then head's own rows follow with the
     sign (-1)^|tail|, a running sum that reaches zero dropping its key.
     Key for key and in order, this is _leibniz_word of tail.head with the
-    keys rotated to check lettering; the unit term of a single letter goes
-    to its component class with tau and is dropped without."""
+    keys rotated to check lettering and the unit term of a single letter
+    sent to its component class, ("tau", i); build_complex drops that term
+    where the basis holds no component class."""
     head, tail = letters[0], letters[1:]
     head_dst = dga._dst[head]
     out: dict = {}
@@ -293,12 +294,7 @@ def _check_image(
         if left is not None and left != pdst or len(piece) > room:
             continue
         word = tail + piece
-        if word:
-            target = ("chk", _rot1(word))
-        elif tau:
-            target = ("tau", pdst)
-        else:
-            continue
+        target = ("chk", _rot1(word)) if word else ("tau", pdst)
         v = out.get(target, 0) + (-c if odd else c)
         if v:
             out[target] = v
@@ -328,15 +324,15 @@ def _decorated_bases(
 
 
 def _decorated_image(
-    dga: DGASpec, max_len: int, tails: dict, label, tau: bool = False
+    dga: DGASpec, max_len: int, tails: dict, label
 ) -> tuple[dict, int]:
     """The matrix differential on check and hat words.
 
     The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
     precedes c1; in slot coordinates its differential is the plain algebra
     differential of the rotated word (c2 ... cm c1), units absorbed.  Full
-    collapses of single letters (the unit term n e_i of d(c)) are dropped,
-    or, with tau, sent to the component class of e_i.  Both images read
+    collapses of single letters (the unit term n e_i of d(c)) are sent to
+    the component class of e_i, which the basis may lack.  Both images read
     the Leibniz image of c2 ... cm from tails, which lives for one build,
     and leave out the words longer than max_len.
     """
@@ -349,19 +345,18 @@ def _decorated_image(
     # is left to the hat word that needs it
     if dga._rows.keys().isdisjoint(letters):
         return {}, dga._denom
-    return _check_image(dga, max_len, tails, letters, tau)
+    return _check_image(dga, max_len, tails, letters)
 
 
 def build_hoplus_complex(
     dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """Check and hat copies of the cyclically composable monomials with the
-    matrix differential; no tau classes."""
+    matrix differential; no tau classes, so the unit terms drop out."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
         _decorated_bases(dga.algebra, window, max_len),
-        partial(_decorated_image, dga, max_len, {}),
-        window, verdict, meta={"algebra": dga.algebra},
+        partial(_decorated_image, dga, max_len, {}), window, verdict,
     )
 
 
@@ -374,8 +369,7 @@ def build_ho_complex(
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
     return build_complex(
         _decorated_bases(dga.algebra, window, max_len, tau=True),
-        partial(_decorated_image, dga, max_len, {}, tau=True),
-        window, verdict, meta={"algebra": dga.algebra},
+        partial(_decorated_image, dga, max_len, {}), window, verdict,
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -49,8 +49,7 @@ class GradedChainComplex:
 
     basis covers window plus halo degrees lo-1 and hi+1.  diffs[d] is the
     sparse matrix of the boundary from basis[d] to basis[d-1] as
-    {(row, col): Fraction}.  meta holds what verify_dictionary reads: the
-    "algebra" of a check/hat complex, the "dict_window" of a cyclic tensor one.
+    {(row, col): Fraction}.
 
     A complex from build_complex stores each boundary matrix as integer
     columns over one denominator per degree instead, and diffs is built
@@ -66,14 +65,13 @@ class GradedChainComplex:
     diffs: dict[int, SparseMatrix]
     window: tuple[int, int]
     verdict: str = EXACT
-    meta: dict = field(default_factory=dict)
 
     @classmethod
     def _from_columns(
-        cls, basis, store: dict[int, tuple[Columns, int]], window, verdict, meta
+        cls, basis, store: dict[int, tuple[Columns, int]], window, verdict
     ) -> "GradedChainComplex":
         """A complex whose diffs are stored as {degree: (columns, den)}."""
-        cx = cls(basis, {}, window, verdict, meta)
+        cx = cls(basis, {}, window, verdict)
         del cx.diffs
         cx._store = store
         return cx
@@ -415,7 +413,6 @@ def build_complex(
     image: Callable[[Label], tuple[Mapping[Label, int], int]],
     window: tuple[int, int],
     verdict: str,
-    meta: dict | None = None,
 ) -> GradedChainComplex:
     """Assemble a GradedChainComplex from per-degree label lists and a
     function image(label) giving the boundary image of a basis label as
@@ -453,4 +450,4 @@ def build_complex(
                 scale = lcm // den
                 columns[col] = {r: v * scale for r, v in columns[col].items()}
         store[d] = (columns, lcm)
-    return GradedChainComplex._from_columns(bases, store, window, verdict, meta or {})
+    return GradedChainComplex._from_columns(bases, store, window, verdict)

@@ -23,15 +23,14 @@ coefficient}} (`_series_mul`, `_series_add`).  Each generator's
 differential becomes an Element once, at the end (`_differential`).
 
 The cyclic tensor complex has no basis of its own: it is the check/hat
-basis of complexes._decorated_bases (with the component classes) under
-the dictionary's names (_to_cc), with degrees negated, and
-verify_dictionary pairs the two complexes through the same _to_cc,
-refusing a pairing that is not one to one and onto.  Its
-boundary images sum integer numerators over the lcm of the table's
-denominators, with the Koszul signs read off one prefix-parity list per
-label, and hand build_complex the sums with that denominator.  They scan
-only chord blocks no longer than the table's longest word and look up the
-hits of each block once per call.
+basis of complexes._decorated_bases (with the component classes), labels
+included, with degrees negated, so verify_dictionary pairs the two
+complexes by label identity, refusing a pairing that is not one to one
+and onto.  Its boundary images sum integer numerators over the lcm of the
+table's denominators, with the Koszul signs read off one prefix-parity
+list per label, drop a sum that cancels, and hand build_complex the sums
+with that denominator.  They scan only chord blocks no longer than the
+table's longest word and look up the hits of each block once per call.
 """
 
 from __future__ import annotations
@@ -620,9 +619,11 @@ def hochschild_complex(
     """The diagonal cyclic tensor complex of the curved category.
 
     The returned complex is stored with degrees negated (its differential
-    raises the dictionary degree by one); the meta field records the
-    dictionary window.  Sectors: one class per component, words headed by a
-    component factor, and plain words.
+    raises the dictionary degree by one).  It carries ho's labels: one
+    class ("tau", i) per component, the words headed by a component factor
+    as ("chk", w), the plain words as ("hat", w).  A degree lists the
+    classes, then the check words by the component of their first letter
+    and then by letters, then the hat words shortest first.
     """
     symbols, N = D.symbols, D.order
     gens = _chord_generators(symbols, N)
@@ -635,9 +636,15 @@ def hochschild_complex(
     # the curvature chord of each component
     curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
     lo, hi = window
-    # the check/hat basis under the dictionary's names, degrees negated
+
+    def order(label):
+        # sorted is stable: the classes and the hat words keep ho's order
+        kind, x = label
+        return (1, dst[x[0]], x) if kind == "chk" else (0 if kind == "tau" else 2,)
+
+    # the check/hat basis in the dictionary's order, degrees negated
     stored = {
-        -d: sorted((_to_cc(lab, alg) for lab in labs), key=_cc_label_key)
+        -d: sorted(labs, key=order)
         for d, labs in _decorated_bases(alg, window, max_len, tau=True).items()
     }
 
@@ -669,24 +676,26 @@ def hochschild_complex(
         return pre
 
     def add(out: dict, label, v: int) -> None:
-        out[label] = out.get(label, 0) + v
+        # every v is nonzero, so a sum that reaches zero had a key to drop
+        v += out.get(label, 0)
+        if v:
+            out[label] = v
+        else:
+            del out[label]
 
     def image(label) -> tuple[dict, int]:
         """The boundary image as (integer numerators by label, den)."""
         out: dict = {}
-        kind = label[0]
-        if kind == "cce":
-            i = label[1]
-            return {("ccv", i, (curvature[i],)): 1}, 1
-        if kind == "ccv":
-            letters = label[2]
+        kind, letters = label
+        if kind == "tau":
+            return {("chk", (curvature[letters],)): 1}, 1
+        if kind == "chk":
             slot_word = letters[1:] + (letters[0],)
             s = len(slot_word)
             pre = prefix_parities(slot_word)
 
             def emit(new_word, coeff):
-                lab = (new_word[-1],) + new_word[:-1]
-                add(out, ("ccv", dst[lab[0]], lab), coeff)
+                add(out, ("chk", (new_word[-1],) + new_word[:-1]), coeff)
 
             for t in range(s):
                 psign = -1 if pre[t] else 1
@@ -700,12 +709,11 @@ def hochschild_complex(
             for slot in range(s + 1):
                 enm = curvature[src[slot_word[slot - 1]] if slot else dst[slot_word[0]]]
                 emit(slot_word[:slot] + (enm,) + slot_word[slot:], -den if pre[slot] else den)
-            add(out, ("cch", slot_word), den)
+            add(out, ("hat", slot_word), den)
             # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
             rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
-            add(out, ("cch", letters), -rsign * den)
+            add(out, ("hat", letters), -rsign * den)
             return out, den
-        letters = label[1]
         s = len(letters)
         pre = prefix_parities(letters)
         # with the hat on letters[0], the sign before position j is
@@ -715,10 +723,10 @@ def hochschild_complex(
             for m in range(1, min(s - j, max_arity) + 1):
                 for out_name, coeff in blocks_of(letters[j : j + m]):
                     new = letters[:j] + (out_name,) + letters[j + m :]
-                    add(out, ("cch", new), psign * coeff)
+                    add(out, ("hat", new), psign * coeff)
         for t in range(0, s):
             new = letters[: t + 1] + (curvature[src[letters[t]]],) + letters[t + 1 :]
-            add(out, ("cch", new), den if pre[t + 1] else -den)
+            add(out, ("hat", new), den if pre[t + 1] else -den)
         # the block tail + letters[:h] has length t + h <= max_arity
         for h in range(1, min(s, max_arity) + 1):
             for t in range(0, min(s - h, max_arity - h) + 1):
@@ -728,80 +736,62 @@ def hochschild_complex(
                     # (-1)^(|tail| |letters[:s-t]|)
                     sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
                     # the spread of the marked letter enters negatively
-                    add(out, ("cch", (out_name,) + middle), -sgn * coeff)
+                    add(out, ("hat", (out_name,) + middle), -sgn * coeff)
         return out, den
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
-    return build_complex(stored, image, (-hi, -lo), verdict, meta={"dict_window": window})
+    return build_complex(stored, image, (-hi, -lo), verdict)
 
 
-def _to_cc(label, alg: ChordAlgebra):
-    """The cyclic tensor label paired with a check/hat label: component
-    classes, check words headed by a component factor, hat words as plain
-    words."""
-    kind = label[0]
-    if kind == "tau":
-        return ("cce", label[1])
-    if kind == "chk":
-        return ("ccv", alg.generators[label[1][0]].dst, label[1])
-    return ("cch", label[1])
-
-
-def _cc_label_key(label):
-    kind = label[0]
-    if kind == "cce":
-        return (0, label[1], ())
-    if kind == "ccv":
-        return (1, label[1], label[2])
-    return (2, len(label[1]), label[1])
-
-
-def verify_dictionary(cc: GradedChainComplex, ho: GradedChainComplex) -> bool:
-    """The generator bijection (component classes, check words headed by a
-    component factor, hat words as plain words) pairs the two complexes;
-    the differentials must be transposes of one another under it:
-    <delta_cc(Phi u), Phi v> = <d_ho(v), u> entrywise on the window.
-    Raises ValueError, naming a label, where the pairing is not one to one
-    and onto in some degree of the window.
+def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:
+    """The generator dictionary pairs each label of the cyclic tensor
+    complex with the same label of the check/hat complex, in the negated
+    degree; the differentials must be transposes of one another under it:
+    <delta_cc(Phi u), Phi v> = <d_ho(v), u> entrywise on the window.  The
+    pairing and the transpose are symmetric, so either complex may come
+    first; the window is that of b.  Raises ValueError, naming a label and
+    its complex, where the pairing is not one to one and onto in some
+    degree of the window.
     """
-    if cc.meta.get("dict_window") is None:
-        raise ValueError("first argument must be the cyclic tensor complex")
-    lo, hi = ho.window
-    alg = ho.meta.get("algebra")
-    if alg is None:
-        raise ValueError("second argument must carry its algebra in meta")
-
-    cc_index = {d: {lab: i for i, lab in enumerate(cc.labels(d))} for d in cc.basis}
-    # partner[d][i]: the cc index of the partner of ho.labels(d)[i]
+    lo, hi = b.window
+    a_index = {d: {lab: i for i, lab in enumerate(a.labels(d))} for d in a.basis}
+    # partner[d][i]: the index in a.labels(-d) of b.labels(d)[i]
     partner: dict[int, list[int]] = {}
     for d in range(lo - 1, hi + 2):
+        index = a_index.get(-d, {})
         partner[d] = []
-        for lab in ho.labels(d):
-            mapped = cc_index.get(-d, {}).get(_to_cc(lab, alg))
+        for lab in b.labels(d):
+            mapped = index.get(lab)
             if mapped is None:
-                raise ValueError(f"basis mismatch at degree {d}: {lab} has no partner")
+                raise ValueError(
+                    f"basis mismatch at degree {d}: {lab} of the second complex has no partner"
+                )
             partner[d].append(mapped)
-        # the pairing must also reach every cc label, and each only once
+        # the pairing must also reach every label of a, and each only once
         hit = set(partner[d])
-        cc_labels = cc.labels(-d)
-        if len(hit) < len(cc_labels):
-            missing = next(lab for i, lab in enumerate(cc_labels) if i not in hit)
-            raise ValueError(f"basis mismatch at degree {d}: {missing} has no partner")
+        a_labels = a.labels(-d)
+        if len(hit) < len(a_labels):
+            missing = next(lab for i, lab in enumerate(a_labels) if i not in hit)
+            raise ValueError(
+                f"basis mismatch at degree {-d}: {missing} of the first complex has no partner"
+            )
         if len(hit) < len(partner[d]):
-            raise ValueError(f"basis mismatch at degree {d}: two labels share a partner")
-    # entries are compared on the integer columns: v_ho / den_ho equals
-    # v_cc / den_cc exactly when v_ho * den_cc equals v_cc * den_ho
+            raise ValueError(
+                f"basis mismatch at degree {d}: two labels of the second complex share a partner"
+            )
+    # entries are compared on the integer columns: v_b / den_b equals
+    # v_a / den_a exactly when v_b * den_a equals v_a * den_b
     for d in range(lo, hi + 2):
-        ho_columns, ho_den = ho._integer(d)
-        cc_columns, cc_den = cc._integer(-(d - 1))
+        b_columns, b_den = b._integer(d)
+        a_columns, a_den = a._integer(-(d - 1))
         to_row, to_col = partner[d], partner[d - 1]
         transposed = {
-            (to_row[c], to_col[r]): v * cc_den
-            for c, col in ho_columns.items()
+            (to_row[c], to_col[r]): v * a_den
+            for c, col in b_columns.items()
             for r, v in col.items()
         }
         block = {
-            (r, c): v * ho_den for c, col in cc_columns.items() for r, v in col.items()
+            (r, c): v * b_den for c, col in a_columns.items() for r, v in col.items()
         }
         if transposed != block:
             return False

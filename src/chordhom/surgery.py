@@ -397,7 +397,7 @@ def build_sh_surgery(
     Morse part alone."""
     return _surgery_complex(
         "sh", filling, dga, counts, window, max_len,
-        partial(_decorated_bases, tau=True), partial(_decorated_image, dga, max_len, {}, tau=True),
+        partial(_decorated_bases, tau=True), partial(_decorated_image, dga, max_len, {}),
     )
 
 
@@ -481,29 +481,14 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
 
 
 def verify_kappa_isomorphism(filling: FillingModel, window: tuple[int, int]) -> bool:
-    """gamma -> multiplicity(gamma) * gamma intertwines the target-divided
-    differential with the source-divided one, checked entrywise."""
+    """gamma -> multiplicity(gamma) * gamma, as a cobordism map, is a chain
+    map from the target-divided differential to the source-divided one.
+    Both complexes are built one degree past the window, so the boundaries
+    out of every degree up to hi + 1 are checked."""
     lo, hi = window
-    src = build_lch_surgery(filling, None, SurgeryCountTable.zero(), window)
-    tgt = build_ch_complex(filling, window)
-    info = {o.label: o for o in filling.orbits_up_to(hi + 2)}
-    for d in range(lo, hi + 2):
-        labels = src.labels(d)
-        if labels != tgt.labels(d):
-            return False
-        # integer columns: each side is scaled by the other's denominator
-        src_cols, src_den = src._integer(d)
-        tgt_cols, tgt_den = tgt._integer(d)
-        for col, lab in enumerate(labels):
-            gamma = lab[1]
-            phi_dx = {
-                row: c * info[src.labels(d - 1)[row][1]].multiplicity * tgt_den
-                for row, c in src_cols.get(col, {}).items()
-            }
-            d_phix = {
-                row: c * info[gamma].multiplicity * src_den
-                for row, c in tgt_cols.get(col, {}).items()
-            }
-            if phi_dx != d_phix:
-                return False
-    return True
+    kappa = {
+        (o.label, o.label): Fraction(o.multiplicity) for o in filling.orbits_up_to(hi + 3)
+    }
+    src = build_lch_surgery(filling, None, SurgeryCountTable.zero(), (lo, hi + 1))
+    tgt = build_ch_complex(filling, (lo, hi + 1))
+    return assemble_cobordism_map(CobordismCounts(orbit_orbit=kappa), src, tgt).ok

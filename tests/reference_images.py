@@ -37,7 +37,6 @@ from chordhom.lefschetz import (
     CurvedAinf,
     DirectedAinfSpec,
     Symbol,
-    _cc_label_key,
     _chord_generators,
     _chord_name,
     _chords,
@@ -162,7 +161,7 @@ def hat_image(dga: DGASpec, letters) -> dict:
     return out
 
 
-def decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
+def decorated_image(dga: DGASpec, label) -> dict:
     kind = label[0]
     if kind == "hat":
         return hat_image(dga, label[1])
@@ -173,7 +172,7 @@ def decorated_image(dga: DGASpec, label, tau: bool = False) -> dict:
     for term, coeff in _d(dga, letters[1:] + (letters[0],)).terms.items():
         if not term.is_idem:
             out.add(("chk", _rot1(term.letters)), coeff)
-        elif tau:
+        else:
             out.add(("tau", term.comp), coeff)
     return out
 
@@ -324,16 +323,27 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
     bases: dict[int, list] = {}
     if lo - 1 <= 0 <= hi + 1:
         for i in range(1, D.spec.k + 1):
-            bases.setdefault(0, []).append(("cce", i))
+            bases.setdefault(0, []).append(("tau", i))
     for w in enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len):
         deg = alg.grading(w)
         if lo - 1 <= deg <= hi + 1:
-            bases.setdefault(deg, []).append(("ccv", alg.dst(w), w.letters))
+            bases.setdefault(deg, []).append(("chk", w.letters))
         if lo - 1 <= deg + 1 <= hi + 1:
-            bases.setdefault(deg + 1, []).append(("cch", w.letters))
+            bases.setdefault(deg + 1, []).append(("hat", w.letters))
+
+    def sort_key(label):
+        # component classes, check words by the component of their first
+        # letter, hat words shortest first
+        kind, x = label
+        if kind == "tau":
+            return (0, x, ())
+        if kind == "chk":
+            return (1, alg.gen(x[0]).dst, x)
+        return (2, len(x), x)
+
     stored: dict[int, list] = {}
     for deg, labs in bases.items():
-        labs.sort(key=_cc_label_key)
+        labs.sort(key=sort_key)
         stored[-deg] = labs
 
     def blocks_of(block):
@@ -350,18 +360,17 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
     def image(label) -> dict:
         out: dict = defaultdict(Fraction)
         kind = label[0]
-        if kind == "cce":
+        if kind == "tau":
             i = label[1]
-            out[("ccv", i, (_chord_name(("e", i), 1),))] += 1
+            out[("chk", (_chord_name(("e", i), 1),))] += 1
             return out
-        if kind == "ccv":
-            letters = label[2]
+        if kind == "chk":
+            letters = label[1]
             slot_word = letters[1:] + (letters[0],)
             s = len(slot_word)
 
             def emit(new_word, coeff):
-                lab = (new_word[-1],) + new_word[:-1]
-                out[("ccv", alg.gen(lab[0]).dst, lab)] += coeff
+                out[("chk", (new_word[-1],) + new_word[:-1])] += coeff
 
             for t in range(s):
                 psign = -1 if sigma_sum(slot_word[:t]) % 2 else 1
@@ -372,9 +381,9 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
                 comp = alg.gen(slot_word[slot - 1]).src if slot else alg.gen(slot_word[0]).dst
                 psign = -1 if sigma_sum(slot_word[:slot]) % 2 else 1
                 emit(slot_word[:slot] + (_chord_name(("e", comp), 1),) + slot_word[slot:], psign)
-            out[("cch", slot_word)] += 1
+            out[("hat", slot_word)] += 1
             rsign = -1 if (sigma_sum(letters[:1]) * sigma_sum(letters[1:])) % 2 else 1
-            out[("cch", letters)] -= rsign
+            out[("hat", letters)] -= rsign
             return out
         letters = label[1]
         s = len(letters)
@@ -383,11 +392,11 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
             psign = -1 if (hat_sign + sigma_sum(letters[1:j])) % 2 else 1
             for m in range(1, s - j + 1):
                 for out_name, coeff in blocks_of(letters[j : j + m]):
-                    out[("cch", letters[:j] + (out_name,) + letters[j + m :])] += psign * coeff
+                    out[("hat", letters[:j] + (out_name,) + letters[j + m :])] += psign * coeff
         for t in range(0, s):
             enm = _chord_name(("e", alg.gen(letters[t]).src), 1)
             psign = -1 if (hat_sign + sigma_sum(letters[1 : t + 1])) % 2 else 1
-            out[("cch", letters[: t + 1] + (enm,) + letters[t + 1 :])] += psign
+            out[("hat", letters[: t + 1] + (enm,) + letters[t + 1 :])] += psign
         for h in range(1, s + 1):
             for t in range(0, s - h + 1):
                 middle = letters[h : s - t]
@@ -395,7 +404,7 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
                 for out_name, coeff in blocks_of(tail + letters[:h]):
                     sign_exp = sigma_sum(tail) * (sigma_sum(letters[:h]) + sigma_sum(middle))
                     sgn = -1 if sign_exp % 2 else 1
-                    out[("cch", (out_name,) + middle)] -= sgn * coeff
+                    out[("hat", (out_name,) + middle)] -= sgn * coeff
         return out
 
     return build_complex(

@@ -147,7 +147,6 @@ def test_hochschild_columns_match_their_view(seed, t_order):
     assert verify_dictionary(stored_cc, stored_ho)
     _, viewed_cc = check_both_forms(cc)
     _, viewed_ho = check_both_forms(ho)
-    viewed_cc.meta, viewed_ho.meta = cc.meta, ho.meta
     assert verify_dictionary(viewed_cc, viewed_ho)
     assert verify_dictionary(stored_cc, viewed_ho) and verify_dictionary(viewed_cc, stored_ho)
     check_view_edit(viewed_cc)

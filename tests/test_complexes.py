@@ -469,33 +469,32 @@ def test_chord_images_compute_each_leibniz_image_once(chekanov_a, monkeypatch, b
     assert {word(lab) for lab in imaged if lab[0] != "chk"} - {()} <= set(calls)
 
 
-def assert_check_image_is_the_slot_word_image(dga, letters, max_len, tau):
+def assert_check_image_is_the_slot_word_image(dga, letters, max_len):
     full = _leibniz_word(dga, letters[1:] + letters[:1], cap=max_len)
     want = [
         (("chk", _rot1(key)) if type(key) is tuple else ("tau", key), v)
         for key, v in full.items()
-        if tau or type(key) is tuple
     ]
-    assert list(_check_image(dga, max_len, {}, letters, tau)[0].items()) == want
+    assert list(_check_image(dga, max_len, {}, letters)[0].items()) == want
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
-def test_check_image_is_the_leibniz_image_of_the_slot_word(seed, max_len, tau):
+@given(st.integers(0, 10**9), st.integers(1, 4))
+def test_check_image_is_the_leibniz_image_of_the_slot_word(seed, max_len):
     # free DGAs: unit terms at any component and pieces whose ports need
     # not match their generator's, so the port filters on the tail image
     # are exercised; one tails dict per word, as the cap varies
     dga = free_dga(random.Random(seed))
     for words in _cyclic_words(dga.algebra.generators, 4).values():
         for letters in words:
-            assert_check_image_is_the_slot_word_image(dga, letters, max_len, tau)
+            assert_check_image_is_the_slot_word_image(dga, letters, max_len)
 
 
 def test_check_image_drops_a_cancelled_key():
     # d(a) = a with a odd: in the slot word a.a the two terms a.a cancel
     dga = DGASpec(BaseRing(1), [Generator("a", 1)], {"a": Element.monomial(Word.of("a"))})
-    assert _check_image(dga, 2, {}, ("a", "a"), False) == ({}, 1)
-    assert_check_image_is_the_slot_word_image(dga, ("a", "a"), 2, False)
+    assert _check_image(dga, 2, {}, ("a", "a")) == ({}, 1)
+    assert_check_image_is_the_slot_word_image(dga, ("a", "a"), 2)
 
 
 def test_mcyc_single_hat_closed(dc1):

@@ -56,7 +56,7 @@ def test_s_terms_match_the_rotation_reference():
 CHORD_IMAGES = [
     (build_cyclic_complex, ref.cyclic_image),
     (build_hoplus_complex, ref.decorated_image),
-    (build_ho_complex, lambda dga, label: ref.decorated_image(dga, label, tau=True)),
+    (build_ho_complex, ref.decorated_image),
     (build_mcyc_complex, ref.mcyc_image),
 ]
 
@@ -77,9 +77,7 @@ def assert_surgery_matches_the_reference(builder, dga, window, max_len):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             surgery, "_decorated_image",
-            lambda dga, max_len, tails, label, tau=False: _numerators(
-                ref.decorated_image(dga, label, tau)
-            ),
+            lambda dga, max_len, tails, label: _numerators(ref.decorated_image(dga, label)),
         )
         want = builder(filling, dga, counts, window, max_len)
     assert_same_matrices(got, want)

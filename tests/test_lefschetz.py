@@ -16,7 +16,7 @@ from chordhom.complexes import build_cyclic_complex, build_ho_complex
 from chordhom.dga import check_d_squared
 from chordhom.documents import ainf_from_document
 from chordhom.examples import example_document, minimal_ainf_spec
-from chordhom.homology import betti
+from chordhom.homology import betti, build_complex
 from chordhom.lefschetz import (
     AinfValidationError,
     CurvedAinf,
@@ -508,13 +508,8 @@ def test_hochschild_diagonal_condition():
     dual = dualize_tensor_algebra(D)
     alg = dual.algebra
     for d, labels in cc.basis.items():
-        for lab in labels:
-            if lab[0] == "ccv":
-                _, comp, letters = lab
-                assert alg.gen(letters[0]).dst == comp
-                assert alg.gen(letters[-1]).src == comp
-            elif lab[0] == "cch":
-                letters = lab[1]
+        for kind, letters in labels:
+            if kind != "tau":
                 assert alg.gen(letters[-1]).src == alg.gen(letters[0]).dst
 
 
@@ -524,13 +519,13 @@ def test_hochschild_seed_of_component_classes():
     cc = hochschild_complex(D, (0, 3), 6)
     # stored degrees are negated; the component classes sit at 0
     labels0 = cc.labels(0)
-    assert ("cce", 1) in labels0 and ("cce", 2) in labels0
+    assert ("tau", 1) in labels0 and ("tau", 2) in labels0
     idx = {lab: i for i, lab in enumerate(labels0)}
-    col = idx[("cce", 1)]
+    col = idx[("tau", 1)]
     hits = {
         cc.labels(-1)[r]: v for (r, c), v in cc.matrix(0).items() if c == col
     }
-    assert hits == {("ccv", 1, ("q1-(1)",)): Fraction(1)}
+    assert hits == {("chk", ("q1-(1)",)): Fraction(1)}
 
 
 def test_dictionary_on_minimal_example():
@@ -581,28 +576,67 @@ def test_dictionary_requires_a_bijection_in_both_directions():
     window = (0, 6)
     long_cc, short_ho = hochschild_complex(D, window, 8), build_ho_complex(dual, window, 4)
     assert long_cc.dim(-5) > short_ho.dim(5)
-    with pytest.raises(ValueError, match=r"degree 5: \('cc[hv]'.* has no partner"):
+    first = r"degree -5: \('(chk|hat)'.* of the first complex has no partner"
+    with pytest.raises(ValueError, match=first):
         verify_dictionary(long_cc, short_ho)
     short_cc, long_ho = hochschild_complex(D, window, 4), build_ho_complex(dual, window, 8)
-    with pytest.raises(ValueError, match=r"degree 5: \('(chk|hat)'.* has no partner"):
+    second = r"degree 5: \('(chk|hat)'.* of the second complex has no partner"
+    with pytest.raises(ValueError, match=second):
         verify_dictionary(short_cc, long_ho)
     # a repeated ho label shares its partner with its first copy
     cc, ho = hochschild_complex(D, window, 4), build_ho_complex(dual, window, 4)
     repeated = replace(ho, basis={**ho.basis, 0: ho.labels(0) + ho.labels(0)[:1]})
-    with pytest.raises(ValueError, match="degree 0: two labels share a partner"):
+    with pytest.raises(ValueError, match="degree 0: two labels of the second complex share"):
         verify_dictionary(cc, repeated)
 
 
-def test_dictionary_refuses_complexes_without_its_meta_keys():
-    # the two meta keys builders write: dict_window marks the cyclic tensor
-    # complex, algebra a check/hat complex
+def test_dictionary_reads_either_argument_order():
+    D = build_curved_category(minimal_ainf_spec(), 2)
+    cc = hochschild_complex(D, (0, 3), 6)
+    ho = build_ho_complex(dualize_tensor_algebra(D), (0, 3), 6)
+    changed_cc = replace(cc, diffs={**cc.diffs, -3: {k: 2 * v for k, v in cc.matrix(-3).items()}})
+    changed_ho = replace(ho, diffs={**ho.diffs, 3: {k: -v for k, v in ho.matrix(3).items()}})
+    for a, b, same in ((cc, ho, True), (changed_cc, ho, False), (cc, changed_ho, False)):
+        assert verify_dictionary(a, b) is verify_dictionary(b, a) is same
+
+
+def test_dictionary_refuses_a_cyclic_complex():
     D = build_curved_category(minimal_ainf_spec(), 2)
     dual = dualize_tensor_algebra(D)
-    cc, ho = hochschild_complex(D, (0, 3), 6), build_ho_complex(dual, (0, 3), 6)
-    with pytest.raises(ValueError, match="first argument must be the cyclic tensor complex"):
-        verify_dictionary(ho, cc)
-    with pytest.raises(ValueError, match="second argument must carry its algebra"):
-        verify_dictionary(cc, build_cyclic_complex(dual, (0, 3), 6))
+    cc, cyc = hochschild_complex(D, (0, 3), 6), build_cyclic_complex(dual, (0, 3), 6)
+    # no cyc label pairs, so a label of the cyclic tensor complex is the
+    # first one left without a partner, in either order
+    with pytest.raises(ValueError, match=r"\('tau', 1\) of the first complex has no partner"):
+        verify_dictionary(cc, cyc)
+    with pytest.raises(ValueError, match=r"\('chk', .* of the second complex has no partner"):
+        verify_dictionary(cyc, cc)
+
+
+@pytest.mark.parametrize("t_order,window,max_len", [(2, (0, 3), 6), (3, (-1, 5), 8)])
+def test_cyclic_tensor_basis_is_ho_basis_negated(t_order, window, max_len):
+    D = build_curved_category(minimal_ainf_spec(), t_order)
+    cc = hochschild_complex(D, window, max_len)
+    ho = build_ho_complex(dualize_tensor_algebra(D), window, max_len)
+    lo, hi = window
+    assert any(ho.labels(d) for d in range(lo - 1, hi + 2))
+    for d in range(lo - 1, hi + 2):
+        assert sorted(cc.labels(-d)) == sorted(ho.labels(d)), d
+
+
+def test_cyclic_tensor_images_hold_no_cancelled_sums(monkeypatch):
+    # the image sums that cancel are dropped, not handed to build_complex
+    values = []
+
+    def recording(bases, image, *args, **kwargs):
+        def recorded(label):
+            out, den = image(label)
+            values.extend(out.values())
+            return out, den
+        return build_complex(bases, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(lefschetz, "build_complex", recording)
+    hochschild_complex(build_curved_category(minimal_ainf_spec(), 2), (0, 3), 6)
+    assert values and all(values)
 
 
 def test_document_round_trip_spec():

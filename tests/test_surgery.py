@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import chordhom.surgery as surgery
 from chordhom.algebra import BaseRing, Generator, Word
 from chordhom.complexes import (
     build_cyclic_complex,
@@ -242,6 +243,23 @@ def test_kappa_isomorphism_ball_and_synthetic():
     assert src.matrix(4) == {(0, 0): Fraction(5, 4)}
     tgt = build_ch_complex(filling, (0, 6))
     assert tgt.matrix(4) == {(0, 0): Fraction(5, 6)}
+
+
+def test_kappa_isomorphism_refuses_the_target_divided_complex(monkeypatch):
+    # the rescaling does not intertwine the target-divided differential with
+    # itself; at window top 3 the refused boundary, out of degree 4 = hi + 1,
+    # is still checked
+    filling = FillingModel(
+        n=2,
+        orbits=[Orbit("u", 4, multiplicity=6), Orbit("v", 3, multiplicity=4)],
+        orbit_diff={("u", "v"): Fraction(5)},
+    )
+    monkeypatch.setattr(
+        surgery, "build_ch_complex",
+        lambda filling, window: build_lch_surgery(filling, None, SurgeryCountTable.zero(), window),
+    )
+    assert not verify_kappa_isomorphism(filling, (0, 6))
+    assert not verify_kappa_isomorphism(filling, (0, 3))
 
 
 def test_identity_cobordism_map(unknot2):

@@ -6,6 +6,7 @@ current sources."""
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,22 @@ def test_benchmark_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 checker(s) failed the self-test", proc.stdout
+
+
+def test_benchmark_digest_runs_without_refusals():
+    # the digest runs every operation of the benchmark's workloads and the
+    # bundled examples through the benchmark's own calls, so a renamed or
+    # re-signed call shows up as a refusal record
+    proc = subprocess.run(
+        [sys.executable, "perfbench/digest.py", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    def refusals(node):
+        if isinstance(node, dict):
+            yield from (v for k, v in node.items() if k == "refused")
+            for v in node.values():
+                yield from refusals(v)
+
+    assert not list(refusals(json.loads(proc.stdout)))
