@@ -14,7 +14,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Any
 
-from .algebra import BaseRing, Element, Generator, Word, rat
+from .algebra import BaseRing, Element, Generator, Word
 from .dga import Augmentation, DGAMorphism, DGASpec
 from .homology import BettiTable
 from .lefschetz import DirectedAinfSpec
@@ -357,6 +357,8 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
     for idx, nm in enumerate(order or []):
         if not isinstance(nm, str) or nm not in names:
             _fail(f"$.order[{idx}]", f"unknown point {nm!r}")
+        if (first := order.index(nm)) < idx:
+            _fail(f"$.order[{idx}]", f"duplicate of $.order[{first}]")
     _optional(doc, "metadata", dict, "$", {})
     try:
         return DirectedAinfSpec(k=k, n=n, points=points, mu=mu, order=order)

@@ -24,9 +24,9 @@ differential becomes an Element once, at the end (`_differential`).
 
 The cyclic tensor complex has no basis of its own: it is the check/hat
 basis of complexes._decorated_bases (with the component classes), labels
-included, with degrees negated, so verify_dictionary pairs the two
-complexes by label identity, refusing a pairing that is not one to one
-and onto.  Its boundary images sum integer numerators over the lcm of the
+and order included, with degrees negated, so verify_dictionary pairs the
+two complexes position by position, refusing label lists that differ.
+Its boundary images sum integer numerators over the lcm of the
 table's denominators, with the Koszul signs read off one prefix-parity
 list per label, drop a sum that cancels, and hand build_complex the sums
 with that denominator.  They scan only chord blocks no longer than the
@@ -621,9 +621,9 @@ def hochschild_complex(
     The returned complex is stored with degrees negated (its differential
     raises the dictionary degree by one).  It carries ho's labels: one
     class ("tau", i) per component, the words headed by a component factor
-    as ("chk", w), the plain words as ("hat", w).  A degree lists the
-    classes, then the check words by the component of their first letter
-    and then by letters, then the hat words shortest first.
+    as ("chk", w), the plain words as ("hat", w), in ho's order: a degree
+    lists the classes, then the check words, then the hat words, the words
+    shortest first and then in letter order.
     """
     symbols, N = D.symbols, D.order
     gens = _chord_generators(symbols, N)
@@ -637,16 +637,8 @@ def hochschild_complex(
     curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
     lo, hi = window
 
-    def order(label):
-        # sorted is stable: the classes and the hat words keep ho's order
-        kind, x = label
-        return (1, dst[x[0]], x) if kind == "chk" else (0 if kind == "tau" else 2,)
-
-    # the check/hat basis in the dictionary's order, degrees negated
-    stored = {
-        -d: sorted(labs, key=order)
-        for d, labs in _decorated_bases(alg, window, max_len, tau=True).items()
-    }
+    # the check/hat basis in ho's order, degrees negated
+    stored = {-d: labs for d, labs in _decorated_bases(alg, window, max_len, tau=True).items()}
 
     # no table word is longer than max_arity, so no longer block has a hit
     max_arity = max(map(len, table), default=0)
@@ -744,49 +736,38 @@ def hochschild_complex(
 
 
 def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:
-    """The generator dictionary pairs each label of the cyclic tensor
-    complex with the same label of the check/hat complex, in the negated
-    degree; the differentials must be transposes of one another under it:
+    """The generator dictionary pairs each position of the cyclic tensor
+    complex with the same position of the check/hat complex, in the
+    negated degree, which must hold the same label; the differentials must
+    be transposes of one another under it:
     <delta_cc(Phi u), Phi v> = <d_ho(v), u> entrywise on the window.  The
     pairing and the transpose are symmetric, so either complex may come
-    first; the window is that of b.  Raises ValueError, naming a label and
-    its complex, where the pairing is not one to one and onto in some
-    degree of the window.
+    first; the window is that of b.  Raises ValueError, naming the degree,
+    the first differing position and the label each complex holds there
+    (or that it holds none), where the label lists of some degree of the
+    window differ.
     """
     lo, hi = b.window
-    a_index = {d: {lab: i for i, lab in enumerate(a.labels(d))} for d in a.basis}
-    # partner[d][i]: the index in a.labels(-d) of b.labels(d)[i]
-    partner: dict[int, list[int]] = {}
     for d in range(lo - 1, hi + 2):
-        index = a_index.get(-d, {})
-        partner[d] = []
-        for lab in b.labels(d):
-            mapped = index.get(lab)
-            if mapped is None:
-                raise ValueError(
-                    f"basis mismatch at degree {d}: {lab} of the second complex has no partner"
-                )
-            partner[d].append(mapped)
-        # the pairing must also reach every label of a, and each only once
-        hit = set(partner[d])
-        a_labels = a.labels(-d)
-        if len(hit) < len(a_labels):
-            missing = next(lab for i, lab in enumerate(a_labels) if i not in hit)
-            raise ValueError(
-                f"basis mismatch at degree {-d}: {missing} of the first complex has no partner"
+        a_labels, b_labels = a.labels(-d), b.labels(d)
+        if a_labels != b_labels:
+            # labels are nonempty tuples, so None marks a missing one
+            i, x, y = next(
+                (i, x, y)
+                for i, (x, y) in enumerate(itertools.zip_longest(a_labels, b_labels))
+                if x != y
             )
-        if len(hit) < len(partner[d]):
             raise ValueError(
-                f"basis mismatch at degree {d}: two labels of the second complex share a partner"
+                f"basis mismatch at degree {d}, position {i}: the first complex holds "
+                f"{x or 'no label'} at degree {-d}, the second {y or 'no label'}"
             )
     # entries are compared on the integer columns: v_b / den_b equals
     # v_a / den_a exactly when v_b * den_a equals v_a * den_b
     for d in range(lo, hi + 2):
         b_columns, b_den = b._integer(d)
         a_columns, a_den = a._integer(-(d - 1))
-        to_row, to_col = partner[d], partner[d - 1]
         transposed = {
-            (to_row[c], to_col[r]): v * a_den
+            (c, r): v * a_den
             for c, col in b_columns.items()
             for r, v in col.items()
         }

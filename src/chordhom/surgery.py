@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Container, Mapping
+from typing import Container, Mapping
 
 from .algebra import ChordAlgebra, Word
 from .complexes import (
@@ -290,17 +290,16 @@ def _surgery_complex(
     counts: SurgeryCountTable,
     window: tuple[int, int],
     max_len: int,
-    chord_bases: Callable,
-    chord_image: Callable,
 ) -> GradedChainComplex:
     """The surgery complex of a theory: the filling's block in the layout
-    of kind, the DGA's chord block (chord_bases, and chord_image, the
-    image by label that the builder binds for this build), and the count
-    tables coupling them.  Checks that every count comes from an
-    orbit of the filling, and the filling and the counts against the DGA,
-    folds the cyclic keys of the counts, reads the verdict, and binds the
-    orbit row to the filling's and the counts' tables, each indexed by
-    source once per build.  dga=None builds the filling's block alone."""
+    of kind, the DGA's chord block that kind picks (the cyclic classes for
+    lch, the check/hat words for shplus and sh, with the component classes
+    for sh), and the count tables coupling them.  Checks that every count
+    comes from an orbit of the filling, and the filling and the counts
+    against the DGA, folds the cyclic keys of the counts, reads the
+    verdict, and binds the chord image to the DGA and the orbit row to the
+    filling's and the counts' tables, each indexed by source once per
+    build.  dga=None builds the filling's block alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
@@ -309,7 +308,7 @@ def _surgery_complex(
         if not filling.has_orbit(g):
             raise CountGradingError(f"count from {g}: the filling has no such orbit")
     cyc: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
-    verdict, alg = EXACT, None
+    verdict, alg, chord_image = EXACT, None, None
     if dga is not None:
         if filling.n != dga.ambient_dim:
             raise FillingMismatchError(
@@ -324,6 +323,13 @@ def _surgery_complex(
                 )
         verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
         alg = dga.algebra
+        if kind == "lch":
+            chord_bases = _cyclic_bases
+            chord_image = partial(_cyclic_image, dga, max_len)
+        else:
+            chord_bases = partial(_decorated_bases, tau=kind == "sh")
+            # the tails live for this build
+            chord_image = partial(_decorated_image, dga, max_len, {})
         for d, labels in chord_bases(alg, window, max_len).items():
             bases.setdefault(d, []).extend(labels)
         # the cyclic counts folded onto class representatives; the caller's
@@ -363,10 +369,7 @@ def build_lch_surgery(
     divided by the target multiplicity and the mixed block divided by the
     cyclic multiplicity.  dga=None builds the orbit-only complex (no
     surgery locus)."""
-    return _surgery_complex(
-        "lch", filling, dga, counts, window, max_len,
-        _cyclic_bases, partial(_cyclic_image, dga, max_len),
-    )
+    return _surgery_complex("lch", filling, dga, counts, window, max_len)
 
 
 def build_shplus_surgery(
@@ -379,10 +382,7 @@ def build_shplus_surgery(
     """Decorated orbits (bad ones included) plus the check/hat chord
     complex, with the stated block differential.  dga=None builds the
     orbit-only complex."""
-    return _surgery_complex(
-        "shplus", filling, dga, counts, window, max_len,
-        _decorated_bases, partial(_decorated_image, dga, max_len, {}),
-    )
+    return _surgery_complex("shplus", filling, dga, counts, window, max_len)
 
 
 def build_sh_surgery(
@@ -395,10 +395,7 @@ def build_sh_surgery(
     """The full complex: decorated orbits, the Morse block, the completed
     chord complex, and the coupling blocks.  dga=None builds the orbit and
     Morse part alone."""
-    return _surgery_complex(
-        "sh", filling, dga, counts, window, max_len,
-        partial(_decorated_bases, tau=True), partial(_decorated_image, dga, max_len, {}),
-    )
+    return _surgery_complex("sh", filling, dga, counts, window, max_len)
 
 
 # ---- cobordism maps ----------------------------------------------------------

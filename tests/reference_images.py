@@ -332,14 +332,12 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
             bases.setdefault(deg + 1, []).append(("hat", w.letters))
 
     def sort_key(label):
-        # component classes, check words by the component of their first
-        # letter, hat words shortest first
+        # ho's order: component classes, then check words and then hat
+        # words, each shortest first
         kind, x = label
         if kind == "tau":
             return (0, x, ())
-        if kind == "chk":
-            return (1, alg.gen(x[0]).dst, x)
-        return (2, len(x), x)
+        return (1 if kind == "chk" else 2, len(x), x)
 
     stored: dict[int, list] = {}
     for deg, labs in bases.items():

@@ -193,6 +193,9 @@ BAD_OPTIONAL_FIELDS = [
      "$.mu[0].inputs[0]"),
     ("ainf", _with_fields(_AINF, order="p"), "$.order"),
     ("ainf", _with_fields(_AINF, order=[["p"]]), "$.order[0]"),
+    ("ainf", _with_fields(_AINF, components=2, points=[
+        {"name": "a", "grading": 0, "from": 1, "to": 2},
+        {"name": "b", "grading": 0, "from": 1, "to": 2}], order=["a", "b", "a"]), "$.order[2]"),
     ("ainf", _with_fields(_AINF, metadata=[]), "$.metadata"),
     ("morphism", {"format": "morphism/1", "source": {"example": 5},
                   "target": {"example": "unknot"}, "assignment": {}}, "$.source.example"),
@@ -447,11 +450,13 @@ def test_cli_dictionary_check_dual_and_direct_disagree_exit_1(monkeypatch):
 
 
 def test_cli_dictionary_check_basis_mismatch_exit_1(monkeypatch):
+    message = "basis mismatch at degree 0, position 0: the first complex holds x, the second y"
+
     def mismatch(cc, ho):
-        raise ValueError("basis mismatch at degree 0: x has no partner")
+        raise ValueError(message)
 
     code, out = _dictionary_check(monkeypatch, "verify_dictionary", mismatch)
-    assert (code, out) == (1, "mathematical failure: basis mismatch at degree 0: x has no partner\n")
+    assert (code, out) == (1, f"mathematical failure: {message}\n")
 
 
 def test_cli_dictionary_check_entry_mismatch_exit_1(monkeypatch):

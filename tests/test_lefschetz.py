@@ -564,30 +564,54 @@ def test_dictionary_rejects_changed_entries():
     assert not verify_dictionary(with_matrix({k: w for k, w in stored.items() if k != pos}), ho)
     assert not verify_dictionary(with_matrix({**stored, free: Fraction(1)}), ho)
     dropped = replace(cc, basis={**cc.basis, 0: cc.labels(0)[1:]})
-    with pytest.raises(ValueError, match="no partner"):
+    held = r"the first complex holds \('tau', 2\) at degree 0, the second \('tau', 1\)"
+    with pytest.raises(ValueError, match=r"degree 0, position 0: " + held):
         verify_dictionary(dropped, ho)
 
 
 def test_dictionary_requires_a_bijection_in_both_directions():
     # with a longer length bound the cyclic tensor complex has more labels
-    # than ho; every ho label still finds its partner
+    # than ho: its longer check words come before ho's hat words
     D = build_curved_category(minimal_ainf_spec(), 3)
     dual = dualize_tensor_algebra(D)
     window = (0, 6)
     long_cc, short_ho = hochschild_complex(D, window, 8), build_ho_complex(dual, window, 4)
     assert long_cc.dim(-5) > short_ho.dim(5)
-    first = r"degree -5: \('(chk|hat)'.* of the first complex has no partner"
-    with pytest.raises(ValueError, match=first):
+    first = r"the first complex holds \('chk'.* at degree -5, the second \('hat'"
+    with pytest.raises(ValueError, match=r"degree 5, position 40: " + first):
         verify_dictionary(long_cc, short_ho)
     short_cc, long_ho = hochschild_complex(D, window, 4), build_ho_complex(dual, window, 8)
-    second = r"degree 5: \('(chk|hat)'.* of the second complex has no partner"
-    with pytest.raises(ValueError, match=second):
+    second = r"the first complex holds \('hat'.* at degree -5, the second \('chk'"
+    with pytest.raises(ValueError, match=r"degree 5, position 40: " + second):
         verify_dictionary(short_cc, long_ho)
-    # a repeated ho label shares its partner with its first copy
+    # a repeated ho label sits past the end of cc's labels
     cc, ho = hochschild_complex(D, window, 4), build_ho_complex(dual, window, 4)
     repeated = replace(ho, basis={**ho.basis, 0: ho.labels(0) + ho.labels(0)[:1]})
-    with pytest.raises(ValueError, match="degree 0: two labels of the second complex share"):
+    held = r"the first complex holds no label at degree 0, the second \('tau', 1\)"
+    with pytest.raises(ValueError, match=r"degree 0, position 2: " + held):
         verify_dictionary(cc, repeated)
+
+
+def test_dictionary_refuses_a_consistent_relabelling_of_ho():
+    # swapping two labels of one degree together with their columns in its
+    # boundary and their rows in the boundary above gives an isomorphic
+    # complex, but the dictionary pairs positions, so it is refused
+    D = build_curved_category(minimal_ainf_spec(), 2)
+    cc = hochschild_complex(D, (0, 3), 6)
+    ho = build_ho_complex(dualize_tensor_algebra(D), (0, 3), 6)
+    d, (i, j) = 3, (1, 4)
+    swap = {i: j, j: i}
+    labels = list(ho.labels(d))
+    labels[i], labels[j] = labels[j], labels[i]
+    columns = {(r, swap.get(c, c)): v for (r, c), v in ho.matrix(d).items()}
+    rows = {(swap.get(r, r), c): v for (r, c), v in ho.matrix(d + 1).items()}
+    assert any(c in swap for _, c in ho.matrix(d)) and any(r in swap for r, _ in ho.matrix(d + 1))
+    relabelled = replace(
+        ho, basis={**ho.basis, d: labels}, diffs={**ho.diffs, d: columns, d + 1: rows}
+    )
+    assert not relabelled.d_squared_report()
+    with pytest.raises(ValueError, match=r"degree 3, position 1: the first complex holds"):
+        verify_dictionary(cc, relabelled)
 
 
 def test_dictionary_reads_either_argument_order():
@@ -604,11 +628,13 @@ def test_dictionary_refuses_a_cyclic_complex():
     D = build_curved_category(minimal_ainf_spec(), 2)
     dual = dualize_tensor_algebra(D)
     cc, cyc = hochschild_complex(D, (0, 3), 6), build_cyclic_complex(dual, (0, 3), 6)
-    # no cyc label pairs, so a label of the cyclic tensor complex is the
-    # first one left without a partner, in either order
-    with pytest.raises(ValueError, match=r"\('tau', 1\) of the first complex has no partner"):
+    # no cyc label is a check/hat label, so the first degree that holds a
+    # label of either complex is refused, in either order
+    held = r"position 0: the first complex holds \('tau', 1\) at degree 0, the second no label"
+    with pytest.raises(ValueError, match=r"degree 0, " + held):
         verify_dictionary(cc, cyc)
-    with pytest.raises(ValueError, match=r"\('chk', .* of the second complex has no partner"):
+    held = r"position 0: the first complex holds \('cyc', .* at degree 4, the second \('chk', "
+    with pytest.raises(ValueError, match=r"degree -4, " + held):
         verify_dictionary(cyc, cc)
 
 
@@ -620,7 +646,7 @@ def test_cyclic_tensor_basis_is_ho_basis_negated(t_order, window, max_len):
     lo, hi = window
     assert any(ho.labels(d) for d in range(lo - 1, hi + 2))
     for d in range(lo - 1, hi + 2):
-        assert sorted(cc.labels(-d)) == sorted(ho.labels(d)), d
+        assert cc.labels(-d) == ho.labels(d), d
 
 
 def test_cyclic_tensor_images_hold_no_cancelled_sums(monkeypatch):
