@@ -20,16 +20,14 @@ from .complexes import (
     build_hoplus_complex,
     build_mcyc_complex,
 )
-from .dga import Augmentation, check_d_squared, check_morphism, linearize
+from .dga import Augmentation, check_d_squared, check_morphism, enumerate_augmentations, linearize
 from .homology import BettiTable, DSquareError, betti
 from .lefschetz import (
     AinfValidationError,
     build_curved_category,
+    dictionary_check,
     dualize_tensor_algebra,
     hochschild_complex,
-    lefschetz_dga,
-    user_counts,
-    verify_dictionary,
 )
 from .surgery import (
     CountGradingError,
@@ -54,9 +52,7 @@ def _load_document(ref: str) -> dict:
     if path.exists():
         try:
             return docs.loads(path.read_text())
-        except docs.ParseError as exc:
-            raise CliInputError(f"{ref}: {exc}")
-        except OSError as exc:
+        except (docs.ParseError, OSError) as exc:
             raise CliInputError(f"{ref}: {exc}")
     try:
         return corpus.example_document(ref)
@@ -92,25 +88,29 @@ def cmd_validate(args) -> int:
     if report.ok:
         print(f"{args.dga}: valid ({len(dga.generators)} generators, d^2 = 0)")
         return OK
-    for line in report.lines():
-        print(line)
+    print(*report.lines(), sep="\n")
     return MATH_FAIL
 
 
-def _report(args, complex, view=lambda table: table, heading=None, dga=None) -> int:
+def _fails_validation(dga) -> bool:
+    """Refuse, as validate reports it, a DGA that fails validation."""
+    report = check_d_squared(dga)
+    if not report.ok:
+        print("mathematical failure: the input DGA fails validation", *report.lines(), sep="\n")
+    return not report.ok
+
+
+def _report(args, complex, view=lambda table: table, heading=None) -> int:
     """The one report path for a Betti table: betti of the built complex,
     then either the refusal or the table that view makes of it (with its
-    betti/1 document under --json).  A differential that fails to square
-    to zero is a failure of the data when the window is exact or the dga
-    given fails validation (printed as validate prints it), and is refused
-    as a truncation artefact otherwise."""
+    betti/1 document under --json).  Every input is validated before the
+    build, so a d^2 failure is the data's when the window is exact and a
+    truncation artefact otherwise."""
     try:
         table = view(betti(complex))
     except DSquareError as exc:
         if complex.verdict == "EXACT":
             print(f"mathematical failure: the differential does not square to zero ({exc})")
-        elif dga is not None and not (report := check_d_squared(dga)).ok:
-            print("mathematical failure: the input DGA fails validation", *report.lines(), sep="\n")
         else:
             print(
                 "mathematical failure: the length-truncated window is not a "
@@ -128,7 +128,15 @@ def _report(args, complex, view=lambda table: table, heading=None, dga=None) -> 
 
 def cmd_homology(args) -> int:
     lo, hi = _window(args)
+    if args.augmentation is not None and args.complex != "lin":
+        raise CliInputError("--augmentation applies only to --complex lin")
     dga = _parse(args.dga, docs.dga_from_document)
+    if args.augmentation:
+        eps = _parse(args.augmentation, docs.augmentation_from_document)
+    else:
+        eps = Augmentation(values={})
+    if _fails_validation(dga):
+        return MATH_FAIL
     if args.complex != "lin":
         builder = {
             "cyc": build_cyclic_complex,
@@ -136,11 +144,7 @@ def cmd_homology(args) -> int:
             "ho": build_ho_complex,
             "mcyc": build_mcyc_complex,
         }[args.complex]
-        return _report(args, builder(dga, (lo, hi), args.max_len), dga=dga)
-    if args.augmentation:
-        eps = _parse(args.augmentation, docs.augmentation_from_document)
-    else:
-        eps = Augmentation(values={})
+        return _report(args, builder(dga, (lo, hi), args.max_len))
     try:
         complex = linearize(dga, eps)
     except ValueError as exc:
@@ -179,6 +183,8 @@ def cmd_surgery(args) -> int:
         counts = _parse(args.counts, docs.counts_from_document)
     else:
         counts = SurgeryCountTable.zero()
+    if _fails_validation(dga):
+        return MATH_FAIL
     builder = {
         "ch": build_lch_surgery,
         "sh+": build_shplus_surgery,
@@ -190,7 +196,7 @@ def cmd_surgery(args) -> int:
         raise CliInputError(f"{args.counts}: {exc}")
     except FillingMismatchError as exc:
         raise CliInputError(f"{args.filling}: {exc}")
-    return _report(args, complex, dga=dga)
+    return _report(args, complex)
 
 
 def cmd_augmentations(args) -> int:
@@ -199,8 +205,6 @@ def cmd_augmentations(args) -> int:
         values = [Fraction(v.strip()) for v in args.values.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError):
         raise CliInputError(f"bad value list {args.values!r}: expected comma-separated rationals")
-    from .dga import enumerate_augmentations
-
     found = enumerate_augmentations(dga, values)
     print(f"{len(found)} augmentation(s) over {{{args.values}}}")
     for eps in found:
@@ -251,23 +255,10 @@ def cmd_lefschetz(args) -> int:
         cc = hochschild_complex(D, window, args.max_len)
         return _report(args, cc, _dictionary_degrees, "ranks by dictionary degree:")
     # dictionary-check
-    dual = dualize_tensor_algebra(D)
-    direct = lefschetz_dga(spec, user_counts(D), spec.n, args.t_order)
-    same = [g.name for g in dual.generators] == [g.name for g in direct.generators] and all(
-        dual.d_gen(g.name) == direct.d_gen(g.name) for g in dual.generators
-    )
-    if not same:
-        print("mathematical failure: dual and direct differentials disagree")
-        return MATH_FAIL
-    ho = build_ho_complex(dual, window, args.max_len)
-    cc = hochschild_complex(D, window, args.max_len)
     try:
-        ok = verify_dictionary(cc, ho)
+        dictionary_check(D, window, args.max_len)
     except ValueError as exc:
         print(f"mathematical failure: {exc}")
-        return MATH_FAIL
-    if not ok:
-        print("mathematical failure: dictionary mismatch")
         return MATH_FAIL
     print("dictionary: OK (dual DGA, direct DGA, and cyclic tensor complex agree)")
     return OK

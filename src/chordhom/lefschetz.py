@@ -31,6 +31,8 @@ table's denominators, with the Koszul signs read off one prefix-parity
 list per label, drop a sum that cancels, and hand build_complex the sums
 with that denominator.  They scan only chord blocks no longer than the
 table's longest word and look up the hits of each block once per call.
+dictionary_check builds it on the basis of the check/hat complex it is
+checked against, so one dictionary check walks the words once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
-from .complexes import _decorated_bases
+from .complexes import _decorated_bases, build_ho_complex
 from .dga import DGASpec
 from .homology import GradedChainComplex, _FractionPool, build_complex, guard_verdict
 
@@ -625,9 +627,17 @@ def hochschild_complex(
     lists the classes, then the check words, then the hat words, the words
     shortest first and then in letter order.
     """
+    alg = ChordAlgebra(BaseRing(D.spec.k), _chord_generators(D.symbols, D.order))
+    bases = _decorated_bases(alg, window, max_len, tau=True)
+    return _cyclic_tensor_complex(D, alg, bases, window, max_len)
+
+
+def _cyclic_tensor_complex(
+    D: CurvedAinf, alg: ChordAlgebra, bases: dict, window: tuple[int, int], max_len: int
+) -> GradedChainComplex:
+    """hochschild_complex over alg, D's chord algebra, on ho's basis bases."""
     symbols, N = D.symbols, D.order
-    gens = _chord_generators(symbols, N)
-    alg = ChordAlgebra(BaseRing(D.spec.k), gens)
+    gens = alg.generators.values()
     parity = alg.parity
     src = {g.name: g.src for g in gens}
     dst = {g.name: g.dst for g in gens}
@@ -635,10 +645,6 @@ def hochschild_complex(
     table, den = _integer_table(D.table)
     # the curvature chord of each component
     curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
-    lo, hi = window
-
-    # the check/hat basis in ho's order, degrees negated
-    stored = {-d: labs for d, labs in _decorated_bases(alg, window, max_len, tau=True).items()}
 
     # no table word is longer than max_arity, so no longer block has a hit
     max_arity = max(map(len, table), default=0)
@@ -732,7 +738,8 @@ def hochschild_complex(
         return out, den
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
-    return build_complex(stored, image, (-hi, -lo), verdict)
+    lo, hi = window
+    return build_complex({-d: labs for d, labs in bases.items()}, image, (-hi, -lo), verdict)
 
 
 def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:
@@ -777,3 +784,19 @@ def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:
         if transposed != block:
             return False
     return True
+
+
+def dictionary_check(D: CurvedAinf, window: tuple[int, int], max_len: int) -> tuple:
+    """The generator dictionary check, returning (dual, ho, cc): the dual DGA
+    of D equals the direct one, and verify_dictionary holds for the check/hat
+    complex ho of the dual and the cyclic tensor complex cc built on ho's
+    basis.  Raises ValueError on the first check that fails."""
+    dual = dualize_tensor_algebra(D)
+    direct = lefschetz_dga(D.spec, user_counts(D), D.spec.n, D.order)
+    if (dual.generators, dual.differential) != (direct.generators, direct.differential):
+        raise ValueError("dual and direct differentials disagree")
+    ho = build_ho_complex(dual, window, max_len)
+    cc = _cyclic_tensor_complex(D, dual.algebra, ho.basis, window, max_len)
+    if not verify_dictionary(cc, ho):
+        raise ValueError("dictionary mismatch")
+    return dual, ho, cc

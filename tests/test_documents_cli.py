@@ -432,7 +432,9 @@ def test_cli_ainf_failing_the_relation_check_exit_1(tmp_path, emit):
 
 
 def _dictionary_check(monkeypatch, name, replacement):
-    monkeypatch.setattr(cli, name, replacement)
+    from chordhom import lefschetz
+
+    monkeypatch.setattr(lefschetz, name, replacement)
     return run_cli(
         "lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "dictionary-check",
         "--max-deg", "3", "--max-len", "6",
@@ -462,6 +464,22 @@ def test_cli_dictionary_check_basis_mismatch_exit_1(monkeypatch):
 def test_cli_dictionary_check_entry_mismatch_exit_1(monkeypatch):
     code, out = _dictionary_check(monkeypatch, "verify_dictionary", lambda cc, ho: False)
     assert (code, out) == (1, "mathematical failure: dictionary mismatch\n")
+
+
+def test_cli_dictionary_check_walks_the_words_once(monkeypatch):
+    """The cyclic tensor complex of the check is built on ho's basis, so the
+    basis words are enumerated once."""
+    from chordhom import complexes
+
+    walks = []
+    walk = complexes._cyclic_words
+    monkeypatch.setattr(complexes, "_cyclic_words", lambda *args: walks.append(args) or walk(*args))
+    code, out = run_cli(
+        "lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "dictionary-check",
+        "--max-deg", "3", "--max-len", "6",
+    )
+    assert code == 0 and out.startswith("dictionary: OK"), out
+    assert len(walks) == 1
 
 
 def test_cli_hochschild_prints_the_verdict_and_edge_flags():
@@ -529,13 +547,10 @@ def _dga_failing_d_squared(tmp_path) -> str:
 
 
 def test_cli_exact_complex_failing_d_squared_is_a_mathematical_failure(tmp_path):
-    # the linearized complex is exact
+    # the linearized complex is exact, but the DGA is refused before it is built
     code, out = run_cli("homology", _dga_failing_d_squared(tmp_path), "--complex", "lin")
     assert code == 1
-    assert out == (
-        "mathematical failure: the differential does not square to zero "
-        "(d^2 != 0 at degree 3, entry (0, 0) = 1 (1 nonzero entries total))\n"
-    )
+    assert out == "mathematical failure: the input DGA fails validation\nd^2(c) = 1*a != 0\n"
 
 
 @pytest.mark.parametrize(
@@ -555,6 +570,36 @@ def test_cli_truncated_window_over_a_dga_failing_d_squared_names_the_data(tmp_pa
     assert code == 1
     assert out == "mathematical failure: the input DGA fails validation\nd^2(c) = 1*a != 0\n"
     assert run_cli("validate", path) == (1, "d^2(c) = 1*a != 0\n")
+
+
+_TABLE_PATHS = [
+    *(("homology", "--complex", kind) for kind in ("lin", "cyc", "hoplus", "ho", "mcyc")),
+    *(("surgery", "--filling", "ball:2", "--theory", theory) for theory in ("ch", "sh+", "sh")),
+]
+
+
+@pytest.mark.parametrize("command", _TABLE_PATHS, ids=lambda command: command[-1])
+def test_cli_mis_graded_dga_is_refused_before_any_build(tmp_path, command):
+    # d(a) = b has grading 1, not 2: a builder would drop the term as off the
+    # basis and print an EXACT table
+    gens = [{"name": n, "grading": g, "src": 1, "dst": 1} for n, g in (("a", 3), ("b", 1))]
+    doc = {
+        "format": "dga/1", "components": 1, "ambient_dim": 2, "field": "Q", "generators": gens,
+        "differential": {"a": [{"coeff": "1", "word": ["b"]}]},
+    }
+    path = tmp_path / "graded.dga"
+    path.write_text(dumps(doc))
+    report = "d(a): term b has grading 1, expected 2\n"
+    assert run_cli("validate", str(path)) == (1, report)
+    code, out = run_cli(command[0], str(path), *command[1:])
+    assert (code, out) == (1, "mathematical failure: the input DGA fails validation\n" + report)
+
+
+@pytest.mark.parametrize("kind", ["cyc", "hoplus", "ho", "mcyc"])
+def test_cli_augmentation_outside_lin_exit_2(kind):
+    # refused before any document is read, so the missing file is never opened
+    code, out = run_cli("homology", "unknot", "--complex", kind, "--augmentation", "/nonexistent")
+    assert (code, out) == (2, "input error: --augmentation applies only to --complex lin\n")
 
 
 _SURGERY_CH = ("surgery", "unknot", "--theory", "ch", "--max-deg", "2")

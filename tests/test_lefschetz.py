@@ -13,7 +13,7 @@ import chordhom.lefschetz as lefschetz
 from chordhom.algebra import Word
 
 from chordhom.complexes import build_cyclic_complex, build_ho_complex
-from chordhom.dga import check_d_squared
+from chordhom.dga import DGASpec, check_d_squared
 from chordhom.documents import ainf_from_document
 from chordhom.examples import example_document, minimal_ainf_spec
 from chordhom.homology import betti, build_complex
@@ -23,6 +23,7 @@ from chordhom.lefschetz import (
     DirectedAinfSpec,
     build_curved_category,
     check_curved_ainf,
+    dictionary_check,
     dualize_tensor_algebra,
     hochschild_complex,
     lefschetz_dga,
@@ -647,6 +648,38 @@ def test_cyclic_tensor_basis_is_ho_basis_negated(t_order, window, max_len):
     assert any(ho.labels(d) for d in range(lo - 1, hi + 2))
     for d in range(lo - 1, hi + 2):
         assert cc.labels(-d) == ho.labels(d), d
+
+
+@pytest.mark.parametrize("t_order,window,max_len", [(2, (0, 3), 6), (3, (-1, 5), 8)])
+def test_dictionary_check_returns_the_library_complexes(t_order, window, max_len):
+    # the cyclic tensor complex built on ho's basis is the one
+    # hochschild_complex builds on its own: same labels, order and entries
+    D = build_curved_category(minimal_ainf_spec(), t_order)
+    dual, ho, cc = dictionary_check(D, window, max_len)
+    assert dgas_equal(dual, dualize_tensor_algebra(D))
+    alone = build_ho_complex(dual, window, max_len), hochschild_complex(D, window, max_len)
+    for built, reference in zip((ho, cc), alone):
+        assert (built.basis, built.diffs, built.window, built.verdict) == (
+            reference.basis, reference.diffs, reference.window, reference.verdict
+        )
+
+
+@pytest.mark.parametrize("change", ["coefficient", "grading"])
+def test_dictionary_check_refuses_a_direct_dga_that_differs(monkeypatch, change):
+    # same generator names either way; a grading change passes a check that
+    # compares names and differentials only
+    D = build_curved_category(minimal_ainf_spec(), 2)
+    direct = lefschetz_dga(D.spec, user_counts(D), D.spec.n, D.order)
+    name = next(n for n, el in direct.differential.items() if el.terms)
+    gens, diff = direct.generators, direct.differential
+    if change == "coefficient":
+        diff = {**diff, name: 2 * diff[name]}
+    else:
+        gens = [replace(g, grading=g.grading + 2) if g.name == name else g for g in gens]
+    other = DGASpec(direct.ring, gens, diff, direct.ambient_dim)
+    monkeypatch.setattr(lefschetz, "lefschetz_dga", lambda *args: other)
+    with pytest.raises(ValueError, match="^dual and direct differentials disagree$"):
+        dictionary_check(D, (0, 3), 6)
 
 
 def test_cyclic_tensor_images_hold_no_cancelled_sums(monkeypatch):

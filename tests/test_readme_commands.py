@@ -1,7 +1,9 @@
 """Every `chordhom ...` line in the README's "Command line" block runs
-in-process through cli.main and exits 0, so the documented interface stays
-runnable.  The lines run are listed here: a README edit that drops one, or
-adds one that is neither run nor excluded, fails the first test."""
+in-process through cli.main, exits 0 and prints what it printed when
+tests/data/cli_goldens.json was written (cli_goldens), so the documented
+interface stays runnable and its output stays byte-identical.  The lines
+run are listed here: a README edit that drops one, or adds one that is
+neither run nor excluded, fails the first test."""
 
 import io
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from chordhom import cli
+
+import cli_goldens
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,10 +54,17 @@ def test_every_readme_command_is_run_or_excluded():
     assert sorted(readme_commands()) == sorted(RUN + EXCLUDED)
 
 
+def run_line(line: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a `chordhom` line run through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(shlex.split(line)[1:])
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("line", RUN)
 def test_readme_command_exits_0(line):
     assert line in readme_commands()
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(out):
-        code = cli.main(shlex.split(line)[1:])
-    assert code == 0, out.getvalue()
+    code, out, err = run_line(line)
+    assert code == 0, out + err
+    assert cli_goldens.record(code, out) == cli_goldens.load()["readme"][line], out
