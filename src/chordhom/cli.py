@@ -205,6 +205,8 @@ def cmd_augmentations(args) -> int:
         values = [Fraction(v.strip()) for v in args.values.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError):
         raise CliInputError(f"bad value list {args.values!r}: expected comma-separated rationals")
+    if _fails_validation(dga):
+        return MATH_FAIL
     found = enumerate_augmentations(dga, values)
     print(f"{len(found)} augmentation(s) over {{{args.values}}}")
     for eps in found:
@@ -215,6 +217,8 @@ def cmd_augmentations(args) -> int:
 
 def cmd_morphism(args) -> int:
     f = _parse(args.file, docs.morphism_from_document)
+    if _fails_validation(f.source) or _fails_validation(f.target):
+        return MATH_FAIL
     ok, counter = check_morphism(f)
     if ok:
         print("chain map: OK")

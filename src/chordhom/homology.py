@@ -12,8 +12,9 @@ Fraction object among equal values (_FractionPool).
 Every rank comes from one sparse column reduction, _reduce.  The integer
 columns are eliminated fraction-free, each divided by the gcd of its
 entries after every step, so no Fraction arithmetic runs in the loop.
-The pivot pairs it returns give the rank, and is_boundary reduces a
-vector against them.
+betti reduces coboundaries bottom-up with clearing, so columns bound to
+end at zero are never reduced; rank and is_boundary reduce boundary
+columns, and is_boundary reduces a vector against their pivots.
 
 A complex stores bases for every degree of its window plus a one-degree
 halo on each side, so the boundary maps into and out of the window edges
@@ -55,10 +56,9 @@ class GradedChainComplex:
     columns over one denominator per degree instead, and diffs is built
     from them on first read: degree by degree, each degree's columns
     dropped as its view is built, so the complex holds one copy; equal
-    entries of the view share one Fraction object.  Once
-    diffs exists (read, or given to the constructor), the readers
-    re-derive integer columns from it, so an edit of diffs is what they
-    see.
+    entries of the view share one Fraction object.  Once diffs exists
+    (read, or given to the constructor), the readers re-derive integer
+    columns from it, so an edit of diffs is what they see.
     """
 
     basis: dict[int, list[Label]]
@@ -258,10 +258,15 @@ class BettiTable:
 
 
 def betti(complex: GradedChainComplex) -> BettiTable:
-    """Exact homology ranks on the complex window, each boundary rank the
-    pivot count of _reduce on the complex's integer columns.
+    """Exact homology ranks on the complex window; raises DSquareError
+    unless d^2 = 0 there.
 
-    Requires d^2 = 0 on the window; raises DSquareError otherwise.
+    rank(d_d), for d = lo..hi+1 in turn, is the pivot count of _reduce on
+    the coboundary out of degree d-1: the rows of d_d as columns keyed by
+    their place in basis[d-1], less each row that was a pivot's low one
+    degree below (clearing).  That pivot is a cocycle led by the row, as
+    d_d d_{d+1} = 0 for d in lo..hi, so the row lies in the span of the
+    others and only about one column per homology class reduces to zero.
     """
     bad = complex.d_squared_report()
     if bad:
@@ -271,14 +276,20 @@ def betti(complex: GradedChainComplex) -> BettiTable:
             f"({len(bad)} nonzero entries total)"
         )
     lo, hi = complex.window
-    rk = {d: len(_reduce(complex._integer(d)[0])) for d in range(lo, hi + 2)}
+    rk, lows = {}, set()
+    for d in range(lo, hi + 2):
+        rows: Columns = defaultdict(dict)
+        for c, col in complex._integer(d)[0].items():
+            for r, v in col.items():
+                if r not in lows:
+                    rows[r][c] = v
+        lows = set(_reduce(rows))
+        rk[d] = len(lows)
     ranks = {d: complex.dim(d) - rk[d] - rk[d + 1] for d in range(lo, hi + 1)}
     return BettiTable(ranks=ranks, flagged=frozenset({lo, hi}), verdict=complex.verdict)
 
 
-def is_boundary(
-    complex: GradedChainComplex, degree: int, vector: dict[int, Fraction]
-) -> bool:
+def is_boundary(complex: GradedChainComplex, degree: int, vector: dict[int, Fraction]) -> bool:
     """Is the given degree-`degree` chain in the image of the boundary map?
 
     The boundary matrix is reduced once; the vector, scaled to integers, is
@@ -300,15 +311,10 @@ def verify_les_ranks(
     for t in (t1, t2, t3):
         for d in range(lo, hi + 1):
             if d in t.flagged:
-                raise ValueError(
-                    f"window [{lo},{hi}] touches edge-flagged degree {d}"
-                )
+                raise ValueError(f"window [{lo},{hi}] touches edge-flagged degree {d}")
     if t1.euler(window) != t2.euler(window) + t3.euler(window):
         return False
-    for d in range(lo, hi + 1):
-        if t1.rank(d) > t2.rank(d) + t3.rank(d):
-            return False
-    return True
+    return all(t1.rank(d) <= t2.rank(d) + t3.rank(d) for d in range(lo, hi + 1))
 
 
 # ---- word enumeration with finiteness guard ---------------------------------

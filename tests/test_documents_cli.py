@@ -578,21 +578,54 @@ _TABLE_PATHS = [
 ]
 
 
-@pytest.mark.parametrize("command", _TABLE_PATHS, ids=lambda command: command[-1])
-def test_cli_mis_graded_dga_is_refused_before_any_build(tmp_path, command):
-    # d(a) = b has grading 1, not 2: a builder would drop the term as off the
-    # basis and print an EXACT table
+def _mis_graded_document() -> dict:
+    # d(a) = b has grading 1, not 2
     gens = [{"name": n, "grading": g, "src": 1, "dst": 1} for n, g in (("a", 3), ("b", 1))]
-    doc = {
+    return {
         "format": "dga/1", "components": 1, "ambient_dim": 2, "field": "Q", "generators": gens,
         "differential": {"a": [{"coeff": "1", "word": ["b"]}]},
     }
+
+
+_MIS_GRADED_REFUSAL = (
+    "mathematical failure: the input DGA fails validation\n"
+    "d(a): term b has grading 1, expected 2\n"
+)
+
+
+@pytest.mark.parametrize("command", _TABLE_PATHS, ids=lambda command: command[-1])
+def test_cli_mis_graded_dga_is_refused_before_any_build(tmp_path, command):
+    # a builder would drop the term of d(a) as off the basis and print an
+    # EXACT table
     path = tmp_path / "graded.dga"
-    path.write_text(dumps(doc))
+    path.write_text(dumps(_mis_graded_document()))
     report = "d(a): term b has grading 1, expected 2\n"
     assert run_cli("validate", str(path)) == (1, report)
     code, out = run_cli(command[0], str(path), *command[1:])
     assert (code, out) == (1, "mathematical failure: the input DGA fails validation\n" + report)
+
+
+def test_cli_augmentations_of_a_mis_graded_dga_exit_1(tmp_path):
+    # the trivial augmentation would be found and printed
+    path = tmp_path / "graded.dga"
+    path.write_text(dumps(_mis_graded_document()))
+    assert run_cli("augmentations", str(path), "--values=-1,0,1") == (1, _MIS_GRADED_REFUSAL)
+    # a bad value list is still an input error first
+    assert run_cli("augmentations", str(path), "--values=x")[0] == 2
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_cli_morphism_with_a_mis_graded_side_exit_1(tmp_path, side):
+    # the zero assignment passes the chain-map check on either side
+    doc = {"format": "morphism/1", "source": {"example": "unknot"},
+           "target": {"example": "unknot"}, "assignment": {}}
+    doc[side] = _mis_graded_document()
+    path = tmp_path / "graded.morphism"
+    path.write_text(dumps(doc))
+    assert run_cli("morphism", str(path)) == (1, _MIS_GRADED_REFUSAL)
+    doc[side] = {"example": "unknot"}
+    path.write_text(dumps(doc))
+    assert run_cli("morphism", str(path)) == (0, "chain map: OK\n")
 
 
 @pytest.mark.parametrize("kind", ["cyc", "hoplus", "ho", "mcyc"])

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordhom.algebra import BaseRing, ChordAlgebra, Generator, Word
+from chordhom import homology
+from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     build_cyclic_complex,
     build_ho_complex,
+    build_hoplus_complex,
     build_mcyc_complex,
     cyclic_class,
 )
-from chordhom.dga import DGASpec
+from chordhom.dga import Augmentation, DGASpec, linearize
+from chordhom.documents import dga_from_document
+from chordhom.examples import unknot_document
 from chordhom.homology import (
     EXACT,
     TRUNCATED,
@@ -421,3 +425,88 @@ def test_betti_invariant_under_basis_reordering(unknot2):
         basis=perm_basis, diffs=new_diffs, window=complex.window
     )
     assert betti(shuffled).ranks == base
+
+
+def _unit_killing(gradings: tuple[int, ...]) -> DGASpec:
+    """One component, chords c0.. of the given gradings; d(c0) = 1 and
+    every other chord is closed."""
+    gens = [Generator(f"c{i}", g) for i, g in enumerate(gradings)]
+    return DGASpec(BaseRing(1), gens, {"c0": Element.monomial(Word.idem(1))}, 2)
+
+
+@pytest.mark.parametrize("builder", [build_ho_complex, build_hoplus_complex, build_cyclic_complex])
+def test_betti_reduces_no_more_columns_to_zero_than_the_homology(monkeypatch, builder):
+    # with clearing, a column handed to _reduce ends at zero only for a
+    # class of the homology, or for a row of the first coboundary
+    complex = builder(_unit_killing((1, 1, 1)), (0, 8), 9)
+    reduce, work = homology._reduce, {"in": 0, "out": 0}
+
+    def counted(columns):
+        pivots = reduce(columns)
+        work["in"] += sum(1 for col in columns.values() if col)
+        work["out"] += len(pivots)
+        return pivots
+
+    monkeypatch.setattr(homology, "_reduce", counted)
+    table = betti(complex)
+    lo = complex.window[0]
+    assert work["out"] > 0
+    assert work["in"] - work["out"] <= sum(table.ranks.values()) + complex.dim(lo - 1)
+
+
+def _ranks_by_boundary(complex: GradedChainComplex) -> dict[int, int]:
+    """Betti numbers on the window from rank() of each degree's diffs view."""
+    lo, hi = complex.window
+    rk = {
+        d: rank(complex.matrix(d), complex.dim(d - 1), complex.dim(d))
+        for d in range(lo, hi + 2)
+    }
+    return {d: complex.dim(d) - rk[d] - rk[d + 1] for d in range(lo, hi + 1)}
+
+
+def _assert_same_ranks(complex: GradedChainComplex) -> None:
+    # betti first, while the complex still reads its stored columns
+    table = betti(complex)
+    assert table.ranks == _ranks_by_boundary(complex)
+    assert betti(complex).ranks == table.ranks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_betti_matches_the_ranks_of_the_boundary_maps(seed):
+    dga = random_dga(random.Random(seed))
+    for builder in (build_cyclic_complex, build_hoplus_complex, build_ho_complex, build_mcyc_complex):
+        _assert_same_ranks(builder(dga, (0, 5), 6))
+    try:
+        lin = linearize(dga, Augmentation(values={}))
+    except ValueError:
+        return
+    _assert_same_ranks(lin)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_betti_matches_the_ranks_of_the_boundary_maps_on_unknots(n):
+    dga = dga_from_document(unknot_document(n))
+    for builder in (build_cyclic_complex, build_hoplus_complex, build_ho_complex, build_mcyc_complex):
+        complex = builder(dga, (0, 8), 9)
+        assert any(betti(complex).ranks.values())
+        _assert_same_ranks(complex)
+
+
+def test_betti_reads_diffs_edited_in_place():
+    complex = build_hoplus_complex(_unit_killing((1, 1, 2)), (0, 5), 6)
+    before = betti(complex).ranks
+    assert any(before.values())
+    # rescale one basis chain of degree 3 by 3: its column of d_3 is
+    # multiplied by 3 and its row of d_4 divided by 3, so d^2 stays 0
+    column = next(c for _, c in complex.diffs[3] if any(r == c for r, _ in complex.diffs[4]))
+    for key in [k for k in complex.diffs[3] if k[1] == column]:
+        complex.diffs[3][key] *= 3
+    for key in [k for k in complex.diffs[4] if k[0] == column]:
+        complex.diffs[4][key] /= 3
+    assert betti(complex).ranks == before == _ranks_by_boundary(complex)
+    # the top boundary map read as zero: degree 5 gains its kernel
+    complex.diffs[6].clear()
+    after = betti(complex).ranks
+    assert after == _ranks_by_boundary(complex)
+    assert after[5] > before[5]
