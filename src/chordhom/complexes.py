@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .algebra import ChordAlgebra, Element, Word
 from .dga import DGASpec, _leibniz_word
@@ -176,20 +176,6 @@ def _cyclic_image(dga: DGASpec, max_len: int, label) -> tuple[dict, int]:
             target = ("cyc", rep)
             out[target] = out.get(target, 0) + (v if sign > 0 else -v)
     return out, dga._denom
-
-
-def build_cyclic_complex(
-    dga: DGASpec, window: tuple[int, int], max_len: int
-) -> GradedChainComplex:
-    """Good cyclic classes with the letterwise Leibniz differential followed
-    by projection; length-zero collapses are dropped."""
-    verdict = guard_verdict(
-        (g.grading for g in dga.generators), window, max_len
-    )
-    return build_complex(
-        _cyclic_bases(dga.algebra, window, max_len),
-        partial(_cyclic_image, dga, max_len), window, verdict,
-    )
 
 
 # ---- the check/hat complex and its completion --------------------------------
@@ -348,31 +334,6 @@ def _decorated_image(
     return _check_image(dga, max_len, tails, letters)
 
 
-def build_hoplus_complex(
-    dga: DGASpec, window: tuple[int, int], max_len: int
-) -> GradedChainComplex:
-    """Check and hat copies of the cyclically composable monomials with the
-    matrix differential; no tau classes, so the unit terms drop out."""
-    verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-    return build_complex(
-        _decorated_bases(dga.algebra, window, max_len),
-        partial(_decorated_image, dga, max_len, {}), window, verdict,
-    )
-
-
-def build_ho_complex(
-    dga: DGASpec, window: tuple[int, int], max_len: int
-) -> GradedChainComplex:
-    """The completed complex: check/hat words plus one degree-0 class per
-    component; single-letter check words feed the classes through the unit
-    terms of their differentials."""
-    verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-    return build_complex(
-        _decorated_bases(dga.algebra, window, max_len, tau=True),
-        partial(_decorated_image, dga, max_len, {}), window, verdict,
-    )
-
-
 # ---- the cyclic quotient of the marked module ---------------------------------
 
 
@@ -455,18 +416,62 @@ def _mcyc_image(
     return out, dga._denom
 
 
+# ---- the chord builders --------------------------------------------------------
+
+
+def _chord_block(
+    kind: str, dga: DGASpec, window: tuple[int, int], max_len: int
+) -> tuple[dict[int, list], Callable, str]:
+    """The chord complex of a kind (cyc, hoplus, ho or mcyc) as its bases,
+    boundary image and verdict, the image bound to the caches of one build;
+    the chord builders build it and the surgery complexes take it as their
+    chord side.  The mcyc mark takes one letter of max_len."""
+    verdict = guard_verdict((g.grading for g in dga.generators), window, max_len - (kind == "mcyc"))
+    if kind == "cyc":
+        bases = _cyclic_bases(dga.algebra, window, max_len)
+        return bases, partial(_cyclic_image, dga, max_len), verdict
+    if kind == "mcyc":
+        mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
+        bases = _enumerate_marked_words(dga, window, max_len)
+        return bases, partial(_mcyc_image, dga, max_len, mark_terms, {}), verdict
+    bases = _decorated_bases(dga.algebra, window, max_len, tau={"hoplus": False, "ho": True}[kind])
+    return bases, partial(_decorated_image, dga, max_len, {}), verdict
+
+
+def build_cyclic_complex(
+    dga: DGASpec, window: tuple[int, int], max_len: int
+) -> GradedChainComplex:
+    """Good cyclic classes with the letterwise Leibniz differential followed
+    by projection; length-zero collapses are dropped."""
+    bases, image, verdict = _chord_block("cyc", dga, window, max_len)
+    return build_complex(bases, image, window, verdict)
+
+
+def build_hoplus_complex(
+    dga: DGASpec, window: tuple[int, int], max_len: int
+) -> GradedChainComplex:
+    """Check and hat copies of the cyclically composable monomials with the
+    matrix differential; no tau classes, so the unit terms drop out."""
+    bases, image, verdict = _chord_block("hoplus", dga, window, max_len)
+    return build_complex(bases, image, window, verdict)
+
+
+def build_ho_complex(
+    dga: DGASpec, window: tuple[int, int], max_len: int
+) -> GradedChainComplex:
+    """The completed complex: check/hat words plus one degree-0 class per
+    component; single-letter check words feed the classes through the unit
+    terms of their differentials."""
+    bases, image, verdict = _chord_block("ho", dga, window, max_len)
+    return build_complex(bases, image, window, verdict)
+
+
 def build_mcyc_complex(
     dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """The cyclic quotient of the marked module."""
-    verdict = guard_verdict(
-        (g.grading for g in dga.generators), window, max_len, mark_allowance=1
-    )
-    mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
-    return build_complex(
-        _enumerate_marked_words(dga, window, max_len),
-        partial(_mcyc_image, dga, max_len, mark_terms, {}), window, verdict,
-    )
+    bases, image, verdict = _chord_block("mcyc", dga, window, max_len)
+    return build_complex(bases, image, window, verdict)
 
 
 def verify_en_isomorphism(

@@ -86,6 +86,12 @@ def _optional(doc: dict, key: str, typ, path: str, default):
     return _require(doc, key, typ, path)
 
 
+def _format(doc: dict, tag: str) -> None:
+    fmt = _require(doc, "format", str, "$")
+    if fmt != tag:
+        _fail("$.format", f"unsupported format {fmt!r}")
+
+
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -104,9 +110,7 @@ def dumps(doc: dict) -> str:
 
 
 def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "dga/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "dga/1")
     field_tag = _require(doc, "field", str, "$")
     if field_tag != "Q":
         _fail("$.field", "only the rationals are supported")
@@ -233,9 +237,7 @@ _WORD = ("word", list, None, "")
 
 
 def filling_from_document(doc: dict) -> FillingModel:
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "filling/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "filling/1")
     n = _require(doc, "n", int, "$")
     orbits = []
     labels = set()
@@ -284,9 +286,7 @@ def filling_from_document(doc: dict) -> FillingModel:
 
 
 def counts_from_document(doc: dict) -> SurgeryCountTable:
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "counts/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "counts/1")
     orbit = _label("orbit")
     counts = SurgeryCountTable(
         mixed_cyc=_table(doc, "mixed_cyclic", orbit, _WORD),
@@ -320,9 +320,7 @@ def _symref(token: str, path: str, point_names: set[str], k: int):
 
 
 def ainf_from_document(doc: dict) -> DirectedAinfSpec:
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "ainf/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "ainf/1")
     k = _require(doc, "components", int, "$")
     n = _require(doc, "fiber_dim_param", int, "$")
     points = []
@@ -403,9 +401,7 @@ def _element_from_terms(terms, names: set[str], k: int, path: str) -> Element:
 def morphism_from_document(doc: dict) -> DGAMorphism:
     from .examples import example_document
 
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "morphism/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "morphism/1")
 
     def side(key: str) -> DGASpec:
         sub = _require(doc, key, dict, "$")
@@ -431,9 +427,7 @@ def morphism_from_document(doc: dict) -> DGAMorphism:
 
 
 def augmentation_from_document(doc: dict) -> Augmentation:
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "augmentation/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "augmentation/1")
     values = {}
     for name, v in _require(doc, "values", dict, "$").items():
         values[name] = _rational(v, f"$.values.{name}")
@@ -454,9 +448,7 @@ def betti_to_document(table: BettiTable, window: tuple[int, int] | None = None) 
 
 
 def betti_from_document(doc: dict) -> BettiTable:
-    fmt = _require(doc, "format", str, "$")
-    if fmt != "betti/1":
-        _fail("$.format", f"unsupported format {fmt!r}")
+    _format(doc, "betti/1")
     ranks = {}
     for key, v in _require(doc, "ranks", dict, "$").items():
         if isinstance(v, bool) or not isinstance(v, int):

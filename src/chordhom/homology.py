@@ -249,9 +249,6 @@ class BettiTable:
     def rank(self, degree: int) -> int:
         return self.ranks.get(degree, 0)
 
-    def degrees(self) -> list[int]:
-        return sorted(self.ranks)
-
     def euler(self, window: tuple[int, int] | None = None) -> int:
         lo, hi = window if window else (min(self.ranks), max(self.ranks))
         return sum(-r if d % 2 else r for d, r in self.ranks.items() if lo <= d <= hi)
@@ -320,18 +317,15 @@ def verify_les_ranks(
 # ---- word enumeration with finiteness guard ---------------------------------
 
 
-def guard_verdict(
-    gradings: Iterable[int], window: tuple[int, int], max_len: int, mark_allowance: int = 0
-) -> str:
+def guard_verdict(gradings: Iterable[int], window: tuple[int, int], max_len: int) -> str:
     """EXACT when every available generator has grading >= 1 and max_len
-    covers the top of the window (plus room for any fixed marked letter);
-    TRUNCATED otherwise."""
+    covers the top of the window; TRUNCATED otherwise."""
     gradings = list(gradings)
     if not gradings:
         return EXACT
     if min(gradings) < 1:
         return TRUNCATED
-    if max_len < window[1] + mark_allowance:
+    if max_len < window[1]:
         return TRUNCATED
     return EXACT
 

@@ -89,6 +89,11 @@ class DirectedAinfSpec:
             seen.add(name)
             if not (1 <= i < j <= self.k):
                 raise ValueError(f"point {name} must join distinct ordered components")
+        if self.order is None:
+            if self.n == 2:
+                raise ValueError("n = 2 requires a global order on the intersection points")
+        elif len(self.order) != len(seen) or set(self.order) != seen:
+            raise ValueError("the order must list every intersection point exactly once")
 
     def point(self, name: str) -> tuple[str, int, int, int]:
         for p in self.points:
@@ -240,14 +245,7 @@ def _forced_tables(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
         pairings[(b, f)][("m", i)] += 1
 
     if spec.n == 2:
-        if spec.order is None:
-            raise AinfValidationError(
-                "n = 2 requires a global order on the intersection points"
-            )
         rank = {nm: r for r, nm in enumerate(spec.order)}
-        for nm, _g, i, j in spec.points:
-            if nm not in rank:
-                raise AinfValidationError(f"order is missing the point {nm}")
 
         def less(a: str, b: str) -> bool:
             return rank[a] < rank[b]
@@ -547,8 +545,6 @@ def lefschetz_dga(
         _series_add(db, smul(b, series[("e", j)]), bsign)
 
     if n == 2:
-        if spec.order is None:
-            raise ValueError("n = 2 requires a global order on the intersection points")
         rank = {nm: r for r, nm in enumerate(spec.order)}
 
         def wing_series(point: str, comp: int) -> Series:

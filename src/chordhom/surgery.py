@@ -15,20 +15,12 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Container, Mapping
 
 from .algebra import ChordAlgebra, Word
-from .complexes import (
-    _cyclic_bases,
-    _cyclic_image,
-    _decorated_bases,
-    _decorated_image,
-    _s_terms,
-    cyclic_class,
-)
+from .complexes import _chord_block, _s_terms, cyclic_class
 from .dga import DGASpec
-from .homology import EXACT, GradedChainComplex, _numerators, build_complex, guard_verdict
+from .homology import EXACT, GradedChainComplex, _numerators, build_complex
 
 
 class CountGradingError(ValueError):
@@ -292,14 +284,14 @@ def _surgery_complex(
     max_len: int,
 ) -> GradedChainComplex:
     """The surgery complex of a theory: the filling's block in the layout
-    of kind, the DGA's chord block that kind picks (the cyclic classes for
-    lch, the check/hat words for shplus and sh, with the component classes
-    for sh), and the count tables coupling them.  Checks that every count
-    comes from an orbit of the filling, and the filling and the counts
-    against the DGA, folds the cyclic keys of the counts, reads the
-    verdict, and binds the chord image to the DGA and the orbit row to the
-    filling's and the counts' tables, each indexed by source once per
-    build.  dga=None builds the filling's block alone."""
+    of kind, the chord complex that kind picks (cyc for lch, hoplus for
+    shplus, ho for sh) with its image and verdict as complexes._chord_block
+    gives them, and the count tables coupling them.  Checks that every
+    count comes from an orbit of the filling, and the filling and the
+    counts against the DGA, before the chord side is read; folds the
+    cyclic keys of the counts and binds the orbit row to the filling's and
+    the counts' tables, each indexed by source once per build.  dga=None
+    builds the filling's block alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
@@ -321,17 +313,11 @@ def _surgery_complex(
                     f"component-class count from Morse {p} names component {j} "
                     f"outside 1..{dga.ring.k}"
                 )
-        verdict = guard_verdict((g.grading for g in dga.generators), window, max_len)
-        alg = dga.algebra
-        if kind == "lch":
-            chord_bases = _cyclic_bases
-            chord_image = partial(_cyclic_image, dga, max_len)
-        else:
-            chord_bases = partial(_decorated_bases, tau=kind == "sh")
-            # the tails live for this build
-            chord_image = partial(_decorated_image, dga, max_len, {})
-        for d, labels in chord_bases(alg, window, max_len).items():
+        chord = {"lch": "cyc", "shplus": "hoplus", "sh": "ho"}[kind]
+        chord_bases, chord_image, verdict = _chord_block(chord, dga, window, max_len)
+        for d, labels in chord_bases.items():
             bases.setdefault(d, []).extend(labels)
+        alg = dga.algebra
         # the cyclic counts folded onto class representatives; the caller's
         # table is left as it is
         for (g, w), c in counts.mixed_cyc.items():

@@ -327,7 +327,7 @@ def test_module_M_squares_to_zero_on_random_dgas():
         min_grading = (1, 0, -1)[i % 3]
         dga = random_dga(rng, min_grading=min_grading)
         gradings = (g.grading for g in dga.generators)
-        if guard_verdict(gradings, (0, 3), 4, mark_allowance=1) == EXACT:
+        if guard_verdict(gradings, (0, 3), 3) == EXACT:
             assert module_M_reference(dga, (0, 3), 4).d_squared_report() == []
             exact.add((min_grading, dga.ring.k))
     assert exact == {(g, k) for g in (1, 0, -1) for k in (1, 2)}
@@ -586,7 +586,12 @@ def test_builder_verdicts(unknot3, chekanov_a):
     assert [l[1] for d in range(0, 9) for l in exact.labels(d)] == [
         ("a",) * k for k in (1, 2, 3, 4)
     ]
-    truncated = build_cyclic_complex(chekanov_a, (-2, 2), 3)
-    assert truncated.verdict == "TRUNCATED"
-    short = build_cyclic_complex(unknot3, (0, 8), 3)
-    assert short.verdict == "TRUNCATED"
+    # every chord builder: a chord of grading below 1 or a max-len below the
+    # window top truncates; the mcyc mark takes one letter of the max-len
+    builders = build_cyclic_complex, build_hoplus_complex, build_ho_complex, build_mcyc_complex
+    for builder in builders:
+        assert builder(chekanov_a, (-2, 2), 3).verdict == "TRUNCATED"
+        assert builder(unknot3, (0, 8), 3).verdict == "TRUNCATED"
+        top = builder(unknot3, (0, 8), 8).verdict
+        assert top == ("TRUNCATED" if builder is build_mcyc_complex else "EXACT")
+        assert builder(unknot3, (0, 8), 9).verdict == "EXACT"

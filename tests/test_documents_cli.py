@@ -940,6 +940,18 @@ def test_cli_ainf_out_of_range_exit_2(tmp_path, doc, emit):
     assert code == 2, out
 
 
+@pytest.mark.parametrize("order", [None, ["b"]], ids=["no-order", "partial-order"])
+def test_cli_n2_ainf_without_a_full_order_exit_2(tmp_path, order):
+    doc = _with_fields(_AINF, components=2, fiber_dim_param=2, order=order, points=[
+        {"name": "a", "grading": 0, "from": 1, "to": 2},
+        {"name": "b", "grading": 0, "from": 1, "to": 2}])
+    path = tmp_path / "bad.ainf"
+    path.write_text(dumps(doc))
+    code, out = run_cli("lefschetz", str(path), "--t-order", "1", "--emit", "dga")
+    assert code == 2, out
+    assert out.count("\n") == 1 and "$: " in out
+
+
 _NO_INPUTS = _with_fields(
     _AINF,
     components=2,

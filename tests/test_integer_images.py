@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import chordhom.surgery as surgery
+import chordhom.complexes as complexes
 import reference_images as ref
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
@@ -71,12 +71,13 @@ def assert_matches_the_reference(builder, image, dga, window, max_len):
 
 def assert_surgery_matches_the_reference(builder, dga, window, max_len):
     """The surgery complex over ball:2 against the same build with the
-    decorated chord image replaced by the reference image."""
+    decorated chord image replaced by the reference image, where the chord
+    block of complexes.py reads it."""
     filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
     got = builder(filling, dga, counts, window, max_len)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
-            surgery, "_decorated_image",
+            complexes, "_decorated_image",
             lambda dga, max_len, tails, label: _numerators(ref.decorated_image(dga, label)),
         )
         want = builder(filling, dga, counts, window, max_len)

@@ -470,11 +470,14 @@ def test_broken_unit_direction_rejected():
 
 
 def test_n2_without_order_rejected():
-    spec = DirectedAinfSpec(k=2, n=2, points=[("a", 1, 1, 2)], mu=[])
-    with pytest.raises(AinfValidationError):
-        build_curved_category(spec, 3)
-    with pytest.raises(ValueError):
-        lefschetz_dga(spec, None, 2, 2)
+    # an n = 2 spec needs a global order, and any order lists every point
+    # exactly once, so the builders read a rank for each point
+    with pytest.raises(ValueError, match="global order"):
+        DirectedAinfSpec(k=2, n=2, points=[("a", 1, 1, 2)], mu=[])
+    points = [("a", 1, 1, 2), ("b", 1, 1, 2)]
+    for n, order in [(2, ["a"]), (2, ["a", "a"]), (2, ["a", "b", "a"]), (3, ["b"])]:
+        with pytest.raises(ValueError, match="exactly once"):
+            DirectedAinfSpec(k=2, n=n, points=points, mu=[], order=order)
 
 
 def test_n2_without_points_runs_end_to_end():

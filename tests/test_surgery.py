@@ -141,7 +141,12 @@ def assert_empty_filling_gives_chord_complexes(dga, window, max_len):
 
 
 def test_zero_filling_reduces_to_chord_complexes(unknot2):
+    # EXACT, then TRUNCATED by a chord of negative grading and by a max-len
+    # below the window top: the surgery verdict is the chord one
     assert_empty_filling_gives_chord_complexes(unknot2, (0, 6), 8)
+    chekanov_c = dga_from_document(example_document("chekanov_c"))
+    assert_empty_filling_gives_chord_complexes(chekanov_c, (-4, 0), 3)
+    assert_empty_filling_gives_chord_complexes(unknot2, (0, 6), 3)
 
 
 def test_bad_orbit_doubling():
