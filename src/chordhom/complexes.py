@@ -5,10 +5,13 @@ the latter.
 
 Every basis reads the words of one walk of homology._cyclic_words, which
 hands out the cyclic words of all components grouped by degree, shortest
-first, so no builder recomputes a degree.  The mcyc basis reads its
-marked words off the same walk one letter longer: a word w gives x_i.w,
-and a word c.w gives c^.w one degree up.  The check/hat basis, labels
-included, also serves the cyclic tensor complex of lefschetz.py.
+first, so no builder recomputes a degree.  The cyclic basis asks the
+walk for its necklaces only, each with its least period, and tells the
+good ones by the number of repeats and the parity of the period's
+degree, so it rotates no word.  The mcyc basis reads its marked words
+off the same walk one letter longer: a word w gives x_i.w, and a word
+c.w gives c^.w one degree up.  The check/hat basis, labels included,
+also serves the cyclic tensor complex of lefschetz.py.
 
 Decorated words are stored with the mark on the first letter; a mark drawn
 elsewhere is rotated to the front by the graded cyclic permutation, whose
@@ -143,18 +146,21 @@ def _s_terms(
 def _cyclic_bases(
     alg: ChordAlgebra, window: tuple[int, int], max_len: int
 ) -> dict[int, list]:
-    """One label per good cyclic class: the words that no rotation sorts
-    before (a necklace filter that stops at the first smaller rotation)
-    and whose class is not zero, in letter order."""
+    """One label per good cyclic class, in letter order: the necklaces
+    (the words that no rotation sorts before) read straight off the walk,
+    with their least periods.  A necklace r^k, r its least period, is a
+    zero class exactly when |r| is odd and k even: the rotations that
+    return it are those by r^j, with the Koszul sign (-1)^(|r| j (k - j)),
+    and j = 1 gives -1 exactly then."""
     lo, hi = window
-    parity = alg.parity
     bases: dict[int, list] = {}
-    for deg, words in _cyclic_words(alg.generators, max_len, (lo - 1, hi + 1)).items():
+    walk = _cyclic_words(alg.generators, max_len, (lo - 1, hi + 1), necklaces=True)
+    for deg, necklaces in walk.items():
+        # w = r^k is zero when k is even and |r| = deg / k odd
         labs = [
             ("cyc", w)
-            for w in words
-            if not any(w[i:] + w[:i] < w for i in range(1, len(w)))
-            and _cyclic_rep(parity, w)[1]
+            for w, p in necklaces
+            if (k := len(w) // p) & 1 or not deg // k & 1
         ]
         if labs:
             labs.sort()

@@ -330,8 +330,41 @@ def guard_verdict(gradings: Iterable[int], window: tuple[int, int], max_len: int
     return EXACT
 
 
+def _reaches(deg: int, room: int, lo: int, hi: int, gmin: int, gmax: int) -> bool:
+    """Some r <= room further letters, of gradings between gmin and gmax,
+    can bring the degree deg into [lo, hi].  The r with r gmin <= hi - deg
+    and r gmax >= lo - deg form an interval, so the test compares its
+    ends."""
+    first, last = 0, room
+    # r gmin <= hi - deg (min and max cost a call each)
+    b = hi - deg
+    if gmin > 0:
+        if b // gmin < last:
+            last = b // gmin
+    elif gmin < 0:
+        if -(b // -gmin) > first:
+            first = -(b // -gmin)
+    elif b < 0:
+        return False
+    # r gmax >= lo - deg
+    b = deg - lo
+    if gmax > 0:
+        if -(b // gmax) > first:
+            first = -(b // gmax)
+    elif gmax < 0:
+        if b // -gmax < last:
+            last = b // -gmax
+    elif b < 0:
+        return False
+    return first <= last
+
+
 def _cyclic_words(
-    letters: Mapping[Hashable, Any], max_len: int, window: tuple[int, int] | None = None
+    letters: Mapping[Hashable, Any],
+    max_len: int,
+    window: tuple[int, int] | None = None,
+    *,
+    necklaces: bool = False,
 ) -> dict[int, list[tuple]]:
     """The cyclically composable nonempty words of length at most max_len
     as {degree: words}, each group shortest first and the words of one
@@ -343,6 +376,21 @@ def _cyclic_words(
     letter covers all components.  A window keeps the words whose degree
     lies in it, and prunes every prefix that no extension within max_len
     can bring into it.
+
+    The walk extends a table of states, not every prefix by every letter:
+    a prefix's state is (dst of its first letter, src of its last, degree).
+    At each length, every state the length before led to gets its row
+    once: its admissible letters in letter order, each with the state it
+    leads to, and whether the words of that state close in the window.  A
+    prefix then only appends the letters of its state's row and carries
+    the new state's number.
+
+    With necklaces=True the walk keeps only the words that no rotation
+    sorts before, each as (word, p) with p its least period.  Every prefix
+    carries its Fredricksen-Kessler-Maiorana period p, the length of its
+    longest Lyndon prefix: a letter that sorts before w[len - p] is never
+    appended, since no such word is a prefix of a necklace, and a closing
+    word is a necklace exactly when p divides its length.
     """
     # follow[port]: the letters that may follow a letter with src == port,
     # in letter order; follow[None]: every letter
@@ -354,47 +402,69 @@ def _cyclic_words(
         follow[None].append(ext)
     if window is not None:
         lo, hi = window
-        gmin = min((g for *_, g in follow[None]), default=0)
-        gmax = max((g for *_, g in follow[None]), default=0)
+        gradings = [info.grading for info in letters.values()] or [0]
+        gmin, gmax = min(gradings), max(gradings)
 
     groups: dict[int, list[tuple]] = defaultdict(list)
-    # (word, dst of its first letter, src of its last letter, degree)
-    frontier = [((), None, None, 0)]
-    # fits[deg]: can a prefix of the current length and degree deg still be
-    # extended into the window?  Each degree is judged once per length.
-    fits: dict[int, bool] = {}
-
-    def fit(deg: int) -> bool:
-        """Some r <= max_len - length further letters can bring deg into
-        [lo, hi], judged by the extreme gradings; recorded in fits.  The r
-        with deg + r gmin <= hi and deg + r gmax >= lo form an interval,
-        so the test compares its ends."""
-        first, last = 0, max_len - length
-        if window is not None:
-            # each condition reads r g <= b
-            for g, b in ((gmin, hi - deg), (-gmax, deg - lo)):
-                if g > 0:
-                    last = min(last, b // g)
-                elif g < 0:
-                    first = max(first, -(b // -g))
-                elif b < 0:
-                    last = -1
-        ok = fits[deg] = first <= last
-        return ok
-
+    # states[i]: the state numbered i at the current length; the empty
+    # word has no ports
+    states: list[tuple] = [(None, None, 0)]
+    # (word, state[, FKM period])
+    frontier: list[tuple] = [((), 0, 0)] if necklaces else [((), 0)]
     for length in range(1, max_len + 1):
-        fits.clear()
-        frontier = [
-            (word + (a,), head if word else dst, src, deg + g)
-            for word, head, port, deg in frontier
-            for a, src, dst, g in follow[port]
-            if (fits[deg + g] if deg + g in fits else fit(deg + g))
-        ]
+        # rows[i]: (letter, next state) for the letters state i admits;
+        # index: the number of each next state, -1 for one that cannot
+        # reach the window; keep[j]: the degree of next state j when its
+        # words close in the window, else None
+        index: dict[tuple, int] = {}
+        rows, grown, keep = [], [], []
+        for head, port, deg in states:
+            row = []
+            for a, src, dst, g in follow[port]:
+                d = deg + g
+                key = (dst if head is None else head, src, d)
+                nxt = index.get(key)
+                if nxt is None:
+                    if window is None:
+                        keep.append(d if key[0] == src else None)
+                    elif _reaches(d, max_len - length, lo, hi, gmin, gmax):
+                        keep.append(d if key[0] == src and lo <= d <= hi else None)
+                    else:
+                        index[key] = -1
+                        continue
+                    nxt = index[key] = len(grown)
+                    grown.append(key)
+                elif nxt < 0:
+                    continue
+                row.append((a, nxt))
+            rows.append(row)
+        states = grown
+        if not necklaces:
+            frontier = [(word + (a,), nxt) for word, state in frontier for a, nxt in rows[state]]
+        elif length == 1:
+            frontier = [((a,), nxt, 1) for a, nxt in rows[0]]
+        else:
+            # the letter c = w[len - p] keeps the period, a later one makes
+            # the whole word Lyndon
+            frontier = [
+                (word + (a,), nxt, p if a == c else length)
+                for word, state, p in frontier
+                for c in (word[-p],)
+                for a, nxt in rows[state]
+                if a >= c
+            ]
         if not frontier:
             break
-        for word, head, port, deg in frontier:
-            if port == head and (window is None or lo <= deg <= hi):
-                groups[deg].append(word)
+        if necklaces:
+            for word, state, p in frontier:
+                deg = keep[state]
+                if deg is not None and not length % p:
+                    groups[deg].append((word, p))
+        else:
+            for word, state in frontier:
+                deg = keep[state]
+                if deg is not None:
+                    groups[deg].append(word)
     return dict(groups)
 
 

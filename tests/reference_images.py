@@ -10,8 +10,10 @@ images as (numerators, denominator), so a reference image is handed to it
 through homology._numerators.
 
 It also keeps the references that only the tests read: the parity-form
-zero-class criterion, the spread operator S as a dict of decorated
-words (DecoratedWord), the marked module M itself with its marks (the
+zero-class criterion, the cyclic basis by a rotation filter over every
+cyclic word (the library reads the good necklaces straight off its
+walk), the spread operator S as a dict of decorated words
+(DecoratedWord), the marked module M itself with its marks (the
 library builds only its cyclic quotient, mcyc, and reads its labels off
 the cyclic words), the composable words listed by brute force, the
 curved category's relation check over every composable symbol word (the
@@ -32,7 +34,7 @@ from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
 from chordhom.complexes import cyclic_class
 from chordhom.dga import DGASpec, extend_leibniz
-from chordhom.homology import _numerators, build_complex, enumerate_cyclic_words
+from chordhom.homology import _cyclic_words, _numerators, build_complex, enumerate_cyclic_words
 from chordhom.lefschetz import (
     CurvedAinf,
     DirectedAinfSpec,
@@ -110,6 +112,29 @@ def is_bad_by_parity(algebra: ChordAlgebra, word: Word) -> bool:
                 if algebra.grading(base) % 2:
                     return True
     return False
+
+
+def cyclic_bases_reference(
+    alg: ChordAlgebra, window: tuple[int, int], max_len: int
+) -> dict[int, list]:
+    """One label per good cyclic class by filtering every cyclic word: the
+    words that no rotation sorts before (a filter that stops at the first
+    smaller rotation) and whose class is not zero by complexes._cyclic_rep,
+    in letter order."""
+    lo, hi = window
+    parity = alg.parity
+    bases: dict[int, list] = {}
+    for deg, words in _cyclic_words(alg.generators, max_len, (lo - 1, hi + 1)).items():
+        labs = [
+            ("cyc", w)
+            for w in words
+            if not any(w[i:] + w[:i] < w for i in range(1, len(w)))
+            and complexes._cyclic_rep(parity, w)[1]
+        ]
+        if labs:
+            labs.sort()
+            bases[deg] = labs
+    return bases
 
 
 def s_operator(algebra: ChordAlgebra, word: Word) -> dict[DecoratedWord, Fraction]:

@@ -38,7 +38,13 @@ from chordhom.surgery import (
 
 from conftest import random_dga
 from test_dga import free_dga
-from reference_images import is_bad_by_parity, marks, module_M_reference, s_operator
+from reference_images import (
+    cyclic_bases_reference,
+    is_bad_by_parity,
+    marks,
+    module_M_reference,
+    s_operator,
+)
 
 
 def algebra_with(*gradings):
@@ -158,6 +164,49 @@ def test_cyclic_class_rejects_bad_input():
     two = ChordAlgebra(BaseRing(2), [Generator("a", 1, 1, 2)])
     with pytest.raises(ValueError):
         cyclic_class(two, Word.of(["a"]))  # not cyclically composable
+
+
+# ---- the cyclic basis: good necklaces off the walk -----------------------------
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cyclic_bases_match_the_rotation_filter(seed):
+    """The necklaces read off the walk give the basis of the rotation
+    filter over every cyclic word, on random DGAs of one and two
+    components with chords of grading down to -1."""
+    rng = random.Random(seed)
+    dga = random_dga(rng, min_grading=(1, 0, -1)[seed % 3])
+    window, max_len = (rng.randint(-2, 2), rng.randint(2, 5)), rng.randint(1, 5)
+    assert _cyclic_bases(dga.algebra, window, max_len) == cyclic_bases_reference(
+        dga.algebra, window, max_len
+    )
+
+
+def test_cyclic_bases_drop_the_zero_classes():
+    """a a is an even power of an odd word, a a a an odd one; a b a b is
+    zero exactly when |a| + |b| is odd."""
+    labels = _cyclic_bases(algebra_with(1), (0, 4), 4)
+    words = [w for labs in labels.values() for _, w in labs]
+    assert ("a", "a", "a") in words and ("a", "a") not in words
+    for gradings, kept in (((1, 2), False), ((1, 1), True), ((2, 2), True)):
+        labels = _cyclic_bases(algebra_with(*gradings), (0, 8), 4)
+        words = [w for labs in labels.values() for _, w in labs]
+        assert (("a", "b", "a", "b") in words) == kept
+        assert ("a", "b") in words
+
+
+@pytest.mark.parametrize("name,window", [("chekanov_a", (-4, 0)), ("unknot", (0, 8))])
+def test_cyclic_bases_rotate_no_word(monkeypatch, name, window):
+    """The basis of the rotation filter, read off the walk: no word is
+    rotated to find it."""
+    alg = dga_from_document(example_document(name)).algebra
+    want = cyclic_bases_reference(alg, window, 4)
+
+    def rotate(*args):
+        raise AssertionError("the cyclic basis rotated a word")
+
+    monkeypatch.setattr(complexes, "_cyclic_rep", rotate)
+    assert _cyclic_bases(alg, window, 4) == want
 
 
 # ---- the spread operator ------------------------------------------------------
@@ -418,7 +467,10 @@ def test_chord_basis_build_walks_the_words_once(chekanov_a, monkeypatch, build):
     marked words of mcyc included."""
     walks = []
     walk = complexes._cyclic_words
-    monkeypatch.setattr(complexes, "_cyclic_words", lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(
+        complexes, "_cyclic_words",
+        lambda *args, **kwargs: walks.append(args) or walk(*args, **kwargs),
+    )
     build(chekanov_a, (-4, 0), 4)
     assert len(walks) == 1
 

@@ -473,7 +473,10 @@ def test_cli_dictionary_check_walks_the_words_once(monkeypatch):
 
     walks = []
     walk = complexes._cyclic_words
-    monkeypatch.setattr(complexes, "_cyclic_words", lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(
+        complexes, "_cyclic_words",
+        lambda *args, **kwargs: walks.append(args) or walk(*args, **kwargs),
+    )
     code, out = run_cli(
         "lefschetz", "lefschetz_min", "--t-order", "2", "--emit", "dictionary-check",
         "--max-deg", "3", "--max-len", "6",

@@ -326,6 +326,30 @@ def test_cyclic_words_match_brute_force(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
+def test_necklace_walk_matches_brute_force(data):
+    """With necklaces, the walk lists the words of brute force that no
+    rotation sorts before, in the same order, each with its least period,
+    with or without a degree window."""
+    k = data.draw(st.integers(1, 3))
+    letters = _random_letters(data, k, st.integers(-1, 3), 4)
+    window = data.draw(st.none() | st.tuples(st.integers(-3, 6), st.integers(-3, 6)))
+    max_len = data.draw(st.integers(0, 5))
+
+    def period(w):
+        return next(p for p in range(1, len(w) + 1) if w == w[p:] + w[:p])
+
+    want = {}
+    for deg, words in _cyclic_brute_force(letters, max_len, window).items():
+        necklaces = [
+            (w, period(w)) for w in words if all(w[i:] + w[:i] >= w for i in range(len(w)))
+        ]
+        if necklaces:
+            want[deg] = necklaces
+    assert _cyclic_words(letters, max_len, window, necklaces=True) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
 def test_window_pruning_keeps_every_word_in_the_window(data):
     """The prefix pruning under a degree window drops no word: at lengths
     beyond the first test's reach, for gradings of either sign and zero,
