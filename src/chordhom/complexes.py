@@ -28,7 +28,7 @@ The slot word of c.w is w.c, so its image is read off the Leibniz image
 of the tail w: the tail terms whose last port meets c, c behind them,
 then the rows of d(c) after w.  The hat image of c.w reads the same tail
 image, so one build computes it once for every head and both marks
-(_tail_image).  No image builds a term whose word is longer than
+(_word_image).  No image builds a term whose word is longer than
 max_len, which no basis label is: the tail image is capped at max_len - 1
 letters, and a row of d(c) is skipped when it would pass the cap.
 
@@ -37,17 +37,19 @@ differential d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
 (_mark_terms); each term keeps the grading parities of the letters before
 and after its mark, so the Koszul sign of rotating it to mark-first form
 is read in constant time, and one build computes each word's Leibniz
-image once for all its marks, capped at max_len letters like the mark
-terms.  The marked module itself, on the same mark
-differential, is a reference in the tests.  The check/hat side computes
+image and parity once for all its marks (_word_image), the image capped
+at max_len letters like the mark terms.  The marked module itself, on
+the same mark differential, is a reference in the tests.  The check/hat side computes
 its own, so mcyc against the completed check/hat complex compares two
 constructions.
 
 Every boundary image runs in integers: the Leibniz terms come from
-dga._leibniz_word on letter tuples, the differential rows and unit terms
-are numerators over the DGA's common denominator dga._denom, and each
-image returns its sums per label as (numerators, dga._denom), which
-build_complex stores as they are.
+dga._leibniz_word on letter tuples, and the differential rows and unit
+terms are numerators over the DGA's common denominator dga._denom.  Each
+image takes the row index of the degree below from build_complex, looks
+every target label up there once, leaves out the targets the basis
+lacks, sums on the rows and returns (numerators by row, dga._denom) with
+the sums that cancelled left out, which build_complex stores as it is.
 """
 
 from __future__ import annotations
@@ -168,7 +170,12 @@ def _cyclic_bases(
     return bases
 
 
-def _cyclic_image(dga: DGASpec, max_len: int, label) -> tuple[dict, int]:
+def _nonzero(column: dict[int, int]) -> dict[int, int]:
+    """column less its entries that summed to zero, in order."""
+    return {r: v for r, v in column.items() if v} if 0 in column.values() else column
+
+
+def _cyclic_image(dga: DGASpec, max_len: int, label, rows) -> tuple[dict, int]:
     """The letterwise Leibniz differential followed by projection to the
     cyclic classes; length-zero collapses are dropped, and so are the
     words longer than max_len, which no class of the basis holds."""
@@ -178,10 +185,9 @@ def _cyclic_image(dga: DGASpec, max_len: int, label) -> tuple[dict, int]:
         if key.__class__ is not tuple:
             continue
         rep, sign = _cyclic_rep(parity, key)
-        if sign:
-            target = ("cyc", rep)
-            out[target] = out.get(target, 0) + (v if sign > 0 else -v)
-    return out, dga._denom
+        if sign and (row := rows.get(("cyc", rep))) is not None:
+            out[row] = out.get(row, 0) + (v if sign > 0 else -v)
+    return _nonzero(out), dga._denom
 
 
 # ---- the check/hat complex and its completion --------------------------------
@@ -193,23 +199,22 @@ def _rot1(letters: tuple[str, ...]) -> tuple[str, ...]:
     return (letters[-1],) + letters[:-1]
 
 
-def _tail_image(
-    dga: DGASpec, max_len: int, tails: dict, tail: tuple[str, ...]
+def _word_image(
+    dga: DGASpec, cap: int, images: dict, word: tuple[str, ...]
 ) -> tuple[dict, int]:
-    """The Leibniz image of the nonempty tail of a decorated word, capped
-    at max_len - 1 letters so that the head fits in front, and the parity
-    of the tail's degree; tails maps each tail met so far in the build to
-    both."""
-    entry = tails.get(tail)
+    """The Leibniz image of a word, capped at cap letters (empty for the
+    empty word), and the parity of the word's degree; images maps each
+    word met so far in the build to both."""
+    entry = images.get(word)
     if entry is None:
         parity = dga.algebra.parity
-        image = _leibniz_word(dga, tail, cap=max_len - 1)
-        entry = tails[tail] = image, sum(parity[x] for x in tail) & 1
+        image = _leibniz_word(dga, word, cap=cap) if word else {}
+        entry = images[word] = image, sum(parity[x] for x in word) & 1
     return entry
 
 
 def _hat_image(
-    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...]
+    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...], rows
 ) -> tuple[dict, int]:
     """Differential of a hat word, in the marked-module normal form: the
     two mark-slot commutator terms land in check words, the marked letter
@@ -222,14 +227,16 @@ def _hat_image(
     parity = alg.parity
     head, tail = letters[0], letters[1:]
     head_odd = parity[head]
-    image, tail_odd = _tail_image(dga, max_len, tails, tail) if tail else ({}, 0)
+    # the tail is capped at max_len - 1 letters so that the head fits in front
+    image, tail_odd = _word_image(dga, max_len - 1, tails, tail)
 
     # mark slot moved through the marked letter: + (slot, c, tail) and
     # - (-1)^(|c| |tail|) (slot, tail, c), translated to check lettering
-    out: dict = {("chk", _rot1(letters)): den}
-    odd = head_odd and tail_odd
-    target = ("chk", _rot1(tail + (head,)))
-    out[target] = out.get(target, 0) + (den if odd else -den)
+    out: dict = {}
+    if (row := rows.get(("chk", _rot1(letters)))) is not None:
+        out[row] = den
+    if (row := rows.get(("chk", _rot1(tail + (head,))))) is not None:
+        out[row] = out.get(row, 0) + (den if head_odd and tail_odd else -den)
 
     # -S(d(head)) * tail
     room = max_len - len(tail)
@@ -237,8 +244,8 @@ def _hat_image(
         if len(piece) > room:
             continue
         for word, sign in _s_terms(alg, piece, tail):
-            target = ("hat", word)
-            out[target] = out.get(target, 0) + (-c if sign > 0 else c)
+            if (row := rows.get(("hat", word))) is not None:
+                out[row] = out.get(row, 0) + (-c if sign > 0 else c)
 
     # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
     head_src, dst = dga._src[head], dga._dst
@@ -246,52 +253,59 @@ def _hat_image(
         if key.__class__ is tuple:
             if dst[key[0]] != head_src:
                 continue
-            target = ("hat", (head,) + key)
+            row = rows.get(("hat", (head,) + key))
         elif key == head_src:
-            target = ("hat", (head,))
+            row = rows.get(("hat", (head,)))
         else:
             continue
-        out[target] = out.get(target, 0) + (v if head_odd else -v)
+        if row is not None:
+            out[row] = out.get(row, 0) + (v if head_odd else -v)
 
-    return out, den
+    return _nonzero(out), den
 
 
 def _check_image(
-    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...]
+    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...], rows
 ) -> tuple[dict, int]:
     """The Leibniz image of the slot word tail.head of the check word
     head^ tail, read off the image of tail: the tail terms whose last port
     meets head keep head behind them, then head's own rows follow with the
-    sign (-1)^|tail|, a running sum that reaches zero dropping its key.
+    sign (-1)^|tail|, a running sum that reaches zero dropping its row.
     Key for key and in order, this is _leibniz_word of tail.head with the
     keys rotated to check lettering and the unit term of a single letter
-    sent to its component class, ("tau", i); build_complex drops that term
-    where the basis holds no component class."""
+    sent to its component class, ("tau", i), each looked up in rows; the
+    unit term drops out where the basis holds no component class."""
     head, tail = letters[0], letters[1:]
     head_dst = dga._dst[head]
     out: dict = {}
     left, odd = None, 0
     if tail:
-        image, odd = _tail_image(dga, max_len, tails, tail)
+        image, odd = _word_image(dga, max_len - 1, tails, tail)
         src = dga._src
         for key, v in image.items():
             if key.__class__ is tuple:
-                if src[key[-1]] == head_dst:
-                    out[("chk", (head,) + key)] = v
+                if src[key[-1]] != head_dst:
+                    continue
+                row = rows.get(("chk", (head,) + key))
             elif key == head_dst:
-                out[("chk", (head,))] = v
+                row = rows.get(("chk", (head,)))
+            else:
+                continue
+            if row is not None:
+                out[row] = v
         left = src[tail[-1]]
     room = max_len - len(tail)
     for piece, pdst, _, c in dga._rows.get(head, ()):
         if left is not None and left != pdst or len(piece) > room:
             continue
         word = tail + piece
-        target = ("chk", _rot1(word)) if word else ("tau", pdst)
-        v = out.get(target, 0) + (-c if odd else c)
+        if (row := rows.get(("chk", _rot1(word)) if word else ("tau", pdst))) is None:
+            continue
+        v = out.get(row, 0) + (-c if odd else c)
         if v:
-            out[target] = v
+            out[row] = v
         else:
-            del out[target]
+            del out[row]
     return out, dga._denom
 
 
@@ -316,7 +330,7 @@ def _decorated_bases(
 
 
 def _decorated_image(
-    dga: DGASpec, max_len: int, tails: dict, label
+    dga: DGASpec, max_len: int, tails: dict, label, rows
 ) -> tuple[dict, int]:
     """The matrix differential on check and hat words.
 
@@ -330,14 +344,14 @@ def _decorated_image(
     """
     kind, letters = label
     if kind == "hat":
-        return _hat_image(dga, max_len, tails, letters)
+        return _hat_image(dga, max_len, tails, letters, rows)
     if kind == "tau":
         return {}, 1
     # a check word with no differential letter is closed; its tail image
     # is left to the hat word that needs it
     if dga._rows.keys().isdisjoint(letters):
         return {}, dga._denom
-    return _check_image(dga, max_len, tails, letters)
+    return _check_image(dga, max_len, tails, letters, rows)
 
 
 # ---- the cyclic quotient of the marked module ---------------------------------
@@ -389,37 +403,34 @@ def _enumerate_marked_words(
 
 
 def _mcyc_image(
-    dga: DGASpec, max_len: int, mark_terms: dict, images: dict, label
+    dga: DGASpec, max_len: int, mark_terms: dict, images: dict, label, rows
 ) -> tuple[dict, int]:
     """Differential on the marked cyclic quotient: the mark differential
     rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
     mark_terms maps each chord to its _mark_terms, and images each word
-    met so far to its _leibniz_word image.  Terms whose unmarked word is
-    longer than max_len are left out."""
+    met so far to its _leibniz_word image and parity (_word_image).  Terms
+    whose unmarked word is longer than max_len are left out."""
     parity = dga.algebra.parity
     out: dict = {}
     kind, name, word = label
+    image, odd_w = _word_image(dga, max_len, images, word)
     odd = False
     if kind == "mc":
-        odd_w = sum(parity[n] for n in word) & 1
         room = max_len - len(word)
         for before, mark, after, coeff, odd_b, odd_a in mark_terms[name]:
             if len(before) + len(after) > room:
                 continue
+            if (row := rows.get(mark + (after + word + before,))) is None:
+                continue
             # a hat mark on c has degree |c| + 1, a component class 0
             if odd_b and odd_a ^ odd_w ^ (mark[0] == "mc" and not parity[mark[1]]):
                 coeff = -coeff
-            target = mark + (after + word + before,)
-            out[target] = out.get(target, 0) + coeff
+            out[row] = out.get(row, 0) + coeff
         odd = not parity[name]
-    if word:
-        image = images.get(word)
-        if image is None:
-            image = images[word] = _leibniz_word(dga, word, cap=max_len)
-        for key, v in image.items():
-            target = (kind, name, key if key.__class__ is tuple else ())
-            out[target] = out.get(target, 0) + (-v if odd else v)
-    return out, dga._denom
+    for key, v in image.items():
+        if (row := rows.get((kind, name, key if key.__class__ is tuple else ()))) is not None:
+            out[row] = out.get(row, 0) + (-v if odd else v)
+    return _nonzero(out), dga._denom
 
 
 # ---- the chord builders --------------------------------------------------------

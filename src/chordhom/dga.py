@@ -329,8 +329,8 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
     for g in sorted(dga.generators, key=lambda g: g.name):
         bases.setdefault(g.grading, []).append(g.name)
 
-    def image(label) -> tuple[dict[str, int], int]:
-        out: dict[str, Fraction] = defaultdict(Fraction)
+    def image(label, rows) -> tuple[dict[int, int], int]:
+        out: dict[int, Fraction] = defaultdict(Fraction)
         for w, coeff in dga.d_gen(label).terms.items():
             if w.is_idem:
                 continue
@@ -345,8 +345,8 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
                         prod = Fraction(0)
                         break
                     prod *= v
-                if prod:
-                    out[name] += prod
+                if prod and (row := rows.get(name)) is not None:
+                    out[row] += prod
         return _numerators(out)
 
     return build_complex(bases, image, window, EXACT)

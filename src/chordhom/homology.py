@@ -2,7 +2,8 @@
 exact ranks over Q, Betti tables, and finiteness guards.
 
 Boundary matrices are stored the way the images compute them: every
-image returns integer numerators over one denominator, and build_complex
+image looks its targets up in the row index of the degree below and
+returns integer numerators by row over one denominator, and build_complex
 keeps each degree as integer columns {col: {row: numerator}} over the lcm
 of its columns' denominators.  d^2, ranks, is_boundary and the verifiers
 read those columns; the {(row, col): Fraction} view of a complex (diffs,
@@ -120,7 +121,14 @@ class GradedChainComplex:
         lower, lden = self._integer(lo)
         for d in range(lo + 1, hi + 2):
             upper, uden = self._integer(d)
+            values = _Numerators(pool, uden * lden)
             for c, col in upper.items():
+                if len(col) == 1:
+                    # no stored entry is zero, so neither is a product
+                    (mid, v), = col.items()
+                    if below := lower.get(mid):
+                        bad.extend((d, (r, c), values[v * w]) for r, w in below.items())
+                    continue
                 acc: dict[int, int] = {}
                 for mid, v in col.items():
                     below = lower.get(mid)
@@ -128,8 +136,7 @@ class GradedChainComplex:
                         for r, w in below.items():
                             acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
-                    den = uden * lden
-                    bad.extend((d, (r, c), pool[total, den]) for r, total in acc.items() if total)
+                    bad.extend((d, (r, c), values[total]) for r, total in acc.items() if total)
             lower, lden = upper, uden
         return bad
 
@@ -144,10 +151,22 @@ class _FractionPool(dict):
         return f
 
 
+class _Numerators(dict):
+    """values[num] is pool[num, den] for one den, read from the pool once."""
+
+    def __init__(self, pool: _FractionPool, den: int):
+        self.pool, self.den = pool, den
+
+    def __missing__(self, num: int) -> Fraction:
+        f = self[num] = self.pool[num, self.den]
+        return f
+
+
 def _fraction_view(columns: Columns, den: int, pool: _FractionPool) -> SparseMatrix:
     """Integer columns over den as {(row, col): Fraction} drawn from pool,
     column by column in stored order."""
-    return {(r, c): pool[v, den] for c, col in columns.items() for r, v in col.items()}
+    values = _Numerators(pool, den)
+    return {(r, c): values[v] for c, col in columns.items() for r, v in col.items()}
 
 
 def _numerators(terms: Mapping[Label, Fraction]) -> tuple[dict[Label, int], int]:
@@ -480,37 +499,31 @@ def enumerate_cyclic_words(
 
 def build_complex(
     bases: dict[int, list[Label]],
-    image: Callable[[Label], tuple[Mapping[Label, int], int]],
+    image: Callable[[Label, Mapping[Label, int]], tuple[dict[int, int], int]],
     window: tuple[int, int],
     verdict: str,
 ) -> GradedChainComplex:
     """Assemble a GradedChainComplex from per-degree label lists and a
-    function image(label) giving the boundary image of a basis label as
-    (integer numerators by target label, their denominator).
+    function image(label, rows) giving the boundary image of a basis label.
 
-    Targets outside the basis and zero numerators are dropped.  Each degree
-    is stored as integer columns over the lcm of its columns'
-    denominators; a column is rescaled only when its own denominator
-    differs from that lcm.
+    rows maps each label of the degree below (one of lo-1..hi) to its row.
+    The image looks each target up there once, leaves out those rows lacks and
+    returns (integer numerators by row, their denominator) with no zero
+    numerator, in the order the column is stored.  Each degree is stored
+    as integer columns over the lcm of its columns' denominators; a column
+    is rescaled only when its own denominator differs from that lcm.
     """
     lo, hi = window
-    index: dict[int, dict[Label, int]] = {
-        d: {lab: i for i, lab in enumerate(labs)} for d, labs in bases.items()
-    }
     store: dict[int, tuple[Columns, int]] = {}
     for d in range(lo, hi + 2):
-        labs = bases.get(d, [])
+        labs = bases.get(d)
         if not labs:
             continue
-        target = index.get(d - 1, {})
+        rows = {lab: i for i, lab in enumerate(bases.get(d - 1, ()))}
         columns: Columns = {}
         dens: dict[int, int] = {}
         for col, lab in enumerate(labs):
-            nums, den = image(lab)
-            column = {
-                row: v for tlab, v in nums.items()
-                if v and (row := target.get(tlab)) is not None
-            }
+            column, den = image(lab, rows)
             if column:
                 columns[col] = column
                 dens[col] = den

@@ -26,13 +26,14 @@ The cyclic tensor complex has no basis of its own: it is the check/hat
 basis of complexes._decorated_bases (with the component classes), labels
 and order included, with degrees negated, so verify_dictionary pairs the
 two complexes position by position, refusing label lists that differ.
-Its boundary images sum integer numerators over the lcm of the
-table's denominators, with the Koszul signs read off one prefix-parity
-list per label, drop a sum that cancels, and hand build_complex the sums
-with that denominator.  They scan only chord blocks no longer than the
-table's longest word and look up the hits of each block once per call.
-dictionary_check builds it on the basis of the check/hat complex it is
-checked against, so one dictionary check walks the words once.
+Its boundary images look every target up once in the row index that
+build_complex hands them and sum integer numerators on its rows over the
+lcm of the table's denominators, with the Koszul signs read off one
+prefix-parity list per label; a sum that cancels drops its row.  They
+scan only chord blocks no longer than the table's longest word and look
+up the hits of each block once per call.  dictionary_check builds it on
+the basis of the check/hat complex it is checked against, so one
+dictionary check walks the words once.
 """
 
 from __future__ import annotations
@@ -669,27 +670,30 @@ def _cyclic_tensor_complex(
             pre.append(pre[-1] ^ parity[x])
         return pre
 
-    def add(out: dict, label, v: int) -> None:
-        # every v is nonzero, so a sum that reaches zero had a key to drop
-        v += out.get(label, 0)
+    def add(out: dict, rows, label, v: int) -> None:
+        # every v is nonzero, so a sum that reaches zero had a row to drop
+        if (row := rows.get(label)) is None:
+            return
+        v += out.get(row, 0)
         if v:
-            out[label] = v
+            out[row] = v
         else:
-            del out[label]
+            del out[row]
 
-    def image(label) -> tuple[dict, int]:
-        """The boundary image as (integer numerators by label, den)."""
+    def image(label, rows) -> tuple[dict, int]:
+        """The boundary image as (integer numerators by row, den)."""
         out: dict = {}
         kind, letters = label
         if kind == "tau":
-            return {("chk", (curvature[letters],)): 1}, 1
+            add(out, rows, ("chk", (curvature[letters],)), 1)
+            return out, 1
         if kind == "chk":
             slot_word = letters[1:] + (letters[0],)
             s = len(slot_word)
             pre = prefix_parities(slot_word)
 
             def emit(new_word, coeff):
-                add(out, ("chk", (new_word[-1],) + new_word[:-1]), coeff)
+                add(out, rows, ("chk", (new_word[-1],) + new_word[:-1]), coeff)
 
             for t in range(s):
                 psign = -1 if pre[t] else 1
@@ -703,10 +707,10 @@ def _cyclic_tensor_complex(
             for slot in range(s + 1):
                 enm = curvature[src[slot_word[slot - 1]] if slot else dst[slot_word[0]]]
                 emit(slot_word[:slot] + (enm,) + slot_word[slot:], -den if pre[slot] else den)
-            add(out, ("hat", slot_word), den)
+            add(out, rows, ("hat", slot_word), den)
             # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
             rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
-            add(out, ("hat", letters), -rsign * den)
+            add(out, rows, ("hat", letters), -rsign * den)
             return out, den
         s = len(letters)
         pre = prefix_parities(letters)
@@ -717,10 +721,10 @@ def _cyclic_tensor_complex(
             for m in range(1, min(s - j, max_arity) + 1):
                 for out_name, coeff in blocks_of(letters[j : j + m]):
                     new = letters[:j] + (out_name,) + letters[j + m :]
-                    add(out, ("hat", new), psign * coeff)
+                    add(out, rows, ("hat", new), psign * coeff)
         for t in range(0, s):
             new = letters[: t + 1] + (curvature[src[letters[t]]],) + letters[t + 1 :]
-            add(out, ("hat", new), den if pre[t + 1] else -den)
+            add(out, rows, ("hat", new), den if pre[t + 1] else -den)
         # the block tail + letters[:h] has length t + h <= max_arity
         for h in range(1, min(s, max_arity) + 1):
             for t in range(0, min(s - h, max_arity - h) + 1):
@@ -730,7 +734,7 @@ def _cyclic_tensor_complex(
                     # (-1)^(|tail| |letters[:s-t]|)
                     sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
                     # the spread of the marked letter enters negatively
-                    add(out, ("hat", (out_name,) + middle), -sgn * coeff)
+                    add(out, rows, ("hat", (out_name,) + middle), -sgn * coeff)
         return out, den
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)

@@ -186,15 +186,18 @@ def _by_source(tables: Mapping[str, Mapping]) -> dict:
 
 def _orbit_row(
     label,
-    rows: Mapping[tuple[str, str], list],
+    tables: Mapping[tuple[str, str], list],
     target_kappa: Mapping[str, int],
     source_kappa: Mapping[str, int],
     algebra: ChordAlgebra | None,
     bad: Container[str] = (),
+    rows: Mapping | None = None,
 ) -> dict:
-    """The couplings of an orbit or Morse label, read off count tables.
+    """The couplings of an orbit or Morse label, read off count tables, by
+    target label; with rows, the row index of a boundary image, by row,
+    each target looked up once and left out when rows lacks it.
 
-    rows indexes the CobordismCounts tables by their names (_by_source),
+    tables indexes the CobordismCounts tables by their names (_by_source),
     and morse_tau for the Morse component-class counts.  Serves the surgery
     differentials (the filling's tables, one multiplicity map for both
     sides) and the cobordism maps.  Undecorated
@@ -208,7 +211,11 @@ def _orbit_row(
     out: dict = defaultdict(Fraction)
 
     def row(table: str):
-        return rows.get((table, x), ())
+        return tables.get((table, x), ())
+
+    def put(target, c) -> None:
+        if (key := target if rows is None else rows.get(target)) is not None:
+            out[key] += c
 
     cyc = row("orbit_cyc") if kind in ("orb", "ohat") else ()
     if cyc and algebra is None:
@@ -216,37 +223,37 @@ def _orbit_row(
 
     if kind in ("orb", "ochk"):
         for b, c in row("orbit_orbit"):
-            out[(kind, b)] += c / target_kappa.get(b, 1)
+            put((kind, b), c / target_kappa.get(b, 1))
         if kind == "orb":
             for w, c in cyc:
                 cls = cyclic_class(algebra, Word.of(w))
-                out[("cyc", cls.representative)] += c * cls.sign / cls.multiplicity
+                put(("cyc", cls.representative), c * cls.sign / cls.multiplicity)
             return out
         for b, c in row("orbit_orbit_bott"):
-            out[("ohat", b)] += c
+            put(("ohat", b), c)
         for w, c in row("orbit_check_word"):
-            out[("chk", w)] += c
+            put(("chk", w), c)
         for w, c in row("orbit_hat_word"):
-            out[("hat", w)] += c
+            put(("hat", w), c)
         if x not in bad:
             for p, c in row("orbit_morse"):
-                out[("mrs", p)] += c
+                put(("mrs", p), c)
             for j, c in row("orbit_tau"):
-                out[("tau", j)] += c
+                put(("tau", j), c)
     elif kind == "ohat":
         if x in bad:
-            out[("ochk", x)] += BAD_ORBIT_DOUBLING
+            put(("ochk", x), BAD_ORBIT_DOUBLING)
         kappa = source_kappa.get(x, 1)
         for b, c in row("orbit_orbit"):
-            out[("ohat", b)] += c / kappa
+            put(("ohat", b), c / kappa)
         for w, c in cyc:
             for word, sign in _s_terms(algebra, w):
-                out[("hat", word)] += c * sign / kappa
+                put(("hat", word), c * sign / kappa)
     elif kind == "mrs":
         for q, c in row("morse_morse"):
-            out[("mrs", q)] += c
+            put(("mrs", q), c)
         for j, c in row("morse_tau"):
-            out[("tau", j)] += c
+            put(("tau", j), c)
     return out
 
 
@@ -324,7 +331,7 @@ def _surgery_complex(
             cls = cyclic_class(alg, Word.of(w))
             if not cls.is_zero:
                 cyc[(g, cls.representative)] += c * cls.sign
-    rows = _by_source(dict(
+    tables = _by_source(dict(
         orbit_orbit=filling.orbit_diff,
         orbit_orbit_bott=filling.bott_diff,
         orbit_morse=filling.to_morse,
@@ -336,10 +343,10 @@ def _surgery_complex(
         morse_tau=filling.morse_tau,
     ))
 
-    def image(label) -> tuple[dict, int]:
+    def image(label, rows) -> tuple[dict, int]:
         if label[0] in ("orb", "ochk", "ohat", "mrs"):
-            return _numerators(_orbit_row(label, rows, kappa, kappa, alg, bad))
-        return chord_image(label)
+            return _numerators(_orbit_row(label, tables, kappa, kappa, alg, bad, rows))
+        return chord_image(label, rows)
 
     return build_complex(bases, image, window, verdict)
 
@@ -407,11 +414,11 @@ def assemble_cobordism_map(
 ) -> ChainMapReport:
     """Assemble the block map and verify F d - d F = 0 on the window."""
     lo, hi = source.window
-    rows = _by_source(vars(counts))
+    tables = _by_source(vars(counts))
     mapping: dict = {}
     for d in range(lo - 1, hi + 2):
         for lab in source.labels(d):
-            image = _orbit_row(lab, rows, target_kappa or {}, source_kappa or {}, algebra)
+            image = _orbit_row(lab, tables, target_kappa or {}, source_kappa or {}, algebra)
             mapping[lab] = {k: v for k, v in image.items() if v}
 
     tgt_index = {
@@ -448,16 +455,17 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
     its source orbit; build_lch_surgery without a DGA divides by the
     target's."""
     orbits = filling.orbits_up_to(window[1] + 2)
-    orbit_info = {o.label: o for o in orbits}
+    kappa = {o.label: o.multiplicity for o in orbits}
     bases = _orbit_bases(orbits, filling.morse, window, "ch")
-    rows = _by_source({"orbit_orbit": filling.orbit_diff})
+    tables = _by_source({"orbit_orbit": filling.orbit_diff})
 
-    def image(label) -> tuple[dict, int]:
+    def image(label, rows) -> tuple[dict, int]:
+        # the basis holds the good orbits only, so rows lacks the bad ones
         gamma = label[1]
         out: dict = defaultdict(Fraction)
-        for beta, c in rows.get(("orbit_orbit", gamma), ()):
-            if beta in orbit_info and not orbit_info[beta].bad:
-                out[("orb", beta)] += c / orbit_info[gamma].multiplicity
+        for beta, c in tables.get(("orbit_orbit", gamma), ()):
+            if (row := rows.get(("orb", beta))) is not None:
+                out[row] += c / kappa[gamma]
         return _numerators(out)
 
     return build_complex(bases, image, window, EXACT)

@@ -5,9 +5,11 @@ Every image here wraps its word in an Element, expands it with
 extend_leibniz and sums Fraction coefficients label by label, keeping the
 labels in the order of their first term.  The library images accumulate
 integer numerators instead; built on the same bases, the two must give the
-same matrices, entry for entry and in stored order.  build_complex takes
-images as (numerators, denominator), so a reference image is handed to it
-through homology._numerators.
+same matrices, entry for entry and in stored order.  build_complex hands
+an image the row index of the degree below and takes its column as
+(numerators by row, denominator), so a reference image is handed to it
+through on_rows, which maps its sums through the index; Numbering is a row
+index that drops no label, for calling a library image on its own.
 
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the cyclic basis by a rotation filter over every
@@ -63,6 +65,33 @@ class DecoratedWord:
         mark = "v" if self.decoration == CHECK else "^"
         head = f"{self.word[0]}{mark}"
         return ".".join((head,) + self.word[1:])
+
+
+def on_rows(image):
+    """A label-keyed image as build_complex takes it: its sums mapped through
+    the row index in their order, the labels the index lacks and the zero
+    sums left out, as numerators over the lcm of their denominators."""
+
+    def by_row(label, rows):
+        return _numerators({rows[k]: v for k, v in image(label).items() if k in rows})
+
+    return by_row
+
+
+class Numbering(dict):
+    """A row index that numbers every label on its first lookup, so an
+    image called with it leaves out no target."""
+
+    def get(self, label, default=None):
+        row = super().get(label)
+        if row is None:
+            row = self[label] = len(self)
+        return row
+
+    def labelled(self, column: dict) -> list:
+        """column's entries as (label, value), in its order."""
+        labels = list(self)
+        return [(labels[r], v) for r, v in column.items()]
 
 
 class _Sum(dict):
@@ -328,7 +357,7 @@ def module_M_reference(dga: DGASpec, window: tuple[int, int], max_len: int):
     of left and right together."""
     return build_complex(
         module_M_bases(dga, window, max_len),
-        lambda label: _numerators(module_M_image(dga, label)),
+        on_rows(lambda label: module_M_image(dga, label)),
         window, "reference",
     )
 
@@ -336,6 +365,14 @@ def module_M_reference(dga: DGASpec, window: tuple[int, int], max_len: int):
 def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
     """The cyclic tensor complex with Fraction coefficients, summed over
     every prefix grading as written."""
+    lo, hi = window
+    stored, image = hochschild_reference_image(D, window, max_len)
+    return build_complex(stored, on_rows(image), (-hi, -lo), "reference")
+
+
+def hochschild_reference_image(D: CurvedAinf, window: tuple[int, int], max_len: int):
+    """The bases of the cyclic tensor complex, stored with degrees negated,
+    and its label-keyed image with Fraction coefficients."""
     symbols, table, N = D.symbols, D.table, D.order
     gens = _chord_generators(symbols, N)
     alg = ChordAlgebra(BaseRing(D.spec.k), gens)
@@ -430,9 +467,7 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
                     out[("hat", (out_name,) + middle)] -= sgn * coeff
         return out
 
-    return build_complex(
-        stored, lambda label: _numerators(image(label)), (-hi, -lo), "reference"
-    )
+    return stored, image
 
 
 # ---- the curved category's relations ---------------------------------------------

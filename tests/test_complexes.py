@@ -39,6 +39,7 @@ from chordhom.surgery import (
 from conftest import random_dga
 from test_dga import free_dga
 from reference_images import (
+    Numbering,
     cyclic_bases_reference,
     is_bad_by_parity,
     marks,
@@ -527,7 +528,9 @@ def assert_check_image_is_the_slot_word_image(dga, letters, max_len):
         (("chk", _rot1(key)) if type(key) is tuple else ("tau", key), v)
         for key, v in full.items()
     ]
-    assert list(_check_image(dga, max_len, {}, letters)[0].items()) == want
+    rows = Numbering()
+    column, _ = _check_image(dga, max_len, {}, letters, rows)
+    assert rows.labelled(column) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,7 +548,7 @@ def test_check_image_is_the_leibniz_image_of_the_slot_word(seed, max_len):
 def test_check_image_drops_a_cancelled_key():
     # d(a) = a with a odd: in the slot word a.a the two terms a.a cancel
     dga = DGASpec(BaseRing(1), [Generator("a", 1)], {"a": Element.monomial(Word.of("a"))})
-    assert _check_image(dga, 2, {}, ("a", "a")) == ({}, 1)
+    assert _check_image(dga, 2, {}, ("a", "a"), Numbering()) == ({}, 1)
     assert_check_image_is_the_slot_word_image(dga, ("a", "a"), 2)
 
 

@@ -222,6 +222,38 @@ def test_truncated_chekanov_a_mcyc_report_shares_its_values(chekanov_a):
     assert len({id(v) for v in values}) == len(set(values))
 
 
+def test_d_squared_report_shares_values_of_single_entry_columns_across_degrees():
+    # d(y) = 2/3 x; d(z) = 1/2 y and d(u) = 3/4 y, stored over 4; d(w) = z
+    # and d(v) = z + u.  d^2 reads 1/3 and 1/2 in degree 2, each from a
+    # single-entry column, then 1/2 from the single-entry w and 5/4 from v
+    # in degree 3: the two halves are one Fraction object
+    bases = {0: ["x"], 1: ["y"], 2: ["z", "u"], 3: ["w", "v"]}
+    images = {
+        "y": ({"x": 2}, 3),
+        "z": ({"y": 1}, 2),
+        "u": ({"y": 3}, 4),
+        "w": ({"z": 1}, 1),
+        "v": ({"z": 1, "u": 1}, 1),
+    }
+
+    def image(label, rows):
+        terms, den = images.get(label, ({}, 1))
+        return {rows[k]: v for k, v in terms.items()}, den
+
+    cx = build_complex(bases, image, (0, 2), EXACT)
+    report = cx.d_squared_report()
+    half = Fraction(1, 2)
+    assert report == [
+        (2, (0, 0), Fraction(1, 3)),
+        (2, (0, 1), half),
+        (3, (0, 0), half),
+        (3, (0, 1), Fraction(5, 4)),
+    ]
+    assert report[1][2] is report[2][2]
+    assert all(type(v) is Fraction for *_, v in report)
+    assert report == d_squared_reference(cx)
+
+
 def test_d_squared_error_message_with_fractions():
     bases = {0: ["x"], 1: ["y", "y2"], 2: ["z"]}
     diffs = {

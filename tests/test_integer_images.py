@@ -6,12 +6,15 @@ the same matrices, entry for entry and in stored order."""
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chordhom.complexes as complexes
+import chordhom.lefschetz as lefschetz
+import chordhom.surgery as surgery
 import reference_images as ref
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
@@ -22,7 +25,7 @@ from chordhom.complexes import (
     build_mcyc_complex,
 )
 from chordhom.dga import DGASpec, _leibniz_word
-from chordhom.homology import _numerators, build_complex
+from chordhom.homology import build_complex
 from chordhom.lefschetz import build_curved_category, hochschild_complex
 from chordhom.surgery import (
     SurgeryCountTable,
@@ -63,9 +66,7 @@ CHORD_IMAGES = [
 
 def assert_matches_the_reference(builder, image, dga, window, max_len):
     cx = builder(dga, window, max_len)
-    want = build_complex(
-        cx.basis, lambda label: _numerators(image(dga, label)), window, cx.verdict
-    )
+    want = build_complex(cx.basis, ref.on_rows(partial(image, dga)), window, cx.verdict)
     assert_same_matrices(cx, want)
 
 
@@ -78,7 +79,9 @@ def assert_surgery_matches_the_reference(builder, dga, window, max_len):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             complexes, "_decorated_image",
-            lambda dga, max_len, tails, label: _numerators(ref.decorated_image(dga, label)),
+            lambda dga, max_len, tails, label, rows: (
+                ref.on_rows(partial(ref.decorated_image, dga))(label, rows)
+            ),
         )
         want = builder(filling, dga, counts, window, max_len)
     assert_same_matrices(got, want)
@@ -124,18 +127,50 @@ def test_mcyc_images_with_long_prefixes_match_the_element_reference(chekanov_a):
 
 def word_length(label) -> int:
     """The letters of a label's word, the unmarked part for mcyc; 0 for a
-    component class."""
+    component class or an orbit."""
     return len(label[-1]) if type(label[-1]) is tuple else 0
+
+
+class LookupLog:
+    """A row index that records every label an image looks up in it."""
+
+    def __init__(self, rows, looked_up: list):
+        self.rows, self.looked_up = rows, looked_up
+
+    def get(self, label, default=None):
+        self.looked_up.append(label)
+        return self.rows.get(label, default)
+
+
+def recording_images(monkeypatch, module) -> tuple[list, list]:
+    """Make module's build_complex hand every image a LookupLog of its row
+    index; returns the image calls, as (label, rows, column, den), and the
+    labels looked up, both filled as the builds run."""
+    calls, looked_up = [], []
+
+    def build(bases, image, *args):
+        def recorded(label, rows):
+            column, den = image(label, LookupLog(rows, looked_up))
+            calls.append((label, rows, column, den))
+            return column, den
+
+        return build_complex(bases, recorded, *args)
+
+    monkeypatch.setattr(module, "build_complex", build)
+    return calls, looked_up
 
 
 @pytest.mark.parametrize("builder,image", CHORD_IMAGES[:3], ids=["cyc", "hoplus", "ho"])
 def test_chord_images_that_leave_out_long_words_match_the_element_reference(
-    chekanov_a, builder, image
+    chekanov_a, builder, image, monkeypatch
 ):
     # chekanov_a at max-len 3: three-letter terms in the differential make
-    # words longer than any basis label, which the images never build
+    # words longer than any basis label, which the images never look up
     window, max_len = (-4, 0), 3
-    cx = builder(chekanov_a, window, max_len)
+    with monkeypatch.context() as mp:
+        _, looked_up = recording_images(mp, complexes)
+        cx = builder(chekanov_a, window, max_len)
+    assert looked_up and max(map(word_length, looked_up)) <= max_len
     assert any(
         word_length(target) > max_len
         for labels in cx.basis.values()
@@ -147,8 +182,12 @@ def test_chord_images_that_leave_out_long_words_match_the_element_reference(
 
 @pytest.mark.parametrize("builder", [build_shplus_surgery, build_sh_surgery], ids=["sh+", "sh"])
 def test_surgery_chord_images_that_leave_out_long_words_match_the_reference(
-    chekanov_a, builder
+    chekanov_a, builder, monkeypatch
 ):
+    with monkeypatch.context() as mp:
+        _, looked_up = recording_images(mp, surgery)
+        builder(builtin_ball_filling(2), chekanov_a, SurgeryCountTable.zero(), (-4, 0), 3)
+    assert looked_up and max(map(word_length, looked_up)) <= 3
     assert_surgery_matches_the_reference(builder, chekanov_a, (-4, 0), 3)
 
 
@@ -177,3 +216,71 @@ def test_hochschild_images_match_the_fraction_reference(seed, t_order):
     assert_same_matrices(
         hochschild_complex(D, window, max_len), ref.hochschild_reference(D, window, max_len)
     )
+
+
+# ---- the row contract ------------------------------------------------------------
+
+
+def assert_row_contract(cx, calls, reference):
+    """Every column an image handed build_complex keys ints of
+    range(len(rows)), holds no zero numerator, is the column cx stores (over
+    its degree's denominator), and is reference(label) mapped through rows,
+    entry for entry and in order."""
+    position = {lab: (d, i) for d, labs in cx.basis.items() for i, lab in enumerate(labs)}
+    for label, rows, column, den in calls:
+        assert all(type(r) is int and 0 <= r < len(rows) for r in column)
+        assert all(column.values())
+        d, col = position[label]
+        columns, lcm = cx._integer(d)
+        got = [(r, Fraction(v, den)) for r, v in column.items()]
+        assert [(r, Fraction(v, lcm)) for r, v in columns.get(col, {}).items()] == got
+        want = [(rows[k], v) for k, v in reference(label).items() if v and k in rows]
+        assert got == want, label
+
+
+def ball_orbit_image(label) -> dict:
+    """The orbit rows of the ball filling with no mixed counts: the
+    connecting count from the minimum-decorated g<k+1> to the
+    maximum-decorated g<k>, and the count from g1 to the Morse generator."""
+    kind, x = label
+    if kind != "ochk":
+        return {}
+    k = int(x[1:])
+    return {("ohat", f"g{k - 1}"): Fraction(1)} if k > 1 else {("mrs", "min"): Fraction(1)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]), st.sampled_from([3, 2]))
+def test_chord_and_surgery_images_keep_the_row_contract(seed, min_grading, max_len):
+    # ball:2 has g1 at degree 3 and g2 at 5, so the window reaches the
+    # connecting count g2 -> g1 and, in sh, the Morse count g1 -> min
+    dga = fractional_dga(random.Random(seed), min_grading)
+    window = (0, 4)
+    for builder, image in CHORD_IMAGES:
+        with pytest.MonkeyPatch.context() as mp:
+            calls, _ = recording_images(mp, complexes)
+            cx = builder(dga, window, max_len)
+        assert_row_contract(cx, calls, partial(image, dga))
+
+    def surgery_reference(label):
+        if label[0] in ("ochk", "ohat", "mrs"):
+            return ball_orbit_image(label)
+        return ref.decorated_image(dga, label)
+
+    for builder in (build_shplus_surgery, build_sh_surgery):
+        with pytest.MonkeyPatch.context() as mp:
+            calls, _ = recording_images(mp, surgery)
+            cx = builder(builtin_ball_filling(2), dga, SurgeryCountTable.zero(), window, max_len)
+        assert_row_contract(cx, calls, surgery_reference)
+        assert any(column for label, _, column, _ in calls if label[0] == "ochk")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_cyclic_tensor_images_keep_the_row_contract(seed, t_order):
+    D = build_curved_category(fractional_ainf_spec(random.Random(seed)), t_order)
+    window, max_len = (0, 4), 5
+    with pytest.MonkeyPatch.context() as mp:
+        calls, _ = recording_images(mp, lefschetz)
+        cx = hochschild_complex(D, window, max_len)
+    assert_row_contract(cx, calls, ref.hochschild_reference_image(D, window, max_len)[1])

@@ -690,8 +690,8 @@ def test_cyclic_tensor_images_hold_no_cancelled_sums(monkeypatch):
     values = []
 
     def recording(bases, image, *args, **kwargs):
-        def recorded(label):
-            out, den = image(label)
+        def recorded(label, rows):
+            out, den = image(label, rows)
             values.extend(out.values())
             return out, den
         return build_complex(bases, recorded, *args, **kwargs)
