@@ -33,9 +33,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from chordhom import complexes
-from chordhom.algebra import BaseRing, ChordAlgebra, Element, Word
+from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import cyclic_class
-from chordhom.dga import DGASpec, extend_leibniz
+from chordhom.dga import (
+    Augmentation,
+    DGAMorphism,
+    DGASpec,
+    RelQError,
+    RelQResult,
+    _bname,
+    _yname,
+    check_morphism,
+    extend_leibniz,
+)
 from chordhom.homology import _cyclic_words, _numerators, build_complex, enumerate_cyclic_words
 from chordhom.lefschetz import (
     CurvedAinf,
@@ -756,3 +766,153 @@ def lefschetz_dga_reference(
         ambient_dim=n,
         meta={"kind": "lefschetz-dga", "t_order": N},
     )
+
+
+# ---- the DGA constructions -------------------------------------------------------
+
+
+def linearize_image(dga: DGASpec, eps: Augmentation):
+    """The image of dga.linearize's complex, read off d_gen's Elements:
+    for a word b_1...b_m of d(c), position j adds the product of eps over
+    the other letters, times the word's coefficient, to b_j; the product
+    stops at the first letter eps does not reach."""
+
+    def image(label, rows) -> tuple[dict[int, int], int]:
+        out: dict[int, Fraction] = defaultdict(Fraction)
+        for w, coeff in dga.d_gen(label).terms.items():
+            if w.is_idem:
+                continue
+            letters = w.letters
+            vals = [eps.value(dga, n) for n in letters]
+            for j, name in enumerate(letters):
+                prod = coeff
+                for i, v in enumerate(vals):
+                    if i == j:
+                        continue
+                    if not v:
+                        prod = Fraction(0)
+                        break
+                    prod *= v
+                if prod and (row := rows.get(name)) is not None:
+                    out[row] += prod
+        return _numerators(out)
+
+    return image
+
+
+def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQResult:
+    """rel_q_construction by Element arithmetic: d(w) by extend_leibniz,
+    multiplied by q in the chord algebra, each term split at its q letters
+    into words, and B's differential renamed letter by letter into the
+    target's."""
+    alg = dga_q.algebra
+    q = alg.gen(q_name)
+    n = dga_q.ambient_dim
+    if q.src != q.dst:
+        raise ValueError("q must be a pure chord")
+    if q.grading != n - 2:
+        raise ValueError(
+            f"point class must have grading n-2 = {n - 2}, got {q.grading}"
+        )
+    if not dga_q.d_gen(q_name).is_zero():
+        raise RelQError("q must be closed")
+    comp = q.src
+
+    plain = {name: g for name, g in alg.generators.items() if name != q_name}
+    words: list[tuple[str, ...]] = [()] + [
+        w for group in _cyclic_words(plain, max_len).values() for w in group
+        if dga_q._dst[w[0]] == comp
+    ]
+
+    def split_at_q(word: Word) -> tuple[tuple[str, ...], ...] | None:
+        """Split a word ending in q into q-free blocks; None when it
+        contains q^2 (killed by the relation)."""
+        blocks: list[tuple[str, ...]] = []
+        cur: list[str] = []
+        for letter in word.letters:
+            if letter == q_name:
+                blocks.append(tuple(cur))
+                cur = []
+            else:
+                cur.append(letter)
+        if cur:
+            raise RelQError(f"word {word} does not end with q")
+        for b in blocks[1:]:
+            if not b:
+                return None
+        return tuple(blocks)
+
+    b_ring = BaseRing(1)
+    word_set = set(words)
+    b_gens = []
+    b_diff: dict[str, Element] = {}
+    for w in words:
+        grading = (sum(alg.gen(x).grading for x in w) if w else 0) + q.grading
+        b_gens.append(Generator(_bname(w), grading, src=1, dst=1))
+    for w in words:
+        if not w:
+            b_diff[_bname(w)] = Element.zero()
+            continue
+        dw = extend_leibniz(dga_q, Element.monomial(Word.of(w)))
+        image: dict[Word, Fraction] = defaultdict(Fraction)
+        for term, coeff in alg.multiply(dw, alg.generator_element(q_name)).terms.items():
+            blocks = split_at_q(term)
+            if blocks is None:
+                continue  # adjacent q pair, killed by the relation
+            if not blocks[0]:
+                if len(blocks) == 1:
+                    raise RelQError(
+                        f"d({'.'.join(w)}) has a unit term; q^2 = 0 descent fails"
+                    )
+                raise RelQError(
+                    f"differential does not descend: term {term} starts with q"
+                )
+            for b in blocks:
+                if b not in word_set:
+                    raise RelQError(
+                        f"differential leaves the length-{max_len} truncation at {term}"
+                    )
+            bword = Word.of(tuple(_bname(b) for b in blocks))
+            image[bword] += coeff
+        b_diff[_bname(w)] = Element(image)
+    B = DGASpec(
+        ring=b_ring,
+        generators=b_gens,
+        differential=b_diff,
+        ambient_dim=n,
+        meta={"relative_to": q_name, "max_len": max_len},
+    )
+
+    filler = "a[fill]"
+    t_gens = [Generator(_yname(w), g.grading, 1, 1) for w, g in zip(words, b_gens)]
+    t_gens.append(Generator(filler, n - 1, 1, 1))
+    rename = {_bname(w): _yname(w) for w in words}
+
+    def to_target(el: Element) -> Element:
+        out: dict[Word, Fraction] = defaultdict(Fraction)
+        for wd, c in el.terms.items():
+            nw = wd if wd.is_idem else Word.of(tuple(rename[x] for x in wd.letters))
+            out[nw] += c
+        return Element(out)
+
+    t_diff = {_yname(w): to_target(b_diff[_bname(w)]) for w in words}
+    t_diff[filler] = Element.monomial(Word.of([_yname(())]))
+    target = DGASpec(
+        ring=b_ring,
+        generators=t_gens,
+        differential=t_diff,
+        ambient_dim=n,
+        meta={"relative_to": q_name, "filler": filler},
+    )
+
+    phi = DGAMorphism(
+        source=B,
+        target=target,
+        assignment={
+            _bname(w): Element.monomial(Word.of([_yname(w)])) for w in words
+        },
+    )
+    ok, counter = check_morphism(phi)
+    if not ok:
+        raise RelQError(f"relative construction failed the chain-map check at {counter}")
+    return RelQResult(B=B, target=target, phi=phi)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from chordhom.documents import dga_from_document, morphism_from_document
 from chordhom.examples import example_document
 from chordhom.homology import betti
 
-from conftest import fractional_dga, random_dga
+import reference_images as ref
+from conftest import fractional_dga, random_dga, random_fraction
 
 
 def one_gen_unit_dga():
@@ -452,3 +454,84 @@ def test_rel_q_special_element_is_closed():
     res = rel_q_construction(adjoin_q(unknot, q_grading=1), "q", max_len=2)
     assert res.B.d_gen("b[]").is_zero()
     assert res.target.d_gen("y[]").is_zero()
+
+
+def random_dga_with_q(rng: random.Random) -> DGASpec:
+    """A fractional_dga of ambient dimension n in 2..4 with the point class q
+    of grading n - 2 adjoined at a random component.  Half the time every
+    generator with a differential gets up to two deformed terms: words in q
+    and the closed generators of its grading and ports, with q in each, so
+    d^2 = 0 still holds."""
+    base = fractional_dga(rng, rng.choice([1, 0]))
+    n = rng.randint(2, 4)
+    dga = DGASpec(base.ring, base.generators, base.differential, n)
+    q = Generator("q", n - 2, *[rng.randint(1, base.ring.k)] * 2)
+    deformed = {}
+    if rng.random() < 0.5:
+        pool = [g for g in base.generators if g.name not in base.differential] + [q]
+        for g in base.generators:
+            if g.name not in base.differential:
+                continue
+            cands = [
+                Word.of(c.name for c in combo)
+                for length in (1, 2, 3)
+                for combo in itertools.product(pool, repeat=length)
+                if q in combo
+                and sum(c.grading for c in combo) == g.grading - 1
+                and all(a.src == b.dst for a, b in zip(combo, combo[1:]))
+                and (combo[0].dst, combo[-1].src) == (g.dst, g.src)
+            ]
+            rng.shuffle(cands)
+            extra = {w: random_fraction(rng) for w in cands[: rng.randint(0, 2)]}
+            deformed[g.name] = Element({**base.differential[g.name].terms, **extra})
+    return adjoin_q(dga, n - 2, q.src, deformed)
+
+
+def dga_form(dga: DGASpec) -> tuple:
+    """A DGA's generators, differential (terms in order), dimension and meta."""
+    terms = [(name, list(el.terms.items())) for name, el in dga.differential.items()]
+    return dga.ring, dga.generators, terms, dga.ambient_dim, dga.meta
+
+
+def rel_q_outcome(construct, dga_q: DGASpec, max_len: int) -> tuple:
+    """B, the target and phi's assignment (terms in order) of a relative
+    construction, or the type and message of its refusal."""
+    try:
+        res = construct(dga_q, "q", max_len)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert res.phi.source is res.B and res.phi.target is res.target
+    phi = [(name, list(el.terms.items())) for name, el in res.phi.assignment.items()]
+    return dga_form(res.B), dga_form(res.target), phi
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_rel_q_matches_the_element_reference(seed, max_len):
+    dga_q = random_dga_with_q(random.Random(seed))
+    want = rel_q_outcome(ref.rel_q_reference, dga_q, max_len)
+    assert rel_q_outcome(rel_q_construction, dga_q, max_len) == want
+
+
+def point_class_dga(d_v: list[str]) -> DGASpec:
+    """n = 3: u of grading 1, the point class q, and v with d(v) the word
+    d_v, of grading |d_v| + 1."""
+    gens = [Generator("u", 1), Generator("q", 1), Generator("v", len(d_v) + 1)]
+    return DGASpec(BaseRing(1), gens, {"v": Element.monomial(Word.of(d_v))}, ambient_dim=3)
+
+
+@pytest.mark.parametrize(
+    "d_v,message",
+    [
+        (["q", "u"], "differential does not descend: term q.u.q starts with q"),
+        (["u", "u", "u"], "differential leaves the length-2 truncation at u.u.u.q"),
+    ],
+    ids=["starts-with-q", "truncation"],
+)
+def test_rel_q_refuses_a_term_that_does_not_descend(d_v, message):
+    dga_q = point_class_dga(d_v)
+    assert check_d_squared(dga_q).ok
+    with pytest.raises(RelQError) as exc:
+        rel_q_construction(dga_q, "q", max_len=2)
+    assert str(exc.value) == message
+    assert rel_q_outcome(ref.rel_q_reference, dga_q, 2) == (RelQError, message)

@@ -24,7 +24,7 @@ from chordhom.complexes import (
     build_hoplus_complex,
     build_mcyc_complex,
 )
-from chordhom.dga import DGASpec, _leibniz_word
+from chordhom.dga import DGASpec, _leibniz_word, enumerate_augmentations, linearize
 from chordhom.homology import build_complex
 from chordhom.lefschetz import build_curved_category, hochschild_complex
 from chordhom.surgery import (
@@ -284,3 +284,34 @@ def test_cyclic_tensor_images_keep_the_row_contract(seed, t_order):
         calls, _ = recording_images(mp, lefschetz)
         cx = hochschild_complex(D, window, max_len)
     assert_row_contract(cx, calls, ref.hochschild_reference_image(D, window, max_len)[1])
+
+
+# ---- the linearized complex ------------------------------------------------------
+
+
+def stored_columns(cx) -> list:
+    """Every stored degree of a complex as (degree, denominator, its columns
+    with their entries), in stored order."""
+    out = []
+    for d in cx.basis:
+        columns, den = cx._integer(d)
+        out.append((d, den, [(col, list(column.items())) for col, column in columns.items()]))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0, -1]))
+def test_linearized_columns_match_the_element_reference(seed, min_grading):
+    dga = fractional_dga(random.Random(seed), min_grading)
+    for eps in enumerate_augmentations(dga, ["-1", "0", "1/2"])[:4]:
+        cx = linearize(dga, eps)
+        want = build_complex(cx.basis, ref.linearize_image(dga, eps), cx.window, cx.verdict)
+        assert stored_columns(cx) == stored_columns(want)
+
+
+def test_linearized_chekanov_columns_match_the_element_reference(chekanov_a):
+    # its one augmentation over {-1, 0, 1} reaches words of three letters
+    (eps,) = enumerate_augmentations(chekanov_a, ["-1", "0", "1"])
+    cx = linearize(chekanov_a, eps)
+    want = build_complex(cx.basis, ref.linearize_image(chekanov_a, eps), cx.window, cx.verdict)
+    assert stored_columns(cx) == stored_columns(want)
