@@ -2,6 +2,11 @@
 consume them directly: validation, morphisms, augmentations, linearized
 complexes, and the point-class deformation (adjoined degree-(n-2) element
 with its relative construction).
+
+The linearized image and the relative construction read the differential
+as a DGASpec compiles it, in integer rows: the image reads the rows, and the
+relative construction reads d(wq) = d(w) q off the Leibniz kernel.  Element
+arithmetic on the differential serves validation and morphisms.
 """
 
 from __future__ import annotations
@@ -331,20 +336,10 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
 
     def image(label, rows) -> tuple[dict[int, int], int]:
         out: dict[int, Fraction] = defaultdict(Fraction)
-        for w, coeff in dga.d_gen(label).terms.items():
-            if w.is_idem:
-                continue
-            letters = w.letters
-            vals = [eps.value(dga, n) for n in letters]
-            for j, name in enumerate(letters):
-                prod = coeff
-                for i, v in enumerate(vals):
-                    if i == j:
-                        continue
-                    if not v:
-                        prod = Fraction(0)
-                        break
-                    prod *= v
+        for piece, _, _, c in dga._rows.get(label, ()):
+            vals = [eps.values.get(x, 0) for x in piece]
+            for j, name in enumerate(piece):
+                prod = Fraction(c, dga._denom) * math.prod(vals[:j]) * math.prod(vals[j + 1:])
                 if prod and (row := rows.get(name)) is not None:
                     out[row] += prod
         return _numerators(out)
@@ -408,7 +403,10 @@ def rel_q_construction(
     B is free on generators b_w = wq for q-free words w (the empty word
     gives b_[] = q itself) with the differential descended through q^2 = 0;
     the target is free on y_w of grading |w| + (n-2) together with a filler
-    of grading n-1 whose differential is y_[].  Phi maps b_w to y_w.
+    of grading n-1 whose differential is y_[].  Phi maps b_w to y_w.  As q
+    is closed, d(wq) = d(w) q is the Leibniz kernel's image of the word wq;
+    each of its terms is cut at its q letters into the blocks of a word in
+    the b_w (or the y_w).
     """
     alg = dga_q.algebra
     q = alg.gen(q_name)
@@ -428,41 +426,15 @@ def rel_q_construction(
         w for group in _cyclic_words(plain, max_len).values() for w in group
         if dga_q._dst[w[0]] == comp
     ]
-
-    def split_at_q(word: Word) -> tuple[tuple[str, ...], ...] | None:
-        """Split a word ending in q into q-free blocks; None when it
-        contains q^2 (killed by the relation)."""
-        blocks: list[tuple[str, ...]] = []
-        cur: list[str] = []
-        for letter in word.letters:
-            if letter == q_name:
-                blocks.append(tuple(cur))
-                cur = []
-            else:
-                cur.append(letter)
-        if cur:
-            raise RelQError(f"word {word} does not end with q")
-        for b in blocks[1:]:
-            if not b:
-                return None
-        return tuple(blocks)
-
-    b_ring = BaseRing(1)
     word_set = set(words)
-    b_gens = []
-    b_diff: dict[str, Element] = {}
-    for w in words:
-        grading = (sum(alg.gen(x).grading for x in w) if w else 0) + q.grading
-        b_gens.append(Generator(_bname(w), grading, src=1, dst=1))
-    for w in words:
-        if not w:
-            b_diff[_bname(w)] = Element.zero()
-            continue
-        dw = extend_leibniz(dga_q, Element.monomial(Word.of(w)))
-        image: dict[Word, Fraction] = defaultdict(Fraction)
-        for term, coeff in alg.multiply(dw, alg.generator_element(q_name)).terms.items():
-            blocks = split_at_q(term)
-            if blocks is None:
+    # d(wq) by word: {q-free blocks: numerator over dga_q._denom}
+    table: dict[tuple[str, ...], dict[tuple[tuple[str, ...], ...], int]] = {(): {}}
+    for w in words[1:]:
+        image = table[w] = {}
+        for key, c in _leibniz_word(dga_q, w + (q_name,)).items():
+            cuts = [i for i, x in enumerate(key) if x == q_name]
+            blocks = tuple(key[i + 1:j] for i, j in zip([-1] + cuts, cuts))
+            if not all(blocks[1:]):
                 continue  # adjacent q pair, killed by the relation
             if not blocks[0]:
                 if len(blocks) == 1:
@@ -472,20 +444,34 @@ def rel_q_construction(
                         f"d({'.'.join(w)}) has a unit term; q^2 = 0 descent fails"
                     )
                 raise RelQError(
-                    f"differential does not descend: term {term} starts with q"
+                    f"differential does not descend: term {Word(key)} starts with q"
                 )
             for b in blocks:
                 if b not in word_set:
                     raise RelQError(
-                        f"differential leaves the length-{max_len} truncation at {term}"
+                        f"differential leaves the length-{max_len} truncation at {Word(key)}"
                     )
-            bword = Word.of(tuple(_bname(b) for b in blocks))
-            image[bword] += coeff
-        b_diff[_bname(w)] = Element(image)
+            image[blocks] = c
+
+    def descended(name) -> dict[str, Element]:
+        """The differential of the generators name(w), from the table."""
+        return {
+            name(w): Element({
+                Word.of([name(b) for b in blocks]): Fraction(c, dga_q._denom)
+                for blocks, c in image.items()
+            })
+            for w, image in table.items()
+        }
+
+    b_ring = BaseRing(1)
+    b_gens = [
+        Generator(_bname(w), sum(alg.gen(x).grading for x in w) + q.grading, src=1, dst=1)
+        for w in words
+    ]
     B = DGASpec(
         ring=b_ring,
         generators=b_gens,
-        differential=b_diff,
+        differential=descended(_bname),
         ambient_dim=n,
         meta={"relative_to": q_name, "max_len": max_len},
     )
@@ -493,16 +479,7 @@ def rel_q_construction(
     filler = "a[fill]"
     t_gens = [Generator(_yname(w), g.grading, 1, 1) for w, g in zip(words, b_gens)]
     t_gens.append(Generator(filler, n - 1, 1, 1))
-    rename = {_bname(w): _yname(w) for w in words}
-
-    def to_target(el: Element) -> Element:
-        out: dict[Word, Fraction] = defaultdict(Fraction)
-        for wd, c in el.terms.items():
-            nw = wd if wd.is_idem else Word.of(tuple(rename[x] for x in wd.letters))
-            out[nw] += c
-        return Element(out)
-
-    t_diff = {_yname(w): to_target(b_diff[_bname(w)]) for w in words}
+    t_diff = descended(_yname)
     t_diff[filler] = Element.monomial(Word.of([_yname(())]))
     target = DGASpec(
         ring=b_ring,

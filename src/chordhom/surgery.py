@@ -119,9 +119,9 @@ class SurgeryCountTable:
 
     def validate(self, orbits: list[Orbit], dga: DGASpec) -> None:
         """Raise CountGradingError on an entry whose word names a generator
-        the DGA lacks, a component-class entry outside the DGA's components,
-        or an entry whose nonzero count from one of the orbits breaks its
-        degree rule |gamma| - |w| = gap."""
+        the DGA lacks or is not cyclically composable, a component-class
+        entry outside the DGA's components, or an entry whose nonzero count
+        from one of the orbits breaks its degree rule |gamma| - |w| = gap."""
         alg = dga.algebra
         orbit_grading = {o.label: o.grading for o in orbits}
         for table, kind, gap in (
@@ -132,6 +132,10 @@ class SurgeryCountTable:
                 if unknown:
                     raise CountGradingError(
                         f"count {g} -> {'.'.join(w)} names unknown generator {unknown[0]!r}"
+                    )
+                if not alg.cyclically_composable(Word.of(w)):
+                    raise CountGradingError(
+                        f"{kind} count {g} -> {'.'.join(w)} is not cyclically composable"
                     )
                 if c and g in orbit_grading and (
                     orbit_grading[g] - sum(alg.gen(x).grading for x in w) != gap
@@ -295,10 +299,10 @@ def _surgery_complex(
     shplus, ho for sh) with its image and verdict as complexes._chord_block
     gives them, and the count tables coupling them.  Checks that every
     count comes from an orbit of the filling, and the filling and the
-    counts against the DGA, before the chord side is read; folds the
-    cyclic keys of the counts and binds the orbit row to the filling's and
-    the counts' tables, each indexed by source once per build.  dga=None
-    builds the filling's block alone."""
+    counts against the DGA, before the chord side is read, and binds the
+    orbit row to the filling's and the counts' tables, each indexed by
+    source once per build; the orbit row folds each cyclic count's word
+    onto its class.  dga=None builds the filling's block alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
@@ -306,8 +310,7 @@ def _surgery_complex(
     for g, _ in [*counts.mixed_cyc, *counts.ncheck, *counts.nhat, *counts.orbit_tau]:
         if not filling.has_orbit(g):
             raise CountGradingError(f"count from {g}: the filling has no such orbit")
-    cyc: dict[tuple[str, tuple[str, ...]], Fraction] = defaultdict(Fraction)
-    verdict, alg, chord_image = EXACT, None, None
+    verdict, alg, chord_image, cyc = EXACT, None, None, {}
     if dga is not None:
         if filling.n != dga.ambient_dim:
             raise FillingMismatchError(
@@ -324,13 +327,7 @@ def _surgery_complex(
         chord_bases, chord_image, verdict = _chord_block(chord, dga, window, max_len)
         for d, labels in chord_bases.items():
             bases.setdefault(d, []).extend(labels)
-        alg = dga.algebra
-        # the cyclic counts folded onto class representatives; the caller's
-        # table is left as it is
-        for (g, w), c in counts.mixed_cyc.items():
-            cls = cyclic_class(alg, Word.of(w))
-            if not cls.is_zero:
-                cyc[(g, cls.representative)] += c * cls.sign
+        alg, cyc = dga.algebra, counts.mixed_cyc
     tables = _by_source(dict(
         orbit_orbit=filling.orbit_diff,
         orbit_orbit_bott=filling.bott_diff,

@@ -535,3 +535,63 @@ def test_rel_q_refuses_a_term_that_does_not_descend(d_v, message):
         rel_q_construction(dga_q, "q", max_len=2)
     assert str(exc.value) == message
     assert rel_q_outcome(ref.rel_q_reference, dga_q, 2) == (RelQError, message)
+
+
+# ---- refusals ---------------------------------------------------------------------
+
+
+def test_dga_refuses_a_differential_word_that_does_not_compose():
+    # a runs from component 1 to 2, so a.a does not compose
+    gens = [Generator("a", 1, 1, 2), Generator("b", 3, 1, 2)]
+    with pytest.raises(ValueError, match="differential of b has a non-composable word a.a"):
+        DGASpec(BaseRing(2), gens, {"b": Element.monomial(Word.of(["a", "a"]))})
+
+
+def identity(dga: DGASpec) -> DGAMorphism:
+    assignment = {g.name: Element.monomial(Word.of([g.name])) for g in dga.generators}
+    return DGAMorphism(dga, dga, assignment)
+
+
+def test_morphism_refuses_another_base_ring():
+    one = DGASpec(BaseRing(1), [Generator("a", 1)], {})
+    two = DGASpec(BaseRing(2), [Generator("a", 1)], {})
+    with pytest.raises(ValueError, match="source and target must share the base ring"):
+        DGAMorphism(one, two, {})
+
+
+def test_morphism_check_names_an_image_term_that_breaks_the_grading():
+    # a and b are closed, so a -> b commutes with d but moves the grading
+    dga = DGASpec(BaseRing(1), [Generator("a", 1), Generator("b", 2)], {})
+    f = DGAMorphism(dga, dga, {"a": Element.monomial(Word.of(["b"]))})
+    assert check_morphism(f) == (False, "a: image term b breaks the grading")
+
+
+def test_compose_refuses_morphisms_that_do_not_compose():
+    a = DGASpec(BaseRing(1), [Generator("a", 1)], {})
+    b = DGASpec(BaseRing(1), [Generator("b", 1)], {})
+    with pytest.raises(ValueError, match="morphisms do not compose"):
+        compose_morphisms(identity(a), identity(b))
+
+
+def test_adjoin_q_refuses_a_name_already_present(unknot3):
+    with pytest.raises(ValueError, match="generator named a already present"):
+        adjoin_q(unknot3, q_grading=1, name="a")
+
+
+def test_adjoin_q_refuses_a_deformation_of_an_unknown_generator(unknot3):
+    deformed = {"z": Element.monomial(Word.of(["q"]))}
+    with pytest.raises(ValueError, match="deformed differential for unknown generators {'z'}"):
+        adjoin_q(unknot3, q_grading=1, deformed=deformed)
+
+
+def test_rel_q_refuses_a_point_class_that_is_not_pure():
+    dga_q = DGASpec(BaseRing(2), [Generator("u", 1), Generator("q", 0, 1, 2)], {})
+    with pytest.raises(ValueError, match="q must be a pure chord"):
+        rel_q_construction(dga_q, "q", max_len=2)
+
+
+def test_rel_q_refuses_a_point_class_that_is_not_closed():
+    gens = [Generator("u", 0), Generator("q", 1)]
+    dga_q = DGASpec(BaseRing(1), gens, {"q": Element.monomial(Word.of(["u"]))}, ambient_dim=3)
+    with pytest.raises(RelQError, match="q must be closed"):
+        rel_q_construction(dga_q, "q", max_len=2)

@@ -777,6 +777,40 @@ def test_cli_surgery_count_from_an_orbit_the_filling_lacks_exit_2(tmp_path, tabl
     assert "count from zz: the filling has no such orbit" in out, out
 
 
+# two components: a on component 1, and b and c from component 1 to 2, so
+# no word of b or c alone closes up
+_TWO_COMPONENTS = {
+    "format": "dga/1", "field": "Q", "components": 2, "ambient_dim": 2,
+    "generators": [
+        {"name": "a", "grading": 1, "src": 1, "dst": 1},
+        {"name": "b", "grading": 2, "src": 1, "dst": 2},
+        {"name": "c", "grading": 1, "src": 1, "dst": 2},
+    ],
+    "differential": {},
+}
+
+
+@pytest.mark.parametrize(
+    "table,theory,word,kind",
+    [("mixed_cyclic", "ch", "b", "mixed"), ("mixed_cyclic", "sh+", "b", "mixed"),
+     ("check", "sh", "b", "check"), ("hat", "sh", "c", "hat")],
+    ids=["mixed_cyclic-ch", "mixed_cyclic-sh+", "check", "hat"],
+)
+def test_cli_surgery_count_word_that_does_not_close_up_exit_2(tmp_path, table, theory, word, kind):
+    # a mixed_cyclic one used to die with a traceback, and a check or hat
+    # one to be dropped without a word
+    (tmp_path / "d.json").write_text(dumps(_TWO_COMPONENTS))
+    counts = {**_COUNTS, table: [{"orbit": "g1", "word": [word], "coeff": "1"}]}
+    (tmp_path / "c.json").write_text(dumps(counts))
+    args = [str(tmp_path / "d.json"), "--filling", "ball:2", "--theory", theory]
+    code, out = run_cli("surgery", *args, "--counts", str(tmp_path / "c.json"))
+    assert code == 2, out
+    assert out == (
+        f"input error: {tmp_path / 'c.json'}: "
+        f"{kind} count g1 -> {word} is not cyclically composable\n"
+    )
+
+
 @pytest.mark.parametrize("label", ["zz", "g0", "g01", "g", "g1x"])
 @pytest.mark.parametrize("table", ["mixed_cyclic", "check", "hat", "orbit_tau"])
 def test_cli_surgery_ball_count_from_a_label_not_g_k_exit_2(tmp_path, table, label):

@@ -352,3 +352,19 @@ def test_cobordism_kappa_division_conventions():
 
 def test_empty_filling_reduces_orbit_cyclic_theory(unknot3):
     assert_empty_filling_gives_chord_complexes(unknot3, (0, 8), 9)
+
+
+def test_component_class_count_from_an_orbit_of_grading_other_than_1(unknot2):
+    # |g1| = 3 on the ball of dimension 2
+    counts = SurgeryCountTable(orbit_tau={("g1", 1): Fraction(1)})
+    message = r"component-class count from g1 violates \|gamma\|=1"
+    with pytest.raises(CountGradingError, match=message):
+        build_sh_surgery(builtin_ball_filling(2), unknot2, counts, (0, 6), 6)
+
+
+def test_cobordism_cyclic_counts_need_the_chord_algebra():
+    ball = builtin_ball_filling(2)
+    complex = build_lch_surgery(ball, None, SurgeryCountTable.zero(), (0, 6))
+    counts = CobordismCounts(orbit_cyc={("g1", ("a",)): Fraction(1)})
+    with pytest.raises(ValueError, match="cyclic counts need the chord algebra"):
+        assemble_cobordism_map(counts, complex, complex)
