@@ -22,7 +22,11 @@ curved category's relation check over every composable symbol word (the
 library checks only the words the table can reach, in integers), and the
 direct vanishing-cycle DGA with its Morse--Bott terms as t-adic series of
 Elements and its holomorphic terms expanded in Fractions (the library
-multiplies integer series and expands integer numerators).
+multiplies integer series and expands integer numerators), and the two
+DGA constructions by Element arithmetic: the linearized image over
+d_gen's terms and the relative point-class construction through
+extend_leibniz and a product by q (the library reads the compiled rows
+and the Leibniz kernel).
 """
 
 from __future__ import annotations
