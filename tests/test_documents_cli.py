@@ -12,6 +12,7 @@ from chordhom import cli
 from chordhom.documents import (
     ParseError,
     ainf_from_document,
+    augmentation_from_document,
     betti_from_document,
     betti_to_document,
     betti_to_text,
@@ -158,6 +159,90 @@ def test_non_object_entries_are_parse_errors(parse, doc, path):
     assert err.value.issues == [(path, "expected an object")]
 
 
+def _unknot(**fields) -> dict:
+    return {**example_document("unknot"), **fields}
+
+
+def _unknot_term(term) -> dict:
+    return _unknot(differential={"a": [term]})
+
+
+def _augmentation(value) -> dict:
+    return {"format": "augmentation/1", "values": {"a": value}}
+
+
+_POINT_A = {"name": "a", "grading": 0, "from": 1, "to": 2}
+
+
+def _ainf_out(token: str) -> dict:
+    return {"format": "ainf/1", "components": 2, "fiber_dim_param": 3, "points": [_POINT_A],
+            "mu": [{"out": token, "inputs": ["f:a"], "coeff": "1"}]}
+
+
+def _betti(**fields) -> dict:
+    return {"format": "betti/1", "ranks": {"0": 1}, **fields}
+
+
+# Refusals of the document readers that no other test reaches: (reader, the
+# document, the JSON path, the exact message)
+REFUSALS = [
+    (augmentation_from_document, _augmentation(0.5), "$.values.a",
+     "floating point is not accepted; write rationals as strings"),
+    (augmentation_from_document, _augmentation(True), "$.values.a", "expected a rational"),
+    (dga_from_document, _unknot_term({"coeff": True, "word": ["a"]}),
+     "$.differential.a[0].coeff", "expected a rational"),
+    (augmentation_from_document, _augmentation("abc"), "$.values.a", "not a rational: 'abc'"),
+    (augmentation_from_document, _augmentation("1/0"), "$.values.a", "not a rational: '1/0'"),
+    (augmentation_from_document, _augmentation([1]), "$.values.a", "not a rational: [1]"),
+    (dga_from_document, {k: v for k, v in _unknot().items() if k != "components"},
+     "$.components", "missing field"),
+    (dga_from_document, _unknot(format="dga/2"), "$.format", "unsupported format 'dga/2'"),
+    (loads, "[1]", "$", "document must be an object"),
+    (dga_from_document, _unknot(field="F2"), "$.field", "only the rationals are supported"),
+    (dga_from_document, _unknot(generators=[{"name": "a", "grading": 2},
+                                            {"name": "a", "grading": 1}]),
+     "$.generators[1]", "duplicate generator a"),
+    (dga_from_document, _unknot(differential={"b": []}), "$.differential.b",
+     "unknown generator b"),
+    (dga_from_document, _unknot(generators=[{"name": "a", "grading": 2, "src": 2}]), "$",
+     "generator a has ports outside the ring"),
+    (dga_from_document, _unknot(components=2, generators=[
+        {"name": "a", "grading": 1, "src": 1, "dst": 2}, {"name": "b", "grading": 2}],
+        differential={"b": [{"coeff": "1", "word": ["a", "a"]}]}), "$",
+     "differential of b has a non-composable word a.a"),
+    (ainf_from_document, _ainf_out("e1"), "$.mu[0].out", "bad symbol reference 'e1'"),
+    (ainf_from_document, _ainf_out("e:3"), "$.mu[0].out", "component out of range in 'e:3'"),
+    (ainf_from_document, _ainf_out("m:0"), "$.mu[0].out", "component out of range in 'm:0'"),
+    (ainf_from_document, _ainf_out("f:z"), "$.mu[0].out", "unknown point in 'f:z'"),
+    (ainf_from_document, _ainf_out("x:a"), "$.mu[0].out", "bad symbol kind in 'x:a'"),
+    (ainf_from_document, {**_ainf_out("f:a"), "points": [_POINT_A, _POINT_A]},
+     "$.points[1]", "duplicate point a"),
+    (dga_from_document, _unknot(differential={"a": {"coeff": "1", "word": ["a"]}}),
+     "$.differential.a", "expected a list of terms"),
+    (dga_from_document, _unknot_term({"coeff": "1", "word": []}),
+     "$.differential.a[0].word", "empty word lists are not allowed; use e_i"),
+    (dga_from_document, _unknot_term({"coeff": "1", "word": 3}),
+     "$.differential.a[0].word", "expected a list of names or e_<component>"),
+    (morphism_from_document, {**example_document("chekanov_phi"), "assignment": {"zz": []}},
+     "$.assignment.zz", "unknown source generator"),
+    (betti_from_document, _betti(ranks={"0": "1"}), "$.ranks.0", "ranks are integers"),
+    (betti_from_document, _betti(ranks={"0": True}), "$.ranks.0", "ranks are integers"),
+    (betti_from_document, _betti(flagged=[True]), "$.flagged[0]",
+     "flagged degrees are integers"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,doc,path,message",
+    REFUSALS,
+    ids=[re.sub(r"\W+", "-", f"{path}-{message}").strip("-") for _, _, path, message in REFUSALS],
+)
+def test_document_refusals_name_their_path(parse, doc, path, message):
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert err.value.issues == [(path, message)]
+
+
 def _with_fields(doc: dict, **fields) -> dict:
     return {**doc, **fields}
 
@@ -295,6 +380,20 @@ def test_cli_examples_emit_deterministic(tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     json.loads(out1)
+
+
+def test_cli_file_that_is_no_json_document_exit_2(tmp_path):
+    path = tmp_path / "broken.dga"
+    path.write_text("{\"format\": }")
+    code, out = run_cli("validate", str(path))
+    assert code == 2
+    assert out == f"input error: {path}: line 1, column 12: Expecting value\n"
+
+
+def test_cli_directory_for_a_document_exit_2(tmp_path):
+    code, out = run_cli("validate", str(tmp_path))
+    assert code == 2
+    assert out == f"input error: {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_cli_validate_exit_codes(tmp_path):
@@ -946,9 +1045,12 @@ def test_cli_augmentation_off_grading_0_chords_exit_2(tmp_path, dga, values, nam
             "--min-deg 3 exceeds --max-deg 0",
         ),
         ((*_SURGERY_CH, "--filling", "empty:0"), "'empty:0': filling model needs n >= 2"),
+        (("examples", "emit", "no_such"), "input error: \"unknown example 'no_such'\""),
+        (("examples", "emit"), "examples emit needs a name"),
     ],
     ids=["homology-negative-max-len", "surgery-negative-max-len", "reversed-window",
-         "lefschetz-reversed-window", "empty-filling-n0"],
+         "lefschetz-reversed-window", "empty-filling-n0", "examples-emit-unknown-name",
+         "examples-emit-without-a-name"],
 )
 def test_cli_bad_flags_exit_2(args, message):
     code, out = run_cli(*args)

@@ -6,6 +6,8 @@ the four chord builders and the three surgery builders over the ball
 model for every bundled chord DGA, the three surgery builders over a
 hand-made filling in which every count table is nonzero (one orbit is
 bad), and two cobordism maps in which every count table is nonzero.
+The bundled documents themselves, of every format, are pinned by the
+hash of their canonical text (BUNDLED_DOCUMENTS).
 
 The data file was written once by running this module as a script
 
@@ -30,7 +32,7 @@ from chordhom.complexes import (
     build_mcyc_complex,
 )
 from chordhom.dga import DGASpec
-from chordhom.documents import ParseError, dga_from_document
+from chordhom.documents import ParseError, dga_from_document, dumps
 from chordhom.examples import example_document, example_names
 from chordhom.surgery import (
     CobordismCounts,
@@ -59,6 +61,22 @@ SURGERY_BUILDERS = {
     "ch": build_lch_surgery,
     "sh+": build_shplus_surgery,
     "sh": build_sh_surgery,
+}
+
+
+# sha256 of dumps(example_document(name)) for every bundled name
+BUNDLED_DOCUMENTS = {
+    "chekanov_a": "a2995ae41d8c704fda09939fb23be18484addad86bae4cbe58ee6650e771b0d1",
+    "chekanov_a6_target": "6236ffe4def814b74527615a63732e22c2b86894d3a545a1019b262fd0f1d05e",
+    "chekanov_c": "4b2169820e150f760ac0d94608a74cc2117130a1e34807f701aeeed69ae5c22e",
+    "chekanov_phi": "cc58ea3594b24f51e4723817bd2fe622b7cc1fbb5ba36eac389def0252520b89",
+    "dc1_vanishing": "88a476d074bfb7ed530c7251e76ac95c1b7bd25f3d0ec5b3647bf4b17018fc57",
+    "lambda_t": "de2ee4350a5af4680fb095a1cd5344cf83c1f22d8981d7ce99e672a11c68c048",
+    "lefschetz_min": "4a478f3859296ce850115206c9fe05d8415d0dffa2e59ceea5b6996434890e27",
+    "unknot": "9d917b6e9b300514cfce43f1d24ac8a2c4ac4f43e91d57524e2b0cfd854e724a",
+    "unknot_n2": "c7822f4a231b53f94ee4774d65585db2a19eda1c7bd28cbcf99e16dd10a1b943",
+    "unknot_n4": "077241f95d223235b114d70cd155fcc98f13555d8be24e512335639fa5dcced4",
+    "unknot_n5": "728776318eeeffb7618ec2994d862b9b471bea2b906e7aa385536cb7fea57811",
 }
 
 
@@ -231,6 +249,11 @@ def _compare(got: dict, want: dict, path: str = "") -> list[str]:
                 out += _compare(got[key], want[key], f"{path}/{key}")
         return out
     return [] if got == want else [f"{path}: {got!r} != golden {want!r}"]
+
+
+def test_bundled_documents_match_their_hashes():
+    got = {name: _sha(dumps(example_document(name))) for name in example_names()}
+    assert got == BUNDLED_DOCUMENTS
 
 
 def test_example_complexes_match_goldens():
