@@ -3,8 +3,9 @@
 Documents are JSON with exact rational coefficients written as strings
 (for example "-3/2"); floating point numbers are rejected.  Emission is canonical
 (sorted keys, fixed separators, trailing newline) so parse-emit round
-trips are byte-identical on canonical input.  Schema errors carry JSON
-paths; syntax errors carry the parser's line and column.
+trips are byte-identical on canonical input.  A key repeated in one
+object is refused.  Schema errors carry JSON paths; syntax errors carry
+the parser's line and column.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _rational(value, path: str) -> Fraction:
         try:
             return Fraction(value.replace("−", "-"))
         except (ValueError, ZeroDivisionError):
-            _fail(path, f"not a rational: {value!r}")
+            pass
     _fail(path, f"not a rational: {value!r}")
 
 
@@ -86,15 +87,38 @@ def _optional(doc: dict, key: str, typ, path: str, default):
     return _require(doc, key, typ, path)
 
 
+def _named(entries: list, key: str, field: str, noun: str):
+    """Walk the list of objects at $.<key>, each named by the string in
+    field: yields (path, entry, name) and refuses a repeated name."""
+    seen = set()
+    for idx, entry in enumerate(entries):
+        path = f"$.{key}[{idx}]"
+        name = _require(entry, field, str, path)
+        if name in seen:
+            _fail(path, f"duplicate {noun} {name}")
+        seen.add(name)
+        yield path, entry, name
+
+
 def _format(doc: dict, tag: str) -> None:
     fmt = _require(doc, "format", str, "$")
     if fmt != tag:
         _fail("$.format", f"unsupported format {fmt!r}")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: json itself would keep
+    the last value of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        _fail("$", f"key {key!r} is repeated in an object")
+    return obj
+
+
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError([(f"line {exc.lineno}, column {exc.colno}", exc.msg)])
     if not isinstance(doc, dict):
@@ -116,19 +140,12 @@ def dga_from_document(doc: dict, allow_partial: bool = False) -> DGASpec:
         _fail("$.field", "only the rationals are supported")
     k = _require(doc, "components", int, "$")
     n = _require(doc, "ambient_dim", int, "$")
-    gens_doc = _require(doc, "generators", list, "$")
-    gens: list[Generator] = []
-    names = set()
-    for idx, g in enumerate(gens_doc):
-        path = f"$.generators[{idx}]"
-        name = _require(g, "name", str, path)
-        grading = _require(g, "grading", int, path)
-        src = _optional(g, "src", int, path, 1)
-        dst = _optional(g, "dst", int, path, 1)
-        if name in names:
-            _fail(path, f"duplicate generator {name}")
-        names.add(name)
-        gens.append(Generator(name, grading, src, dst))
+    gens = []
+    entries = _require(doc, "generators", list, "$")
+    for path, g, name in _named(entries, "generators", "name", "generator"):
+        ports = (_optional(g, end, int, path, 1) for end in ("src", "dst"))
+        gens.append(Generator(name, _require(g, "grading", int, path), *ports))
+    names = {g.name for g in gens}
     meta = _optional(doc, "metadata", dict, "$", {})
     partial = bool(meta.get("partial"))
     if partial and not allow_partial:
@@ -240,13 +257,8 @@ def filling_from_document(doc: dict) -> FillingModel:
     _format(doc, "filling/1")
     n = _require(doc, "n", int, "$")
     orbits = []
-    labels = set()
-    for idx, o in enumerate(_optional(doc, "orbits", list, "$", [])):
-        path = f"$.orbits[{idx}]"
-        label = _require(o, "label", str, path)
-        if label in labels:
-            _fail(path, f"duplicate orbit {label}")
-        labels.add(label)
+    entries = _optional(doc, "orbits", list, "$", [])
+    for path, o, label in _named(entries, "orbits", "label", "orbit"):
         multiplicity = _optional(o, "multiplicity", int, path, 1)
         if multiplicity < 1:
             _fail(f"{path}.multiplicity", "expected a positive integer")
@@ -258,15 +270,13 @@ def filling_from_document(doc: dict) -> FillingModel:
                 bad=_optional(o, "bad", bool, path, False),
             )
         )
-    morse = []
-    morse_labels = set()
-    for idx, p in enumerate(_optional(doc, "morse", list, "$", [])):
-        path = f"$.morse[{idx}]"
-        label = _require(p, "label", str, path)
-        if label in morse_labels:
-            _fail(path, f"duplicate Morse label {label}")
-        morse_labels.add(label)
-        morse.append((label, _require(p, "grading", int, path)))
+    entries = _optional(doc, "morse", list, "$", [])
+    morse = [
+        (label, _require(p, "grading", int, path))
+        for path, p, label in _named(entries, "morse", "label", "Morse label")
+    ]
+    labels = {o.label for o in orbits}
+    morse_labels = {label for label, _ in morse}
     orbit = (_label("from", labels), _label("to", labels))
     point = (_label("from", morse_labels), _label("to", morse_labels))
     tables = dict(
@@ -323,22 +333,12 @@ def ainf_from_document(doc: dict) -> DirectedAinfSpec:
     _format(doc, "ainf/1")
     k = _require(doc, "components", int, "$")
     n = _require(doc, "fiber_dim_param", int, "$")
-    points = []
-    names = set()
-    for idx, p in enumerate(_optional(doc, "points", list, "$", [])):
-        path = f"$.points[{idx}]"
-        name = _require(p, "name", str, path)
-        if name in names:
-            _fail(path, f"duplicate point {name}")
-        names.add(name)
-        points.append(
-            (
-                name,
-                _require(p, "grading", int, path),
-                _require(p, "from", int, path),
-                _require(p, "to", int, path),
-            )
-        )
+    entries = _optional(doc, "points", list, "$", [])
+    points = [
+        (name, *(_require(p, key, int, path) for key in ("grading", "from", "to")))
+        for path, p, name in _named(entries, "points", "name", "point")
+    ]
+    names = {p[0] for p in points}
     mu = []
     for idx, m in enumerate(_optional(doc, "mu", list, "$", [])):
         path = f"$.mu[{idx}]"

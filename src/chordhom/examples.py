@@ -8,32 +8,40 @@ document's metadata.
 
 from __future__ import annotations
 
+from .documents import ainf_from_document
 from .lefschetz import DirectedAinfSpec
 
 
-def unknot_document(n: int = 3) -> dict:
+def _dga(n: int, gradings: dict[str, int], differential: dict, **metadata) -> dict:
+    """A one-component dga/1 document: a chord from component 1 to itself
+    for each name of gradings, in its order."""
     return {
         "format": "dga/1",
         "field": "Q",
         "components": 1,
         "ambient_dim": n,
-        "generators": [{"name": "a", "grading": n - 1, "src": 1, "dst": 1}],
-        "differential": {},
-        "metadata": {
-            "name": f"unknot(n={n})",
-            "notes": "one chord of grading n-1 with trivial differential",
-        },
+        "generators": [
+            {"name": name, "grading": grading, "src": 1, "dst": 1}
+            for name, grading in gradings.items()
+        ],
+        "differential": differential,
+        "metadata": metadata,
     }
 
 
+def unknot_document(n: int = 3) -> dict:
+    return _dga(
+        n, {"a": n - 1}, {},
+        name=f"unknot(n={n})",
+        notes="one chord of grading n-1 with trivial differential",
+    )
+
+
 def chekanov_a_document() -> dict:
-    gens = []
     gradings = {
         "a1": 1, "a2": 1, "a3": 1, "a4": 1,
         "a5": 2, "a6": -2, "a7": 0, "a8": 0, "a9": 0,
     }
-    for name in sorted(gradings):
-        gens.append({"name": name, "grading": gradings[name], "src": 1, "dst": 1})
     diff = {
         "a1": [
             {"coeff": "1", "word": "e_1"},
@@ -54,59 +62,33 @@ def chekanov_a_document() -> dict:
             {"coeff": "1", "word": ["a8", "a9"]},
         ],
     }
-    return {
-        "format": "dga/1",
-        "field": "Q",
-        "components": 1,
-        "ambient_dim": 2,
-        "generators": gens,
-        "differential": diff,
-        "metadata": {
-            "name": "chekanov_a",
-            "sign_provenance": (
-                "the source lists the differential only up to signs; the signs "
-                "here are chosen so that the comparison map onto the one-"
-                "generator algebra is a chain map and an augmentation with "
-                "values in {-1,0,1} exists; the d^2=0 validator certifies the "
-                "choice"
-            ),
-        },
-    }
+    return _dga(
+        2, gradings, diff,
+        name="chekanov_a",
+        sign_provenance=(
+            "the source lists the differential only up to signs; the signs "
+            "here are chosen so that the comparison map onto the one-"
+            "generator algebra is a chain map and an augmentation with "
+            "values in {-1,0,1} exists; the d^2=0 validator certifies the "
+            "choice"
+        ),
+    )
 
 
 def chekanov_c_document() -> dict:
-    gens = []
-    for j in range(1, 10):
-        grading = 1 if j <= 4 else 0
-        gens.append({"name": f"c{j}", "grading": grading, "src": 1, "dst": 1})
-    return {
-        "format": "dga/1",
-        "field": "Q",
-        "components": 1,
-        "ambient_dim": 2,
-        "generators": gens,
-        "differential": {},
-        "metadata": {
-            "name": "chekanov_c",
-            "notes": (
-                "only the generator gradings are meaningful here: the source "
-                "does not list this differential, and the bundled zero "
-                "differential supports basis-level statements only"
-            ),
-        },
-    }
+    return _dga(
+        2, {f"c{j}": 1 if j <= 4 else 0 for j in range(1, 10)}, {},
+        name="chekanov_c",
+        notes=(
+            "only the generator gradings are meaningful here: the source "
+            "does not list this differential, and the bundled zero "
+            "differential supports basis-level statements only"
+        ),
+    )
 
 
 def chekanov_a6_target_document() -> dict:
-    return {
-        "format": "dga/1",
-        "field": "Q",
-        "components": 1,
-        "ambient_dim": 2,
-        "generators": [{"name": "a6", "grading": -2, "src": 1, "dst": 1}],
-        "differential": {},
-        "metadata": {"name": "chekanov_a6_target"},
-    }
+    return _dga(2, {"a6": -2}, {}, name="chekanov_a6_target")
 
 
 def chekanov_phi_document() -> dict:
@@ -129,57 +111,34 @@ def chekanov_phi_document() -> dict:
 
 
 def dc1_vanishing_document() -> dict:
-    return {
-        "format": "dga/1",
-        "field": "Q",
-        "components": 1,
-        "ambient_dim": 2,
-        "generators": [{"name": "c", "grading": 1, "src": 1, "dst": 1}],
-        "differential": {"c": [{"coeff": "1", "word": "e_1"}]},
-        "metadata": {
-            "name": "dc1_vanishing",
-            "notes": "one chord of grading 1 killing the unit",
-        },
-    }
+    return _dga(
+        2, {"c": 1}, {"c": [{"coeff": "1", "word": "e_1"}]},
+        name="dc1_vanishing",
+        notes="one chord of grading 1 killing the unit",
+    )
 
 
 def lambda_t_document(n: int = 3) -> dict:
-    gens = [
-        {"name": "a", "grading": n - 1, "src": 1, "dst": 1},
-        {"name": "c_min", "grading": 1, "src": 1, "dst": 1},
-        {"name": "c_max", "grading": n - 1, "src": 1, "dst": 1},
-        {"name": "b1_min", "grading": 1, "src": 1, "dst": 1},
-        {"name": "b1_max", "grading": n - 1, "src": 1, "dst": 1},
-        {"name": "b2_min", "grading": 1, "src": 1, "dst": 1},
-        {"name": "b2_max", "grading": n - 1, "src": 1, "dst": 1},
-    ]
+    gradings = {"a": n - 1}
+    for piece in ("c", "b1", "b2"):
+        gradings |= {f"{piece}_min": 1, f"{piece}_max": n - 1}
     for j in (1, 2, 3):
-        gens.append({"name": f"e{j}_min", "grading": 0, "src": 1, "dst": 1})
-        gens.append({"name": f"e{j}_max", "grading": n - 2, "src": 1, "dst": 1})
-    return {
-        "format": "dga/1",
-        "field": "Q",
-        "components": 1,
-        "ambient_dim": n,
-        "generators": gens,
-        "differential": {
-            "b1_min": [{"coeff": "1", "word": "e_1"}],
-            "b2_min": [{"coeff": "1", "word": "e_1"}],
-        },
-        "metadata": {
-            "name": f"lambda_t(n={n})",
-            "partial": True,
-            "unknown_differentials": [
-                "a", "c_min", "c_max", "b1_max", "b2_max",
-                "e1_min", "e1_max", "e2_min", "e2_max", "e3_min", "e3_max",
-            ],
-            "notes": (
-                "partial data: only the two unit-killing differentials are "
-                "listed; excluded from homology commands and usable only "
-                "through the unit-differential vanishing property"
-            ),
-        },
+        gradings |= {f"e{j}_min": 0, f"e{j}_max": n - 2}
+    diff = {
+        "b1_min": [{"coeff": "1", "word": "e_1"}],
+        "b2_min": [{"coeff": "1", "word": "e_1"}],
     }
+    return _dga(
+        n, gradings, diff,
+        name=f"lambda_t(n={n})",
+        partial=True,
+        unknown_differentials=[name for name in gradings if name not in diff],
+        notes=(
+            "partial data: only the two unit-killing differentials are "
+            "listed; excluded from homology commands and usable only "
+            "through the unit-differential vanishing property"
+        ),
+    )
 
 
 def lefschetz_min_document() -> dict:
@@ -224,6 +183,4 @@ def example_document(name: str) -> dict:
 
 
 def minimal_ainf_spec() -> DirectedAinfSpec:
-    from .documents import ainf_from_document
-
     return ainf_from_document(lefschetz_min_document())
