@@ -80,35 +80,34 @@ def test_syntax_errors_carry_positions():
     assert "line 2" in str(err.value)
 
 
-# A document text that writes one key twice: json would keep the last value
+# d(b) = a a, and then d(b) = 0: with the last value kept the DGA validates
+_D_B_TWICE = (
+    '{"format": "dga/1", "field": "Q", "components": 1, "ambient_dim": 3,'
+    ' "generators": [{"name": "a", "grading": 1}, {"name": "b", "grading": 2}],'
+    ' "differential": {"b": [{"coeff": "1", "word": ["a", "a"]}], "b": []}}'
+)
+
+# (a document text that writes one key twice, the command that reads it with
+# PATH for its file, the key)
 REPEATED_KEYS = {
     "top-level": (
         '{"format": "dga/1", "field": "Q", "components": 1, "ambient_dim": 3,'
         ' "generators": [{"name": "a", "grading": 2}], "differential": {},'
         ' "ambient_dim": 2}',
-        ["validate"],
+        ["validate", "PATH"],
         "ambient_dim",
     ),
-    # d(b) = a a, and then d(b) = 0: with the last value the DGA validates
-    "differential": (
-        '{"format": "dga/1", "field": "Q", "components": 1, "ambient_dim": 3,'
-        ' "generators": [{"name": "a", "grading": 1}, {"name": "b", "grading": 2}],'
-        ' "differential": {"b": [{"coeff": "1", "word": ["a", "a"]}], "b": []}}',
-        ["validate"],
-        "b",
-    ),
+    "differential": (_D_B_TWICE, ["validate", "PATH"], "b"),
     "differential-homology": (
-        '{"format": "dga/1", "field": "Q", "components": 1, "ambient_dim": 3,'
-        ' "generators": [{"name": "a", "grading": 1}, {"name": "b", "grading": 2}],'
-        ' "differential": {"b": [{"coeff": "1", "word": ["a", "a"]}], "b": []}}',
-        ["homology", "--complex", "cyc", "--max-deg", "3", "--max-len", "3"],
+        _D_B_TWICE,
+        ["homology", "PATH", "--complex", "cyc", "--max-deg", "3", "--max-len", "3"],
         "b",
     ),
     "table-entry": (
         '{"format": "filling/1", "n": 2, "orbits": [{"label": "g", "grading": 3}],'
         ' "morse": [{"label": "p", "grading": 2}],'
         ' "to_morse": [{"orbit": "g", "morse": "p", "coeff": "1", "coeff": "0"}]}',
-        ["surgery", "unknot_n2", "--theory", "sh", "--max-deg", "4", "--filling"],
+        ["surgery", "unknot_n2", "--theory", "sh", "--max-deg", "4", "--filling", "PATH"],
         "coeff",
     ),
 }
@@ -118,11 +117,7 @@ REPEATED_KEYS = {
 def test_cli_repeated_key_exit_2(tmp_path, text, args, key):
     path = tmp_path / "repeated.json"
     path.write_text(text)
-    if args[0] == "surgery":
-        args = [*args, str(path)]
-    else:
-        args = [args[0], str(path), *args[1:]]
-    code, out = run_cli(*args)
+    code, out = run_cli(*(str(path) if arg == "PATH" else arg for arg in args))
     assert code == 2
     assert out == f"input error: {path}: $: key {key!r} is repeated in an object\n"
 
