@@ -276,7 +276,8 @@ def cmd_examples(args) -> int:
     try:
         doc = corpus.example_document(args.name)
     except KeyError as exc:
-        raise CliInputError(str(exc))
+        # str() of a KeyError is the repr of its message
+        raise CliInputError(exc.args[0])
     sys.stdout.write(docs.dumps(doc))
     return OK
 

@@ -27,35 +27,38 @@ differential vanishes, and the marked-module dictionary is sign-free.
 The slot word of c.w is w.c, so its image is read off the Leibniz image
 of the tail w: the tail terms whose last port meets c, c behind them,
 then the rows of d(c) after w.  The hat image of c.w reads the same tail
-image, so one build computes it once for every head and both marks
-(_word_image).  No image builds a term whose word is longer than
-max_len, which no basis label is: the tail image is capped at max_len - 1
-letters, and a row of d(c) is skipped when it would pass the cap.
+image, so one build computes it once for every head and both marks.  No
+image builds a term whose word is longer than max_len, which no basis
+label is: the tail image is capped at max_len - 1 letters, and a row of
+d(c) is skipped when it would pass the cap.
 
 The cyclic quotient of the marked module (mcyc) reads the mark
 differential d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
-(_mark_terms); each term keeps the grading parities of the letters before
-and after its mark, so the Koszul sign of rotating it to mark-first form
-is read in constant time, and one build computes each word's Leibniz
-image and parity once for all its marks (_word_image), the image capped
-at max_len letters like the mark terms.  The marked module itself, on
-the same mark differential, is a reference in the tests.  The check/hat side computes
+(_mark_terms); each term carries its coefficient for an even and for an
+odd word, so the Koszul sign of rotating it to mark-first form is read
+in constant time, and one build computes each word's Leibniz image and
+parity once for all its marks, the image capped at max_len letters like
+the mark terms.  The marked module itself, on the same mark
+differential, is a reference in the tests.  The check/hat side computes
 its own, so mcyc against the completed check/hat complex compares two
 constructions.
 
-Every boundary image runs in integers: the Leibniz terms come from
-dga._leibniz_word on letter tuples, and the differential rows and unit
-terms are numerators over the DGA's common denominator dga._denom.  Each
-image takes the row index of the degree below from build_complex, looks
-every target label up there once, leaves out the targets the basis
-lacks, sums on the rows and returns (numerators by row, dga._denom) with
-the sums that cancelled left out, which build_complex stores as it is.
+Each complex has one boundary kernel (_cyclic_kernel, _decorated_kernel,
+_mcyc_kernel), made per build: it compiles the DGA's rows into the
+shapes its terms take, keeps the build's Leibniz images, and is called
+by build_complex once per degree with the degree's labels and the row
+index of the degree below.  Every term runs in integers: the Leibniz
+terms come from dga._leibniz_word on letter tuples, and the differential
+rows and unit terms are numerators over the DGA's common denominator
+dga._denom.  A kernel looks every target label up in the row index once,
+leaves out the targets the basis lacks, sums on the rows and returns the
+nonzero columns by label position over dga._denom, with the sums that
+cancelled left out, which build_complex stores as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator
 
 from .algebra import ChordAlgebra, Element, Word
@@ -175,138 +178,32 @@ def _nonzero(column: dict[int, int]) -> dict[int, int]:
     return {r: v for r, v in column.items() if v} if 0 in column.values() else column
 
 
-def _cyclic_image(dga: DGASpec, max_len: int, label, rows) -> tuple[dict, int]:
-    """The letterwise Leibniz differential followed by projection to the
-    cyclic classes; length-zero collapses are dropped, and so are the
-    words longer than max_len, which no class of the basis holds."""
-    parity = dga.algebra.parity
-    out: dict = {}
-    for key, v in _leibniz_word(dga, label[1], cap=max_len).items():
-        if key.__class__ is not tuple:
-            continue
-        rep, sign = _cyclic_rep(parity, key)
-        if sign and (row := rows.get(("cyc", rep))) is not None:
-            out[row] = out.get(row, 0) + (v if sign > 0 else -v)
-    return _nonzero(out), dga._denom
+def _cyclic_kernel(dga: DGASpec, max_len: int) -> Callable:
+    """The boundary columns of the cyclic complex, a degree at a time: the
+    letterwise Leibniz differential followed by projection to the cyclic
+    classes; length-zero collapses are dropped, and so are the words longer
+    than max_len, which no class of the basis holds."""
+    parity, den = dga.algebra.parity, dga._denom
+
+    def columns(labels, rows) -> tuple[dict, int]:
+        cols = {}
+        for col, (_, word) in enumerate(labels):
+            out: dict = {}
+            for key, v in _leibniz_word(dga, word, cap=max_len).items():
+                if key.__class__ is not tuple:
+                    continue
+                rep, sign = _cyclic_rep(parity, key)
+                if sign and (row := rows.get(("cyc", rep))) is not None:
+                    out[row] = out.get(row, 0) + (v if sign > 0 else -v)
+            out = _nonzero(out)
+            if out:
+                cols[col] = out
+        return cols, den
+
+    return columns
 
 
 # ---- the check/hat complex and its completion --------------------------------
-
-
-def _rot1(letters: tuple[str, ...]) -> tuple[str, ...]:
-    """Translate a mark-slot word into mark-first lettering: the mark sits
-    after the last letter, so that letter carries the check."""
-    return (letters[-1],) + letters[:-1]
-
-
-def _word_image(
-    dga: DGASpec, cap: int, images: dict, word: tuple[str, ...]
-) -> tuple[dict, int]:
-    """The Leibniz image of a word, capped at cap letters (empty for the
-    empty word), and the parity of the word's degree; images maps each
-    word met so far in the build to both."""
-    entry = images.get(word)
-    if entry is None:
-        parity = dga.algebra.parity
-        image = _leibniz_word(dga, word, cap=cap) if word else {}
-        entry = images[word] = image, sum(parity[x] for x in word) & 1
-    return entry
-
-
-def _hat_image(
-    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...], rows
-) -> tuple[dict, int]:
-    """Differential of a hat word, in the marked-module normal form: the
-    two mark-slot commutator terms land in check words, the marked letter
-    feeds the spread operator with a minus sign, and the remainder carries
-    the full algebra differential with units absorbed into the hat letter.
-    Terms longer than max_len are left out.
-    """
-    alg = dga.algebra
-    den = dga._denom
-    parity = alg.parity
-    head, tail = letters[0], letters[1:]
-    head_odd = parity[head]
-    # the tail is capped at max_len - 1 letters so that the head fits in front
-    image, tail_odd = _word_image(dga, max_len - 1, tails, tail)
-
-    # mark slot moved through the marked letter: + (slot, c, tail) and
-    # - (-1)^(|c| |tail|) (slot, tail, c), translated to check lettering
-    out: dict = {}
-    if (row := rows.get(("chk", _rot1(letters)))) is not None:
-        out[row] = den
-    if (row := rows.get(("chk", _rot1(tail + (head,))))) is not None:
-        out[row] = out.get(row, 0) + (den if head_odd and tail_odd else -den)
-
-    # -S(d(head)) * tail
-    room = max_len - len(tail)
-    for piece, _, _, c in dga._rows.get(head, ()):
-        if len(piece) > room:
-            continue
-        for word, sign in _s_terms(alg, piece, tail):
-            if (row := rows.get(("hat", word))) is not None:
-                out[row] = out.get(row, 0) + (-c if sign > 0 else c)
-
-    # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
-    head_src, dst = dga._src[head], dga._dst
-    for key, v in image.items():
-        if key.__class__ is tuple:
-            if dst[key[0]] != head_src:
-                continue
-            row = rows.get(("hat", (head,) + key))
-        elif key == head_src:
-            row = rows.get(("hat", (head,)))
-        else:
-            continue
-        if row is not None:
-            out[row] = out.get(row, 0) + (v if head_odd else -v)
-
-    return _nonzero(out), den
-
-
-def _check_image(
-    dga: DGASpec, max_len: int, tails: dict, letters: tuple[str, ...], rows
-) -> tuple[dict, int]:
-    """The Leibniz image of the slot word tail.head of the check word
-    head^ tail, read off the image of tail: the tail terms whose last port
-    meets head keep head behind them, then head's own rows follow with the
-    sign (-1)^|tail|, a running sum that reaches zero dropping its row.
-    Key for key and in order, this is _leibniz_word of tail.head with the
-    keys rotated to check lettering and the unit term of a single letter
-    sent to its component class, ("tau", i), each looked up in rows; the
-    unit term drops out where the basis holds no component class."""
-    head, tail = letters[0], letters[1:]
-    head_dst = dga._dst[head]
-    out: dict = {}
-    left, odd = None, 0
-    if tail:
-        image, odd = _word_image(dga, max_len - 1, tails, tail)
-        src = dga._src
-        for key, v in image.items():
-            if key.__class__ is tuple:
-                if src[key[-1]] != head_dst:
-                    continue
-                row = rows.get(("chk", (head,) + key))
-            elif key == head_dst:
-                row = rows.get(("chk", (head,)))
-            else:
-                continue
-            if row is not None:
-                out[row] = v
-        left = src[tail[-1]]
-    room = max_len - len(tail)
-    for piece, pdst, _, c in dga._rows.get(head, ()):
-        if left is not None and left != pdst or len(piece) > room:
-            continue
-        word = tail + piece
-        if (row := rows.get(("chk", _rot1(word)) if word else ("tau", pdst))) is None:
-            continue
-        v = out.get(row, 0) + (-c if odd else c)
-        if v:
-            out[row] = v
-        else:
-            del out[row]
-    return out, dga._denom
 
 
 def _decorated_bases(
@@ -329,29 +226,127 @@ def _decorated_bases(
     return bases
 
 
-def _decorated_image(
-    dga: DGASpec, max_len: int, tails: dict, label, rows
-) -> tuple[dict, int]:
-    """The matrix differential on check and hat words.
+def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
+    """The boundary columns of the check/hat complex, a degree at a time.
 
     The check word c1^ c2 ... cm is the marked cyclic word whose mark slot
     precedes c1; in slot coordinates its differential is the plain algebra
-    differential of the rotated word (c2 ... cm c1), units absorbed.  Full
-    collapses of single letters (the unit term n e_i of d(c)) are sent to
-    the component class of e_i, which the basis may lack.  Both images read
-    the Leibniz image of c2 ... cm from tails, which lives for one build,
-    and leave out the words longer than max_len.
+    differential of the rotated word (c2 ... cm c1), units absorbed.  It is
+    read off the Leibniz image of the tail c2 ... cm: the tail terms whose
+    last port meets c1 keep c1 in front, then c1's own rows follow with the
+    sign (-1)^|tail|, a running sum that reaches zero dropping its row.  Key
+    for key and in order, this is _leibniz_word of the slot word with the
+    keys rotated to check lettering and the unit term of a single letter
+    sent to its component class, ("tau", i), which the basis may lack.  A
+    check word with no differential letter is closed.
+
+    The hat word c^ tail has the differential of the marked-module normal
+    form: the two mark-slot commutator terms land in check words, the
+    marked letter feeds the spread operator S with a minus sign, and the
+    remainder carries the full algebra differential of the tail with units
+    absorbed into the hat letter.
+
+    Compiled once per build: each row of d(c) as the check row (dst port,
+    length, its last letter, the letters before it, numerator), whose
+    target is last + tail + init, and as the hat row (length, parity,
+    numerator, spread terms), a spread term (piece[j:], piece[:j], parity
+    of piece[:j]) hatting the letter j.  The Leibniz image of each tail met
+    in the build is computed once, with its parity, capped at max_len - 1
+    letters so that the head fits in front; a row of d(c) is skipped when
+    it would pass max_len, so no term is longer than any basis label.
     """
-    kind, letters = label
-    if kind == "hat":
-        return _hat_image(dga, max_len, tails, letters, rows)
-    if kind == "tau":
-        return {}, 1
-    # a check word with no differential letter is closed; its tail image
-    # is left to the hat word that needs it
-    if dga._rows.keys().isdisjoint(letters):
-        return {}, dga._denom
-    return _check_image(dga, max_len, tails, letters, rows)
+    parity, src, dst, den = dga.algebra.parity, dga._src, dga._dst, dga._denom
+    chk_rows, hat_rows = {}, {}
+    for head, drows in dga._rows.items():
+        chk_rows[head] = [(pdst, len(p), p[-1:], p[:-1], c) for p, pdst, _, c in drows]
+        compiled = []
+        for piece, _, _, c in drows:
+            terms, odd = [], 0
+            for j, name in enumerate(piece):
+                terms.append((piece[j:], piece[:j], odd))
+                odd ^= parity[name]
+            compiled.append((len(piece), odd, c, terms))
+        hat_rows[head] = compiled
+    closed = chk_rows.keys().isdisjoint
+    tails: dict = {(): ({}, 0)}
+
+    def columns(labels, rows) -> tuple[dict, int]:
+        cols = {}
+        for col, (kind, letters) in enumerate(labels):
+            if kind == "tau" or kind == "chk" and closed(letters):
+                continue
+            head, lead, tail = letters[0], letters[:1], letters[1:]
+            entry = tails.get(tail)
+            if entry is None:
+                odd = sum(parity[x] for x in tail) & 1
+                entry = tails[tail] = _leibniz_word(dga, tail, cap=max_len - 1), odd
+            image, tail_odd = entry
+            room = max_len - len(tail)
+            out: dict = {}
+            if kind == "chk":
+                head_dst = dst[head]
+                for key, v in image.items():
+                    if key.__class__ is tuple:
+                        if src[key[-1]] != head_dst:
+                            continue
+                        row = rows.get(("chk", lead + key))
+                    elif key == head_dst:
+                        row = rows.get(("chk", lead))
+                    else:
+                        continue
+                    if row is not None:
+                        out[row] = v
+                left = src[tail[-1]] if tail else None
+                for pdst, n, last, init, c in chk_rows.get(head, ()):
+                    if left is not None and left != pdst or n > room:
+                        continue
+                    if last:
+                        target = ("chk", last + tail + init)
+                    else:
+                        target = ("chk", tail[-1:] + tail[:-1]) if tail else ("tau", pdst)
+                    if (row := rows.get(target)) is None:
+                        continue
+                    v = out.get(row, 0) + (-c if tail_odd else c)
+                    if v:
+                        out[row] = v
+                    else:
+                        del out[row]
+            else:
+                head_odd = parity[head]
+                # mark slot moved through the marked letter: + (slot, c, tail)
+                # and - (-1)^(|c| |tail|) (slot, tail, c), in check lettering
+                if (row := rows.get(("chk", letters[-1:] + letters[:-1]))) is not None:
+                    out[row] = den
+                if (row := rows.get(("chk", letters))) is not None:
+                    out[row] = out.get(row, 0) + (den if head_odd and tail_odd else -den)
+                # -S(d(head)) * tail: the sign is flipped when the letters
+                # before the hat are odd and the whole word even
+                for n, piece_odd, c, terms in hat_rows.get(head, ()):
+                    if n > room:
+                        continue
+                    even = piece_odd == tail_odd
+                    for suffix, prefix, odd in terms:
+                        if (row := rows.get(("hat", suffix + tail + prefix))) is not None:
+                            out[row] = out.get(row, 0) + (c if odd and even else -c)
+                # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
+                head_src = src[head]
+                for key, v in image.items():
+                    if key.__class__ is tuple:
+                        if dst[key[0]] != head_src:
+                            continue
+                        row = rows.get(("hat", lead + key))
+                    elif key == head_src:
+                        row = rows.get(("hat", lead))
+                    else:
+                        continue
+                    if row is not None:
+                        out[row] = out.get(row, 0) + (v if head_odd else -v)
+                out = _nonzero(out)
+            if out:
+                cols[col] = out
+        return cols, den
+
+    return columns
 
 
 # ---- the cyclic quotient of the marked module ---------------------------------
@@ -359,24 +354,30 @@ def _decorated_image(
 
 def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
     """The mark differential d(c^) = x_dst c - c x_src - S(dc), as terms
-    (before, mark, after, coeff, before parity, after parity) with coeff a
-    numerator over dga._denom and the parities those of the letters'
-    gradings; S hats each letter of each term of dc in turn with the sign
-    (-1)^(degree of the letters before it).  The component classes are
-    closed."""
+    (length, mark, after, before, coefficients) with length that of before
+    and after together; S hats each letter of each term of dc in turn with
+    the sign (-1)^(degree of the letters before it).  A term rotated to
+    mark-first form over a word w, mark + (after + w + before,), takes the
+    Koszul sign (-1)^(|before| (|mark| + |after| + |w|)), a hat mark on c
+    having degree |c| + 1 and a component class 0, so coefficients holds
+    its numerator over dga._denom for an even w and for an odd one.  The
+    component classes are closed."""
     c = dga.algebra.gen(cname)
     parity = dga.algebra.parity
-    den, p = dga._denom, parity[cname]
-    terms = [((), ("mx", c.dst), (cname,), den, 0, p), ((cname,), ("mx", c.src), (), -den, p, 0)]
+    den = dga._denom
+    terms = [((), ("mx", c.dst), (cname,), den), ((cname,), ("mx", c.src), (), -den)]
     for letters, _, _, coeff in dga._rows.get(cname, ()):
-        odd, rest = 0, sum(parity[n] for n in letters) & 1
+        odd = 0
         for j, name in enumerate(letters):
-            rest ^= parity[name]
-            terms.append(
-                (letters[:j], ("mc", name), letters[j + 1:], coeff if odd else -coeff, odd, rest)
-            )
+            terms.append((letters[:j], ("mc", name), letters[j + 1:], coeff if odd else -coeff))
             odd ^= parity[name]
-    return terms
+    compiled = []
+    for before, mark, after, coeff in terms:
+        odd_b = sum(parity[x] for x in before)
+        rest = sum(parity[x] for x in after) + (mark[0] == "mc" and parity[mark[1]] + 1)
+        coeffs = tuple(-coeff if odd_b * (rest + w) & 1 else coeff for w in (0, 1))
+        compiled.append((len(before) + len(after), mark, after, before, coeffs))
+    return compiled
 
 
 def _enumerate_marked_words(
@@ -402,35 +403,45 @@ def _enumerate_marked_words(
     return {d: sorted(labs) for d, labs in bases.items() if labs}
 
 
-def _mcyc_image(
-    dga: DGASpec, max_len: int, mark_terms: dict, images: dict, label, rows
-) -> tuple[dict, int]:
-    """Differential on the marked cyclic quotient: the mark differential
-    rotated to mark-first form, then (-1)^|m| m d(w) with units absorbed.
-    mark_terms maps each chord to its _mark_terms, and images each word
-    met so far to its _leibniz_word image and parity (_word_image).  Terms
-    whose unmarked word is longer than max_len are left out."""
-    parity = dga.algebra.parity
-    out: dict = {}
-    kind, name, word = label
-    image, odd_w = _word_image(dga, max_len, images, word)
-    odd = False
-    if kind == "mc":
-        room = max_len - len(word)
-        for before, mark, after, coeff, odd_b, odd_a in mark_terms[name]:
-            if len(before) + len(after) > room:
-                continue
-            if (row := rows.get(mark + (after + word + before,))) is None:
-                continue
-            # a hat mark on c has degree |c| + 1, a component class 0
-            if odd_b and odd_a ^ odd_w ^ (mark[0] == "mc" and not parity[mark[1]]):
-                coeff = -coeff
-            out[row] = out.get(row, 0) + coeff
-        odd = not parity[name]
-    for key, v in image.items():
-        if (row := rows.get((kind, name, key if key.__class__ is tuple else ()))) is not None:
-            out[row] = out.get(row, 0) + (-v if odd else v)
-    return _nonzero(out), dga._denom
+def _mcyc_kernel(dga: DGASpec, max_len: int) -> Callable:
+    """The boundary columns of the marked cyclic quotient, a degree at a
+    time: the mark differential rotated to mark-first form (_mark_terms,
+    compiled once per build), then (-1)^|m| m d(w) with units absorbed.
+    The Leibniz image of each word met in the build is computed once, with
+    its parity, capped at max_len letters; terms whose unmarked word is
+    longer than max_len are left out."""
+    parity, den = dga.algebra.parity, dga._denom
+    mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
+    images: dict = {(): ({}, 0)}
+
+    def columns(labels, rows) -> tuple[dict, int]:
+        cols = {}
+        for col, (kind, name, word) in enumerate(labels):
+            entry = images.get(word)
+            if entry is None:
+                odd = sum(parity[x] for x in word) & 1
+                entry = images[word] = _leibniz_word(dga, word, cap=max_len), odd
+            image, odd_w = entry
+            out: dict = {}
+            odd = False
+            if kind == "mc":
+                room = max_len - len(word)
+                for n, mark, after, before, coeffs in mark_terms[name]:
+                    if n > room:
+                        continue
+                    if (row := rows.get(mark + (after + word + before,))) is not None:
+                        out[row] = out.get(row, 0) + coeffs[odd_w]
+                odd = not parity[name]
+            for key, v in image.items():
+                target = (kind, name, key if key.__class__ is tuple else ())
+                if (row := rows.get(target)) is not None:
+                    out[row] = out.get(row, 0) + (-v if odd else v)
+            out = _nonzero(out)
+            if out:
+                cols[col] = out
+        return cols, den
+
+    return columns
 
 
 # ---- the chord builders --------------------------------------------------------
@@ -440,19 +451,17 @@ def _chord_block(
     kind: str, dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> tuple[dict[int, list], Callable, str]:
     """The chord complex of a kind (cyc, hoplus, ho or mcyc) as its bases,
-    boundary image and verdict, the image bound to the caches of one build;
-    the chord builders build it and the surgery complexes take it as their
+    boundary kernel and verdict, the kernel compiled for one build; the
+    chord builders build it and the surgery complexes take it as their
     chord side.  The mcyc mark takes one letter of max_len."""
     verdict = guard_verdict((g.grading for g in dga.generators), window, max_len - (kind == "mcyc"))
     if kind == "cyc":
-        bases = _cyclic_bases(dga.algebra, window, max_len)
-        return bases, partial(_cyclic_image, dga, max_len), verdict
+        return _cyclic_bases(dga.algebra, window, max_len), _cyclic_kernel(dga, max_len), verdict
     if kind == "mcyc":
-        mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
         bases = _enumerate_marked_words(dga, window, max_len)
-        return bases, partial(_mcyc_image, dga, max_len, mark_terms, {}), verdict
+        return bases, _mcyc_kernel(dga, max_len), verdict
     bases = _decorated_bases(dga.algebra, window, max_len, tau={"hoplus": False, "ho": True}[kind])
-    return bases, partial(_decorated_image, dga, max_len, {}), verdict
+    return bases, _decorated_kernel(dga, max_len), verdict
 
 
 def build_cyclic_complex(
@@ -460,8 +469,8 @@ def build_cyclic_complex(
 ) -> GradedChainComplex:
     """Good cyclic classes with the letterwise Leibniz differential followed
     by projection; length-zero collapses are dropped."""
-    bases, image, verdict = _chord_block("cyc", dga, window, max_len)
-    return build_complex(bases, image, window, verdict)
+    bases, columns, verdict = _chord_block("cyc", dga, window, max_len)
+    return build_complex(bases, columns, window, verdict)
 
 
 def build_hoplus_complex(
@@ -469,8 +478,8 @@ def build_hoplus_complex(
 ) -> GradedChainComplex:
     """Check and hat copies of the cyclically composable monomials with the
     matrix differential; no tau classes, so the unit terms drop out."""
-    bases, image, verdict = _chord_block("hoplus", dga, window, max_len)
-    return build_complex(bases, image, window, verdict)
+    bases, columns, verdict = _chord_block("hoplus", dga, window, max_len)
+    return build_complex(bases, columns, window, verdict)
 
 
 def build_ho_complex(
@@ -479,16 +488,16 @@ def build_ho_complex(
     """The completed complex: check/hat words plus one degree-0 class per
     component; single-letter check words feed the classes through the unit
     terms of their differentials."""
-    bases, image, verdict = _chord_block("ho", dga, window, max_len)
-    return build_complex(bases, image, window, verdict)
+    bases, columns, verdict = _chord_block("ho", dga, window, max_len)
+    return build_complex(bases, columns, window, verdict)
 
 
 def build_mcyc_complex(
     dga: DGASpec, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """The cyclic quotient of the marked module."""
-    bases, image, verdict = _chord_block("mcyc", dga, window, max_len)
-    return build_complex(bases, image, window, verdict)
+    bases, columns, verdict = _chord_block("mcyc", dga, window, max_len)
+    return build_complex(bases, columns, window, verdict)
 
 
 def verify_en_isomorphism(

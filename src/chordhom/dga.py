@@ -3,10 +3,11 @@ consume them directly: validation, morphisms, augmentations, linearized
 complexes, and the point-class deformation (adjoined degree-(n-2) element
 with its relative construction).
 
-The linearized image and the relative construction read the differential
-as a DGASpec compiles it, in integer rows: the image reads the rows, and the
-relative construction reads d(wq) = d(w) q off the Leibniz kernel.  Element
-arithmetic on the differential serves validation and morphisms.
+The linearized complex and the relative construction read the differential
+as a DGASpec compiles it, in integer rows: the linearized columns read the
+rows, and the relative construction reads d(wq) = d(w) q off the Leibniz
+kernel.  Element arithmetic on the differential serves validation and
+morphisms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
-from .homology import EXACT, GradedChainComplex, _cyclic_words, _numerators, build_complex
+from .homology import EXACT, GradedChainComplex, _cyclic_words, _joined, _numerators, build_complex
 
 
 class RelQError(ValueError):
@@ -334,17 +335,20 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
     for g in sorted(dga.generators, key=lambda g: g.name):
         bases.setdefault(g.grading, []).append(g.name)
 
-    def image(label, rows) -> tuple[dict[int, int], int]:
-        out: dict[int, Fraction] = defaultdict(Fraction)
-        for piece, _, _, c in dga._rows.get(label, ()):
-            vals = [eps.values.get(x, 0) for x in piece]
-            for j, name in enumerate(piece):
-                prod = Fraction(c, dga._denom) * math.prod(vals[:j]) * math.prod(vals[j + 1:])
-                if prod and (row := rows.get(name)) is not None:
-                    out[row] += prod
-        return _numerators(out)
+    def columns(labels, rows) -> tuple[dict[int, dict[int, int]], int]:
+        images = []
+        for label in labels:
+            out: dict[int, Fraction] = defaultdict(Fraction)
+            for piece, _, _, c in dga._rows.get(label, ()):
+                vals = [eps.values.get(x, 0) for x in piece]
+                for j, name in enumerate(piece):
+                    prod = Fraction(c, dga._denom) * math.prod(vals[:j]) * math.prod(vals[j + 1:])
+                    if prod and (row := rows.get(name)) is not None:
+                        out[row] += prod
+            images.append(_numerators(out))
+        return _joined(images)
 
-    return build_complex(bases, image, window, EXACT)
+    return build_complex(bases, columns, window, EXACT)
 
 
 def adjoin_q(

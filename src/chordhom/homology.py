@@ -1,14 +1,18 @@
 """Exact homology engine: graded bases, sparse rational boundary maps,
 exact ranks over Q, Betti tables, and finiteness guards.
 
-Boundary matrices are stored the way the images compute them: every
-image looks its targets up in the row index of the degree below and
-returns integer numerators by row over one denominator, and build_complex
-keeps each degree as integer columns {col: {row: numerator}} over the lcm
-of its columns' denominators.  d^2, ranks, is_boundary and the verifiers
-read those columns; the {(row, col): Fraction} view of a complex (diffs,
-matrix) is built only when it is read.  It and the d^2 report share one
-Fraction object among equal values (_FractionPool).
+Boundary matrices are stored the way the kernels compute them: a kernel
+takes the labels of one degree and the row index of the degree below,
+looks every target up there once and returns the degree's integer columns
+{col: {row: numerator}} over one denominator, which build_complex keeps
+as they are.  Images made label by label, each over its own denominator,
+join into a degree's columns through _joined, over the lcm of those
+denominators.  d^2, ranks, is_boundary and the verifiers read the
+columns; the {(row, col): Fraction} view of a complex (diffs, matrix) is
+built only when it is read, and it and the d^2 report share one Fraction
+object among equal values (_FractionPool).  betti and the d^2 report read
+one product loop (_d_squared_products); betti names the first nonzero
+entry of d^2 and counts the rest.
 
 Every rank comes from one sparse column reduction, _reduce.  The integer
 columns are eliminated fraction-free, each divided by the gcd of its
@@ -29,7 +33,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from itertools import chain
+from operator import countOf
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from .algebra import ChordAlgebra, Word
 
@@ -117,17 +123,31 @@ class GradedChainComplex:
         values share one Fraction object."""
         bad = []
         pool = _FractionPool()
+        values = _Numerators(pool, 1)
+        for d, c, den, entries in self._d_squared_products():
+            if values.den != den:
+                values = _Numerators(pool, den)
+            bad.extend((d, (r, c), values[w]) for r, w in entries.items() if w)
+        return bad
+
+    def _d_squared_products(self) -> Iterator[tuple[int, int, int, dict[int, int]]]:
+        """The nonzero columns of boundary(d-1) * boundary(d), d = lo+1 ..
+        hi+1, column by column of boundary(d), on the integer columns, as
+        (d, col, den, entries): the column holds w over den at each row r
+        of entries {r: w} with w nonzero; a zero w is a sum that cancelled.
+        A column of boundary(d) with the one entry 1 gives the stored column
+        it meets itself."""
         lo, hi = self.window
         lower, lden = self._integer(lo)
         for d in range(lo + 1, hi + 2):
             upper, uden = self._integer(d)
-            values = _Numerators(pool, uden * lden)
+            den = uden * lden
             for c, col in upper.items():
                 if len(col) == 1:
                     # no stored entry is zero, so neither is a product
                     (mid, v), = col.items()
                     if below := lower.get(mid):
-                        bad.extend((d, (r, c), values[v * w]) for r, w in below.items())
+                        yield d, c, den, below if v == 1 else {r: v * w for r, w in below.items()}
                     continue
                 acc: dict[int, int] = {}
                 for mid, v in col.items():
@@ -136,9 +156,8 @@ class GradedChainComplex:
                         for r, w in below.items():
                             acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
-                    bad.extend((d, (r, c), values[total]) for r, total in acc.items() if total)
+                    yield d, c, den, acc
             lower, lden = upper, uden
-        return bad
 
 
 class _FractionPool(dict):
@@ -275,7 +294,8 @@ class BettiTable:
 
 def betti(complex: GradedChainComplex) -> BettiTable:
     """Exact homology ranks on the complex window; raises DSquareError
-    unless d^2 = 0 there.
+    unless d^2 = 0 there, naming the first nonzero entry of d^2 and
+    counting the rest.
 
     rank(d_d), for d = lo..hi+1 in turn, is the pivot count of _reduce on
     the coboundary out of degree d-1: the rows of d_d as columns keyed by
@@ -284,12 +304,15 @@ def betti(complex: GradedChainComplex) -> BettiTable:
     d_d d_{d+1} = 0 for d in lo..hi, so the row lies in the span of the
     others and only about one column per homology class reduces to zero.
     """
-    bad = complex.d_squared_report()
-    if bad:
-        d, pos, val = bad[0]
+    products = complex._d_squared_products()
+    first = next(products, None)
+    if first is not None:
+        d, c, den, entries = first
+        r, w = next((r, w) for r, w in entries.items() if w)
+        count = sum(len(e) - countOf(e.values(), 0) for *_, e in chain([first], products))
         raise DSquareError(
-            f"d^2 != 0 at degree {d}, entry {pos} = {val} "
-            f"({len(bad)} nonzero entries total)"
+            f"d^2 != 0 at degree {d}, entry {(r, c)} = {Fraction(w, den)} "
+            f"({count} nonzero entries total)"
         )
     lo, hi = complex.window
     rk, lows = {}, set()
@@ -499,38 +522,48 @@ def enumerate_cyclic_words(
 
 def build_complex(
     bases: dict[int, list[Label]],
-    image: Callable[[Label, Mapping[Label, int]], tuple[dict[int, int], int]],
+    columns: Callable[[list[Label], Mapping[Label, int]], tuple[Columns, int]],
     window: tuple[int, int],
     verdict: str,
 ) -> GradedChainComplex:
     """Assemble a GradedChainComplex from per-degree label lists and a
-    function image(label, rows) giving the boundary image of a basis label.
+    kernel columns(labels, rows) giving the boundary of a whole degree.
 
     rows maps each label of the degree below (one of lo-1..hi) to its row.
-    The image looks each target up there once, leaves out those rows lacks and
-    returns (integer numerators by row, their denominator) with no zero
-    numerator, in the order the column is stored.  Each degree is stored
-    as integer columns over the lcm of its columns' denominators; a column
-    is rescaled only when its own denominator differs from that lcm.
+    The kernel looks each target up there once, leaves out those rows lacks
+    and returns ({col: {row: numerator}}, den): the nonzero columns, keyed
+    by their place in labels and in label order, with no zero numerator,
+    over one denominator for the degree.  build_complex stores them as they
+    are; images made label by label join through _joined.
     """
     lo, hi = window
     store: dict[int, tuple[Columns, int]] = {}
     for d in range(lo, hi + 2):
         labs = bases.get(d)
-        if not labs:
-            continue
-        rows = {lab: i for i, lab in enumerate(bases.get(d - 1, ()))}
-        columns: Columns = {}
-        dens: dict[int, int] = {}
-        for col, lab in enumerate(labs):
-            column, den = image(lab, rows)
-            if column:
-                columns[col] = column
-                dens[col] = den
-        lcm = math.lcm(*dens.values())
-        for col, den in dens.items():
-            if den != lcm:
-                scale = lcm // den
-                columns[col] = {r: v * scale for r, v in columns[col].items()}
-        store[d] = (columns, lcm)
+        if labs:
+            rows = {lab: i for i, lab in enumerate(bases.get(d - 1, ()))}
+            store[d] = columns(labs, rows)
     return GradedChainComplex._from_columns(bases, store, window, verdict)
+
+
+def _joined(
+    images: list[tuple[dict[int, int], int]], rest: tuple[Columns, int] = ({}, 1)
+) -> tuple[Columns, int]:
+    """One degree's columns from images made label by label, one (numerators
+    by row, den) for each label in order, then rest: the columns of the
+    labels after those, made together over one den and keyed by place among
+    them.  The nonzero columns are kept over the lcm of their denominators,
+    a column rescaled only when its own den differs from that lcm."""
+    columns, den = rest
+    parts = [(col, column, d) for col, (column, d) in enumerate(images) if column]
+    lcm = math.lcm(den if columns else 1, *(d for _, _, d in parts))
+
+    def scaled(column: dict[int, int], d: int) -> dict[int, int]:
+        return {r: v * (lcm // d) for r, v in column.items()}
+
+    joined = {col: column if d == lcm else scaled(column, d) for col, column, d in parts}
+    n = len(images)
+    joined.update(
+        {n + col: column if den == lcm else scaled(column, den) for col, column in columns.items()}
+    )
+    return joined, lcm

@@ -26,12 +26,14 @@ The cyclic tensor complex has no basis of its own: it is the check/hat
 basis of complexes._decorated_bases (with the component classes), labels
 and order included, with degrees negated, so verify_dictionary pairs the
 two complexes position by position, refusing label lists that differ.
-Its boundary images look every target up once in the row index that
-build_complex hands them and sum integer numerators on its rows over the
-lcm of the table's denominators, with the Koszul signs read off one
-prefix-parity list per label; a sum that cancels drops its row.  They
-scan only chord blocks no longer than the table's longest word and look
-up the hits of each block once per call.  dictionary_check builds it on
+Its boundary kernel takes the labels of one degree and the row index of
+the degree below from build_complex, looks every target up there once and
+sums integer numerators on its rows over the lcm of the table's
+denominators, with the Koszul signs read off one prefix-parity list per
+label; a sum that cancels drops its row, and a component class's one term,
+over 1, joins the rest through homology._joined.  It scans only chord
+blocks no longer than the table's longest word and looks up the hits of
+each block once per build.  dictionary_check builds it on
 the basis of the check/hat complex it is checked against, so one
 dictionary check walks the words once.
 """
@@ -47,7 +49,7 @@ from fractions import Fraction
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
 from .complexes import _decorated_bases, build_ho_complex
 from .dga import DGASpec
-from .homology import GradedChainComplex, _FractionPool, build_complex, guard_verdict
+from .homology import GradedChainComplex, _FractionPool, _joined, build_complex, guard_verdict
 
 Symbol = tuple  # ("e", i) | ("m", i) | ("f", name) | ("b", name)
 
@@ -680,66 +682,66 @@ def _cyclic_tensor_complex(
         else:
             del out[row]
 
-    def image(label, rows) -> tuple[dict, int]:
-        """The boundary image as (integer numerators by row, den)."""
-        out: dict = {}
-        kind, letters = label
-        if kind == "tau":
-            add(out, rows, ("chk", (curvature[letters],)), 1)
-            return out, 1
-        if kind == "chk":
-            slot_word = letters[1:] + (letters[0],)
-            s = len(slot_word)
-            pre = prefix_parities(slot_word)
-
-            def emit(new_word, coeff):
-                add(out, rows, ("chk", (new_word[-1],) + new_word[:-1]), coeff)
-
-            for t in range(s):
-                psign = -1 if pre[t] else 1
-                for m in range(1, min(s - t, max_arity) + 1):
-                    for out_name, coeff in blocks_of(slot_word[t : t + m]):
-                        emit(
-                            slot_word[:t] + (out_name,) + slot_word[t + m :],
-                            psign * coeff,
-                        )
-            # the curvature chord inserted at every slot of the slot word
-            for slot in range(s + 1):
-                enm = curvature[src[slot_word[slot - 1]] if slot else dst[slot_word[0]]]
-                emit(slot_word[:slot] + (enm,) + slot_word[slot:], -den if pre[slot] else den)
-            add(out, rows, ("hat", slot_word), den)
-            # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
-            rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
-            add(out, rows, ("hat", letters), -rsign * den)
-            return out, den
-        s = len(letters)
-        pre = prefix_parities(letters)
-        # with the hat on letters[0], the sign before position j is
-        # (-1)^(|letters[0]| + 1 + |letters[1:j]|) = (-1)^(1 + pre[j])
-        for j in range(1, s):
-            psign = 1 if pre[j] else -1
-            for m in range(1, min(s - j, max_arity) + 1):
-                for out_name, coeff in blocks_of(letters[j : j + m]):
-                    new = letters[:j] + (out_name,) + letters[j + m :]
-                    add(out, rows, ("hat", new), psign * coeff)
-        for t in range(0, s):
-            new = letters[: t + 1] + (curvature[src[letters[t]]],) + letters[t + 1 :]
-            add(out, rows, ("hat", new), den if pre[t + 1] else -den)
-        # the block tail + letters[:h] has length t + h <= max_arity
-        for h in range(1, min(s, max_arity) + 1):
-            for t in range(0, min(s - h, max_arity - h) + 1):
-                middle = letters[h : s - t]
-                tail = letters[s - t :] if t else ()
-                for out_name, coeff in blocks_of(tail + letters[:h]):
-                    # (-1)^(|tail| |letters[:s-t]|)
-                    sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
-                    # the spread of the marked letter enters negatively
-                    add(out, rows, ("hat", (out_name,) + middle), -sgn * coeff)
-        return out, den
+    def columns(labels, rows) -> tuple[dict, int]:
+        """The boundary columns of one degree: a component class over 1,
+        every other label over den, joined over their lcm."""
+        images = []
+        for kind, letters in labels:
+            out: dict = {}
+            if kind == "tau":
+                add(out, rows, ("chk", (curvature[letters],)), 1)
+                images.append((out, 1))
+                continue
+            if kind == "chk":
+                slot_word = letters[1:] + letters[:1]
+                s = len(slot_word)
+                pre = prefix_parities(slot_word)
+                # each new slot word w is stored in check lettering, w[-1] first
+                for t in range(s):
+                    psign = -1 if pre[t] else 1
+                    for m in range(1, min(s - t, max_arity) + 1):
+                        for out_name, coeff in blocks_of(slot_word[t : t + m]):
+                            new = slot_word[:t] + (out_name,) + slot_word[t + m :]
+                            add(out, rows, ("chk", new[-1:] + new[:-1]), psign * coeff)
+                # the curvature chord inserted at every slot of the slot word
+                for slot in range(s + 1):
+                    enm = curvature[src[slot_word[slot - 1]] if slot else dst[slot_word[0]]]
+                    new = slot_word[:slot] + (enm,) + slot_word[slot:]
+                    add(out, rows, ("chk", new[-1:] + new[:-1]), -den if pre[slot] else den)
+                add(out, rows, ("hat", slot_word), den)
+                # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
+                rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
+                add(out, rows, ("hat", letters), -rsign * den)
+            else:
+                s = len(letters)
+                pre = prefix_parities(letters)
+                # with the hat on letters[0], the sign before position j is
+                # (-1)^(|letters[0]| + 1 + |letters[1:j]|) = (-1)^(1 + pre[j])
+                for j in range(1, s):
+                    psign = 1 if pre[j] else -1
+                    for m in range(1, min(s - j, max_arity) + 1):
+                        for out_name, coeff in blocks_of(letters[j : j + m]):
+                            new = letters[:j] + (out_name,) + letters[j + m :]
+                            add(out, rows, ("hat", new), psign * coeff)
+                for t in range(0, s):
+                    new = letters[: t + 1] + (curvature[src[letters[t]]],) + letters[t + 1 :]
+                    add(out, rows, ("hat", new), den if pre[t + 1] else -den)
+                # the block tail + letters[:h] has length t + h <= max_arity
+                for h in range(1, min(s, max_arity) + 1):
+                    for t in range(0, min(s - h, max_arity - h) + 1):
+                        middle = letters[h : s - t]
+                        tail = letters[s - t :] if t else ()
+                        for out_name, coeff in blocks_of(tail + letters[:h]):
+                            # (-1)^(|tail| |letters[:s-t]|)
+                            sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
+                            # the spread of the marked letter enters negatively
+                            add(out, rows, ("hat", (out_name,) + middle), -sgn * coeff)
+            images.append((out, den))
+        return _joined(images)
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
     lo, hi = window
-    return build_complex({-d: labs for d, labs in bases.items()}, image, (-hi, -lo), verdict)
+    return build_complex({-d: labs for d, labs in bases.items()}, columns, (-hi, -lo), verdict)
 
 
 def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:

@@ -20,7 +20,7 @@ from typing import Container, Mapping
 from .algebra import ChordAlgebra, Word
 from .complexes import _chord_block, _s_terms, cyclic_class
 from .dga import DGASpec
-from .homology import EXACT, GradedChainComplex, _numerators, build_complex
+from .homology import EXACT, GradedChainComplex, _joined, _numerators, build_complex
 
 
 class CountGradingError(ValueError):
@@ -174,6 +174,8 @@ class CobordismCounts:
 
 
 BAD_ORBIT_DOUBLING = Fraction(2)
+# the label kinds of a filling's orbits and Morse generators
+FILLING_KINDS = ("orb", "ochk", "ohat", "mrs")
 
 
 def _by_source(tables: Mapping[str, Mapping]) -> dict:
@@ -198,7 +200,7 @@ def _orbit_row(
     rows: Mapping | None = None,
 ) -> dict:
     """The couplings of an orbit or Morse label, read off count tables, by
-    target label; with rows, the row index of a boundary image, by row,
+    target label; with rows, the row index of the degree below, by row,
     each target looked up once and left out when rows lacks it.
 
     tables indexes the CobordismCounts tables by their names (_by_source),
@@ -296,13 +298,15 @@ def _surgery_complex(
 ) -> GradedChainComplex:
     """The surgery complex of a theory: the filling's block in the layout
     of kind, the chord complex that kind picks (cyc for lch, hoplus for
-    shplus, ho for sh) with its image and verdict as complexes._chord_block
+    shplus, ho for sh) with its kernel and verdict as complexes._chord_block
     gives them, and the count tables coupling them.  Checks that every
     count comes from an orbit of the filling, and the filling and the
     counts against the DGA, before the chord side is read, and binds the
     orbit row to the filling's and the counts' tables, each indexed by
     source once per build; the orbit row folds each cyclic count's word
-    onto its class.  dga=None builds the filling's block alone."""
+    onto its class.  A degree's kernel joins the orbit rows, label by
+    label, to the chord kernel's columns over the lcm of their
+    denominators.  dga=None builds the filling's block alone."""
     orbits = filling.orbits_up_to(window[1] + 2)
     kappa = {o.label: o.multiplicity for o in orbits}
     bad = {o.label for o in orbits if o.bad}
@@ -310,7 +314,7 @@ def _surgery_complex(
     for g, _ in [*counts.mixed_cyc, *counts.ncheck, *counts.nhat, *counts.orbit_tau]:
         if not filling.has_orbit(g):
             raise CountGradingError(f"count from {g}: the filling has no such orbit")
-    verdict, alg, chord_image, cyc = EXACT, None, None, {}
+    verdict, alg, chord_columns, cyc = EXACT, None, None, {}
     if dga is not None:
         if filling.n != dga.ambient_dim:
             raise FillingMismatchError(
@@ -324,7 +328,7 @@ def _surgery_complex(
                     f"outside 1..{dga.ring.k}"
                 )
         chord = {"lch": "cyc", "shplus": "hoplus", "sh": "ho"}[kind]
-        chord_bases, chord_image, verdict = _chord_block(chord, dga, window, max_len)
+        chord_bases, chord_columns, verdict = _chord_block(chord, dga, window, max_len)
         for d, labels in chord_bases.items():
             bases.setdefault(d, []).extend(labels)
         alg, cyc = dga.algebra, counts.mixed_cyc
@@ -340,12 +344,19 @@ def _surgery_complex(
         morse_tau=filling.morse_tau,
     ))
 
-    def image(label, rows) -> tuple[dict, int]:
-        if label[0] in ("orb", "ochk", "ohat", "mrs"):
-            return _numerators(_orbit_row(label, tables, kappa, kappa, alg, bad, rows))
-        return chord_image(label, rows)
+    def columns(labels, rows) -> tuple[dict, int]:
+        # the filling's labels lead each degree, each over its own denominator
+        n = next((i for i, lab in enumerate(labels) if lab[0] not in FILLING_KINDS), len(labels))
+        chord, den = chord_columns(labels[n:], rows) if n < len(labels) else ({}, 1)
+        if not n:
+            return chord, den
+        orbit = [
+            _numerators(_orbit_row(label, tables, kappa, kappa, alg, bad, rows))
+            for label in labels[:n]
+        ]
+        return _joined(orbit, (chord, den))
 
-    return build_complex(bases, image, window, verdict)
+    return build_complex(bases, columns, window, verdict)
 
 
 def build_lch_surgery(
@@ -456,16 +467,18 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
     bases = _orbit_bases(orbits, filling.morse, window, "ch")
     tables = _by_source({"orbit_orbit": filling.orbit_diff})
 
-    def image(label, rows) -> tuple[dict, int]:
+    def columns(labels, rows) -> tuple[dict, int]:
         # the basis holds the good orbits only, so rows lacks the bad ones
-        gamma = label[1]
-        out: dict = defaultdict(Fraction)
-        for beta, c in tables.get(("orbit_orbit", gamma), ()):
-            if (row := rows.get(("orb", beta))) is not None:
-                out[row] += c / kappa[gamma]
-        return _numerators(out)
+        images = []
+        for _, gamma in labels:
+            out: dict = defaultdict(Fraction)
+            for beta, c in tables.get(("orbit_orbit", gamma), ()):
+                if (row := rows.get(("orb", beta))) is not None:
+                    out[row] += c / kappa[gamma]
+            images.append(_numerators(out))
+        return _joined(images)
 
-    return build_complex(bases, image, window, EXACT)
+    return build_complex(bases, columns, window, EXACT)
 
 
 def verify_kappa_isomorphism(filling: FillingModel, window: tuple[int, int]) -> bool:

@@ -6,10 +6,12 @@ extend_leibniz and sums Fraction coefficients label by label, keeping the
 labels in the order of their first term.  The library images accumulate
 integer numerators instead; built on the same bases, the two must give the
 same matrices, entry for entry and in stored order.  build_complex hands
-an image the row index of the degree below and takes its column as
-(numerators by row, denominator), so a reference image is handed to it
-through on_rows, which maps its sums through the index; Numbering is a row
-index that drops no label, for calling a library image on its own.
+a kernel the labels of a degree and the row index of the degree below and
+takes the degree's columns over one denominator, so a reference image is
+handed to it through on_rows, which maps each label's sums through the
+index and joins the columns as the library joins its per-label images
+(homology._joined); Numbering is a row index that drops no label, for
+calling a library kernel on labels of its own.
 
 It also keeps the references that only the tests read: the parity-form
 zero-class criterion, the cyclic basis by a rotation filter over every
@@ -50,7 +52,13 @@ from chordhom.dga import (
     check_morphism,
     extend_leibniz,
 )
-from chordhom.homology import _cyclic_words, _numerators, build_complex, enumerate_cyclic_words
+from chordhom.homology import (
+    _cyclic_words,
+    _joined,
+    _numerators,
+    build_complex,
+    enumerate_cyclic_words,
+)
 from chordhom.lefschetz import (
     CurvedAinf,
     DirectedAinfSpec,
@@ -82,14 +90,16 @@ class DecoratedWord:
 
 
 def on_rows(image):
-    """A label-keyed image as build_complex takes it: its sums mapped through
-    the row index in their order, the labels the index lacks and the zero
-    sums left out, as numerators over the lcm of their denominators."""
+    """A label-keyed image as the kernel build_complex takes: each label's
+    sums mapped through the row index in their order, the labels the index
+    lacks and the zero sums left out, and the columns joined over the lcm
+    of their denominators."""
 
-    def by_row(label, rows):
-        return _numerators({rows[k]: v for k, v in image(label).items() if k in rows})
+    def columns(labels, rows):
+        by_row = [{rows[k]: v for k, v in image(label).items() if k in rows} for label in labels]
+        return _joined([_numerators(terms) for terms in by_row])
 
-    return by_row
+    return columns
 
 
 class Numbering(dict):
@@ -781,8 +791,8 @@ def linearize_image(dga: DGASpec, eps: Augmentation):
     the other letters, times the word's coefficient, to b_j; the product
     stops at the first letter eps does not reach."""
 
-    def image(label, rows) -> tuple[dict[int, int], int]:
-        out: dict[int, Fraction] = defaultdict(Fraction)
+    def image(label) -> dict:
+        out: dict = defaultdict(Fraction)
         for w, coeff in dga.d_gen(label).terms.items():
             if w.is_idem:
                 continue
@@ -797,11 +807,11 @@ def linearize_image(dga: DGASpec, eps: Augmentation):
                         prod = Fraction(0)
                         break
                     prod *= v
-                if prod and (row := rows.get(name)) is not None:
-                    out[row] += prod
-        return _numerators(out)
+                if prod:
+                    out[name] += prod
+        return out
 
-    return image
+    return on_rows(image)
 
 
 def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQResult:

@@ -1,6 +1,6 @@
 """Each chord complex is defined once, by complexes._chord_block, for its
 builder and for the surgery complexes alike: no other module of
-src/chordhom reaches the chord bases and images that the seam pairs.
+src/chordhom reaches the chord bases and kernels that the seam pairs.
 lefschetz.py keeps _decorated_bases, since the cyclic tensor complex
 shares ho's basis."""
 
@@ -11,11 +11,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chordhom"
 
 SEAM_PARTS = {
     "_cyclic_bases",
-    "_cyclic_image",
+    "_cyclic_kernel",
     "_decorated_bases",
-    "_decorated_image",
+    "_decorated_kernel",
     "_enumerate_marked_words",
-    "_mcyc_image",
+    "_mcyc_kernel",
 }
 ALLOWED = {("lefschetz.py", "_decorated_bases")}
 

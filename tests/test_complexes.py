@@ -10,12 +10,11 @@ from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
 from chordhom.complexes import (
     CyclicWord,
-    _check_image,
     _cyclic_bases,
     _decorated_bases,
+    _decorated_kernel,
     _enumerate_marked_words,
     _mark_terms,
-    _rot1,
     build_cyclic_complex,
     build_ho_complex,
     build_hoplus_complex,
@@ -40,6 +39,7 @@ from conftest import random_dga
 from test_dga import free_dga
 from reference_images import (
     Numbering,
+    _rot1,
     cyclic_bases_reference,
     is_bad_by_parity,
     marks,
@@ -354,18 +354,24 @@ def test_mark_terms_of_a_two_letter_differential(u_grading, v_grading):
     ]
     dga = DGASpec(ring, gens, {"c": Element({Word.of(["u", "v"]): Fraction(3)})}, 2)
     terms = _mark_terms(dga, "c")
-    assert [t[:4] for t in terms] == [
-        ((), ("mx", 2), ("c",), 1),  # x_dst c
-        (("c",), ("mx", 1), (), -1),  # - c x_src
-        ((), ("mc", "u"), ("v",), -3),  # - S(dc): the hat on u
-        (("u",), ("mc", "v"), (), -3 * (-1) ** u_grading),  # and on v
+    base = [
+        (1, ("mx", 2), ("c",), (), 1),  # x_dst c
+        (1, ("mx", 1), (), ("c",), -1),  # - c x_src
+        (1, ("mc", "u"), ("v",), (), -3),  # - S(dc): the hat on u
+        (1, ("mc", "v"), (), ("u",), -3 * (-1) ** u_grading),  # and on v
     ]
-    # the grading parities of the letters before and after each mark
+    assert [t[:4] for t in terms] == [b[:4] for b in base]
+    # the Koszul sign of moving before past the mark, after and the word
     grading = {g.name: g.grading for g in gens}
-    assert [t[4:] for t in terms] == [
-        tuple(sum(grading[x] for x in part) % 2 for part in (before, after))
-        for before, _, after, *_ in terms
-    ]
+
+    def degree(letters):
+        return sum(grading[x] for x in letters)
+
+    for (_, mark, after, before, coeffs), (*_, c) in zip(terms, base):
+        mark_degree = grading[mark[1]] + 1 if mark[0] == "mc" else 0
+        assert coeffs == tuple(
+            c * (-1) ** (degree(before) * (mark_degree + degree(after) + w)) for w in (0, 1)
+        )
 
 
 def test_module_M_squares_to_zero_on_random_dgas():
@@ -528,9 +534,11 @@ def assert_check_image_is_the_slot_word_image(dga, letters, max_len):
         (("chk", _rot1(key)) if type(key) is tuple else ("tau", key), v)
         for key, v in full.items()
     ]
+    # the check/hat kernel of one build, on a degree of one label
     rows = Numbering()
-    column, _ = _check_image(dga, max_len, {}, letters, rows)
-    assert rows.labelled(column) == want
+    columns, _ = _decorated_kernel(dga, max_len)([("chk", letters)], rows)
+    assert list(columns) in ([], [0])
+    assert rows.labelled(columns.get(0, {})) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,7 +556,7 @@ def test_check_image_is_the_leibniz_image_of_the_slot_word(seed, max_len):
 def test_check_image_drops_a_cancelled_key():
     # d(a) = a with a odd: in the slot word a.a the two terms a.a cancel
     dga = DGASpec(BaseRing(1), [Generator("a", 1)], {"a": Element.monomial(Word.of("a"))})
-    assert _check_image(dga, 2, {}, ("a", "a"), Numbering()) == ({}, 1)
+    assert _decorated_kernel(dga, 2)([("chk", ("a", "a"))], Numbering()) == ({}, 1)
     assert_check_image_is_the_slot_word_image(dga, ("a", "a"), 2)
 
 

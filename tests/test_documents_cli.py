@@ -1087,7 +1087,7 @@ def test_cli_augmentation_off_grading_0_chords_exit_2(tmp_path, dga, values, nam
             "--min-deg 3 exceeds --max-deg 0",
         ),
         ((*_SURGERY_CH, "--filling", "empty:0"), "'empty:0': filling model needs n >= 2"),
-        (("examples", "emit", "no_such"), "input error: \"unknown example 'no_such'\""),
+        (("examples", "emit", "no_such"), "input error: unknown example 'no_such'\n"),
         (("examples", "emit"), "examples emit needs a name"),
     ],
     ids=["homology-negative-max-len", "surgery-negative-max-len", "reversed-window",

@@ -26,6 +26,7 @@ from chordhom.homology import (
     GradedChainComplex,
     _cyclic_words,
     _integer_columns,
+    _joined,
     _reduce,
     betti,
     build_complex,
@@ -236,11 +237,11 @@ def test_d_squared_report_shares_values_of_single_entry_columns_across_degrees()
         "v": ({"z": 1, "u": 1}, 1),
     }
 
-    def image(label, rows):
-        terms, den = images.get(label, ({}, 1))
-        return {rows[k]: v for k, v in terms.items()}, den
+    def columns(labels, rows):
+        terms = [images.get(label, ({}, 1)) for label in labels]
+        return _joined([({rows[k]: v for k, v in t.items()}, den) for t, den in terms])
 
-    cx = build_complex(bases, image, (0, 2), EXACT)
+    cx = build_complex(bases, columns, (0, 2), EXACT)
     report = cx.d_squared_report()
     half = Fraction(1, 2)
     assert report == [
@@ -265,6 +266,20 @@ def test_d_squared_error_message_with_fractions():
     with pytest.raises(DSquareError) as err:
         betti(complex)
     assert str(err.value) == "d^2 != 0 at degree 2, entry (0, 0) = -2/5 (1 nonzero entries total)"
+
+
+def test_d_squared_error_names_the_first_entry_and_counts_the_rest(chekanov_a):
+    # chekanov_a's TRUNCATED mcyc at max-len 4: the message counts every
+    # nonzero entry of the report and names its first
+    cx = build_mcyc_complex(chekanov_a, (-4, 0), 4)
+    report = cx.d_squared_report()
+    d, pos, val = report[0]
+    with pytest.raises(DSquareError) as err:
+        betti(cx)
+    assert str(err.value) == (
+        "d^2 != 0 at degree -3, entry (108, 0) = 1 (37056 nonzero entries total)"
+    )
+    assert (d, pos, val, len(report)) == (-3, (108, 0), 1, 37056)
 
 
 def test_betti_edge_flags(unknot3):

@@ -72,16 +72,14 @@ def assert_matches_the_reference(builder, image, dga, window, max_len):
 
 def assert_surgery_matches_the_reference(builder, dga, window, max_len):
     """The surgery complex over ball:2 against the same build with the
-    decorated chord image replaced by the reference image, where the chord
-    block of complexes.py reads it."""
+    decorated chord kernel replaced by the reference image, where the chord
+    block of complexes.py makes it."""
     filling, counts = builtin_ball_filling(2), SurgeryCountTable.zero()
     got = builder(filling, dga, counts, window, max_len)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
-            complexes, "_decorated_image",
-            lambda dga, max_len, tails, label, rows: (
-                ref.on_rows(partial(ref.decorated_image, dga))(label, rows)
-            ),
+            complexes, "_decorated_kernel",
+            lambda dga, max_len: ref.on_rows(partial(ref.decorated_image, dga)),
         )
         want = builder(filling, dga, counts, window, max_len)
     assert_same_matrices(got, want)
@@ -90,8 +88,8 @@ def assert_surgery_matches_the_reference(builder, dga, window, max_len):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([1, 0, -1]), st.sampled_from([3, 2]))
 def test_chord_images_match_the_element_reference(seed, min_grading, max_len):
-    # max-len 2 sits below the window top, so the images leave out terms
-    # that the reference builds and build_complex drops
+    # max-len 2 sits below the window top, so the kernels leave out terms
+    # that the reference builds and its row index drops
     rng = random.Random(seed)
     dga = fractional_dga(rng, min_grading)
     window = (0, 3)
@@ -132,7 +130,7 @@ def word_length(label) -> int:
 
 
 class LookupLog:
-    """A row index that records every label an image looks up in it."""
+    """A row index that records every label a kernel looks up in it."""
 
     def __init__(self, rows, looked_up: list):
         self.rows, self.looked_up = rows, looked_up
@@ -142,17 +140,17 @@ class LookupLog:
         return self.rows.get(label, default)
 
 
-def recording_images(monkeypatch, module) -> tuple[list, list]:
-    """Make module's build_complex hand every image a LookupLog of its row
-    index; returns the image calls, as (label, rows, column, den), and the
-    labels looked up, both filled as the builds run."""
+def recording_kernels(monkeypatch, module) -> tuple[list, list]:
+    """Make module's build_complex hand its kernel a LookupLog of each row
+    index; returns the kernel calls, as (labels, rows, columns, den), and
+    the labels looked up, both filled as the builds run."""
     calls, looked_up = [], []
 
-    def build(bases, image, *args):
-        def recorded(label, rows):
-            column, den = image(label, LookupLog(rows, looked_up))
-            calls.append((label, rows, column, den))
-            return column, den
+    def build(bases, columns, *args):
+        def recorded(labels, rows):
+            cols, den = columns(labels, LookupLog(rows, looked_up))
+            calls.append((labels, rows, cols, den))
+            return cols, den
 
         return build_complex(bases, recorded, *args)
 
@@ -165,10 +163,10 @@ def test_chord_images_that_leave_out_long_words_match_the_element_reference(
     chekanov_a, builder, image, monkeypatch
 ):
     # chekanov_a at max-len 3: three-letter terms in the differential make
-    # words longer than any basis label, which the images never look up
+    # words longer than any basis label, which the kernels never look up
     window, max_len = (-4, 0), 3
     with monkeypatch.context() as mp:
-        _, looked_up = recording_images(mp, complexes)
+        _, looked_up = recording_kernels(mp, complexes)
         cx = builder(chekanov_a, window, max_len)
     assert looked_up and max(map(word_length, looked_up)) <= max_len
     assert any(
@@ -185,7 +183,7 @@ def test_surgery_chord_images_that_leave_out_long_words_match_the_reference(
     chekanov_a, builder, monkeypatch
 ):
     with monkeypatch.context() as mp:
-        _, looked_up = recording_images(mp, surgery)
+        _, looked_up = recording_kernels(mp, surgery)
         builder(builtin_ball_filling(2), chekanov_a, SurgeryCountTable.zero(), (-4, 0), 3)
     assert looked_up and max(map(word_length, looked_up)) <= 3
     assert_surgery_matches_the_reference(builder, chekanov_a, (-4, 0), 3)
@@ -222,20 +220,27 @@ def test_hochschild_images_match_the_fraction_reference(seed, t_order):
 
 
 def assert_row_contract(cx, calls, reference):
-    """Every column an image handed build_complex keys ints of
-    range(len(rows)), holds no zero numerator, is the column cx stores (over
-    its degree's denominator), and is reference(label) mapped through rows,
-    entry for entry and in order."""
-    position = {lab: (d, i) for d, labs in cx.basis.items() for i, lab in enumerate(labs)}
-    for label, rows, column, den in calls:
-        assert all(type(r) is int and 0 <= r < len(rows) for r in column)
-        assert all(column.values())
-        d, col = position[label]
-        columns, lcm = cx._integer(d)
-        got = [(r, Fraction(v, den)) for r, v in column.items()]
-        assert [(r, Fraction(v, lcm)) for r, v in columns.get(col, {}).items()] == got
-        want = [(rows[k], v) for k, v in reference(label).items() if v and k in rows]
-        assert got == want, label
+    """build_complex called the kernel once for each degree it builds, lo ..
+    hi + 1 in turn.  Every column the kernel returned is nonempty and keyed
+    by its label's place, in label order; it keys ints of range(len(rows)),
+    holds no zero numerator and is the column cx stores (over its degree's
+    denominator).  Each label's column, empty or not, is reference(label)
+    mapped through rows, entry for entry and in order."""
+    lo, hi = cx.window
+    built = [d for d in range(lo, hi + 2) if cx.basis.get(d)]
+    assert [labels for labels, *_ in calls] == [cx.basis[d] for d in built]
+    for d, (labels, rows, columns, den) in zip(built, calls):
+        assert list(columns) == sorted(columns) and set(columns) <= set(range(len(labels)))
+        assert all(columns.values())
+        stored, lcm = cx._integer(d)
+        for col, label in enumerate(labels):
+            column = columns.get(col, {})
+            assert all(type(r) is int and 0 <= r < len(rows) for r in column)
+            assert all(column.values())
+            got = [(r, Fraction(v, den)) for r, v in column.items()]
+            assert [(r, Fraction(v, lcm)) for r, v in stored.get(col, {}).items()] == got
+            want = [(rows[k], v) for k, v in reference(label).items() if v and k in rows]
+            assert got == want, label
 
 
 def ball_orbit_image(label) -> dict:
@@ -258,7 +263,7 @@ def test_chord_and_surgery_images_keep_the_row_contract(seed, min_grading, max_l
     window = (0, 4)
     for builder, image in CHORD_IMAGES:
         with pytest.MonkeyPatch.context() as mp:
-            calls, _ = recording_images(mp, complexes)
+            calls, _ = recording_kernels(mp, complexes)
             cx = builder(dga, window, max_len)
         assert_row_contract(cx, calls, partial(image, dga))
 
@@ -269,10 +274,15 @@ def test_chord_and_surgery_images_keep_the_row_contract(seed, min_grading, max_l
 
     for builder in (build_shplus_surgery, build_sh_surgery):
         with pytest.MonkeyPatch.context() as mp:
-            calls, _ = recording_images(mp, surgery)
+            calls, _ = recording_kernels(mp, surgery)
             cx = builder(builtin_ball_filling(2), dga, SurgeryCountTable.zero(), window, max_len)
         assert_row_contract(cx, calls, surgery_reference)
-        assert any(column for label, _, column, _ in calls if label[0] == "ochk")
+        assert any(
+            column
+            for labels, _, columns, _ in calls
+            for col, column in columns.items()
+            if labels[col][0] == "ochk"
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -281,7 +291,7 @@ def test_cyclic_tensor_images_keep_the_row_contract(seed, t_order):
     D = build_curved_category(fractional_ainf_spec(random.Random(seed)), t_order)
     window, max_len = (0, 4), 5
     with pytest.MonkeyPatch.context() as mp:
-        calls, _ = recording_images(mp, lefschetz)
+        calls, _ = recording_kernels(mp, lefschetz)
         cx = hochschild_complex(D, window, max_len)
     assert_row_contract(cx, calls, ref.hochschild_reference_image(D, window, max_len)[1])
 

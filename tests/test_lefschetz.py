@@ -686,14 +686,14 @@ def test_dictionary_check_refuses_a_direct_dga_that_differs(monkeypatch, change)
 
 
 def test_cyclic_tensor_images_hold_no_cancelled_sums(monkeypatch):
-    # the image sums that cancel are dropped, not handed to build_complex
+    # the column sums that cancel are dropped, not handed to build_complex
     values = []
 
-    def recording(bases, image, *args, **kwargs):
-        def recorded(label, rows):
-            out, den = image(label, rows)
-            values.extend(out.values())
-            return out, den
+    def recording(bases, columns, *args, **kwargs):
+        def recorded(labels, rows):
+            cols, den = columns(labels, rows)
+            values.extend(v for col in cols.values() for v in col.values())
+            return cols, den
         return build_complex(bases, recorded, *args, **kwargs)
 
     monkeypatch.setattr(lefschetz, "build_complex", recording)

@@ -3,6 +3,7 @@ names must still resolve, so that a rename fails here and not in a traced
 benchmark run.  Likewise the benchmark's checker self-test must pass on the
 current sources."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+# sha256 of the output of perfbench/digest.py --seed 1
+DIGEST_SEED_1 = "de8166f3d7e2c95b83550fa7aeebf7387b6e672f9f35c574ee46b3b3980cb3ce"
 
 
 def _tracing():
@@ -65,12 +68,14 @@ def test_benchmark_selftest_passes():
 def test_benchmark_digest_runs_without_refusals():
     # the digest runs every operation of the benchmark's workloads and the
     # bundled examples through the benchmark's own calls, so a renamed or
-    # re-signed call shows up as a refusal record
+    # re-signed call shows up as a refusal record; its bytes are pinned, so
+    # a change that moves any invariant or matrix hash must update
+    # DIGEST_SEED_1 and say why
     proc = subprocess.run(
-        [sys.executable, "perfbench/digest.py", "--seed", "1"],
-        cwd=ROOT, capture_output=True, text=True,
+        [sys.executable, "perfbench/digest.py", "--seed", "1"], cwd=ROOT, capture_output=True
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGEST_SEED_1
 
     def refusals(node):
         if isinstance(node, dict):
