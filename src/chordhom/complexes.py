@@ -47,13 +47,18 @@ Each complex has one boundary kernel (_cyclic_kernel, _decorated_kernel,
 _mcyc_kernel), made per build: it compiles the DGA's rows into the
 shapes its terms take, keeps the build's Leibniz images, and is called
 by build_complex once per degree with the degree's labels and the row
-index of the degree below.  Every term runs in integers: the Leibniz
-terms come from dga._leibniz_word on letter tuples, and the differential
-rows and unit terms are numerators over the DGA's common denominator
-dga._denom.  A kernel looks every target label up in the row index once,
-leaves out the targets the basis lacks, sums on the rows and returns the
-nonzero columns by label position over dga._denom, with the sums that
-cancelled left out, which build_complex stores as they are.
+index of the degree below.  The check/hat and mcyc kernels keep their
+images in one _ImageTable each, which reads the image of a word c.u off
+the image of its tail u when it holds it, by the Leibniz rule d(c.u) =
+d(c).u + (-1)^|c| c.d(u), and asks dga._leibniz_word otherwise; the
+cyclic kernel asks dga._leibniz_word for each class, whose tails the
+build rarely holds.  Every term runs in integers: the Leibniz terms are
+keyed by letter tuples, and they, the differential rows and the unit
+terms are numerators over the DGA's common denominator dga._denom.  A
+kernel looks every target label up in the row index once, leaves out the
+targets the basis lacks, sums on the rows and returns the nonzero
+columns by label position over dga._denom, with the sums that cancelled
+left out, which build_complex stores as they are.
 """
 
 from __future__ import annotations
@@ -178,6 +183,68 @@ def _nonzero(column: dict[int, int]) -> dict[int, int]:
     return {r: v for r, v in column.items() if v} if 0 in column.values() else column
 
 
+class _ImageTable(dict):
+    """The Leibniz images of the composable words one build asks for,
+    capped at cap letters: word -> (_leibniz_word(dga, word, cap=cap),
+    parity of the word), the empty word ({}, 0).
+
+    A word c.u whose tail u the table holds is read off u's entry by
+    d(c.u) = d(c).u + (-1)^|c| c.d(u): the rows of d(c) whose last port
+    meets u[0] and that keep the word within the cap, then c in front of
+    each key of u's image shorter than the cap whose first letter meets
+    c, a unit key at src(c) giving (c,).  The two sums cannot meet unless
+    a term of d(c).u starts with c; then the running sum decides the key
+    order, and the entry is _leibniz_word's.  So is the entry of a word
+    whose tail the table lacks: no suffix the build did not ask for is
+    computed."""
+
+    def __init__(self, dga: DGASpec, cap: int):
+        super().__init__({(): ({}, 0)})
+        self.dga, self.cap = dga, cap
+
+    def __missing__(self, word: tuple[str, ...]) -> tuple[dict, int]:
+        dga, cap = self.dga, self.cap
+        parity = dga.algebra.parity
+        head, tail = word[0], word[1:]
+        held = self.get(tail)
+        image = None if held is None else self._extended(head, tail, held[0])
+        if image is None:
+            image = _leibniz_word(dga, word, cap=cap)
+        odd = sum(parity[x] for x in word) & 1 if held is None else parity[head] ^ held[1]
+        entry = self[word] = image, odd
+        return entry
+
+    def _extended(self, head: str, tail: tuple[str, ...], tail_image: dict) -> dict | None:
+        """The image of head.tail off the image of tail, or None when a
+        term of d(head).tail starts with head and the tail's image is not
+        empty."""
+        dga, cap = self.dga, self.cap
+        dst = dga._dst
+        out: dict = {}
+        room = cap - len(tail)
+        right = dst[tail[0]] if tail else None
+        for piece, pdst, psrc, c in dga._rows.get(head, ()):
+            if len(piece) > room or right is not None and right != psrc:
+                continue
+            # an empty product is the idempotent, keyed by its component;
+            # the rows are distinct words, so no two keys are one
+            key = piece + tail or pdst
+            if tail_image and key[0] == head:
+                return None
+            out[key] = c
+        head_src = dga._src[head]
+        neg = dga.algebra.parity[head]
+        for key, v in tail_image.items():
+            if key.__class__ is tuple:
+                if len(key) >= cap or dst[key[0]] != head_src:
+                    continue
+                out[(head,) + key] = -v if neg else v
+            # a unit key at src(head) leaves the head alone, one letter long
+            elif key == head_src and cap > 0:
+                out[(head,)] = -v if neg else v
+        return out
+
+
 def _cyclic_kernel(dga: DGASpec, max_len: int) -> Callable:
     """The boundary columns of the cyclic complex, a degree at a time: the
     letterwise Leibniz differential followed by projection to the cyclic
@@ -251,9 +318,10 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
     target is last + tail + init, and as the hat row (length, parity,
     numerator, spread terms), a spread term (piece[j:], piece[:j], parity
     of piece[:j]) hatting the letter j.  The Leibniz image of each tail met
-    in the build is computed once, with its parity, capped at max_len - 1
-    letters so that the head fits in front; a row of d(c) is skipped when
-    it would pass max_len, so no term is longer than any basis label.
+    in the build is kept once, with its parity, in the build's image table
+    (_ImageTable), capped at max_len - 1 letters so that the head fits in
+    front; a row of d(c) is skipped when it would pass max_len, so no term
+    is longer than any basis label.
     """
     parity, src, dst, den = dga.algebra.parity, dga._src, dga._dst, dga._denom
     chk_rows, hat_rows = {}, {}
@@ -268,7 +336,7 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
             compiled.append((len(piece), odd, c, terms))
         hat_rows[head] = compiled
     closed = chk_rows.keys().isdisjoint
-    tails: dict = {(): ({}, 0)}
+    images = _ImageTable(dga, max_len - 1)
 
     def columns(labels, rows) -> tuple[dict, int]:
         cols = {}
@@ -276,11 +344,7 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
             if kind == "tau" or kind == "chk" and closed(letters):
                 continue
             head, lead, tail = letters[0], letters[:1], letters[1:]
-            entry = tails.get(tail)
-            if entry is None:
-                odd = sum(parity[x] for x in tail) & 1
-                entry = tails[tail] = _leibniz_word(dga, tail, cap=max_len - 1), odd
-            image, tail_odd = entry
+            image, tail_odd = images[tail]
             room = max_len - len(tail)
             out: dict = {}
             if kind == "chk":
@@ -407,21 +471,18 @@ def _mcyc_kernel(dga: DGASpec, max_len: int) -> Callable:
     """The boundary columns of the marked cyclic quotient, a degree at a
     time: the mark differential rotated to mark-first form (_mark_terms,
     compiled once per build), then (-1)^|m| m d(w) with units absorbed.
-    The Leibniz image of each word met in the build is computed once, with
-    its parity, capped at max_len letters; terms whose unmarked word is
-    longer than max_len are left out."""
+    The Leibniz image of each word met in the build is kept once, with its
+    parity, in the build's image table (_ImageTable), capped at max_len
+    letters; terms whose unmarked word is longer than max_len are left
+    out."""
     parity, den = dga.algebra.parity, dga._denom
     mark_terms = {g.name: _mark_terms(dga, g.name) for g in dga.generators}
-    images: dict = {(): ({}, 0)}
+    images = _ImageTable(dga, max_len)
 
     def columns(labels, rows) -> tuple[dict, int]:
         cols = {}
         for col, (kind, name, word) in enumerate(labels):
-            entry = images.get(word)
-            if entry is None:
-                odd = sum(parity[x] for x in word) & 1
-                entry = images[word] = _leibniz_word(dga, word, cap=max_len), odd
-            image, odd_w = entry
+            image, odd_w = images[word]
             out: dict = {}
             odd = False
             if kind == "mc":

@@ -497,6 +497,19 @@ def _unmarked(label):
     return label[2] if label[0] in ("mx", "mc") else ()
 
 
+def _head_term_starts_with_head(dga, word, cap):
+    """Whether a term of d(c).u, c.u = word, that keeps the word within the
+    cap starts with c: the one case where the image table reads the word's
+    image off _leibniz_word although it holds the tail's."""
+    head, tail = word[0], word[1:]
+    right = dga._dst[tail[0]] if tail else None
+    return any(
+        (piece + tail)[:1] == (head,)
+        for piece, _, psrc, _ in dga._rows.get(head, ())
+        if len(piece) + len(tail) <= cap and right in (None, psrc)
+    )
+
+
 @pytest.mark.parametrize(
     "build,word",
     [
@@ -509,23 +522,111 @@ def _unmarked(label):
     ids=["hoplus", "ho", "sh+", "sh", "mcyc"],
 )
 def test_chord_images_compute_each_leibniz_image_once(chekanov_a, monkeypatch, build, word):
-    """One build calls the Leibniz kernel at most once per distinct tail of
-    its check and hat words and on nothing else: a hat word always reads
-    its tail's image, a check word with no differential letter none.
-    mcyc calls it once per distinct nonempty unmarked word."""
+    """One build keeps one image table with exactly one entry per distinct
+    tail of its check and hat words (mcyc: per distinct unmarked word) and
+    no other: a hat word always reads its tail's image, a check word with
+    no differential letter none.  The Leibniz kernel is called only for a
+    word whose tail the table lacks, or for one where a term of d(c).u
+    starts with its head c, and on nothing else."""
+    tables, misses, calls = [], [], []
+
+    class Recording(complexes._ImageTable):
+        def __init__(self, dga, cap):
+            super().__init__(dga, cap)
+            tables.append(self)
+
+        def __missing__(self, letters):
+            misses.append((letters, letters[1:] in self))
+            return super().__missing__(letters)
+
+    kernel = complexes._leibniz_word
+    monkeypatch.setattr(complexes, "_ImageTable", Recording)
+    monkeypatch.setattr(
+        complexes, "_leibniz_word",
+        lambda dga, letters, **kw: calls.append((letters, misses[-1])) or kernel(dga, letters, **kw),
+    )
+    window = (-4, 0)
+    cx = build(chekanov_a, window, 4)
+    # build_complex takes the images of degrees lo .. hi + 1
+    imaged = [lab for d in range(window[0], window[1] + 2) for lab in cx.basis.get(d, [])]
+    closed = chekanov_a._rows.keys().isdisjoint
+    asked = {word(lab) for lab in imaged if lab[0] != "chk" or not closed(lab[1])}
+    [table] = tables
+    assert set(table) == asked | {()}
+    assert len(misses) == len(asked - {()})
+    assert {letters for letters, _ in calls} <= {word(lab) for lab in imaged}
+    assert len(calls) == len({letters for letters, _ in calls})
+    for letters, (missed, tail_held) in calls:
+        assert missed == letters
+        assert not tail_held or _head_term_starts_with_head(chekanov_a, letters, table.cap)
+    assert len(calls) < len(misses)
+
+
+def _composable_words(dga, max_len):
+    names = [g.name for g in dga.generators]
+    return [
+        letters
+        for n in range(1, max_len + 1)
+        for letters in itertools.product(names, repeat=n)
+        if dga.algebra.composable(letters)
+    ]
+
+
+def assert_table_holds_the_leibniz_images(dga, words, cap):
+    """An image table fed words in the given order holds, for each, the
+    word's _leibniz_word image at the cap, key for key and in order, and
+    the parity of its degree."""
+    table = complexes._ImageTable(dga, cap)
+    for letters in words:
+        table[letters]
+    assert set(table) == set(words) | {()}
+    parity = dga.algebra.parity
+    for letters in words:
+        image, odd = table[letters]
+        assert list(image.items()) == list(_leibniz_word(dga, letters, cap=cap).items())
+        assert odd == sum(parity[x] for x in letters) & 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["random_dga", "free_dga", "chekanov_a"]),
+    st.integers(0, 5),
+)
+def test_image_table_entries_are_the_leibniz_images(seed, source, cap):
+    # shortest first, every tail is in the table when its word comes; in
+    # reverse, no tail of the longest words is; free DGAs put units at any
+    # component and pieces whose ports need not match their generator's
+    rng = random.Random(seed)
+    if source == "chekanov_a":
+        dga, max_len = dga_from_document(example_document("chekanov_a")), 3
+    else:
+        dga = random_dga(rng, min_grading=-1) if source == "random_dga" else free_dga(rng)
+        max_len = 4
+    words = _composable_words(dga, max_len)
+    assert_table_holds_the_leibniz_images(dga, words, cap)
+    assert_table_holds_the_leibniz_images(dga, words[::-1], cap)
+    rng.shuffle(words)
+    assert_table_holds_the_leibniz_images(dga, words, cap)
+
+
+def test_image_table_reads_a1_a1_a1_off_the_leibniz_kernel(chekanov_a, monkeypatch):
+    # d(a1) has a unit term, so d(a1).(a1 a1) holds a1 a1, which a1.d(a1 a1)
+    # meets: its running sum drops and re-adds the key, which the tail's
+    # image (where a1 - a1 cancelled) cannot tell
+    assert _head_term_starts_with_head(chekanov_a, ("a1", "a1", "a1"), 3)
     calls = []
     kernel = complexes._leibniz_word
     monkeypatch.setattr(
         complexes, "_leibniz_word",
         lambda dga, letters, **kw: calls.append(letters) or kernel(dga, letters, **kw),
     )
-    window = (-4, 0)
-    cx = build(chekanov_a, window, 4)
-    # build_complex takes the images of degrees lo .. hi + 1
-    imaged = [lab for d in range(window[0], window[1] + 2) for lab in cx.basis.get(d, [])]
-    assert len(calls) == len(set(calls))
-    assert set(calls) <= {word(lab) for lab in imaged}
-    assert {word(lab) for lab in imaged if lab[0] != "chk"} - {()} <= set(calls)
+    words = [("a1",), ("a1", "a1"), ("a1", "a1", "a1")]
+    assert_table_holds_the_leibniz_images(chekanov_a, words, 3)
+    assert calls == [("a1", "a1"), ("a1", "a1", "a1")]
+    assert list(kernel(chekanov_a, ("a1", "a1", "a1"), cap=3)) == [
+        ("a7", "a1", "a1"), ("a1", "a7", "a1"), ("a1", "a1"), ("a1", "a1", "a7"),
+    ]
 
 
 def assert_check_image_is_the_slot_word_image(dga, letters, max_len):
