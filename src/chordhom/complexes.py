@@ -133,20 +133,19 @@ def cyclic_class(algebra: ChordAlgebra, word: Word) -> CyclicWord:
 
 
 def _s_terms(
-    algebra: ChordAlgebra, letters: tuple[str, ...], tail: tuple[str, ...] = ()
+    algebra: ChordAlgebra, letters: tuple[str, ...]
 ) -> Iterator[tuple[tuple[str, ...], int]]:
-    """The terms of S(letters) * tail as (hat word, sign): each letter of
-    `letters` hatted in turn with the sign (-1)^p, p the degree of the
-    letters before it, and rotated to mark-first form.  Moving the prefix
-    past the marked suffix adds the Koszul sign (-1)^(p (q + 1)), q the
-    degree of the suffix and the hat adding one; the product is -1 exactly
-    when p is odd and the whole word even."""
+    """The terms of S(letters) as (hat word, sign): each letter hatted in
+    turn with the sign (-1)^p, p the degree of the letters before it, and
+    rotated to mark-first form.  Moving the prefix past the marked suffix
+    adds the Koszul sign (-1)^(p (q + 1)), q the degree of the suffix and
+    the hat adding one; the product is -1 exactly when p is odd and the
+    whole word even."""
     parity = algebra.parity
-    word = letters + tail
-    even = not sum(parity[n] for n in word) & 1
+    even = not sum(parity[n] for n in letters) & 1
     odd = 0
     for j, name in enumerate(letters):
-        yield word[j:] + word[:j], -1 if odd and even else 1
+        yield letters[j:] + letters[:j], -1 if odd and even else 1
         odd ^= parity[name]
 
 

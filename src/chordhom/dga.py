@@ -7,7 +7,10 @@ The linearized complex and the relative construction read the differential
 as a DGASpec compiles it, in integer rows: the linearized columns read the
 rows, and the relative construction reads d(wq) = d(w) q off the Leibniz
 kernel.  Element arithmetic on the differential serves validation and
-morphisms.
+morphisms.  A construction that sums a differential in integer numerators
+over one denominator (the relative construction here, the dual and direct
+DGAs of lefschetz) hands them to DGASpec through one converter,
+_differential.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
-from .homology import EXACT, GradedChainComplex, _cyclic_words, _joined, _numerators, build_complex
+from .homology import (
+    EXACT, GradedChainComplex, _cyclic_words, _FractionPool, _joined, _numerators, build_complex
+)
 
 
 class RelQError(ValueError):
@@ -81,6 +86,21 @@ class DGASpec:
 
     def grading0_pure_gens(self) -> list[Generator]:
         return [g for g in self.generators if g.grading == 0 and g.src == g.dst]
+
+
+def _differential(terms: dict[str, dict], names: list[str], den: int) -> dict[str, Element]:
+    """A DGASpec differential, {name: Element} for each name, from {name:
+    {letters or idempotent component: numerator}} over den.  Equal
+    numerators share one Fraction, drawn from a _FractionPool."""
+    pool = _FractionPool()
+    differential = {}
+    for name in names:
+        el = {}
+        for key, v in terms.get(name, {}).items():
+            if v:
+                el[Word.idem(key) if isinstance(key, int) else Word(key)] = pool[v, den]
+        differential[name] = Element._normalized(el)
+    return differential
 
 
 def _leibniz_word(
@@ -237,13 +257,17 @@ def evaluate_morphism(f: DGAMorphism, x: Element) -> Element:
 
 
 def check_morphism(f: DGAMorphism) -> tuple[bool, str | None]:
-    """Chain-map check f(dc) = d(f(c)) on every source generator; the
-    returned counterexample names the first failing generator."""
+    """Chain-map check f(dc) = d(f(c)) on every source generator, after
+    the gradings and ports of its image terms; the returned counterexample
+    names the first failing generator."""
+    alg = f.target.algebra
     for g in f.source.generators:
         img = f.value(g.name)
-        for w, _ in img.terms.items():
-            if f.target.algebra.grading(w) != g.grading:
+        for w in img.terms:
+            if alg.grading(w) != g.grading:
                 return False, f"{g.name}: image term {w} breaks the grading"
+            if (alg.src(w), alg.dst(w)) != (g.src, g.dst):
+                return False, f"{g.name}: image term {w} breaks the ports"
         lhs = evaluate_morphism(f, f.source.d_gen(g.name))
         rhs = extend_leibniz(f.target, img)
         if lhs != rhs:
@@ -301,8 +325,9 @@ def enumerate_augmentations(
     dga: DGASpec, value_set: Sequence
 ) -> list[Augmentation]:
     """Brute-force search over the finite value set on grading-0 pure
-    generators; exhaustive over the set, not over Q."""
-    values = [rat(v) for v in value_set]
+    generators; exhaustive over the set, not over Q.  A repeated value is
+    searched once, in the place it first takes."""
+    values = list(dict.fromkeys(rat(v) for v in value_set))
     gens = [g.name for g in dga.grading0_pure_gens()]
     found = []
     for combo in itertools.product(values, repeat=len(gens)):
@@ -459,13 +484,11 @@ def rel_q_construction(
 
     def descended(name) -> dict[str, Element]:
         """The differential of the generators name(w), from the table."""
-        return {
-            name(w): Element({
-                Word.of([name(b) for b in blocks]): Fraction(c, dga_q._denom)
-                for blocks, c in image.items()
-            })
+        terms = {
+            name(w): {tuple(map(name, blocks)): c for blocks, c in image.items()}
             for w, image in table.items()
         }
+        return _differential(terms, list(terms), dga_q._denom)
 
     b_ring = BaseRing(1)
     b_gens = [

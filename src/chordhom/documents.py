@@ -423,7 +423,10 @@ def morphism_from_document(doc: dict) -> DGAMorphism:
         assignment[name] = _element_from_terms(
             terms, target_names, target.ring.k, f"$.assignment.{name}"
         )
-    return DGAMorphism(source=source, target=target, assignment=assignment)
+    try:
+        return DGAMorphism(source=source, target=target, assignment=assignment)
+    except ValueError as exc:
+        raise ParseError([("$", str(exc))])
 
 
 def augmentation_from_document(doc: dict) -> Augmentation:

@@ -11,31 +11,32 @@ term of the first minimum chord and the insertion operator of the cyclic
 tensor differential.
 
 Every construction reads one merged table (`CurvedAinf.table`) and one
-chord list (`_chords`), and sums integer numerators over the lcm of the
-table's denominators (`_integer_table`).  One entry check
-(`_entry_problems`) reads the table and the direct DGA's counts.  The
-dual DGA and the holomorphic part of the direct one share the t-power
-expansion `_expand`, which returns numerators by chord and the
-denominator; the direct Morse--Bott terms are derived on their own, so
-dual = direct compares two derivations.  They are products of t-adic
-series with integer coefficients, {t-power: {chord letters:
-coefficient}} (`_series_mul`, `_series_add`).  Each generator's
-differential becomes an Element once, at the end (`_differential`).
+chord list (`_chord_generators`), and sums integer numerators over the lcm
+of the table's denominators (`_integer_table`).  One entry check
+(`_entry_problems`) reads the table and the direct DGA's counts.  One
+expansion, `_expand`, turns table entries into chord words: it lists each
+word the entries yield over every t-power distribution with its (chord,
+numerator) hits, in the order of the entry's outputs.  The dual DGA and
+the holomorphic part of the direct one read it by chord; the direct
+Morse--Bott terms are derived on their own, so dual = direct compares two
+derivations.  They are products of t-adic series with integer
+coefficients, {t-power: {chord letters: coefficient}} (`_series_mul`,
+`_series_add`).  Each generator's differential becomes an Element once,
+at the end, through dga._differential.
 
 The cyclic tensor complex has no basis of its own: it is the check/hat
 basis of complexes._decorated_bases (with the component classes), labels
 and order included, with degrees negated, so verify_dictionary pairs the
 two complexes position by position, refusing label lists that differ.
-Its boundary kernel takes the labels of one degree and the row index of
-the degree below from build_complex, looks every target up there once and
-sums integer numerators on its rows over the lcm of the table's
-denominators, with the Koszul signs read off one prefix-parity list per
-label; a sum that cancels drops its row, and a component class's one term,
-over 1, joins the rest through homology._joined.  It scans only chord
-blocks no longer than the table's longest word and looks up the hits of
-each block once per build.  dictionary_check builds it on
-the basis of the check/hat complex it is checked against, so one
-dictionary check walks the words once.
+Its boundary kernel reads the dual differential backwards: each chord
+block of a word looks its hits up in the expansion by word.  It takes the
+labels of one degree and the row index of the degree below from
+build_complex, looks every target up there once and sums integer
+numerators on its rows over the expansion's denominator, with the Koszul
+signs read off one prefix-parity list per label; a sum that cancels drops
+its row.  It scans only chord blocks no longer than the longest expanded
+word.  dictionary_check builds it on the basis of the check/hat complex it
+is checked against, so one dictionary check walks the words once.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
+from .algebra import BaseRing, ChordAlgebra, Generator, rat
 from .complexes import _decorated_bases, build_ho_complex
-from .dga import DGASpec
-from .homology import GradedChainComplex, _FractionPool, _joined, build_complex, guard_verdict
+from .dga import DGASpec, _differential
+from .homology import GradedChainComplex, build_complex, guard_verdict
 
 Symbol = tuple  # ("e", i) | ("m", i) | ("f", name) | ("b", name)
 
@@ -144,26 +145,16 @@ def _chord_name(sym: Symbol, p: int) -> str:
     return _CHORD_FORMAT[sym[0]].format(sym[1], p)
 
 
-def _chords(symbols: dict[Symbol, SymbolInfo], N: int) -> list[tuple[Symbol, int]]:
-    """Every chord (symbol, t-power p) with p_min <= p <= N, sorted by name."""
-    chords = [
-        (sym, p) for sym, info in symbols.items() for p in range(info.p_min, N + 1)
-    ]
-    chords.sort(key=lambda sp: _chord_name(*sp))
-    return chords
-
-
 def _chord_generators(symbols: dict[Symbol, SymbolInfo], N: int) -> list[Generator]:
-    """The chords as DGA generators: grading base + 2p, the symbol's ports."""
-    return [
-        Generator(
-            _chord_name(sym, p),
-            symbols[sym].base + 2 * p,
-            src=symbols[sym].src,
-            dst=symbols[sym].dst,
-        )
-        for sym, p in _chords(symbols, N)
+    """Every chord (symbol, t-power p) with p_min <= p <= N as a DGA
+    generator, sorted by name: grading base + 2p, the symbol's ports."""
+    gens = [
+        Generator(_chord_name(sym, p), info.base + 2 * p, src=info.src, dst=info.dst)
+        for sym, info in symbols.items()
+        for p in range(info.p_min, N + 1)
     ]
+    gens.sort(key=lambda g: g.name)
+    return gens
 
 
 def _integer_table(
@@ -182,41 +173,31 @@ def _expand(
     table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]],
     symbols: dict[Symbol, SymbolInfo],
     N: int,
-) -> tuple[dict[str, dict[tuple[str, ...], int]], int]:
-    """The differentials an operation table contributes over every t-power
-    distribution, as ({chord name: {chord letters: numerator}}, den) over
+) -> tuple[dict[tuple[str, ...], list[tuple[str, int]]], int]:
+    """The chord words an operation table yields over every t-power
+    distribution, as ({chord letters: [(chord name, numerator)]}, den) over
     the lcm of the table's denominators: the letters of an entry at powers
     p_i >= p_min with total <= N form a chord word in the differential of
-    each output's chord at the total power, where that chord exists.
-    Terms keep the order in which they are first reached."""
+    each output's chord at the total power, where that chord exists.  The
+    words come in the order they are reached, each word's chords in the
+    order of its entry's outputs.  Chord names identify their (symbol,
+    power), so each word comes from one entry and one distribution."""
     itable, den = _integer_table(table)
-    into: dict[str, dict[tuple[str, ...], int]] = {}
+    names = {
+        sym: {p: _chord_name(sym, p) for p in range(info.p_min, N + 1)}
+        for sym, info in symbols.items()
+    }
+    words: dict[tuple[str, ...], list[tuple[str, int]]] = {}
     for word, hits in itable.items():
-        for powers in itertools.product(*(range(symbols[s].p_min, N + 1) for s in word)):
+        for chords in itertools.product(*(names[s].items() for s in word)):
+            powers, letters = zip(*chords)
             total = sum(powers)
             if total > N:
                 continue
-            letters = tuple(_chord_name(s, p) for s, p in zip(word, powers))
-            for out, coeff in hits.items():
-                if symbols[out].p_min <= total:
-                    slot = into.setdefault(_chord_name(out, total), {})
-                    slot[letters] = slot.get(letters, 0) + coeff
-    return into, den
-
-
-def _differential(terms: dict[str, dict], names: list[str], den: int) -> dict[str, Element]:
-    """{name: Element} for each name, from {name: {chord letters or
-    idempotent component: numerator}} over den.  Equal numerators share
-    one Fraction, drawn from a _FractionPool."""
-    pool = _FractionPool()
-    differential = {}
-    for name in names:
-        el = {}
-        for key, v in terms.get(name, {}).items():
-            if v:
-                el[Word.idem(key) if isinstance(key, int) else Word(key)] = pool[v, den]
-        differential[name] = Element._normalized(el)
-    return differential
+            outs = [(names[out][total], c) for out, c in hits.items() if total in names[out]]
+            if outs:
+                words[letters] = outs
+    return words, den
 
 
 def _symbol_table(spec: DirectedAinfSpec) -> dict[Symbol, SymbolInfo]:
@@ -445,7 +426,11 @@ def dualize_tensor_algebra(D: CurvedAinf) -> DGASpec:
     spec = D.spec
     N = D.order
     gens = _chord_generators(D.symbols, N)
-    terms, den = _expand(D.table, D.symbols, N)
+    words, den = _expand(D.table, D.symbols, N)
+    terms: dict[str, dict] = {}
+    for letters, outs in words.items():
+        for name, c in outs:
+            terms.setdefault(name, {})[letters] = c
     if N >= 1:
         for i in range(1, spec.k + 1):
             terms.setdefault(_chord_name(("e", i), 1), {})[i] = den
@@ -578,7 +563,7 @@ def lefschetz_dga(
                     _series_add(db, smul(b, wing), bsign)
 
     # numerators over the denominator of the holomorphic counts
-    h_terms, den = _expand(h_counts, symbols, N) if h_counts else ({}, 1)
+    h_words, den = _expand(h_counts, symbols, N) if h_counts else ({}, 1)
     acc: dict[str, dict] = {}
     for sym, info in symbols.items():
         s = diff_series[sym]
@@ -591,9 +576,9 @@ def lefschetz_dga(
             acc[_chord_name(("e", i), 1)][i] = den
 
     # d_h
-    for name, terms in h_terms.items():
-        slot = acc[name]
-        for w, c in terms.items():
+    for w, outs in h_words.items():
+        for name, c in outs:
+            slot = acc[name]
             slot[w] = slot.get(w, 0) + c
 
     return DGASpec(
@@ -635,35 +620,16 @@ def _cyclic_tensor_complex(
     D: CurvedAinf, alg: ChordAlgebra, bases: dict, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """hochschild_complex over alg, D's chord algebra, on ho's basis bases."""
-    symbols, N = D.symbols, D.order
     gens = alg.generators.values()
     parity = alg.parity
     src = {g.name: g.src for g in gens}
     dst = {g.name: g.dst for g in gens}
-    name_to_chord = {_chord_name(*sp): sp for sp in _chords(symbols, N)}
-    table, den = _integer_table(D.table)
+    # the dual differential read backwards: {block: [(out chord, numerator)]}
+    hits, den = _expand(D.table, D.symbols, D.order)
     # the curvature chord of each component
     curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
-
-    # no table word is longer than max_arity, so no longer block has a hit
-    max_arity = max(map(len, table), default=0)
-    block_hits: dict[tuple[str, ...], list[tuple[str, int]]] = {}
-
-    def blocks_of(block: tuple[str, ...]) -> list[tuple[str, int]]:
-        """Table hits for a block of chords as (out_name, numerator),
-        looked up once per block."""
-        hits = block_hits.get(block)
-        if hits is None:
-            hits = block_hits[block] = []
-            row = table.get(tuple(name_to_chord[x][0] for x in block))
-            total = sum(name_to_chord[x][1] for x in block)
-            if row and total <= N:
-                hits += [
-                    (_chord_name(out, total), coeff)
-                    for out, coeff in row.items()
-                    if symbols[out].p_min <= total
-                ]
-        return hits
+    # no block longer than the longest word of hits has a hit
+    max_arity = max(map(len, hits), default=0)
 
     def prefix_parities(letters: tuple[str, ...]) -> list[int]:
         """pre[i]: the grading parity of letters[:i], for i = 0..len."""
@@ -683,16 +649,13 @@ def _cyclic_tensor_complex(
             del out[row]
 
     def columns(labels, rows) -> tuple[dict, int]:
-        """The boundary columns of one degree: a component class over 1,
-        every other label over den, joined over their lcm."""
-        images = []
-        for kind, letters in labels:
+        """The boundary columns of one degree over den."""
+        cols = {}
+        for col, (kind, letters) in enumerate(labels):
             out: dict = {}
             if kind == "tau":
-                add(out, rows, ("chk", (curvature[letters],)), 1)
-                images.append((out, 1))
-                continue
-            if kind == "chk":
+                add(out, rows, ("chk", (curvature[letters],)), den)
+            elif kind == "chk":
                 slot_word = letters[1:] + letters[:1]
                 s = len(slot_word)
                 pre = prefix_parities(slot_word)
@@ -700,7 +663,7 @@ def _cyclic_tensor_complex(
                 for t in range(s):
                     psign = -1 if pre[t] else 1
                     for m in range(1, min(s - t, max_arity) + 1):
-                        for out_name, coeff in blocks_of(slot_word[t : t + m]):
+                        for out_name, coeff in hits.get(slot_word[t : t + m], ()):
                             new = slot_word[:t] + (out_name,) + slot_word[t + m :]
                             add(out, rows, ("chk", new[-1:] + new[:-1]), psign * coeff)
                 # the curvature chord inserted at every slot of the slot word
@@ -720,7 +683,7 @@ def _cyclic_tensor_complex(
                 for j in range(1, s):
                     psign = 1 if pre[j] else -1
                     for m in range(1, min(s - j, max_arity) + 1):
-                        for out_name, coeff in blocks_of(letters[j : j + m]):
+                        for out_name, coeff in hits.get(letters[j : j + m], ()):
                             new = letters[:j] + (out_name,) + letters[j + m :]
                             add(out, rows, ("hat", new), psign * coeff)
                 for t in range(0, s):
@@ -731,13 +694,14 @@ def _cyclic_tensor_complex(
                     for t in range(0, min(s - h, max_arity - h) + 1):
                         middle = letters[h : s - t]
                         tail = letters[s - t :] if t else ()
-                        for out_name, coeff in blocks_of(tail + letters[:h]):
+                        for out_name, coeff in hits.get(tail + letters[:h], ()):
                             # (-1)^(|tail| |letters[:s-t]|)
                             sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
                             # the spread of the marked letter enters negatively
                             add(out, rows, ("hat", (out_name,) + middle), -sgn * coeff)
-            images.append((out, den))
-        return _joined(images)
+            if out:
+                cols[col] = out
+        return cols, den
 
     verdict = guard_verdict((g.grading for g in gens), window, max_len)
     lo, hi = window

@@ -65,7 +65,6 @@ from chordhom.lefschetz import (
     Symbol,
     _chord_generators,
     _chord_name,
-    _chords,
     _symbol_table,
     _word_composable,
 )
@@ -394,13 +393,18 @@ def hochschild_reference(D: CurvedAinf, window: tuple[int, int], max_len: int):
     return build_complex(stored, on_rows(image), (-hi, -lo), "reference")
 
 
+def chords(symbols, N: int) -> list[tuple[Symbol, int]]:
+    """Every chord (symbol, t-power p) with p_min <= p <= N."""
+    return [(sym, p) for sym, info in symbols.items() for p in range(info.p_min, N + 1)]
+
+
 def hochschild_reference_image(D: CurvedAinf, window: tuple[int, int], max_len: int):
     """The bases of the cyclic tensor complex, stored with degrees negated,
     and its label-keyed image with Fraction coefficients."""
     symbols, table, N = D.symbols, D.table, D.order
     gens = _chord_generators(symbols, N)
     alg = ChordAlgebra(BaseRing(D.spec.k), gens)
-    name_to_chord = {_chord_name(*sp): sp for sp in _chords(symbols, N)}
+    name_to_chord = {_chord_name(*sp): sp for sp in chords(symbols, N)}
     lo, hi = window
 
     def sigma_sum(letters) -> int:

@@ -288,6 +288,13 @@ def test_augmentations_chekanov(chekanov_a):
     }
 
 
+def test_augmentations_search_a_repeated_value_once(chekanov_a):
+    # each augmentation is found once, whatever the values repeat
+    found = enumerate_augmentations(chekanov_a, ["1", "1", "-1", "0", "2/2"])
+    assert found == enumerate_augmentations(chekanov_a, ["1", "-1", "0"])
+    assert len(found) == 1
+
+
 def test_augmentations_unknot_trivial(unknot3):
     found = enumerate_augmentations(unknot3, ["-1", "0", "1"])
     assert len(found) == 1 and not found[0].values
@@ -564,6 +571,18 @@ def test_morphism_check_names_an_image_term_that_breaks_the_grading():
     dga = DGASpec(BaseRing(1), [Generator("a", 1), Generator("b", 2)], {})
     f = DGAMorphism(dga, dga, {"a": Element.monomial(Word.of(["b"]))})
     assert check_morphism(f) == (False, "a: image term b breaks the grading")
+
+
+def test_morphism_check_names_an_image_term_that_breaks_the_ports():
+    # b has a's grading but runs 2 -> 2, so f(a.a) = b.b while f(dc) = 0
+    source = DGASpec(
+        BaseRing(2),
+        [Generator("a", 2, 1, 1), Generator("c", 5, 1, 1)],
+        {"c": Element.monomial(Word.of(["a", "a"]))},
+    )
+    target = DGASpec(BaseRing(2), [Generator("b", 2, 2, 2), Generator("x", 1, 1, 2)], {})
+    f = DGAMorphism(source, target, {"a": Element.monomial(Word.of(["b"]))})
+    assert check_morphism(f) == (False, "a: image term b breaks the ports")
 
 
 def test_compose_refuses_morphisms_that_do_not_compose():

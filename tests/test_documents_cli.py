@@ -547,6 +547,46 @@ def test_cli_augmentations_lists_what_the_library_finds():
     assert lines[1:] == ["  {a7=1, a8=-1, a9=1}"]
 
 
+def test_cli_augmentations_list_each_augmentation_once():
+    code, out = run_cli("augmentations", "chekanov_a", "--values=1,1,-1,0")
+    assert (code, out) == (0, "1 augmentation(s) over {1,1,-1,0}\n  {a7=1, a8=-1, a9=1}\n")
+
+
+def _two_component_dga(generators: list, differential: dict) -> dict:
+    gens = [{"name": n, "grading": g, "src": i, "dst": j} for n, g, i, j in generators]
+    return {
+        "format": "dga/1", "components": 2, "ambient_dim": 2, "field": "Q", "generators": gens,
+        "differential": differential,
+    }
+
+
+_PORTS_TARGET = _two_component_dga([("b", 2, 2, 2), ("x", 1, 1, 2)], {})
+
+
+def test_cli_morphism_with_an_image_off_the_ports_exit_1(tmp_path):
+    # a -> b keeps the grading, but b runs 2 -> 2: f(dc) = b.b, d(f(c)) = 0
+    source = _two_component_dga(
+        [("a", 2, 1, 1), ("c", 5, 1, 1)], {"c": [{"coeff": "1", "word": ["a", "a"]}]}
+    )
+    doc = {"format": "morphism/1", "source": source, "target": _PORTS_TARGET,
+           "assignment": {"a": [{"coeff": "1", "word": ["b"]}]}}
+    path = tmp_path / "ports.morphism"
+    path.write_text(dumps(doc))
+    assert run_cli("morphism", str(path)) == (
+        1, "chain map: FAILED at a: image term b breaks the ports\n"
+    )
+
+
+def test_cli_morphism_between_base_rings_that_differ_exit_2(tmp_path):
+    doc = {"format": "morphism/1", "source": {"example": "unknot"}, "target": _PORTS_TARGET,
+           "assignment": {}}
+    path = tmp_path / "rings.morphism"
+    path.write_text(dumps(doc))
+    assert run_cli("morphism", str(path)) == (
+        2, f"input error: {path}: $: source and target must share the base ring\n"
+    )
+
+
 def test_cli_morphism_that_is_no_chain_map_exit_1(tmp_path):
     doc = example_document("chekanov_phi")
     doc["assignment"]["a8"] = [{"coeff": "1", "word": "e_1"}]
