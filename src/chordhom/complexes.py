@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .algebra import ChordAlgebra, Element, Word
+from .algebra import ChordAlgebra, Word
 from .dga import DGASpec, _leibniz_word
 from .homology import (
     GradedChainComplex,
@@ -571,14 +571,12 @@ def verify_en_isomorphism(
 
 
 def dc_one_generators(dga: DGASpec) -> list[str]:
-    """Generators whose differential is exactly the component unit."""
-    out = []
-    for g in dga.generators:
-        if g.src != g.dst:
-            continue
-        if dga.d_gen(g.name) == Element.monomial(Word.idem(g.src)):
-            out.append(g.name)
-    return out
+    """Generators whose differential is exactly the component unit: one
+    unit row at the generator's ports (so src = dst) with coefficient 1."""
+    return [
+        g.name for g in dga.generators
+        if dga._rows.get(g.name) == [((), g.dst, g.src, dga._denom)]
+    ]
 
 
 def ho_vanishes_by_unit_differential(dga: DGASpec) -> bool:

@@ -3,14 +3,15 @@ consume them directly: validation, morphisms, augmentations, linearized
 complexes, and the point-class deformation (adjoined degree-(n-2) element
 with its relative construction).
 
-The linearized complex and the relative construction read the differential
-as a DGASpec compiles it, in integer rows: the linearized columns read the
-rows, and the relative construction reads d(wq) = d(w) q off the Leibniz
-kernel.  Element arithmetic on the differential serves validation and
-morphisms.  A construction that sums a differential in integer numerators
-over one denominator (the relative construction here, the dual and direct
-DGAs of lefschetz) hands them to DGASpec through one converter,
-_differential.
+The linearized complex, the augmentation check and the relative
+construction read the differential as a DGASpec compiles it, in integer
+rows: the linearized columns and eps(d c) = 0 read each generator's rows,
+the relative construction reads d(wq) = d(w) q off the Leibniz kernel and
+its closed-q check the rows of q.  Element arithmetic on the differential
+serves validation and morphisms.  A construction that sums a differential
+in integer numerators over one denominator (the relative construction
+here, the dual and direct DGAs of lefschetz) hands them to DGASpec through
+one converter, _differential.
 """
 
 from __future__ import annotations
@@ -297,27 +298,13 @@ class Augmentation:
             return Fraction(0)
         return self.values.get(name, Fraction(0))
 
-    def evaluate(self, dga: DGASpec, x: Element) -> Fraction:
-        """Scalar value; mixed-port words evaluate to zero componentwise."""
-        total = Fraction(0)
-        for w, coeff in x.terms.items():
-            if w.is_idem:
-                total += coeff
-                continue
-            prod = coeff
-            for name in w.letters:
-                v = self.value(dga, name)
-                if not v:
-                    prod = Fraction(0)
-                    break
-                prod *= v
-            total += prod
-        return total
-
 
 def is_valid_augmentation(dga: DGASpec, eps: Augmentation) -> bool:
-    return all(
-        eps.evaluate(dga, dga.d_gen(g.name)) == 0 for g in dga.generators
+    """eps(d c) = 0 for every generator c, summed over c's rows: a unit
+    row's empty word counts 1, any other word the product of eps."""
+    return not any(
+        sum(c * math.prod(eps.value(dga, x) for x in piece) for piece, _, _, c in rows)
+        for rows in dga._rows.values()
     )
 
 
@@ -446,7 +433,7 @@ def rel_q_construction(
         raise ValueError(
             f"point class must have grading n-2 = {n - 2}, got {q.grading}"
         )
-    if not dga_q.d_gen(q_name).is_zero():
+    if q_name in dga_q._rows:
         raise RelQError("q must be closed")
     comp = q.src
 

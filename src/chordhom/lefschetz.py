@@ -16,8 +16,10 @@ of the table's denominators (`_integer_table`).  One entry check
 (`_entry_problems`) reads the table and the direct DGA's counts.  One
 expansion, `_expand`, turns table entries into chord words: it lists each
 word the entries yield over every t-power distribution with its (chord,
-numerator) hits, in the order of the entry's outputs.  The dual DGA and
-the holomorphic part of the direct one read it by chord; the direct
+numerator) hits, in the order of the entry's outputs.  A curved category
+expands its table once (`CurvedAinf.expansion`), which the dual DGA reads
+by chord and the cyclic tensor complex by word; the direct DGA expands
+its holomorphic counts and reads them by chord; the direct
 Morse--Bott terms are derived on their own, so dual = direct compares two
 derivations.  They are products of t-adic series with integer
 coefficients, {t-power: {chord letters: coefficient}} (`_series_mul`,
@@ -41,6 +43,7 @@ is checked against, so one dictionary check walks the words once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -136,6 +139,11 @@ class CurvedAinf:
             for word, hits in merged.items()
             if (nonzero := {out: v for out, v in hits.items() if v})
         }
+
+    @functools.cached_property
+    def expansion(self) -> tuple[dict[tuple[str, ...], list[tuple[str, int]]], int]:
+        """_expand of the table at the truncation order, made on first read."""
+        return _expand(self.table, self.symbols, self.order)
 
 
 _CHORD_FORMAT = {"e": "q{}-({})", "m": "q{}+({})", "f": "q>{}({})", "b": "q<{}({})"}
@@ -426,7 +434,7 @@ def dualize_tensor_algebra(D: CurvedAinf) -> DGASpec:
     spec = D.spec
     N = D.order
     gens = _chord_generators(D.symbols, N)
-    words, den = _expand(D.table, D.symbols, N)
+    words, den = D.expansion
     terms: dict[str, dict] = {}
     for letters, outs in words.items():
         for name, c in outs:
@@ -625,7 +633,7 @@ def _cyclic_tensor_complex(
     src = {g.name: g.src for g in gens}
     dst = {g.name: g.dst for g in gens}
     # the dual differential read backwards: {block: [(out chord, numerator)]}
-    hits, den = _expand(D.table, D.symbols, D.order)
+    hits, den = D.expansion
     # the curvature chord of each component
     curvature = {i: _chord_name(("e", i), 1) for i in range(1, D.spec.k + 1)}
     # no block longer than the longest word of hits has a hit

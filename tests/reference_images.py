@@ -28,7 +28,9 @@ multiplies integer series and expands integer numerators), and the two
 DGA constructions by Element arithmetic: the linearized image over
 d_gen's terms and the relative point-class construction through
 extend_leibniz and a product by q (the library reads the compiled rows
-and the Leibniz kernel).
+and the Leibniz kernel), and the checks that read d_gen's Elements where
+the library reads the rows: eps(d c) = 0 with the augmentation search
+over it, and the generators whose differential is a component unit.
 """
 
 from __future__ import annotations
@@ -816,6 +818,50 @@ def linearize_image(dga: DGASpec, eps: Augmentation):
         return out
 
     return on_rows(image)
+
+
+def augmentation_value(dga: DGASpec, eps: Augmentation, x: Element) -> Fraction:
+    """eps(x) as a scalar: an idempotent counts its coefficient, any other
+    word the product of eps over its letters, which eps.value gates (so
+    mixed-port words evaluate to zero componentwise)."""
+    total = Fraction(0)
+    for w, coeff in x.terms.items():
+        if w.is_idem:
+            total += coeff
+            continue
+        prod = coeff
+        for name in w.letters:
+            v = eps.value(dga, name)
+            if not v:
+                prod = Fraction(0)
+                break
+            prod *= v
+        total += prod
+    return total
+
+
+def is_valid_augmentation_reference(dga: DGASpec, eps: Augmentation) -> bool:
+    return all(augmentation_value(dga, eps, dga.d_gen(g.name)) == 0 for g in dga.generators)
+
+
+def enumerate_augmentations_reference(dga: DGASpec, value_set) -> list[Augmentation]:
+    """The brute-force search of enumerate_augmentations over the reference
+    check, in itertools.product order of the distinct values."""
+    values = list(dict.fromkeys(Fraction(v) for v in value_set))
+    gens = [g.name for g in dga.grading0_pure_gens()]
+    candidates = (
+        Augmentation({n: v for n, v in zip(gens, combo) if v})
+        for combo in itertools.product(values, repeat=len(gens))
+    )
+    return [eps for eps in candidates if is_valid_augmentation_reference(dga, eps)]
+
+
+def dc_one_reference(dga: DGASpec) -> list[str]:
+    """dc_one_generators by Element equality with the component unit."""
+    return [
+        g.name for g in dga.generators
+        if g.src == g.dst and dga.d_gen(g.name) == Element.monomial(Word.idem(g.src))
+    ]
 
 
 def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQResult:

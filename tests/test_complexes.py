@@ -41,6 +41,7 @@ from reference_images import (
     Numbering,
     _rot1,
     cyclic_bases_reference,
+    dc_one_reference,
     is_bad_by_parity,
     marks,
     module_M_reference,
@@ -301,6 +302,30 @@ def test_dc1_detector(dc1, unknot3):
     assert dc_one_generators(dc1) == ["c"]
     assert ho_vanishes_by_unit_differential(dc1)
     assert not ho_vanishes_by_unit_differential(unknot3)
+
+
+def test_dc_one_reads_the_unit_row_over_the_common_denominator():
+    # h's 1/2 puts every coefficient over 2, so d(c) = e_1 is the row
+    # ((), 1, 1, 2); 2e_1, e_1 + x and a unit on mixed ports are refused
+    e1, x = Element.monomial(Word.idem(1)), Element.monomial(Word.of(("x",)))
+    gens = [Generator("x", 0), Generator("h", 1)] + [Generator(n, 1) for n in "cab"]
+    diff = {"h": x.scale(Fraction(1, 2)), "c": e1, "a": e1.scale(2), "b": e1 + x}
+    dga = DGASpec(BaseRing(2), gens + [Generator("m", 1, src=1, dst=2)], dict(diff, m=e1))
+    assert dga._denom == 2
+    assert dc_one_generators(dga) == ["c"] == dc_one_reference(dga)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_dc_one_matches_the_element_reference(seed):
+    rng = random.Random(seed)
+    dga = free_dga(rng)
+    k = dga.ring.k
+    i, j = rng.randint(1, k), rng.randint(1, k)
+    unit = Element.monomial(Word.idem(i)).scale(rng.choice([1, 1, 2, Fraction(1, 3)]))
+    gens = dga.generators + [Generator("u", 1, src=i, dst=j)]
+    dga = DGASpec(dga.ring, gens, dict(dga.differential, u=unit))
+    assert dc_one_generators(dga) == dc_one_reference(dga)
 
 
 def test_dc1_hat_differential(dc1):

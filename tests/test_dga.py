@@ -307,6 +307,49 @@ def test_augmentation_impossible_for_unit_differential(dc1):
     assert not is_valid_augmentation(dc1, Augmentation(values={}))
 
 
+def augmentation_draw(seed: int, fractional: bool, min_grading: int):
+    """A random or fractional DGA; grading 0 and below gives grading-0
+    chords, unit terms in the differentials of grading-1 chords, and,
+    with two components, mixed ports."""
+    rng = random.Random(seed)
+    if fractional:
+        return rng, fractional_dga(rng, min_grading)
+    return rng, random_dga(rng, min_grading=min_grading)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([0, -1]))
+def test_augmentations_match_the_element_reference(seed, fractional, min_grading):
+    rng, dga = augmentation_draw(seed, fractional, min_grading)
+    values = ["-1", "0", "1/2", "2"]
+    found = enumerate_augmentations(dga, values)
+    assert found == ref.enumerate_augmentations_reference(dga, values)
+    # values off the grading-0 chords with src = dst are gated to 0
+    gated = [g.name for g in dga.generators if g.grading or g.src != g.dst]
+    for eps in found[:3]:
+        eps = Augmentation({**{n: random_fraction(rng) for n in gated}, **eps.values})
+        assert is_valid_augmentation(dga, eps) and ref.is_valid_augmentation_reference(dga, eps)
+    eps = Augmentation({g.name: random_fraction(rng) for g in dga.generators})
+    assert is_valid_augmentation(dga, eps) == ref.is_valid_augmentation_reference(dga, eps)
+
+
+def test_augmentation_draws_reach_units_mixed_ports_and_gated_letters():
+    # the draws of the test above are not vacuous: some differential has a
+    # unit term, some grading-0 chord has mixed ports, and some valid
+    # augmentation's differential reads a gated letter
+    units = mixed = gated = False
+    for seed in range(300):
+        _, dga = augmentation_draw(seed, seed % 2 == 1, -1 if seed % 3 == 0 else 0)
+        rows = [row for rs in dga._rows.values() for row in rs]
+        units |= any(not piece for piece, _, _, _ in rows)
+        mixed |= any(g.grading == 0 and g.src != g.dst for g in dga.generators)
+        letters = {x for piece, _, _, _ in rows for x in piece}
+        gated |= bool(enumerate_augmentations(dga, ["-1", "0", "1/2", "2"])) and any(
+            g.name in letters for g in dga.generators if g.grading or g.src != g.dst
+        )
+    assert units and mixed and gated
+
+
 def test_linearize_unknot_trivial(unknot3):
     complex = linearize(unknot3, Augmentation(values={}))
     assert not complex.d_squared_report()

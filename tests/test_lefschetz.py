@@ -203,6 +203,9 @@ def test_expand_matches_enumeration_by_target(seed, N, source):
         D = build_curved_category(make(rng), N)
     table = _arbitrary_table(rng, D.symbols) if source == "arbitrary" else D.table
     words, den = _expand(table, D.symbols, N)
+    if source != "arbitrary":
+        # the category's own expansion, made once on first read
+        assert D.expansion == (words, den) and D.expansion is D.expansion
     # numerators over the lcm of the table's denominators
     assert den == math.lcm(*(c.denominator for hits in table.values() for c in hits.values()))
     assert all(isinstance(v, int) for outs in words.values() for _, v in outs)
