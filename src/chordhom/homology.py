@@ -11,8 +11,8 @@ denominators.  d^2, ranks, is_boundary and the verifiers read the
 columns; the {(row, col): Fraction} view of a complex (diffs, matrix) is
 built only when it is read, and it and the d^2 report share one Fraction
 object among equal values (_FractionPool).  betti and the d^2 report read
-one product loop (_d_squared_products); betti names the first nonzero
-entry of d^2 and counts the rest.
+one product loop a degree at a time (_d_squared_products), which copies a
+stored column only to add to it; betti names the first nonzero entry.
 
 Every rank comes from one sparse column reduction, _reduce.  The integer
 columns are eliminated fraction-free, each divided by the gcd of its
@@ -33,7 +33,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import countOf
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -123,40 +122,40 @@ class GradedChainComplex:
         values share one Fraction object."""
         bad = []
         pool = _FractionPool()
-        values = _Numerators(pool, 1)
-        for d, c, den, entries in self._d_squared_products():
-            if values.den != den:
-                values = _Numerators(pool, den)
-            bad.extend((d, (r, c), values[w]) for r, w in entries.items() if w)
+        for d, den, products in self._d_squared_products():
+            values = _Numerators(pool, den)
+            bad += [(d, (r, c), values[w]) for c, e in products.items() for r, w in e.items() if w]
         return bad
 
-    def _d_squared_products(self) -> Iterator[tuple[int, int, int, dict[int, int]]]:
+    def _d_squared_products(self) -> Iterator[tuple[int, int, Columns]]:
         """The nonzero columns of boundary(d-1) * boundary(d), d = lo+1 ..
-        hi+1, column by column of boundary(d), on the integer columns, as
-        (d, col, den, entries): the column holds w over den at each row r
-        of entries {r: w} with w nonzero; a zero w is a sum that cancelled.
-        A column of boundary(d) with the one entry 1 gives the stored column
-        it meets itself."""
+        hi+1, on the integer columns, one degree at a time as (d, den, {col:
+        {r: w}}) in column order: w over den at row r, rows in first-touch
+        order, a zero w a sum that cancelled.  A first product with factor 1
+        is the stored column it meets, copied before a second is added to it.
+        A degree's dict is cleared when the next degree is asked for."""
         lo, hi = self.window
         lower, lden = self._integer(lo)
         for d in range(lo + 1, hi + 2):
             upper, uden = self._integer(d)
-            den = uden * lden
+            products: Columns = {}
             for c, col in upper.items():
-                if len(col) == 1:
-                    # no stored entry is zero, so neither is a product
-                    (mid, v), = col.items()
-                    if below := lower.get(mid):
-                        yield d, c, den, below if v == 1 else {r: v * w for r, w in below.items()}
-                    continue
-                acc: dict[int, int] = {}
+                acc = own = None  # own: the dict made for this column, if any
                 for mid, v in col.items():
-                    below = lower.get(mid)
-                    if below:
-                        for r, w in below.items():
-                            acc[r] = acc.get(r, 0) + v * w
-                if any(acc.values()):
-                    yield d, c, den, acc
+                    if not (below := lower.get(mid)):
+                        continue
+                    if acc is None:
+                        acc = below if v == 1 else (own := {r: v * w for r, w in below.items()})
+                        continue
+                    if acc is not own:
+                        acc = own = dict(acc)
+                    for r, w in below.items():
+                        acc[r] = acc.get(r, 0) + v * w
+                if acc and any(acc.values()):
+                    products[c] = acc
+            if products:
+                yield d, uden * lden, products
+                products.clear()
             lower, lden = upper, uden
 
 
@@ -307,9 +306,12 @@ def betti(complex: GradedChainComplex) -> BettiTable:
     products = complex._d_squared_products()
     first = next(products, None)
     if first is not None:
-        d, c, den, entries = first
+        # the first degree's entries are read before the next degree clears them
+        d, den, columns = first
+        c, entries = next(iter(columns.items()))
         r, w = next((r, w) for r, w in entries.items() if w)
-        count = sum(len(e) - countOf(e.values(), 0) for *_, e in chain([first], products))
+        count = sum(len(e) - countOf(e.values(), 0) for e in columns.values())
+        count += sum(len(e) - countOf(e.values(), 0) for *_, cs in products for e in cs.values())
         raise DSquareError(
             f"d^2 != 0 at degree {d}, entry {(r, c)} = {Fraction(w, den)} "
             f"({count} nonzero entries total)"

@@ -301,9 +301,7 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
 
 
 def _word_composable(symbols: dict[Symbol, SymbolInfo], word: tuple[Symbol, ...]) -> bool:
-    return all(
-        symbols[a].src == symbols[b].dst for a, b in zip(word, word[1:])
-    )
+    return all(symbols[a].src == symbols[b].dst for a, b in zip(word, word[1:]))
 
 
 def _square_zero_words(
@@ -639,53 +637,46 @@ def _cyclic_tensor_complex(
     # no block longer than the longest word of hits has a hit
     max_arity = max(map(len, hits), default=0)
 
-    def prefix_parities(letters: tuple[str, ...]) -> list[int]:
-        """pre[i]: the grading parity of letters[:i], for i = 0..len."""
-        pre = [0]
-        for x in letters:
-            pre.append(pre[-1] ^ parity[x])
-        return pre
-
-    def add(out: dict, rows, label, v: int) -> None:
-        # every v is nonzero, so a sum that reaches zero had a row to drop
-        if (row := rows.get(label)) is None:
-            return
-        v += out.get(row, 0)
-        if v:
-            out[row] = v
-        else:
-            del out[row]
-
     def columns(labels, rows) -> tuple[dict, int]:
         """The boundary columns of one degree over den."""
         cols = {}
         for col, (kind, letters) in enumerate(labels):
-            out: dict = {}
+            # (target label, nonzero numerator) for every term, summed on rows
+            terms = []
+            push = terms.append
             if kind == "tau":
-                add(out, rows, ("chk", (curvature[letters],)), den)
-            elif kind == "chk":
-                slot_word = letters[1:] + letters[:1]
-                s = len(slot_word)
-                pre = prefix_parities(slot_word)
-                # each new slot word w is stored in check lettering, w[-1] first
+                push((("chk", (curvature[letters],)), den))
+            else:
+                s = len(letters)
+                # word: the slot word of a check word, else the hat word;
+                # pre[i]: the grading parity of word[:i], for i = 0..s
+                word = letters[1:] + letters[:1] if kind == "chk" else letters
+                pre = [0]
+                for x in word:
+                    pre.append(pre[-1] ^ parity[x])
+            if kind == "chk":
+                # a new slot word is stored in check lettering, its last
+                # letter first; the last letter of word is letters[0]
                 for t in range(s):
                     psign = -1 if pre[t] else 1
                     for m in range(1, min(s - t, max_arity) + 1):
-                        for out_name, coeff in hits.get(slot_word[t : t + m], ()):
-                            new = slot_word[:t] + (out_name,) + slot_word[t + m :]
-                            add(out, rows, ("chk", new[-1:] + new[:-1]), psign * coeff)
+                        for out_name, coeff in hits.get(word[t : t + m], ()):
+                            if t + m < s:
+                                new = letters[: t + 1] + (out_name,) + letters[t + m + 1 :]
+                            else:
+                                new = (out_name,) + letters[1 : t + 1]
+                            push((("chk", new), psign * coeff))
                 # the curvature chord inserted at every slot of the slot word
-                for slot in range(s + 1):
-                    enm = curvature[src[slot_word[slot - 1]] if slot else dst[slot_word[0]]]
-                    new = slot_word[:slot] + (enm,) + slot_word[slot:]
-                    add(out, rows, ("chk", new[-1:] + new[:-1]), -den if pre[slot] else den)
-                add(out, rows, ("hat", slot_word), den)
+                for slot in range(s):
+                    enm = curvature[src[word[slot - 1]] if slot else dst[word[0]]]
+                    new = letters[: slot + 1] + (enm,) + letters[slot + 1 :]
+                    push((("chk", new), -den if pre[slot] else den))
+                push((("chk", (curvature[src[word[-1]]],) + word), -den if pre[s] else den))
+                push((("hat", word), den))
                 # (-1)^(|letters[0]| |letters[1:]|): the head's parity against the rest
                 rsign = -1 if parity[letters[0]] and pre[s] ^ parity[letters[0]] else 1
-                add(out, rows, ("hat", letters), -rsign * den)
-            else:
-                s = len(letters)
-                pre = prefix_parities(letters)
+                push((("hat", letters), -rsign * den))
+            elif kind == "hat":
                 # with the hat on letters[0], the sign before position j is
                 # (-1)^(|letters[0]| + 1 + |letters[1:j]|) = (-1)^(1 + pre[j])
                 for j in range(1, s):
@@ -693,20 +684,29 @@ def _cyclic_tensor_complex(
                     for m in range(1, min(s - j, max_arity) + 1):
                         for out_name, coeff in hits.get(letters[j : j + m], ()):
                             new = letters[:j] + (out_name,) + letters[j + m :]
-                            add(out, rows, ("hat", new), psign * coeff)
+                            push((("hat", new), psign * coeff))
                 for t in range(0, s):
                     new = letters[: t + 1] + (curvature[src[letters[t]]],) + letters[t + 1 :]
-                    add(out, rows, ("hat", new), den if pre[t + 1] else -den)
+                    push((("hat", new), den if pre[t + 1] else -den))
                 # the block tail + letters[:h] has length t + h <= max_arity
                 for h in range(1, min(s, max_arity) + 1):
                     for t in range(0, min(s - h, max_arity - h) + 1):
                         middle = letters[h : s - t]
-                        tail = letters[s - t :] if t else ()
+                        tail = letters[s - t :]
                         for out_name, coeff in hits.get(tail + letters[:h], ()):
                             # (-1)^(|tail| |letters[:s-t]|)
                             sgn = -1 if (pre[s] ^ pre[s - t]) and pre[s - t] else 1
                             # the spread of the marked letter enters negatively
-                            add(out, rows, ("hat", (out_name,) + middle), -sgn * coeff)
+                            push((("hat", (out_name,) + middle), -sgn * coeff))
+            out: dict = {}
+            for label, v in terms:
+                # every v is nonzero, so a sum that reaches zero had a row to drop
+                if (row := rows.get(label)) is not None:
+                    v += out.get(row, 0)
+                    if v:
+                        out[row] = v
+                    else:
+                        del out[row]
             if out:
                 cols[col] = out
         return cols, den
@@ -726,7 +726,8 @@ def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:
     first; the window is that of b.  Raises ValueError, naming the degree,
     the first differing position and the label each complex holds there
     (or that it holds none), where the label lists of some degree of the
-    window differ.
+    window differ.  Entries are compared in place on the integer columns,
+    each of b's with a's at the transposed position, then the counts.
     """
     lo, hi = b.window
     for d in range(lo - 1, hi + 2):
@@ -742,20 +743,17 @@ def verify_dictionary(a: GradedChainComplex, b: GradedChainComplex) -> bool:
                 f"basis mismatch at degree {d}, position {i}: the first complex holds "
                 f"{x or 'no label'} at degree {-d}, the second {y or 'no label'}"
             )
-    # entries are compared on the integer columns: v_b / den_b equals
-    # v_a / den_a exactly when v_b * den_a equals v_a * den_b
+    # v_b / den_b == v_a / den_a exactly when v_b * den_a == v_a * den_b
     for d in range(lo, hi + 2):
         b_columns, b_den = b._integer(d)
         a_columns, a_den = a._integer(-(d - 1))
-        transposed = {
-            (c, r): v * a_den
-            for c, col in b_columns.items()
-            for r, v in col.items()
-        }
-        block = {
-            (r, c): v * b_den for c, col in a_columns.items() for r, v in col.items()
-        }
-        if transposed != block:
+        for c, col in b_columns.items():
+            for r, v in col.items():
+                x = (a_columns.get(r) or {}).get(c)
+                if x is None or x * b_den != v * a_den:
+                    return False
+        # each entry of b met its own entry of a: only the count sees one more in a
+        if sum(map(len, b_columns.values())) != sum(map(len, a_columns.values())):
             return False
     return True
 

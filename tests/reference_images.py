@@ -31,6 +31,11 @@ extend_leibniz and a product by q (the library reads the compiled rows
 and the Leibniz kernel), and the checks that read d_gen's Elements where
 the library reads the rows: eps(d c) = 0 with the augmentation search
 over it, and the generators whose differential is a component unit.
+Last, the two whole-complex checks as the library ran them before they
+stopped building a container per entry: the d^2 products column by
+column, with the report and betti's message read off them (the library
+goes a degree at a time), and the dictionary's entry comparison by two
+dicts keyed by position (the library compares in place).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import countOf
 
 from chordhom import complexes
 from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
@@ -55,8 +61,11 @@ from chordhom.dga import (
     extend_leibniz,
 )
 from chordhom.homology import (
+    GradedChainComplex,
     _cyclic_words,
+    _FractionPool,
     _joined,
+    _Numerators,
     _numerators,
     build_complex,
     enumerate_cyclic_words,
@@ -980,3 +989,77 @@ def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQ
     if not ok:
         raise RelQError(f"relative construction failed the chain-map check at {counter}")
     return RelQResult(B=B, target=target, phi=phi)
+
+
+# ---- the whole-complex checks, column by column ---------------------------------
+
+
+def d_squared_products(cx: GradedChainComplex):
+    """The per-column product loop the library ran before it went a degree
+    at a time: the nonzero columns of boundary(d-1) * boundary(d) as (d,
+    col, den, entries), a single-entry column with factor 1 handing out
+    the stored column it meets."""
+    lo, hi = cx.window
+    lower, lden = cx._integer(lo)
+    for d in range(lo + 1, hi + 2):
+        upper, uden = cx._integer(d)
+        den = uden * lden
+        for c, col in upper.items():
+            if len(col) == 1:
+                (mid, v), = col.items()
+                if below := lower.get(mid):
+                    yield d, c, den, below if v == 1 else {r: v * w for r, w in below.items()}
+                continue
+            acc: dict[int, int] = {}
+            for mid, v in col.items():
+                below = lower.get(mid)
+                if below:
+                    for r, w in below.items():
+                        acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                yield d, c, den, acc
+        lower, lden = upper, uden
+
+
+def d_squared_report(cx: GradedChainComplex) -> list:
+    """The d^2 report from d_squared_products, a column at a time, its equal
+    values one Fraction object each."""
+    bad = []
+    pool = _FractionPool()
+    values = _Numerators(pool, 1)
+    for d, c, den, entries in d_squared_products(cx):
+        if values.den != den:
+            values = _Numerators(pool, den)
+        bad.extend((d, (r, c), values[w]) for r, w in entries.items() if w)
+    return bad
+
+
+def d_squared_message(cx: GradedChainComplex) -> str | None:
+    """The DSquareError message betti gives, from d_squared_products: the
+    first nonzero entry and the count of them all; None when d^2 = 0."""
+    products = d_squared_products(cx)
+    first = next(products, None)
+    if first is None:
+        return None
+    d, c, den, entries = first
+    r, w = next((r, w) for r, w in entries.items() if w)
+    count = sum(len(e) - countOf(e.values(), 0) for *_, e in itertools.chain([first], products))
+    return (
+        f"d^2 != 0 at degree {d}, entry {(r, c)} = {Fraction(w, den)} "
+        f"({count} nonzero entries total)"
+    )
+
+
+def dictionary_entries_match(a: GradedChainComplex, b: GradedChainComplex) -> bool:
+    """The entry comparison of verify_dictionary by two dicts keyed by
+    position, one per degree: b's entries transposed and scaled by a's
+    denominator against a's scaled by b's; the labels are not read."""
+    lo, hi = b.window
+    for d in range(lo, hi + 2):
+        b_columns, b_den = b._integer(d)
+        a_columns, a_den = a._integer(-(d - 1))
+        transposed = {(c, r): v * a_den for c, col in b_columns.items() for r, v in col.items()}
+        block = {(r, c): v * b_den for c, col in a_columns.items() for r, v in col.items()}
+        if transposed != block:
+            return False
+    return True

@@ -37,7 +37,8 @@ from chordhom.homology import (
     verify_les_ranks,
 )
 
-from conftest import random_dga
+import reference_images as ref
+from conftest import fractional_dga, random_dga
 
 
 def test_rank_exact_small():
@@ -280,6 +281,102 @@ def test_d_squared_error_names_the_first_entry_and_counts_the_rest(chekanov_a):
         "d^2 != 0 at degree -3, entry (108, 0) = 1 (37056 nonzero entries total)"
     )
     assert (d, pos, val, len(report)) == (-3, (108, 0), 1, 37056)
+
+
+def stored_columns(cx) -> list:
+    """Every degree's integer columns and denominator, entries in order."""
+    return [
+        (d, den, [(c, list(col.items())) for c, col in columns.items()])
+        for d in sorted(cx.basis)
+        for columns, den in [cx._integer(d)]
+    ]
+
+
+def assert_d_squared_matches_the_column_reference(cx) -> str | None:
+    """The report and betti's refusal read a degree at a time equal the
+    per-column reference, in order and value, equal values one Fraction;
+    neither writes into a stored column.  Returns betti's message."""
+    before = stored_columns(cx)
+    report = cx.d_squared_report()
+    assert stored_columns(cx) == before
+    assert report == ref.d_squared_report(cx)
+    assert all(type(v) is Fraction for *_, v in report)
+    assert len({id(v) for *_, v in report}) == len({v for *_, v in report})
+    message = ref.d_squared_message(cx)
+    assert (message is None) == (not report)
+    if message is None:
+        betti(cx)
+    else:
+        with pytest.raises(DSquareError) as err:
+            betti(cx)
+        assert str(err.value) == message
+    assert stored_columns(cx) == before
+    return message
+
+
+CHORD_BUILDERS = [build_cyclic_complex, build_hoplus_complex, build_ho_complex, build_mcyc_complex]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([1, 0, -1]),
+    st.booleans(),
+    st.sampled_from(CHORD_BUILDERS),
+    st.sampled_from([((0, 4), 3), ((-2, 2), 3), ((0, 3), 4)]),
+)
+def test_d_squared_products_by_degree_match_the_column_reference(
+    seed, min_grading, fractional, builder, shape
+):
+    # EXACT and TRUNCATED complexes, then the same with one stored entry
+    # changed, so that betti refuses most of them
+    rng = random.Random(seed)
+    draw = fractional_dga if fractional else random_dga
+    dga = draw(rng, min_grading=min_grading)
+    cx = builder(dga, *shape)
+    assert_d_squared_matches_the_column_reference(cx)
+    degrees = [d for d in sorted(cx.basis) if cx._integer(d)[0]]
+    if not degrees:
+        return
+    d = rng.choice(degrees)
+    columns, den = cx._integer(d)
+    columns = {c: dict(col) for c, col in columns.items()}
+    col = columns[rng.choice(list(columns))]
+    r = rng.choice(list(col))
+    col[r] = col[r] + 1 or 2
+    cx._store[d] = (columns, den)
+    assert_d_squared_matches_the_column_reference(cx)
+
+
+@pytest.mark.parametrize("builder", CHORD_BUILDERS, ids=["cyc", "hoplus", "ho", "mcyc"])
+def test_truncated_chekanov_a_d_squared_matches_the_column_reference(chekanov_a, builder):
+    # chekanov_a has grading-0 chords: at max-len 3 every builder is
+    # TRUNCATED with d^2 != 0, and the report reads shared stored columns
+    cx = builder(chekanov_a, (-2, 2), 3)
+    assert cx.verdict == TRUNCATED
+    assert assert_d_squared_matches_the_column_reference(cx)
+    # the same complex through its Fraction view: the columns are derived
+    viewed = GradedChainComplex(cx.basis, cx.diffs, cx.window, cx.verdict)
+    assert assert_d_squared_matches_the_column_reference(viewed)
+
+
+def test_d_squared_copies_a_shared_column_before_adding_to_it():
+    # d(x) = a + b, d(y) = a; d(z) = x, d(v) = -y; d(w) = z + v.  d^2(w) =
+    # x - y: its first product, d(z) with factor 1, is z's stored column
+    # itself, which must be copied before d(v) is added to it
+    bases = {0: ["a", "b"], 1: ["x", "y"], 2: ["z", "v"], 3: ["w"]}
+    store = {
+        1: ({0: {0: 1, 1: 1}, 1: {0: 1}}, 1),
+        2: ({0: {0: 1}, 1: {1: -1}}, 1),
+        3: ({0: {0: 1, 1: 1}}, 1),
+    }
+    cx = GradedChainComplex._from_columns(bases, store, (1, 2), TRUNCATED)
+    message = assert_d_squared_matches_the_column_reference(cx)
+    assert cx.d_squared_report() == [
+        (2, (0, 0), 1), (2, (1, 0), 1), (2, (0, 1), -1), (3, (0, 0), 1), (3, (1, 0), -1)
+    ]
+    assert message == "d^2 != 0 at degree 2, entry (0, 0) = 1 (5 nonzero entries total)"
+    assert store[2][0] == {0: {0: 1}, 1: {1: -1}}
 
 
 def test_betti_edge_flags(unknot3):

@@ -630,6 +630,60 @@ def test_dictionary_reads_either_argument_order():
         assert verify_dictionary(a, b) is verify_dictionary(b, a) is same
 
 
+def scaled(cx, q=Fraction(5, 3)):
+    """A copy of cx with every matrix scaled by q, through diffs."""
+    return replace(cx, diffs={d: {k: v * q for k, v in m.items()} for d, m in cx.diffs.items()})
+
+
+def perturbed_copies(cx, rng: random.Random) -> list:
+    """(copy of cx, True when it still equals cx): one entry changed, one
+    dropped, one added at a free position of the window's matrices, and
+    every matrix scaled by 5/3, all through diffs."""
+    lo, hi = cx.window
+    degrees = [d for d in range(lo, hi + 2) if cx.matrix(d)]
+    copies = []
+    if degrees:
+        d = rng.choice(degrees)
+        matrix = cx.matrix(d)
+        pos, v = rng.choice(list(matrix.items()))
+        changed = {**matrix, pos: v + 1 or Fraction(2)}
+        dropped = {k: w for k, w in matrix.items() if k != pos}
+        copies += [(replace(cx, diffs={**cx.diffs, d: m}), False) for m in (changed, dropped)]
+    free = [
+        (d, (r, c))
+        for d in range(lo, hi + 2)
+        for r in range(cx.dim(d - 1))
+        for c in range(cx.dim(d))
+        if (r, c) not in cx.matrix(d)
+    ]
+    if free:
+        d, pos = rng.choice(free)
+        added = {**cx.matrix(d), pos: Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 7]))}
+        copies.append((replace(cx, diffs={**cx.diffs, d: added}), False))
+    copies.append((scaled(cx), not degrees))
+    return copies
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.booleans())
+def test_dictionary_comparison_matches_the_dict_reference(seed, t_order, fractional):
+    # stored pairs from dictionary_check, then copies of either side with
+    # one entry changed, dropped or added, or every matrix scaled (so the
+    # denominators differ), both scaled together; every pair in both orders
+    rng = random.Random(seed)
+    spec = (fractional_ainf_spec if fractional else random_ainf_spec)(rng)
+    _, ho, cc = dictionary_check(build_curved_category(spec, t_order), (0, 4), 5)
+    # on the stored columns, before a copy reads diffs
+    assert verify_dictionary(ho, cc)
+    assert ref.dictionary_entries_match(cc, ho) and ref.dictionary_entries_match(ho, cc)
+    pairs = [(cc, ho, True), (scaled(cc), scaled(ho), True)]
+    pairs += [(x, ho, same) for x, same in perturbed_copies(cc, rng)]
+    pairs += [(cc, x, same) for x, same in perturbed_copies(ho, rng)]
+    for a, b, same in pairs:
+        assert verify_dictionary(a, b) is verify_dictionary(b, a) is same
+        assert ref.dictionary_entries_match(a, b) is ref.dictionary_entries_match(b, a) is same
+
+
 def test_dictionary_refuses_a_cyclic_complex():
     D = build_curved_category(minimal_ainf_spec(), 2)
     dual = dualize_tensor_algebra(D)
