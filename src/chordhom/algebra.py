@@ -6,6 +6,10 @@ origin, dst = component of the chord end).  Adjacent letters of a word must
 compose: src of a letter equals dst of the letter to its right.  The empty
 word at component i is the idempotent e_i.  Coefficients are exact
 rationals throughout; nothing in this package touches floating point.
+
+Element and Word are the input form: the package computes on compiled
+integer rows (dga.py) and defines no Element product, which the tests
+keep as a reference (tests/reference_images.py).
 """
 
 from __future__ import annotations
@@ -230,36 +234,6 @@ class ChordAlgebra:
         if word.is_idem:
             return True
         return self.composable(word.letters) and self.src(word) == self.dst(word)
-
-    # ---- products -----------------------------------------------------------
-
-    def mul_words(self, a: Word, b: Word) -> Word | None:
-        """Concatenation product of basis words; None means zero."""
-        if a.is_idem and b.is_idem:
-            return a if a.comp == b.comp else None
-        if a.is_idem:
-            return b if self.dst(b) == a.comp else None
-        if b.is_idem:
-            return a if self.src(a) == b.comp else None
-        if self.src(a) != self.dst(b):
-            return None
-        return Word.of(a.letters + b.letters)
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        out: dict[Word, Fraction] = defaultdict(Fraction)
-        for wa, ca in x.terms.items():
-            for wb, cb in y.terms.items():
-                w = self.mul_words(wa, wb)
-                if w is not None:
-                    out[w] += ca * cb
-        return Element(out)
-
-    def unit(self, comp: int) -> Element:
-        return Element.monomial(Word.idem(comp))
-
-    def generator_element(self, name: str) -> Element:
-        self.gen(name)
-        return Element.monomial(Word.of([name]))
 
     # ---- graded cyclic rotation ----------------------------------------------
 

@@ -3,14 +3,13 @@ consume them directly: validation, morphisms, augmentations, linearized
 complexes, and the point-class deformation (adjoined degree-(n-2) element
 with its relative construction).
 
-The linearized complex, the augmentation check and the relative
-construction read the differential as a DGASpec compiles it, in integer
-rows: the linearized columns and eps(d c) = 0 read each generator's rows,
-the relative construction reads d(wq) = d(w) q off the Leibniz kernel and
-its closed-q check the rows of q.  Element arithmetic on the differential
-serves validation and morphisms.  A construction that sums a differential
-in integer numerators over one denominator (the relative construction
-here, the dual and direct DGAs of lefschetz) hands them to DGASpec through
+One routine, _compile, turns a differential or a morphism assignment into
+integer rows over one denominator.  Validation sums d(d g) by the Leibniz
+kernel over g's rows, a morphism applies its rows letter by letter
+(_evaluate), the linearized columns and eps(d c) = 0 read each
+generator's rows, and the relative construction reads d(wq) = d(w) q off
+the Leibniz kernel.  Element stays the input form and the printed form of
+a d^2 failure; numerators over one denominator become Elements through
 one converter, _differential.
 """
 
@@ -52,32 +51,12 @@ class DGASpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Validate the differential against the generators and compile it
-        for the Leibniz kernel: the ports of every letter and, per
-        generator, the rows (letters, dst port, src port, integer
-        coefficient) of its differential, an idempotent e_i as
-        ((), i, i, coefficient); coefficients are numerators over the
-        common denominator of the whole differential."""
+        """Validate the differential and compile it for the Leibniz kernel:
+        the ports of every letter and each generator's rows."""
         alg = self.algebra = ChordAlgebra(self.ring, self.generators)
-        src = self._src = {name: g.src for name, g in alg.generators.items()}
-        dst = self._dst = {name: g.dst for name, g in alg.generators.items()}
-        denom = self._denom = math.lcm(
-            *(c.denominator for el in self.differential.values() for c in el.terms.values())
-        )
-        self._rows: dict[str, list[tuple[tuple[str, ...], int, int, int]]] = {}
-        for name, el in self.differential.items():
-            alg.gen(name)
-            rows = []
-            for w, c in el.terms.items():
-                ls = w.letters
-                for letter in ls:
-                    alg.gen(letter)
-                if not alg.composable(ls):
-                    raise ValueError(f"differential of {name} has a non-composable word {w}")
-                num = c.numerator * (denom // c.denominator)
-                rows.append((ls, dst[ls[0]], src[ls[-1]], num) if ls else ((), w.comp, w.comp, num))
-            if rows:
-                self._rows[name] = rows
+        self._src = {name: g.src for name, g in alg.generators.items()}
+        self._dst = {name: g.dst for name, g in alg.generators.items()}
+        self._rows, self._denom = _compile(self.differential, alg, self, "differential")
 
     def d_gen(self, name: str) -> Element:
         return self.differential.get(name, Element.zero())
@@ -89,19 +68,48 @@ class DGASpec:
         return [g for g in self.generators if g.grading == 0 and g.src == g.dst]
 
 
+def _compile(images: Mapping[str, Element], keys: ChordAlgebra, target: DGASpec, what: str):
+    """The rows of a differential, or of a morphism assignment (keys in the
+    source, letters in the target), with their one denominator: per name
+    with a nonzero image, (letters, dst port, src port, numerator) for each
+    term in order, an idempotent e_i as ((), i, i, numerator).  A name not
+    in keys, a letter not in the target and a word that does not compose
+    are refused."""
+    alg, src, dst = target.algebra, target._src, target._dst
+    denom = math.lcm(*(c.denominator for el in images.values() for c in el.terms.values()))
+    compiled = {}
+    for name, el in images.items():
+        keys.gen(name)
+        rows = []
+        for w, c in el.terms.items():
+            ls = w.letters
+            for letter in ls:
+                alg.gen(letter)
+            if not alg.composable(ls):
+                raise ValueError(f"{what} of {name} has a non-composable word {w}")
+            num = c.numerator * (denom // c.denominator)
+            rows.append((ls, dst[ls[0]], src[ls[-1]], num) if ls else ((), w.comp, w.comp, num))
+        if rows:
+            compiled[name] = rows
+    return compiled, denom
+
+
+def _word(key) -> Word:
+    """The Word of a kernel key: a letter tuple, or an idempotent's component."""
+    return Word(key) if key.__class__ is tuple else Word.idem(key)
+
+
+def _element(terms: dict, den: int, pool: _FractionPool) -> Element:
+    """The Element of {kernel key: numerator} over den, Fractions from pool."""
+    return Element._normalized({_word(key): pool[v, den] for key, v in terms.items() if v})
+
+
 def _differential(terms: dict[str, dict], names: list[str], den: int) -> dict[str, Element]:
-    """A DGASpec differential, {name: Element} for each name, from {name:
-    {letters or idempotent component: numerator}} over den.  Equal
-    numerators share one Fraction, drawn from a _FractionPool."""
+    """A differential or morphism assignment, {name: Element} for each name,
+    from {name: {kernel key: numerator}} over den; equal numerators share
+    one Fraction."""
     pool = _FractionPool()
-    differential = {}
-    for name in names:
-        el = {}
-        for key, v in terms.get(name, {}).items():
-            if v:
-                el[Word.idem(key) if isinstance(key, int) else Word(key)] = pool[v, den]
-        differential[name] = Element._normalized(el)
-    return differential
+    return {name: _element(terms.get(name, {}), den, pool) for name in names}
 
 
 def _leibniz_word(
@@ -114,14 +122,14 @@ def _leibniz_word(
     """The graded Leibniz rule on one nonempty word, in integers.
 
     d(c_1...c_m) = sum_j (-1)^(|c_1...c_{j-1}|) c_1...d(c_j)...c_m, with
-    units produced inside a word absorbed multiplicatively.  A term of
-    d(c_j) survives when its ports meet the neighbouring letters, as in
-    ChordAlgebra.mul_words.  Adds a times d(letters) to acc (a new dict by
-    default) and returns it: keys are letter tuples, or the component of an
-    idempotent, and values are numerators over dga._denom.  A running sum
-    that reaches zero drops its key, so the keys come out in the order of
-    the product-by-product Element sum.  A word with no letter that has
-    a differential row returns acc at once.
+    units produced inside a word absorbed multiplicatively.  A row of
+    d(c_j) survives where its ports meet the neighbouring letters (an
+    idempotent's ports are its component).  Adds a times d(letters) to acc
+    (a new dict by default) and returns it: keys are letter tuples, or the
+    component of an idempotent, and values are numerators over dga._denom.
+    A running sum that reaches zero drops its key, so the keys come out in
+    the order of the product-by-product Element sum.  A word with no letter
+    that has a differential row returns acc at once.
 
     With a cap, a row whose piece would make the word longer than cap
     letters is skipped (an idempotent counts as length 0).  Every term of
@@ -165,29 +173,25 @@ def _leibniz_word(
 
 
 def extend_leibniz(dga: DGASpec, x: Element) -> Element:
-    """Graded Leibniz extension of the generator differential.
-
-    The words of x are expanded by _leibniz_word into one running sum of
-    integer numerators over one common denominator, so the terms come out
-    in the order of the product-by-product Element sum.
-    """
+    """The Leibniz rule on an Element: _leibniz_word over its words in one
+    running sum of numerators, so the terms come in the order of the
+    Element sum.  Only the tests call it; the benchmark's tracer wraps it."""
     scale = math.lcm(*(c.denominator for c in x.terms.values()))
     acc: dict = {}
     for word, coeff in x.terms.items():
         if word.letters:
             _leibniz_word(dga, word.letters, coeff.numerator * (scale // coeff.denominator), acc)
-    denom = scale * dga._denom
-    return Element._normalized({
-        (Word(key) if key.__class__ is tuple else Word.idem(key)): Fraction(v, denom)
-        for key, v in acc.items()
-    })
+    return _element(acc, scale * dga._denom, _FractionPool())
 
 
 @dataclass
 class ValidationReport:
+    """A DGA's issues; a d^2 failure is (name, d(d name)) in numerators over denom."""
+
     grading_issues: list[str] = field(default_factory=list)
     port_issues: list[str] = field(default_factory=list)
-    d2_issues: list[tuple[str, Element]] = field(default_factory=list)
+    d2_issues: list[tuple[str, dict]] = field(default_factory=list)
+    denom: int = 1
 
     @property
     def ok(self) -> bool:
@@ -195,31 +199,32 @@ class ValidationReport:
 
     def lines(self) -> list[str]:
         out = list(self.grading_issues) + list(self.port_issues)
-        for name, el in self.d2_issues:
-            out.append(f"d^2({name}) = {el!r} != 0")
+        for name, dd in self.d2_issues:
+            out.append(f"d^2({name}) = {_element(dd, self.denom, _FractionPool())!r} != 0")
         return out
 
 
 def check_d_squared(dga: DGASpec) -> ValidationReport:
-    """Full validation: gradings and ports of every differential term, then
-    the symbolic d^2 = 0 check generator by generator."""
-    alg = dga.algebra
-    report = ValidationReport()
+    """Full validation: gradings and ports of every differential row, then
+    d^2 = 0 generator by generator, d(d g) summed over g's rows."""
+    gens = dga.algebra.generators
+    report = ValidationReport(denom=dga._denom ** 2)
     for g in dga.generators:
-        dg = dga.d_gen(g.name)
-        for w, _ in dg.terms.items():
-            deg = alg.grading(w)
+        dd: dict = {}
+        for piece, pdst, psrc, c in dga._rows.get(g.name, ()):
+            deg = sum(gens[x].grading for x in piece)
             if deg != g.grading - 1:
                 report.grading_issues.append(
-                    f"d({g.name}): term {w} has grading {deg}, expected {g.grading - 1}"
+                    f"d({g.name}): term {_word(piece or pdst)} has grading {deg}, "
+                    f"expected {g.grading - 1}"
                 )
-            if alg.dst(w) != g.dst or alg.src(w) != g.src:
+            if (pdst, psrc) != (g.dst, g.src):
                 report.port_issues.append(
-                    f"d({g.name}): term {w} has ports ({alg.src(w)},{alg.dst(w)}), "
+                    f"d({g.name}): term {_word(piece or pdst)} has ports ({psrc},{pdst}), "
                     f"expected ({g.src},{g.dst})"
                 )
-        dd = extend_leibniz(dga, dg)
-        if not dd.is_zero():
+            _leibniz_word(dga, piece, c, dd)
+        if dd:
             report.d2_issues.append((g.name, dd))
     return report
 
@@ -227,7 +232,8 @@ def check_d_squared(dga: DGASpec) -> ValidationReport:
 @dataclass
 class DGAMorphism:
     """Algebra morphism determined by a grading-preserving assignment on
-    generators; idempotents map to idempotents of the same component."""
+    generators; idempotents map to idempotents of the same component.  The
+    assignment is compiled at construction, as a differential is."""
 
     source: DGASpec
     target: DGASpec
@@ -236,54 +242,70 @@ class DGAMorphism:
     def __post_init__(self):
         if self.source.ring.k != self.target.ring.k:
             raise ValueError("source and target must share the base ring")
+        keys = self.source.algebra
+        self._rows, self._denom = _compile(self.assignment, keys, self.target, "image")
 
     def value(self, name: str) -> Element:
         return self.assignment.get(name, Element.zero())
 
 
-def evaluate_morphism(f: DGAMorphism, x: Element) -> Element:
-    alg = f.target.algebra
-    out = Element.zero()
-    for word, coeff in x.terms.items():
-        if word.is_idem:
-            out = out + alg.unit(word.comp).scale(coeff)
-            continue
-        acc = alg.unit(f.source.algebra.dst(word))
-        for name in word.letters:
-            acc = alg.multiply(acc, f.value(name))
-            if acc.is_zero():
-                break
-        out = out + acc.scale(coeff)
-    return out
+def _evaluate(f: DGAMorphism, rows: Sequence, a: int, length: int) -> dict:
+    """a times f of the element with these rows, keyed as by _leibniz_word,
+    in numerators over the rows' denominator times f._denom ** length
+    (length >= every word's length).  A word's value is the product of its
+    letters' images, left to right from e_dst; a term of the running
+    product meets a row of the next image whose dst port is its src port."""
+    src = f.target._src
+    acc: dict = {}
+    for letters, dst, _, c in rows:
+        terms = {(): a * c * f._denom ** (length - len(letters))}
+        for name in letters:
+            step: dict = {}
+            for left, v in terms.items():
+                port = src[left[-1]] if left else dst
+                for piece, pdst, _, b in f._rows.get(name, ()):
+                    if port == pdst:
+                        key = left + piece
+                        step[key] = step.get(key, 0) + v * b
+            terms = {key: v for key, v in step.items() if v}
+        for key, v in terms.items():
+            acc[key or dst] = acc.get(key or dst, 0) + v
+    return {key: v for key, v in acc.items() if v}
 
 
 def check_morphism(f: DGAMorphism) -> tuple[bool, str | None]:
     """Chain-map check f(dc) = d(f(c)) on every source generator, after
-    the gradings and ports of its image terms; the returned counterexample
-    names the first failing generator."""
-    alg = f.target.algebra
-    for g in f.source.generators:
-        img = f.value(g.name)
-        for w in img.terms:
-            if alg.grading(w) != g.grading:
-                return False, f"{g.name}: image term {w} breaks the grading"
-            if (alg.src(w), alg.dst(w)) != (g.src, g.dst):
-                return False, f"{g.name}: image term {w} breaks the ports"
-        lhs = evaluate_morphism(f, f.source.d_gen(g.name))
-        rhs = extend_leibniz(f.target, img)
-        if lhs != rhs:
+    the gradings and ports of its image terms, in integers over the rows;
+    the returned counterexample names the first failing generator."""
+    source, target = f.source, f.target
+    gens = target.algebra.generators
+    for g in source.generators:
+        image = f._rows.get(g.name, ())
+        for piece, pdst, psrc, _ in image:
+            if sum(gens[x].grading for x in piece) != g.grading:
+                return False, f"{g.name}: image term {_word(piece or pdst)} breaks the grading"
+            if (psrc, pdst) != (g.src, g.dst):
+                return False, f"{g.name}: image term {_word(piece or pdst)} breaks the ports"
+        # both sides over source._denom * target._denom * f._denom ** length
+        drows = source._rows.get(g.name, ())
+        length = 1 + max((len(piece) for piece, _, _, _ in drows), default=0)
+        rhs: dict = {}
+        for piece, _, _, c in image:
+            _leibniz_word(target, piece, c * source._denom * f._denom ** (length - 1), rhs)
+        if _evaluate(f, drows, target._denom, length) != rhs:
             return False, g.name
     return True, None
 
 
 def compose_morphisms(g: DGAMorphism, f: DGAMorphism) -> DGAMorphism:
-    """The composite g o f."""
+    """The composite g o f, each f(c) carried through g by _evaluate."""
     if f.target is not g.source and f.target.gen_names() != g.source.gen_names():
         raise ValueError("morphisms do not compose")
-    assignment = {
-        name: evaluate_morphism(g, f.value(name)) for name in f.source.gen_names()
-    }
-    return DGAMorphism(source=f.source, target=g.target, assignment=assignment)
+    length = max((len(piece) for rows in f._rows.values() for piece, _, _, _ in rows), default=0)
+    names = f.source.gen_names()
+    terms = {name: _evaluate(g, f._rows.get(name, ()), 1, length) for name in names}
+    den = f._denom * g._denom ** length
+    return DGAMorphism(f.source, g.target, _differential(terms, names, den))
 
 
 @dataclass

@@ -389,6 +389,8 @@ def _element_from_terms(terms, names: set[str], k: int, path: str) -> Element:
             if not word:
                 _fail(f"{tpath}.word", "empty word lists are not allowed; use e_i")
             for letter in word:
+                if not isinstance(letter, str):
+                    _fail(f"{tpath}.word", "expected a list of names or e_<component>")
                 if letter not in names:
                     _fail(f"{tpath}.word", f"unknown generator {letter!r}")
             w = Word.of(word)

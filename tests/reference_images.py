@@ -31,7 +31,13 @@ extend_leibniz and a product by q (the library reads the compiled rows
 and the Leibniz kernel), and the checks that read d_gen's Elements where
 the library reads the rows: eps(d c) = 0 with the augmentation search
 over it, and the generators whose differential is a component unit.
-Last, the two whole-complex checks as the library ran them before they
+The chord algebra's product lives only here (mul_words, multiply, unit,
+generator_element; the library has none), with validation and the
+morphisms by Element arithmetic on top of it: the d^2 report's lines over
+d_gen's terms and extend_leibniz, evaluate_morphism letter by letter, and
+the chain-map check and the composite through it (the library sums all
+three in integers over the compiled rows of the differential and of the
+assignment).  Last, the two whole-complex checks as the library ran them before they
 stopped building a container per entry: the d^2 products column by
 column, with the report and betti's message read off them (the library
 goes a degree at a time), and the dictionary's entry comparison by two
@@ -57,7 +63,6 @@ from chordhom.dga import (
     RelQResult,
     _bname,
     _yname,
-    check_morphism,
     extend_leibniz,
 )
 from chordhom.homology import (
@@ -637,7 +642,7 @@ def series_multiply(
         for q, b in s2.coeffs.items():
             if p + q > s1.order:
                 continue
-            prod = algebra.multiply(a, b)
+            prod = multiply(algebra, a, b)
             if prod.is_zero():
                 continue
             out[p + q] = out.get(p + q, Element.zero()) + prod
@@ -797,6 +802,102 @@ def lefschetz_dga_reference(
     )
 
 
+# ---- the chord algebra product; validation and morphisms ---------------------------
+
+
+def mul_words(alg: ChordAlgebra, a: Word, b: Word) -> Word | None:
+    """Concatenation product of basis words; None means zero."""
+    if a.is_idem and b.is_idem:
+        return a if a.comp == b.comp else None
+    if a.is_idem:
+        return b if alg.dst(b) == a.comp else None
+    if b.is_idem:
+        return a if alg.src(a) == b.comp else None
+    if alg.src(a) != alg.dst(b):
+        return None
+    return Word.of(a.letters + b.letters)
+
+
+def multiply(alg: ChordAlgebra, x: Element, y: Element) -> Element:
+    out: dict[Word, Fraction] = defaultdict(Fraction)
+    for wa, ca in x.terms.items():
+        for wb, cb in y.terms.items():
+            w = mul_words(alg, wa, wb)
+            if w is not None:
+                out[w] += ca * cb
+    return Element(out)
+
+
+def unit(comp: int) -> Element:
+    return Element.monomial(Word.idem(comp))
+
+
+def generator_element(alg: ChordAlgebra, name: str) -> Element:
+    alg.gen(name)
+    return Element.monomial(Word.of([name]))
+
+
+def d_squared_lines_reference(dga: DGASpec) -> list[str]:
+    """check_d_squared(dga).lines() by Element arithmetic: gradings and
+    ports of d_gen's terms, then d(d g) by extend_leibniz."""
+    alg = dga.algebra
+    grading, ports, d2 = [], [], []
+    for g in dga.generators:
+        dg = dga.d_gen(g.name)
+        for w in dg.terms:
+            deg = alg.grading(w)
+            if deg != g.grading - 1:
+                grading.append(f"d({g.name}): term {w} has grading {deg}, expected {g.grading - 1}")
+            if alg.dst(w) != g.dst or alg.src(w) != g.src:
+                ports.append(
+                    f"d({g.name}): term {w} has ports ({alg.src(w)},{alg.dst(w)}), "
+                    f"expected ({g.src},{g.dst})"
+                )
+        dd = extend_leibniz(dga, dg)
+        if not dd.is_zero():
+            d2.append(f"d^2({g.name}) = {dd!r} != 0")
+    return grading + ports + d2
+
+
+def evaluate_morphism(f: DGAMorphism, x: Element) -> Element:
+    """f(x): each word's images multiplied letter by letter from the unit
+    at its left port."""
+    alg = f.target.algebra
+    out = Element.zero()
+    for word, coeff in x.terms.items():
+        if word.is_idem:
+            out = out + unit(word.comp).scale(coeff)
+            continue
+        acc = unit(f.source.algebra.dst(word))
+        for name in word.letters:
+            acc = multiply(alg, acc, f.value(name))
+            if acc.is_zero():
+                break
+        out = out + acc.scale(coeff)
+    return out
+
+
+def check_morphism_reference(f: DGAMorphism) -> tuple[bool, str | None]:
+    """check_morphism with f(dc) by evaluate_morphism and d(f(c)) by
+    extend_leibniz."""
+    alg = f.target.algebra
+    for g in f.source.generators:
+        img = f.value(g.name)
+        for w in img.terms:
+            if alg.grading(w) != g.grading:
+                return False, f"{g.name}: image term {w} breaks the grading"
+            if (alg.src(w), alg.dst(w)) != (g.src, g.dst):
+                return False, f"{g.name}: image term {w} breaks the ports"
+        if evaluate_morphism(f, f.source.d_gen(g.name)) != extend_leibniz(f.target, img):
+            return False, g.name
+    return True, None
+
+
+def compose_reference(g: DGAMorphism, f: DGAMorphism) -> dict[str, Element]:
+    """The assignment of g o f by evaluate_morphism."""
+    return {name: evaluate_morphism(g, f.value(name)) for name in f.source.gen_names()}
+
+
 # ---- the DGA constructions -------------------------------------------------------
 
 
@@ -928,7 +1029,7 @@ def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQ
             continue
         dw = extend_leibniz(dga_q, Element.monomial(Word.of(w)))
         image: dict[Word, Fraction] = defaultdict(Fraction)
-        for term, coeff in alg.multiply(dw, alg.generator_element(q_name)).terms.items():
+        for term, coeff in multiply(alg, dw, generator_element(alg, q_name)).terms.items():
             blocks = split_at_q(term)
             if blocks is None:
                 continue  # adjacent q pair, killed by the relation
@@ -985,7 +1086,7 @@ def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQ
             _bname(w): Element.monomial(Word.of([_yname(w)])) for w in words
         },
     )
-    ok, counter = check_morphism(phi)
+    ok, counter = check_morphism_reference(phi)
     if not ok:
         raise RelQError(f"relative construction failed the chain-map check at {counter}")
     return RelQResult(B=B, target=target, phi=phi)

@@ -76,18 +76,18 @@ def test_leibniz_product_rule(seed, la, lb):
         return
     x = Element.monomial(wa)
     y = Element.monomial(wb)
-    xy = alg.multiply(x, y)
+    xy = ref.multiply(alg, x, y)
     lhs = extend_leibniz(dga, xy)
     sign = -1 if alg.grading(wa) % 2 else 1
-    rhs = alg.multiply(extend_leibniz(dga, x), y) + alg.multiply(
-        x, extend_leibniz(dga, y)
+    rhs = ref.multiply(alg, extend_leibniz(dga, x), y) + ref.multiply(
+        alg, x, extend_leibniz(dga, y)
     ).scale(sign)
     assert lhs == rhs
 
 
 def leibniz_reference(dga: DGASpec, x: Element) -> Element:
     """The Leibniz rule as products of Elements: prefix * d(c_j) * suffix
-    through ChordAlgebra.multiply, summed one product at a time."""
+    through the reference product, summed one product at a time."""
     alg = dga.algebra
     out = Element.zero()
     for word, coeff in x.terms.items():
@@ -99,9 +99,9 @@ def leibniz_reference(dga: DGASpec, x: Element) -> Element:
             piece = dga.d_gen(name)
             if not piece.is_zero():
                 if j > 0:
-                    piece = alg.multiply(Element.monomial(Word.of(letters[:j])), piece)
+                    piece = ref.multiply(alg, Element.monomial(Word.of(letters[:j])), piece)
                 if j < len(letters) - 1:
-                    piece = alg.multiply(piece, Element.monomial(Word.of(letters[j + 1:])))
+                    piece = ref.multiply(alg, piece, Element.monomial(Word.of(letters[j + 1:])))
                 out = out + piece.scale(coeff * (-1 if sign_deg % 2 else 1))
             sign_deg += alg.gen(name).grading
     return out
@@ -121,6 +121,14 @@ def _random_composable(rng: random.Random, gens: list[Generator], length: int):
     return Word.of(g.name for g in letters)
 
 
+def _random_word(rng: random.Random, gens: list[Generator], k: int, unit_share: float) -> Word:
+    """A unit at any of k components with probability unit_share, else a
+    composable word of 1-3 letters."""
+    if rng.random() < unit_share:
+        return Word.idem(rng.randint(1, k))
+    return _random_composable(rng, gens, rng.randint(1, 3))
+
+
 def free_dga(rng: random.Random) -> DGASpec:
     """A DGA with no d^2 = 0 and no grading or port conditions: unit terms at
     any component, differential words whose ports need not match their
@@ -134,11 +142,7 @@ def free_dga(rng: random.Random) -> DGASpec:
     for g in gens:
         terms = {}
         for _ in range(rng.randint(0, 3)):
-            if rng.random() < 0.25:
-                w = Word.idem(rng.randint(1, k))
-            else:
-                w = _random_composable(rng, gens, rng.randint(1, 3))
-            terms[w] = _random_rational(rng)
+            terms[_random_word(rng, gens, k, 0.25)] = _random_rational(rng)
         diff[g.name] = Element(terms)
     return DGASpec(ring=BaseRing(k), generators=gens, differential=diff)
 
@@ -497,6 +501,112 @@ def test_random_morphism_composition(seed):
     assert ok
     ok, _ = check_morphism(compose_morphisms(ident, ident))
     assert ok
+
+
+def broken_dga(rng: random.Random) -> DGASpec:
+    """A random_dga whose differential gains, on a few generators, a term
+    of any grading and ports with a fractional coefficient: a unit or a
+    composable word.  Gradings, ports and d^2 = 0 may all fail."""
+    dga = random_dga(rng, min_grading=0)
+    diff = dict(dga.differential)
+    for g in rng.sample(dga.generators, rng.randint(1, len(dga.generators))):
+        w = _random_word(rng, dga.generators, dga.ring.k, 0.3)
+        diff[g.name] = diff.get(g.name, Element.zero()) + Element({w: _random_rational(rng)})
+    return DGASpec(dga.ring, dga.generators, diff)
+
+
+def validation_draw(seed: int, broken: bool) -> DGASpec:
+    rng = random.Random(seed)
+    return broken_dga(rng) if broken else random_dga(rng, min_grading=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_validation_report_matches_the_element_reference(seed, broken):
+    dga = validation_draw(seed, broken)
+    assert check_d_squared(dga).lines() == ref.d_squared_lines_reference(dga)
+
+
+def test_validation_draws_reach_fractional_and_unit_d2_failures():
+    # the broken draws of the test above fail in every way, and some d^2
+    # failure has a fractional and some a unit term
+    lines = [
+        line for seed in range(200) for line in check_d_squared(validation_draw(seed, True)).lines()
+    ]
+    d2 = [line for line in lines if line.startswith("d^2(")]
+    assert any("has grading" in line for line in lines)
+    assert any("has ports" in line for line in lines)
+    assert any("/" in line for line in d2) and any("*e_" in line for line in d2)
+
+
+def random_morphism(rng: random.Random, dga: DGASpec, kind: str) -> DGAMorphism:
+    """An endomorphism of dga.  The identity; an elementary automorphism
+    x -> x + c u, with u a unit or a word of x's grading and ports in the
+    closed generators other than x; or a broken map that sends a few
+    generators to terms of any grading and ports.  Coefficients are
+    fractional."""
+    gens = dga.generators
+    assignment = {g.name: Element.monomial(Word.of([g.name])) for g in gens}
+    if kind == "elementary":
+        x = rng.choice(gens)
+        closed = [g for g in gens if g.name not in dga._rows and g != x]
+        cands = [
+            Word.of(c.name for c in combo)
+            for length in (1, 2)
+            for combo in itertools.product(closed, repeat=length)
+            if sum(c.grading for c in combo) == x.grading
+            and all(a.src == b.dst for a, b in zip(combo, combo[1:]))
+            and (combo[0].dst, combo[-1].src) == (x.dst, x.src)
+        ]
+        if x.grading == 0 and x.src == x.dst:
+            cands.append(Word.idem(x.src))
+        if cands:
+            u = Element({rng.choice(cands): random_fraction(rng)})
+            assignment[x.name] = assignment[x.name] + u
+    elif kind == "broken":
+        for g in rng.sample(gens, rng.randint(1, len(gens))):
+            terms = {
+                _random_word(rng, gens, dga.ring.k, 0.2): _random_rational(rng)
+                for _ in range(rng.randint(0, 2))
+            }
+            assignment[g.name] = Element(terms)
+    return DGAMorphism(dga, dga, assignment)
+
+
+KINDS = ["identity", "elementary", "broken"]
+
+
+def morphism_draw(seed: int, kind: str) -> tuple[DGAMorphism, DGAMorphism]:
+    """f of the given kind and g of any kind on one random or fractional DGA."""
+    rng = random.Random(seed)
+    dga = fractional_dga(rng, 0) if rng.random() < 0.5 else random_dga(rng, min_grading=0)
+    return random_morphism(rng, dga, kind), random_morphism(rng, dga, rng.choice(KINDS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(KINDS))
+def test_morphisms_match_the_element_reference(seed, kind):
+    f, g = morphism_draw(seed, kind)
+    assert check_morphism(f) == ref.check_morphism_reference(f)
+    comp = compose_morphisms(g, f)
+    assert comp.assignment == ref.compose_reference(g, f)
+    assert check_morphism(comp) == ref.check_morphism_reference(comp)
+
+
+def test_morphism_draws_reach_every_verdict():
+    # the draws of the test above are not vacuous: elementary maps that
+    # move a generator pass and fail the chain-map check, and broken ones
+    # fail it at a generator and on an image term's grading and ports
+    def moved(f):
+        return any(f.value(n) != Element.monomial(Word.of([n])) for n in f.source.gen_names())
+
+    elementary = [f for seed in range(200) if moved(f := morphism_draw(seed, "elementary")[0])]
+    verdicts = [check_morphism(f) for f in elementary]
+    assert (True, None) in verdicts and any(not ok for ok, _ in verdicts)
+    broken = [check_morphism(morphism_draw(seed, "broken")[0])[1] for seed in range(200)]
+    assert any(c and c.endswith("breaks the grading") for c in broken)
+    assert any(c and c.endswith("breaks the ports") for c in broken)
+    assert any(c and ":" not in c for c in broken)
 
 
 def test_rel_q_special_element_is_closed():

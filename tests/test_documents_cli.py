@@ -144,6 +144,9 @@ BAD_TERMS = [
     # canonical form names a unit
     ({"coeff": "1", "word": "e_01"}, "bad unit word"),
     ({"coeff": "1", "word": "e_\u0661"}, "bad unit word"),
+    # a letter that is no string is refused before it is looked up
+    ({"coeff": "1", "word": [["c"]]}, "expected a list of names or e_<component>"),
+    ({"coeff": "1", "word": [{"x": 1}]}, "expected a list of names or e_<component>"),
 ]
 
 
@@ -584,6 +587,17 @@ def test_cli_morphism_between_base_rings_that_differ_exit_2(tmp_path):
     path.write_text(dumps(doc))
     assert run_cli("morphism", str(path)) == (
         2, f"input error: {path}: $: source and target must share the base ring\n"
+    )
+
+
+def test_cli_morphism_with_an_image_word_that_does_not_compose_exit_2(tmp_path):
+    # x runs 1 -> 2, so x.x does not compose, though it has a's grading and ports
+    doc = {"format": "morphism/1", "source": _two_component_dga([("a", 2, 1, 2)], {}),
+           "target": _PORTS_TARGET, "assignment": {"a": [{"coeff": "1", "word": ["x", "x"]}]}}
+    path = tmp_path / "compose.morphism"
+    path.write_text(dumps(doc))
+    assert run_cli("morphism", str(path)) == (
+        2, f"input error: {path}: $: image of a has a non-composable word x.x\n"
     )
 
 
