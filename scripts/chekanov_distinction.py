@@ -25,7 +25,7 @@ def main() -> None:
     cls = cyclic_class(dga_a.algebra, Word.of(["a6"]))
     print(
         "cyclic class of a6: degree",
-        dga_a.algebra.grading(Word.of(["a6"])),
+        dga_a.algebra.grading["a6"],
         "good:",
         not cls.is_zero,
     )

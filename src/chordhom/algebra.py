@@ -7,6 +7,10 @@ compose: src of a letter equals dst of the letter to its right.  The empty
 word at component i is the idempotent e_i.  Coefficients are exact
 rationals throughout; nothing in this package touches floating point.
 
+ChordAlgebra is the one place that knows a letter's grading, grading
+parity and ports: four tables keyed by letter name (grading, parity, src,
+dst), built once per algebra, which every kernel reads.
+
 Element and Word are the input form: the package computes on compiled
 integer rows (dga.py) and defines no Element product, which the tests
 keep as a reference (tests/reference_images.py).
@@ -182,7 +186,11 @@ class Element:
 
 
 class ChordAlgebra:
-    """The free path algebra on a generator set over a BaseRing."""
+    """The free path algebra on a generator set over a BaseRing.
+
+    grading, parity, src and dst map each letter name to its grading, the
+    grading's parity and its two ports; the hot loops read these tables
+    instead of the Generator records."""
 
     def __init__(self, ring: BaseRing, generators: Iterable[Generator]):
         self.ring = ring
@@ -193,13 +201,11 @@ class ChordAlgebra:
             if not (1 <= g.src <= ring.k and 1 <= g.dst <= ring.k):
                 raise ValueError(f"generator {g.name} has ports outside the ring")
             self.generators[g.name] = g
-        # grading parity of every letter: the Koszul signs of the hot loops
-        # read this table instead of summing gradings term by term
-        self.parity: dict[str, int] = {
-            name: g.grading & 1 for name, g in self.generators.items()
-        }
-
-    # ---- ports and gradings -------------------------------------------------
+        gens = self.generators.values()
+        self.grading: dict[str, int] = {g.name: g.grading for g in gens}
+        self.parity: dict[str, int] = {g.name: g.grading & 1 for g in gens}
+        self.src: dict[str, int] = {g.name: g.src for g in gens}
+        self.dst: dict[str, int] = {g.name: g.dst for g in gens}
 
     def gen(self, name: str) -> Generator:
         try:
@@ -207,33 +213,15 @@ class ChordAlgebra:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def grading(self, word: Word) -> int:
-        if word.is_idem:
-            return 0
-        return sum(self.gen(n).grading for n in word.letters)
-
-    def dst(self, word: Word) -> int:
-        """Left port of the word (component of the end of the first chord)."""
-        if word.is_idem:
-            return word.comp
-        return self.gen(word.letters[0]).dst
-
-    def src(self, word: Word) -> int:
-        """Right port of the word (component of the origin of the last chord)."""
-        if word.is_idem:
-            return word.comp
-        return self.gen(word.letters[-1]).src
-
     def composable(self, letters: tuple[str, ...]) -> bool:
-        return all(
-            self.gen(a).src == self.gen(b).dst
-            for a, b in zip(letters, letters[1:])
-        )
+        src, dst = self.src, self.dst
+        return all(src[a] == dst[b] for a, b in zip(letters, letters[1:]))
 
     def cyclically_composable(self, word: Word) -> bool:
-        if word.is_idem:
-            return True
-        return self.composable(word.letters) and self.src(word) == self.dst(word)
+        letters = word.letters
+        return not letters or (
+            self.composable(letters) and self.src[letters[-1]] == self.dst[letters[0]]
+        )
 
     # ---- graded cyclic rotation ----------------------------------------------
 
@@ -250,9 +238,8 @@ class ChordAlgebra:
         letters = word.letters
         if len(letters) == 1:
             return word, 1
-        g0 = self.gen(letters[0]).grading
-        rest = sum(self.gen(n).grading for n in letters[1:])
-        sign = -1 if (g0 * rest) % 2 else 1
+        parity = self.parity
+        sign = -1 if parity[letters[0]] and sum(parity[n] for n in letters[1:]) & 1 else 1
         return Word.of(letters[1:] + letters[:1]), sign
 
     def rotations(self, word: Word) -> Iterator[tuple[Word, int]]:

@@ -33,7 +33,7 @@ label is: the tail image is capped at max_len - 1 letters, and a row of
 d(c) is skipped when it would pass the cap.
 
 The cyclic quotient of the marked module (mcyc) reads the mark
-differential d(x_i) = 0 and d(c^) = x_dst c - c x_src - S(dc)
+differential d(x_i) = 0 and d(c^) = x_{dst c} c - c x_{src c} - S(dc)
 (_mark_terms); each term carries its coefficient for an even and for an
 odd word, so the Koszul sign of rotating it to mark-first form is read
 in constant time, and one build computes each word's Leibniz image and
@@ -218,7 +218,8 @@ class _ImageTable(dict):
         term of d(head).tail starts with head and the tail's image is not
         empty."""
         dga, cap = self.dga, self.cap
-        dst = dga._dst
+        alg = dga.algebra
+        dst = alg.dst
         out: dict = {}
         room = cap - len(tail)
         right = dst[tail[0]] if tail else None
@@ -231,15 +232,15 @@ class _ImageTable(dict):
             if tail_image and key[0] == head:
                 return None
             out[key] = c
-        head_src = dga._src[head]
-        neg = dga.algebra.parity[head]
+        src_head = alg.src[head]
+        neg = alg.parity[head]
         for key, v in tail_image.items():
             if key.__class__ is tuple:
-                if len(key) >= cap or dst[key[0]] != head_src:
+                if len(key) >= cap or dst[key[0]] != src_head:
                     continue
                 out[(head,) + key] = -v if neg else v
             # a unit key at src(head) leaves the head alone, one letter long
-            elif key == head_src and cap > 0:
+            elif key == src_head and cap > 0:
                 out[(head,)] = -v if neg else v
         return out
 
@@ -322,7 +323,8 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
     front; a row of d(c) is skipped when it would pass max_len, so no term
     is longer than any basis label.
     """
-    parity, src, dst, den = dga.algebra.parity, dga._src, dga._dst, dga._denom
+    alg, den = dga.algebra, dga._denom
+    parity, src, dst = alg.parity, alg.src, alg.dst
     chk_rows, hat_rows = {}, {}
     for head, drows in dga._rows.items():
         chk_rows[head] = [(pdst, len(p), p[-1:], p[:-1], c) for p, pdst, _, c in drows]
@@ -347,13 +349,13 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
             room = max_len - len(tail)
             out: dict = {}
             if kind == "chk":
-                head_dst = dst[head]
+                dst_head = dst[head]
                 for key, v in image.items():
                     if key.__class__ is tuple:
-                        if src[key[-1]] != head_dst:
+                        if src[key[-1]] != dst_head:
                             continue
                         row = rows.get(("chk", lead + key))
-                    elif key == head_dst:
+                    elif key == dst_head:
                         row = rows.get(("chk", lead))
                     else:
                         continue
@@ -392,13 +394,13 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
                         if (row := rows.get(("hat", suffix + tail + prefix))) is not None:
                             out[row] = out.get(row, 0) + (c if odd and even else -c)
                 # (-1)^(|head|+1) head^ * d(tail), units absorbed into the hat letter
-                head_src = src[head]
+                src_head = src[head]
                 for key, v in image.items():
                     if key.__class__ is tuple:
-                        if dst[key[0]] != head_src:
+                        if dst[key[0]] != src_head:
                             continue
                         row = rows.get(("hat", lead + key))
-                    elif key == head_src:
+                    elif key == src_head:
                         row = rows.get(("hat", lead))
                     else:
                         continue
@@ -416,7 +418,7 @@ def _decorated_kernel(dga: DGASpec, max_len: int) -> Callable:
 
 
 def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
-    """The mark differential d(c^) = x_dst c - c x_src - S(dc), as terms
+    """The mark differential d(c^) = x_{dst c} c - c x_{src c} - S(dc), as terms
     (length, mark, after, before, coefficients) with length that of before
     and after together; S hats each letter of each term of dc in turn with
     the sign (-1)^(degree of the letters before it).  A term rotated to
@@ -425,10 +427,9 @@ def _mark_terms(dga: DGASpec, cname: str) -> list[tuple]:
     having degree |c| + 1 and a component class 0, so coefficients holds
     its numerator over dga._denom for an even w and for an odd one.  The
     component classes are closed."""
-    c = dga.algebra.gen(cname)
-    parity = dga.algebra.parity
-    den = dga._denom
-    terms = [((), ("mx", c.dst), (cname,), den), ((cname,), ("mx", c.src), (), -den)]
+    alg, den = dga.algebra, dga._denom
+    parity, src, dst = alg.parity, alg.src, alg.dst
+    terms = [((), ("mx", dst[cname]), (cname,), den), ((cname,), ("mx", src[cname]), (), -den)]
     for letters, _, _, coeff in dga._rows.get(cname, ()):
         odd = 0
         for j, name in enumerate(letters):
@@ -452,7 +453,7 @@ def _enumerate_marked_words(
     each gives x_i.c_1...c_m with i = dst(c_1) when m <= max_len, and
     c_1^.c_2...c_m one degree up; x_i alone has degree 0."""
     lo, hi = window
-    dst = dga._dst
+    dst = dga.algebra.dst
     bases: dict[int, list] = {}
     if lo - 1 <= 0 <= hi + 1:
         bases[0] = [("mx", i, ()) for i in dga.ring.components]
@@ -514,7 +515,7 @@ def _chord_block(
     boundary kernel and verdict, the kernel compiled for one build; the
     chord builders build it and the surgery complexes take it as their
     chord side.  The mcyc mark takes one letter of max_len."""
-    verdict = guard_verdict((g.grading for g in dga.generators), window, max_len - (kind == "mcyc"))
+    verdict = guard_verdict(dga.algebra.grading.values(), window, max_len - (kind == "mcyc"))
     if kind == "cyc":
         return _cyclic_bases(dga.algebra, window, max_len), _cyclic_kernel(dga, max_len), verdict
     if kind == "mcyc":

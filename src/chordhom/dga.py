@@ -52,11 +52,9 @@ class DGASpec:
 
     def __post_init__(self):
         """Validate the differential and compile it for the Leibniz kernel:
-        the ports of every letter and each generator's rows."""
-        alg = self.algebra = ChordAlgebra(self.ring, self.generators)
-        self._src = {name: g.src for name, g in alg.generators.items()}
-        self._dst = {name: g.dst for name, g in alg.generators.items()}
-        self._rows, self._denom = _compile(self.differential, alg, self, "differential")
+        each generator's rows, over the algebra's letter tables."""
+        self.algebra = ChordAlgebra(self.ring, self.generators)
+        self._rows, self._denom = _compile(self.differential, self.algebra, self, "differential")
 
     def d_gen(self, name: str) -> Element:
         return self.differential.get(name, Element.zero())
@@ -75,7 +73,8 @@ def _compile(images: Mapping[str, Element], keys: ChordAlgebra, target: DGASpec,
     term in order, an idempotent e_i as ((), i, i, numerator).  A name not
     in keys, a letter not in the target and a word that does not compose
     are refused."""
-    alg, src, dst = target.algebra, target._src, target._dst
+    alg = target.algebra
+    src, dst = alg.src, alg.dst
     denom = math.lcm(*(c.denominator for el in images.values() for c in el.terms.values()))
     compiled = {}
     for name, el in images.items():
@@ -143,8 +142,8 @@ def _leibniz_word(
         return acc
     # the longest piece that keeps the word within the cap
     room = sys.maxsize if cap is None else cap - len(letters) + 1
-    parity = dga.algebra.parity
-    src, dst = dga._src, dga._dst
+    alg = dga.algebra
+    parity, src, dst = alg.parity, alg.src, alg.dst
     last = len(letters) - 1
     odd = 0
     for j, name in enumerate(letters):
@@ -207,12 +206,12 @@ class ValidationReport:
 def check_d_squared(dga: DGASpec) -> ValidationReport:
     """Full validation: gradings and ports of every differential row, then
     d^2 = 0 generator by generator, d(d g) summed over g's rows."""
-    gens = dga.algebra.generators
+    grading = dga.algebra.grading
     report = ValidationReport(denom=dga._denom ** 2)
     for g in dga.generators:
         dd: dict = {}
         for piece, pdst, psrc, c in dga._rows.get(g.name, ()):
-            deg = sum(gens[x].grading for x in piece)
+            deg = sum(grading[x] for x in piece)
             if deg != g.grading - 1:
                 report.grading_issues.append(
                     f"d({g.name}): term {_word(piece or pdst)} has grading {deg}, "
@@ -253,9 +252,9 @@ def _evaluate(f: DGAMorphism, rows: Sequence, a: int, length: int) -> dict:
     """a times f of the element with these rows, keyed as by _leibniz_word,
     in numerators over the rows' denominator times f._denom ** length
     (length >= every word's length).  A word's value is the product of its
-    letters' images, left to right from e_dst; a term of the running
+    letters' images, left to right from e_{dst}; a term of the running
     product meets a row of the next image whose dst port is its src port."""
-    src = f.target._src
+    src = f.target.algebra.src
     acc: dict = {}
     for letters, dst, _, c in rows:
         terms = {(): a * c * f._denom ** (length - len(letters))}
@@ -278,11 +277,11 @@ def check_morphism(f: DGAMorphism) -> tuple[bool, str | None]:
     the gradings and ports of its image terms, in integers over the rows;
     the returned counterexample names the first failing generator."""
     source, target = f.source, f.target
-    gens = target.algebra.generators
+    grading = target.algebra.grading
     for g in source.generators:
         image = f._rows.get(g.name, ())
         for piece, pdst, psrc, _ in image:
-            if sum(gens[x].grading for x in piece) != g.grading:
+            if sum(grading[x] for x in piece) != g.grading:
                 return False, f"{g.name}: image term {_word(piece or pdst)} breaks the grading"
             if (psrc, pdst) != (g.src, g.dst):
                 return False, f"{g.name}: image term {_word(piece or pdst)} breaks the ports"
@@ -462,7 +461,7 @@ def rel_q_construction(
     plain = {name: g for name, g in alg.generators.items() if name != q_name}
     words: list[tuple[str, ...]] = [()] + [
         w for group in _cyclic_words(plain, max_len).values() for w in group
-        if dga_q._dst[w[0]] == comp
+        if alg.dst[w[0]] == comp
     ]
     word_set = set(words)
     # d(wq) by word: {q-free blocks: numerator over dga_q._denom}
@@ -501,7 +500,7 @@ def rel_q_construction(
 
     b_ring = BaseRing(1)
     b_gens = [
-        Generator(_bname(w), sum(alg.gen(x).grading for x in w) + q.grading, src=1, dst=1)
+        Generator(_bname(w), sum(alg.grading[x] for x in w) + q.grading, src=1, dst=1)
         for w in words
     ]
     B = DGASpec(

@@ -301,7 +301,10 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
 
 
 def _word_composable(symbols: dict[Symbol, SymbolInfo], word: tuple[Symbol, ...]) -> bool:
-    return all(symbols[a].src == symbols[b].dst for a, b in zip(word, word[1:]))
+    for a, b in zip(word, word[1:]):
+        if symbols[a].src != symbols[b].dst:
+            return False
+    return True
 
 
 def _square_zero_words(
@@ -495,14 +498,15 @@ def lefschetz_dga(
     spec = basis
     if spec.n != n:
         raise ValueError("dimension parameter disagrees with the basis data")
+    if t_order < 0:
+        raise ValueError("the truncation order must be nonnegative")
     symbols = _symbol_table(spec)
     problems = _entry_problems(h_counts or {}, symbols)
     if problems:
         raise AinfValidationError("; ".join(problems[:5]))
     N = t_order
     gens = _chord_generators(symbols, N)
-    src = {g.name: g.src for g in gens}
-    dst = {g.name: g.dst for g in gens}
+    alg = ChordAlgebra(BaseRing(spec.k), gens)
     # the series sum_p t^p q(p) of every symbol
     series = {
         sym: {p: {(_chord_name(sym, p),): 1} for p in range(info.p_min, N + 1)}
@@ -510,7 +514,7 @@ def lefschetz_dga(
     }
 
     def smul(a: Series, b: Series) -> Series:
-        return _series_mul(a, b, N, src, dst)
+        return _series_mul(a, b, N, alg.src, alg.dst)
 
     diff_series: dict[Symbol, Series] = {sym: {} for sym in symbols}
 
@@ -626,10 +630,7 @@ def _cyclic_tensor_complex(
     D: CurvedAinf, alg: ChordAlgebra, bases: dict, window: tuple[int, int], max_len: int
 ) -> GradedChainComplex:
     """hochschild_complex over alg, D's chord algebra, on ho's basis bases."""
-    gens = alg.generators.values()
-    parity = alg.parity
-    src = {g.name: g.src for g in gens}
-    dst = {g.name: g.dst for g in gens}
+    parity, src, dst = alg.parity, alg.src, alg.dst
     # the dual differential read backwards: {block: [(out chord, numerator)]}
     hits, den = D.expansion
     # the curvature chord of each component
@@ -711,7 +712,7 @@ def _cyclic_tensor_complex(
                 cols[col] = out
         return cols, den
 
-    verdict = guard_verdict((g.grading for g in gens), window, max_len)
+    verdict = guard_verdict(alg.grading.values(), window, max_len)
     lo, hi = window
     return build_complex({-d: labs for d, labs in bases.items()}, columns, (-hi, -lo), verdict)
 

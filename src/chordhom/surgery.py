@@ -138,7 +138,7 @@ class SurgeryCountTable:
                         f"{kind} count {g} -> {'.'.join(w)} is not cyclically composable"
                     )
                 if c and g in orbit_grading and (
-                    orbit_grading[g] - sum(alg.gen(x).grading for x in w) != gap
+                    orbit_grading[g] - sum(alg.grading[x] for x in w) != gap
                 ):
                     raise CountGradingError(
                         f"{kind} count {g} -> {'.'.join(w)} violates |gamma|-|w|={gap}"

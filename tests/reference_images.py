@@ -31,6 +31,8 @@ extend_leibniz and a product by q (the library reads the compiled rows
 and the Leibniz kernel), and the checks that read d_gen's Elements where
 the library reads the rows: eps(d c) = 0 with the augmentation search
 over it, and the generators whose differential is a component unit.
+The Word-level gradings and ports live only here too (word_grading,
+word_src, word_dst; the library reads ChordAlgebra's per-letter tables).
 The chord algebra's product lives only here (mul_words, multiply, unit,
 generator_element; the library has none), with validation and the
 morphisms by Element arithmetic on top of it: the d^2 report's lines over
@@ -86,6 +88,21 @@ from chordhom.lefschetz import (
 )
 
 _ONE = Fraction(1)
+
+
+def word_grading(alg: ChordAlgebra, word: Word) -> int:
+    """The grading of a word, its letters' gradings summed; 0 for an idempotent."""
+    return sum(alg.grading[x] for x in word.letters)
+
+
+def word_dst(alg: ChordAlgebra, word: Word) -> int:
+    """Left port of a word: dst of its first letter, or an idempotent's component."""
+    return alg.dst[word.letters[0]] if word.letters else word.comp
+
+
+def word_src(alg: ChordAlgebra, word: Word) -> int:
+    """Right port of a word: src of its last letter, or an idempotent's component."""
+    return alg.src[word.letters[-1]] if word.letters else word.comp
 
 CHECK = "check"
 HAT = "hat"
@@ -177,7 +194,7 @@ def is_bad_by_parity(algebra: ChordAlgebra, word: Word) -> bool:
             period = length // k
             if letters == letters[:period] * k:
                 base = Word.of(letters[:period])
-                if algebra.grading(base) % 2:
+                if word_grading(algebra, base) % 2:
                     return True
     return False
 
@@ -248,7 +265,7 @@ def hat_image(dga: DGASpec, letters) -> dict:
     if tail:
         head_src = alg.gen(head).src
         for term, coeff in _d(dga, tail).terms.items():
-            if alg.dst(term) != head_src:
+            if word_dst(alg, term) != head_src:
                 continue
             out.add(("hat", (head,) + term.letters), coeff if head_odd else -coeff)
     return out
@@ -431,7 +448,7 @@ def hochschild_reference_image(D: CurvedAinf, window: tuple[int, int], max_len: 
         for i in range(1, D.spec.k + 1):
             bases.setdefault(0, []).append(("tau", i))
     for w in enumerate_cyclic_words(alg, (lo - 2, hi + 1), max_len):
-        deg = alg.grading(w)
+        deg = word_grading(alg, w)
         if lo - 1 <= deg <= hi + 1:
             bases.setdefault(deg, []).append(("chk", w.letters))
         if lo - 1 <= deg + 1 <= hi + 1:
@@ -810,10 +827,10 @@ def mul_words(alg: ChordAlgebra, a: Word, b: Word) -> Word | None:
     if a.is_idem and b.is_idem:
         return a if a.comp == b.comp else None
     if a.is_idem:
-        return b if alg.dst(b) == a.comp else None
+        return b if word_dst(alg, b) == a.comp else None
     if b.is_idem:
-        return a if alg.src(a) == b.comp else None
-    if alg.src(a) != alg.dst(b):
+        return a if word_src(alg, a) == b.comp else None
+    if word_src(alg, a) != word_dst(alg, b):
         return None
     return Word.of(a.letters + b.letters)
 
@@ -845,12 +862,12 @@ def d_squared_lines_reference(dga: DGASpec) -> list[str]:
     for g in dga.generators:
         dg = dga.d_gen(g.name)
         for w in dg.terms:
-            deg = alg.grading(w)
+            deg = word_grading(alg, w)
             if deg != g.grading - 1:
                 grading.append(f"d({g.name}): term {w} has grading {deg}, expected {g.grading - 1}")
-            if alg.dst(w) != g.dst or alg.src(w) != g.src:
+            if word_dst(alg, w) != g.dst or word_src(alg, w) != g.src:
                 ports.append(
-                    f"d({g.name}): term {w} has ports ({alg.src(w)},{alg.dst(w)}), "
+                    f"d({g.name}): term {w} has ports ({word_src(alg, w)},{word_dst(alg, w)}), "
                     f"expected ({g.src},{g.dst})"
                 )
         dd = extend_leibniz(dga, dg)
@@ -868,7 +885,7 @@ def evaluate_morphism(f: DGAMorphism, x: Element) -> Element:
         if word.is_idem:
             out = out + unit(word.comp).scale(coeff)
             continue
-        acc = unit(f.source.algebra.dst(word))
+        acc = unit(word_dst(f.source.algebra, word))
         for name in word.letters:
             acc = multiply(alg, acc, f.value(name))
             if acc.is_zero():
@@ -884,9 +901,9 @@ def check_morphism_reference(f: DGAMorphism) -> tuple[bool, str | None]:
     for g in f.source.generators:
         img = f.value(g.name)
         for w in img.terms:
-            if alg.grading(w) != g.grading:
+            if word_grading(alg, w) != g.grading:
                 return False, f"{g.name}: image term {w} breaks the grading"
-            if (alg.src(w), alg.dst(w)) != (g.src, g.dst):
+            if (word_src(alg, w), word_dst(alg, w)) != (g.src, g.dst):
                 return False, f"{g.name}: image term {w} breaks the ports"
         if evaluate_morphism(f, f.source.d_gen(g.name)) != extend_leibniz(f.target, img):
             return False, g.name
@@ -995,7 +1012,7 @@ def rel_q_reference(dga_q: DGASpec, q_name: str = "q", max_len: int = 3) -> RelQ
     plain = {name: g for name, g in alg.generators.items() if name != q_name}
     words: list[tuple[str, ...]] = [()] + [
         w for group in _cyclic_words(plain, max_len).values() for w in group
-        if dga_q._dst[w[0]] == comp
+        if dga_q.algebra.dst[w[0]] == comp
     ]
 
     def split_at_q(word: Word) -> tuple[tuple[str, ...], ...] | None:

@@ -251,7 +251,7 @@ def test_criterion_8_chekanov_distinction():
     dga_a = dga_from_document(example_document("chekanov_a"))
     alg = dga_a.algebra
     cls = cyclic_class(alg, Word.of(["a6"]))
-    if alg.grading(Word.of(["a6"])) != -2 or cls.is_zero:
+    if alg.grading["a6"] != -2 or cls.is_zero:
         ok = False
         details.append("a6 class")
     cyc_a = build_cyclic_complex(dga_a, (-4, 0), 4)

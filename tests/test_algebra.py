@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word
+from chordhom.algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
 import reference_images as ref
 from reference_images import TruncatedSeries, series_multiply
 
@@ -20,6 +21,42 @@ def two_component_algebra():
         Generator("a7", 0, src=1, dst=1),
     ]
     return ChordAlgebra(ring, gens)
+
+
+def test_letter_tables_hold_each_generator():
+    alg = two_component_algebra()
+    for name, g in alg.generators.items():
+        got = (alg.grading[name], alg.parity[name], alg.src[name], alg.dst[name])
+        assert got == (g.grading, g.grading & 1, g.src, g.dst)
+    # the Word-level readings live in the test references
+    word = Word.of(["c", "d"])
+    assert ref.word_grading(alg, word) == 3
+    assert (ref.word_dst(alg, word), ref.word_src(alg, word)) == (1, 1)
+    idem = Word.idem(2)
+    assert (ref.word_grading(alg, idem), ref.word_dst(alg, idem), ref.word_src(alg, idem)) == (0, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: rat(1.5), TypeError, "not an exact rational: 1.5"),
+        (lambda: BaseRing(0), ValueError, "base ring needs at least one component"),
+        (lambda: Word(("a",), 1), ValueError, "nonempty word must not carry an idempotent index"),
+        (lambda: Word((), 0), ValueError, "empty word needs a component index"),
+        (lambda: Word.of([]), ValueError, "use Word.idem for empty words"),
+        (
+            lambda: ChordAlgebra(BaseRing(1), [Generator("a", 1), Generator("a", 2)]),
+            ValueError,
+            "duplicate generator a",
+        ),
+        (lambda: two_component_algebra().gen("z"), KeyError, "unknown generator 'z'"),
+    ],
+    ids=["float", "no-component", "word-with-index", "idempotent-0", "empty-of",
+         "duplicate-generator", "unknown-generator"],
+)
+def test_algebra_refusals(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
 
 
 def test_unit_action_on_chords():
@@ -130,12 +167,12 @@ def test_grading_additive_on_products(data):
     alg, x = data
     homo = {}
     for w, c in x.terms.items():
-        homo.setdefault(alg.grading(w), {})[w] = c
+        homo.setdefault(ref.word_grading(alg, w), {})[w] = c
     for d1, t1 in homo.items():
         for d2, t2 in homo.items():
             prod = ref.multiply(alg, Element(t1), Element(t2))
             for w in prod.terms:
-                assert alg.grading(w) == d1 + d2
+                assert ref.word_grading(alg, w) == d1 + d2
 
 
 def test_full_rotation_returns_word_with_plus_sign():

@@ -527,7 +527,7 @@ def _head_term_starts_with_head(dga, word, cap):
     cap starts with c: the one case where the image table reads the word's
     image off _leibniz_word although it holds the tail's."""
     head, tail = word[0], word[1:]
-    right = dga._dst[tail[0]] if tail else None
+    right = dga.algebra.dst[tail[0]] if tail else None
     return any(
         (piece + tail)[:1] == (head,)
         for piece, _, psrc, _ in dga._rows.get(head, ())

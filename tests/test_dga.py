@@ -78,7 +78,7 @@ def test_leibniz_product_rule(seed, la, lb):
     y = Element.monomial(wb)
     xy = ref.multiply(alg, x, y)
     lhs = extend_leibniz(dga, xy)
-    sign = -1 if alg.grading(wa) % 2 else 1
+    sign = -1 if ref.word_grading(alg, wa) % 2 else 1
     rhs = ref.multiply(alg, extend_leibniz(dga, x), y) + ref.multiply(
         alg, x, extend_leibniz(dga, y)
     ).scale(sign)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -480,6 +481,60 @@ def test_n2_without_order_rejected():
     for n, order in [(2, ["a"]), (2, ["a", "a"]), (2, ["a", "b", "a"]), (3, ["b"])]:
         with pytest.raises(ValueError, match="exactly once"):
             DirectedAinfSpec(k=2, n=n, points=points, mu=[], order=order)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (
+            lambda: DirectedAinfSpec(k=2, n=3, points=[("a", 0, 1, 2), ("a", 1, 1, 2)]),
+            ValueError,
+            "duplicate intersection point a",
+        ),
+        (
+            lambda: DirectedAinfSpec(k=2, n=3, points=[("a", 0, 2, 1)]),
+            ValueError,
+            "point a must join distinct ordered components",
+        ),
+        (
+            lambda: DirectedAinfSpec(k=2, n=3, points=[("a", 0, 1, 1)]),
+            ValueError,
+            "point a must join distinct ordered components",
+        ),
+        (lambda: minimal_ainf_spec().point("z"), KeyError, "unknown intersection point z"),
+        (
+            lambda: build_curved_category(
+                replace(minimal_ainf_spec(), mu=[(("e", 1), (("b", "a"), ("f", "a")), 1)]), 2
+            ),
+            AinfValidationError,
+            "structure constants may not output a unit",
+        ),
+        (
+            lambda: lefschetz_dga(minimal_ainf_spec(), None, 4, 2),
+            ValueError,
+            "dimension parameter disagrees with the basis data",
+        ),
+        (
+            lambda: lefschetz_dga(minimal_ainf_spec(), None, 3, -1),
+            ValueError,
+            "the truncation order must be nonnegative",
+        ),
+    ],
+    ids=["repeated-point", "reversed-point", "loop-point", "unknown-point", "unit-output",
+         "dimension", "negative-t-order"],
+)
+def test_directed_data_refusals(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
+
+
+def test_both_constructions_refuse_a_negative_truncation_order_alike():
+    spec = minimal_ainf_spec()
+    with pytest.raises(ValueError) as direct:
+        lefschetz_dga(spec, None, 3, -1)
+    with pytest.raises(ValueError) as dual:
+        build_curved_category(spec, -1)
+    assert str(direct.value) == str(dual.value)
 
 
 def test_n2_without_points_runs_end_to_end():
