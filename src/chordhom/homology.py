@@ -9,10 +9,13 @@ as they are.  Images made label by label, each over its own denominator,
 join into a degree's columns through _joined, over the lcm of those
 denominators.  d^2, ranks, is_boundary and the verifiers read the
 columns; the {(row, col): Fraction} view of a complex (diffs, matrix) is
-built only when it is read, and it and the d^2 report share one Fraction
-object among equal values (_FractionPool).  betti and the d^2 report read
-one product loop a degree at a time (_d_squared_products), which copies a
-stored column only to add to it; betti names the first nonzero entry.
+built only when it is read, and its equal values share one Fraction object
+(_FractionPool).  betti and the d^2 report read one product loop a degree
+at a time (_d_squared_products), which copies a stored column only to add
+to it; betti names the first nonzero entry.  A d^2 report entry is a flat
+tuple of ints, its value as a numerator and a denominator in lowest terms
+(_lowest_terms, once per distinct numerator of a degree through
+_Numerators), so a long report holds no Fraction and no nested tuple.
 
 Every rank comes from one sparse column reduction, _reduce.  The integer
 columns are eliminated fraction-free, each divided by the gcd of its
@@ -115,16 +118,17 @@ class GradedChainComplex:
     def matrix(self, degree: int) -> SparseMatrix:
         return self.diffs.get(degree, {})
 
-    def d_squared_report(self) -> list[tuple[int, tuple[int, int], Fraction]]:
+    def d_squared_report(self) -> list[tuple[int, int, int, int, int]]:
         """Entries of boundary(d-1) * boundary(d) that are nonzero, column by
-        column of boundary(d).  The products run on the integer columns; a
-        reported entry is divided back into the exact value, and equal
-        values share one Fraction object."""
+        column of boundary(d), each as (d, row, col, num, den): the exact
+        value num/den in lowest terms, den > 0.  The products run on the
+        integer columns, and each distinct numerator of a degree is reduced
+        once.  The entries hold only ints, so the garbage collector stops
+        tracking them."""
         bad = []
-        pool = _FractionPool()
         for d, den, products in self._d_squared_products():
-            values = _Numerators(pool, den)
-            bad += [(d, (r, c), values[w]) for c, e in products.items() for r, w in e.items() if w]
+            values = _Numerators(_lowest_terms, den)
+            bad += [(d, r, c) + values[w] for c, e in products.items() for r, w in e.items() if w]
         return bad
 
     def _d_squared_products(self) -> Iterator[tuple[int, int, Columns]]:
@@ -170,20 +174,28 @@ class _FractionPool(dict):
 
 
 class _Numerators(dict):
-    """values[num] is pool[num, den] for one den, read from the pool once."""
+    """values[num] is value(num, den) for one den, made once per num."""
 
-    def __init__(self, pool: _FractionPool, den: int):
-        self.pool, self.den = pool, den
+    def __init__(self, value: Callable[[int, int], Any], den: int):
+        self.value, self.den = value, den
 
-    def __missing__(self, num: int) -> Fraction:
-        f = self[num] = self.pool[num, self.den]
-        return f
+    def __missing__(self, num: int):
+        v = self[num] = self.value(num, self.den)
+        return v
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """num/den as (n, m) in lowest terms with m > 0, for a nonzero den."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def _fraction_view(columns: Columns, den: int, pool: _FractionPool) -> SparseMatrix:
     """Integer columns over den as {(row, col): Fraction} drawn from pool,
     column by column in stored order."""
-    values = _Numerators(pool, den)
+    values = _Numerators(lambda num, den: pool[num, den], den)
     return {(r, c): values[v] for c, col in columns.items() for r, v in col.items()}
 
 

@@ -39,16 +39,19 @@ morphisms by Element arithmetic on top of it: the d^2 report's lines over
 d_gen's terms and extend_leibniz, evaluate_morphism letter by letter, and
 the chain-map check and the composite through it (the library sums all
 three in integers over the compiled rows of the differential and of the
-assignment).  Last, the two whole-complex checks as the library ran them before they
-stopped building a container per entry: the d^2 products column by
-column, with the report and betti's message read off them (the library
-goes a degree at a time), and the dictionary's entry comparison by two
-dicts keyed by position (the library compares in place).
+assignment).  Last, the two whole-complex checks as the library ran them
+before they stopped building a container per entry: the d^2 products
+column by column, with the report and betti's message read off them (the
+library goes a degree at a time), and the dictionary's entry comparison
+by two dicts keyed by position (the library compares in place).  The
+reference report gives each value as a Fraction; the library's gives a
+numerator and a denominator, which fraction_entries checks and reads back.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,9 +73,7 @@ from chordhom.dga import (
 from chordhom.homology import (
     GradedChainComplex,
     _cyclic_words,
-    _FractionPool,
     _joined,
-    _Numerators,
     _numerators,
     build_complex,
     enumerate_cyclic_words,
@@ -1140,16 +1141,23 @@ def d_squared_products(cx: GradedChainComplex):
 
 
 def d_squared_report(cx: GradedChainComplex) -> list:
-    """The d^2 report from d_squared_products, a column at a time, its equal
-    values one Fraction object each."""
+    """The d^2 report from d_squared_products, a column at a time, as (d,
+    (r, c), Fraction) per entry."""
     bad = []
-    pool = _FractionPool()
-    values = _Numerators(pool, 1)
     for d, c, den, entries in d_squared_products(cx):
-        if values.den != den:
-            values = _Numerators(pool, den)
-        bad.extend((d, (r, c), values[w]) for r, w in entries.items() if w)
+        bad.extend((d, (r, c), Fraction(w, den)) for r, w in entries.items() if w)
     return bad
+
+
+def fraction_entries(report: list) -> list:
+    """A library d^2 report in the shape of d_squared_report, (d, (r, c),
+    Fraction) per entry, after checking that each entry is a flat tuple of
+    ints (d, r, c, num, den) with num/den in lowest terms and den > 0."""
+    for entry in report:
+        assert len(entry) == 5 and all(type(x) is int for x in entry), entry
+        num, den = entry[3:]
+        assert den > 0 and math.gcd(num, den) == 1, entry
+    return [(d, (r, c), Fraction(num, den)) for d, r, c, num, den in report]
 
 
 def d_squared_message(cx: GradedChainComplex) -> str | None:

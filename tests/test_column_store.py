@@ -31,6 +31,7 @@ from chordhom.lefschetz import (
 from chordhom.surgery import SurgeryCountTable, build_sh_surgery, builtin_ball_filling
 
 from conftest import fractional_ainf_spec, fractional_dga, random_fraction
+from reference_images import d_squared_report as reference_report, fraction_entries
 
 
 def _betti(cx):
@@ -74,7 +75,9 @@ def check_both_forms(cx) -> tuple[GradedChainComplex, GradedChainComplex]:
     stored = copy.deepcopy(cx)
     columns = copy.deepcopy(stored._store)
     viewed = read_view(cx)
-    assert stored.d_squared_report() == viewed.d_squared_report()
+    report = stored.d_squared_report()
+    assert viewed.d_squared_report() == report
+    assert fraction_entries(report) == reference_report(stored)
     table = _betti(stored)
     assert _betti(stored) == table == _betti(viewed)
     for d, vector in _vectors(viewed):
