@@ -10,12 +10,11 @@ join into a degree's columns through _joined, over the lcm of those
 denominators.  d^2, ranks, is_boundary and the verifiers read the
 columns; the {(row, col): Fraction} view of a complex (diffs, matrix) is
 built only when it is read, and its equal values share one Fraction object
-(_FractionPool).  betti and the d^2 report read one product loop a degree
-at a time (_d_squared_products), which copies a stored column only to add
-to it; betti names the first nonzero entry.  A d^2 report entry is a flat
-tuple of ints, its value as a numerator and a denominator in lowest terms
-(_lowest_terms, once per distinct numerator of a degree through
-_Numerators), so a long report holds no Fraction and no nested tuple.
+(_FractionPool).  The d^2 report reads one product loop a degree at a
+time (_d_squared_products), which copies a stored column only to add to
+it; an entry is a flat tuple of ints, its value in lowest terms
+(_lowest_terms, once per distinct numerator of a degree).  betti checks
+d^2 on the rows its reduction keeps and reads the report only to refuse.
 
 Every rank comes from one sparse column reduction, _reduce.  The integer
 columns are eliminated fraction-free, each divided by the gcd of its
@@ -36,7 +35,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import countOf
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from .algebra import ChordAlgebra, Word
@@ -218,9 +216,9 @@ def _integer_columns(matrix: SparseMatrix) -> tuple[Columns, int]:
 
 def _reduce_column(
     col: dict[int, int], pivots: Mapping[int, tuple[int, dict[int, int]]]
-) -> dict[int, int]:
-    """Reduce an integer column against the pivots until it vanishes or its
-    largest row is not a pivot row.
+) -> tuple[int | None, dict[int, int]]:
+    """(low, column): the column reduced against the pivots until it
+    vanishes (low None) or its largest row, low, is not a pivot row.
 
     Each step is fraction-free: with a and b the entries of the column and
     of the pivot at their common largest row, divided by their gcd, the
@@ -234,7 +232,7 @@ def _reduce_column(
         low = max(col)
         entry = pivots.get(low)
         if entry is None:
-            break
+            return low, col
         pivot = entry[1]
         a, b = col[low], pivot[low]
         g = math.gcd(a, b)
@@ -254,7 +252,7 @@ def _reduce_column(
         g = math.gcd(*col.values())
         if g > 1:
             col = {r: v // g for r, v in col.items()}
-    return col
+    return None, col
 
 
 def _reduce(
@@ -271,9 +269,9 @@ def _reduce(
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for c, col in columns.items():
-        col = _reduce_column(col, pivots)
+        low, col = _reduce_column(col, pivots)
         if col:
-            pivots[max(col)] = (c, col)
+            pivots[low] = (c, col)
     return pivots
 
 
@@ -304,40 +302,42 @@ class BettiTable:
 
 
 def betti(complex: GradedChainComplex) -> BettiTable:
-    """Exact homology ranks on the complex window; raises DSquareError
-    unless d^2 = 0 there, naming the first nonzero entry of d^2 and
-    counting the rest.
+    """Exact homology ranks on the complex window.  Raises DSquareError
+    unless d^2 = 0, naming the d^2 report's first entry and its length.
 
-    rank(d_d), for d = lo..hi+1 in turn, is the pivot count of _reduce on
-    the coboundary out of degree d-1: the rows of d_d as columns keyed by
-    their place in basis[d-1], less each row that was a pivot's low one
-    degree below (clearing).  That pivot is a cocycle led by the row, as
-    d_d d_{d+1} = 0 for d in lo..hi, so the row lies in the span of the
-    others and only about one column per homology class reduces to zero.
+    A pass per degree d = lo..hi+1 builds the rows of d_d, checks that
+    each source row of d_{d-1} (one that led a pivot the pass before)
+    times d_d is zero, and reduces the rows not cleared by those pivots'
+    lows with _reduce, keyed by place in basis[d-1]: rank(d_d) is the
+    pivot count, the pivots' rows the next sources.  By induction the
+    check proves d^2 = 0 at lo+1..hi+1.  At d = lo nothing is cleared, so
+    the sources span the row space of d_lo.  Where they span that of
+    d_{d-1}, the check at d is exactly d_{d-1} d_d = 0, so a cleared row,
+    led by a cocycle in that space, lies in the span of the rows before
+    it, and the sources at d span the row space of d_d again.
     """
-    products = complex._d_squared_products()
-    first = next(products, None)
-    if first is not None:
-        # the first degree's entries are read before the next degree clears them
-        d, den, columns = first
-        c, entries = next(iter(columns.items()))
-        r, w = next((r, w) for r, w in entries.items() if w)
-        count = sum(len(e) - countOf(e.values(), 0) for e in columns.values())
-        count += sum(len(e) - countOf(e.values(), 0) for *_, cs in products for e in cs.values())
-        raise DSquareError(
-            f"d^2 != 0 at degree {d}, entry {(r, c)} = {Fraction(w, den)} "
-            f"({count} nonzero entries total)"
-        )
     lo, hi = complex.window
-    rk, lows = {}, set()
+    rk, sources = {}, {}
     for d in range(lo, hi + 2):
         rows: Columns = defaultdict(dict)
         for c, col in complex._integer(d)[0].items():
             for r, v in col.items():
-                if r not in lows:
-                    rows[r][c] = v
-        lows = set(_reduce(rows))
-        rk[d] = len(lows)
+                rows[r][c] = v
+        for source in sources.values():
+            acc: dict[int, int] = {}
+            for mid, v in source.items():
+                for c, w in rows[mid].items() if mid in rows else ():
+                    acc[c] = acc.get(c, 0) + v * w
+            if any(acc.values()):
+                report = complex.d_squared_report()
+                d, r, c, num, den = report[0]
+                at = f"degree {d}, entry {(r, c)} = {Fraction(num, den)}"
+                raise DSquareError(f"d^2 != 0 at {at} ({len(report)} nonzero entries total)")
+        for r in sources:
+            rows.pop(r, None)
+        sources.clear()  # free the rows of d_{d-1} before the reduction
+        sources = {low: rows[c] for low, (c, _) in _reduce(rows).items()}
+        rk[d] = len(sources)
     ranks = {d: complex.dim(d) - rk[d] - rk[d + 1] for d in range(lo, hi + 1)}
     return BettiTable(ranks=ranks, flagged=frozenset({lo, hi}), verdict=complex.verdict)
 
@@ -348,7 +348,7 @@ def is_boundary(complex: GradedChainComplex, degree: int, vector: dict[int, Frac
     The boundary matrix is reduced once; the vector, scaled to integers, is
     a boundary when it reduces to zero against the pivots."""
     pivots = _reduce(complex._integer(degree + 1)[0])
-    return not _reduce_column(_numerators(vector)[0], pivots)
+    return not _reduce_column(_numerators(vector)[0], pivots)[1]
 
 
 def verify_les_ranks(

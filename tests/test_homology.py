@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from chordhom import homology
@@ -37,6 +37,13 @@ from chordhom.homology import (
     is_boundary,
     rank,
     verify_les_ranks,
+)
+from chordhom.surgery import (
+    SurgeryCountTable,
+    build_lch_surgery,
+    build_sh_surgery,
+    build_shplus_surgery,
+    builtin_ball_filling,
 )
 
 import reference_images as ref
@@ -694,3 +701,95 @@ def test_betti_reads_diffs_edited_in_place():
     after = betti(complex).ranks
     assert after == _ranks_by_boundary(complex)
     assert after[5] > before[5]
+
+
+SURGERY_BUILDERS = [build_lch_surgery, build_shplus_surgery, build_sh_surgery]
+
+
+def _build(builder, dga: DGASpec, window, max_len) -> GradedChainComplex:
+    """A chord complex of the DGA, or its surgery complex over ball:2."""
+    if builder in SURGERY_BUILDERS:
+        return builder(builtin_ball_filling(2), dga, SurgeryCountTable.zero(), window, max_len)
+    return builder(dga, window, max_len)
+
+
+def test_betti_runs_the_d_squared_products_only_to_refuse(monkeypatch, chekanov_a):
+    # betti proves d^2 = 0 on the rows its reduction keeps: the product
+    # loop runs only after a failed check, once, for the message
+    products, calls = GradedChainComplex._d_squared_products, []
+
+    def counted(self):
+        calls.append(self)
+        return products(self)
+
+    monkeypatch.setattr(GradedChainComplex, "_d_squared_products", counted)
+    dga = random_dga(random.Random(4))  # d(g1) = 1, d(g2) = -1
+    exact = [build(dga, (0, 5), 6) for build in CHORD_BUILDERS]
+    for n in (2, 3):
+        unknot = dga_from_document(unknot_document(n))
+        exact += [build(unknot, (0, 8), 9) for build in CHORD_BUILDERS]
+    exact.append(_build(build_sh_surgery, dga, (0, 5), 6))
+    for cx in exact:
+        assert cx.verdict == EXACT
+        betti(cx)
+    assert not calls
+    cx = build_mcyc_complex(chekanov_a, (-4, 0), 4)
+    assert cx.verdict == TRUNCATED
+    with pytest.raises(DSquareError) as err:
+        betti(cx)
+    assert str(err.value) == (
+        "d^2 != 0 at degree -3, entry (108, 0) = 1 (37056 nonzero entries total)"
+    )
+    assert len(calls) == 1 and calls[0] is cx
+
+
+def _cleared_rows(complex: GradedChainComplex, degree: int) -> list[int]:
+    """The rows of d_degree that betti leaves out of its reduction: the
+    lows of the pivots of the rows of d_(degree-1), none at the window's
+    bottom.  These lows are the rows where a vector of the row space can
+    end, whichever rows of it are reduced and in which order."""
+    if degree == complex.window[0]:
+        return []
+    rows = {(c, r): v for (r, c), v in complex.matrix(degree - 1).items()}
+    return sorted(_reduce(_integer_columns(rows)[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_betti_refuses_exactly_when_one_changed_entry_breaks_d_squared(data):
+    # one entry of an EXACT complex changed, at a degree of lo..hi+1 and
+    # often in a row that the reduction clears: betti refuses with the
+    # message the reference report implies, or gives the ranks of rank()
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    dga = random_dga(rng)
+    while not any(el.terms for el in dga.differential.values()):
+        dga = random_dga(rng)
+    builder = data.draw(st.sampled_from(CHORD_BUILDERS + SURGERY_BUILDERS), label="builder")
+    cx = _build(builder, dga, (0, 4), 5)
+    lo, hi = cx.window
+    degrees = [d for d in range(lo, hi + 2) if cx.dim(d - 1) and cx.dim(d)]
+    assume(degrees)
+    d = data.draw(st.sampled_from(degrees), label="degree")
+    cleared = _cleared_rows(cx, d)
+    if cleared and data.draw(st.booleans(), label="in a cleared row"):
+        r = data.draw(st.sampled_from(cleared), label="cleared row")
+    else:
+        r = data.draw(st.integers(0, cx.dim(d - 1) - 1), label="row")
+    c = data.draw(st.integers(0, cx.dim(d) - 1), label="column")
+    old = cx.diffs[d].pop((r, c), 0)
+    new = data.draw(st.sampled_from([0, 1, -1, 2, Fraction(-1, 2)]).filter(lambda v: v != old))
+    if new:
+        cx.diffs[d][r, c] = Fraction(new)
+    report = ref.d_squared_report(cx)
+    event(f"degree lo+{d - lo}, {'cleared' if r in cleared else 'kept'} row, "
+          f"{'refused' if report else 'accepted'}")
+    if not report:
+        assert betti(cx).ranks == _ranks_by_boundary(cx)
+        return
+    degree, entry, value = report[0]
+    with pytest.raises(DSquareError) as err:
+        betti(cx)
+    assert str(err.value) == (
+        f"d^2 != 0 at degree {degree}, entry {entry} = {value} "
+        f"({len(report)} nonzero entries total)"
+    )
