@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .algebra import BaseRing, ChordAlgebra, Element, Generator, Word, rat
 from .homology import (
-    EXACT, GradedChainComplex, _cyclic_words, _FractionPool, _joined, _numerators, build_complex
+    EXACT, GradedChainComplex, _cyclic_words, _FractionPool, _joined, build_complex
 )
 
 
@@ -378,7 +378,7 @@ def linearize(dga: DGASpec, eps: Augmentation) -> GradedChainComplex:
                     prod = Fraction(c, dga._denom) * math.prod(vals[:j]) * math.prod(vals[j + 1:])
                     if prod and (row := rows.get(name)) is not None:
                         out[row] += prod
-            images.append(_numerators(out))
+            images.append(out)
         return _joined(images)
 
     return build_complex(bases, columns, window, EXACT)

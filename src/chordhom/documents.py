@@ -17,7 +17,7 @@ from typing import Any
 
 from .algebra import BaseRing, Element, Generator, Word
 from .dga import Augmentation, DGAMorphism, DGASpec
-from .homology import BettiTable
+from .homology import EXACT, TRUNCATED, BettiTable
 from .lefschetz import DirectedAinfSpec
 from .surgery import FillingModel, Orbit, SurgeryCountTable
 
@@ -461,16 +461,19 @@ def betti_from_document(doc: dict) -> BettiTable:
         degree = _canonical_int(key)
         if degree is None:
             _fail(f"$.ranks.{key}", "degrees are integers")
+        if v < 0:
+            _fail(f"$.ranks.{key}", "ranks are nonnegative")
         ranks[degree] = v
+    if not ranks:
+        _fail("$.ranks", "expected at least one degree")
     flagged = _optional(doc, "flagged", list, "$", [])
     for idx, d in enumerate(flagged):
         if isinstance(d, bool) or not isinstance(d, int):
             _fail(f"$.flagged[{idx}]", "flagged degrees are integers")
-    return BettiTable(
-        ranks=ranks,
-        flagged=frozenset(flagged),
-        verdict=_optional(doc, "verdict", str, "$", "EXACT"),
-    )
+    verdict = _optional(doc, "verdict", str, "$", EXACT)
+    if verdict not in (EXACT, TRUNCATED):
+        _fail("$.verdict", "expected EXACT or TRUNCATED")
+    return BettiTable(ranks=ranks, flagged=frozenset(flagged), verdict=verdict)
 
 
 def betti_to_text(table: BettiTable, window: tuple[int, int] | None = None) -> str:

@@ -5,9 +5,9 @@ Boundary matrices are stored the way the kernels compute them: a kernel
 takes the labels of one degree and the row index of the degree below,
 looks every target up there once and returns the degree's integer columns
 {col: {row: numerator}} over one denominator, which build_complex keeps
-as they are.  Images made label by label, each over its own denominator,
-join into a degree's columns through _joined, over the lcm of those
-denominators.  d^2, ranks, is_boundary and the verifiers read the
+as they are.  Images made label by label, each a {row: Fraction}, join
+into a degree's columns through _joined, in one pass over the lcm of
+their denominators.  d^2, ranks, is_boundary and the verifiers read the
 columns; the {(row, col): Fraction} view of a complex (diffs, matrix) is
 built only when it is read, and its equal values share one Fraction object
 (_FractionPool).  The d^2 report reads one product loop a degree at a
@@ -548,7 +548,8 @@ def build_complex(
     and returns ({col: {row: numerator}}, den): the nonzero columns, keyed
     by their place in labels and in label order, with no zero numerator,
     over one denominator for the degree.  build_complex stores them as they
-    are; images made label by label join through _joined.
+    are; images made label by label as {row: Fraction} join through
+    _joined.
     """
     lo, hi = window
     store: dict[int, tuple[Columns, int]] = {}
@@ -561,23 +562,20 @@ def build_complex(
 
 
 def _joined(
-    images: list[tuple[dict[int, int], int]], rest: tuple[Columns, int] = ({}, 1)
+    images: list[Mapping[int, Fraction]], rest: tuple[Columns, int] = ({}, 1)
 ) -> tuple[Columns, int]:
-    """One degree's columns from images made label by label, one (numerators
-    by row, den) for each label in order, then rest: the columns of the
-    labels after those, made together over one den and keyed by place among
-    them.  The nonzero columns are kept over the lcm of their denominators,
-    a column rescaled only when its own den differs from that lcm."""
+    """One degree's columns from images made label by label, one {row:
+    Fraction} for each label in order, then rest: the columns of the labels
+    after those, made together over one den and keyed by place among them.
+    The nonzero columns are kept over one lcm, of rest's den and every
+    value's denominator; rest's are rescaled only when den differs."""
     columns, den = rest
-    parts = [(col, column, d) for col, (column, d) in enumerate(images) if column]
-    lcm = math.lcm(den if columns else 1, *(d for _, _, d in parts))
-
-    def scaled(column: dict[int, int], d: int) -> dict[int, int]:
-        return {r: v * (lcm // d) for r, v in column.items()}
-
-    joined = {col: column if d == lcm else scaled(column, d) for col, column, d in parts}
-    n = len(images)
-    joined.update(
-        {n + col: column if den == lcm else scaled(column, den) for col, column in columns.items()}
-    )
+    lcm = math.lcm(den if columns else 1, *{v.denominator for im in images for v in im.values()})
+    joined: Columns = {}
+    for col, image in enumerate(images):
+        if column := {r: v.numerator * (lcm // v.denominator) for r, v in image.items() if v}:
+            joined[col] = column
+    for col, column in columns.items():
+        scaled = column if den == lcm else {r: v * (lcm // den) for r, v in column.items()}
+        joined[len(images) + col] = scaled
     return joined, lcm

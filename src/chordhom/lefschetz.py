@@ -10,9 +10,10 @@ over the letters at expansion time.  The curvature contributes the unit
 term of the first minimum chord and the insertion operator of the cyclic
 tensor differential.
 
-Every construction reads one merged table (`CurvedAinf.table`) and one
-chord list (`_chord_generators`), and sums integer numerators over the lcm
-of the table's denominators (`_integer_table`).  One entry check
+Every construction reads one operation table (`CurvedAinf.table`, written
+once by build_curved_category) and one chord list (`_chord_generators`),
+and sums integer numerators over the lcm of the table's denominators
+(`_integer_table`).  One entry check
 (`_entry_problems`) reads the table and the direct DGA's counts.  One
 expansion, `_expand`, turns table entries into chord words: it lists each
 word the entries yield over every t-power distribution with its (chord,
@@ -115,30 +116,14 @@ class AinfValidationError(ValueError):
 
 @dataclass
 class CurvedAinf:
-    """The t-adically truncated curved category in symbol form.  table is
-    the merged operation table (units, pairings and user constants summed,
-    zero entries dropped), formed once at construction."""
+    """The t-adically truncated curved category in symbol form: table sums
+    the forced entries and the user constants, zero entries dropped."""
 
     spec: DirectedAinfSpec
     order: int  # truncation order N
     symbols: dict[Symbol, SymbolInfo]
-    units: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
-    pairings: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
+    table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
     user: dict[tuple[Symbol, ...], dict[Symbol, Fraction]]
-    table: dict[tuple[Symbol, ...], dict[Symbol, Fraction]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        merged = _table()
-        for part in (self.units, self.pairings, self.user):
-            for word, hits in part.items():
-                slot = merged[word]
-                for out, v in hits.items():
-                    slot[out] += v
-        self.table = {
-            word: nonzero
-            for word, hits in merged.items()
-            if (nonzero := {out: v for out, v in hits.items() if v})
-        }
 
     @functools.cached_property
     def expansion(self) -> tuple[dict[tuple[str, ...], list[tuple[str, int]]], int]:
@@ -220,32 +205,30 @@ def _symbol_table(spec: DirectedAinfSpec) -> dict[Symbol, SymbolInfo]:
     return table
 
 
-def _forced_tables(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
-    units, pairings = _table(), _table()
+def _forced_table(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
+    """The entries strict unitality and the points force, in one table: the
+    units, the pairings onto the maximum classes, the n = 2 corrections."""
+    table = _table()
 
     for sym, info in symbols.items():
         e_left = ("e", info.dst)
-        units[(e_left, sym)][sym] += 1
+        table[(e_left, sym)][sym] += 1
         if sym[0] != "e":
             e_right = ("e", info.src)
             sign = -1 if (info.base - 1) % 2 else 1
-            units[(sym, e_right)][sym] += sign
+            table[(sym, e_right)][sym] += sign
 
     for name, _grading, i, j in spec.points:
         f, b = ("f", name), ("b", name)
-        pairings[(f, b)][("m", j)] += 1
-        pairings[(b, f)][("m", i)] += 1
+        table[(f, b)][("m", j)] += 1
+        table[(b, f)][("m", i)] += 1
 
     if spec.n == 2:
         rank = {nm: r for r, nm in enumerate(spec.order)}
 
-        def less(a: str, b: str) -> bool:
-            return rank[a] < rank[b]
-
-        def wing(point: str, comp: int) -> tuple[Symbol, Symbol]:
+        def wing(point: str, pj: int, comp: int) -> tuple[Symbol, Symbol]:
             """The pair (first, second) with ports leaving and returning to
-            comp through the given point."""
-            _nm, _g, pi, pj = spec.point(point)
+            comp through the point, whose target component is pj."""
             if comp == pj:
                 return ("f", point), ("b", point)
             return ("b", point), ("f", point)
@@ -254,24 +237,24 @@ def _forced_tables(spec: DirectedAinfSpec, symbols: dict[Symbol, SymbolInfo]):
             for nm, _g, pi, pj in spec.points:
                 if i not in (pi, pj):
                     continue
-                u, v = wing(nm, i)
-                pairings[(("m", i), u, v)][("m", i)] += 1
+                u, v = wing(nm, pj, i)
+                table[(("m", i), u, v)][("m", i)] += 1
         for nm, ga, i, j in spec.points:
             f_a, b_a = ("f", nm), ("b", nm)
             sign_f = -1 if (ga - 1) % 2 else 1
             sign_b = -1 if ga % 2 else 1
             for other, _g2, oi, oj in spec.points:
-                if other == nm or not less(other, nm):
+                if rank[other] >= rank[nm]:
                     continue
                 if i in (oi, oj):
-                    u, v = wing(other, i)
-                    pairings[(f_a, u, v)][f_a] += sign_f
-                    pairings[(u, v, b_a)][b_a] -= 1
+                    u, v = wing(other, oj, i)
+                    table[(f_a, u, v)][f_a] += sign_f
+                    table[(u, v, b_a)][b_a] -= 1
                 if j in (oi, oj):
-                    u, v = wing(other, j)
-                    pairings[(u, v, f_a)][f_a] -= 1
-                    pairings[(b_a, u, v)][b_a] += sign_b
-    return units, pairings
+                    u, v = wing(other, oj, j)
+                    table[(u, v, f_a)][f_a] -= 1
+                    table[(b_a, u, v)][b_a] += sign_b
+    return table
 
 
 def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
@@ -281,8 +264,7 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
     if t_order < 0:
         raise ValueError("the truncation order must be nonnegative")
     symbols = _symbol_table(spec)
-    units, pairings = _forced_tables(spec, symbols)
-    user = _table()
+    table, user = _forced_table(spec, symbols), _table()
     for out_sym, inputs, coeff in spec.mu:
         if out_sym[0] == "e":
             raise AinfValidationError("structure constants may not output a unit")
@@ -290,10 +272,15 @@ def build_curved_category(spec: DirectedAinfSpec, t_order: int) -> CurvedAinf:
             raise AinfValidationError(
                 "unit inputs are fixed by strict unitality; do not supply them"
             )
-        user[tuple(reversed(inputs))][out_sym] += rat(coeff)
-    D = CurvedAinf(
-        spec=spec, order=t_order, symbols=symbols, units=units, pairings=pairings, user=user
-    )
+        word, c = tuple(reversed(inputs)), rat(coeff)
+        user[word][out_sym] += c
+        table[word][out_sym] += c
+    table = {
+        word: nonzero
+        for word, hits in table.items()
+        if (nonzero := {out: v for out, v in hits.items() if v})
+    }
+    D = CurvedAinf(spec=spec, order=t_order, symbols=symbols, table=table, user=user)
     report = check_curved_ainf(D)
     if report:
         raise AinfValidationError("; ".join(report[:5]))
@@ -545,8 +532,7 @@ def lefschetz_dga(
     if n == 2:
         rank = {nm: r for r, nm in enumerate(spec.order)}
 
-        def wing_series(point: str, comp: int) -> Series:
-            _nm, _g, pi, pj = spec.point(point)
+        def wing_series(point: str, pj: int, comp: int) -> Series:
             f, b = series[("f", point)], series[("b", point)]
             return smul(f, b) if comp == pj else smul(b, f)
 
@@ -554,7 +540,7 @@ def lefschetz_dga(
             m = series[("m", i)]
             for nm, _g, pi, pj in spec.points:
                 if i in (pi, pj):
-                    _series_add(diff_series[("m", i)], smul(m, wing_series(nm, i)))
+                    _series_add(diff_series[("m", i)], smul(m, wing_series(nm, pj, i)))
         for nm, ga, i, j in spec.points:
             f, b = series[("f", nm)], series[("b", nm)]
             fsign = -1 if (ga - 1) % 2 else 1
@@ -564,11 +550,11 @@ def lefschetz_dga(
                 if other == nm or rank[other] >= rank[nm]:
                     continue
                 if i in (oi, oj):
-                    wing = wing_series(other, i)
+                    wing = wing_series(other, oj, i)
                     _series_add(df, smul(f, wing), fsign)
                     _series_add(db, smul(wing, b), -1)
                 if j in (oi, oj):
-                    wing = wing_series(other, j)
+                    wing = wing_series(other, oj, j)
                     _series_add(df, smul(wing, f), -1)
                     _series_add(db, smul(b, wing), bsign)
 

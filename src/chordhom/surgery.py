@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Mapping
 
-from .algebra import ChordAlgebra, Word
+from .algebra import ChordAlgebra, Word, rat
 from .complexes import _chord_block, _s_terms, cyclic_class
 from .dga import DGASpec
-from .homology import EXACT, GradedChainComplex, _joined, _numerators, build_complex
+from .homology import EXACT, GradedChainComplex, _joined, build_complex
 
 
 class CountGradingError(ValueError):
@@ -180,13 +180,13 @@ FILLING_KINDS = ("orb", "ochk", "ohat", "mrs")
 
 def _by_source(tables: Mapping[str, Mapping]) -> dict:
     """Count tables by name as one index {(name, source): [(target, count)]}
-    of their nonzero entries in table order; indexed once per build, a row
-    is read without a scan."""
+    of their nonzero entries in table order, each count a Fraction (rat
+    refuses a float); indexed once per build, a row is read without a scan."""
     rows: dict = defaultdict(list)
     for name, table in tables.items():
         for (a, b), c in table.items():
             if c:
-                rows[name, a].append((b, c))
+                rows[name, a].append((b, rat(c)))
     return rows
 
 
@@ -350,10 +350,7 @@ def _surgery_complex(
         chord, den = chord_columns(labels[n:], rows) if n < len(labels) else ({}, 1)
         if not n:
             return chord, den
-        orbit = [
-            _numerators(_orbit_row(label, tables, kappa, kappa, alg, bad, rows))
-            for label in labels[:n]
-        ]
+        orbit = [_orbit_row(label, tables, kappa, kappa, alg, bad, rows) for label in labels[:n]]
         return _joined(orbit, (chord, den))
 
     return build_complex(bases, columns, window, verdict)
@@ -475,7 +472,7 @@ def build_ch_complex(filling: FillingModel, window: tuple[int, int]) -> GradedCh
             for beta, c in tables.get(("orbit_orbit", gamma), ()):
                 if (row := rows.get(("orb", beta))) is not None:
                     out[row] += c / kappa[gamma]
-            images.append(_numerators(out))
+            images.append(out)
         return _joined(images)
 
     return build_complex(bases, columns, window, EXACT)

@@ -130,9 +130,24 @@ def on_rows(image):
 
     def columns(labels, rows):
         by_row = [{rows[k]: v for k, v in image(label).items() if k in rows} for label in labels]
-        return _joined([_numerators(terms) for terms in by_row])
+        return _joined(by_row)
 
     return columns
+
+
+def joined_reference(images, rest=({}, 1)):
+    """homology._joined in two stages: each label's {row: Fraction} image
+    as (numerators, den) over its own lcm (_numerators), then the lcm over
+    the nonempty columns and rest's den when it has columns, and every
+    column rescaled to it."""
+    parts = [(col, *_numerators(image)) for col, image in enumerate(images)]
+    parts = [(col, column, d) for col, column, d in parts if column]
+    columns, den = rest
+    lcm = math.lcm(den if columns else 1, *(d for _, _, d in parts))
+    joined = {col: {r: v * (lcm // d) for r, v in column.items()} for col, column, d in parts}
+    for col, column in columns.items():
+        joined[len(images) + col] = {r: v * (lcm // den) for r, v in column.items()}
+    return joined, lcm
 
 
 class Numbering(dict):

@@ -274,6 +274,9 @@ REFUSALS = [
     (betti_from_document, _betti(ranks={"0": True}), "$.ranks.0", "ranks are integers"),
     (betti_from_document, _betti(flagged=[True]), "$.flagged[0]",
      "flagged degrees are integers"),
+    (betti_from_document, _betti(ranks={}), "$.ranks", "expected at least one degree"),
+    (betti_from_document, _betti(ranks={"0": 1, "1": -3}), "$.ranks.1", "ranks are nonnegative"),
+    (betti_from_document, _betti(verdict="bogus"), "$.verdict", "expected EXACT or TRUNCATED"),
 ]
 
 

@@ -258,12 +258,38 @@ def test_d_squared_report_reduces_values_of_single_entry_columns_across_degrees(
 
     def columns(labels, rows):
         terms = [images.get(label, ({}, 1)) for label in labels]
-        return _joined([({rows[k]: v for k, v in t.items()}, den) for t, den in terms])
+        return _joined([{rows[k]: Fraction(v, den) for k, v in t.items()} for t, den in terms])
 
     cx = build_complex(bases, columns, (0, 2), EXACT)
     report = cx.d_squared_report()
     assert report == [(2, 0, 0, 1, 3), (2, 0, 1, 1, 2), (3, 0, 0, 1, 2), (3, 0, 1, 5, 4)]
     assert ref.fraction_entries(report) == d_squared_reference(cx)
+
+
+_VALUES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+_IMAGES = st.lists(st.dictionaries(st.integers(0, 8), _VALUES, max_size=5), max_size=5)
+_REST = st.tuples(
+    st.dictionaries(
+        st.integers(0, 4),
+        st.dictionaries(st.integers(0, 8), st.integers(-9, 9).filter(bool), min_size=1),
+        max_size=3,
+    ),
+    st.integers(-12, 12).filter(bool),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IMAGES, st.one_of(st.none(), _REST))
+def test_joined_matches_the_two_stage_join(images, rest):
+    # zero values, empty and all-zero images, rest with and without columns
+    # and over a negative den: the same columns, key order and den as each
+    # image over its own lcm, then rescaled over the lcm of the nonempty ones
+    args = (images,) if rest is None else (images, rest)
+    got, want = _joined(*args), ref.joined_reference(*args)
+    assert got == want
+    assert [(col, list(column)) for col, column in got[0].items()] == [
+        (col, list(column)) for col, column in want[0].items()
+    ]
 
 
 def test_d_squared_report_gives_a_positive_denominator():

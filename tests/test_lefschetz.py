@@ -32,7 +32,7 @@ from chordhom.lefschetz import (
     verify_dictionary,
     _chord_name,
     _expand,
-    _forced_tables,
+    _forced_table,
     _symbol_table,
 )
 
@@ -145,8 +145,11 @@ def _unvalidated_category(spec, N, user=None):
     """The curved category of spec without the relation check (the n = 2
     wing terms do not pass it on their own)."""
     symbols = _symbol_table(spec)
-    units, pairings = _forced_tables(spec, symbols)
-    return CurvedAinf(spec, N, symbols, units, pairings, user or {})
+    table = _forced_table(spec, symbols)
+    for word, hits in (user or {}).items():
+        for out, v in hits.items():
+            table[word][out] += v
+    return CurvedAinf(spec, N, symbols, _nonzero(table), user or {})
 
 
 N2_SPEC = DirectedAinfSpec(k=2, n=2, points=[("a", 1, 1, 2)], mu=[], order=["a"])
@@ -354,15 +357,15 @@ def test_unknown_structure_constant_symbol_rejected(mu, problem):
 
 
 def test_table_is_the_entrywise_sum_of_its_parts():
-    spec = minimal_ainf_spec()
-    # a user constant that cancels the pairing f.b -> m_2 drops that entry
-    D = _unvalidated_category(spec, 2, user={(("f", "a"), ("b", "a")): {("m", 2): Fraction(-1)}})
-    expected = defaultdict(lambda: defaultdict(Fraction))
-    for part in (D.units, D.pairings, D.user):
-        for word, hits in part.items():
-            for out, v in hits.items():
-                expected[word][out] += v
-    assert D.table == _nonzero(expected)
+    # a user constant m_2(b, f) = -1, in path order f.b -> m_2, cancels the
+    # pairing f.b -> m_2: build_curved_category drops that entry
+    spec = replace(minimal_ainf_spec(), mu=[(("m", 2), (("b", "a"), ("f", "a")), Fraction(-1))])
+    D = build_curved_category(spec, 2)
+    expected = _forced_table(spec, D.symbols)
+    for word, hits in D.user.items():
+        for out, v in hits.items():
+            expected[word][out] += v
+    assert list(D.table.items()) == list(_nonzero(expected).items())
     assert (("f", "a"), ("b", "a")) not in D.table
     assert (("b", "a"), ("f", "a")) in D.table
 

@@ -368,3 +368,65 @@ def test_cobordism_cyclic_counts_need_the_chord_algebra():
     counts = CobordismCounts(orbit_cyc={("g1", ("a",)): Fraction(1)})
     with pytest.raises(ValueError, match="cyclic counts need the chord algebra"):
         assemble_cobordism_map(counts, complex, complex)
+
+
+def _fractions(tables: dict) -> dict:
+    """The same count tables with every count a Fraction."""
+    return {name: {key: Fraction(c) for key, c in t.items()} for name, t in tables.items()}
+
+
+def test_integer_counts_build_what_fraction_counts_build():
+    # an int count divided by an int multiplicity made a float, which no
+    # join could read; every count is a Fraction once it is indexed
+    dga = DGASpec(BaseRing(1), [Generator("a", 2)], {}, 2)
+    orbits = [Orbit("u", 5, 6), Orbit("v", 4, 4), Orbit("w", 3, 2), Orbit("t", 1)]
+    morse = [("p", 3), ("q", 2), ("r", 1)]
+    filling_tables = dict(
+        orbit_diff={("u", "v"): 5, ("v", "w"): 3},
+        bott_diff={("u", "w"): 2},
+        to_morse={("v", "p"): 2},
+        morse_diff={("p", "q"): 3},
+        morse_tau={("r", 1): 2},
+    )
+    count_tables = dict(
+        mixed_cyc={("u", ("a", "a")): 6},
+        ncheck={("u", ("a", "a")): 3},
+        nhat={("v", ("a",)): 5},
+        orbit_tau={("t", 1): 3},
+    )
+    ints = FillingModel(2, orbits, morse, **filling_tables)
+    fractions = FillingModel(2, orbits, morse, **_fractions(filling_tables))
+    int_counts = SurgeryCountTable(**count_tables)
+    fraction_counts = SurgeryCountTable(**_fractions(count_tables))
+    for build in (build_lch_surgery, build_shplus_surgery, build_sh_surgery):
+        got = build(ints, dga, int_counts, (0, 6), 4)
+        want = build(fractions, dga, fraction_counts, (0, 6), 4)
+        assert (got.basis, got.diffs, got.verdict) == (want.basis, want.diffs, want.verdict)
+        assert any(got.diffs.values())
+    got, want = build_ch_complex(ints, (0, 6)), build_ch_complex(fractions, (0, 6))
+    assert (got.basis, got.diffs) == (want.basis, want.diffs)
+    assert got.matrix(5) == {(0, 0): Fraction(5, 6)}
+    complex = build_sh_surgery(fractions, dga, fraction_counts, (0, 6), 4)
+    kappa = {o.label: o.multiplicity for o in orbits}
+    map_tables = dict(
+        orbit_orbit={(o.label, o.label): o.multiplicity for o in orbits},
+        orbit_cyc={("u", ("a", "a")): 6},
+        morse_morse={(p, p): 1 for p, _ in morse},
+    )
+    reports = [
+        assemble_cobordism_map(
+            CobordismCounts(**tables), complex, complex, kappa, kappa, dga.algebra
+        )
+        for tables in (map_tables, _fractions(map_tables))
+    ]
+    assert reports[0].mapping == reports[1].mapping and reports[0].mapping
+    assert all(type(v) is Fraction for image in reports[0].mapping.values() for v in image.values())
+    assert reports[0].defects == reports[1].defects
+
+
+def test_float_count_refused():
+    filling = FillingModel(2, [Orbit("u", 4, 6), Orbit("v", 3, 4)], orbit_diff={("u", "v"): 0.5})
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        build_ch_complex(filling, (0, 6))
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        build_lch_surgery(filling, None, SurgeryCountTable.zero(), (0, 6))

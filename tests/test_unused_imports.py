@@ -1,19 +1,22 @@
-"""Every name a module of src/chordhom imports is read by that module: an
-import nothing reads is dead weight.  __init__.py is exempt, since it
-imports to re-export, and so is `from __future__ import annotations`."""
+"""Every name a module of src/chordhom, tests or scripts imports is read by
+that module: an import nothing reads is dead weight.  The package's
+__init__.py is exempt, since it imports to re-export, and so is
+`from __future__ import annotations`."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "chordhom"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "chordhom"
+MODULES = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
 
 
 def unread_imports() -> set[tuple[str, str]]:
-    """(module, name) for every name bound by an import of the module and
-    never read there, as a name or as the root of an attribute."""
+    """(module path, name) for every name bound by an import of the module
+    and never read there, as a name or as the root of an attribute."""
     found = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(MODULES):
+        if path == SRC / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         bound = {
@@ -30,7 +33,7 @@ def unread_imports() -> set[tuple[str, str]]:
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
-        found |= {(path.name, name) for name in bound - read}
+        found |= {(str(path.relative_to(ROOT)), name) for name in bound - read}
     return found
 
 
